@@ -34,9 +34,9 @@ pub(crate) fn run_scratch(
         return;
     };
     let n = verifier.alive_count();
-    // With pruning on, sizes above the neighbour-mask popcount bound are
-    // provably hitless — start the downward sweep below them. On the
-    // legacy path the cap equals `n` and the sweep is unchanged.
+    // Sizes above the neighbour-mask popcount bound are provably hitless
+    // — start the downward sweep below them. With the filter unarmed the
+    // cap equals `n`.
     let top = verifier.max_candidate_size();
     let budget = opts.max_candidates;
     // The deadline may already have fired inside the verifier's pruned

@@ -29,10 +29,10 @@ pub(crate) struct Verifier<'a> {
     /// Root of q's connected k-core subtree in the CL-tree.
     subtree: NodeId,
     /// Whether `vs.core` has been materialized — the Dec fast path never
-    /// walks the full subtree when signature pruning is enabled.
+    /// walks the full subtree.
     core_ready: bool,
-    /// Whether the neighbour-mask exact-count filter is armed (pruning on,
-    /// k ≥ 1, |S| ≤ 64).
+    /// Whether the neighbour-mask exact-count filter is armed (k ≥ 1,
+    /// |S| ≤ 64).
     filter_ready: bool,
     /// Upper bound on the size of any verifiable candidate keyword set —
     /// `alive_count()` when the filter is unarmed, else the largest `s`
@@ -63,20 +63,19 @@ impl<'a> Verifier<'a> {
     /// cannot appear in any answer are pruned immediately
     /// (anti-monotonicity: any superset would fail too).
     ///
-    /// With signature pruning enabled (the default; `CX_PRUNE=off`
-    /// disables), each keyword's carrier walk skips subtrees whose
-    /// signature excludes the keyword, and the per-keyword singleton
-    /// *peels* are skipped entirely: the verifier caches the raw carrier
-    /// lists and defers all peeling to the per-candidate step. That is
-    /// sound because every answer community is contained in each of its
-    /// keywords' carrier lists, so intersecting raw lists and peeling the
-    /// (tiny) intersection yields the identical community the legacy
-    /// peeled-singleton path finds. `alive` then over-approximates the
-    /// exact singleton-core test — the neighbour-mask filter and the
-    /// [`Self::max_candidate_size`] cap keep the candidate lattice as
-    /// small as the exact test would. Answers are bit-identical either
-    /// way — enforced by the `bitset_prune_differential` oracle (work
-    /// *counters* legitimately differ between the two paths).
+    /// Each keyword's carrier walk skips subtrees whose signature
+    /// excludes the keyword. With the neighbour filter armed (or k = 0)
+    /// the per-keyword singleton *peels* are skipped entirely: the
+    /// verifier caches the raw carrier lists and defers all peeling to
+    /// the per-candidate step. That is sound because every answer
+    /// community is contained in each of its keywords' carrier lists, so
+    /// intersecting raw lists and peeling the (tiny) intersection yields
+    /// the identical community that peeled singleton cores would. `alive`
+    /// then over-approximates the exact singleton-core test — the
+    /// neighbour-mask filter and the [`Self::max_candidate_size`] cap
+    /// keep the candidate lattice as small as the exact test would. With
+    /// |S| > 64 and k ≥ 1 the masks do not fit a word, so singletons are
+    /// peeled eagerly and `alive` is exact.
     pub fn new(
         g: &'a AttributedGraph,
         tree: &'a ClTree,
@@ -86,7 +85,6 @@ impl<'a> Verifier<'a> {
         vs: &'a mut VerifyScratch,
     ) -> Option<Self> {
         let subtree = tree.subtree_root_for(q, k)?;
-        let prune = cx_cltree::prune_enabled();
         vs.core.clear();
         vs.alive.clear();
         vs.alive_spos.clear();
@@ -102,7 +100,7 @@ impl<'a> Verifier<'a> {
         // neighbours of core number ≥ k carrying it. One bitmask per such
         // neighbour over S (bit j ⇔ s[j] ∈ W(u)) turns that necessary
         // condition into a popcount-free AND per candidate.
-        let filter_ready = prune && k > 0 && s.len() <= 64;
+        let filter_ready = k > 0 && s.len() <= 64;
         if filter_ready {
             for &u in g.neighbors(q) {
                 if tree.core(u) < k {
@@ -139,14 +137,11 @@ impl<'a> Verifier<'a> {
             examined: 0,
             cancelled: false,
         };
-        if !prune {
-            v.materialize_core();
-        }
         // Deferred-peel mode: cache raw carrier lists and let the
         // per-candidate peel do all the work. Requires the neighbour
         // filter (or k = 0, where "q is a carrier" is already the exact
         // singleton test) to keep the candidate lattice in check.
-        let defer = prune && (k == 0 || filter_ready);
+        let defer = k == 0 || filter_ready;
         for (spos, &w) in s.iter().enumerate() {
             v.verified += 1;
             v.examined += 1;
@@ -159,54 +154,33 @@ impl<'a> Verifier<'a> {
                     continue;
                 }
             }
-            let ok = if prune {
-                let t = profile::timer();
-                let stats = tree.keyword_vertices_in_subtree_pruned_into(
-                    subtree,
-                    w,
-                    &KeywordSignature::mask_of(w),
-                    &mut v.vs.stack,
-                    &mut v.vs.kw_list,
-                );
-                profile::add_walk(t);
-                v.vs.stat_subtrees_pruned += stats.subtrees_pruned as u64;
-                v.vs.stat_signature_hits += stats.signature_hits as u64;
-                if stats.cancelled {
-                    v.cancelled = true;
-                    break;
-                }
-                // Exact-count short-circuit: the walk's carrier count is
-                // exact (per-node inverted lists), and a k-core needs at
-                // least k+1 vertices — too few carriers can never verify,
-                // so skip the peel entirely.
-                if k > 0 && v.vs.kw_list.len() <= k as usize {
-                    false
-                } else if defer {
-                    // Keep the keyword iff q itself is a carrier (every
-                    // answer contains q); the peel is deferred to the
-                    // candidate step, which works on intersections.
-                    v.vs.kw_list.binary_search(&q).is_ok()
-                } else {
-                    let t = profile::timer();
-                    let ok = v.vs.peel.connected_k_core_containing_into(
-                        g,
-                        &v.vs.kw_list,
-                        q,
-                        k,
-                        &mut v.vs.peeled,
-                    );
-                    profile::add_verify(t);
-                    ok
-                }
+            let t = profile::timer();
+            let stats = tree.keyword_vertices_in_subtree_pruned_into(
+                subtree,
+                w,
+                &KeywordSignature::mask_of(w),
+                &mut v.vs.stack,
+                &mut v.vs.kw_list,
+            );
+            profile::add_walk(t);
+            v.vs.stat_subtrees_pruned += stats.subtrees_pruned as u64;
+            v.vs.stat_signature_hits += stats.signature_hits as u64;
+            if stats.cancelled {
+                v.cancelled = true;
+                break;
+            }
+            // Exact-count short-circuit: the walk's carrier count is
+            // exact (per-node inverted lists), and a k-core needs at
+            // least k+1 vertices — too few carriers can never verify,
+            // so skip the peel entirely.
+            let ok = if k > 0 && v.vs.kw_list.len() <= k as usize {
+                false
+            } else if defer {
+                // Keep the keyword iff q itself is a carrier (every
+                // answer contains q); the peel is deferred to the
+                // candidate step, which works on intersections.
+                v.vs.kw_list.binary_search(&q).is_ok()
             } else {
-                let t = profile::timer();
-                tree.keyword_vertices_in_subtree_into(
-                    subtree,
-                    w,
-                    &mut v.vs.stack,
-                    &mut v.vs.kw_list,
-                );
-                profile::add_walk(t);
                 let t = profile::timer();
                 let ok = v.vs.peel.connected_k_core_containing_into(
                     g,
@@ -223,7 +197,7 @@ impl<'a> Verifier<'a> {
                 // keywords' cached lists, so intersecting them and peeling
                 // the intersection yields the exact answer — whether the
                 // cache holds raw carrier lists (deferred-peel mode) or
-                // peeled singleton cores (legacy path).
+                // peeled singleton cores (eager mode).
                 v.vs.alive.push(w);
                 v.vs.alive_spos.push(spos as u32);
                 if defer {
@@ -262,7 +236,7 @@ impl<'a> Verifier<'a> {
     }
 
     /// Largest candidate keyword-set size this query can possibly verify:
-    /// `alive_count()` on the legacy path, tightened by the neighbour-mask
+    /// `alive_count()` in eager mode, tightened by the neighbour-mask
     /// popcount bound when the filter is armed. Dec starts its downward
     /// sweep here — sizes above the cap are provably hitless.
     pub fn max_candidate_size(&self) -> usize {
@@ -308,7 +282,7 @@ impl<'a> Verifier<'a> {
         &self.vs.core
     }
 
-    /// Surviving keywords of S, sorted by id. On the legacy path these
+    /// Surviving keywords of S, sorted by id. In eager mode these
     /// are exactly the keywords whose singleton keyword-core exists; in
     /// deferred-peel mode they are the keywords not refuted by the cheap
     /// necessary conditions (a sound over-approximation — candidates over

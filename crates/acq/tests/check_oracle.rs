@@ -64,3 +64,40 @@ fn high_k_queries_return_empty_not_wrong() {
         }
     }
 }
+
+#[test]
+fn more_than_64_keywords_takes_the_eager_peel_walk() {
+    // |S| > 64 with k ≥ 1: the neighbour masks do not fit a word, so the
+    // verifier peels singletons eagerly with the filter unarmed. q alone
+    // carries 65 of its 68 keywords, which keeps the lattice at {x, y, z}.
+    let unique: Vec<String> = (0..65).map(|i| format!("u{i}")).collect();
+    let mut wq: Vec<&str> = unique.iter().map(String::as_str).collect();
+    wq.extend(["x", "y", "z"]);
+    let mut b = cx_graph::GraphBuilder::new();
+    let q = b.add_vertex("q", &wq);
+    let a = b.add_vertex("a", &["x", "y", "z"]);
+    let c = b.add_vertex("c", &["x", "y"]);
+    let d = b.add_vertex("d", &["x", "y"]);
+    let e = b.add_vertex("e", &["x", "z"]);
+    for (u, v) in [(q, a), (q, c), (q, d), (a, c), (a, d), (c, d), (q, e), (a, e)] {
+        b.add_edge(u, v);
+    }
+    let g = b.build();
+    assert!(g.keywords(q).len() > 64);
+    let tree = ClTree::build(&g);
+    let opts = AcqOptions::with_k(2);
+    // 2^68 subsets: Basic sits this one out.
+    let (reference, mismatches) = acq_strategy_differential(&g, &tree, q, &opts, 0);
+    assert!(mismatches.is_empty(), "{mismatches:?}");
+    // {x,y} on the K4 and {x,z} on the triangle; {x,y,z} leaves only q, a.
+    assert_eq!(reference.shared_keyword_count, 2);
+    let mut members: Vec<Vec<&str>> = reference
+        .communities
+        .iter()
+        .map(|c| c.vertices().iter().map(|&v| g.label(v)).collect())
+        .collect();
+    members.sort();
+    assert_eq!(members, vec![vec!["q", "a", "c", "d"], vec!["q", "a", "e"]]);
+    let violations = check_acq_result(&g, q, 2, g.keywords(q), &reference);
+    assert!(violations.is_empty(), "{violations:?}");
+}

@@ -29,10 +29,6 @@
 //!   emits a per-phase row (CL-tree walk / verify / member expansion).
 //! * `--max-engine-ms MS` exits non-zero when the engine median exceeds
 //!   the bound — the CI regression gate for the pruned path.
-//!
-//! Signature pruning honours `CX_PRUNE`: run with `CX_PRUNE=off` for the
-//! exact legacy path (full subtree walks, no count short-circuit) on the
-//! same dataset — the "before" side of the committed bench rows.
 
 use std::time::Instant;
 

@@ -10,7 +10,9 @@
 //! 2b. **Hierarchy reconstruction** — at every level, fully expanding the
 //!    multi-resolution summary's supernodes must reproduce the exact
 //!    k-core vertex set and edge multiset.
-//! 3. **Strategy differential** — Dec vs. Inc-S / Inc-T / Basic.
+//! 3. **Strategy differential** — Dec vs. Inc-S / Inc-T / Basic. At the
+//!    default `--basic-limit` every workload query must take the
+//!    index-free Basic leg; the summary line reports the count.
 //! 4. **Cache differential** — cold vs. warm vs. cache-disabled engines.
 //! 5. **Snapshot differential** — a reader pinned to a pre-edit snapshot
 //!    vs. the post-edit snapshot: each must match an engine that only
@@ -23,9 +25,6 @@
 //! 8. **Scratch-reuse differential** — the pooled zero-alloc query path
 //!    vs. a deliberately dirtied caller-managed scratch, at 1 and 8
 //!    threads: reuse must leave no residue between queries.
-//! 8b. **Bitset-prune differential** — signature-pruned CL-tree walks vs.
-//!    the exact `CX_PRUNE=off` path: canonically identical answers on
-//!    every workload query (pruning is sound, not approximate).
 //! 9. **API fuzz** — mutated requests must never panic or break the
 //!    JSON error contract.
 //! 10. **Kill-replay** — a durable engine crashed at seeded WAL byte
@@ -39,10 +38,10 @@ use cx_acq::AcqOptions;
 use cx_check::invariants::check_core_numbers;
 use cx_check::oracle::thread_differential;
 use cx_check::{
-    acq_strategy_differential, bitset_prune_differential, cached_vs_uncached, check_acq_result,
-    edit_script, fingerprint, fuzz_server, graph_matrix, hierarchy_reconstruction,
-    incremental_vs_scratch, kill_replay, query_workload, scratch_reuse_differential,
-    snapshot_pinning_differential, FuzzParams, KillReplayParams,
+    acq_strategy_differential, cached_vs_uncached, check_acq_result, edit_script, fingerprint,
+    fuzz_server, graph_matrix, hierarchy_reconstruction, incremental_vs_scratch, kill_replay,
+    query_workload, scratch_reuse_differential, snapshot_pinning_differential, FuzzParams,
+    KillReplayParams,
 };
 use cx_cltree::ClTree;
 use cx_datagen::dblp_like;
@@ -128,6 +127,7 @@ fn main() {
 
     let mut problems: Vec<String> = Vec::new();
     let mut queries_run = 0usize;
+    let mut basic_legs = 0usize;
     let matrix = graph_matrix(&args.sizes, &args.seeds);
     println!(
         "cx-check: {} graphs × {} queries, threads {:?}, fuzz {}",
@@ -176,6 +176,8 @@ fn main() {
             } else {
                 qc.keywords.clone()
             };
+            // Same rule the differential applies to admit Basic.
+            basic_legs += usize::from(s.len() <= args.basic_limit);
             for v in check_acq_result(g, qc.q, qc.k, &s, &reference) {
                 problems.push(format!("{} {} {}", case.name, qc.describe(g), v));
             }
@@ -242,19 +244,6 @@ fn main() {
                 problems.push(format!("{} {}", case.name, m));
             }
         }
-        // Bitset-pruning differential: signature-pruned walks vs. the
-        // exact CX_PRUNE=off path must be canonically identical on every
-        // workload query — pruning is an optimisation, not an
-        // approximation.
-        for qc in &workload {
-            let mut opts = AcqOptions::with_k(qc.k).max_candidates(2000);
-            if !qc.keywords.is_empty() {
-                opts = opts.keywords(qc.keywords.clone());
-            }
-            for m in bitset_prune_differential(g, &tree, qc.q, &opts) {
-                problems.push(format!("{} {}", case.name, m));
-            }
-        }
         println!("  {} ok ({} vertices, {} edges)", case.name, g.vertex_count(), g.edge_count());
     }
 
@@ -284,11 +273,20 @@ fn main() {
         problems.extend(kr.failures.iter().map(|f| format!("kill-replay {f}")));
     }
 
+    // Index-free Basic is the independent reference for the signature-
+    // pruned walks, so at the default limit no query may skip it.
+    if args.basic_limit == Args::default().basic_limit && basic_legs < queries_run {
+        problems.push(format!(
+            "only {basic_legs} of {queries_run} workload queries were compared against Basic"
+        ));
+    }
+
     if problems.is_empty() {
         println!(
-            "cx-check PASS: {} graphs, {} queries, {} fuzz requests, {} crash cases — no violations",
+            "cx-check PASS: {} graphs, {} queries ({} vs Basic), {} fuzz requests, {} crash cases — no violations",
             matrix.len(),
             queries_run,
+            basic_legs,
             report.total,
             crashes
         );

@@ -10,12 +10,10 @@
 //! * the status is one of 200/400/401/404/405/408/429/503 — the client
 //!   and operational-pushback codes; never a server-fault 5xx;
 //! * the body is non-empty;
-//! * JSON responses parse; on the legacy `/api/*` routes error responses
-//!   carry a non-empty `error` string, while `/api/v1/*` JSON responses
-//!   must honour the envelope contract: `ok` mirrors the status class,
-//!   `request_id` is a non-empty string, `elapsed_ms` is a number, and
-//!   `error` is `null` on success or `{code, message}` (both non-empty)
-//!   on failure.
+//! * JSON responses parse, and `/api/v1/*` JSON responses honour the
+//!   envelope contract: `ok` mirrors the status class, `request_id` is a
+//!   non-empty string, `elapsed_ms` is a number, and `error` is `null`
+//!   on success or `{code, message}` (both non-empty) on failure.
 //!
 //! Everything is seeded, so a failing case replays deterministically.
 
@@ -145,7 +143,7 @@ fn plausible_value(rng: &mut Rng64, pool: &ValuePool, param: &str) -> String {
             let b = pick(rng, &pool.labels);
             format!("{a}|{b}")
         }
-        "id" | "index" => format!("{}", rng.next_u64() % 64),
+        "id" | "index" | "level" | "node" => format!("{}", rng.next_u64() % 64),
         "k" => format!("{}", rng.next_u64() % 6),
         "limit" => format!("{}", rng.next_u64() % 30),
         "offset" => format!("{}", rng.next_u64() % 10),
@@ -178,20 +176,7 @@ fn plausible_value(rng: &mut Rng64, pool: &ValuePool, param: &str) -> String {
 }
 
 /// Endpoint templates: (method, path, candidate params, has JSON body).
-/// Every legacy `/api/*` route has a versioned `/api/v1/*` twin so the
-/// fuzzer exercises both the bare and the enveloped response paths.
 const TEMPLATES: &[(&str, &str, &[&str], bool)] = &[
-    ("GET", "/api/graphs", &[], false),
-    ("GET", "/api/stats", &["graph"], false),
-    ("GET", "/api/suggest", &["q", "limit", "offset", "graph"], false),
-    ("GET", "/api/search", &["timeout_ms", "name", "names", "id", "k", "algo", "graph", "keywords", "layout", "limit", "offset"], false),
-    ("GET", "/api/svg", &["timeout_ms", "name", "id", "k", "algo", "index", "layout", "graph"], false),
-    ("GET", "/api/compare", &["timeout_ms", "name", "id", "k", "algos", "graph", "keywords"], false),
-    ("GET", "/api/chart", &["timeout_ms", "name", "id", "k", "algos", "graph"], false),
-    ("GET", "/api/detect", &["timeout_ms", "algo", "limit", "graph"], false),
-    ("GET", "/api/profile", &["id", "graph"], false),
-    ("POST", "/api/edit", &["graph"], true),
-    ("POST", "/api/upload", &["name"], true),
     ("GET", "/api/v1/graphs", &[], false),
     ("GET", "/api/v1/stats", &["graph"], false),
     ("GET", "/api/v1/suggest", &["q", "limit", "offset", "graph"], false),
@@ -200,9 +185,12 @@ const TEMPLATES: &[(&str, &str, &[&str], bool)] = &[
     ("GET", "/api/v1/compare", &["timeout_ms", "name", "id", "k", "algos", "graph", "keywords"], false),
     ("GET", "/api/v1/chart", &["timeout_ms", "name", "id", "k", "algos", "graph"], false),
     ("GET", "/api/v1/detect", &["timeout_ms", "algo", "limit", "graph"], false),
+    ("GET", "/api/v1/detect_stream", &["timeout_ms", "algo", "limit", "graph"], false),
     ("GET", "/api/v1/profile", &["id", "graph"], false),
+    ("GET", "/api/v1/hierarchy", &["level", "node", "limit", "graph"], false),
     ("POST", "/api/v1/edit", &["graph"], true),
     ("POST", "/api/v1/upload", &["name"], true),
+    ("POST", "/api/v1/search_batch", &["timeout_ms"], true),
     ("GET", "/api/v1/trace", &["request_id"], false),
     ("GET", "/metrics", &[], false),
     ("GET", "/healthz", &[], false),
@@ -212,6 +200,14 @@ fn valid_edit_body(rng: &mut Rng64) -> String {
     let u = rng.next_u64() % 12;
     let v = rng.next_u64() % 12;
     format!("{{\"add\":[[{u},{v}]],\"remove\":[[{v},{u}]]}}")
+}
+
+fn valid_batch_body(rng: &mut Rng64, pool: &ValuePool) -> String {
+    let n = 1 + rng.next_u64() % 3;
+    let items: Vec<String> = (0..n)
+        .map(|_| format!("{{\"name\":\"{}\",\"k\":{}}}", pick(rng, &pool.labels), rng.next_u64() % 4))
+        .collect();
+    format!("{{\"queries\":[{}]}}", items.join(","))
 }
 
 fn valid_upload_body(rng: &mut Rng64) -> String {
@@ -282,11 +278,12 @@ fn generate(rng: &mut Rng64, pool: &ValuePool) -> Request {
         }
     }
     let mut body = if has_body {
-        if path.ends_with("/edit") {
-            valid_edit_body(rng).into_bytes()
-        } else {
-            valid_upload_body(rng).into_bytes()
+        match path {
+            "/api/v1/edit" => valid_edit_body(rng),
+            "/api/v1/search_batch" => valid_batch_body(rng, pool),
+            _ => valid_upload_body(rng),
         }
+        .into_bytes()
     } else {
         Vec::new()
     };
@@ -372,16 +369,6 @@ fn check_response(req: &Request, resp: &Response) -> Option<String> {
             if let Some(v) = check_envelope(&line, resp.status, &parsed) {
                 return Some(v);
             }
-        } else if resp.status >= 400 {
-            match parsed.get("error").and_then(Json::as_str) {
-                Some(msg) if !msg.is_empty() => {}
-                _ => {
-                    return Some(format!(
-                        "{line} → {} without a non-empty error field",
-                        resp.status
-                    ))
-                }
-            }
         }
     } else if resp.status >= 400 {
         return Some(format!(
@@ -428,7 +415,7 @@ fn check_envelope(line: &str, status: u16, parsed: &Json) -> Option<String> {
 
 /// Fires `params.requests` mutated requests at the server and checks the
 /// response contract on each. The engine behind the server is mutated by
-/// successful `/api/edit` / `/api/upload` requests — by design, so the
+/// successful `edit` / `upload` requests — by design, so the
 /// fuzzer also exercises queries interleaved with churn.
 pub fn fuzz_server(server: &Server, params: &FuzzParams) -> FuzzReport {
     let pool = pool_from(server);
@@ -478,27 +465,26 @@ mod tests {
 
     #[test]
     fn contract_checker_flags_bad_responses() {
-        let req = Request::get("/api/search?name=A");
+        let req = Request::get("/api/v1/search?name=A");
+        let json = |status: u16, body: &str| Response {
+            status,
+            content_type: "application/json".into(),
+            body: body.as_bytes().to_vec(),
+            headers: Vec::new(),
+        };
         // 500s are never acceptable.
         let bad = Response::error(500, "boom");
         assert!(check_response(&req, &bad).unwrap().contains("unexpected status"));
-        // Error bodies must be JSON with a non-empty error.
-        let empty = Response {
-            status: 400,
-            content_type: "application/json".into(),
-            body: b"{}".to_vec(),
-            headers: Vec::new(),
-        };
-        assert!(check_response(&req, &empty).unwrap().contains("error field"));
-        let malformed = Response {
-            status: 400,
-            content_type: "application/json".into(),
-            body: b"{oops".to_vec(),
-            headers: Vec::new(),
-        };
-        assert!(check_response(&req, &malformed).unwrap().contains("malformed"));
-        // A good error passes.
-        assert!(check_response(&req, &Response::error(404, "no such vertex")).is_none());
+        // Error bodies must be the JSON envelope with a typed error.
+        assert!(check_response(&req, &json(400, "{}")).unwrap().contains("missing boolean ok"));
+        assert!(check_response(&req, &json(400, "{oops")).unwrap().contains("malformed"));
+        let untyped = r#"{"ok":false,"data":null,"error":{},"request_id":"r1","elapsed_ms":0}"#;
+        assert!(check_response(&req, &json(404, untyped)).unwrap().contains("code/message"));
+        // A real error passes.
+        let s = server();
+        let real = s.handle(&Request::get("/api/v1/search?name=ZZZ"));
+        assert_eq!(real.status, 404);
+        assert!(check_response(&req, &real).is_none());
     }
 
     #[test]

@@ -58,8 +58,7 @@ pub use invariants::{
     check_acq_result, check_community, check_ktruss_community, Violation,
 };
 pub use oracle::{
-    acq_strategy_differential, bitset_prune_differential, cached_vs_uncached,
-    incremental_vs_scratch, scratch_reuse_differential, snapshot_pinning_differential,
-    with_prune, with_threads, Mismatch,
+    acq_strategy_differential, cached_vs_uncached, incremental_vs_scratch,
+    scratch_reuse_differential, snapshot_pinning_differential, with_threads, Mismatch,
 };
 pub use workload::{edit_script, graph_matrix, query_workload, EditStep, GraphCase, QueryCase};

@@ -241,9 +241,7 @@ pub fn snapshot_pinning_differential(
 ///    keyword index is caught),
 /// 4. one community query answered by both engines.
 ///
-/// The scratch side is constructed directly (builder + fresh index), not
-/// via the `CX_INCREMENTAL` env toggle — the env var is process-global
-/// and this oracle must be safe to run concurrently with other tests.
+/// The scratch side is constructed directly (builder + fresh index).
 /// Stops at the first divergent step (later steps would only echo it).
 pub fn incremental_vs_scratch(
     g: &AttributedGraph,
@@ -419,61 +417,6 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     out
 }
 
-/// Runs `f` with CL-tree signature pruning forced on or off, restoring
-/// the previous toggle afterwards. Shares [`with_threads`]'s global lock —
-/// both mutate process-global execution knobs, and interleaved flips from
-/// parallel test threads would make either helper's "restore" racy.
-pub fn with_prune<R>(on: bool, f: impl FnOnce() -> R) -> R {
-    let _guard = THREAD_ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let old = cx_cltree::prune_enabled();
-    cx_cltree::set_prune_enabled(on);
-    let out = f();
-    cx_cltree::set_prune_enabled(old);
-    out
-}
-
-/// Bitset-pruning oracle: signature-pruned walks are an *optimisation*,
-/// never an approximation. For every indexed strategy the same query runs
-/// once with pruning on and once with the exact legacy path (the
-/// `CX_PRUNE=off` code path: full subtree walks, eager singleton peels
-/// and core materialisation) and the answers must be canonically
-/// identical — member sets, themes and |L| alike. Any candidate budget
-/// in `opts` is ignored (see below).
-pub fn bitset_prune_differential(
-    g: &AttributedGraph,
-    tree: &ClTree,
-    q: VertexId,
-    opts: &AcqOptions,
-) -> Vec<Mismatch> {
-    let mut mismatches = Vec::new();
-    // Run unbudgeted: the two paths do different *amounts* of work per
-    // query (the pruned path defers singleton peels and caps candidate
-    // sizes), so a candidate budget would truncate them at different
-    // points. The oracle's claim is about answers, not work counters.
-    let opts = opts.clone().max_candidates(0);
-    for strat in [AcqStrategy::Dec, AcqStrategy::IncS, AcqStrategy::IncT] {
-        let context = format!("{} q={} ({:?}) k={}", strat.name(), g.label(q), q, opts.k);
-        let pruned = with_prune(true, || acq(g, tree, q, &opts, strat));
-        let plain = with_prune(false, || acq(g, tree, q, &opts, strat));
-        if pruned.shared_keyword_count != plain.shared_keyword_count {
-            mismatches.push(Mismatch {
-                oracle: "bitset-prune",
-                context: context.clone(),
-                detail: format!(
-                    "pruned found |L|={}, CX_PRUNE=off found |L|={}",
-                    pruned.shared_keyword_count, plain.shared_keyword_count
-                ),
-            });
-        }
-        if let Some(d) =
-            diff_results("pruned", &pruned.communities, "unpruned", &plain.communities)
-        {
-            mismatches.push(Mismatch { oracle: "bitset-prune", context, detail: d });
-        }
-    }
-    mismatches
-}
-
 /// Thread-independence oracle: evaluates `fingerprint_of()` under each
 /// thread count and reports any divergence from the single-threaded run.
 /// The closure should rebuild whatever is under test from scratch (e.g.
@@ -600,26 +543,6 @@ mod tests {
                 assert!(mm.is_empty(), "q={q:?} k={k}: {mm:?}");
             }
         }
-    }
-
-    #[test]
-    fn prune_oracle_is_clean_on_figure5() {
-        let g = figure5_graph();
-        let tree = ClTree::build(&g);
-        for q in g.vertices() {
-            for k in 1..=3 {
-                let mm = bitset_prune_differential(&g, &tree, q, &AcqOptions::with_k(k));
-                assert!(mm.is_empty(), "q={q:?} k={k}: {mm:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn with_prune_restores_toggle() {
-        let before = cx_cltree::prune_enabled();
-        let inside = with_prune(false, cx_cltree::prune_enabled);
-        assert!(!inside);
-        assert_eq!(cx_cltree::prune_enabled(), before);
     }
 
     #[test]

@@ -34,5 +34,5 @@ pub mod update;
 pub use build::{ClTree, KeywordWalkStats};
 pub use hierarchy::{Expansion, Hierarchy, SupernodeStats};
 pub use node::{ClTreeNode, NodeId};
-pub use signature::{prune_enabled, refresh_prune, set_prune_enabled, KeywordSignature};
+pub use signature::KeywordSignature;
 pub use unionfind::UnionFind;

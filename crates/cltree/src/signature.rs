@@ -6,15 +6,8 @@
 //! signature is missing either bit provably contains no carrier of that
 //! keyword, so the ACQ candidate walk can skip it wholesale. False
 //! positives merely descend a subtree that contributes nothing — the
-//! answer never changes (no false negatives), which is what the
-//! `bitset_prune_differential` oracle in `cx-check` enforces.
-//!
-//! The module also owns the `CX_PRUNE` toggle. The env var is read once
-//! and cached in an atomic (reading the environment allocates, and the
-//! query path is required to be allocation-free); tests and oracles flip
-//! it programmatically via [`set_prune_enabled`].
-
-use std::sync::atomic::{AtomicU8, Ordering};
+//! answer never changes (no false negatives): `cx-check` compares every
+//! strategy against the index-free `Basic` walk, which reads no signature.
 
 use cx_graph::KeywordId;
 
@@ -128,47 +121,6 @@ pub(crate) fn compute_signatures(nodes: &mut [ClTreeNode], up_to_level: u32) {
     }
 }
 
-// --- CX_PRUNE toggle ------------------------------------------------------
-
-const PRUNE_UNINIT: u8 = 0;
-const PRUNE_ON: u8 = 1;
-const PRUNE_OFF: u8 = 2;
-
-/// Cached `CX_PRUNE` state; `0` = not yet read from the environment.
-static PRUNE_STATE: AtomicU8 = AtomicU8::new(PRUNE_UNINIT);
-
-fn read_env() -> u8 {
-    match std::env::var("CX_PRUNE") {
-        Ok(v) if matches!(v.as_str(), "off" | "0" | "false" | "no") => PRUNE_OFF,
-        _ => PRUNE_ON,
-    }
-}
-
-/// Whether signature pruning (and the lazy-core fast path that rides on
-/// it) is enabled. Defaults to on; `CX_PRUNE=off` disables it, which is
-/// what the `bitset_prune_differential` oracle compares against.
-#[inline]
-pub fn prune_enabled() -> bool {
-    match PRUNE_STATE.load(Ordering::Relaxed) {
-        PRUNE_UNINIT => {
-            let s = read_env();
-            PRUNE_STATE.store(s, Ordering::Relaxed);
-            s == PRUNE_ON
-        }
-        s => s == PRUNE_ON,
-    }
-}
-
-/// Programmatic override of the prune toggle (used by oracles and tests).
-pub fn set_prune_enabled(on: bool) {
-    PRUNE_STATE.store(if on { PRUNE_ON } else { PRUNE_OFF }, Ordering::Relaxed);
-}
-
-/// Re-reads `CX_PRUNE` from the environment, discarding any override.
-pub fn refresh_prune() {
-    PRUNE_STATE.store(read_env(), Ordering::Relaxed);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,13 +187,5 @@ mod tests {
         b.insert(KeywordId(2));
         assert_ne!(a.to_bytes(), b.to_bytes());
         assert_eq!(KeywordSignature::EMPTY.to_bytes(), [0u8; 32]);
-    }
-
-    #[test]
-    fn prune_toggle_round_trips() {
-        set_prune_enabled(false);
-        assert!(!prune_enabled());
-        set_prune_enabled(true);
-        assert!(prune_enabled());
     }
 }

@@ -62,7 +62,7 @@ struct CacheEntry {
     result: Vec<Community>,
 }
 
-/// Hit/miss/occupancy counters, for tests and the `/api/stats` endpoint.
+/// Hit/miss/occupancy counters, for tests and the `/api/v1/stats` endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups answered from the cache.

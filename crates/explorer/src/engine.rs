@@ -1054,16 +1054,15 @@ impl Engine {
     /// Applies a batch of edge edits to a graph — the evolving-network
     /// path (new co-authorships appear, stale ones are pruned).
     ///
-    /// The incremental path (default): the edits are coalesced into an
-    /// effective [`cx_graph::EdgeDelta`], the CSR adjacency is patched
-    /// with [`AttributedGraph::apply_delta`] (attribute columns shared by
-    /// `Arc`), core numbers are maintained subcore-locally by a warm
-    /// [`cx_kcore::DynamicCore`] cached in the write gate, and the
-    /// CL-tree is repaired with [`ClTree::update`] (which itself falls
-    /// back to a full rebuild when too many core numbers changed). Set
-    /// `CX_INCREMENTAL=off` to force the original full-rebuild path.
+    /// The edits are coalesced into an effective [`cx_graph::EdgeDelta`],
+    /// the CSR adjacency is patched with [`AttributedGraph::apply_delta`]
+    /// (attribute columns shared by `Arc`), core numbers are maintained
+    /// subcore-locally by a warm [`cx_kcore::DynamicCore`] cached in the
+    /// write gate, and the CL-tree is repaired with [`ClTree::update`]
+    /// (which itself falls back to a full rebuild when too many core
+    /// numbers changed).
     ///
-    /// Either way the work happens off the registry lock; concurrent
+    /// The work happens off the registry lock; concurrent
     /// readers keep answering from the previous snapshot until the
     /// publish, and every call — including a structural no-op — publishes
     /// a fresh generation. Wall time is recorded in the
@@ -1080,109 +1079,59 @@ impl Engine {
         let mut ws = gate.lock().unwrap_or_else(|p| p.into_inner());
         let snap = self.snapshot(Some(&name))?;
         let g = &snap.graph;
-        if Self::incremental_enabled() {
-            // Validates every endpoint before any effect, so a bad edit
-            // leaves the graph untouched.
-            let delta = g.edge_delta(add, remove)?;
-            let (new_graph, new_tree) = if delta.is_empty() {
-                // Structural no-op: share graph and index wholesale but
-                // still publish (callers observe a generation per edit).
-                (Arc::clone(g), Arc::clone(&snap.tree))
-            } else {
-                let new_graph = Arc::new(g.apply_delta(&delta));
-                let mut dc = match ws.dyncore.take() {
-                    Some(dc) if ws.dyncore_for.as_ptr() == Arc::as_ptr(g) => dc,
-                    _ => cx_kcore::DynamicCore::from_graph_with_cores(g, snap.tree.core_numbers()),
-                };
-                // Effective sets are disjoint (no edge is both added and
-                // removed), so the order of the two loops is immaterial.
-                for &(u, v) in &delta.removed {
-                    dc.remove_edge(u, v);
-                }
-                for &(u, v) in &delta.added {
-                    dc.insert_edge(u, v);
-                }
-                let tree = snap.tree.update(&new_graph, &delta, dc.core_numbers());
-                ws.dyncore_for = Arc::downgrade(&new_graph);
-                ws.dyncore = Some(dc);
-                (new_graph, Arc::new(tree))
+        // Validates every endpoint before any effect, so a bad edit
+        // leaves the graph untouched.
+        let delta = g.edge_delta(add, remove)?;
+        let (new_graph, new_tree) = if delta.is_empty() {
+            // Structural no-op: share graph and index wholesale but
+            // still publish (callers observe a generation per edit).
+            (Arc::clone(g), Arc::clone(&snap.tree))
+        } else {
+            let new_graph = Arc::new(g.apply_delta(&delta));
+            let mut dc = match ws.dyncore.take() {
+                Some(dc) if ws.dyncore_for.as_ptr() == Arc::as_ptr(g) => dc,
+                _ => cx_kcore::DynamicCore::from_graph_with_cores(g, snap.tree.core_numbers()),
             };
-            let generation = self.reserve_generation(&name);
-            self.log(&cx_store::Record::Edit { name: name.clone(), generation, delta })?;
-            let next = GraphSnapshot::new(
-                name,
-                new_graph,
-                new_tree,
-                Arc::clone(&snap.profiles),
-                snap.coords.clone(),
-                generation,
-            );
-            // Carry the summary hierarchy forward incrementally so a
-            // browsing client doesn't pay a full rebuild after each edit.
-            if let Some(prev_h) = snap.hierarchy_cached() {
-                if Arc::ptr_eq(&next.tree, &snap.tree) {
-                    next.seed_hierarchy(prev_h);
-                } else {
-                    next.seed_hierarchy(Arc::new(Hierarchy::update(
-                        &next.graph,
-                        &next.tree,
-                        &snap.tree,
-                        &prev_h,
-                    )));
-                }
+            // Effective sets are disjoint (no edge is both added and
+            // removed), so the order of the two loops is immaterial.
+            for &(u, v) in &delta.removed {
+                dc.remove_edge(u, v);
             }
-            self.publish(next);
-            cx_obs::metrics::observe_us("cx_edit_apply_us", start.elapsed().as_micros() as u64);
-            return Ok(());
-        }
-        for &(u, v) in add.iter().chain(remove) {
-            g.check_vertex(u)?;
-            g.check_vertex(v)?;
-        }
-        let removed: std::collections::HashSet<(VertexId, VertexId)> = remove
-            .iter()
-            .map(|&(u, v)| if u < v { (u, v) } else { (v, u) })
-            .collect();
-        let mut b = cx_graph::GraphBuilder::with_capacity(g.vertex_count(), g.edge_count());
-        for v in g.vertices() {
-            let kws = g.keyword_names(g.keywords(v));
-            let refs: Vec<&str> = kws.iter().map(String::as_str).collect();
-            b.add_vertex(g.label(v), &refs);
-        }
-        for (u, v) in g.edges() {
-            if !removed.contains(&(u, v)) {
-                b.add_edge(u, v);
+            for &(u, v) in &delta.added {
+                dc.insert_edge(u, v);
             }
-        }
-        for &(u, v) in add {
-            b.add_edge(u, v);
-        }
-        let new_graph = b.try_build()?;
-        let tree = ClTree::build(&new_graph);
+            let tree = snap.tree.update(&new_graph, &delta, dc.core_numbers());
+            ws.dyncore_for = Arc::downgrade(&new_graph);
+            ws.dyncore = Some(dc);
+            (new_graph, Arc::new(tree))
+        };
         let generation = self.reserve_generation(&name);
-        if self.store.is_some() {
-            // The durable log records the normalized delta either way, so
-            // replay is identical across CX_INCREMENTAL settings.
-            let delta = g.edge_delta(add, remove)?;
-            self.log(&cx_store::Record::Edit { name: name.clone(), generation, delta })?;
-        }
-        // Edits touch edges only, so profiles and coordinates carry over.
-        self.publish(GraphSnapshot::new(
+        self.log(&cx_store::Record::Edit { name: name.clone(), generation, delta })?;
+        let next = GraphSnapshot::new(
             name,
-            Arc::new(new_graph),
-            Arc::new(tree),
+            new_graph,
+            new_tree,
             Arc::clone(&snap.profiles),
             snap.coords.clone(),
             generation,
-        ));
+        );
+        // Carry the summary hierarchy forward incrementally so a
+        // browsing client doesn't pay a full rebuild after each edit.
+        if let Some(prev_h) = snap.hierarchy_cached() {
+            if Arc::ptr_eq(&next.tree, &snap.tree) {
+                next.seed_hierarchy(prev_h);
+            } else {
+                next.seed_hierarchy(Arc::new(Hierarchy::update(
+                    &next.graph,
+                    &next.tree,
+                    &snap.tree,
+                    &prev_h,
+                )));
+            }
+        }
+        self.publish(next);
         cx_obs::metrics::observe_us("cx_edit_apply_us", start.elapsed().as_micros() as u64);
         Ok(())
-    }
-
-    /// Whether the incremental write path is enabled (`CX_INCREMENTAL` is
-    /// unset, or set to anything other than `off`/`0`).
-    fn incremental_enabled() -> bool {
-        !matches!(std::env::var("CX_INCREMENTAL").ok().as_deref(), Some("off") | Some("0"))
     }
 
     /// Case-insensitive vertex search for the UI's name box; returns

@@ -11,11 +11,11 @@ pub use crate::event_loop::{ServerConfig, ServerHandle, StreamHandler};
 pub struct Request {
     /// `GET`, `POST`, …
     pub method: String,
-    /// Path without the query string, e.g. `/api/search`.
+    /// Path without the query string, e.g. `/api/v1/search`.
     pub path: String,
     /// Decoded query parameters.
     pub query: HashMap<String, String>,
-    /// Request body (for `POST /api/upload`).
+    /// Request body (for `POST /api/v1/upload`).
     pub body: Vec<u8>,
     /// Request headers as received (names kept verbatim; lookup is
     /// case-insensitive via [`Request::header`]).
@@ -23,7 +23,7 @@ pub struct Request {
 }
 
 impl Request {
-    /// Builds a GET request for tests: `Request::get("/api/search?k=4")`.
+    /// Builds a GET request for tests: `Request::get("/api/v1/search?k=4")`.
     pub fn get(target: &str) -> Self {
         let (path, query) = split_target(target);
         Self { method: "GET".into(), path, query, body: Vec::new(), headers: Vec::new() }
@@ -122,7 +122,7 @@ pub struct Response {
     pub content_type: String,
     /// Body bytes.
     pub body: Vec<u8>,
-    /// Extra response headers (`X-Request-Id`, `Deprecation`, …), emitted
+    /// Extra response headers (`X-Request-Id`, `Retry-After`, …), emitted
     /// after `Content-Type`/`Content-Length`. Names and values must be
     /// header-safe ASCII — the server only ever sets them from literals
     /// and internally generated ids.
@@ -354,7 +354,7 @@ mod tests {
         let handle = serve_background("127.0.0.1:0", 1, |_req| {
             Response::html("x")
                 .with_header("X-Request-Id", "r0000002a")
-                .with_header("Deprecation", "true")
+                .with_header("Retry-After", "1")
         })
         .unwrap();
         let mut stream =
@@ -363,7 +363,7 @@ mod tests {
         let mut buf = String::new();
         stream.read_to_string(&mut buf).unwrap();
         assert!(buf.contains("X-Request-Id: r0000002a"), "{buf}");
-        assert!(buf.contains("Deprecation: true"), "{buf}");
+        assert!(buf.contains("Retry-After: 1"), "{buf}");
         let r = Response::html("x").with_header("X-Request-Id", "abc");
         assert_eq!(r.header("x-request-id"), Some("abc"));
         assert_eq!(r.header("nope"), None);

@@ -21,9 +21,8 @@
 //!   handlers pin an immutable graph snapshot (`Engine::snapshot`) and run
 //!   lock-free; write handlers (`/api/v1/edit`, `/upload`) build the next
 //!   snapshot off-lock and publish it atomically, so edits never block
-//!   concurrent searches. v1 responses use a uniform JSON envelope with
-//!   typed error codes; the unversioned `/api/*` paths remain as
-//!   deprecated thin aliases. Operational endpoints: `GET /metrics`
+//!   concurrent searches. Responses use a uniform JSON envelope with
+//!   typed error codes. Operational endpoints: `GET /metrics`
 //!   (Prometheus text from `cx-obs`), `GET /healthz`,
 //!   `GET /api/v1/trace` (per-request span trees);
 //! * [`ui`] — the embedded single-page browser UI (left panel: name box,

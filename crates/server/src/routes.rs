@@ -1,17 +1,12 @@
 //! The REST API over the engine — the protocol the browser page speaks.
 //!
-//! Two route families share one set of handlers:
-//!
-//! * `/api/v1/*` — the versioned API. Every JSON response is wrapped in a
-//!   uniform envelope `{"ok", "data", "error", "request_id",
-//!   "elapsed_ms"}`; errors carry a typed code from [`ErrorCode`].
-//!   Binary endpoints (`/api/v1/svg`, `/api/v1/chart`) return their
-//!   payload raw on success and the JSON envelope on error.
-//! * `/api/*` — the legacy routes, kept as thin aliases over the same
-//!   handlers. Success bodies are byte-identical to the v1 `data` member;
-//!   error bodies keep the historical `{"error": "..."}` shape (plus a
-//!   `code` field); every legacy response carries a `Deprecation: true`
-//!   header.
+//! The API lives under `/api/v1/*`. Every JSON response is wrapped in a
+//! uniform envelope `{"ok", "data", "error", "request_id",
+//! "elapsed_ms"}`; errors carry a typed code from [`ErrorCode`]. Binary
+//! endpoints (`/api/v1/svg`, `/api/v1/chart`) return their payload raw on
+//! success and the JSON envelope on error. Any other path — including the
+//! retired unversioned `/api/*` names — is an unknown path and answers
+//! with the plain `{"error", "code"}` shape.
 //!
 //! Concurrency: the engine is shared as a plain `&Engine` — no request
 //! ever takes a server-wide lock. Read handlers pin one immutable
@@ -43,8 +38,7 @@ use crate::http::{Request, Response};
 use crate::json::{escape_into, number_into, Json};
 
 /// Typed, stable error codes for the JSON API. The HTTP status of every
-/// error is derived from its code in exactly one place ([`ErrorCode::status`]),
-/// so legacy and v1 routes can never disagree.
+/// error is derived from its code in exactly one place ([`ErrorCode::status`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCode {
     /// Query parameters are structurally invalid (missing/ill-typed).
@@ -167,8 +161,8 @@ impl From<ExplorerError> for ApiError {
     }
 }
 
-/// What a handler produced: a JSON document (enveloped on `/api/v1`,
-/// bare on `/api`) or a raw non-JSON response passed through unchanged.
+/// What a handler produced: a JSON document (sent in the envelope) or a
+/// raw non-JSON response passed through unchanged.
 enum Payload {
     Data(Json),
     Raw(Response),
@@ -247,7 +241,7 @@ pub fn route_with_auth(engine: &Engine, req: &Request, auth: Option<&str>) -> Re
                 if req.path.starts_with("/api/v1/") {
                     envelope(Err(e), &request_id, t0)
                 } else {
-                    plain_error(&e).with_header("Deprecation", "true")
+                    plain_error(&e)
                 }
             }
         }
@@ -274,17 +268,13 @@ fn dispatch(engine: &Engine, req: &Request, request_id: &str, t0: Instant) -> Re
         ("GET", "/healthz") => return healthz(engine),
         _ => {}
     }
-    let (endpoint, v1) = match api_target(&req.path) {
-        Some(t) => t,
-        None => {
-            // Non-API path: historical behaviour, no Deprecation header.
-            let e = if req.method == "GET" {
-                ApiError::not_found("no such endpoint")
-            } else {
-                ApiError::new(ErrorCode::MethodNotAllowed, "method not allowed")
-            };
-            return plain_error(&e);
-        }
+    let Some(endpoint) = req.path.strip_prefix("/api/v1/") else {
+        let e = if req.method == "GET" {
+            ApiError::not_found("no such endpoint")
+        } else {
+            ApiError::new(ErrorCode::MethodNotAllowed, "method not allowed")
+        };
+        return plain_error(&e);
     };
 
     // Per-endpoint span + latency histogram, with a *static* label so a
@@ -317,25 +307,14 @@ fn dispatch(engine: &Engine, req: &Request, request_id: &str, t0: Instant) -> Re
             ("GET", "profile") => timed("profile", || profile(engine, req)),
             ("POST", "upload") => timed("upload", || upload(engine, req)),
             ("POST", "edit") => timed("edit", || edit(engine, req)),
-            ("POST", "search_batch") if v1 => {
+            ("POST", "search_batch") => {
                 timed("search_batch", || search_batch(engine, req, timeout))
             }
-            // The batch endpoint is v1-only by design (its per-item envelopes
-            // presuppose the v1 error model); the legacy namespace answers
-            // with a typed 404, not a 405, so clients learn it never existed
-            // there rather than retrying with another method.
-            ("POST", "search_batch") => {
-                Err(ApiError::not_found("search_batch is only available under /api/v1"))
-            }
-            ("GET", "hierarchy") if v1 => timed("hierarchy", || hierarchy(engine, req)),
-            ("GET", "hierarchy") => {
-                Err(ApiError::not_found("hierarchy is only available under /api/v1"))
-            }
-            ("GET", "trace") if v1 => timed("trace", || trace_endpoint(req)),
+            ("GET", "hierarchy") => timed("hierarchy", || hierarchy(engine, req)),
+            ("GET", "trace") => timed("trace", || trace_endpoint(req)),
             // The SSE endpoint exists only on the event-loop transport
-            // (route_sink); through the plain chokepoint it answers with
-            // its buffered equivalent semantics: v1-only, GET-only.
-            ("GET", "detect_stream") if v1 => {
+            // (route_sink); through the plain chokepoint it is a typed 404.
+            ("GET", "detect_stream") => {
                 Err(ApiError::not_found("detect_stream requires an SSE-capable transport"))
             }
             ("GET", _) => Err(ApiError::not_found("no such endpoint")),
@@ -344,41 +323,13 @@ fn dispatch(engine: &Engine, req: &Request, request_id: &str, t0: Instant) -> Re
     };
 
     match result {
-        Ok(Payload::Raw(r)) => {
-            if v1 {
-                r
-            } else {
-                r.with_header("Deprecation", "true")
-            }
-        }
-        Ok(Payload::Data(data)) => {
-            if v1 {
-                envelope(Ok(data), request_id, t0)
-            } else {
-                Response::json(&data).with_header("Deprecation", "true")
-            }
-        }
-        Err(e) => {
-            if v1 {
-                envelope(Err(e), request_id, t0)
-            } else {
-                plain_error(&e).with_header("Deprecation", "true")
-            }
-        }
+        Ok(Payload::Raw(r)) => r,
+        Ok(Payload::Data(data)) => envelope(Ok(data), request_id, t0),
+        Err(e) => envelope(Err(e), request_id, t0),
     }
 }
 
-/// Splits an API path into its endpoint name and version:
-/// `/api/v1/search` → `("search", true)`, `/api/search` → `("search", false)`.
-fn api_target(path: &str) -> Option<(&str, bool)> {
-    if let Some(rest) = path.strip_prefix("/api/v1/") {
-        Some((rest, true))
-    } else {
-        path.strip_prefix("/api/").map(|rest| (rest, false))
-    }
-}
-
-/// The legacy error shape `{"error": msg, "code": code}`.
+/// The error shape outside `/api/v1`: `{"error": msg, "code": code}`.
 fn plain_error(e: &ApiError) -> Response {
     let v = Json::obj([
         ("error", Json::str(e.message.clone())),
@@ -1018,7 +969,7 @@ fn supernode_json(g: &AttributedGraph, h: &Hierarchy, id: NodeId) -> Json {
     ])
 }
 
-/// GET /api/v1/hierarchy — the multi-resolution summary (v1-only).
+/// GET /api/v1/hierarchy — the multi-resolution summary.
 ///
 /// Without `node`: the level view. `level` (default 0) picks the
 /// resolution; the response lists the connected components of the
@@ -1388,8 +1339,8 @@ fn detect_stream(
 }
 
 /// The load-shed response the event loop sends without dispatching: a
-/// typed `overloaded` 503 with `Retry-After`, shaped for whichever API
-/// family the request targeted.
+/// typed `overloaded` 503 with `Retry-After`, enveloped for `/api/v1`
+/// targets and plain otherwise.
 pub fn shed_response(req: &Request) -> Response {
     let e = ApiError::new(
         ErrorCode::Overloaded,
@@ -1397,8 +1348,6 @@ pub fn shed_response(req: &Request) -> Response {
     );
     if req.path.starts_with("/api/v1/") {
         envelope(Err(e), &cx_obs::trace::next_request_id(), Instant::now())
-    } else if req.path.starts_with("/api/") {
-        plain_error(&e).with_header("Deprecation", "true")
     } else {
         plain_error(&e)
     }
@@ -1413,6 +1362,13 @@ mod tests {
         crate::Server::new(Engine::with_graph("fig5", figure5_graph()))
     }
 
+    /// Unwraps the v1 envelope, asserting it succeeded.
+    pub(super) fn v1_data(r: &crate::Response) -> Json {
+        let v = Json::parse(&r.text()).unwrap();
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{}", r.text());
+        v.get("data").unwrap().clone()
+    }
+
     #[test]
     fn index_page_serves() {
         let s = server();
@@ -1424,8 +1380,8 @@ mod tests {
     #[test]
     fn graphs_endpoint_lists_everything() {
         let s = server();
-        let r = s.handle(&Request::get("/api/graphs"));
-        let v = Json::parse(&r.text()).unwrap();
+        let r = s.handle(&Request::get("/api/v1/graphs"));
+        let v = v1_data(&r);
         assert_eq!(v.get("default_graph").and_then(Json::as_str), Some("fig5"));
         let cs = v.get("cs_algorithms").and_then(Json::as_array).unwrap();
         assert!(cs.iter().any(|a| a.as_str() == Some("acq")));
@@ -1435,21 +1391,11 @@ mod tests {
     }
 
     #[test]
-    fn legacy_routes_carry_deprecation_and_request_id() {
-        let s = server();
-        let r = s.handle(&Request::get("/api/graphs"));
-        assert_eq!(r.header("Deprecation"), Some("true"));
-        assert!(r.header("X-Request-Id").unwrap().starts_with('r'));
-        // The index page is not deprecated.
-        assert_eq!(s.handle(&Request::get("/")).header("Deprecation"), None);
-    }
-
-    #[test]
     fn search_returns_paper_example() {
         let s = server();
-        let r = s.handle(&Request::get("/api/search?name=A&k=2&algo=acq"));
+        let r = s.handle(&Request::get("/api/v1/search?name=A&k=2&algo=acq"));
         assert_eq!(r.status, 200, "{}", r.text());
-        let v = Json::parse(&r.text()).unwrap();
+        let v = v1_data(&r);
         let comms = v.get("communities").and_then(Json::as_array).unwrap();
         assert_eq!(comms.len(), 1);
         assert_eq!(comms[0].get("size").and_then(Json::as_f64), Some(3.0));
@@ -1470,9 +1416,9 @@ mod tests {
     #[test]
     fn search_multi_vertex() {
         let s = server();
-        let r = s.handle(&Request::get("/api/search?names=A|D&k=2"));
+        let r = s.handle(&Request::get("/api/v1/search?names=A|D&k=2"));
         assert_eq!(r.status, 200, "{}", r.text());
-        let v = Json::parse(&r.text()).unwrap();
+        let v = v1_data(&r);
         let comms = v.get("communities").and_then(Json::as_array).unwrap();
         assert_eq!(comms[0].get("size").and_then(Json::as_f64), Some(3.0));
     }
@@ -1480,24 +1426,12 @@ mod tests {
     #[test]
     fn search_errors() {
         let s = server();
-        assert_eq!(s.handle(&Request::get("/api/search?k=2")).status, 400);
-        assert_eq!(s.handle(&Request::get("/api/search?name=ZZZ")).status, 404);
-        assert_eq!(s.handle(&Request::get("/api/search?name=A&algo=ghost")).status, 404);
-        assert_eq!(s.handle(&Request::get("/api/search?id=notanum")).status, 400);
-        assert_eq!(s.handle(&Request::get("/api/nope")).status, 404);
-        assert_eq!(s.handle(&Request::post("/api/search?name=A", "")).status, 405);
-    }
-
-    #[test]
-    fn legacy_errors_keep_shape_and_gain_code() {
-        let s = server();
-        let r = s.handle(&Request::get("/api/search?name=ZZZ"));
-        assert_eq!(r.status, 404);
-        let v = Json::parse(&r.text()).unwrap();
-        assert!(!v.get("error").and_then(Json::as_str).unwrap().is_empty());
-        assert_eq!(v.get("code").and_then(Json::as_str), Some("unknown_vertex"));
-        let r = s.handle(&Request::get("/api/search?k=2"));
-        assert_eq!(Json::parse(&r.text()).unwrap().get("code").and_then(Json::as_str), Some("bad_query"));
+        assert_eq!(s.handle(&Request::get("/api/v1/search?k=2")).status, 400);
+        assert_eq!(s.handle(&Request::get("/api/v1/search?name=ZZZ")).status, 404);
+        assert_eq!(s.handle(&Request::get("/api/v1/search?name=A&algo=ghost")).status, 404);
+        assert_eq!(s.handle(&Request::get("/api/v1/search?id=notanum")).status, 400);
+        assert_eq!(s.handle(&Request::get("/api/v1/nope")).status, 404);
+        assert_eq!(s.handle(&Request::post("/api/v1/search?name=A", "")).status, 405);
     }
 
     #[test]
@@ -1505,47 +1439,40 @@ mod tests {
         let s = server();
         // k=1 on fig5 yields several communities? If only one, offset=1
         // must yield an empty page while total stays put.
-        let r = s.handle(&Request::get("/api/search?name=A&k=2&limit=1&offset=1"));
+        let r = s.handle(&Request::get("/api/v1/search?name=A&k=2&limit=1&offset=1"));
         assert_eq!(r.status, 200, "{}", r.text());
-        let v = Json::parse(&r.text()).unwrap();
+        let v = v1_data(&r);
         let total = v.get("total_communities").and_then(Json::as_f64).unwrap();
         let comms = v.get("communities").and_then(Json::as_array).unwrap();
         assert_eq!(comms.len(), (total as usize).saturating_sub(1).min(1));
         assert_eq!(v.get("offset").and_then(Json::as_f64), Some(1.0));
         // Hostile limit values fall back to bounded defaults.
-        let r = s.handle(&Request::get("/api/search?name=A&k=2&limit=999999"));
-        let v = Json::parse(&r.text()).unwrap();
+        let r = s.handle(&Request::get("/api/v1/search?name=A&k=2&limit=999999"));
+        let v = v1_data(&r);
         assert_eq!(v.get("limit").and_then(Json::as_f64), Some(100.0));
-        let r = s.handle(&Request::get("/api/search?name=A&k=2&limit=-3"));
-        let v = Json::parse(&r.text()).unwrap();
+        let r = s.handle(&Request::get("/api/v1/search?name=A&k=2&limit=-3"));
+        let v = v1_data(&r);
         assert_eq!(v.get("limit").and_then(Json::as_f64), Some(20.0));
     }
 
     #[test]
     fn suggest_pagination_offsets() {
         let s = server();
-        let all = s.handle(&Request::get("/api/suggest?q=&limit=10"));
-        let all = Json::parse(&all.text()).unwrap();
+        let all = s.handle(&Request::get("/api/v1/suggest?q=&limit=10"));
+        let all = v1_data(&all);
         let all = all.as_array().unwrap();
         assert!(all.len() >= 3, "fig5 should suggest several vertices");
-        let page = s.handle(&Request::get("/api/suggest?q=&limit=2&offset=1"));
-        let page = Json::parse(&page.text()).unwrap();
+        let page = s.handle(&Request::get("/api/v1/suggest?q=&limit=2&offset=1"));
+        let page = v1_data(&page);
         let page = page.as_array().unwrap();
         assert_eq!(page.len(), 2);
         assert_eq!(page[0], all[1], "offset=1 must skip the first suggestion");
     }
 
-    /// Unwraps the v1 envelope, asserting it succeeded.
-    fn v1_data(r: &crate::Response) -> Json {
-        let v = Json::parse(&r.text()).unwrap();
-        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{}", r.text());
-        v.get("data").unwrap().clone()
-    }
-
     #[test]
     fn suggest_deep_offset_is_rejected() {
         let s = server();
-        let r = s.handle(&Request::get("/api/suggest?q=&offset=10001"));
+        let r = s.handle(&Request::get("/api/v1/suggest?q=&offset=10001"));
         assert_eq!(r.status, 400);
         assert!(r.text().contains("offset"));
     }
@@ -1612,11 +1539,10 @@ mod tests {
     }
 
     #[test]
-    fn hierarchy_rejects_bad_node_and_legacy_namespace() {
+    fn hierarchy_rejects_bad_node() {
         let s = server();
         assert_eq!(s.handle(&Request::get("/api/v1/hierarchy?node=abc")).status, 400);
         assert_eq!(s.handle(&Request::get("/api/v1/hierarchy?node=9999")).status, 404);
-        assert_eq!(s.handle(&Request::get("/api/hierarchy")).status, 404);
     }
 
     #[test]
@@ -1724,31 +1650,22 @@ mod tests {
     }
 
     #[test]
-    fn search_batch_never_existed_on_the_legacy_namespace() {
-        let s = server();
-        let r = s.handle(&Request::post("/api/search_batch", r#"{"queries":[{"name":"A"}]}"#));
-        assert_eq!(r.status, 404, "{}", r.text());
-        let v = Json::parse(&r.text()).unwrap();
-        assert_eq!(v.get("code").and_then(Json::as_str), Some("not_found"));
-    }
-
-    #[test]
     fn svg_endpoint_renders() {
         let s = server();
-        let r = s.handle(&Request::get("/api/svg?name=A&k=2&algo=acq&index=0"));
+        let r = s.handle(&Request::get("/api/v1/svg?name=A&k=2&algo=acq&index=0"));
         assert_eq!(r.status, 200);
         assert_eq!(r.content_type, "image/svg+xml");
         assert!(r.text().starts_with("<svg"));
-        let out_of_range = s.handle(&Request::get("/api/svg?name=A&k=2&index=9"));
+        let out_of_range = s.handle(&Request::get("/api/v1/svg?name=A&k=2&index=9"));
         assert_eq!(out_of_range.status, 404);
     }
 
     #[test]
     fn compare_endpoint_rows() {
         let s = server();
-        let r = s.handle(&Request::get("/api/compare?name=A&k=2&algos=global,acq"));
+        let r = s.handle(&Request::get("/api/v1/compare?name=A&k=2&algos=global,acq"));
         assert_eq!(r.status, 200, "{}", r.text());
-        let v = Json::parse(&r.text()).unwrap();
+        let v = v1_data(&r);
         let rows = v.get("rows").and_then(Json::as_array).unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].get("method").and_then(Json::as_str), Some("global"));
@@ -1759,7 +1676,7 @@ mod tests {
     #[test]
     fn chart_endpoint_serves_svg() {
         let s = server();
-        let r = s.handle(&Request::get("/api/chart?name=A&k=2&algos=global,acq"));
+        let r = s.handle(&Request::get("/api/v1/chart?name=A&k=2&algos=global,acq"));
         assert_eq!(r.status, 200);
         assert_eq!(r.content_type, "image/svg+xml");
         assert!(r.text().contains("CPJ"));
@@ -1768,9 +1685,9 @@ mod tests {
     #[test]
     fn detect_endpoint() {
         let s = server();
-        let r = s.handle(&Request::get("/api/detect?algo=codicil"));
+        let r = s.handle(&Request::get("/api/v1/detect?algo=codicil"));
         assert_eq!(r.status, 200);
-        let v = Json::parse(&r.text()).unwrap();
+        let v = v1_data(&r);
         assert!(v.get("total").and_then(Json::as_f64).unwrap() >= 1.0);
     }
 
@@ -1795,29 +1712,29 @@ mod tests {
                 )
                 .unwrap();
         }
-        let ok = s.handle(&Request::get("/api/profile?id=0"));
+        let ok = s.handle(&Request::get("/api/v1/profile?id=0"));
         assert_eq!(ok.status, 200);
         assert!(ok.text().contains("HKU"));
-        assert_eq!(s.handle(&Request::get("/api/profile?id=5")).status, 404);
-        assert_eq!(s.handle(&Request::get("/api/profile?id=x")).status, 400);
+        assert_eq!(s.handle(&Request::get("/api/v1/profile?id=5")).status, 404);
+        assert_eq!(s.handle(&Request::get("/api/v1/profile?id=x")).status, 400);
     }
 
     #[test]
     fn upload_then_query_uploaded_graph() {
         let s = server();
         let body = "v\talice\tdb,ml\nv\tbob\tdb\nv\tcarol\tdb\ne\t0\t1\ne\t1\t2\ne\t0\t2\n";
-        let up = s.handle(&Request::post("/api/upload?name=mine", body));
+        let up = s.handle(&Request::post("/api/v1/upload?name=mine", body));
         assert_eq!(up.status, 200, "{}", up.text());
-        let v = Json::parse(&up.text()).unwrap();
+        let v = v1_data(&up);
         assert_eq!(v.get("vertices").and_then(Json::as_f64), Some(3.0));
-        let r = s.handle(&Request::get("/api/search?graph=mine&name=alice&k=2&algo=acq"));
+        let r = s.handle(&Request::get("/api/v1/search?graph=mine&name=alice&k=2&algo=acq"));
         assert_eq!(r.status, 200, "{}", r.text());
-        let v = Json::parse(&r.text()).unwrap();
+        let v = v1_data(&r);
         let comms = v.get("communities").and_then(Json::as_array).unwrap();
         assert_eq!(comms[0].get("size").and_then(Json::as_f64), Some(3.0));
         // Bad upload body.
-        assert_eq!(s.handle(&Request::post("/api/upload?name=bad", "q\tjunk")).status, 400);
-        assert_eq!(s.handle(&Request::post("/api/upload", "")).status, 400);
+        assert_eq!(s.handle(&Request::post("/api/v1/upload?name=bad", "q\tjunk")).status, 400);
+        assert_eq!(s.handle(&Request::post("/api/v1/upload", "")).status, 400);
     }
 
     #[test]
@@ -1893,11 +1810,10 @@ mod tests {
             v.get("error").unwrap().get("code").and_then(Json::as_str),
             Some("overloaded")
         );
-        let legacy = shed_response(&Request::get("/api/search?name=A"));
-        assert_eq!(legacy.status, 503);
-        assert_eq!(legacy.header("Retry-After"), Some("1"));
-        assert_eq!(legacy.header("Deprecation"), Some("true"));
-        let v = Json::parse(&legacy.text()).unwrap();
+        let plain = shed_response(&Request::get("/healthz"));
+        assert_eq!(plain.status, 503);
+        assert_eq!(plain.header("Retry-After"), Some("1"));
+        let v = Json::parse(&plain.text()).unwrap();
         assert_eq!(v.get("code").and_then(Json::as_str), Some("overloaded"));
     }
 
@@ -1906,7 +1822,7 @@ mod tests {
         let s = server();
         let engine = s.engine();
         let auth = Some("sekrit");
-        // No token → typed 401 in the right shape per family.
+        // No token → typed 401.
         let r = route_with_auth(&engine, &Request::get("/api/v1/graphs"), auth);
         assert_eq!(r.status, 401);
         let v = Json::parse(&r.text()).unwrap();
@@ -1914,11 +1830,6 @@ mod tests {
             v.get("error").unwrap().get("code").and_then(Json::as_str),
             Some("unauthorized")
         );
-        let r = route_with_auth(&engine, &Request::get("/api/graphs"), auth);
-        assert_eq!(r.status, 401);
-        assert_eq!(r.header("Deprecation"), Some("true"));
-        let v = Json::parse(&r.text()).unwrap();
-        assert_eq!(v.get("code").and_then(Json::as_str), Some("unauthorized"));
         // Wrong token → 401; right token → through.
         let wrong = Request::get("/api/v1/graphs").with_header("Authorization", "Bearer nope");
         assert_eq!(route_with_auth(&engine, &wrong, auth).status, 401);
@@ -1934,20 +1845,48 @@ mod tests {
     }
 
     #[test]
-    fn detect_stream_is_v1_only_and_needs_sse_transport() {
+    fn detect_stream_needs_sse_transport() {
         let s = server();
         // Through the buffered chokepoint the endpoint is a typed 404 (it
-        // needs the event-loop transport), and it never existed on the
-        // legacy namespace.
+        // needs the event-loop transport).
         let r = s.handle(&Request::get("/api/v1/detect_stream"));
         assert_eq!(r.status, 404, "{}", r.text());
-        let r = s.handle(&Request::get("/api/detect_stream"));
+    }
+
+    /// The unversioned `/api/*` names were retired: they are unknown
+    /// paths like any other, but still sit behind the `/api/` auth prefix.
+    #[test]
+    fn retired_namespace_is_an_unknown_path() {
+        let s = server();
+        let engine = s.engine();
+        let get = Request::get("/api/search?name=A");
+        let r = s.handle(&get);
         assert_eq!(r.status, 404);
+        assert_eq!(r.header("Deprecation"), None);
+        let v = Json::parse(&r.text()).unwrap();
+        assert_eq!(v.get("code").and_then(Json::as_str), Some("not_found"));
+        assert!(!v.get("error").and_then(Json::as_str).unwrap().is_empty());
+        assert!(v.get("ok").is_none(), "plain shape, not the envelope");
+        let post = Request::post("/api/edit", r#"{"add":[[0,5]]}"#);
+        assert_eq!(s.handle(&post).status, 405);
+        for req in [&get, &post] {
+            let r = route_with_auth(&engine, req, Some("sekrit"));
+            assert_eq!(r.status, 401);
+            let v = Json::parse(&r.text()).unwrap();
+            assert_eq!(v.get("code").and_then(Json::as_str), Some("unauthorized"));
+        }
+        let shed = shed_response(&get);
+        assert_eq!(shed.status, 503);
+        assert_eq!(shed.header("Retry-After"), Some("1"));
+        assert_eq!(shed.header("Deprecation"), None);
+        let v = Json::parse(&shed.text()).unwrap();
+        assert_eq!(v.get("code").and_then(Json::as_str), Some("overloaded"));
     }
 }
 
 #[cfg(test)]
 mod edit_endpoint_tests {
+    use super::tests::v1_data;
     use super::*;
     use cx_datagen::figure5_graph;
 
@@ -1958,32 +1897,32 @@ mod edit_endpoint_tests {
     #[test]
     fn stats_endpoint_reports_graph_and_index() {
         let s = server();
-        let r = s.handle(&Request::get("/api/stats"));
+        let r = s.handle(&Request::get("/api/v1/stats"));
         assert_eq!(r.status, 200);
-        let v = Json::parse(&r.text()).unwrap();
+        let v = v1_data(&r);
         assert_eq!(v.get("vertices").and_then(Json::as_f64), Some(10.0));
         assert_eq!(v.get("edges").and_then(Json::as_f64), Some(11.0));
         assert_eq!(v.get("degeneracy").and_then(Json::as_f64), Some(3.0));
         assert_eq!(v.get("index_nodes").and_then(Json::as_f64), Some(5.0));
         assert_eq!(v.get("generation").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(s.handle(&Request::get("/api/stats?graph=nope")).status, 404);
+        assert_eq!(s.handle(&Request::get("/api/v1/stats?graph=nope")).status, 404);
     }
 
     #[test]
     fn edit_endpoint_applies_and_reindexes() {
         let s = server();
         // Remove an edge of the K4 (A=0, B=1): cores drop to 2.
-        let r = s.handle(&Request::post("/api/edit", r#"{"remove":[[0,1]]}"#));
+        let r = s.handle(&Request::post("/api/v1/edit", r#"{"remove":[[0,1]]}"#));
         assert_eq!(r.status, 200, "{}", r.text());
-        let v = Json::parse(&r.text()).unwrap();
+        let v = v1_data(&r);
         assert_eq!(v.get("edges").and_then(Json::as_f64), Some(10.0));
         assert_eq!(v.get("generation").and_then(Json::as_f64), Some(2.0));
-        let r = s.handle(&Request::get("/api/stats"));
-        let v = Json::parse(&r.text()).unwrap();
+        let r = s.handle(&Request::get("/api/v1/stats"));
+        let v = v1_data(&r);
         assert_eq!(v.get("degeneracy").and_then(Json::as_f64), Some(2.0));
         // A k=3 query now finds nothing.
-        let r = s.handle(&Request::get("/api/search?name=A&k=3&algo=acq"));
-        let v = Json::parse(&r.text()).unwrap();
+        let r = s.handle(&Request::get("/api/v1/search?name=A&k=3&algo=acq"));
+        let v = v1_data(&r);
         assert_eq!(
             v.get("communities").and_then(Json::as_array).map(|a| a.len()),
             Some(0)
@@ -1993,11 +1932,11 @@ mod edit_endpoint_tests {
     #[test]
     fn edit_endpoint_validates_payload() {
         let s = server();
-        assert_eq!(s.handle(&Request::post("/api/edit", "not json")).status, 400);
-        assert_eq!(s.handle(&Request::post("/api/edit", r#"{"add":[[0]]}"#)).status, 400);
-        assert_eq!(s.handle(&Request::post("/api/edit", r#"{"add":[[0,1.5]]}"#)).status, 400);
-        assert_eq!(s.handle(&Request::post("/api/edit", r#"{"add":[[0,99]]}"#)).status, 400);
+        assert_eq!(s.handle(&Request::post("/api/v1/edit", "not json")).status, 400);
+        assert_eq!(s.handle(&Request::post("/api/v1/edit", r#"{"add":[[0]]}"#)).status, 400);
+        assert_eq!(s.handle(&Request::post("/api/v1/edit", r#"{"add":[[0,1.5]]}"#)).status, 400);
+        assert_eq!(s.handle(&Request::post("/api/v1/edit", r#"{"add":[[0,99]]}"#)).status, 400);
         // Empty edit is a no-op success.
-        assert_eq!(s.handle(&Request::post("/api/edit", "{}")).status, 200);
+        assert_eq!(s.handle(&Request::post("/api/v1/edit", "{}")).status, 200);
     }
 }

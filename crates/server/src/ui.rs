@@ -64,14 +64,14 @@ let state = { communities: [], current: 0, keywords: [] };
 async function jget(url) {
   const r = await fetch(url);
   const body = await r.json();
-  if (!r.ok) throw new Error(body.error || r.status);
-  return body;
+  if (!r.ok) throw new Error((body.error && body.error.message) || r.status);
+  return body.data;
 }
 
 async function init() {
-  const info = await jget('/api/graphs');
+  const info = await jget('/api/v1/graphs');
   try {
-    const st = await jget(`/api/stats`);
+    const st = await jget(`/api/v1/stats`);
     $('status').innerHTML = `<span style="color:#444">graph: ${st.vertices} vertices, ` +
       `${st.edges} edges, degeneracy ${st.degeneracy}</span>`;
   } catch (e) { /* stats are cosmetic */ }
@@ -88,7 +88,7 @@ $('name').addEventListener('input', async () => {
   const q = $('name').value;
   if (q.length < 2) return;
   try {
-    const hits = await jget(`/api/suggest?graph=${$('graph').value}&q=${encodeURIComponent(q)}`);
+    const hits = await jget(`/api/v1/suggest?graph=${$('graph').value}&q=${encodeURIComponent(q)}`);
     $('namesugg').innerHTML = '';
     for (const h of hits) {
       const o = document.createElement('option'); o.value = h.label; $('namesugg').append(o);
@@ -113,7 +113,7 @@ function selectedKeywords() {
 $('search').onclick = async () => {
   $('status').textContent = '';
   const kws = selectedKeywords().join(',');
-  const url = `/api/search?graph=${$('graph').value}&algo=${$('algo').value}` +
+  const url = `/api/v1/search?graph=${$('graph').value}&algo=${$('algo').value}` +
     `&name=${encodeURIComponent($('name').value)}&k=${$('k').value}` +
     `&layout=${$('layout').value}` +
     (kws ? `&keywords=${encodeURIComponent(kws)}` : '');
@@ -123,7 +123,7 @@ $('search').onclick = async () => {
     state.lastQuery = url;
     renderChips(res.query_keywords);
     renderTabs(); renderScene();
-    const svgUrl = url.replace('/api/search', '/api/svg') + `&index=${state.current}`;
+    const svgUrl = url.replace('/api/v1/search', '/api/v1/svg') + `&index=${state.current}`;
     $('analysis').innerHTML =
       `<p>CPJ ${res.cpj.toFixed(3)} &middot; CMF ${res.cmf.toFixed(3)}` +
       ` &middot; <a href="${svgUrl}" target="_blank">save as SVG</a></p>`;
@@ -175,7 +175,7 @@ function renderScene() {
 async function showProfile(n) {
   let html = `<b>${n.label}</b>`;
   try {
-    const p = await jget(`/api/profile?graph=${$('graph').value}&id=${n.id}`);
+    const p = await jget(`/api/v1/profile?graph=${$('graph').value}&id=${n.id}`);
     html += `<br>Areas: ${p.areas.join('; ')}<br>Institutes: ${p.institutes.join('; ')}` +
             `<br>Interests: ${p.interests.join('; ')}`;
   } catch (e) { html += '<br><i>No profile on record.</i>'; }
@@ -193,7 +193,7 @@ function explore(label) {
 
 $('comparebtn').onclick = async () => {
   $('status').textContent = '';
-  const url = `/api/compare?graph=${$('graph').value}` +
+  const url = `/api/v1/compare?graph=${$('graph').value}` +
     `&name=${encodeURIComponent($('name').value)}&k=${$('k').value}` +
     `&algos=global,local,codicil,acq`;
   try {
@@ -237,10 +237,10 @@ mod tests {
             "degree",
             "Search",
             "Compare",
-            "/api/search",
-            "/api/compare",
-            "/api/profile",
-            "/api/suggest",
+            "/api/v1/search",
+            "/api/v1/compare",
+            "/api/v1/profile",
+            "/api/v1/suggest",
             "canvas",
         ] {
             assert!(INDEX_HTML.contains(needle), "missing {needle}");

@@ -45,18 +45,18 @@ fn fuzz_stream_is_deterministic() {
 fn directed_hostile_requests_get_json_errors() {
     let s = server();
     let cases = [
-        Request::get("/api/search?name=A&k=99999999999999999999"),
-        Request::get("/api/search?id=-5"),
-        Request::get("/api/search?name=%zz%1"),
-        Request::get("/api/svg?name=A&index=4294967296"),
-        Request::get("/api/compare?name=A&algos=,,,"),
-        Request::get("/api/detect?algo=<script>alert(1)</script>"),
-        Request::get("/api/profile?id=NaN"),
-        Request::get("/api/stats?graph=ghost-404"),
-        Request::post("/api/edit", &b"{\"add\":[[0,"[..]),
-        Request::post("/api/edit", &b"{\"add\":[[18446744073709551615,0]]}"[..]),
-        Request::post("/api/edit", [0xff, 0xfe, 0x80].as_slice()),
-        Request::post("/api/upload?name=x", &b"v\tonly-half"[..]),
+        Request::get("/api/v1/search?name=A&k=99999999999999999999"),
+        Request::get("/api/v1/search?id=-5"),
+        Request::get("/api/v1/search?name=%zz%1"),
+        Request::get("/api/v1/svg?name=A&index=4294967296"),
+        Request::get("/api/v1/compare?name=A&algos=,,,"),
+        Request::get("/api/v1/detect?algo=<script>alert(1)</script>"),
+        Request::get("/api/v1/profile?id=NaN"),
+        Request::get("/api/v1/stats?graph=ghost-404"),
+        Request::post("/api/v1/edit", &b"{\"add\":[[0,"[..]),
+        Request::post("/api/v1/edit", &b"{\"add\":[[18446744073709551615,0]]}"[..]),
+        Request::post("/api/v1/edit", [0xff, 0xfe, 0x80].as_slice()),
+        Request::post("/api/v1/upload?name=x", &b"v\tonly-half"[..]),
     ];
     for req in cases {
         let resp = s.handle(&req);
@@ -70,7 +70,11 @@ fn directed_hostile_requests_get_json_errors() {
         if resp.status >= 400 {
             let v = Json::parse(&resp.text())
                 .unwrap_or_else(|e| panic!("{} {}: bad JSON ({e})", req.method, req.path));
-            let msg = v.get("error").and_then(Json::as_str).unwrap_or("");
+            let msg = v
+                .get("error")
+                .and_then(|e| e.get("message"))
+                .and_then(Json::as_str)
+                .unwrap_or("");
             assert!(!msg.is_empty(), "{} {}: empty error", req.method, req.path);
         }
     }

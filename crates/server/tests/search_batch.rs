@@ -1,8 +1,7 @@
 //! End-to-end contract tests for `POST /api/v1/search_batch` over the
 //! real HTTP stack: mixed valid/invalid members degrade per-slot, item
-//! pagination follows the GET `search` clamp rules, the batch-size cap
-//! is enforced, and the legacy `/api` namespace answers with a typed 404
-//! (the endpoint never existed there).
+//! pagination follows the GET `search` clamp rules, and the batch-size
+//! cap is enforced.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -134,14 +133,4 @@ fn batch_cap_and_malformed_bodies_are_rejected_whole() {
             "{resp}"
         );
     }
-}
-
-#[test]
-fn legacy_namespace_answers_typed_not_found() {
-    let handle = serve_fig5();
-    let port = handle.port();
-    let (status, resp) = http_post(port, "/api/search_batch", r#"{"queries":[{"name":"A"}]}"#);
-    assert_eq!(status, 404, "{resp}");
-    let v = Json::parse(&resp).unwrap();
-    assert_eq!(v.get("code").and_then(Json::as_str), Some("not_found"));
 }

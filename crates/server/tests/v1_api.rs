@@ -1,7 +1,6 @@
 //! Integration tests for the versioned `/api/v1` surface: envelope shape
-//! on every endpoint (success and each typed error code), legacy-alias
-//! equivalence, pagination, and the observability endpoints (`/healthz`,
-//! `/metrics`, `/api/v1/trace`).
+//! on every endpoint (success and each typed error code), pagination, and
+//! the observability endpoints (`/healthz`, `/metrics`, `/api/v1/trace`).
 
 use cx_explorer::Engine;
 use cx_server::{Json, Request, Server};
@@ -54,7 +53,6 @@ fn every_v1_endpoint_returns_a_well_formed_envelope_on_success() {
         assert_eq!(r.status, 200, "{target}: {}", r.text());
         let (data, _) = envelope_of(&r);
         assert_ne!(data, Json::Null, "{target}: data must be present");
-        assert_eq!(r.header("Deprecation"), None, "{target}: v1 is not deprecated");
     }
     // POST endpoints.
     let up = s.handle(&Request::post(
@@ -96,53 +94,6 @@ fn every_typed_error_code_is_reachable() {
     let r = empty.handle(&Request::get("/api/v1/stats"));
     assert_eq!(r.status, 400, "{}", r.text());
     assert_eq!(error_code(&r), "no_graph");
-}
-
-#[test]
-fn legacy_aliases_are_equivalent_to_v1_data() {
-    let s = server();
-    for target in [
-        "graphs",
-        "stats",
-        "detect?algo=codicil",
-        "search?name=A&k=2&algo=acq",
-        "suggest?q=&limit=4",
-    ] {
-        let legacy = s.handle(&Request::get(&format!("/api/{target}")));
-        let v1 = s.handle(&Request::get(&format!("/api/v1/{target}")));
-        assert_eq!(legacy.status, 200, "/api/{target}");
-        assert_eq!(v1.status, 200, "/api/v1/{target}");
-        assert_eq!(legacy.header("Deprecation"), Some("true"), "/api/{target}");
-        let legacy_body = Json::parse(&legacy.text()).unwrap();
-        let (data, _) = envelope_of(&v1);
-        assert_eq!(legacy_body, data, "/api/{target} body must equal v1 data");
-    }
-    // Binary endpoints pass through identically (no envelope).
-    let legacy = s.handle(&Request::get("/api/svg?name=A&k=2&index=0"));
-    let v1 = s.handle(&Request::get("/api/v1/svg?name=A&k=2&index=0"));
-    assert_eq!(legacy.content_type, "image/svg+xml");
-    assert_eq!(v1.content_type, "image/svg+xml");
-    assert_eq!(legacy.body, v1.body);
-    assert_eq!(legacy.header("Deprecation"), Some("true"));
-    assert_eq!(v1.header("Deprecation"), None);
-}
-
-#[test]
-fn v1_errors_and_legacy_errors_share_status_and_code() {
-    let s = server();
-    for target in ["search?name=ZZZ", "search?k=1", "stats?graph=nope"] {
-        let legacy = s.handle(&Request::get(&format!("/api/{target}")));
-        let v1 = s.handle(&Request::get(&format!("/api/v1/{target}")));
-        assert_eq!(legacy.status, v1.status, "{target}");
-        let lv = Json::parse(&legacy.text()).unwrap();
-        let code = error_code(&v1);
-        assert_eq!(lv.get("code").and_then(Json::as_str), Some(code.as_str()), "{target}");
-        assert_eq!(
-            lv.get("error").and_then(Json::as_str),
-            envelope_of(&v1).1.get("message").and_then(Json::as_str),
-            "{target}: messages must agree"
-        );
-    }
 }
 
 #[test]

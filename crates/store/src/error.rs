@@ -12,12 +12,12 @@ pub enum StoreError {
     /// A frame, record, snapshot or manifest failed structural decoding
     /// (bad magic, bad checksum, impossible length, truncated section).
     Corrupt(String),
-    /// A snapshot or manifest was written by a future format version this
-    /// build does not understand. Refusing loudly beats decoding garbage.
+    /// A snapshot or manifest was written in a format version this build
+    /// does not read. Refusing loudly beats decoding garbage.
     UnsupportedVersion {
         /// The version found in the file header.
         found: u32,
-        /// The newest version this build supports.
+        /// The version this build reads.
         supported: u32,
     },
     /// Replaying a WAL record against the recovered state failed (e.g. an
@@ -33,7 +33,7 @@ impl fmt::Display for StoreError {
             StoreError::Corrupt(m) => write!(f, "store corruption: {m}"),
             StoreError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "store format version {found} is newer than supported version {supported}"
+                "store format version {found} is not supported (this build reads version {supported})"
             ),
             StoreError::Replay(m) => write!(f, "WAL replay error: {m}"),
         }

@@ -9,19 +9,18 @@
 //!           [profiles] [has_coords: u8] [coords?]
 //! ```
 //!
-//! Version 2 (current) stores profiles against a deduplicated string
-//! pool: `[pool: strs] [count: u32]` then per profile
+//! Profiles are stored against a deduplicated string pool:
+//! `[pool: strs] [count: u32]` then per profile
 //! `[vertex: u32] [name: u32 pool id] [areas/institutes/interests: u32
 //! pool-id lists]`. Profile vocabularies (areas, institute names,
 //! interests) repeat heavily across vertices, so the pool shrinks
-//! checkpoints roughly in proportion to that repetition. Version-1
-//! files (inline strings per profile) are still read and upconverted
-//! transparently; writers always emit version 2.
+//! checkpoints roughly in proportion to that repetition.
 //!
 //! Files live under `<store>/snapshots/` and are named
 //! `<hex(name)>-<generation>.cxs`; hex-encoding the graph name keeps
 //! arbitrary registry names (slashes, dots, unicode) filesystem-safe.
-//! Readers reject versions newer than [`SNAPSHOT_VERSION`] with a typed
+//! [`SNAPSHOT_VERSION`] is the only version read or written: any other
+//! value in the header is rejected with a typed
 //! [`StoreError::UnsupportedVersion`] instead of decoding garbage.
 
 use std::io::{Read, Write};
@@ -69,9 +68,9 @@ fn intern<'a>(
     id
 }
 
-/// Version-2 profile section: a deduplicated string pool, then profiles
-/// referring into it by `u32` id.
-fn put_profiles_v2(w: &mut ByteWriter, profiles: &[StoredProfile]) {
+/// Profile section: a deduplicated string pool, then profiles referring
+/// into it by `u32` id.
+fn put_profiles(w: &mut ByteWriter, profiles: &[StoredProfile]) {
     let mut ids = std::collections::HashMap::new();
     let mut pool: Vec<&str> = Vec::new();
     let mut encoded: Vec<(u32, u32, Vec<u32>, Vec<u32>, Vec<u32>)> =
@@ -117,7 +116,7 @@ fn get_id_list(r: &mut ByteReader<'_>, pool: &[String]) -> Result<Vec<String>, S
     (0..len).map(|_| r.u32().and_then(|id| pooled(pool, id))).collect()
 }
 
-fn get_profiles_v2(r: &mut ByteReader<'_>) -> Result<Vec<StoredProfile>, StoreError> {
+fn get_profiles(r: &mut ByteReader<'_>) -> Result<Vec<StoredProfile>, StoreError> {
     let pool = r.strs()?;
     let len = r.u32()? as usize;
     if len > r.remaining() {
@@ -136,26 +135,6 @@ fn get_profiles_v2(r: &mut ByteReader<'_>) -> Result<Vec<StoredProfile>, StoreEr
     Ok(out)
 }
 
-/// Version-1 profile section: inline strings per profile. Kept so old
-/// checkpoints recover transparently (they upconvert on next write).
-fn get_profiles_v1(r: &mut ByteReader<'_>) -> Result<Vec<StoredProfile>, StoreError> {
-    let len = r.u32()? as usize;
-    if len > r.remaining() {
-        return Err(StoreError::Corrupt("profile list length exceeds snapshot".into()));
-    }
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(StoredProfile {
-            vertex: cx_graph::VertexId(r.u32()?),
-            name: r.str()?,
-            areas: r.strs()?,
-            institutes: r.strs()?,
-            interests: r.strs()?,
-        });
-    }
-    Ok(out)
-}
-
 impl GraphCheckpoint {
     /// Serializes the checkpoint (header + checksummed payload) to `w`.
     pub fn write_to<W: Write>(&self, w: &mut W) -> Result<(), StoreError> {
@@ -165,7 +144,7 @@ impl GraphCheckpoint {
         let mut graph_bytes = Vec::new();
         write_snapshot(&self.graph, &mut graph_bytes)?;
         p.bytes(&graph_bytes);
-        put_profiles_v2(&mut p, &self.profiles);
+        put_profiles(&mut p, &self.profiles);
         match &self.coords {
             Some(coords) => {
                 p.u8(1);
@@ -195,7 +174,7 @@ impl GraphCheckpoint {
             return Err(StoreError::Corrupt("bad snapshot magic".into()));
         }
         let version = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        if version > SNAPSHOT_VERSION {
+        if version != SNAPSHOT_VERSION {
             return Err(StoreError::UnsupportedVersion {
                 found: version,
                 supported: SNAPSHOT_VERSION,
@@ -216,8 +195,7 @@ impl GraphCheckpoint {
         let generation = p.u64()?;
         let graph_bytes = p.bytes()?;
         let graph = read_snapshot(&mut std::io::Cursor::new(graph_bytes))?;
-        let profiles =
-            if version >= 2 { get_profiles_v2(&mut p)? } else { get_profiles_v1(&mut p)? };
+        let profiles = get_profiles(&mut p)?;
         let coords = match p.u8()? {
             0 => None,
             1 => {
@@ -299,13 +277,17 @@ mod tests {
         let cp = checkpoint();
         let mut bytes = Vec::new();
         cp.write_to(&mut bytes).unwrap();
-        bytes[4..8].copy_from_slice(&(SNAPSHOT_VERSION + 1).to_le_bytes());
-        match GraphCheckpoint::read_from(&mut std::io::Cursor::new(&bytes)) {
-            Err(StoreError::UnsupportedVersion { found, supported }) => {
-                assert_eq!(found, SNAPSHOT_VERSION + 1);
-                assert_eq!(supported, SNAPSHOT_VERSION);
+        // The checksum covers the payload only, so the header stays
+        // CRC-valid and the version gate is what fires.
+        for version in [0, 1, SNAPSHOT_VERSION + 1] {
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            match GraphCheckpoint::read_from(&mut std::io::Cursor::new(&bytes)) {
+                Err(StoreError::UnsupportedVersion { found, supported }) => {
+                    assert_eq!(found, version);
+                    assert_eq!(supported, SNAPSHOT_VERSION);
+                }
+                other => panic!("version {version}: expected UnsupportedVersion, got {other:?}"),
             }
-            other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
     }
 
@@ -329,59 +311,10 @@ mod tests {
         }
     }
 
-    /// Serializes a checkpoint in the retired version-1 layout (inline
-    /// profile strings) so the compatibility path stays covered.
-    fn write_v1(cp: &GraphCheckpoint) -> Vec<u8> {
-        let mut p = ByteWriter::new();
-        p.str(&cp.name);
-        p.u64(cp.generation);
-        let mut graph_bytes = Vec::new();
-        write_snapshot(&cp.graph, &mut graph_bytes).unwrap();
-        p.bytes(&graph_bytes);
-        p.u32(cp.profiles.len() as u32);
-        for pr in &cp.profiles {
-            p.u32(pr.vertex.0);
-            p.str(&pr.name);
-            p.strs(&pr.areas);
-            p.strs(&pr.institutes);
-            p.strs(&pr.interests);
-        }
-        match &cp.coords {
-            Some(coords) => {
-                p.u8(1);
-                p.u32(coords.len() as u32);
-                for &(x, y) in coords {
-                    p.f64(x);
-                    p.f64(y);
-                }
-            }
-            None => p.u8(0),
-        }
-        let payload = p.into_bytes();
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&1u32.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
-    }
-
-    #[test]
-    fn version1_checkpoints_still_decode() {
-        let cp = checkpoint();
-        let bytes = write_v1(&cp);
-        let back = GraphCheckpoint::read_from(&mut std::io::Cursor::new(&bytes)).unwrap();
-        assert_eq!(back.name, cp.name);
-        assert_eq!(back.generation, cp.generation);
-        assert_eq!(back.profiles, cp.profiles);
-        assert_eq!(back.coords, cp.coords);
-    }
-
     #[test]
     fn interned_pool_shrinks_repetitive_profiles() {
-        // 200 profiles over a vocabulary of 4 strings: v2 must be much
-        // smaller than the inline-string v1 encoding of the same data.
+        // 200 profiles over a vocabulary of 4 strings: the file must be
+        // much smaller than the profile strings written out per vertex.
         let mut b = GraphBuilder::new();
         for i in 0..200 {
             b.add_vertex(&format!("v{i}"), &[]);
@@ -402,16 +335,19 @@ mod tests {
             profiles,
             coords: None,
         };
-        let mut v2 = Vec::new();
-        cp.write_to(&mut v2).unwrap();
-        let v1 = write_v1(&cp);
+        let inline: usize = cp
+            .profiles
+            .iter()
+            .map(|p| p.name.len() + p.areas[0].len() + p.institutes[0].len() + p.interests[0].len())
+            .sum();
+        let mut bytes = Vec::new();
+        cp.write_to(&mut bytes).unwrap();
         assert!(
-            v2.len() * 2 < v1.len(),
-            "v2 ({}) should be well under half of v1 ({})",
-            v2.len(),
-            v1.len()
+            bytes.len() * 2 < inline,
+            "pooled file ({}) should be well under half of the inline strings ({inline})",
+            bytes.len()
         );
-        let back = GraphCheckpoint::read_from(&mut std::io::Cursor::new(&v2)).unwrap();
+        let back = GraphCheckpoint::read_from(&mut std::io::Cursor::new(&bytes)).unwrap();
         assert_eq!(back.profiles, cp.profiles);
     }
 

@@ -3,16 +3,18 @@
 # thread counts, since every parallel helper promises thread-count
 # independence), the snapshot-concurrency stress test, par_scaling,
 # query_hotpath (asserting the zero-alloc steady-state contract at both
-# thread counts plus the pruned-path engine-median regression gate:
-# <= 2x the measured signature-pruned 20k median), concurrent_reads, http_throughput (keep-alive
-# fleet, shed at 2x overload, 50ms deadline probe), edit_latency,
+# thread counts plus the engine-median regression gate: <= 2x the
+# measured 20k median), concurrent_reads, http_throughput (keep-alive
+# fleet, shed at 2x overload, 50ms deadline probe), obs_overhead,
 # memory_footprint (compact substrate ≥ 30% under the legacy layout),
 # hierarchy_scale (a 1M-vertex graph served over HTTP with every
-# hierarchy response bounded) and
-# store_recovery smoke runs, and the cx-check correctness sweep at both thread counts
-# (invariants + differential oracles incl. snapshot pinning,
-# incremental-vs-scratch and scratch-reuse + API fuzz + the kill-replay
-# durability oracle over a seeded graph/query matrix). Run from
+# hierarchy response bounded) and store_recovery smoke runs, the cx-check
+# correctness sweep at both thread counts (invariants + differential
+# oracles incl. snapshot pinning, incremental-vs-scratch and
+# scratch-reuse + API fuzz + the kill-replay durability oracle over a
+# seeded graph/query matrix), and the standalone benchmark/ package
+# (its own workspace with path deps on crates/*, so the workspace build
+# above does not compile it): its tests plus a --quick run. Run from
 # anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -56,9 +58,6 @@ CX_THREADS=8 cargo run -q --release -p cx-bench --bin http_throughput -- 2000 64
 echo "== obs_overhead smoke (instrumented vs CX_OBS=off, 5% acceptance) =="
 cargo run -q --release -p cx-bench --bin obs_overhead -- 4000 100
 
-echo "== edit_latency smoke (incremental vs full rebuild ≥ 2x at 4k) =="
-cargo run -q --release -p cx-bench --bin edit_latency -- 4000 10 2
-
 echo "== memory_footprint smoke (u32 CSR + interned profiles ≥ 30% under legacy, CX_THREADS=1) =="
 CX_THREADS=1 cargo run -q --release -p cx-bench --bin memory_footprint -- 100000 --smoke
 
@@ -84,5 +83,11 @@ CX_THREADS=1 cargo run -q --release -p cx-check --bin cx-check -- \
 echo "== cx-check seed matrix (3 sizes x 2 seeds x 4 queries + fuzz + kill-replay, CX_THREADS=8) =="
 CX_THREADS=8 cargo run -q --release -p cx-check --bin cx-check -- \
   --sizes 60,200,800 --seeds 7,21 --queries 4 --fuzz 600 --kill-replay 25
+
+echo "== benchmark/ package tests =="
+cargo test -q --manifest-path benchmark/Cargo.toml
+
+echo "== benchmark/run.sh --quick (end-to-end smoke over /api/v1) =="
+bash benchmark/run.sh --quick
 
 echo "== ci.sh: all green =="

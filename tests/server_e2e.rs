@@ -34,6 +34,13 @@ fn read_response(mut stream: TcpStream) -> (u16, String) {
     (status, body)
 }
 
+/// The `data` member of a successful envelope.
+fn data_of(body: &str) -> Json {
+    let v = Json::parse(body).unwrap();
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{body}");
+    v.get("data").unwrap().clone()
+}
+
 fn start_server() -> cx_server::ServerHandle {
     let engine = Engine::with_graph("fig5", cx_datagen::figure5_graph());
     let server = Server::new(engine);
@@ -51,49 +58,53 @@ fn full_stack_over_tcp() {
     assert!(html.contains("C-Explorer"));
 
     // Capability discovery.
-    let (status, body) = http_get(port, "/api/graphs");
+    let (status, body) = http_get(port, "/api/v1/graphs");
     assert_eq!(status, 200);
-    let v = Json::parse(&body).unwrap();
+    let v = data_of(&body);
     assert_eq!(v.get("default_graph").and_then(Json::as_str), Some("fig5"));
 
     // The paper's worked example through the wire.
-    let (status, body) = http_get(port, "/api/search?name=A&k=2&algo=acq");
+    let (status, body) = http_get(port, "/api/v1/search?name=A&k=2&algo=acq");
     assert_eq!(status, 200);
-    let v = Json::parse(&body).unwrap();
+    let v = data_of(&body);
     let comms = v.get("communities").and_then(Json::as_array).unwrap();
     assert_eq!(comms.len(), 1);
     assert_eq!(comms[0].get("size").and_then(Json::as_f64), Some(3.0));
 
     // Suggestions.
-    let (status, body) = http_get(port, "/api/suggest?q=a&limit=3");
+    let (status, body) = http_get(port, "/api/v1/suggest?q=a&limit=3");
     assert_eq!(status, 200);
-    assert!(!Json::parse(&body).unwrap().as_array().unwrap().is_empty());
+    assert!(!data_of(&body).as_array().unwrap().is_empty());
 
     // Comparison analysis.
-    let (status, body) = http_get(port, "/api/compare?name=A&k=2&algos=global,acq");
+    let (status, body) = http_get(port, "/api/v1/compare?name=A&k=2&algos=global,acq");
     assert_eq!(status, 200);
-    let v = Json::parse(&body).unwrap();
+    let v = data_of(&body);
     assert_eq!(v.get("rows").and_then(Json::as_array).map(|r| r.len()), Some(2));
 
     // SVG export.
-    let (status, svg) = http_get(port, "/api/svg?name=A&k=2");
+    let (status, svg) = http_get(port, "/api/v1/svg?name=A&k=2");
     assert_eq!(status, 200);
     assert!(svg.starts_with("<svg"));
 
     // Upload a new graph, then query it.
     let upload_body = "v\tx\tdb\nv\ty\tdb\nv\tz\tdb\ne\t0\t1\ne\t1\t2\ne\t0\t2\n";
-    let (status, body) = http_post(port, "/api/upload?name=tiny", upload_body);
+    let (status, body) = http_post(port, "/api/v1/upload?name=tiny", upload_body);
     assert_eq!(status, 200, "{body}");
-    let (status, body) = http_get(port, "/api/search?graph=tiny&name=x&k=2&algo=acq");
+    let (status, body) = http_get(port, "/api/v1/search?graph=tiny&name=x&k=2&algo=acq");
     assert_eq!(status, 200, "{body}");
-    let v = Json::parse(&body).unwrap();
+    let v = data_of(&body);
     let comms = v.get("communities").and_then(Json::as_array).unwrap();
     assert_eq!(comms[0].get("size").and_then(Json::as_f64), Some(3.0));
 
     // Errors come back as JSON with useful statuses.
-    let (status, body) = http_get(port, "/api/search?name=nobody");
+    let (status, body) = http_get(port, "/api/v1/search?name=nobody");
     assert_eq!(status, 404);
-    assert!(Json::parse(&body).unwrap().get("error").is_some());
+    let v = Json::parse(&body).unwrap();
+    assert_eq!(
+        v.get("error").and_then(|e| e.get("code")).and_then(Json::as_str),
+        Some("unknown_vertex")
+    );
 }
 
 /// Durability end to end: mutate a store-backed server over HTTP, then
@@ -110,46 +121,46 @@ fn durable_server_survives_restart() {
         let server = Server::open_durable(&dir).unwrap();
         let handle = server.serve_background().unwrap();
         let port = handle.port();
-        let (status, body) = http_post(port, "/api/upload?name=tiny", upload_body);
+        let (status, body) = http_post(port, "/api/v1/upload?name=tiny", upload_body);
         assert_eq!(status, 200, "{body}");
         // Grow the triangle into a K4: generation 2.
         let edit = r#"{"add":[[0,3],[1,3],[2,3]]}"#;
-        let (status, body) = http_post(port, "/api/edit?graph=tiny", edit);
+        let (status, body) = http_post(port, "/api/v1/edit?graph=tiny", edit);
         assert_eq!(status, 200, "{body}");
-        let v = Json::parse(&body).unwrap();
+        let v = data_of(&body);
         assert_eq!(v.get("generation").and_then(Json::as_f64), Some(2.0));
         assert_eq!(v.get("edges").and_then(Json::as_f64), Some(6.0));
-        let (status, search) = http_get(port, "/api/search?graph=tiny&name=x&k=3&algo=acq");
+        let (status, search) = http_get(port, "/api/v1/search?graph=tiny&name=x&k=3&algo=acq");
         assert_eq!(status, 200, "{search}");
-        let (status, graphs) = http_get(port, "/api/graphs");
+        let (status, graphs) = http_get(port, "/api/v1/graphs");
         assert_eq!(status, 200);
-        (search, graphs)
+        (data_of(&search), data_of(&graphs))
     };
 
     // Second life: a fresh server on the same directory recovers the
-    // exact state — same generations, byte-identical search response.
+    // exact state — same generations, identical search `data`.
     let server = Server::open_durable(&dir).unwrap();
     let handle = server.serve_background().unwrap();
     let port = handle.port();
-    let (status, graphs) = http_get(port, "/api/graphs");
+    let (status, graphs) = http_get(port, "/api/v1/graphs");
     assert_eq!(status, 200);
-    assert_eq!(graphs, first_graphs, "recovered registry must match pre-restart registry");
-    let v = Json::parse(&graphs).unwrap();
+    let v = data_of(&graphs);
+    assert_eq!(v, first_graphs, "recovered registry must match pre-restart registry");
     assert_eq!(v.get("default_graph").and_then(Json::as_str), Some("tiny"));
     assert_eq!(
         v.get("generations").and_then(|g| g.get("tiny")).and_then(Json::as_f64),
         Some(2.0),
         "recovery must land on the edited generation"
     );
-    let (status, search) = http_get(port, "/api/search?graph=tiny&name=x&k=3&algo=acq");
+    let (status, search) = http_get(port, "/api/v1/search?graph=tiny&name=x&k=3&algo=acq");
     assert_eq!(status, 200, "{search}");
-    assert_eq!(search, first_search, "search results must be byte-identical after restart");
+    assert_eq!(data_of(&search), first_search, "search results must be identical after restart");
 
     // The recovered server is still writable: the next edit continues
     // the generation sequence instead of restarting it.
-    let (status, body) = http_post(port, "/api/edit?graph=tiny", r#"{"remove":[[0,3]]}"#);
+    let (status, body) = http_post(port, "/api/v1/edit?graph=tiny", r#"{"remove":[[0,3]]}"#);
     assert_eq!(status, 200, "{body}");
-    let v = Json::parse(&body).unwrap();
+    let v = data_of(&body);
     assert_eq!(v.get("generation").and_then(Json::as_f64), Some(3.0));
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -163,9 +174,9 @@ fn concurrent_clients_are_served() {
         .map(|i| {
             std::thread::spawn(move || {
                 let target = if i % 2 == 0 {
-                    "/api/search?name=A&k=2&algo=acq"
+                    "/api/v1/search?name=A&k=2&algo=acq"
                 } else {
-                    "/api/compare?name=A&k=2&algos=global,acq"
+                    "/api/v1/compare?name=A&k=2&algos=global,acq"
                 };
                 let (status, _) = http_get(port, target);
                 assert_eq!(status, 200);
