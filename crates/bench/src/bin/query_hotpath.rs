@@ -16,7 +16,7 @@
 //! Queries target the `top_hubs` of the seeded workload with `k = 4`,
 //! matching the `query` phase of `par_scaling`. At 1M vertices and above
 //! the committed paper-scale dataset (`DblpParams::paper_scale`, seed 42
-//! — the same graph `hierarchy_scale` serves) replaces the scaled
+//! — the same graph cxb's `acq_miss_1m` serves) replaces the scaled
 //! workload, so the 1M row is measured on the graph the paper's numbers
 //! anchor to.
 //!
@@ -103,7 +103,7 @@ fn main() {
     let samples: usize = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(5);
 
     // At paper scale, measure on the committed paper-scale graph (the one
-    // hierarchy_scale serves) rather than the small-workload generator.
+    // cxb's acq_miss_1m serves) rather than the small-workload generator.
     let (g, _) = if n >= 1_000_000 {
         cx_bench::dblp_like(&cx_bench::DblpParams { authors: n, ..cx_bench::DblpParams::paper_scale(42) })
     } else {

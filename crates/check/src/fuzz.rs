@@ -1,7 +1,9 @@
 //! Structure-aware fuzzing of the HTTP API.
 //!
-//! The driver builds *valid* requests first (real labels, registered
-//! algorithm names, well-formed JSON bodies) and then mutates them:
+//! The driver takes its endpoint templates from the server's own table
+//! ([`cx_server::routes::ENDPOINTS`]), so it cannot fall behind the
+//! surface. It builds *valid* requests first (real labels, registered
+//! algorithm names, well-formed bodies) and then mutates them:
 //! truncation, type swaps, huge/negative numbers, unknown vertices,
 //! graphs and keywords, junk percent-escapes, deep JSON nesting. The
 //! contract it enforces on every response:
@@ -13,7 +15,9 @@
 //! * JSON responses parse, and `/api/v1/*` JSON responses honour the
 //!   envelope contract: `ok` mirrors the status class, `request_id` is a
 //!   non-empty string, `elapsed_ms` is a number, and `error` is `null`
-//!   on success or `{code, message}` (both non-empty) on failure.
+//!   on success or `{code, message}` (both non-empty) on failure;
+//! * a streamed (`text/event-stream`) response ends in exactly one
+//!   terminal `result` or `error` frame whose `data:` parses.
 //!
 //! Everything is seeded, so a failing case replays deterministically.
 
@@ -21,6 +25,7 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use cx_par::rng::Rng64;
+use cx_server::routes::{Body, ENDPOINTS};
 use cx_server::{Json, Request, Response, Server};
 
 /// Fuzzing knobs.
@@ -49,6 +54,10 @@ pub struct FuzzReport {
     pub failures: Vec<String>,
     /// Responses seen per status code.
     pub status_counts: BTreeMap<u16, usize>,
+    /// Requests generated from each [`ENDPOINTS`] row, by row index.
+    pub row_counts: Vec<usize>,
+    /// Responses that were Server-Sent-Events streams.
+    pub streams: usize,
 }
 
 impl FuzzReport {
@@ -62,8 +71,9 @@ impl FuzzReport {
         let statuses: Vec<String> =
             self.status_counts.iter().map(|(s, n)| format!("{s}×{n}")).collect();
         format!(
-            "{} requests, {} panics, {} violations [{}]",
+            "{} requests ({} streamed), {} panics, {} violations [{}]",
             self.total,
+            self.streams,
             self.panics,
             self.failures.len(),
             statuses.join(" ")
@@ -143,9 +153,9 @@ fn plausible_value(rng: &mut Rng64, pool: &ValuePool, param: &str) -> String {
             let b = pick(rng, &pool.labels);
             format!("{a}|{b}")
         }
-        "id" | "index" | "level" | "node" => format!("{}", rng.next_u64() % 64),
+        "id" | "index" | "level" | "node" | "supernode" => format!("{}", rng.next_u64() % 64),
         "k" => format!("{}", rng.next_u64() % 6),
-        "limit" => format!("{}", rng.next_u64() % 30),
+        "limit" | "max_nodes" => format!("{}", rng.next_u64() % 30),
         "offset" => format!("{}", rng.next_u64() % 10),
         // Plausible-looking ids in the format the server generates, but
         // from a range the process-global counter never reaches: whether
@@ -174,27 +184,6 @@ fn plausible_value(rng: &mut Rng64, pool: &ValuePool, param: &str) -> String {
         _ => hostile_value(rng),
     }
 }
-
-/// Endpoint templates: (method, path, candidate params, has JSON body).
-const TEMPLATES: &[(&str, &str, &[&str], bool)] = &[
-    ("GET", "/api/v1/graphs", &[], false),
-    ("GET", "/api/v1/stats", &["graph"], false),
-    ("GET", "/api/v1/suggest", &["q", "limit", "offset", "graph"], false),
-    ("GET", "/api/v1/search", &["timeout_ms", "name", "names", "id", "k", "algo", "graph", "keywords", "layout", "limit", "offset"], false),
-    ("GET", "/api/v1/svg", &["timeout_ms", "name", "id", "k", "algo", "index", "layout", "graph"], false),
-    ("GET", "/api/v1/compare", &["timeout_ms", "name", "id", "k", "algos", "graph", "keywords"], false),
-    ("GET", "/api/v1/chart", &["timeout_ms", "name", "id", "k", "algos", "graph"], false),
-    ("GET", "/api/v1/detect", &["timeout_ms", "algo", "limit", "graph"], false),
-    ("GET", "/api/v1/detect_stream", &["timeout_ms", "algo", "limit", "graph"], false),
-    ("GET", "/api/v1/profile", &["id", "graph"], false),
-    ("GET", "/api/v1/hierarchy", &["level", "node", "limit", "graph"], false),
-    ("POST", "/api/v1/edit", &["graph"], true),
-    ("POST", "/api/v1/upload", &["name"], true),
-    ("POST", "/api/v1/search_batch", &["timeout_ms"], true),
-    ("GET", "/api/v1/trace", &["request_id"], false),
-    ("GET", "/metrics", &[], false),
-    ("GET", "/healthz", &[], false),
-];
 
 fn valid_edit_body(rng: &mut Rng64) -> String {
     let u = rng.next_u64() % 12;
@@ -265,28 +254,27 @@ fn mutate_body(rng: &mut Rng64, body: &mut Vec<u8>) {
     }
 }
 
-/// Builds one request: start from a valid template instantiation, then
-/// apply 0–3 mutations.
-fn generate(rng: &mut Rng64, pool: &ValuePool) -> Request {
-    let (method, path, params, has_body) =
-        TEMPLATES[(rng.next_u64() as usize) % TEMPLATES.len()];
+/// Builds one request from row `row` of [`ENDPOINTS`]: a valid
+/// instantiation of the row first, then 0–3 mutations.
+fn generate(rng: &mut Rng64, pool: &ValuePool, row: usize) -> Request {
+    let e = &ENDPOINTS[row];
+    let (method, path) = (e.method, e.path);
+    // The chokepoint reads `timeout_ms` on every /api/v1 row.
+    let implied: &[&str] = if path.starts_with("/api/v1/") { &["timeout_ms"] } else { &[] };
     let mut pairs: Vec<(String, String)> = Vec::new();
-    for &p in params {
+    for &p in implied.iter().chain(e.params) {
         // `name`/`names`/`id` are alternatives; include each with 60%.
         if rng.next_u64() % 5 < 3 {
             pairs.push((p.to_owned(), plausible_value(rng, pool, p)));
         }
     }
-    let mut body = if has_body {
-        match path {
-            "/api/v1/edit" => valid_edit_body(rng),
-            "/api/v1/search_batch" => valid_batch_body(rng, pool),
-            _ => valid_upload_body(rng),
-        }
-        .into_bytes()
-    } else {
-        Vec::new()
-    };
+    let mut body = match (e.body, path) {
+        (Body::None, _) => String::new(),
+        (Body::GraphText, _) => valid_upload_body(rng),
+        (Body::Json, "/api/v1/edit") => valid_edit_body(rng),
+        (Body::Json, _) => valid_batch_body(rng, pool),
+    }
+    .into_bytes();
     let mut method = method.to_owned();
     for _ in 0..rng.next_u64() % 4 {
         match rng.next_u64() % 6 {
@@ -375,8 +363,25 @@ fn check_response(req: &Request, resp: &Response) -> Option<String> {
             "{line} → error status {} with non-JSON content type {}",
             resp.status, resp.content_type
         ));
+    } else if resp.content_type == "text/event-stream" {
+        if let Some(v) = check_stream(&resp.text()) {
+            return Some(format!("{line} → {v}"));
+        }
     }
     None
+}
+
+/// The SSE contract for a whole stream body: the last frame, and only the
+/// last, is `event: result` or `event: error`, and its `data:` is JSON.
+fn check_stream(body: &str) -> Option<String> {
+    let terminal = |f: &str| f.starts_with("event: result\n") || f.starts_with("event: error\n");
+    let frames: Vec<&str> = body.split_terminator("\n\n").collect();
+    let last = frames.last().copied().unwrap_or("");
+    if !terminal(last) || frames.iter().filter(|f| terminal(f)).count() != 1 {
+        return Some(format!("stream does not end in exactly one terminal frame: {body:?}"));
+    }
+    let data = last.lines().find_map(|l| l.strip_prefix("data: ")).unwrap_or("");
+    Json::parse(data).err().map(|e| format!("terminal frame data is not JSON ({e}): {data:?}"))
 }
 
 /// The `/api/v1` envelope contract for a parsed JSON response body.
@@ -420,13 +425,16 @@ fn check_envelope(line: &str, status: u16, parsed: &Json) -> Option<String> {
 pub fn fuzz_server(server: &Server, params: &FuzzParams) -> FuzzReport {
     let pool = pool_from(server);
     let mut rng = Rng64::seed_from_u64(params.seed);
-    let mut report = FuzzReport::default();
+    let mut report = FuzzReport { row_counts: vec![0; ENDPOINTS.len()], ..FuzzReport::default() };
     for _ in 0..params.requests {
-        let req = generate(&mut rng, &pool);
+        let row = (rng.next_u64() as usize) % ENDPOINTS.len();
+        let req = generate(&mut rng, &pool, row);
         report.total += 1;
+        report.row_counts[row] += 1;
         match catch_unwind(AssertUnwindSafe(|| server.handle(&req))) {
             Ok(resp) => {
                 *report.status_counts.entry(resp.status).or_insert(0) += 1;
+                report.streams += usize::from(resp.content_type == "text/event-stream");
                 if let Some(v) = check_response(&req, &resp) {
                     report.failures.push(v);
                 }
@@ -480,6 +488,19 @@ mod tests {
         assert!(check_response(&req, &json(400, "{oops")).unwrap().contains("malformed"));
         let untyped = r#"{"ok":false,"data":null,"error":{},"request_id":"r1","elapsed_ms":0}"#;
         assert!(check_response(&req, &json(404, untyped)).unwrap().contains("code/message"));
+        // A stream ends in exactly one terminal frame carrying JSON.
+        let stream = Request::get("/api/v1/detect_stream");
+        let sse = |body: &str| Response::with_body("text/event-stream", body);
+        let good = "event: progress\ndata: {}\n\nevent: result\ndata: {\"total\":1}\n\n";
+        assert!(check_response(&stream, &sse(good)).is_none());
+        for bad in [
+            "event: progress\ndata: {}\n\n",
+            "event: result\ndata: {}\n\nevent: error\ndata: {}\n\n",
+            "event: result\ndata: {}\n\nevent: progress\ndata: {}\n\n",
+            "event: error\ndata: {oops\n\n",
+        ] {
+            assert!(check_response(&stream, &sse(bad)).is_some(), "{bad:?}");
+        }
         // A real error passes.
         let s = server();
         let real = s.handle(&Request::get("/api/v1/search?name=ZZZ"));

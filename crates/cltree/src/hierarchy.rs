@@ -75,8 +75,12 @@ pub struct Expansion {
     pub residents: Vec<VertexId>,
     /// True when residents were dropped to meet the cap.
     pub truncated: bool,
-    /// Child supernodes, in tree order.
+    /// Child supernodes: all of them in tree order from
+    /// [`Hierarchy::expand`]; the largest that fit the budget, largest
+    /// first, from [`Hierarchy::expand_bounded`].
     pub children: Vec<NodeId>,
+    /// How many children the node has, whatever the budget kept.
+    pub children_total: usize,
     /// Resident–resident edges among *listed* residents.
     pub internal_edges: Vec<(VertexId, VertexId)>,
     /// Weighted links `(resident, child supernode, #edges)` from listed
@@ -312,9 +316,38 @@ impl Hierarchy {
             residents,
             truncated,
             children: node.children.clone(),
+            children_total: node.children.len(),
             internal_edges,
             child_links,
         }
+    }
+
+    /// [`Hierarchy::expand`] under one node budget — the drill-down
+    /// policy every serving surface shares: residents take at most half
+    /// of `budget`, the children are cut largest-first to what remains
+    /// (never below one), and links to dropped children are dropped with
+    /// them. `None` when `node` is not a node of this hierarchy (a stale
+    /// id from another generation).
+    pub fn expand_bounded(
+        &self,
+        g: &AttributedGraph,
+        tree: &ClTree,
+        node: u32,
+        budget: usize,
+    ) -> Option<Expansion> {
+        if node as usize >= self.node_count() {
+            return None;
+        }
+        let budget = budget.max(2);
+        let mut ex = self.expand(g, tree, NodeId(node), budget / 2);
+        ex.children
+            .sort_unstable_by_key(|&c| (u32::MAX - self.stats(c).subtree_vertices, c.0));
+        ex.children.truncate(budget.saturating_sub(ex.residents.len()).max(1));
+        if ex.children.len() < ex.children_total {
+            let kept: std::collections::HashSet<NodeId> = ex.children.iter().copied().collect();
+            ex.child_links.retain(|(_, c, _)| kept.contains(c));
+        }
+        Some(ex)
     }
 
     /// All edges owned by supernode `id`, as explicit vertex pairs. Each
@@ -564,6 +597,27 @@ mod tests {
         assert!(ex.internal_edges.iter().all(|(u, v)| {
             ex.residents.contains(u) && ex.residents.contains(v)
         }));
+    }
+
+    #[test]
+    fn bounded_expansion_keeps_the_largest_children_and_rejects_stale_ids() {
+        let g = figure5_graph();
+        let t = ClTree::build(&g);
+        let h = Hierarchy::build(&g, &t);
+        // The root lists J and has two children; a budget of two leaves
+        // room for J and the larger child only.
+        let ex = h.expand_bounded(&g, &t, t.root().0, 2).unwrap();
+        assert_eq!(ex.residents.len(), 1);
+        assert_eq!(ex.children_total, 2);
+        assert_eq!(ex.children.len(), 1);
+        assert_eq!(h.stats(ex.children[0]).subtree_vertices, 7);
+        assert!(ex.child_links.iter().all(|(_, c, _)| ex.children.contains(c)));
+        // With room for everything, nothing is cut.
+        assert_eq!(h.expand_bounded(&g, &t, t.root().0, 10).unwrap().children.len(), 2);
+        // The last node id answers; the one after it does not exist.
+        let n = h.node_count() as u32;
+        assert!(h.expand_bounded(&g, &t, n - 1, 10).is_some());
+        assert!(h.expand_bounded(&g, &t, n, 10).is_none());
     }
 
     #[test]

@@ -242,14 +242,6 @@ impl Drop for RegistryGuard<'_> {
     }
 }
 
-/// The C-Explorer engine. One instance serves many graphs and algorithms
-/// and is shared across threads directly (`Arc<Engine>`, no outer lock):
-/// reads pin an immutable [`GraphSnapshot`] and run lock-free; writes
-/// build the next snapshot off-lock and publish it atomically (see the
-/// module docs for the full concurrency model).
-///
-/// Query results from [`Engine::search_on`] / [`Engine::detect_on`] are
-/// memoised in a bounded, sharded LRU cache keyed by the resolved query
 /// Writer-only state protected by a graph's write gate. Holding the gate
 /// *is* holding this state, so no extra synchronisation is needed.
 ///
@@ -901,23 +893,18 @@ impl Engine {
 
     /// Scene for one supernode's expansion: listed residents as plain
     /// vertices, child supernodes as bubbles, resident–resident edges,
-    /// and weighted resident→child links. The response is bounded: at
-    /// most `max_nodes / 2` residents and the largest remaining budget of
-    /// children.
+    /// and weighted resident→child links, bounded to `max_nodes` by
+    /// [`Hierarchy::expand_bounded`]. `None` when the snapshot's hierarchy
+    /// has no supernode `node`.
     pub fn hierarchy_expand_scene(
         &self,
         snap: &GraphSnapshot,
         node: u32,
         max_nodes: usize,
-    ) -> Result<Scene, ExplorerError> {
+    ) -> Option<Scene> {
         let h = snap.hierarchy();
-        if node as usize >= h.node_count() {
-            return Err(ExplorerError::BadQuery(format!("no supernode {node}")));
-        }
-        let id = cx_cltree::NodeId(node);
         let g = &snap.graph;
-        let budget = max_nodes.max(2);
-        let ex = h.expand(g, &snap.tree, id, budget / 2);
+        let ex = h.expand_bounded(g, &snap.tree, node, max_nodes)?;
 
         let mut items: Vec<SummaryItem> = ex
             .residents
@@ -931,38 +918,30 @@ impl Engine {
             .collect();
         let vert_index: HashMap<VertexId, usize> =
             ex.residents.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-
-        // Largest children first when the budget can't fit them all.
-        let mut children = ex.children.clone();
-        children.sort_by_key(|&c| {
-            (u32::MAX - h.stats(c).subtree_vertices, c.0)
-        });
-        children.truncate(budget.saturating_sub(items.len()).max(1));
-        let child_index: HashMap<cx_cltree::NodeId, usize> = children
+        let child_index: HashMap<cx_cltree::NodeId, usize> = ex
+            .children
             .iter()
             .enumerate()
             .map(|(i, &c)| (c, items.len() + i))
             .collect();
-        items.extend(children.iter().map(|&c| supernode_item(g, &h, c)));
+        items.extend(ex.children.iter().map(|&c| supernode_item(g, &h, c)));
 
         let mut links: Vec<(usize, usize, f64)> = ex
             .internal_edges
             .iter()
             .map(|&(u, v)| (vert_index[&u], vert_index[&v], 1.0))
             .collect();
-        links.extend(ex.child_links.iter().filter_map(|&(u, c, w)| {
-            // Links to children dropped by the budget are omitted with
-            // the child itself; the `truncated` title warns the client.
-            Some((vert_index[&u], *child_index.get(&c)?, w as f64))
-        }));
+        links.extend(
+            ex.child_links.iter().map(|&(u, c, w)| (vert_index[&u], child_index[&c], w as f64)),
+        );
 
-        let s = h.stats(id);
-        let truncated = ex.truncated || children.len() < ex.children.len();
-        Ok(layout_summary(&items, &links, 960.0, 600.0).titled(format!(
+        let s = h.stats(cx_cltree::NodeId(node));
+        let truncated = ex.truncated || ex.children.len() < ex.children_total;
+        Some(layout_summary(&items, &links, 960.0, 600.0).titled(format!(
             "Supernode {node} (level {}) — {} residents, {} children{}",
             s.level,
             ex.residents.len(),
-            children.len(),
+            ex.children.len(),
             if truncated { ", truncated" } else { "" }
         )))
     }

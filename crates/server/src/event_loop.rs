@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 
 use cx_par::task::CancelToken;
 
-use crate::conn::{ConnReader, ConnShared, Outbox, ParsedRequest, ReadOutcome, Slot};
+use crate::conn::{ConnReader, ConnShared, ParsedRequest, ReadOutcome, Slot};
 use crate::http::{Request, Response};
 use crate::routes::StreamSink;
 
@@ -141,7 +141,7 @@ impl ServerHandle {
 
     /// Blocks until the loop exits on its own (which only happens after a
     /// `shutdown()` from another thread) — used by the foreground
-    /// [`crate::http::serve`].
+    /// [`crate::Server::serve`].
     pub fn wait(&mut self) {
         if let Some(t) = self.thread.take() {
             let _ = t.join();
@@ -277,13 +277,6 @@ impl StreamSink for ConnSink {
         if self.conn.is_gone() {
             token.cancel();
         }
-    }
-
-    fn streaming(&self) -> bool {
-        matches!(
-            lock(&self.conn.out).slots.get(&self.seq),
-            Some(Slot::Stream { started: true, .. })
-        )
     }
 }
 
@@ -717,6 +710,3 @@ fn has_live_stream(shared: &ConnShared) -> bool {
 
 // Re-exported for lib.rs convenience.
 pub use crate::conn::MAX_BODY_BYTES;
-
-#[allow(unused)]
-fn _outbox_is_shared(_: &Outbox) {}

@@ -222,31 +222,6 @@ impl Response {
     }
 }
 
-/// Serves forever on `addr` with a fixed pool of `workers` threads. The
-/// transport is the poll-based event loop in [`crate::event_loop`]; the
-/// calling thread blocks until the loop exits (i.e. effectively forever).
-pub fn serve<F>(addr: &str, workers: usize, handler: F) -> std::io::Result<()>
-where
-    F: Fn(&Request) -> Response + Send + Sync + 'static,
-{
-    let config = ServerConfig { workers: workers.max(1), ..ServerConfig::default() };
-    let mut handle = serve_stream(addr, config, Arc::new(move |req: &Request, _sink: &Arc<dyn crate::routes::StreamSink>| Some(handler(req))))?;
-    handle.wait();
-    Ok(())
-}
-
-/// Binds `addr` with a plain (non-streaming) handler and runs the event
-/// loop in the background. The returned [`ServerHandle`] stops accepting,
-/// drains in-flight responses, and joins the workers on `shutdown()` (or
-/// drop) — hold on to it for as long as the server should live.
-pub fn serve_background<F>(addr: &str, workers: usize, handler: F) -> std::io::Result<ServerHandle>
-where
-    F: Fn(&Request) -> Response + Send + Sync + 'static,
-{
-    let config = ServerConfig { workers: workers.max(1), ..ServerConfig::default() };
-    serve_stream(addr, config, Arc::new(move |req: &Request, _sink: &Arc<dyn crate::routes::StreamSink>| Some(handler(req))))
-}
-
 /// Binds `addr` with a streaming-capable handler (see
 /// [`crate::routes::StreamSink`]) and runs the event loop in the
 /// background.
@@ -331,14 +306,20 @@ mod tests {
         assert_eq!(r.header("nope"), None);
     }
 
-    /// Full socket round-trip: serve_background, raw TCP client.
+    /// `serve_stream` with a handler that answers every request framed.
+    fn serve_framed(
+        handler: impl Fn(&Request) -> Response + Send + Sync + 'static,
+    ) -> ServerHandle {
+        let config = ServerConfig { workers: 1, ..ServerConfig::default() };
+        serve_stream("127.0.0.1:0", config, Arc::new(move |req: &Request, _: &_| Some(handler(req))))
+            .unwrap()
+    }
+
+    /// Full socket round-trip: serve_stream, raw TCP client.
     #[test]
     fn end_to_end_socket_roundtrip() {
         use std::io::{Read, Write};
-        let handle = serve_background("127.0.0.1:0", 1, |req| {
-            Response::html(format!("echo:{}", req.path))
-        })
-        .unwrap();
+        let handle = serve_framed(|req| Response::html(format!("echo:{}", req.path)));
         let mut stream =
             std::net::TcpStream::connect(("127.0.0.1", handle.port())).unwrap();
         write!(stream, "GET /hello HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").unwrap();
@@ -351,12 +332,11 @@ mod tests {
     #[test]
     fn extra_headers_are_emitted_on_the_wire() {
         use std::io::{Read, Write};
-        let handle = serve_background("127.0.0.1:0", 1, |_req| {
+        let handle = serve_framed(|_req| {
             Response::html("x")
                 .with_header("X-Request-Id", "r0000002a")
                 .with_header("Retry-After", "1")
-        })
-        .unwrap();
+        });
         let mut stream =
             std::net::TcpStream::connect(("127.0.0.1", handle.port())).unwrap();
         write!(stream, "GET / HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").unwrap();
@@ -372,10 +352,7 @@ mod tests {
     #[test]
     fn post_body_is_delivered() {
         use std::io::{Read, Write};
-        let handle = serve_background("127.0.0.1:0", 1, |req| {
-            Response::html(format!("len:{}", req.body.len()))
-        })
-        .unwrap();
+        let handle = serve_framed(|req| Response::html(format!("len:{}", req.body.len())));
         let mut stream =
             std::net::TcpStream::connect(("127.0.0.1", handle.port())).unwrap();
         let body = "v\talice\t\n";

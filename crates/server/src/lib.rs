@@ -14,17 +14,16 @@
 //!   deadlines, admission control, SSE streaming) dispatching parsed
 //!   requests to a fixed [`cx_par::queue::WorkerPool`]
 //!   ([`conn`] holds the per-connection read/write state machines);
-//! * [`routes`] — the REST API (`/api/v1/search`, `/api/v1/compare`,
-//!   `/api/v1/detect`, `/api/v1/profile`, `/api/v1/suggest`,
-//!   `/api/v1/graphs`, `/api/v1/upload`, …) over a shared
-//!   [`cx_explorer::Engine`]. The engine needs no outer lock: read
-//!   handlers pin an immutable graph snapshot (`Engine::snapshot`) and run
-//!   lock-free; write handlers (`/api/v1/edit`, `/upload`) build the next
-//!   snapshot off-lock and publish it atomically, so edits never block
-//!   concurrent searches. Responses use a uniform JSON envelope with
-//!   typed error codes. Operational endpoints: `GET /metrics`
-//!   (Prometheus text from `cx-obs`), `GET /healthz`,
-//!   `GET /api/v1/trace` (per-request span trees);
+//! * [`routes`] — the REST API over a shared [`cx_explorer::Engine`]:
+//!   one table, [`routes::ENDPOINTS`], lists every path the server
+//!   answers, and one function, [`routes::route`], answers all of them —
+//!   the event loop and [`Server::handle`] both call it, so a test, the
+//!   fuzzer and a socket client execute the same code. The engine needs
+//!   no outer lock: read handlers pin an immutable graph snapshot
+//!   (`Engine::snapshot`) and run lock-free; write handlers
+//!   (`/api/v1/edit`, `/api/v1/upload`) build the next snapshot off-lock
+//!   and publish it atomically, so edits never block concurrent searches.
+//!   Responses use a uniform JSON envelope with typed error codes;
 //! * [`ui`] — the embedded single-page browser UI (left panel: name box,
 //!   degree constraint, keyword chips; right panel: the community drawn on
 //!   a canvas), mirroring Figure 1.
@@ -46,11 +45,51 @@ pub use event_loop::{ServerConfig, ServerHandle};
 pub use http::{Request, Response};
 pub use json::Json;
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+use routes::StreamSink;
 
 /// The C-Explorer web server: a shared snapshot engine plus the HTTP loop.
 pub struct Server {
     engine: Arc<cx_explorer::Engine>,
+}
+
+/// The in-memory [`StreamSink`] behind [`Server::handle`]: keeps the
+/// stream head's extra headers and the SSE frames. Nothing panics while
+/// holding its locks.
+#[derive(Default)]
+struct BufferSink {
+    headers: Mutex<Vec<(String, String)>>,
+    frames: Mutex<Vec<u8>>,
+}
+
+impl BufferSink {
+    /// Runs `answer` with a fresh buffer for a sink. A framed answer is
+    /// returned as is; a streamed one comes back as one finished
+    /// `text/event-stream` response with the frames for a body.
+    fn collect(answer: impl FnOnce(&Arc<dyn StreamSink>) -> Option<Response>) -> Response {
+        let sink = Arc::new(BufferSink::default());
+        let dyn_sink: Arc<dyn StreamSink> = Arc::clone(&sink) as _;
+        answer(&dyn_sink).unwrap_or_else(|| {
+            let headers = std::mem::take(&mut *sink.headers.lock().expect("never poisoned"));
+            let frames = std::mem::take(&mut *sink.frames.lock().expect("never poisoned"));
+            Response { headers, ..Response::with_body("text/event-stream", frames) }
+        })
+    }
+}
+
+impl StreamSink for BufferSink {
+    fn start(&self, extra_headers: &[(String, String)]) {
+        *self.headers.lock().expect("never poisoned") = extra_headers.to_vec();
+    }
+
+    fn emit(&self, chunk: &[u8]) -> bool {
+        self.frames.lock().expect("never poisoned").extend_from_slice(chunk);
+        true
+    }
+
+    // Nothing can disconnect from a buffer.
+    fn register_cancel(&self, _token: &cx_par::task::CancelToken) {}
 }
 
 impl Server {
@@ -72,31 +111,35 @@ impl Server {
         Arc::clone(&self.engine)
     }
 
-    /// Handles one parsed request — the unit tests drive this directly.
-    pub fn handle(&self, req: &Request) -> Response {
-        let resp = routes::route(&self.engine, req);
+    /// What both [`Server::handle`] and the event loop run per request:
+    /// [`routes::route`] under the `CX_AUTH_TOKEN` policy, then the
+    /// compaction check.
+    fn answer(
+        engine: &Arc<cx_explorer::Engine>,
+        req: &Request,
+        sink: &Arc<dyn StreamSink>,
+    ) -> Option<Response> {
+        let resp = routes::route(engine, req, sink, routes::env_auth_token());
         // Writes grow the WAL; check the compaction trigger after, not
         // during, the request (the check is two atomic loads when idle).
         if req.method == "POST" {
-            self.engine.maybe_compact_in_background();
+            engine.maybe_compact_in_background();
         }
         resp
     }
 
-    /// The streaming-aware handler closure the event loop runs: the
-    /// instrumented route chokepoint plus SSE dispatch and the
-    /// post-request compaction check.
+    /// Handles one parsed request without a socket — what the unit tests,
+    /// the fuzzer and the benchmark's traced replay drive. A streamed
+    /// answer comes back whole: status 200, `text/event-stream`, the SSE
+    /// frames as the body.
+    pub fn handle(&self, req: &Request) -> Response {
+        BufferSink::collect(|sink| Self::answer(&self.engine, req, sink))
+    }
+
+    /// The handler closure the event loop runs.
     fn stream_handler(&self) -> Arc<http::StreamHandler> {
         let engine = Arc::clone(&self.engine);
-        Arc::new(move |req: &Request, sink: &Arc<dyn routes::StreamSink>| {
-            let resp = routes::route_sink(&engine, req, sink);
-            // Writes grow the WAL; check the compaction trigger after, not
-            // during, the request (the check is two atomic loads when idle).
-            if req.method == "POST" {
-                engine.maybe_compact_in_background();
-            }
-            resp
-        })
+        Arc::new(move |req: &Request, sink: &Arc<dyn StreamSink>| Self::answer(&engine, req, sink))
     }
 
     /// Binds `addr` and serves forever (default event-loop config,

@@ -1,12 +1,25 @@
 //! The REST API over the engine — the protocol the browser page speaks.
 //!
+//! [`ENDPOINTS`] is the one list of what the server answers: each row
+//! names a method, a path, the query parameters its handler reads, the
+//! body it expects, and the handler. [`route`] is the one way in — the
+//! event loop, `Server::handle`, the fuzzer and the benchmark all call it
+//! — and does the same things in the same order for every request:
+//! request id → trace → auth → table lookup → `timeout_ms` → timed span →
+//! handler → envelope → `cx_http_*` counters, whether the handler answers
+//! with a framed response or streams Server-Sent Events through the
+//! [`StreamSink`]. cx-check builds its fuzz templates from the table and a
+//! test holds API.md to it, so adding a route is adding a row.
+//!
 //! The API lives under `/api/v1/*`. Every JSON response is wrapped in a
 //! uniform envelope `{"ok", "data", "error", "request_id",
 //! "elapsed_ms"}`; errors carry a typed code from [`ErrorCode`]. Binary
 //! endpoints (`/api/v1/svg`, `/api/v1/chart`) return their payload raw on
-//! success and the JSON envelope on error. Any other path — including the
-//! retired unversioned `/api/*` names — is an unknown path and answers
-//! with the plain `{"error", "code"}` shape.
+//! success and the JSON envelope on error. Outside the API there are the
+//! embedded page (`/`), `GET /metrics` (Prometheus text exposition of the
+//! `cx-obs` registry) and `GET /healthz`; any other path — including the
+//! retired unversioned `/api/*` names — is unknown and answers with the
+//! plain `{"error", "code"}` shape.
 //!
 //! Concurrency: the engine is shared as a plain `&Engine` — no request
 //! ever takes a server-wide lock. Read handlers pin one immutable
@@ -15,24 +28,18 @@
 //! generation) is consistent with exactly one published graph version
 //! even while edits land concurrently. Write handlers (`edit`, `upload`)
 //! publish a new snapshot atomically; in-flight readers are unaffected.
-//!
-//! Outside the API there are three operational endpoints: `GET /metrics`
-//! (Prometheus text exposition of the `cx-obs` registry), `GET /healthz`
-//! (liveness + graph-loaded readiness, served from the O(1) registry
-//! index) and `GET /api/v1/trace` (the span tree recorded for a recent
-//! request id).
-//!
-//! [`route`] is the instrumented chokepoint: it assigns the request id,
-//! records the request trace and the `cx_http_*` metrics, and stamps
-//! `X-Request-Id` on every response. HTTP counters are bumped *after*
-//! dispatch so a `/metrics` scrape never counts itself in its own body.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
+use std::fmt::Write as _;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use cx_explorer::{Engine, ExplorerError, GraphSnapshot, Hierarchy, NodeId, QuerySpec};
+use cx_explorer::{
+    ComparisonReport, Engine, ExplorerError, GraphSnapshot, Hierarchy, NodeId, QuerySpec,
+};
 use cx_graph::{AttributedGraph, Community, VertexId};
-use cx_layout::LayoutAlgorithm;
+use cx_layout::{LayoutAlgorithm, Scene};
+use cx_par::task::CancelToken;
 
 use crate::http::{Request, Response};
 use crate::json::{escape_into, number_into, Json};
@@ -139,6 +146,16 @@ impl ApiError {
     fn not_found(message: impl Into<String>) -> Self {
         Self::new(ErrorCode::NotFound, message)
     }
+
+    /// The error on the wire: `{"code", "message"}` in the envelope, a
+    /// `search_batch` item and an SSE `error` frame; outside `/api/v1`
+    /// the message sits under the historical `"error"` key instead.
+    fn into_json(self, message_key: &'static str) -> Json {
+        Json::obj([
+            ("code", Json::str(self.code.as_str())),
+            (message_key, Json::str(self.message)),
+        ])
+    }
 }
 
 /// The one place an engine error becomes an API error.
@@ -161,14 +178,134 @@ impl From<ExplorerError> for ApiError {
     }
 }
 
-/// What a handler produced: a JSON document (sent in the envelope) or a
-/// raw non-JSON response passed through unchanged.
+// ---------------------------------------------------------------------------
+// The endpoint table
+
+/// What a handler produced.
 enum Payload {
+    /// A JSON document, sent inside the envelope.
     Data(Json),
+    /// A finished non-JSON response (SVG, HTML, metrics text), sent as is.
     Raw(Response),
+    /// The handler committed the connection to an SSE stream through the
+    /// sink and has written its terminal frame.
+    Streamed,
 }
 
 type Handler = Result<Payload, ApiError>;
+
+/// The members of a JSON object, before [`Json::obj`] sorts them.
+type Members = Vec<(&'static str, Json)>;
+
+/// What an endpoint reads from the request body.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Body {
+    /// Nothing.
+    None,
+    /// A JSON document.
+    Json,
+    /// A graph in the text format (`v`/`e` lines).
+    GraphText,
+}
+
+/// One row of [`ENDPOINTS`].
+pub struct Endpoint {
+    /// `GET` or `POST`.
+    pub method: &'static str,
+    /// The exact path.
+    pub path: &'static str,
+    /// Every query parameter the handler reads (its accessor,
+    /// `Ctx::param`, refuses any other name). `timeout_ms` is implied on
+    /// each `/api/v1` row: the chokepoint reads it, not the handler.
+    pub params: &'static [&'static str],
+    /// What the handler reads from the body.
+    pub body: Body,
+    handler: fn(&Ctx) -> Handler,
+}
+
+const fn row(
+    method: &'static str,
+    path: &'static str,
+    params: &'static [&'static str],
+    body: Body,
+    handler: fn(&Ctx) -> Handler,
+) -> Endpoint {
+    Endpoint { method, path, params, body, handler }
+}
+
+/// Every `(method, path)` the server answers. Kept dumb on purpose:
+/// handlers parse and clamp their own values; a row only *names* what its
+/// handler reads.
+#[rustfmt::skip]
+pub const ENDPOINTS: &[Endpoint] = &[
+    row("GET", "/", &[], Body::None, index),
+    row("GET", "/index.html", &[], Body::None, index),
+    row("GET", "/metrics", &[], Body::None, metrics_text),
+    row("GET", "/healthz", &[], Body::None, healthz),
+    row("GET", "/api/v1/graphs", &[], Body::None, graphs),
+    row("GET", "/api/v1/stats", &["graph"], Body::None, stats),
+    row("GET", "/api/v1/suggest", &["q", "limit", "offset", "graph"], Body::None, suggest),
+    row("GET", "/api/v1/hierarchy", &["level", "node", "limit", "graph"], Body::None, hierarchy),
+    row("GET", "/api/v1/search", &["name", "names", "id", "k", "keywords", "algo", "layout", "limit", "offset", "graph"], Body::None, search),
+    row("POST", "/api/v1/search_batch", &["graph"], Body::Json, search_batch),
+    row("GET", "/api/v1/detect", &["algo", "limit", "graph"], Body::None, detect),
+    row("GET", "/api/v1/detect_stream", &["algo", "limit", "graph"], Body::None, detect_stream),
+    row("GET", "/api/v1/compare", &["name", "names", "id", "k", "keywords", "algos", "graph"], Body::None, compare),
+    row("GET", "/api/v1/svg", &["name", "names", "id", "k", "keywords", "algo", "index", "layout", "level", "supernode", "max_nodes", "graph"], Body::None, svg),
+    row("GET", "/api/v1/chart", &["name", "names", "id", "k", "keywords", "algos", "graph"], Body::None, chart),
+    row("GET", "/api/v1/profile", &["id", "graph"], Body::None, profile),
+    row("POST", "/api/v1/upload", &["name"], Body::GraphText, upload),
+    row("POST", "/api/v1/edit", &["graph"], Body::Json, edit),
+    row("GET", "/api/v1/trace", &["request_id"], Body::None, trace),
+];
+
+/// What a handler gets: the engine, the request, and what the chokepoint
+/// already settled for it.
+struct Ctx<'a> {
+    engine: &'a Engine,
+    req: &'a Request,
+    /// The validated `timeout_ms` (the default outside `/api/v1`).
+    timeout: Duration,
+    sink: &'a Arc<dyn StreamSink>,
+    request_id: &'a str,
+    t0: Instant,
+    /// The row's `params`.
+    declared: &'static [&'static str],
+}
+
+impl Ctx<'_> {
+    /// A query parameter the row declares. Reading an undeclared one is
+    /// a bug: the fuzzer and API.md would not know about it.
+    fn param(&self, name: &str) -> Option<&str> {
+        debug_assert!(self.declared.contains(&name), "{name:?} is not declared on this row");
+        self.req.param(name)
+    }
+
+    /// [`Ctx::param`] parsed to a type; absent or unparseable is `default`.
+    fn param_as<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
+        self.param(name).and_then(|s| s.parse().ok()).unwrap_or(default)
+    }
+
+    /// Pins the snapshot `graph` names (or the default graph's).
+    fn snapshot(&self) -> Result<Arc<GraphSnapshot>, ExplorerError> {
+        self.engine.snapshot(self.param("graph"))
+    }
+
+    /// A cancel token that fires when the request's deadline does.
+    fn token(&self) -> CancelToken {
+        CancelToken::with_timeout(self.timeout)
+    }
+
+    /// The body as a JSON document.
+    fn json_body(&self) -> Result<Json, ApiError> {
+        let body = std::str::from_utf8(&self.req.body)
+            .map_err(|_| ApiError::bad_json("body must be UTF-8 JSON"))?;
+        Json::parse(body).map_err(|e| ApiError::bad_json(format!("bad JSON: {e}")))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The chokepoint
 
 /// Default per-request deadline (ms) when the client sends no `timeout_ms`.
 pub const DEFAULT_TIMEOUT_MS: u64 = 30_000;
@@ -176,25 +313,21 @@ pub const DEFAULT_TIMEOUT_MS: u64 = 30_000;
 /// Upper clamp for client-supplied `timeout_ms` values.
 pub const MAX_TIMEOUT_MS: u64 = 300_000;
 
-/// Resolves the request deadline from `timeout_ms`: absent → the default,
-/// present → a positive integer clamped to [`MAX_TIMEOUT_MS`]; anything
-/// else (zero, negative, non-integer) is a typed `bad_query`.
-fn timeout_from(req: &Request) -> Result<std::time::Duration, ApiError> {
-    match req.param("timeout_ms") {
-        None => Ok(std::time::Duration::from_millis(DEFAULT_TIMEOUT_MS)),
-        Some(s) => match s.parse::<u64>() {
-            Ok(ms) if ms >= 1 => {
-                Ok(std::time::Duration::from_millis(ms.min(MAX_TIMEOUT_MS)))
-            }
-            _ => Err(ApiError::bad_query("timeout_ms must be a positive integer (milliseconds)")),
-        },
+/// The `timeout_ms` rule, for the query string and the `search_batch`
+/// body alike: a positive integer, clamped to [`MAX_TIMEOUT_MS`]; `None`
+/// stands for anything else that was sent (zero, negative, fractional,
+/// non-numeric) and is a typed `bad_query`.
+fn timeout_ms(sent: Option<u64>) -> Result<Duration, ApiError> {
+    match sent {
+        Some(ms) if ms >= 1 => Ok(Duration::from_millis(ms.min(MAX_TIMEOUT_MS))),
+        _ => Err(ApiError::bad_query("timeout_ms must be a positive integer (milliseconds)")),
     }
 }
 
 /// The bearer token required for `/api/*` requests, from `CX_AUTH_TOKEN`.
 /// Read once: the deployment model is "set before start", and a per-request
 /// `env::var` would make the auth decision racy with concurrent `set_var`.
-fn env_auth_token() -> Option<&'static str> {
+pub(crate) fn env_auth_token() -> Option<&'static str> {
     static TOKEN: std::sync::OnceLock<Option<String>> = std::sync::OnceLock::new();
     TOKEN
         .get_or_init(|| std::env::var("CX_AUTH_TOKEN").ok().filter(|t| !t.is_empty()))
@@ -216,38 +349,36 @@ fn check_auth(req: &Request, required: Option<&str>) -> Result<(), ApiError> {
     if presented == Some(required) {
         Ok(())
     } else {
+        cx_obs::metrics::inc("cx_http_unauthorized_total");
         Err(ApiError::new(ErrorCode::Unauthorized, "missing or invalid bearer token"))
     }
 }
 
-/// Dispatches one request. This is the instrumented chokepoint described
-/// in the module docs. Auth comes from `CX_AUTH_TOKEN` (see
-/// [`route_with_auth`] for an injectable variant used by tests).
-pub fn route(engine: &Engine, req: &Request) -> Response {
-    route_with_auth(engine, req, env_auth_token())
-}
-
-/// [`route`] with the required bearer token passed explicitly.
-pub fn route_with_auth(engine: &Engine, req: &Request, auth: Option<&str>) -> Response {
+/// Answers one request — the only way into the API. `auth` is the bearer
+/// token `/api/*` requests must present, if any. `Some(response)` is a
+/// framed response to send; `None` means the handler streamed its answer
+/// through `sink`, terminal frame included.
+pub fn route(
+    engine: &Engine,
+    req: &Request,
+    sink: &Arc<dyn StreamSink>,
+    auth: Option<&str>,
+) -> Option<Response> {
     let t0 = Instant::now();
     let request_id = cx_obs::trace::next_request_id();
-    let mut resp = {
+    let resp = {
         let _trace = cx_obs::trace::begin_request(&request_id);
         let _span = cx_obs::span("http.request");
-        match check_auth(req, auth) {
-            Ok(()) => dispatch(engine, req, &request_id, t0),
-            Err(e) => {
-                cx_obs::metrics::inc("cx_http_unauthorized_total");
-                if req.path.starts_with("/api/v1/") {
-                    envelope(Err(e), &request_id, t0)
-                } else {
-                    plain_error(&e)
-                }
-            }
+        match dispatch(engine, req, sink, auth, &request_id, t0) {
+            Ok(Payload::Data(data)) => Some(envelope(Ok(data), &request_id, t0)),
+            Ok(Payload::Raw(resp)) => Some(resp),
+            Ok(Payload::Streamed) => None,
+            Err(e) => Some(error_response(e, req, &request_id, t0)),
         }
     };
-    // Bumped after dispatch: a /metrics response must not count itself.
-    let class = match resp.status {
+    // A stream is a 200 whose bytes `emit_frame` counted as they left.
+    let (status, framed_bytes) = resp.as_ref().map_or((200, 0), |r| (r.status, r.body.len()));
+    let class = match status {
         200..=299 => "2xx",
         300..=399 => "3xx",
         400..=499 => "4xx",
@@ -255,152 +386,135 @@ pub fn route_with_auth(engine: &Engine, req: &Request, auth: Option<&str>) -> Re
     };
     cx_obs::metrics::inc(&format!("cx_http_requests_total{{class=\"{class}\"}}"));
     cx_obs::metrics::add("cx_http_bytes_in_total", req.body.len() as u64);
-    cx_obs::metrics::add("cx_http_bytes_out_total", resp.body.len() as u64);
+    cx_obs::metrics::add("cx_http_bytes_out_total", framed_bytes as u64);
     cx_obs::metrics::observe_us("cx_http_request_duration_us", t0.elapsed().as_micros() as u64);
-    resp.headers.push(("X-Request-Id".into(), request_id));
-    resp
+    resp.map(|mut r| {
+        r.headers.push(("X-Request-Id".into(), request_id));
+        r
+    })
 }
 
-fn dispatch(engine: &Engine, req: &Request, request_id: &str, t0: Instant) -> Response {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/") | ("GET", "/index.html") => return Response::html(crate::ui::INDEX_HTML),
-        ("GET", "/metrics") => return metrics_text(),
-        ("GET", "/healthz") => return healthz(engine),
-        _ => {}
-    }
-    let Some(endpoint) = req.path.strip_prefix("/api/v1/") else {
-        let e = if req.method == "GET" {
+fn dispatch(
+    engine: &Engine,
+    req: &Request,
+    sink: &Arc<dyn StreamSink>,
+    auth: Option<&str>,
+    request_id: &str,
+    t0: Instant,
+) -> Handler {
+    check_auth(req, auth)?;
+    let row = ENDPOINTS.iter().find(|e| e.method == req.method && e.path == req.path);
+    // Nonsense in `timeout_ms` is a typed 400 on every `/api/v1` path,
+    // known or not, so it is judged before a miss is reported.
+    let v1 = req.path.starts_with("/api/v1/");
+    let timeout = match req.param("timeout_ms") {
+        Some(s) if v1 => timeout_ms(s.parse().ok())?,
+        _ => Duration::from_millis(DEFAULT_TIMEOUT_MS),
+    };
+    let Some(row) = row else {
+        return Err(if req.method == "GET" {
             ApiError::not_found("no such endpoint")
         } else {
             ApiError::new(ErrorCode::MethodNotAllowed, "method not allowed")
-        };
-        return plain_error(&e);
+        });
     };
-
-    // Per-endpoint span + latency histogram, with a *static* label so a
-    // hostile path can't explode metric cardinality.
-    fn timed(label: &'static str, f: impl FnOnce() -> Handler) -> Handler {
-        let _span = cx_obs::span(&format!("route.{label}"));
-        let t = Instant::now();
-        let out = f();
-        cx_obs::metrics::observe_us(
-            &format!("cx_route_duration_us{{endpoint=\"{label}\"}}"),
-            t.elapsed().as_micros() as u64,
-        );
-        out
-    }
-
-    // `timeout_ms` is validated once for every endpoint (nonsense is a
-    // typed 400 everywhere); the long-running handlers additionally turn
-    // it into a cancel token threaded into the engine.
-    let result = match timeout_from(req) {
-        Err(e) => Err(e),
-        Ok(timeout) => match (req.method.as_str(), endpoint) {
-            ("GET", "graphs") => timed("graphs", || graphs(engine)),
-            ("GET", "stats") => timed("stats", || stats(engine, req)),
-            ("GET", "suggest") => timed("suggest", || suggest(engine, req)),
-            ("GET", "search") => timed("search", || search(engine, req, timeout)),
-            ("GET", "svg") => timed("svg", || svg(engine, req, timeout)),
-            ("GET", "compare") => timed("compare", || compare(engine, req)),
-            ("GET", "chart") => timed("chart", || chart(engine, req)),
-            ("GET", "detect") => timed("detect", || detect(engine, req, timeout)),
-            ("GET", "profile") => timed("profile", || profile(engine, req)),
-            ("POST", "upload") => timed("upload", || upload(engine, req)),
-            ("POST", "edit") => timed("edit", || edit(engine, req)),
-            ("POST", "search_batch") => {
-                timed("search_batch", || search_batch(engine, req, timeout))
-            }
-            ("GET", "hierarchy") => timed("hierarchy", || hierarchy(engine, req)),
-            ("GET", "trace") => timed("trace", || trace_endpoint(req)),
-            // The SSE endpoint exists only on the event-loop transport
-            // (route_sink); through the plain chokepoint it is a typed 404.
-            ("GET", "detect_stream") => {
-                Err(ApiError::not_found("detect_stream requires an SSE-capable transport"))
-            }
-            ("GET", _) => Err(ApiError::not_found("no such endpoint")),
-            _ => Err(ApiError::new(ErrorCode::MethodNotAllowed, "method not allowed")),
-        },
+    let ctx = Ctx { engine, req, timeout, sink, request_id, t0, declared: row.params };
+    let Some(label) = row.path.strip_prefix("/api/v1/") else {
+        return (row.handler)(&ctx);
     };
-
-    match result {
-        Ok(Payload::Raw(r)) => r,
-        Ok(Payload::Data(data)) => envelope(Ok(data), request_id, t0),
-        Err(e) => envelope(Err(e), request_id, t0),
-    }
+    // Per-endpoint span + latency histogram. The label comes from the
+    // table, so a hostile path can't explode metric cardinality.
+    let _span = cx_obs::span(&format!("route.{label}"));
+    let t = Instant::now();
+    let out = (row.handler)(&ctx);
+    cx_obs::metrics::observe_us(
+        &format!("cx_route_duration_us{{endpoint=\"{label}\"}}"),
+        t.elapsed().as_micros() as u64,
+    );
+    out
 }
 
-/// The error shape outside `/api/v1`: `{"error": msg, "code": code}`.
-fn plain_error(e: &ApiError) -> Response {
-    let v = Json::obj([
-        ("error", Json::str(e.message.clone())),
-        ("code", Json::str(e.code.as_str())),
-    ]);
-    let mut r = Response::json(&v);
-    r.status = e.code.status();
-    if e.code == ErrorCode::Overloaded {
-        r = r.with_header("Retry-After", "1");
-    }
-    r
+/// `{ok, data, error}`: the whole of a `search_batch` item and the core
+/// of the envelope.
+fn outcome(result: Result<Json, ApiError>) -> Members {
+    let (ok, data, error) = match result {
+        Ok(data) => (true, data, Json::Null),
+        Err(e) => (false, Json::Null, e.into_json("message")),
+    };
+    vec![("ok", Json::Bool(ok)), ("data", data), ("error", error)]
 }
 
-/// Wraps a handler result in the v1 response envelope.
+/// Wraps a handler result in the v1 response envelope (status 200; an
+/// error's status is set by [`error_response`]).
 fn envelope(result: Result<Json, ApiError>, request_id: &str, t0: Instant) -> Response {
-    let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let (status, ok, data, error, overloaded) = match result {
-        Ok(d) => (200, true, d, Json::Null, false),
-        Err(e) => (
-            e.code.status(),
-            false,
-            Json::Null,
-            Json::obj([
-                ("code", Json::str(e.code.as_str())),
-                ("message", Json::str(e.message)),
-            ]),
-            e.code == ErrorCode::Overloaded,
-        ),
+    let mut members = outcome(result);
+    members.push(("request_id", Json::str(request_id)));
+    members.push(("elapsed_ms", Json::num(t0.elapsed().as_secs_f64() * 1e3)));
+    Response::json(&Json::obj(members))
+}
+
+/// An error in the shape its path speaks: the envelope under `/api/v1`,
+/// the plain `{"error", "code"}` object anywhere else.
+fn error_response(e: ApiError, req: &Request, request_id: &str, t0: Instant) -> Response {
+    let code = e.code;
+    let mut r = if req.path.starts_with("/api/v1/") {
+        envelope(Err(e), request_id, t0)
+    } else {
+        Response::json(&e.into_json("error"))
     };
-    let mut r = Response::json(&Json::obj([
-        ("ok", Json::Bool(ok)),
-        ("data", data),
-        ("error", error),
-        ("request_id", Json::str(request_id)),
-        ("elapsed_ms", Json::num(elapsed_ms)),
-    ]));
-    r.status = status;
-    if overloaded {
+    r.status = code.status();
+    if code == ErrorCode::Overloaded {
         r = r.with_header("Retry-After", "1");
     }
     r
+}
+
+/// The load-shed response the event loop sends without dispatching: a
+/// typed `overloaded` 503 with `Retry-After`, enveloped for `/api/v1`
+/// targets and plain otherwise.
+pub fn shed_response(req: &Request) -> Response {
+    let e = ApiError::new(
+        ErrorCode::Overloaded,
+        "server is at its in-flight request limit; retry shortly",
+    );
+    error_response(e, req, &cx_obs::trace::next_request_id(), Instant::now())
+}
+
+// ---------------------------------------------------------------------------
+// Handlers
+
+fn index(_: &Ctx) -> Handler {
+    Ok(Payload::Raw(Response::html(crate::ui::INDEX_HTML)))
 }
 
 /// GET /metrics — Prometheus text exposition of the cx-obs registry.
-fn metrics_text() -> Response {
+fn metrics_text(_: &Ctx) -> Handler {
     let mut body = cx_obs::global().prometheus_text();
     if body.is_empty() {
         // Cold registry (first-ever request, or CX_OBS=off): still a
         // valid, non-empty exposition.
         body.push_str("# no samples recorded yet\n");
     }
-    Response::with_body("text/plain; version=0.0.4; charset=utf-8", body)
+    Ok(Payload::Raw(Response::with_body("text/plain; version=0.0.4; charset=utf-8", body)))
 }
 
 /// GET /healthz — liveness (the process answers) plus readiness
 /// (a graph is loaded and queryable). Served entirely from the O(1)
 /// registry index: no snapshot is cloned, no graph data touched.
-fn healthz(engine: &Engine) -> Response {
-    let idx = engine.registry_index();
-    Response::json(&Json::obj([
+fn healthz(ctx: &Ctx) -> Handler {
+    let idx = ctx.engine.registry_index();
+    Ok(Payload::Raw(Response::json(&Json::obj([
         ("status", Json::str("ok")),
         ("graph_loaded", Json::Bool(!idx.graphs.is_empty())),
         ("graphs", Json::num(idx.graphs.len() as f64)),
         ("traces", Json::num(cx_obs::trace::trace_count() as f64)),
-    ]))
+    ]))))
 }
 
 /// GET /api/v1/trace?request_id=… — the recorded span tree for a recent
 /// request.
-fn trace_endpoint(req: &Request) -> Handler {
-    let Some(id) = req.param("request_id") else {
+fn trace(ctx: &Ctx) -> Handler {
+    let Some(id) = ctx.param("request_id") else {
         return Err(ApiError::bad_query("missing request_id parameter"));
     };
     let Some(t) = cx_obs::trace::get_trace(id) else {
@@ -445,28 +559,19 @@ fn span_tree(spans: &[cx_obs::trace::SpanRecord]) -> Json {
     Json::arr(roots.into_iter().map(|r| node(spans, &children, r)))
 }
 
-/// Resolves `limit`/`offset` pagination parameters with bounded defaults:
-/// unparseable values fall back to the default (matching the API's
-/// historical leniency), and `limit` is clamped to `1..=max_limit`.
-fn page_params(req: &Request, default_limit: usize, max_limit: usize) -> (usize, usize) {
-    let limit = req.param_as::<usize>("limit", default_limit).clamp(1, max_limit);
-    let offset = req.param_as::<usize>("offset", 0);
-    (limit, offset)
-}
-
-/// GET /api/graphs — the registry directory. Served from the O(1) index
+/// GET /api/v1/graphs — the registry directory. Served from the O(1) index
 /// (never clones a snapshot); `generations` maps each graph to its
 /// currently published generation so clients can detect content changes.
-fn graphs(engine: &Engine) -> Handler {
-    let idx = engine.registry_index();
+fn graphs(ctx: &Ctx) -> Handler {
+    let idx = ctx.engine.registry_index();
     let graphs = Json::arr(idx.graphs.iter().map(|g| Json::str(g.name.clone())));
     let generations: BTreeMap<String, Json> = idx
         .graphs
         .iter()
         .map(|g| (g.name.clone(), Json::num(g.generation as f64)))
         .collect();
-    let cs = Json::arr(engine.cs_names().iter().map(|n| Json::str(*n)));
-    let cd = Json::arr(engine.cd_names().iter().map(|n| Json::str(*n)));
+    let cs = Json::arr(ctx.engine.cs_names().iter().map(|n| Json::str(*n)));
+    let cd = Json::arr(ctx.engine.cd_names().iter().map(|n| Json::str(*n)));
     let default = idx.default_graph.map(Json::str).unwrap_or(Json::Null);
     Ok(Payload::Data(Json::obj([
         ("graphs", graphs),
@@ -477,11 +582,11 @@ fn graphs(engine: &Engine) -> Handler {
     ])))
 }
 
-fn stats(engine: &Engine, req: &Request) -> Handler {
-    let snap = engine.snapshot(req.param("graph"))?;
+fn stats(ctx: &Ctx) -> Handler {
+    let snap = ctx.snapshot()?;
     let s = cx_graph::stats::GraphStats::compute(&snap.graph);
     let tree = &snap.tree;
-    let cache = engine.cache_stats();
+    let cache = ctx.engine.cache_stats();
     Ok(Payload::Data(Json::obj([
         ("vertices", Json::num(s.vertices as f64)),
         ("edges", Json::num(s.edges as f64)),
@@ -506,15 +611,13 @@ fn stats(engine: &Engine, req: &Request) -> Handler {
     ])))
 }
 
-/// POST /api/edit?graph=g — body: JSON `{"add": [[u,v],…], "remove": [[u,v],…]}`.
+/// POST /api/v1/edit?graph=g — body: JSON `{"add": [[u,v],…], "remove": [[u,v],…]}`.
 ///
 /// Read-non-blocking: the new graph and CL-tree are built off-lock and
 /// published as a fresh snapshot; concurrent searches keep answering from
 /// the previous snapshot throughout.
-fn edit(engine: &Engine, req: &Request) -> Handler {
-    let body = std::str::from_utf8(&req.body)
-        .map_err(|_| ApiError::bad_json("body must be UTF-8 JSON"))?;
-    let v = Json::parse(body).map_err(|e| ApiError::bad_json(format!("bad JSON: {e}")))?;
+fn edit(ctx: &Ctx) -> Handler {
+    let v = ctx.json_body()?;
     let pairs = |key: &str| -> Result<Vec<(VertexId, VertexId)>, ApiError> {
         let Some(arr) = v.get(key).and_then(Json::as_array) else {
             return Ok(Vec::new());
@@ -524,9 +627,10 @@ fn edit(engine: &Engine, req: &Request) -> Handler {
                 let xs = p.as_array().filter(|a| a.len() == 2).ok_or_else(|| {
                     ApiError::bad_json(format!("{key} entries must be [u, v] pairs"))
                 })?;
+                // An id past u32::MAX saturates and fails the engine's
+                // bounds check like any other out-of-range vertex.
                 let f = |j: &Json| {
-                    j.as_f64()
-                        .filter(|x| x.fract() == 0.0 && *x >= 0.0)
+                    uint(j, f64::MAX)
                         .map(|x| VertexId(x as u32))
                         .ok_or_else(|| ApiError::bad_json("vertex ids must be integers"))
                 };
@@ -536,14 +640,41 @@ fn edit(engine: &Engine, req: &Request) -> Handler {
     };
     let add = pairs("add")?;
     let remove = pairs("remove")?;
-    engine.apply_edits(req.param("graph"), &add, &remove)?;
-    let snap = engine.snapshot(req.param("graph"))?;
+    ctx.engine.apply_edits(ctx.param("graph"), &add, &remove)?;
+    let snap = ctx.snapshot()?;
     Ok(Payload::Data(Json::obj([
         ("ok", Json::Bool(true)),
         ("vertices", Json::num(snap.graph.vertex_count() as f64)),
         ("edges", Json::num(snap.graph.edge_count() as f64)),
         ("generation", Json::num(snap.generation as f64)),
     ])))
+}
+
+/// POST /api/v1/upload?name=g — body: the text graph format. Registers
+/// and indexes the graph.
+fn upload(ctx: &Ctx) -> Handler {
+    let Some(name) = ctx.param("name") else {
+        return Err(ApiError::bad_query("missing name parameter"));
+    };
+    let graph = cx_graph::io::read_text(&mut ctx.req.body.as_slice())
+        .map_err(|e| ApiError::new(ErrorCode::GraphError, format!("parse failed: {e}")))?;
+    let (v, m) = (graph.vertex_count(), graph.edge_count());
+    ctx.engine.try_add_graph(name, graph)?;
+    Ok(Payload::Data(Json::obj([
+        ("ok", Json::Bool(true)),
+        ("graph", Json::str(name)),
+        ("vertices", Json::num(v as f64)),
+        ("edges", Json::num(m as f64)),
+    ])))
+}
+
+/// Resolves `limit`/`offset` pagination parameters with bounded defaults:
+/// unparseable values fall back to the default (matching the API's
+/// historical leniency), and `limit` is clamped to `1..=max_limit`.
+fn page_params(ctx: &Ctx, default_limit: usize, max_limit: usize) -> (usize, usize) {
+    let limit = ctx.param_as::<usize>("limit", default_limit).clamp(1, max_limit);
+    let offset = ctx.param_as::<usize>("offset", 0);
+    (limit, offset)
 }
 
 /// Hard ceiling on suggest pagination depth. The engine materialises the
@@ -553,34 +684,39 @@ fn edit(engine: &Engine, req: &Request) -> Handler {
 /// client should narrow the query instead.
 const SUGGEST_MAX_OFFSET: usize = 10_000;
 
-fn suggest(engine: &Engine, req: &Request) -> Handler {
-    let q = req.param("q").unwrap_or("");
-    let (limit, offset) = page_params(req, 8, 100);
+fn suggest(ctx: &Ctx) -> Handler {
+    let q = ctx.param("q").unwrap_or("");
+    let (limit, offset) = page_params(ctx, 8, 100);
     if offset > SUGGEST_MAX_OFFSET {
         return Err(ApiError::bad_query("suggest offset is capped at 10000; narrow the query"));
     }
-    let (hits, _total) = engine.suggest_page(req.param("graph"), q, offset, limit)?;
-    Ok(Payload::Data(Json::arr(hits.into_iter().map(|(v, label, degree)| {
-        Json::obj([
-            ("id", Json::num(v.0 as f64)),
-            ("label", Json::str(label)),
-            ("degree", Json::num(degree as f64)),
-        ])
-    }))))
+    let (hits, _total) = ctx.engine.suggest_page(ctx.param("graph"), q, offset, limit)?;
+    Ok(Payload::Data(Json::arr(
+        hits.into_iter().map(|(v, label, degree)| vertex_json(v, label, degree)),
+    )))
 }
 
-/// Builds the query spec shared by `search` and `compare`:
+/// A vertex as `suggest` and a hierarchy expansion list it.
+fn vertex_json(v: VertexId, label: impl Into<String>, degree: usize) -> Json {
+    Json::obj([
+        ("id", Json::num(v.0 as f64)),
+        ("label", Json::str(label)),
+        ("degree", Json::num(degree as f64)),
+    ])
+}
+
+/// Builds the query spec shared by `search`, `svg`, `compare` and `chart`:
 /// `name` (or `names=a|b` for multi-vertex, or `id`), `k`, `keywords=a,b`.
-fn spec_from(req: &Request) -> Result<QuerySpec, ApiError> {
-    let mut spec = if let Some(names) = req.param("names") {
+fn spec_from(ctx: &Ctx) -> Result<QuerySpec, ApiError> {
+    let mut spec = if let Some(names) = ctx.param("names") {
         let labels: Vec<&str> = names.split('|').filter(|s| !s.is_empty()).collect();
         if labels.is_empty() {
             return Err(ApiError::bad_query("names parameter is empty"));
         }
         QuerySpec::by_labels(labels)
-    } else if let Some(name) = req.param("name") {
+    } else if let Some(name) = ctx.param("name") {
         QuerySpec::by_label(name)
-    } else if let Some(id) = req.param("id") {
+    } else if let Some(id) = ctx.param("id") {
         match id.parse::<u32>() {
             Ok(i) => QuerySpec::by_id(VertexId(i)),
             Err(_) => return Err(ApiError::bad_query("id must be an integer")),
@@ -588,15 +724,15 @@ fn spec_from(req: &Request) -> Result<QuerySpec, ApiError> {
     } else {
         return Err(ApiError::bad_query("missing name/names/id parameter"));
     };
-    spec = spec.k(req.param_as::<u32>("k", 1));
-    if let Some(kws) = req.param("keywords") {
+    spec = spec.k(ctx.param_as::<u32>("k", 1));
+    if let Some(kws) = ctx.param("keywords") {
         spec = spec.with_keywords(kws.split(',').filter(|s| !s.is_empty()));
     }
     Ok(spec)
 }
 
-fn layout_from(req: &Request) -> LayoutAlgorithm {
-    match req.param("layout").unwrap_or("force") {
+fn layout_from(ctx: &Ctx) -> LayoutAlgorithm {
+    match ctx.param("layout").unwrap_or("force") {
         "circular" => LayoutAlgorithm::Circular,
         "shell" => LayoutAlgorithm::Shell,
         "kk" => LayoutAlgorithm::KamadaKawai { iterations: 80 },
@@ -640,16 +776,25 @@ fn write_members(buf: &mut String, g: &AttributedGraph, c: &Community) {
     buf.push(']');
 }
 
-/// Appends one full community object (everything but the scene) to `buf`,
-/// serialised zero-copy from graph slices — what `search_batch` streams
-/// per community.
-fn write_community(buf: &mut String, g: &AttributedGraph, c: &Community) {
+/// Appends one community object to `buf`, serialised zero-copy from graph
+/// slices. GET `search` passes the community's laid-out `scene`;
+/// `search_batch` items go without (clients wanting a drawing fetch
+/// `/api/v1/svg` per community).
+fn write_community(buf: &mut String, g: &AttributedGraph, c: &Community, scene: Option<Scene>) {
     buf.push_str("{\"avg_degree\":");
     number_into(buf, c.average_internal_degree(g));
     buf.push_str(",\"edges\":");
     number_into(buf, c.internal_edge_count(g) as f64);
     buf.push_str(",\"members\":");
     write_members(buf, g, c);
+    if let Some(scene) = scene {
+        // The scene is decorative; if serialization fails (e.g. degenerate
+        // coordinates), degrade to `scene: null` rather than failing the
+        // whole response.
+        let scene = Json::parse(&scene.to_json()).unwrap_or(Json::Null);
+        // Writing to a String is infallible.
+        let _ = write!(buf, ",\"scene\":{scene}");
+    }
     buf.push_str(",\"size\":");
     number_into(buf, c.len() as f64);
     buf.push_str(",\"theme\":");
@@ -657,108 +802,115 @@ fn write_community(buf: &mut String, g: &AttributedGraph, c: &Community) {
     buf.push('}');
 }
 
-fn community_json(
-    e: &Engine,
-    snap: &GraphSnapshot,
-    c: &Community,
-    layout: LayoutAlgorithm,
-    highlight: Option<VertexId>,
-) -> Json {
-    let g = &*snap.graph;
-    // The scene is decorative; if serialization fails (e.g. degenerate
-    // coordinates), degrade to `scene: null` rather than failing the
-    // whole response.
-    let scene = Json::parse(&e.display_snapshot(snap, c, layout, highlight).to_json())
-        .ok()
-        .unwrap_or(Json::Null);
-    // Members and theme are streamed zero-copy from graph slices into
-    // raw fragments instead of cloning every label/keyword into owned
-    // Json::String nodes.
-    let mut members = String::new();
-    write_members(&mut members, g, c);
-    let mut theme = String::new();
-    write_theme(&mut theme, g, c);
-    Json::obj([
-        ("size", Json::num(c.len() as f64)),
-        ("edges", Json::num(c.internal_edge_count(g) as f64)),
-        ("avg_degree", Json::num(c.average_internal_degree(g))),
-        ("theme", Json::Raw(theme)),
-        ("members", Json::Raw(members)),
-        ("scene", scene),
-    ])
-}
-
-fn search(engine: &Engine, req: &Request, timeout: std::time::Duration) -> Handler {
-    let spec = spec_from(req)?;
-    let algo = req.param("algo").unwrap_or("acq");
-    let layout = layout_from(req);
-    let (limit, offset) = page_params(req, 20, 100);
-    // One snapshot for the whole request: results, analysis, labels and
-    // the reported generation all describe the same graph version.
-    let snap = engine.snapshot(req.param("graph"))?;
-    let token = cx_par::task::CancelToken::with_timeout(timeout);
-    let communities = engine.search_snapshot_cancellable(&snap, algo, &spec, &token)?;
-    let g = &*snap.graph;
-    let q = match spec.resolve(g) {
-        Ok(qs) if !qs.is_empty() => qs[0],
-        Ok(_) => return Err(ApiError::bad_query("query resolved to no vertices")),
-        Err(err) => return Err(err.into()),
-    };
-    let analysis = engine.analyze_snapshot(&snap, &communities, q)?;
-    let total = communities.len();
-    let list = Json::arr(
-        communities
-            .iter()
-            .skip(offset)
-            .take(limit)
-            .map(|c| community_json(engine, &snap, c, layout, Some(q))),
-    );
-    Ok(Payload::Data(Json::obj([
-        ("query", Json::obj([
-            ("vertex", Json::num(q.0 as f64)),
-            ("label", Json::str(g.label(q))),
-            ("k", Json::num(spec.k as f64)),
-            ("algo", Json::str(algo)),
-        ])),
-        ("generation", Json::num(snap.generation as f64)),
-        ("communities", list),
-        ("total_communities", Json::num(total as f64)),
-        ("limit", Json::num(limit as f64)),
-        ("offset", Json::num(offset as f64)),
-        ("cpj", Json::num(analysis.cpj)),
-        ("cmf", Json::num(analysis.cmf)),
-        // The query author's keywords, so the UI can render the chips.
-        ("query_keywords", Json::arr(g.keyword_names(g.keywords(q)).into_iter().map(Json::str))),
-    ])))
-}
-
-/// Maximum number of query specs one `search_batch` request may carry.
-const BATCH_MAX: usize = 64;
-
-/// One parsed member of a `search_batch` request.
-struct BatchItem {
+/// One search as the wire states it: the GET `search` parameters, or one
+/// `search_batch` entry.
+struct SearchItem {
     spec: QuerySpec,
     algo: String,
     limit: usize,
     offset: usize,
 }
 
+/// Searches the pinned snapshot (one query-cache pass) and names the
+/// query vertex the results are about — the step `search`, every
+/// `search_batch` item and `svg` share.
+fn run_query(
+    engine: &Engine,
+    snap: &GraphSnapshot,
+    spec: &QuerySpec,
+    algo: &str,
+    token: &CancelToken,
+) -> Result<(VertexId, Vec<Community>), ApiError> {
+    let communities = engine.search_snapshot_cancellable(snap, algo, spec, token)?;
+    // The search resolved the same spec against the same graph, so this
+    // succeeds, and a resolved spec is never empty.
+    let q = spec.resolve(&snap.graph)?[0];
+    Ok((q, communities))
+}
+
+/// Runs one search and renders its payload — query echo, quality metrics,
+/// and the `offset..offset+limit` page of communities, each drawn with
+/// `layout` when one is given. Returns the members of the `data` object
+/// (GET `search` adds two more) and the query vertex.
+fn search_data(
+    engine: &Engine,
+    snap: &GraphSnapshot,
+    item: &SearchItem,
+    token: &CancelToken,
+    layout: Option<LayoutAlgorithm>,
+) -> Result<(VertexId, Members), ApiError> {
+    let (q, communities) = run_query(engine, snap, &item.spec, &item.algo, token)?;
+    let g = &*snap.graph;
+    let analysis = engine.analyze_snapshot(snap, &communities, q)?;
+    let mut list = String::from("[");
+    for (i, c) in communities.iter().skip(item.offset).take(item.limit).enumerate() {
+        if i > 0 {
+            list.push(',');
+        }
+        let scene = layout.map(|l| engine.display_snapshot(snap, c, l, Some(q)));
+        write_community(&mut list, g, c, scene);
+    }
+    list.push(']');
+    let data = vec![
+        (
+            "query",
+            Json::obj([
+                ("vertex", Json::num(q.0 as f64)),
+                ("label", Json::str(g.label(q))),
+                ("k", Json::num(item.spec.k as f64)),
+                ("algo", Json::str(item.algo.clone())),
+            ]),
+        ),
+        ("communities", Json::Raw(list)),
+        ("total_communities", Json::num(communities.len() as f64)),
+        ("limit", Json::num(item.limit as f64)),
+        ("offset", Json::num(item.offset as f64)),
+        ("cpj", Json::num(analysis.cpj)),
+        ("cmf", Json::num(analysis.cmf)),
+    ];
+    Ok((q, data))
+}
+
+fn search(ctx: &Ctx) -> Handler {
+    let spec = spec_from(ctx)?;
+    let algo = ctx.param("algo").unwrap_or("acq").to_owned();
+    let layout = layout_from(ctx);
+    let (limit, offset) = page_params(ctx, 20, 100);
+    // One snapshot for the whole request: results, analysis, labels and
+    // the reported generation all describe the same graph version.
+    let snap = ctx.snapshot()?;
+    let item = SearchItem { spec, algo, limit, offset };
+    let (q, mut data) = search_data(ctx.engine, &snap, &item, &ctx.token(), Some(layout))?;
+    let g = &*snap.graph;
+    data.push(("generation", Json::num(snap.generation as f64)));
+    // The query author's keywords, so the UI can render the chips.
+    data.push((
+        "query_keywords",
+        Json::arr(g.keyword_names(g.keywords(q)).into_iter().map(Json::str)),
+    ));
+    Ok(Payload::Data(Json::obj(data)))
+}
+
+/// Maximum number of query specs one `search_batch` request may carry.
+const BATCH_MAX: usize = 64;
+
+/// A JSON number that is a non-negative integer no larger than `max`.
+fn uint(v: &Json, max: f64) -> Option<f64> {
+    v.as_f64().filter(|x| x.fract() == 0.0 && *x >= 0.0 && *x <= max)
+}
+
 /// Reads an optional non-negative integer field with the API's historical
 /// pagination leniency: wrong type / negative / fractional falls back to
 /// the default (mirroring `page_params` on the GET routes).
 fn usize_field(v: &Json, key: &str, default: usize) -> usize {
-    v.get(key)
-        .and_then(Json::as_f64)
-        .filter(|x| x.fract() == 0.0 && *x >= 0.0 && *x < 9e15)
-        .map(|x| x as usize)
-        .unwrap_or(default)
+    v.get(key).and_then(|x| uint(x, 9e15 - 1.0)).map_or(default, |x| x as usize)
 }
 
 /// Parses one batch entry. Shapes mirror the GET `search` parameters:
 /// `name` | `names` (array) | `id`, plus `k`, `keywords` (array), `algo`,
 /// and `limit`/`offset` under exactly the GET routes' clamp rules
 /// (limit default 20, clamped to 1..=100; offset default 0).
-fn batch_item(v: &Json) -> Result<BatchItem, ApiError> {
+fn batch_item(v: &Json) -> Result<SearchItem, ApiError> {
     if !matches!(v, Json::Object(_)) {
         return Err(ApiError::bad_json("each batch entry must be an object"));
     }
@@ -774,7 +926,7 @@ fn batch_item(v: &Json) -> Result<BatchItem, ApiError> {
     } else if let Some(name) = v.get("name").and_then(Json::as_str) {
         QuerySpec::by_label(name)
     } else if let Some(id) = v.get("id") {
-        match id.as_f64().filter(|x| x.fract() == 0.0 && *x >= 0.0 && *x <= u32::MAX as f64) {
+        match uint(id, u32::MAX as f64) {
             Some(i) => QuerySpec::by_id(VertexId(i as u32)),
             None => return Err(ApiError::bad_query("id must be a non-negative integer")),
         }
@@ -783,7 +935,7 @@ fn batch_item(v: &Json) -> Result<BatchItem, ApiError> {
     };
     match v.get("k") {
         None => {}
-        Some(k) => match k.as_f64().filter(|x| x.fract() == 0.0 && *x >= 0.0 && *x <= u32::MAX as f64) {
+        Some(k) => match uint(k, u32::MAX as f64) {
             Some(k) => spec = spec.k(k as u32),
             None => return Err(ApiError::bad_query("k must be a non-negative integer")),
         },
@@ -798,72 +950,7 @@ fn batch_item(v: &Json) -> Result<BatchItem, ApiError> {
     let algo = v.get("algo").and_then(Json::as_str).unwrap_or("acq").to_owned();
     let limit = usize_field(v, "limit", 20).clamp(1, 100);
     let offset = usize_field(v, "offset", 0);
-    Ok(BatchItem { spec, algo, limit, offset })
-}
-
-/// Executes one parsed batch member against the shared pinned snapshot:
-/// one cache pass (get-or-compute) in `search_snapshot`, then zero-copy
-/// community serialisation. The payload mirrors GET `search` minus the
-/// decorative scene (batch clients wanting a drawing fetch `/api/v1/svg`
-/// per community).
-fn run_batch_item(
-    engine: &Engine,
-    snap: &GraphSnapshot,
-    item: &BatchItem,
-    token: &cx_par::task::CancelToken,
-) -> Result<Json, ApiError> {
-    let communities = engine.search_snapshot_cancellable(snap, &item.algo, &item.spec, token)?;
-    let g = &*snap.graph;
-    let q = match item.spec.resolve(g) {
-        Ok(qs) if !qs.is_empty() => qs[0],
-        Ok(_) => return Err(ApiError::bad_query("query resolved to no vertices")),
-        Err(err) => return Err(err.into()),
-    };
-    let analysis = engine.analyze_snapshot(snap, &communities, q)?;
-    let total = communities.len();
-    let mut list = String::from("[");
-    for (i, c) in communities.iter().skip(item.offset).take(item.limit).enumerate() {
-        if i > 0 {
-            list.push(',');
-        }
-        write_community(&mut list, g, c);
-    }
-    list.push(']');
-    Ok(Json::obj([
-        ("query", Json::obj([
-            ("vertex", Json::num(q.0 as f64)),
-            ("label", Json::str(g.label(q))),
-            ("k", Json::num(item.spec.k as f64)),
-            ("algo", Json::str(item.algo.clone())),
-        ])),
-        ("communities", Json::Raw(list)),
-        ("total_communities", Json::num(total as f64)),
-        ("limit", Json::num(item.limit as f64)),
-        ("offset", Json::num(item.offset as f64)),
-        ("cpj", Json::num(analysis.cpj)),
-        ("cmf", Json::num(analysis.cmf)),
-    ]))
-}
-
-/// The per-item envelope: success wraps the item payload, failure carries
-/// the same typed `{code, message}` object the top-level envelope uses,
-/// so one bad spec degrades exactly one slot of the batch.
-fn batch_envelope(result: Result<Json, ApiError>) -> Json {
-    match result {
-        Ok(data) => Json::obj([
-            ("ok", Json::Bool(true)),
-            ("data", data),
-            ("error", Json::Null),
-        ]),
-        Err(e) => Json::obj([
-            ("ok", Json::Bool(false)),
-            ("data", Json::Null),
-            ("error", Json::obj([
-                ("code", Json::str(e.code.as_str())),
-                ("message", Json::str(e.message)),
-            ])),
-        ]),
-    }
+    Ok(SearchItem { spec, algo, limit, offset })
 }
 
 /// POST /api/v1/search_batch — body:
@@ -874,26 +961,15 @@ fn batch_envelope(result: Result<Json, ApiError>) -> Json {
 /// labels, quality metrics, the reported generation) describes the same
 /// graph version even while edits land concurrently. Members execute in
 /// parallel over the `cx-par` pool, each doing a single query-cache pass;
-/// per-member failures come back as typed per-item envelopes while the
-/// batch itself stays a 200.
-fn search_batch(engine: &Engine, req: &Request, timeout: std::time::Duration) -> Handler {
-    let body = std::str::from_utf8(&req.body)
-        .map_err(|_| ApiError::bad_json("body must be UTF-8 JSON"))?;
-    let v = Json::parse(body).map_err(|e| ApiError::bad_json(format!("bad JSON: {e}")))?;
+/// a member that fails comes back as `{ok: false, error: {code, message}}`
+/// in its own slot while the batch itself stays a 200.
+fn search_batch(ctx: &Ctx) -> Handler {
+    let v = ctx.json_body()?;
     // A body-level `timeout_ms` overrides the query parameter, under the
     // same validation and clamp rules.
     let timeout = match v.get("timeout_ms") {
-        None => timeout,
-        Some(t) => match t.as_f64().filter(|x| x.fract() == 0.0 && *x >= 1.0) {
-            Some(ms) => {
-                std::time::Duration::from_millis((ms as u64).min(MAX_TIMEOUT_MS))
-            }
-            None => {
-                return Err(ApiError::bad_query(
-                    "timeout_ms must be a positive integer (milliseconds)",
-                ))
-            }
-        },
+        None => ctx.timeout,
+        Some(t) => timeout_ms(uint(t, f64::MAX).map(|x| x as u64))?,
     };
     let Some(items) = v.get("queries").and_then(Json::as_array) else {
         return Err(ApiError::bad_json("body must carry a \"queries\" array"));
@@ -907,18 +983,19 @@ fn search_batch(engine: &Engine, req: &Request, timeout: std::time::Duration) ->
             items.len()
         )));
     }
-    let graph = v.get("graph").and_then(Json::as_str).or_else(|| req.param("graph"));
+    let graph = v.get("graph").and_then(Json::as_str).or_else(|| ctx.param("graph"));
     // One snapshot pin for the whole batch.
-    let snap = engine.snapshot(graph)?;
+    let snap = ctx.engine.snapshot(graph)?;
     // One shared deadline across the whole batch: the token is an Arc'd
     // flag, so every member observes the same cutoff.
-    let token = cx_par::task::CancelToken::with_timeout(timeout);
-    let parsed: Vec<Result<BatchItem, ApiError>> = items.iter().map(batch_item).collect();
+    let token = CancelToken::with_timeout(timeout);
+    let parsed: Vec<Result<SearchItem, ApiError>> = items.iter().map(batch_item).collect();
+    let engine = ctx.engine;
     let results: Vec<Json> = cx_par::par_map_tasks(parsed.len(), |i| {
-        batch_envelope(match &parsed[i] {
-            Ok(item) => run_batch_item(engine, &snap, item, &token),
+        Json::obj(outcome(match &parsed[i] {
+            Ok(item) => search_data(engine, &snap, item, &token, None).map(|(_, d)| Json::obj(d)),
             Err(e) => Err(e.clone()),
-        })
+        }))
     });
     let succeeded = results
         .iter()
@@ -939,6 +1016,10 @@ fn search_batch(engine: &Engine, req: &Request, timeout: std::time::Duration) ->
 const HIERARCHY_MAX_NODES: usize = 1_000;
 /// Default nodes per hierarchy response ("a few hundred supernodes").
 const HIERARCHY_DEFAULT_NODES: usize = 200;
+
+fn no_such_supernode() -> ApiError {
+    ApiError::not_found("no such supernode")
+}
 
 /// One supernode as JSON: identity, aggregates, top keywords.
 fn supernode_json(g: &AttributedGraph, h: &Hierarchy, id: NodeId) -> Json {
@@ -979,49 +1060,33 @@ fn supernode_json(g: &AttributedGraph, h: &Hierarchy, id: NodeId) -> Json {
 ///
 /// With `node=<id>`: expands that supernode into its resident vertices,
 /// child supernodes, resident–resident edges, and weighted
-/// resident→child links. Residents and children split the `limit`
-/// budget, so the response stays bounded no matter how large the
-/// supernode is.
-fn hierarchy(engine: &Engine, req: &Request) -> Handler {
-    let snap = engine.snapshot(req.param("graph"))?;
+/// resident→child links, bounded to `limit` nodes by
+/// [`Hierarchy::expand_bounded`], so the response stays bounded no matter
+/// how large the supernode is.
+fn hierarchy(ctx: &Ctx) -> Handler {
+    let snap = ctx.snapshot()?;
     let h = snap.hierarchy();
     let g = &snap.graph;
-    let limit = req
+    let limit = ctx
         .param_as::<usize>("limit", HIERARCHY_DEFAULT_NODES)
         .clamp(2, HIERARCHY_MAX_NODES);
 
-    if let Some(node) = req.param("node") {
+    if let Some(node) = ctx.param("node") {
         let Ok(n) = node.parse::<u32>() else {
             return Err(ApiError::bad_query("node must be an integer supernode id"));
         };
-        if n as usize >= h.node_count() {
-            return Err(ApiError::not_found("no such supernode"));
-        }
-        let id = NodeId(n);
-        let ex = h.expand(g, &snap.tree, id, limit / 2);
-        let mut children = ex.children.clone();
-        children.sort_unstable_by_key(|&c| (u32::MAX - h.stats(c).subtree_vertices, c.0));
-        let children_total = children.len();
-        children.truncate(limit.saturating_sub(ex.residents.len()).max(1));
-        let kept: std::collections::HashSet<NodeId> = children.iter().copied().collect();
-        let s = h.stats(id);
+        let ex = h.expand_bounded(g, &snap.tree, n, limit).ok_or_else(no_such_supernode)?;
         return Ok(Payload::Data(Json::obj([
             ("node", Json::num(n as f64)),
-            ("level", Json::num(s.level as f64)),
+            ("level", Json::num(h.stats(NodeId(n)).level as f64)),
             (
                 "residents",
-                Json::arr(ex.residents.iter().map(|&v| {
-                    Json::obj([
-                        ("id", Json::num(v.0 as f64)),
-                        ("label", Json::str(g.label(v).to_owned())),
-                        ("degree", Json::num(g.degree(v) as f64)),
-                    ])
-                })),
+                Json::arr(ex.residents.iter().map(|&v| vertex_json(v, g.label(v), g.degree(v)))),
             ),
             ("residents_truncated", Json::Bool(ex.truncated)),
-            ("children", Json::arr(children.iter().map(|&c| supernode_json(g, &h, c)))),
-            ("children_total", Json::num(children_total as f64)),
-            ("children_truncated", Json::Bool(children.len() < children_total)),
+            ("children", Json::arr(ex.children.iter().map(|&c| supernode_json(g, &h, c)))),
+            ("children_total", Json::num(ex.children_total as f64)),
+            ("children_truncated", Json::Bool(ex.children.len() < ex.children_total)),
             (
                 "edges",
                 Json::arr(ex.internal_edges.iter().map(|&(u, v)| {
@@ -1030,22 +1095,18 @@ fn hierarchy(engine: &Engine, req: &Request) -> Handler {
             ),
             (
                 "links",
-                // Links to children dropped by the budget are dropped
-                // with them; `children_truncated` flags the cut.
-                Json::arr(ex.child_links.iter().filter(|(_, c, _)| kept.contains(c)).map(
-                    |&(u, c, w)| {
-                        Json::obj([
-                            ("from", Json::num(u.0 as f64)),
-                            ("to", Json::num(c.0 as f64)),
-                            ("weight", Json::num(w as f64)),
-                        ])
-                    },
-                )),
+                Json::arr(ex.child_links.iter().map(|&(u, c, w)| {
+                    Json::obj([
+                        ("from", Json::num(u.0 as f64)),
+                        ("to", Json::num(c.0 as f64)),
+                        ("weight", Json::num(w as f64)),
+                    ])
+                })),
             ),
         ])));
     }
 
-    let level = req.param_as::<u32>("level", 0);
+    let level = ctx.param_as::<u32>("level", 0);
     let nodes = h.level_nodes(level);
     let total = nodes.len();
     let shown: Vec<NodeId> = nodes.into_iter().take(limit).collect();
@@ -1058,50 +1119,56 @@ fn hierarchy(engine: &Engine, req: &Request) -> Handler {
     ])))
 }
 
-fn svg(engine: &Engine, req: &Request, timeout: std::time::Duration) -> Handler {
+/// GET /api/v1/svg — one result community as raw SVG; or, with `level` /
+/// `supernode`, a hierarchy viewport.
+fn svg(ctx: &Ctx) -> Handler {
     // Hierarchy viewport mode: `?level=K` or `?supernode=ID` renders the
     // multi-resolution summary instead of a community. `max_nodes`
     // bounds the viewport exactly like `limit` bounds the JSON API.
-    if req.param("level").is_some() || req.param("supernode").is_some() {
-        let snap = engine.snapshot(req.param("graph"))?;
-        let max_nodes = req
+    if ctx.param("level").is_some() || ctx.param("supernode").is_some() {
+        let snap = ctx.snapshot()?;
+        let max_nodes = ctx
             .param_as::<usize>("max_nodes", 400)
             .clamp(2, HIERARCHY_MAX_NODES);
-        let scene = if let Some(node) = req.param("supernode") {
+        let scene = if let Some(node) = ctx.param("supernode") {
             let Ok(n) = node.parse::<u32>() else {
                 return Err(ApiError::bad_query("supernode must be an integer id"));
             };
-            engine.hierarchy_expand_scene(&snap, n, max_nodes)?
+            ctx.engine
+                .hierarchy_expand_scene(&snap, n, max_nodes)
+                .ok_or_else(no_such_supernode)?
         } else {
-            engine.hierarchy_level_scene(&snap, req.param_as::<u32>("level", 0), max_nodes)
+            ctx.engine.hierarchy_level_scene(&snap, ctx.param_as::<u32>("level", 0), max_nodes)
         };
         return Ok(Payload::Raw(Response::svg(scene.to_svg())));
     }
-    let spec = spec_from(req)?;
-    let algo = req.param("algo").unwrap_or("acq");
-    let index = req.param_as::<usize>("index", 0);
-    let snap = engine.snapshot(req.param("graph"))?;
-    let token = cx_par::task::CancelToken::with_timeout(timeout);
-    let communities = engine.search_snapshot_cancellable(&snap, algo, &spec, &token)?;
+    let spec = spec_from(ctx)?;
+    let algo = ctx.param("algo").unwrap_or("acq");
+    let index = ctx.param_as::<usize>("index", 0);
+    let snap = ctx.snapshot()?;
+    let (q, communities) = run_query(ctx.engine, &snap, &spec, algo, &ctx.token())?;
     let Some(c) = communities.get(index) else {
         return Err(ApiError::not_found("community index out of range"));
     };
-    let q = match spec.resolve(&snap.graph) {
-        Ok(qs) if !qs.is_empty() => qs[0],
-        Ok(_) => return Err(ApiError::bad_query("query resolved to no vertices")),
-        Err(err) => return Err(err.into()),
-    };
-    let scene = engine.display_snapshot(&snap, c, layout_from(req), Some(q));
-    let scene = scene
+    let scene = ctx
+        .engine
+        .display_snapshot(&snap, c, layout_from(ctx), Some(q))
         .titled(format!("Method: {algo} — community {} of {}", index + 1, communities.len()));
     Ok(Payload::Raw(Response::svg(scene.to_svg())))
 }
 
-fn compare(engine: &Engine, req: &Request) -> Handler {
-    let spec = spec_from(req)?;
-    let algos_param = req.param("algos").unwrap_or("global,local,codicil,acq");
+/// The comparison analysis behind `compare` and `chart`.
+fn comparison(ctx: &Ctx) -> Result<ComparisonReport, ApiError> {
+    let spec = spec_from(ctx)?;
+    let algos_param = ctx.param("algos").unwrap_or("global,local,codicil,acq");
     let algos: Vec<&str> = algos_param.split(',').filter(|s| !s.is_empty()).collect();
-    let report = engine.compare(req.param("graph"), &algos, &spec)?;
+    Ok(ctx.engine.compare(ctx.param("graph"), &algos, &spec)?)
+}
+
+/// GET /api/v1/compare — the per-algorithm statistics table (Figure 6(a))
+/// with CPJ/CMF, plus the pairwise similarity matrix.
+fn compare(ctx: &Ctx) -> Handler {
+    let report = comparison(ctx)?;
     let rows = Json::arr(report.rows.iter().map(|r| {
         Json::obj([
             ("method", Json::str(r.method.clone())),
@@ -1123,22 +1190,19 @@ fn compare(engine: &Engine, req: &Request) -> Handler {
     Ok(Payload::Data(Json::obj([("rows", rows), ("similarity", sim)])))
 }
 
-/// GET /api/chart — the comparison's CPJ/CMF bars as downloadable SVG.
-fn chart(engine: &Engine, req: &Request) -> Handler {
-    let spec = spec_from(req)?;
-    let algos_param = req.param("algos").unwrap_or("global,local,codicil,acq");
-    let algos: Vec<&str> = algos_param.split(',').filter(|s| !s.is_empty()).collect();
-    let report = engine.compare(req.param("graph"), &algos, &spec)?;
-    Ok(Payload::Raw(Response::svg(report.quality_charts_svg())))
+/// GET /api/v1/chart — the comparison's CPJ/CMF bars as downloadable SVG.
+fn chart(ctx: &Ctx) -> Handler {
+    Ok(Payload::Raw(Response::svg(comparison(ctx)?.quality_charts_svg())))
 }
 
-fn detect(engine: &Engine, req: &Request, timeout: std::time::Duration) -> Handler {
-    let algo = req.param("algo").unwrap_or("codicil");
-    let limit = req.param_as::<usize>("limit", 20);
-    let snap = engine.snapshot(req.param("graph"))?;
-    let token = cx_par::task::CancelToken::with_timeout(timeout);
-    let communities = engine.detect_snapshot_cancellable(&snap, algo, &token)?;
-    let g = &*snap.graph;
+/// The detect summary: GET `detect`'s `data`, and (with `elapsed_ms`
+/// added) the SSE `result` frame.
+fn detect_summary(
+    g: &AttributedGraph,
+    algo: &str,
+    communities: &[Community],
+    limit: usize,
+) -> Members {
     let list = Json::arr(communities.iter().take(limit).map(|c| {
         Json::obj([
             ("size", Json::num(c.len() as f64)),
@@ -1146,18 +1210,26 @@ fn detect(engine: &Engine, req: &Request, timeout: std::time::Duration) -> Handl
             ("avg_degree", Json::num(c.average_internal_degree(g))),
         ])
     }));
-    Ok(Payload::Data(Json::obj([
+    vec![
         ("algo", Json::str(algo)),
         ("total", Json::num(communities.len() as f64)),
         ("communities", list),
-    ])))
+    ]
 }
 
-fn profile(engine: &Engine, req: &Request) -> Handler {
-    let Some(id) = req.param("id").and_then(|s| s.parse::<u32>().ok()) else {
+fn detect(ctx: &Ctx) -> Handler {
+    let algo = ctx.param("algo").unwrap_or("codicil");
+    let limit = ctx.param_as::<usize>("limit", 20);
+    let snap = ctx.snapshot()?;
+    let communities = ctx.engine.detect_snapshot_cancellable(&snap, algo, &ctx.token())?;
+    Ok(Payload::Data(Json::obj(detect_summary(&snap.graph, algo, &communities, limit))))
+}
+
+fn profile(ctx: &Ctx) -> Handler {
+    let Some(id) = ctx.param("id").and_then(|s| s.parse::<u32>().ok()) else {
         return Err(ApiError::bad_query("id must be an integer"));
     };
-    match engine.profile(req.param("graph"), VertexId(id))? {
+    match ctx.engine.profile(ctx.param("graph"), VertexId(id))? {
         Some(p) => Ok(Payload::Data(Json::obj([
             ("name", Json::str(p.name.clone())),
             ("areas", Json::arr(p.areas.iter().cloned().map(Json::str))),
@@ -1168,32 +1240,16 @@ fn profile(engine: &Engine, req: &Request) -> Handler {
     }
 }
 
-fn upload(engine: &Engine, req: &Request) -> Handler {
-    let Some(name) = req.param("name").map(str::to_owned) else {
-        return Err(ApiError::bad_query("missing name parameter"));
-    };
-    let graph = cx_graph::io::read_text(&mut req.body.as_slice())
-        .map_err(|e| ApiError::new(ErrorCode::GraphError, format!("parse failed: {e}")))?;
-    let (v, m) = (graph.vertex_count(), graph.edge_count());
-    engine.add_graph(&name, graph);
-    Ok(Payload::Data(Json::obj([
-        ("ok", Json::Bool(true)),
-        ("graph", Json::str(name)),
-        ("vertices", Json::num(v as f64)),
-        ("edges", Json::num(m as f64)),
-    ])))
-}
-
 // ---------------------------------------------------------------------------
-// Streaming (SSE) support
+// Streaming (SSE)
 
-/// How the event-loop transport lets a handler stream its response.
+/// How a handler streams its response instead of returning one.
 ///
 /// A handler that wants to stream calls [`StreamSink::start`] once (which
 /// commits the connection to an unframed `text/event-stream` response) and
-/// then [`StreamSink::emit`] per SSE frame; returning `None` from the
-/// handler tells the transport the slot is stream-terminated. A handler
-/// that never calls `start` can still return a normal [`Response`].
+/// then [`StreamSink::emit`] per SSE frame. The event loop's sink writes
+/// to the connection; `Server::handle`'s collects the frames into the body
+/// of an ordinary [`Response`].
 pub trait StreamSink: Send + Sync {
     /// Sends the SSE response head (status line + standard stream headers
     /// + `extra_headers`). Call at most once.
@@ -1203,154 +1259,67 @@ pub trait StreamSink: Send + Sync {
     fn emit(&self, chunk: &[u8]) -> bool;
     /// Registers a token the transport cancels when the client
     /// disconnects mid-stream.
-    fn register_cancel(&self, token: &cx_par::task::CancelToken);
-    /// Whether [`StreamSink::start`] has been called — after that point
-    /// errors must be delivered as `event: error` frames, not status
-    /// codes.
-    fn streaming(&self) -> bool;
+    fn register_cancel(&self, token: &CancelToken);
 }
 
-/// One SSE frame: `event: <name>\ndata: <json>\n\n`.
-fn sse_frame(event: &str, data: &Json) -> Vec<u8> {
-    format!("event: {event}\ndata: {data}\n\n").into_bytes()
-}
-
-/// The streaming-aware chokepoint the event-loop transport calls.
-/// `Some(response)` means "send this framed response"; `None` means the
-/// handler streamed through `sink` and the slot is complete.
-pub fn route_sink(
-    engine: &Engine,
-    req: &Request,
-    sink: &std::sync::Arc<dyn StreamSink>,
-) -> Option<Response> {
-    route_sink_with_auth(engine, req, sink, env_auth_token())
-}
-
-/// [`route_sink`] with the required bearer token passed explicitly.
-pub fn route_sink_with_auth(
-    engine: &Engine,
-    req: &Request,
-    sink: &std::sync::Arc<dyn StreamSink>,
-    auth: Option<&str>,
-) -> Option<Response> {
-    if req.method == "GET" && req.path == "/api/v1/detect_stream" {
-        let t0 = Instant::now();
-        let request_id = cx_obs::trace::next_request_id();
-        let _trace = cx_obs::trace::begin_request(&request_id);
-        let _span = cx_obs::span("http.detect_stream");
-        if let Err(e) = check_auth(req, auth) {
-            cx_obs::metrics::inc("cx_http_unauthorized_total");
-            return Some(envelope(Err(e), &request_id, t0));
-        }
-        return detect_stream(engine, req, sink, &request_id, t0);
-    }
-    Some(route_with_auth(engine, req, auth))
+/// Emits one SSE frame, `event: <name>\ndata: <json>\n\n`, and counts its
+/// bytes as sent. `false` means the client is gone.
+fn emit_frame(sink: &dyn StreamSink, event: &str, data: &Json) -> bool {
+    let frame = format!("event: {event}\ndata: {data}\n\n");
+    cx_obs::metrics::add("cx_http_bytes_out_total", frame.len() as u64);
+    sink.emit(frame.as_bytes())
 }
 
 /// GET /api/v1/detect_stream — whole-graph detection as Server-Sent
 /// Events: `progress` frames while the algorithm runs, then one terminal
-/// `result` (or `error`) frame. Parameters are exactly GET `detect`'s
-/// (`algo`, `limit`, `graph`, `timeout_ms`).
+/// `result` (or `error`) frame. Parameters are exactly GET `detect`'s.
 ///
 /// Error split: anything detected before the stream head is sent (bad
 /// params, unknown graph/algorithm, auth) comes back as a normal enveloped
 /// error response; once `start()` has committed the 200, failures become a
 /// terminal `event: error` frame.
-fn detect_stream(
-    engine: &Engine,
-    req: &Request,
-    sink: &std::sync::Arc<dyn StreamSink>,
-    request_id: &str,
-    t0: Instant,
-) -> Option<Response> {
-    let pre = (|| -> Result<_, ApiError> {
-        let timeout = timeout_from(req)?;
-        let algo = req.param("algo").unwrap_or("codicil").to_owned();
-        if !engine.cd_names().iter().any(|n| *n == algo) {
-            return Err(ApiError::new(
-                ErrorCode::UnknownAlgorithm,
-                format!("unknown algorithm {algo:?}"),
-            ));
-        }
-        let limit = req.param_as::<usize>("limit", 20);
-        let snap = engine.snapshot(req.param("graph"))?;
-        Ok((timeout, algo, limit, snap))
-    })();
-    let (timeout, algo, limit, snap) = match pre {
-        Ok(x) => x,
-        Err(e) => return Some(envelope(Err(e), request_id, t0)),
-    };
+fn detect_stream(ctx: &Ctx) -> Handler {
+    let algo = ctx.param("algo").unwrap_or("codicil");
+    if !ctx.engine.cd_names().contains(&algo) {
+        return Err(ApiError::new(
+            ErrorCode::UnknownAlgorithm,
+            format!("unknown algorithm {algo:?}"),
+        ));
+    }
+    let limit = ctx.param_as::<usize>("limit", 20);
+    let snap = ctx.snapshot()?;
 
-    let token = cx_par::task::CancelToken::with_timeout(timeout);
-    sink.register_cancel(&token);
-    sink.start(&[("X-Request-Id".to_owned(), request_id.to_owned())]);
+    let token = ctx.token();
+    ctx.sink.register_cancel(&token);
+    ctx.sink.start(&[("X-Request-Id".to_owned(), ctx.request_id.to_owned())]);
     cx_obs::metrics::inc("cx_http_sse_streams_total");
 
     // Progress frames ride the algorithm's own cx_par::task::progress
     // checkpoints; a failed emit means the client hung up, which cancels
     // the run at its next deadline checkpoint.
-    let psink = std::sync::Arc::clone(sink);
-    let ptoken = token.clone();
-    let progress: std::sync::Arc<cx_par::task::ProgressFn> =
-        std::sync::Arc::new(move |phase: &str, done: u64, total: u64| {
-            let frame = sse_frame(
-                "progress",
-                &Json::obj([
-                    ("phase", Json::str(phase)),
-                    ("done", Json::num(done as f64)),
-                    ("total", Json::num(total as f64)),
-                ]),
-            );
-            if !psink.emit(&frame) {
-                ptoken.cancel();
-            }
-        });
-
-    match engine.detect_snapshot_streaming(&snap, &algo, &token, progress) {
-        Ok(communities) => {
-            let g = &*snap.graph;
-            let list = Json::arr(communities.iter().take(limit).map(|c| {
-                Json::obj([
-                    ("size", Json::num(c.len() as f64)),
-                    ("edges", Json::num(c.internal_edge_count(g) as f64)),
-                    ("avg_degree", Json::num(c.average_internal_degree(g))),
-                ])
-            }));
+    let progress: Arc<cx_par::task::ProgressFn> = {
+        let (sink, token) = (Arc::clone(ctx.sink), token.clone());
+        Arc::new(move |phase: &str, done: u64, total: u64| {
             let data = Json::obj([
-                ("algo", Json::str(algo)),
-                ("total", Json::num(communities.len() as f64)),
-                ("communities", list),
-                ("elapsed_ms", Json::num(t0.elapsed().as_secs_f64() * 1e3)),
+                ("phase", Json::str(phase)),
+                ("done", Json::num(done as f64)),
+                ("total", Json::num(total as f64)),
             ]);
-            sink.emit(&sse_frame("result", &data));
+            if !emit_frame(&*sink, "progress", &data) {
+                token.cancel();
+            }
+        })
+    };
+    let (event, data) = match ctx.engine.detect_snapshot_streaming(&snap, algo, &token, progress) {
+        Ok(communities) => {
+            let mut data = detect_summary(&snap.graph, algo, &communities, limit);
+            data.push(("elapsed_ms", Json::num(ctx.t0.elapsed().as_secs_f64() * 1e3)));
+            ("result", Json::obj(data))
         }
-        Err(e) => {
-            let e = ApiError::from(e);
-            sink.emit(&sse_frame(
-                "error",
-                &Json::obj([
-                    ("code", Json::str(e.code.as_str())),
-                    ("message", Json::str(e.message)),
-                ]),
-            ));
-        }
-    }
-    None
-}
-
-/// The load-shed response the event loop sends without dispatching: a
-/// typed `overloaded` 503 with `Retry-After`, enveloped for `/api/v1`
-/// targets and plain otherwise.
-pub fn shed_response(req: &Request) -> Response {
-    let e = ApiError::new(
-        ErrorCode::Overloaded,
-        "server is at its in-flight request limit; retry shortly",
-    );
-    if req.path.starts_with("/api/v1/") {
-        envelope(Err(e), &cx_obs::trace::next_request_id(), Instant::now())
-    } else {
-        plain_error(&e)
-    }
+        Err(e) => ("error", ApiError::from(e).into_json("message")),
+    };
+    emit_frame(&**ctx.sink, event, &data);
+    Ok(Payload::Streamed)
 }
 
 #[cfg(test)]
@@ -1360,6 +1329,11 @@ mod tests {
 
     fn server() -> crate::Server {
         crate::Server::new(Engine::with_graph("fig5", figure5_graph()))
+    }
+
+    /// [`route`] with an explicit bearer-token policy, streams buffered.
+    fn route_as(engine: &Engine, req: &Request, auth: Option<&str>) -> Response {
+        crate::BufferSink::collect(|sink| route(engine, req, sink, auth))
     }
 
     /// Unwraps the v1 envelope, asserting it succeeded.
@@ -1543,6 +1517,46 @@ mod tests {
         let s = server();
         assert_eq!(s.handle(&Request::get("/api/v1/hierarchy?node=abc")).status, 400);
         assert_eq!(s.handle(&Request::get("/api/v1/hierarchy?node=9999")).status, 404);
+        // The JSON and the SVG endpoint agree on where the ids end: the
+        // last node answers, the first stale id is a typed 404 on both.
+        let n = s.engine().snapshot(None).unwrap().hierarchy().node_count();
+        for param in ["hierarchy?node", "svg?supernode"] {
+            let last = s.handle(&Request::get(&format!("/api/v1/{param}={}", n - 1)));
+            assert_eq!(last.status, 200, "{param}: {}", last.text());
+            let stale = s.handle(&Request::get(&format!("/api/v1/{param}={n}")));
+            assert_eq!(stale.status, 404, "{param}: {}", stale.text());
+            let v = Json::parse(&stale.text()).unwrap();
+            assert_eq!(
+                v.get("error").unwrap().get("code").and_then(Json::as_str),
+                Some("not_found"),
+                "{param}"
+            );
+        }
+    }
+
+    /// The contract that makes the hierarchy servable at any scale: no
+    /// response lists more than 1000 nodes, whatever the client asks for.
+    #[test]
+    fn hierarchy_responses_never_exceed_1000_nodes() {
+        // 1,200 disjoint triangles: 1,200 components of the 2-core.
+        let mut b = cx_graph::GraphBuilder::with_capacity(3600, 3600);
+        for i in 0..3600u32 {
+            b.add_vertex(&format!("v{i}"), &["t"]);
+        }
+        for t in 0..1200u32 {
+            let (a, c) = (VertexId(3 * t), VertexId(3 * t + 2));
+            b.add_edge(a, VertexId(3 * t + 1));
+            b.add_edge(VertexId(3 * t + 1), c);
+            b.add_edge(a, c);
+        }
+        let s = crate::Server::new(Engine::with_graph("triangles", b.try_build().unwrap()));
+        let d = v1_data(&s.handle(&Request::get("/api/v1/hierarchy?level=2&limit=99999")));
+        assert_eq!(d.get("nodes").and_then(Json::as_array).unwrap().len(), 1000);
+        assert_eq!(d.get("truncated").and_then(Json::as_bool), Some(true));
+        assert_eq!(d.get("total").and_then(Json::as_f64), Some(1200.0));
+        let r = s.handle(&Request::get("/api/v1/svg?level=2&max_nodes=99999"));
+        assert_eq!(r.status, 200);
+        assert_eq!(r.text().matches("<circle").count(), 1000);
     }
 
     #[test]
@@ -1737,6 +1751,39 @@ mod tests {
         assert_eq!(s.handle(&Request::post("/api/v1/upload", "")).status, 400);
     }
 
+    /// API.md documents exactly the table: one `### \`METHOD /path…\``
+    /// heading per row, each section naming every parameter the row
+    /// declares (`timeout_ms` is documented once, for all of `/api/v1`).
+    #[test]
+    fn api_md_documents_exactly_the_table() {
+        let doc = include_str!("../../../API.md");
+        let mut sections: BTreeMap<(&str, &str), &str> = BTreeMap::new();
+        for section in doc.split("\n### `").skip(1) {
+            let (heading, text) = section.split_once('\n').unwrap();
+            let (method, rest) = heading.split_once(' ').unwrap();
+            let path = rest.split(['?', '[', '`']).next().unwrap();
+            let text = text.split("\n## ").next().unwrap();
+            let old = sections.insert((method, path), &section[..heading.len() + 1 + text.len()]);
+            assert!(old.is_none(), "API.md documents {method} {path} twice");
+        }
+        let rows: Vec<(&str, &str)> = ENDPOINTS.iter().map(|e| (e.method, e.path)).collect();
+        assert_eq!(sections.keys().copied().collect::<Vec<_>>(), {
+            let mut sorted = rows.clone();
+            sorted.sort_unstable();
+            sorted
+        });
+        let word = |c: char| c.is_ascii_alphanumeric() || c == '_';
+        for e in ENDPOINTS {
+            let section = sections[&(e.method, e.path)];
+            for name in e.params {
+                let named = section.match_indices(name).any(|(at, _)| {
+                    !section[..at].ends_with(word) && !section[at + name.len()..].starts_with(word)
+                });
+                assert!(named, "API.md's {} {} section never mentions `{name}`", e.method, e.path);
+            }
+        }
+    }
+
     #[test]
     fn error_code_statuses_are_stable() {
         for (code, status, wire) in [
@@ -1823,7 +1870,7 @@ mod tests {
         let engine = s.engine();
         let auth = Some("sekrit");
         // No token → typed 401.
-        let r = route_with_auth(&engine, &Request::get("/api/v1/graphs"), auth);
+        let r = route_as(&engine, &Request::get("/api/v1/graphs"), auth);
         assert_eq!(r.status, 401);
         let v = Json::parse(&r.text()).unwrap();
         assert_eq!(
@@ -1832,25 +1879,45 @@ mod tests {
         );
         // Wrong token → 401; right token → through.
         let wrong = Request::get("/api/v1/graphs").with_header("Authorization", "Bearer nope");
-        assert_eq!(route_with_auth(&engine, &wrong, auth).status, 401);
+        assert_eq!(route_as(&engine, &wrong, auth).status, 401);
         let right = Request::get("/api/v1/graphs").with_header("Authorization", "Bearer sekrit");
-        assert_eq!(route_with_auth(&engine, &right, auth).status, 200);
+        assert_eq!(route_as(&engine, &right, auth).status, 200);
         // Operational endpoints stay open.
         for open in ["/", "/healthz", "/metrics"] {
-            let r = route_with_auth(&engine, &Request::get(open), auth);
+            let r = route_as(&engine, &Request::get(open), auth);
             assert_eq!(r.status, 200, "{open}");
         }
         // No token required → everything passes as before.
-        assert_eq!(route_with_auth(&engine, &Request::get("/api/v1/graphs"), None).status, 200);
+        assert_eq!(route_as(&engine, &Request::get("/api/v1/graphs"), None).status, 200);
     }
 
     #[test]
-    fn detect_stream_needs_sse_transport() {
+    fn detect_stream_through_handle_buffers_the_sse_frames() {
         let s = server();
-        // Through the buffered chokepoint the endpoint is a typed 404 (it
-        // needs the event-loop transport).
-        let r = s.handle(&Request::get("/api/v1/detect_stream"));
-        assert_eq!(r.status, 404, "{}", r.text());
+        let r = s.handle(&Request::get("/api/v1/detect_stream?algo=louvain"));
+        assert_eq!(r.status, 200, "{}", r.text());
+        assert_eq!(r.content_type, "text/event-stream");
+        assert!(r.header("X-Request-Id").is_some_and(|id| !id.is_empty()));
+        let body = r.text();
+        let frames: Vec<&str> = body.split_terminator("\n\n").collect();
+        let (last, progress) = frames.split_last().unwrap();
+        assert!(!progress.is_empty(), "a first run reports progress:\n{body}");
+        assert!(progress.iter().all(|f| f.starts_with("event: progress\ndata: ")), "{body}");
+        let data = last.strip_prefix("event: result\ndata: ").expect(&body);
+        let v = Json::parse(data).unwrap();
+        assert_eq!(v.get("algo").and_then(Json::as_str), Some("louvain"));
+        assert!(v.get("elapsed_ms").and_then(Json::as_f64).is_some());
+        // Apart from `elapsed_ms`, the result frame is GET detect's data.
+        let Json::Object(mut members) = v else { panic!("{data}") };
+        members.remove("elapsed_ms");
+        let detect = v1_data(&s.handle(&Request::get("/api/v1/detect?algo=louvain")));
+        assert_eq!(Json::Object(members), detect);
+        // A failure before the stream head is an ordinary enveloped error;
+        // one under the bearer policy is the typed 401.
+        let r = s.handle(&Request::get("/api/v1/detect_stream?algo=nope"));
+        assert_eq!((r.status, r.content_type.as_str()), (404, "application/json"));
+        let r = route_as(&s.engine(), &Request::get("/api/v1/detect_stream"), Some("sekrit"));
+        assert_eq!(r.status, 401);
     }
 
     /// The unversioned `/api/*` names were retired: they are unknown
@@ -1870,7 +1937,7 @@ mod tests {
         let post = Request::post("/api/edit", r#"{"add":[[0,5]]}"#);
         assert_eq!(s.handle(&post).status, 405);
         for req in [&get, &post] {
-            let r = route_with_auth(&engine, req, Some("sekrit"));
+            let r = route_as(&engine, req, Some("sekrit"));
             assert_eq!(r.status, 401);
             let v = Json::parse(&r.text()).unwrap();
             assert_eq!(v.get("code").and_then(Json::as_str), Some("unauthorized"));

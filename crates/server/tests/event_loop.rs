@@ -330,7 +330,7 @@ fn bearer_auth_is_enforced_over_the_wire() {
     let handler: Arc<cx_server::http::StreamHandler> = {
         let engine = Arc::clone(&engine);
         Arc::new(move |req: &Request, sink: &Arc<dyn StreamSink>| {
-            cx_server::routes::route_sink_with_auth(&engine, req, sink, Some("sekrit"))
+            cx_server::routes::route(&engine, req, sink, Some("sekrit"))
         })
     };
     let handle = serve_stream("127.0.0.1:0", ServerConfig::default(), handler).unwrap();

@@ -29,6 +29,12 @@ fn survives_500_mutated_requests() {
         report.status_counts.keys().any(|s| *s >= 400),
         "no error statuses seen"
     );
+    // The stream follows the server's own table: every row was generated,
+    // and the SSE row reached its real handler and streamed.
+    for (row, n) in cx_server::routes::ENDPOINTS.iter().zip(&report.row_counts) {
+        assert!(*n > 0, "{} {} was never generated", row.method, row.path);
+    }
+    assert!(report.streams > 0, "no detect_stream request actually streamed");
 }
 
 #[test]

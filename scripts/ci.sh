@@ -6,13 +6,12 @@
 # thread counts plus the engine-median regression gate: <= 2x the
 # measured 20k median), concurrent_reads, http_throughput (keep-alive
 # fleet, shed at 2x overload, 50ms deadline probe), obs_overhead,
-# memory_footprint (compact substrate ≥ 30% under the legacy layout),
-# hierarchy_scale (a 1M-vertex graph served over HTTP with every
-# hierarchy response bounded) and store_recovery smoke runs, the cx-check
-# correctness sweep at both thread counts (invariants + differential
-# oracles incl. snapshot pinning, incremental-vs-scratch and
-# scratch-reuse + API fuzz + the kill-replay durability oracle over a
-# seeded graph/query matrix), and the standalone benchmark/ package
+# memory_footprint (compact substrate ≥ 30% under the legacy layout)
+# and store_recovery smoke runs, the cx-check correctness sweep at both
+# thread counts (invariants + differential oracles incl. snapshot
+# pinning, incremental-vs-scratch and scratch-reuse + API fuzz + the
+# kill-replay durability oracle over a seeded graph/query matrix), and
+# the standalone benchmark/ package
 # (its own workspace with path deps on crates/*, so the workspace build
 # above does not compile it): its tests plus a --quick run. Run from
 # anywhere inside the repo.
@@ -63,12 +62,6 @@ CX_THREADS=1 cargo run -q --release -p cx-bench --bin memory_footprint -- 100000
 
 echo "== memory_footprint smoke (u32 CSR + interned profiles ≥ 30% under legacy, CX_THREADS=8) =="
 CX_THREADS=8 cargo run -q --release -p cx-bench --bin memory_footprint -- 100000 --smoke
-
-echo "== hierarchy_scale smoke (1M vertices served: search + bounded hierarchy, CX_THREADS=1) =="
-CX_THREADS=1 cargo run -q --release -p cx-bench --bin hierarchy_scale -- 1000000 --smoke
-
-echo "== hierarchy_scale smoke (1M vertices served: search + bounded hierarchy, CX_THREADS=8) =="
-CX_THREADS=8 cargo run -q --release -p cx-bench --bin hierarchy_scale -- 1000000 --smoke
 
 echo "== store_recovery smoke (WAL append + replay-on-boot at 5k, CX_THREADS=1) =="
 CX_THREADS=1 cargo run -q --release -p cx-bench --bin store_recovery -- 5000 40 --smoke
