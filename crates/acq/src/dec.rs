@@ -9,7 +9,7 @@
 //!
 //! Dec is the strategy the engine serves, so it is held to the strictest
 //! hot-path contract: with a warmed [`QueryScratch`] it performs **zero**
-//! heap allocations per query (asserted by `query_hotpath --smoke` in CI).
+//! heap allocations per query (asserted by `tests/zero_alloc.rs`).
 
 use cx_cltree::ClTree;
 use cx_graph::{AttributedGraph, VertexId};

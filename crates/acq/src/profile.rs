@@ -1,7 +1,8 @@
 //! Opt-in per-phase wall-clock attribution for the ACQ hot path.
 //!
-//! `query_hotpath --profile` enables this module, runs the workload, and
-//! reads back how the query time splits across three phases:
+//! cxb's traced run (`benchmark/`) enables this module, replays the
+//! workload, and reads back how the query time splits across three phases
+//! (`acq.walk_us` / `acq.verify_us` / `acq.expand_us`):
 //!
 //! * **walk** — CL-tree traversals (core materialization + keyword walks);
 //! * **verify** — subset peels and sorted-list intersections;

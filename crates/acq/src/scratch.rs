@@ -8,7 +8,7 @@
 //! [`QueryAnswer`] and is cleared by `Vec::clear`/epoch bump rather than
 //! reallocated. Capacities grow monotonically to the workload's high-water
 //! mark during warmup and then stay put — verified by the counting global
-//! allocator in `cx-bench`'s `query_hotpath` binary.
+//! allocator in `tests/zero_alloc.rs`.
 //!
 //! The public entry [`crate::acq`] draws a scratch from a thread-local
 //! pool (one per engine worker thread), so callers get the fast path

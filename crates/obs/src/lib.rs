@@ -21,10 +21,12 @@
 //!
 //! Every recording helper is gated on [`enabled`], a single relaxed atomic
 //! load. Setting `CX_OBS=off` (or `0` / `false`) before the first metric
-//! is recorded turns the whole subsystem into no-ops, which is how the
-//! `obs_overhead` bench bounds the instrumentation cost of the search hot
-//! path. [`set_enabled`] flips the gate at runtime (used by benches and
-//! tests; traces and metrics recorded earlier stay readable).
+//! is recorded turns the whole subsystem into no-ops. [`set_enabled`]
+//! flips the gate at runtime (used by tests; traces and metrics recorded
+//! earlier stay readable). What recording costs a search when it is on
+//! has no trustworthy measurement yet (ROADMAP item 4); the known part is
+//! allocations — a span owns its label and `format!`s its histogram key
+//! on drop, which is what cxb's `acq.allocs_per_query` counts.
 //!
 //! ## Who depends on this
 //!
@@ -63,9 +65,9 @@ pub fn enabled() -> bool {
     }
 }
 
-/// Overrides the gate at runtime, bypassing `CX_OBS`. Used by the
-/// `obs_overhead` bench to time the same process with and without
-/// instrumentation, and by tests.
+/// Overrides the gate at runtime, bypassing `CX_OBS`. Used by tests, e.g.
+/// `cx-acq`'s `zero_alloc` test, which holds the algorithm (not the
+/// spans around it) to zero steady-state allocations.
 pub fn set_enabled(on: bool) {
     STATE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
 }

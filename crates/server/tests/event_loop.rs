@@ -283,11 +283,17 @@ fn acq_search_deadline_returns_typed_408_through_the_pruned_walk() {
 #[test]
 fn overload_sheds_with_503_and_retry_after() {
     let inflight = Arc::new(AtomicUsize::new(0));
+    let release = Arc::new(AtomicBool::new(false));
     let handler: Arc<cx_server::http::StreamHandler> = {
-        let inflight = Arc::clone(&inflight);
+        let (inflight, release) = (Arc::clone(&inflight), Arc::clone(&release));
         Arc::new(move |_req: &Request, _sink: &Arc<dyn StreamSink>| {
             inflight.fetch_add(1, Ordering::SeqCst);
-            std::thread::sleep(Duration::from_millis(500));
+            // Hold the slot until the test has read every shed answer
+            // (capped, so a failing test cannot wedge the worker).
+            let t0 = Instant::now();
+            while !release.load(Ordering::SeqCst) && t0.elapsed() < Duration::from_secs(20) {
+                std::thread::sleep(Duration::from_millis(5));
+            }
             Some(Response::json(&Json::str("slow but fine")))
         })
     };
@@ -297,7 +303,7 @@ fn overload_sheds_with_503_and_retry_after() {
 
     // Occupy the single admission slot…
     let mut busy = TcpStream::connect(("127.0.0.1", port)).unwrap();
-    busy.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    busy.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     write!(busy, "GET /slow HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").unwrap();
     let t0 = Instant::now();
     while inflight.load(Ordering::SeqCst) == 0 {
@@ -305,20 +311,34 @@ fn overload_sheds_with_503_and_retry_after() {
         std::thread::sleep(Duration::from_millis(5));
     }
 
-    // …then the next v1 request is shed on the loop thread.
-    let mut shed = TcpStream::connect(("127.0.0.1", port)).unwrap();
-    shed.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    write!(shed, "GET /api/v1/stats HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").unwrap();
-    let mut raw = String::new();
-    shed.read_to_string(&mut raw).unwrap();
-    assert!(raw.starts_with("HTTP/1.1 503"), "{raw}");
-    assert!(raw.to_ascii_lowercase().contains("retry-after: 1"), "{raw}");
-    let (_, body) = raw.split_once("\r\n\r\n").unwrap();
-    let v = Json::parse(body).unwrap();
-    let code = v.get("error").and_then(|e| e.get("code")).and_then(Json::as_str);
-    assert_eq!(code, Some("overloaded"), "{body}");
+    // …then every further v1 request is shed on the loop thread: 16
+    // excess connections at once, each answered in full, none reset.
+    let excess: Vec<_> = (0..16)
+        .map(|_| {
+            std::thread::spawn(move || {
+                let mut shed = TcpStream::connect(("127.0.0.1", port)).unwrap();
+                shed.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+                write!(shed, "GET /api/v1/stats HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+                    .unwrap();
+                let mut raw = String::new();
+                shed.read_to_string(&mut raw).expect("a shed connection is answered, not reset");
+                raw
+            })
+        })
+        .collect();
+    for client in excess {
+        let raw = client.join().unwrap();
+        assert!(raw.starts_with("HTTP/1.1 503"), "{raw}");
+        assert!(raw.to_ascii_lowercase().contains("retry-after: 1"), "{raw}");
+        let (_, body) = raw.split_once("\r\n\r\n").unwrap();
+        let v = Json::parse(body).unwrap();
+        let code = v.get("error").and_then(|e| e.get("code")).and_then(Json::as_str);
+        assert_eq!(code, Some("overloaded"), "{body}");
+    }
+    assert_eq!(inflight.load(Ordering::SeqCst), 1, "a shed request never reaches a worker");
 
     // The occupied slot still completes normally.
+    release.store(true, Ordering::SeqCst);
     let mut raw = String::new();
     busy.read_to_string(&mut raw).unwrap();
     assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
