@@ -39,10 +39,7 @@ pub(crate) fn run_scratch(
     // cap equals `n`.
     let top = verifier.max_candidate_size();
     let budget = opts.max_candidates;
-    // The deadline may already have fired inside the verifier's pruned
-    // keyword walks; treat it like budget truncation (the engine discards
-    // cancelled answers).
-    let mut truncated = verifier.cancelled;
+    let mut truncated = false;
 
     for size in (1..=top).rev() {
         if truncated {

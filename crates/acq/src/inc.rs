@@ -39,9 +39,7 @@ pub(crate) fn run_inc_s_scratch(
     };
     let n = verifier.alive_count();
     let budget = opts.max_candidates;
-    // A deadline that fired inside the verifier's pruned walks truncates
-    // immediately, same as budget exhaustion.
-    let mut truncated = verifier.cancelled;
+    let mut truncated = false;
 
     // Level 1: every surviving singleton, re-verified to capture its core.
     let mut level_sets: Vec<Vec<usize>> = Vec::new();
@@ -195,8 +193,7 @@ pub(crate) fn run_inc_t_scratch(
         return;
     };
     let n = verifier.alive_count();
-    let mut state =
-        Dfs { best_size: 0, truncated: verifier.cancelled, budget: opts.max_candidates };
+    let mut state = Dfs { best_size: 0, truncated: false, budget: opts.max_candidates };
 
     strat.clear_hits();
     // The DFS root: the plain connected k-core, at the bottom of the
@@ -204,9 +201,7 @@ pub(crate) fn run_inc_t_scratch(
     strat.prefix_data.clear();
     strat.prefix_data.extend_from_slice(verifier.core());
     let root_hi = strat.prefix_data.len();
-    if !state.truncated {
-        dfs(&mut verifier, strat, 0, root_hi, 0, 0, n, &mut state);
-    }
+    dfs(&mut verifier, strat, 0, root_hi, 0, 0, n, &mut state);
 
     if state.best_size == 0 {
         strat.clear_hits();

@@ -117,7 +117,7 @@ pub struct AcqResult {
     /// Size of the maximal shared keyword set (0 when the answer fell back
     /// to the plain k-core).
     pub shared_keyword_count: usize,
-    /// Number of candidate keyword sets verified (keyword walks plus
+    /// Number of candidate keyword sets verified (keyword lookups plus
     /// intersect/peel runs; near-free neighbour-mask rejects excluded).
     pub candidates_verified: usize,
     /// True when the candidate budget was exhausted before completion.
@@ -180,19 +180,12 @@ pub fn acq_with_scratch(
         AcqStrategy::IncT => "acq.inc-t",
         AcqStrategy::Dec => "acq.dec",
     });
-    // Pruning stats accumulate in the scratch during the walk phase and
-    // are flushed once per query — `Basic` builds no Verifier, so reset
-    // here to keep a preceding indexed query's counts from leaking.
-    scratch.verify.stat_subtrees_pruned = 0;
-    scratch.verify.stat_signature_hits = 0;
     match strategy {
         AcqStrategy::Basic => basic::run_scratch(g, q, opts, scratch, out),
         AcqStrategy::IncS => inc::run_inc_s_scratch(g, tree, q, opts, scratch, out),
         AcqStrategy::IncT => inc::run_inc_t_scratch(g, tree, q, opts, scratch, out),
         AcqStrategy::Dec => dec::run_scratch(g, tree, q, opts, scratch, out),
     }
-    cx_obs::metrics::add("cx_acq_subtrees_pruned_total", scratch.verify.stat_subtrees_pruned);
-    cx_obs::metrics::add("cx_acq_signature_hits_total", scratch.verify.stat_signature_hits);
     cx_obs::metrics::observe_us("cx_acq_candidates_verified", out.candidates_verified as u64);
 }
 

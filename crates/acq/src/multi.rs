@@ -62,19 +62,23 @@ pub fn acq_multi(
     let mut truncated = false;
     let budget = opts.max_candidates;
 
-    // Singleton pruning within the shared k-core.
-    let mut alive: Vec<KeywordId> = Vec::new();
-    let mut lists: Vec<Vec<VertexId>> = Vec::new();
+    // Singleton pruning within the shared k-core. Carrier lists are
+    // slices of the CL-tree's postings (ascending ranks); candidates are
+    // intersected in rank space and mapped to vertices for the peel,
+    // which takes its members as a set.
+    let vertices = |ranks: &[u32]| -> Vec<VertexId> {
+        ranks.iter().map(|&r| tree.order()[r as usize]).collect()
+    };
+    let mut lists: Vec<&[u32]> = Vec::new();
     for &w in &s {
-        let members = tree.keyword_vertices_in_subtree(subtree, w);
+        let ranks = tree.carriers(subtree, w);
         verified += 1;
-        if connected_k_core_containing_all(g, &members, qs, opts.k).is_some() {
-            alive.push(w);
-            lists.push(members);
+        if connected_k_core_containing_all(g, &vertices(ranks), qs, opts.k).is_some() {
+            lists.push(ranks);
         }
     }
 
-    let n = alive.len();
+    let n = lists.len();
     for size in (1..=n).rev() {
         let mut hits: Vec<Vec<VertexId>> = Vec::new();
         let mut idxs: Vec<usize> = (0..size).collect();
@@ -83,12 +87,13 @@ pub fn acq_multi(
                 truncated = true;
                 break;
             }
-            let mut members = lists[idxs[0]].clone();
+            let (mut ranks, mut tmp) = (lists[idxs[0]].to_vec(), Vec::new());
             for &i in &idxs[1..] {
-                members = crate::verify::intersect_sorted_vertices(&members, &lists[i]);
+                crate::verify::intersect_sorted_into(&ranks, lists[i], &mut tmp);
+                std::mem::swap(&mut ranks, &mut tmp);
             }
             verified += 1;
-            if let Some(c) = connected_k_core_containing_all(g, &members, qs, opts.k) {
+            if let Some(c) = connected_k_core_containing_all(g, &vertices(&ranks), qs, opts.k) {
                 hits.push(c);
             }
             if !next_combination(&mut idxs, n) {

@@ -4,7 +4,10 @@
 //! workload, and reads back how the query time splits across three phases
 //! (`acq.walk_us` / `acq.verify_us` / `acq.expand_us`):
 //!
-//! * **walk** — CL-tree traversals (core materialization + keyword walks);
+//! * **walk** — CL-tree index reads: the per-keyword carrier lookups in the
+//!   postings and, when a query needs it, copying q's k-core out of its
+//!   rank interval (the name predates the postings, when both were tree
+//!   traversals; cxb reports it as `acq.walk_us`);
 //! * **verify** — subset peels and sorted-list intersections;
 //! * **expand** — member expansion / answer finalization.
 //!
@@ -36,7 +39,7 @@ pub fn reset() {
 /// Accumulated per-phase wall-clock time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseTotals {
-    /// CL-tree traversal nanoseconds.
+    /// CL-tree index-read nanoseconds.
     pub walk_ns: u64,
     /// Peel + intersection nanoseconds.
     pub verify_ns: u64,

@@ -1,9 +1,9 @@
 //! Reusable per-query execution state — the zero-allocation hot path.
 //!
 //! A steady-state ACQ query over a warmed [`QueryScratch`] performs **zero
-//! heap allocations**: every buffer the Dec strategy touches (the CL-tree
-//! walk stack, the candidate-core and keyword-list buffers, the peel
-//! marks, the combination cursor, the hit accumulator, and the final
+//! heap allocations**: every buffer the Dec strategy touches (the
+//! candidate-core buffer, the rank-space intersection accumulators, the
+//! peel marks, the combination cursor, the hit accumulator, and the final
 //! answer itself) lives in the scratch or in the caller's
 //! [`QueryAnswer`] and is cleared by `Vec::clear`/epoch bump rather than
 //! reallocated. Capacities grow monotonically to the workload's high-water
@@ -18,31 +18,32 @@
 
 use std::cell::RefCell;
 
-use cx_cltree::NodeId;
 use cx_graph::{AttributedGraph, Community, KeywordId, VertexId};
 use cx_kcore::PeelScratch;
 
 use crate::AcqResult;
 
 /// Buffers for [`crate::verify::Verifier`]: the per-query verification
-/// context (q's k-core, cached keyword lists, peel state).
+/// context (q's k-core, keyword-list spans, peel state).
 pub(crate) struct VerifyScratch {
     /// Subset-peel state (epoch-cleared dense buffers).
     pub peel: PeelScratch,
-    /// CL-tree DFS stack.
-    pub stack: Vec<NodeId>,
     /// Vertices of the connected k-core containing q (sorted).
     pub core: Vec<VertexId>,
     /// Surviving keywords of S, sorted by id.
     pub alive: Vec<KeywordId>,
-    /// Flattened single-keyword vertex lists: list `i` is
-    /// `lists_data[lists_off[i]..lists_off[i + 1]]`.
-    pub lists_data: Vec<VertexId>,
-    pub lists_off: Vec<usize>,
-    /// Intersection accumulator and its ping-pong partner.
+    /// Where surviving keyword `i`'s ascending rank list sits: a span of
+    /// the CL-tree's postings (deferred-peel mode, nothing copied) or of
+    /// `singleton_ranks` (eager mode).
+    pub spans: Vec<(usize, usize)>,
+    /// Eager mode's peeled singleton cores, as ascending ranks.
+    pub singleton_ranks: Vec<u32>,
+    /// Rank-space intersection accumulator and its ping-pong partner.
+    pub ranks: Vec<u32>,
+    pub ranks_tmp: Vec<u32>,
+    /// The candidate member set handed to the peel.
     pub acc: Vec<VertexId>,
-    pub tmp: Vec<VertexId>,
-    /// Raw keyword-list buffer during verifier construction.
+    /// A singleton keyword's carriers during eager verifier construction.
     pub kw_list: Vec<VertexId>,
     /// Output of the most recent peel.
     pub peeled: Vec<VertexId>,
@@ -54,31 +55,23 @@ pub(crate) struct VerifyScratch {
     /// For each surviving keyword `alive[i]`, its bit position in S (and
     /// in `nbr_mask`).
     pub alive_spos: Vec<u32>,
-    /// Subtrees skipped by signature pruning during this query, flushed
-    /// to `cx_acq_subtrees_pruned_total` once per query.
-    pub stat_subtrees_pruned: u64,
-    /// Signature tests that passed (subtree descended), flushed to
-    /// `cx_acq_signature_hits_total` once per query.
-    pub stat_signature_hits: u64,
 }
 
 impl VerifyScratch {
     fn new() -> Self {
         Self {
             peel: PeelScratch::new(),
-            stack: Vec::new(),
             core: Vec::new(),
             alive: Vec::new(),
-            lists_data: Vec::new(),
-            lists_off: Vec::new(),
+            spans: Vec::new(),
+            singleton_ranks: Vec::new(),
+            ranks: Vec::new(),
+            ranks_tmp: Vec::new(),
             acc: Vec::new(),
-            tmp: Vec::new(),
             kw_list: Vec::new(),
             peeled: Vec::new(),
             nbr_mask: Vec::new(),
             alive_spos: Vec::new(),
-            stat_subtrees_pruned: 0,
-            stat_signature_hits: 0,
         }
     }
 }
@@ -169,7 +162,7 @@ pub struct QueryAnswer {
     s_off: Vec<usize>,
     /// Size of the maximal shared keyword set (0 on plain-core fallback).
     pub shared_keyword_count: usize,
-    /// Number of candidate keyword sets verified (keyword walks plus
+    /// Number of candidate keyword sets verified (keyword lookups plus
     /// intersect/peel runs; near-free neighbour-mask rejects excluded).
     pub candidates_verified: usize,
     /// True when the candidate budget was exhausted before completion.

@@ -2,24 +2,26 @@
 //!
 //! A candidate keyword set `S'` verifies iff the subgraph induced on
 //! vertices carrying all of `S'` contains a connected k-core with q. The
-//! verifier caches the single-keyword vertex lists (restricted to q's
-//! connected k-core via the CL-tree) and intersects them per candidate, so
-//! each verification is a sorted-merge plus one subset peel.
+//! carriers of one keyword inside q's connected k-core are a slice of the
+//! CL-tree's postings — ascending preorder *ranks*, read in place — so a
+//! candidate is intersected in rank space (any total order intersects),
+//! only the usually tiny intersection is mapped back to vertex ids, and
+//! one subset peel decides it.
 //!
 //! The verifier is a *view* over a [`VerifyScratch`]: all of its state —
-//! the cached k-core, the flattened keyword lists, the intersection
+//! the cached k-core, the keyword-list spans, the intersection
 //! accumulators and the peel buffers — lives in the scratch and is reused
 //! across queries, so steady-state verification performs no heap
 //! allocation.
 
-use cx_cltree::{ClTree, KeywordSignature, NodeId};
+use cx_cltree::{ClTree, NodeId};
 use cx_graph::{AttributedGraph, KeywordId, VertexId};
 
 use crate::profile;
 use crate::scratch::VerifyScratch;
 
-/// Per-query verification context: q's k-core subtree and cached
-/// single-keyword vertex lists within it, all resident in a borrowed
+/// Per-query verification context: q's k-core subtree and the spans of
+/// its single-keyword rank lists, all resident in a borrowed
 /// [`VerifyScratch`].
 pub(crate) struct Verifier<'a> {
     g: &'a AttributedGraph,
@@ -29,11 +31,15 @@ pub(crate) struct Verifier<'a> {
     /// Root of q's connected k-core subtree in the CL-tree.
     subtree: NodeId,
     /// Whether `vs.core` has been materialized — the Dec fast path never
-    /// walks the full subtree.
+    /// copies the full subtree out.
     core_ready: bool,
     /// Whether the neighbour-mask exact-count filter is armed (k ≥ 1,
     /// |S| ≤ 64).
     filter_ready: bool,
+    /// Deferred-peel mode: `vs.spans` address the tree's postings (raw
+    /// carrier lists). Otherwise they address `vs.singleton_ranks` (peeled
+    /// singleton cores).
+    defer: bool,
     /// Upper bound on the size of any verifiable candidate keyword set —
     /// `alive_count()` when the filter is unarmed, else the largest `s`
     /// such that at least k core-resident neighbours of q carry `s` alive
@@ -41,7 +47,7 @@ pub(crate) struct Verifier<'a> {
     /// [`Self::max_candidate_size`]).
     max_size: usize,
     vs: &'a mut VerifyScratch,
-    /// Verification counter (keyword walks + intersect/peel runs),
+    /// Verification counter (keyword lookups + intersect/peel runs),
     /// reported in [`crate::AcqResult`]. Candidates rejected by the
     /// neighbour-mask filter are *not* counted here — the reject is a
     /// handful of ANDs, not verification work.
@@ -50,10 +56,6 @@ pub(crate) struct Verifier<'a> {
     /// so strategies sweeping a filtered lattice still terminate under
     /// `max_candidates` even when almost nothing reaches a peel.
     pub examined: usize,
-    /// Set when the cooperative cancel token fired during construction;
-    /// the strategy must stop and mark the answer truncated (the engine
-    /// discards cancelled answers anyway).
-    pub cancelled: bool,
 }
 
 impl<'a> Verifier<'a> {
@@ -63,19 +65,19 @@ impl<'a> Verifier<'a> {
     /// cannot appear in any answer are pruned immediately
     /// (anti-monotonicity: any superset would fail too).
     ///
-    /// Each keyword's carrier walk skips subtrees whose signature
-    /// excludes the keyword. With the neighbour filter armed (or k = 0)
-    /// the per-keyword singleton *peels* are skipped entirely: the
-    /// verifier caches the raw carrier lists and defers all peeling to
-    /// the per-candidate step. That is sound because every answer
-    /// community is contained in each of its keywords' carrier lists, so
-    /// intersecting raw lists and peeling the (tiny) intersection yields
-    /// the identical community that peeled singleton cores would. `alive`
-    /// then over-approximates the exact singleton-core test — the
-    /// neighbour-mask filter and the [`Self::max_candidate_size`] cap
-    /// keep the candidate lattice as small as the exact test would. With
-    /// |S| > 64 and k ≥ 1 the masks do not fit a word, so singletons are
-    /// peeled eagerly and `alive` is exact.
+    /// With the neighbour filter armed (or k = 0) the per-keyword
+    /// singleton *peels* are skipped entirely: the verifier keeps the raw
+    /// carrier lists — spans of the postings, nothing copied — and defers
+    /// all peeling to the per-candidate step. That is sound because every
+    /// answer community is contained in each of its keywords' carrier
+    /// lists, so intersecting raw lists and peeling the (tiny)
+    /// intersection yields the identical community that peeled singleton
+    /// cores would. `alive` then over-approximates the exact
+    /// singleton-core test — the neighbour-mask filter and the
+    /// [`Self::max_candidate_size`] cap keep the candidate lattice as
+    /// small as the exact test would. With |S| > 64 and k ≥ 1 the masks do
+    /// not fit a word, so singletons are peeled eagerly, their cores
+    /// ranked into the scratch, and `alive` is exact.
     pub fn new(
         g: &'a AttributedGraph,
         tree: &'a ClTree,
@@ -88,12 +90,9 @@ impl<'a> Verifier<'a> {
         vs.core.clear();
         vs.alive.clear();
         vs.alive_spos.clear();
-        vs.lists_data.clear();
-        vs.lists_off.clear();
-        vs.lists_off.push(0);
+        vs.spans.clear();
+        vs.singleton_ranks.clear();
         vs.nbr_mask.clear();
-        vs.stat_subtrees_pruned = 0;
-        vs.stat_signature_hits = 0;
         // Exact-count neighbour filter: any verifying community keeps
         // deg(q) ≥ k inside itself, and every member carries the whole
         // candidate set and sits in a k-core — so q needs at least k
@@ -123,6 +122,11 @@ impl<'a> Verifier<'a> {
                 vs.nbr_mask.push(m);
             }
         }
+        // Deferred-peel mode: keep raw carrier lists and let the
+        // per-candidate peel do all the work. Requires the neighbour
+        // filter (or k = 0, where "q is a carrier" is already the exact
+        // singleton test) to keep the candidate lattice in check.
+        let defer = k == 0 || filter_ready;
         let mut v = Self {
             g,
             tree,
@@ -131,22 +135,17 @@ impl<'a> Verifier<'a> {
             subtree,
             core_ready: false,
             filter_ready,
+            defer,
             max_size: 0,
             vs,
             verified: 0,
             examined: 0,
-            cancelled: false,
         };
-        // Deferred-peel mode: cache raw carrier lists and let the
-        // per-candidate peel do all the work. Requires the neighbour
-        // filter (or k = 0, where "q is a carrier" is already the exact
-        // singleton test) to keep the candidate lattice in check.
-        let defer = k == 0 || filter_ready;
         for (spos, &w) in s.iter().enumerate() {
             v.verified += 1;
             v.examined += 1;
             // Fewer than k carrier neighbours → the singleton core cannot
-            // exist; skip its subtree walk and peel outright.
+            // exist; skip its lookup and peel outright.
             if v.filter_ready {
                 let bit = 1u64 << spos;
                 let carriers = v.vs.nbr_mask.iter().filter(|&&m| m & bit != 0).count();
@@ -155,58 +154,45 @@ impl<'a> Verifier<'a> {
                 }
             }
             let t = profile::timer();
-            let stats = tree.keyword_vertices_in_subtree_pruned_into(
-                subtree,
-                w,
-                &KeywordSignature::mask_of(w),
-                &mut v.vs.stack,
-                &mut v.vs.kw_list,
-            );
+            let span = tree.carrier_span(subtree, w);
             profile::add_walk(t);
-            v.vs.stat_subtrees_pruned += stats.subtrees_pruned as u64;
-            v.vs.stat_signature_hits += stats.signature_hits as u64;
-            if stats.cancelled {
-                v.cancelled = true;
-                break;
+            // Exact-count short-circuit: a k-core needs at least k+1
+            // vertices — too few carriers can never verify.
+            if k > 0 && span.len() <= k as usize {
+                continue;
             }
-            // Exact-count short-circuit: the walk's carrier count is
-            // exact (per-node inverted lists), and a k-core needs at
-            // least k+1 vertices — too few carriers can never verify,
-            // so skip the peel entirely.
-            let ok = if k > 0 && v.vs.kw_list.len() <= k as usize {
-                false
-            } else if defer {
+            let span = if defer {
                 // Keep the keyword iff q itself is a carrier (every
                 // answer contains q); the peel is deferred to the
                 // candidate step, which works on intersections.
-                v.vs.kw_list.binary_search(&q).is_ok()
+                if g.keywords(q).binary_search(&w).is_err() {
+                    continue;
+                }
+                (span.start, span.end)
             } else {
                 let t = profile::timer();
-                let ok = v.vs.peel.connected_k_core_containing_into(
-                    g,
-                    &v.vs.kw_list,
-                    q,
-                    k,
-                    &mut v.vs.peeled,
-                );
+                let vs = &mut *v.vs;
+                vs.kw_list.clear();
+                vs.kw_list.extend(tree.postings()[span].iter().map(|&r| tree.order()[r as usize]));
+                let ok =
+                    vs.peel.connected_k_core_containing_into(g, &vs.kw_list, q, k, &mut vs.peeled);
                 profile::add_verify(t);
-                ok
-            };
-            if ok {
-                // Every candidate community is contained in each of its
-                // keywords' cached lists, so intersecting them and peeling
-                // the intersection yields the exact answer — whether the
-                // cache holds raw carrier lists (deferred-peel mode) or
-                // peeled singleton cores (eager mode).
-                v.vs.alive.push(w);
-                v.vs.alive_spos.push(spos as u32);
-                if defer {
-                    v.vs.lists_data.extend_from_slice(&v.vs.kw_list);
-                } else {
-                    v.vs.lists_data.extend_from_slice(&v.vs.peeled);
+                if !ok {
+                    continue;
                 }
-                v.vs.lists_off.push(v.vs.lists_data.len());
-            }
+                let start = vs.singleton_ranks.len();
+                vs.singleton_ranks.extend(vs.peeled.iter().map(|&u| tree.rank_of(u)));
+                vs.singleton_ranks[start..].sort_unstable();
+                (start, vs.singleton_ranks.len())
+            };
+            // Every candidate community is contained in each of its
+            // keywords' lists, so intersecting them and peeling the
+            // intersection yields the exact answer — whether the lists are
+            // raw carriers (deferred-peel mode) or peeled singleton cores
+            // (eager mode).
+            v.vs.alive.push(w);
+            v.vs.alive_spos.push(spos as u32);
+            v.vs.spans.push(span);
         }
         // Candidate-size cap: a verifying S' of size s needs at least k
         // core-resident neighbours of q whose masks cover S' — so at
@@ -264,20 +250,15 @@ impl<'a> Verifier<'a> {
         false
     }
 
-    /// Walks the full subtree into `vs.core` (sorted).
-    fn materialize_core(&mut self) {
-        let t = profile::timer();
-        self.tree.subtree_vertices_into(self.subtree, &mut self.vs.stack, &mut self.vs.core);
-        profile::add_walk(t);
-        self.core_ready = true;
-    }
-
-    /// Vertices of the connected k-core containing q (sorted),
-    /// materialized lazily on first use — the Dec fast path (top-size
-    /// candidate verifies) never needs it.
+    /// Vertices of the connected k-core containing q (sorted), copied out
+    /// of the subtree's rank interval lazily on first use — the Dec fast
+    /// path (top-size candidate verifies) never needs it.
     pub fn core(&mut self) -> &[VertexId] {
         if !self.core_ready {
-            self.materialize_core();
+            let t = profile::timer();
+            self.tree.subtree_vertices_into(self.subtree, &mut self.vs.core);
+            profile::add_walk(t);
+            self.core_ready = true;
         }
         &self.vs.core
     }
@@ -302,10 +283,11 @@ impl<'a> Verifier<'a> {
         &self.vs.peeled
     }
 
-    /// Intersects the vertex lists of the keywords at `idxs` into the
-    /// scratch accumulator. Empty `idxs` yields the whole k-core.
+    /// Intersects the rank lists of the keywords at `idxs` and writes the
+    /// members into the scratch accumulator (in rank order — the peel
+    /// takes a set). Empty `idxs` yields the whole k-core.
     ///
-    /// Seeds the accumulator from the *shortest* list — intersections
+    /// Seeds from the *shortest* list, read in place — intersections
     /// only shrink, so starting small keeps every later merge near the
     /// size of the final answer rather than of the inputs.
     fn intersect_into_acc(&mut self, idxs: &[usize]) {
@@ -316,44 +298,45 @@ impl<'a> Verifier<'a> {
             vs.acc.extend_from_slice(&vs.core);
             return;
         };
-        let vs = &mut *self.vs;
-        vs.acc.clear();
-        let len_of = |off: &[usize], i: usize| off[i + 1] - off[i];
+        let VerifyScratch { spans, singleton_ranks, ranks, ranks_tmp, acc, .. } = &mut *self.vs;
+        let column = rank_column(self.defer, self.tree, singleton_ranks);
+        let list = |i: usize| &column[spans[i].0..spans[i].1];
         let mut smallest = first;
         for &i in &idxs[1..] {
-            if len_of(&vs.lists_off, i) < len_of(&vs.lists_off, smallest) {
+            if list(i).len() < list(smallest).len() {
                 smallest = i;
             }
         }
-        vs.acc
-            .extend_from_slice(&vs.lists_data[vs.lists_off[smallest]..vs.lists_off[smallest + 1]]);
+        let mut seeded = false;
         for &i in idxs {
             if i == smallest {
                 continue;
             }
-            let list = &vs.lists_data[vs.lists_off[i]..vs.lists_off[i + 1]];
-            intersect_sorted_adaptive(&vs.acc, list, &mut vs.tmp);
-            std::mem::swap(&mut vs.acc, &mut vs.tmp);
-            if vs.acc.is_empty() {
+            if seeded {
+                intersect_sorted_adaptive(ranks, list(i), ranks_tmp);
+                std::mem::swap(ranks, ranks_tmp);
+            } else {
+                intersect_sorted_adaptive(list(smallest), list(i), ranks);
+                seeded = true;
+            }
+            if ranks.is_empty() {
                 break;
             }
         }
+        let order = self.tree.order();
+        let members: &[u32] = if seeded { ranks } else { list(smallest) };
+        acc.clear();
+        acc.extend(members.iter().map(|&r| order[r as usize]));
     }
 
     /// Peels the accumulator to the connected k-core containing q; the
-    /// result lands in [`Self::peeled`]. Increments the work counter.
+    /// result lands in [`Self::peeled`]. Increments the work counter. The
+    /// peel itself rejects a member set of fewer than k+1 vertices or
+    /// without q before doing any work.
     fn peel_acc(&mut self) -> bool {
         self.verified += 1;
         self.examined += 1;
         let vs = &mut *self.vs;
-        // Fast rejections: q must be present and at least k+1 vertices must
-        // remain for a k-core to exist at all.
-        if vs.acc.len() < self.k as usize + 1 && self.k > 0 {
-            return false;
-        }
-        if vs.acc.binary_search(&self.q).is_err() {
-            return false;
-        }
         vs.peel.connected_k_core_containing_into(self.g, &vs.acc, self.q, self.k, &mut vs.peeled)
     }
 
@@ -376,8 +359,8 @@ impl<'a> Verifier<'a> {
         ok
     }
 
-    /// Verifies an arbitrary candidate member list (sorted). On success
-    /// the community is in [`Self::peeled`].
+    /// Verifies an arbitrary candidate member list. On success the
+    /// community is in [`Self::peeled`].
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn verify_members(&mut self, members: &[VertexId]) -> bool {
         self.vs.acc.clear();
@@ -385,19 +368,34 @@ impl<'a> Verifier<'a> {
         self.peel_acc()
     }
 
-    /// Verifies the extension of a prefix core by keyword `i`: intersect
-    /// the prefix with `list(i)`, then peel. On success the extended
-    /// community is in [`Self::peeled`]. Inc-T's shared-prefix step.
+    /// Verifies the extension of a prefix core by keyword `i`: keep the
+    /// prefix members whose rank is in `list(i)`, then peel. On success
+    /// the extended community is in [`Self::peeled`]. Inc-T's
+    /// shared-prefix step.
     pub fn verify_prefix_extend(&mut self, prefix: &[VertexId], i: usize) -> bool {
         let t = profile::timer();
         {
             let vs = &mut *self.vs;
-            let list = &vs.lists_data[vs.lists_off[i]..vs.lists_off[i + 1]];
-            intersect_sorted_adaptive(prefix, list, &mut vs.acc);
+            let column = rank_column(self.defer, self.tree, &vs.singleton_ranks);
+            let list = &column[vs.spans[i].0..vs.spans[i].1];
+            vs.acc.clear();
+            vs.acc.extend(
+                prefix.iter().filter(|&&v| list.binary_search(&self.tree.rank_of(v)).is_ok()),
+            );
         }
         let ok = self.peel_acc();
         profile::add_verify(t);
         ok
+    }
+}
+
+/// The column a verifier's spans address: the tree's postings in
+/// deferred-peel mode, the scratch's ranked singleton cores otherwise.
+fn rank_column<'b>(defer: bool, tree: &'b ClTree, singleton_ranks: &'b [u32]) -> &'b [u32] {
+    if defer {
+        tree.postings()
+    } else {
+        singleton_ranks
     }
 }
 
@@ -408,7 +406,7 @@ const GALLOP_RATIO: usize = 16;
 /// Sorted intersection into `out` (cleared first), picking the cheaper of
 /// a linear merge and a binary-search probe based on the length skew.
 /// Output is identical either way; only the traversal differs.
-fn intersect_sorted_adaptive(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
+fn intersect_sorted_adaptive<T: Ord + Copy>(a: &[T], b: &[T], out: &mut Vec<T>) {
     let (small, big) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if small.len().saturating_mul(GALLOP_RATIO) >= big.len() {
         intersect_sorted_into(a, b, out);
@@ -432,9 +430,9 @@ fn intersect_sorted_adaptive(a: &[VertexId], b: &[VertexId], out: &mut Vec<Verte
     }
 }
 
-/// Sorted-merge intersection of two vertex lists into a caller-provided
+/// Sorted-merge intersection of two ascending lists into a caller-provided
 /// buffer (cleared first); allocation-free once the buffer has capacity.
-pub fn intersect_sorted_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
+pub fn intersect_sorted_into<T: Ord + Copy>(a: &[T], b: &[T], out: &mut Vec<T>) {
     out.clear();
     out.reserve(a.len().min(b.len()));
     let (mut i, mut j) = (0, 0);
@@ -449,13 +447,6 @@ pub fn intersect_sorted_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<Verte
             }
         }
     }
-}
-
-/// Sorted-merge intersection of two vertex lists.
-pub fn intersect_sorted_vertices(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
-    let mut out = Vec::new();
-    intersect_sorted_into(a, b, &mut out);
-    out
 }
 
 #[cfg(test)]

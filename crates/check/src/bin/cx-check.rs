@@ -35,7 +35,7 @@
 //! Exit status 0 = clean; 1 = violations found; 2 = bad usage.
 
 use cx_acq::AcqOptions;
-use cx_check::invariants::check_core_numbers;
+use cx_check::invariants::{check_core_numbers, check_tree_columns};
 use cx_check::oracle::thread_differential;
 use cx_check::{
     acq_strategy_differential, cached_vs_uncached, check_acq_result, edit_script, fingerprint,
@@ -149,6 +149,11 @@ fn main() {
             for v in check_core_numbers(g, &|v| d.core(v)) {
                 problems.push(format!("{} [core/{label}] {v}", case.name));
             }
+        }
+
+        // The index's preorder columns and keyword postings, by brute force.
+        for v in check_tree_columns(g, &tree) {
+            problems.push(format!("{} {v}", case.name));
         }
 
         // Hierarchy reconstruction: recursively expanding every level's
@@ -273,8 +278,8 @@ fn main() {
         problems.extend(kr.failures.iter().map(|f| format!("kill-replay {f}")));
     }
 
-    // Index-free Basic is the independent reference for the signature-
-    // pruned walks, so at the default limit no query may skip it.
+    // Index-free Basic is the independent reference for the postings-
+    // backed strategies, so at the default limit no query may skip it.
     if args.basic_limit == Args::default().basic_limit && basic_legs < queries_run {
         problems.push(format!(
             "only {basic_legs} of {queries_run} workload queries were compared against Basic"

@@ -8,7 +8,7 @@
 //! in cx-check.
 
 use cx_cltree::{ClTree, NodeId};
-use cx_graph::{AttributedGraph, Community};
+use cx_graph::{AttributedGraph, Community, KeywordId, VertexId};
 
 /// Sorts a result set into canonical order: larger communities first,
 /// ties broken by member ids, then by shared keywords. Idempotent.
@@ -70,44 +70,36 @@ pub fn graph_fingerprint(g: &AttributedGraph) -> String {
 ///
 /// [`ClTree::update`] may assign different node ids than a fresh
 /// [`ClTree::build`] of the same graph, so equality must be structural:
-/// each node renders as its level, vertex list and *fully expanded*
-/// inverted keyword lists (catching a stale `Arc`-reused index), with
-/// children serialised in sorted canonical order. Two trees are
-/// equivalent iff their encodings are byte-identical.
+/// each node renders as its level, resident list and every non-empty
+/// `(keyword, carriers)` pair of its subtree, read back through
+/// [`ClTree::carriers`] and mapped to vertex ids (catching a postings
+/// column or rank interval that an update laid out differently from a
+/// build), with children serialised in sorted canonical order. Two trees
+/// are equivalent iff their encodings are byte-identical.
 pub fn tree_canonical(tree: &ClTree) -> String {
-    fn node_canon(tree: &ClTree, id: NodeId) -> String {
-        let node = tree.node(id);
-        let mut s = format!("L{}[", node.level);
-        for (i, v) in node.vertices.iter().enumerate() {
+    fn push_list(s: &mut String, vs: &[VertexId]) {
+        for (i, v) in vs.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
             s.push_str(&v.0.to_string());
         }
+    }
+    fn node_canon(tree: &ClTree, id: NodeId) -> String {
+        let node = tree.node(id);
+        let mut s = format!("L{}[", node.level);
+        push_list(&mut s, tree.residents(id));
         s.push('|');
-        let mut inv: Vec<_> = node.inverted.iter().collect();
-        inv.sort_by_key(|(w, _)| w.0);
-        for (i, (w, vs)) in inv.iter().enumerate() {
-            if i > 0 {
+        for w in 0..tree.keyword_count() as u32 {
+            let carriers = tree.carrier_vertices(id, KeywordId(w));
+            if !carriers.is_empty() {
+                s.push_str(&w.to_string());
+                s.push(':');
+                push_list(&mut s, &carriers);
                 s.push(';');
-            }
-            s.push_str(&w.0.to_string());
-            s.push(':');
-            for (j, v) in vs.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str(&v.0.to_string());
             }
         }
         s.push(']');
-        // Subtree keyword signature bytes: incremental repair must land on
-        // exactly the bloom a fresh build computes, or pruning would skip
-        // different subtrees after an update than after a rebuild.
-        s.push('s');
-        for b in node.signature.to_bytes() {
-            s.push_str(&format!("{b:02x}"));
-        }
         let mut kids: Vec<String> =
             node.children.iter().map(|&c| node_canon(tree, c)).collect();
         kids.sort();

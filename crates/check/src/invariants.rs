@@ -22,6 +22,7 @@ use std::collections::HashSet;
 use std::fmt;
 
 use cx_acq::AcqResult;
+use cx_cltree::ClTree;
 use cx_graph::{AttributedGraph, Community, KeywordId, VertexId};
 
 /// One violated invariant, with enough context to reproduce it.
@@ -339,11 +340,80 @@ pub fn check_core_numbers(g: &AttributedGraph, core_of: &dyn Fn(VertexId) -> u32
     out
 }
 
+/// The CL-tree's preorder columns and keyword postings against the
+/// definitions, by brute force on the graph: `order` is a permutation with
+/// `rank_of` its inverse; a node's residents are ascending, live at its
+/// level and open its rank interval, which its children's intervals then
+/// tile in child order; every keyword's posting list is strictly
+/// ascending; and for every node and keyword the carriers read through the
+/// postings are exactly the subtree's vertices that carry the keyword.
+pub fn check_tree_columns(g: &AttributedGraph, tree: &ClTree) -> Vec<Violation> {
+    let mut out = Vec::new();
+    let mut bad = |detail: String| out.push(Violation::new("tree-columns", detail));
+    let n = g.vertex_count();
+    let order = tree.order();
+    if order.len() != n {
+        bad(format!("order holds {} vertices, the graph {n}", order.len()));
+        return out;
+    }
+    for (rank, &v) in order.iter().enumerate() {
+        if v.index() >= n || tree.rank_of(v) as usize != rank {
+            bad(format!("rank {rank} holds {v:?} but rank_of says {}", tree.rank_of(v)));
+            return out;
+        }
+    }
+    for (id, node) in tree.iter_nodes() {
+        let span = tree.subtree_ranks(id);
+        let residents = tree.residents(id);
+        if !residents.windows(2).all(|p| p[0] < p[1]) {
+            bad(format!("{id:?}: residents not strictly ascending"));
+        }
+        if residents != &order[span.start..span.start + residents.len()] {
+            bad(format!("{id:?}: residents do not open the subtree interval"));
+        }
+        for &v in residents {
+            if tree.node_of(v) != id || tree.core(v) != node.level {
+                bad(format!("{id:?}: resident {v:?} belongs to {:?}", tree.node_of(v)));
+            }
+        }
+        let mut cursor = span.start + residents.len();
+        for &c in &node.children {
+            let child = tree.subtree_ranks(c);
+            if child.start != cursor || child.end > span.end {
+                bad(format!("{id:?}: child {c:?} at {child:?} does not tile {span:?} from {cursor}"));
+            }
+            cursor = child.end;
+        }
+        if cursor != span.end {
+            bad(format!("{id:?}: children end at {cursor}, subtree at {}", span.end));
+        }
+        let members = &order[span];
+        for (w, _) in g.interner().iter() {
+            let mut want: Vec<VertexId> =
+                members.iter().copied().filter(|&v| g.has_keyword(v, w)).collect();
+            want.sort_unstable();
+            let ranks = tree.carriers(id, w);
+            if !ranks.windows(2).all(|p| p[0] < p[1]) {
+                bad(format!("{id:?}: postings of {w:?} not strictly ascending"));
+            }
+            if tree.carrier_vertices(id, w) != want {
+                bad(format!("{id:?}: carriers of {w:?} differ from the subtree's carriers"));
+            }
+        }
+    }
+    if tree.keyword_count() != g.keyword_count() {
+        bad(format!("postings cover {} keywords, the graph {}", tree.keyword_count(), g.keyword_count()));
+    }
+    if tree.subtree_ranks(tree.root()) != (0..n) {
+        bad(format!("root spans {:?}, not 0..{n}", tree.subtree_ranks(tree.root())));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use cx_acq::{acq, AcqOptions, AcqStrategy};
-    use cx_cltree::ClTree;
     use cx_datagen::figure5_graph;
 
     #[test]
@@ -446,6 +516,31 @@ mod tests {
         // Claiming it is a 5-truss must fail.
         let v = check_ktruss_community(&g, &k4, a, 5);
         assert!(v.iter().any(|x| x.rule == "truss-support"), "{v:?}");
+    }
+
+    #[test]
+    fn tree_columns_hold_on_figure5_and_after_an_update() {
+        let g = figure5_graph();
+        let tree = ClTree::build(&g);
+        assert_eq!(check_tree_columns(&g, &tree), Vec::new());
+        let delta = g.edge_delta(&[(VertexId(6), VertexId(4))], &[(VertexId(7), VertexId(8))]);
+        let delta = delta.unwrap();
+        let g2 = g.apply_delta(&delta);
+        let cores = cx_kcore::CoreDecomposition::compute(&g2).core_numbers().to_vec();
+        assert_eq!(check_tree_columns(&g2, &tree.update(&g2, &delta, &cores)), Vec::new());
+        // The same topology with every keyword set moved one vertex over:
+        // the tree's postings no longer describe the graph.
+        let mut b = cx_graph::GraphBuilder::new();
+        for v in g.vertices() {
+            let next = VertexId((v.0 + 1) % g.vertex_count() as u32);
+            let kws = g.keyword_names(g.keywords(next));
+            b.add_vertex(g.label(v), &kws.iter().map(String::as_str).collect::<Vec<_>>());
+        }
+        for (u, v) in g.edges() {
+            b.add_edge(u, v);
+        }
+        let shifted = check_tree_columns(&b.build(), &tree);
+        assert!(shifted.iter().any(|v| v.detail.contains("carriers of")), "{shifted:?}");
     }
 
     #[test]

@@ -237,8 +237,8 @@ pub fn snapshot_pinning_differential(
 /// 1. the graph fingerprint (full adjacency, CSR order),
 /// 2. core numbers vs. a fresh [`CoreDecomposition`],
 /// 3. the CL-tree's id-independent canonical form vs. a fresh
-///    [`ClTree::build`] (inverted lists expanded, so a stale `Arc`-reused
-///    keyword index is caught),
+///    [`ClTree::build`] (every node's carriers read back through the
+///    postings, so a column the update laid out wrong is caught),
 /// 4. one community query answered by both engines.
 ///
 /// The scratch side is constructed directly (builder + fresh index).

@@ -1,29 +1,36 @@
-//! CL-tree construction (bottom-up, anchored union-find) and queries.
+//! CL-tree construction (bottom-up, anchored union-find), the preorder
+//! layout every tree finishes through, and queries.
 //!
-//! Construction is parallel along two axes, both deterministic:
+//! Construction is parallel across connected components: every component
+//! owns an independent subtree, so subtrees are built concurrently on the
+//! cx-par pool (components ordered by smallest vertex id; local node
+//! arenas are concatenated in that order, which fixes the node numbering
+//! at any thread count).
 //!
-//! * **components** — every connected component owns an independent
-//!   subtree, so subtrees are built concurrently on the cx-par pool
-//!   (components ordered by smallest vertex id; local node arenas are
-//!   concatenated in that order, which fixes the node numbering at any
-//!   thread count);
-//! * **keyword indexing** — the per-node inverted lists only read the
-//!   graph and write their own node, so the final pass runs over disjoint
-//!   chunks of the node arena.
+//! ## The vertex side, stored once
+//!
+//! A finished node list goes through [`layout`], which writes every
+//! vertex exactly once into `order` — each node's residents (ascending),
+//! followed by its children's subtrees — so a subtree is one contiguous
+//! *rank* interval. The keyword side is a single CSR postings column over
+//! those ranks: keyword `w`'s list holds the rank of every carrier,
+//! ascending. "Carriers of `w` below node `x`" is then the part of one
+//! sorted list that falls inside one interval: two binary searches, no
+//! traversal, no copy ([`ClTree::carriers`]).
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use cx_graph::traversal::ConnectedComponents;
 use cx_graph::{AttributedGraph, KeywordId, VertexId};
 use cx_kcore::CoreDecomposition;
 
 use crate::node::{ClTreeNode, NodeId};
-use crate::signature::{compute_signatures, KeywordSignature};
 use crate::unionfind::UnionFind;
 
 /// The CL-tree index over one attributed graph. See the crate docs for the
 /// structure; build with [`ClTree::build`], query with
-/// [`ClTree::connected_k_core`] and the keyword accessors.
+/// [`ClTree::connected_k_core`] and [`ClTree::carriers`].
 #[derive(Debug, Clone)]
 pub struct ClTree {
     nodes: Vec<ClTreeNode>,
@@ -33,6 +40,15 @@ pub struct ClTree {
     /// Core number per vertex (kept so queries need no separate decomposition).
     core: Vec<u32>,
     max_core: u32,
+    /// Preorder rank → vertex.
+    order: Vec<VertexId>,
+    /// Vertex → preorder rank (the inverse of `order`).
+    rank_of: Vec<u32>,
+    /// Keyword `w`'s postings are `kw_ranks[kw_off[w]..kw_off[w + 1]]`.
+    /// Depends only on the keyword sets, so edge edits never change it.
+    kw_off: Vec<usize>,
+    /// Ranks of each keyword's carriers, ascending per keyword.
+    kw_ranks: Vec<u32>,
 }
 
 impl ClTree {
@@ -62,8 +78,6 @@ impl ClTree {
         let _span = cx_obs::span("cltree.build");
         let n = g.vertex_count();
         assert_eq!(cores.len(), n, "core vector must cover every vertex");
-        let core: Vec<u32> = cores.to_vec();
-        let max_core = core.iter().copied().max().unwrap_or(0);
 
         let cc = ConnectedComponents::compute(g);
         let comps = cc.groups();
@@ -76,13 +90,14 @@ impl ClTree {
             }
         }
         let subtrees: Vec<ComponentSubtree> =
-            cx_par::par_map_slice(&comps, |comp| build_component_subtree(g, comp, &core, &local));
+            cx_par::par_map_slice(&comps, |comp| build_component_subtree(g, comp, cores, &local));
 
         // Concatenate the local arenas in component order, offsetting ids.
         let total: usize = subtrees.iter().map(|s| s.nodes.len()).sum();
         let mut nodes: Vec<ClTreeNode> = Vec::with_capacity(total + 1);
+        let mut node_of = vec![NodeId(u32::MAX); n];
         let mut tops: Vec<NodeId> = Vec::new();
-        for sub in subtrees {
+        for (comp, sub) in comps.iter().zip(subtrees) {
             let offset = nodes.len() as u32;
             for mut node in sub.nodes {
                 node.parent = node.parent.map(|p| NodeId(p.0 + offset));
@@ -91,68 +106,14 @@ impl ClTree {
                 }
                 nodes.push(node);
             }
+            for (&v, nid) in comp.iter().zip(sub.node_of) {
+                node_of[v.index()] = NodeId(nid.0 + offset);
+            }
             if let Some(top) = sub.top {
                 tops.push(NodeId(top.0 + offset));
             }
         }
-
-        // Level 0: core-0 vertices are exactly the isolated ones; assemble a
-        // single root holding them, with every component's top anchor as a
-        // child (matching Figure 5(b), where the root contains J).
-        let mut isolated: Vec<VertexId> =
-            g.vertices().filter(|&v| core[v.index()] == 0).collect();
-        tops.sort_unstable();
-        let root = if isolated.is_empty() && tops.len() == 1 {
-            tops[0]
-        } else {
-            let nid = NodeId(nodes.len() as u32);
-            for &kid in &tops {
-                nodes[kid.index()].parent = Some(nid);
-            }
-            isolated.sort_unstable();
-            nodes.push(ClTreeNode {
-                level: 0,
-                parent: None,
-                children: tops,
-                vertices: isolated,
-                inverted: Default::default(),
-                signature: KeywordSignature::EMPTY,
-            });
-            nid
-        };
-
-        // node_of: every vertex appears in exactly one node.
-        let mut node_of = vec![NodeId(u32::MAX); n];
-        for (i, node) in nodes.iter().enumerate() {
-            for &v in &node.vertices {
-                node_of[v.index()] = NodeId(i as u32);
-            }
-        }
-
-        // Inverted keyword lists: each node only reads the graph and writes
-        // itself, so the pass runs over disjoint chunks of the arena.
-        cx_par::par_chunks_mut(&mut nodes, 64, |_, chunk| {
-            for node in chunk {
-                node.index_keywords(|v| g.keywords(v));
-            }
-        });
-
-        // Subtree keyword signatures, bottom-up over the finished arena.
-        compute_signatures(&mut nodes, u32::MAX);
-
-        Self { nodes, root, node_of, core, max_core }
-    }
-
-    /// Crate-internal constructor used by snapshot loading — also the
-    /// splice point the parallel builder's arena concatenation feeds.
-    pub(crate) fn from_parts(
-        nodes: Vec<ClTreeNode>,
-        root: NodeId,
-        node_of: Vec<NodeId>,
-        core: Vec<u32>,
-        max_core: u32,
-    ) -> Self {
-        Self { nodes, root, node_of, core, max_core }
+        finish(g, nodes, tops, node_of, cores.to_vec())
     }
 
     /// The core number of `v`.
@@ -193,6 +154,80 @@ impl ClTree {
         self.node_of[v.index()]
     }
 
+    /// Every vertex in preorder: each node's residents (ascending), then
+    /// its children's subtrees in child order. A permutation of `0..n`.
+    #[inline]
+    pub fn order(&self) -> &[VertexId] {
+        &self.order
+    }
+
+    /// The position of `v` in [`ClTree::order`].
+    #[inline]
+    pub fn rank_of(&self, v: VertexId) -> u32 {
+        self.rank_of[v.index()]
+    }
+
+    /// The vertices resident in node `id` (core number == its level),
+    /// ascending.
+    #[inline]
+    pub fn residents(&self, id: NodeId) -> &[VertexId] {
+        &self.order[self.nodes[id.index()].resident_ranks()]
+    }
+
+    /// The ranks of the subtree rooted at `id`: `order()[subtree_ranks(id)]`
+    /// is exactly its vertex set, residents of `id` first.
+    #[inline]
+    pub fn subtree_ranks(&self, id: NodeId) -> Range<usize> {
+        self.nodes[id.index()].subtree_ranks()
+    }
+
+    /// Number of keywords the postings cover (the graph's vocabulary).
+    #[inline]
+    pub fn keyword_count(&self) -> usize {
+        self.kw_off.len() - 1
+    }
+
+    /// Every keyword's carrier ranks back to back; [`ClTree::carrier_span`]
+    /// addresses into it.
+    #[inline]
+    pub fn postings(&self) -> &[u32] {
+        &self.kw_ranks
+    }
+
+    /// Where in [`ClTree::postings`] the carriers of `w` inside the
+    /// subtree of `id` sit: the part of `w`'s ascending rank list that
+    /// falls in the subtree's rank interval, found by two binary searches.
+    /// Empty for a keyword the graph does not know.
+    pub fn carrier_span(&self, id: NodeId, w: KeywordId) -> Range<usize> {
+        let w = w.0 as usize;
+        if w + 1 >= self.kw_off.len() {
+            return 0..0;
+        }
+        let base = self.kw_off[w];
+        let list = &self.kw_ranks[base..self.kw_off[w + 1]];
+        let node = &self.nodes[id.index()];
+        let lo = list.partition_point(|&r| r < node.first);
+        let hi = lo + list[lo..].partition_point(|&r| r < node.subtree_end);
+        base + lo..base + hi
+    }
+
+    /// Ranks (ascending) of the vertices in the subtree of `id` whose
+    /// keyword set contains `w` — a zero-copy slice of the postings,
+    /// answered without touching the graph or the tree below `id`. Map
+    /// through [`ClTree::order`] for vertex ids.
+    #[inline]
+    pub fn carriers(&self, id: NodeId, w: KeywordId) -> &[u32] {
+        &self.kw_ranks[self.carrier_span(id, w)]
+    }
+
+    /// [`ClTree::carriers`] as a sorted vertex list.
+    pub fn carrier_vertices(&self, id: NodeId, w: KeywordId) -> Vec<VertexId> {
+        let mut out: Vec<VertexId> =
+            self.carriers(id, w).iter().map(|&r| self.order[r as usize]).collect();
+        out.sort_unstable();
+        out
+    }
+
     /// The root of the subtree representing the connected k-core containing
     /// `q`: walk up from q's node while the parent still has level ≥ k.
     /// `None` when `core(q) < k` (q is not in any k-core).
@@ -214,110 +249,22 @@ impl ClTree {
     /// All vertices in the subtree rooted at `id`, sorted.
     pub fn subtree_vertices(&self, id: NodeId) -> Vec<VertexId> {
         let mut out = Vec::new();
-        self.subtree_vertices_into(id, &mut Vec::new(), &mut out);
+        self.subtree_vertices_into(id, &mut out);
         out
     }
 
-    /// Allocation-free variant of [`ClTree::subtree_vertices`]: the DFS
-    /// `stack` and the sorted output are written into caller-provided
-    /// buffers (cleared first), so the query hot path can reuse them.
-    pub fn subtree_vertices_into(
-        &self,
-        id: NodeId,
-        stack: &mut Vec<NodeId>,
-        out: &mut Vec<VertexId>,
-    ) {
+    /// Allocation-free variant of [`ClTree::subtree_vertices`]: the sorted
+    /// output is written into a caller-provided buffer (cleared first), so
+    /// the query hot path can reuse it.
+    pub fn subtree_vertices_into(&self, id: NodeId, out: &mut Vec<VertexId>) {
         out.clear();
-        stack.clear();
-        stack.push(id);
-        while let Some(nid) = stack.pop() {
-            let node = &self.nodes[nid.index()];
-            out.extend_from_slice(&node.vertices);
-            stack.extend_from_slice(&node.children);
-        }
+        out.extend_from_slice(&self.order[self.subtree_ranks(id)]);
         out.sort_unstable();
     }
 
     /// The connected k-core containing `q` (sorted vertices), via the index.
     pub fn connected_k_core(&self, q: VertexId, k: u32) -> Option<Vec<VertexId>> {
         self.subtree_root_for(q, k).map(|r| self.subtree_vertices(r))
-    }
-
-    /// Vertices in the subtree of `id` whose keyword set contains `w`,
-    /// sorted — collected from per-node inverted lists without touching
-    /// the graph.
-    pub fn keyword_vertices_in_subtree(&self, id: NodeId, w: KeywordId) -> Vec<VertexId> {
-        let mut out = Vec::new();
-        self.keyword_vertices_in_subtree_into(id, w, &mut Vec::new(), &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`ClTree::keyword_vertices_in_subtree`]
-    /// over caller-provided buffers (cleared first).
-    pub fn keyword_vertices_in_subtree_into(
-        &self,
-        id: NodeId,
-        w: KeywordId,
-        stack: &mut Vec<NodeId>,
-        out: &mut Vec<VertexId>,
-    ) {
-        out.clear();
-        stack.clear();
-        stack.push(id);
-        while let Some(nid) = stack.pop() {
-            let node = &self.nodes[nid.index()];
-            out.extend_from_slice(node.vertices_with(w));
-            stack.extend_from_slice(&node.children);
-        }
-        out.sort_unstable();
-    }
-
-    /// Signature-pruned variant of
-    /// [`ClTree::keyword_vertices_in_subtree_into`]: child subtrees whose
-    /// keyword signature is missing either bit of `mask` provably contain
-    /// no carrier of `w` and are skipped wholesale. Output is identical to
-    /// the unpruned walk (signatures have no false negatives); only the
-    /// traversal differs. Checks the cooperative cancel token every
-    /// [`CANCEL_CHECK_INTERVAL`] visited nodes so `timeout_ms` deadlines
-    /// fire mid-walk on large subtrees; on cancellation the partially
-    /// collected (unsorted) output must be discarded by the caller.
-    pub fn keyword_vertices_in_subtree_pruned_into(
-        &self,
-        id: NodeId,
-        w: KeywordId,
-        mask: &KeywordSignature,
-        stack: &mut Vec<NodeId>,
-        out: &mut Vec<VertexId>,
-    ) -> KeywordWalkStats {
-        out.clear();
-        stack.clear();
-        let mut stats = KeywordWalkStats::default();
-        if !self.nodes[id.index()].signature.contains_all(mask) {
-            stats.subtrees_pruned = 1;
-            return stats;
-        }
-        stats.signature_hits = 1;
-        stack.push(id);
-        while let Some(nid) = stack.pop() {
-            stats.nodes_visited += 1;
-            if stats.nodes_visited & (CANCEL_CHECK_INTERVAL - 1) == 0 && cx_par::task::cancelled()
-            {
-                stats.cancelled = true;
-                return stats;
-            }
-            let node = &self.nodes[nid.index()];
-            out.extend_from_slice(node.vertices_with(w));
-            for &c in &node.children {
-                if self.nodes[c.index()].signature.contains_all(mask) {
-                    stats.signature_hits += 1;
-                    stack.push(c);
-                } else {
-                    stats.subtrees_pruned += 1;
-                }
-            }
-        }
-        out.sort_unstable();
-        stats
     }
 
     /// Convenience: vertices carrying `w` within the connected k-core of `q`.
@@ -327,21 +274,7 @@ impl ClTree {
         k: u32,
         w: KeywordId,
     ) -> Option<Vec<VertexId>> {
-        self.subtree_root_for(q, k).map(|r| self.keyword_vertices_in_subtree(r, w))
-    }
-
-    /// Occurrence counts of every keyword within the subtree of `id`.
-    pub fn keyword_counts_in_subtree(&self, id: NodeId) -> HashMap<KeywordId, usize> {
-        let mut counts = HashMap::new();
-        let mut stack = vec![id];
-        while let Some(nid) = stack.pop() {
-            let node = &self.nodes[nid.index()];
-            for (&w, vs) in node.inverted.iter() {
-                *counts.entry(w).or_insert(0) += vs.len();
-            }
-            stack.extend_from_slice(&node.children);
-        }
-        counts
+        self.subtree_root_for(q, k).map(|r| self.carrier_vertices(r, w))
     }
 
     /// Height of the tree (root counts as 1; 1 for a single-node tree).
@@ -364,19 +297,15 @@ impl ClTree {
     /// Approximate heap footprint of the index in bytes — used by the
     /// linear-space experiment (E6).
     pub fn memory_bytes(&self) -> usize {
-        let mut total = self.nodes.capacity() * std::mem::size_of::<ClTreeNode>()
-            + self.node_of.len() * std::mem::size_of::<NodeId>()
-            + self.core.len() * std::mem::size_of::<u32>();
-        for n in &self.nodes {
-            total += n.vertices.len() * std::mem::size_of::<VertexId>()
-                + n.children.len() * std::mem::size_of::<NodeId>();
-            for vs in n.inverted.values() {
-                total += vs.len() * std::mem::size_of::<VertexId>()
-                    + std::mem::size_of::<KeywordId>()
-                    + std::mem::size_of::<usize>();
-            }
-        }
-        total
+        use std::mem::size_of;
+        self.nodes.capacity() * size_of::<ClTreeNode>()
+            + self.nodes.iter().map(|n| n.children.len()).sum::<usize>() * size_of::<NodeId>()
+            + self.node_of.len() * size_of::<NodeId>()
+            + self.core.len() * size_of::<u32>()
+            + self.order.len() * size_of::<VertexId>()
+            + self.rank_of.len() * size_of::<u32>()
+            + self.kw_off.len() * size_of::<usize>()
+            + self.kw_ranks.len() * size_of::<u32>()
     }
 
     /// Iterates all nodes with their ids.
@@ -385,41 +314,134 @@ impl ClTree {
     }
 }
 
-/// How many visited nodes a pruned keyword walk processes between
-/// cooperative-cancellation checks (power of two; the check is a
-/// thread-local read, this just keeps it off the per-node fast path).
-pub const CANCEL_CHECK_INTERVAL: u32 = 64;
+/// Level-0 root assembly, then [`layout`] — the common tail of
+/// [`ClTree::build_with_cores`] and [`ClTree::update`]. Core-0 vertices
+/// are exactly the isolated ones; a single root holds them, with every
+/// component's top anchor as a child (matching Figure 5(b), where the
+/// root contains J). `node_of` must already place every vertex of core
+/// ≥ 1.
+pub(crate) fn finish(
+    g: &AttributedGraph,
+    mut nodes: Vec<ClTreeNode>,
+    mut tops: Vec<NodeId>,
+    mut node_of: Vec<NodeId>,
+    core: Vec<u32>,
+) -> ClTree {
+    tops.sort_unstable();
+    let has_isolated = core.contains(&0);
+    let root = if !has_isolated && tops.len() == 1 {
+        tops[0]
+    } else {
+        let nid = NodeId(nodes.len() as u32);
+        for &kid in &tops {
+            nodes[kid.index()].parent = Some(nid);
+        }
+        nodes.push(ClTreeNode::new(0, None, tops));
+        for (slot, _) in node_of.iter_mut().zip(&core).filter(|(_, &c)| c == 0) {
+            *slot = nid;
+        }
+        nid
+    };
+    layout(g, nodes, root, node_of, core)
+}
 
-/// Traversal statistics of one signature-pruned keyword walk, fed into
-/// the `cx_acq_subtrees_pruned_total` / `cx_acq_signature_hits_total`
-/// metric families by the ACQ verifier.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct KeywordWalkStats {
-    /// Nodes actually visited (vertices collected from).
-    pub nodes_visited: u32,
-    /// Subtrees skipped because their signature excluded the keyword.
-    pub subtrees_pruned: u32,
-    /// Signature tests that passed (the subtree was descended into).
-    pub signature_hits: u32,
-    /// The cooperative cancel token fired mid-walk; `out` is partial and
-    /// unsorted and must be discarded.
-    pub cancelled: bool,
+/// The one place the vertex side of a tree is laid out: given the
+/// finished nodes and each vertex's node, computes the preorder `order`
+/// and its inverse, every node's resident and subtree rank intervals, and
+/// the keyword postings over ranks. Called by build and update (through
+/// [`finish`]) and by snapshot load.
+///
+/// The caller guarantees a tree: every node but `root` is the child of
+/// exactly one node, and `node_of` names a node for every vertex.
+pub(crate) fn layout(
+    g: &AttributedGraph,
+    mut nodes: Vec<ClTreeNode>,
+    root: NodeId,
+    node_of: Vec<NodeId>,
+    core: Vec<u32>,
+) -> ClTree {
+    let n = node_of.len();
+    // Resident counts, then (below) each node's fill cursor.
+    let mut cursor = vec![0u32; nodes.len()];
+    for nid in &node_of {
+        cursor[nid.index()] += 1;
+    }
+    // Preorder walk with an explicit stack of (node, next child): a node
+    // claims its residents' ranks on entry and closes its subtree's
+    // interval on exit.
+    let mut next = 0u32;
+    let mut stack: Vec<(NodeId, usize)> = vec![(root, 0)];
+    while let Some(&mut (nid, ref mut child)) = stack.last_mut() {
+        let node = &mut nodes[nid.index()];
+        if *child == 0 {
+            node.first = next;
+            next += cursor[nid.index()];
+            node.residents_end = next;
+        }
+        if let Some(&c) = node.children.get(*child) {
+            *child += 1;
+            stack.push((c, 0));
+        } else {
+            node.subtree_end = next;
+            stack.pop();
+        }
+    }
+    assert_eq!(next as usize, n, "every vertex sits in a node under the root");
+
+    // Ascending vertex id, so each node's residents come out sorted.
+    for (c, node) in cursor.iter_mut().zip(&nodes) {
+        *c = node.first;
+    }
+    let mut order = vec![VertexId(0); n];
+    let mut rank_of = vec![0u32; n];
+    for (v, nid) in node_of.iter().enumerate() {
+        let rank = &mut cursor[nid.index()];
+        order[*rank as usize] = VertexId(v as u32);
+        rank_of[v] = *rank;
+        *rank += 1;
+    }
+
+    // Postings by counting sort: ranks are visited in ascending order, so
+    // every keyword's list is born sorted.
+    let mut kw_off = vec![0usize; g.keyword_count() + 1];
+    for v in g.vertices() {
+        for w in g.keywords(v) {
+            kw_off[w.0 as usize + 1] += 1;
+        }
+    }
+    for w in 1..kw_off.len() {
+        kw_off[w] += kw_off[w - 1];
+    }
+    let mut fill = kw_off.clone();
+    let mut kw_ranks = vec![0u32; kw_off[kw_off.len() - 1]];
+    for (rank, &v) in order.iter().enumerate() {
+        for w in g.keywords(v) {
+            let at = &mut fill[w.0 as usize];
+            kw_ranks[*at] = rank as u32;
+            *at += 1;
+        }
+    }
+
+    let max_core = core.iter().copied().max().unwrap_or(0);
+    ClTree { nodes, root, node_of, core, max_core, order, rank_of, kw_off, kw_ranks }
 }
 
 /// One component's bottom-up subtree: a local node arena (ids local to the
-/// arena) plus the top anchor — `None` for isolated (core-0) vertices,
-/// which the level-0 root assembly picks up directly.
+/// arena), each component vertex's node in that arena, and the top anchor
+/// — `None` for isolated (core-0) vertices, which the level-0 root
+/// assembly picks up directly.
 struct ComponentSubtree {
     nodes: Vec<ClTreeNode>,
+    /// Parallel to the component's vertex list.
+    node_of: Vec<NodeId>,
     top: Option<NodeId>,
 }
 
-/// The anchored union-find sweep of the sequential builder, restricted to
-/// one connected component. `local` maps global vertex ids to
-/// component-local union-find slots. Node numbering inside the arena is
-/// deterministic (levels descend; roots sorted by local representative),
-/// so the caller's component-ordered concatenation is thread-count
-/// independent.
+/// The anchored union-find sweep restricted to one connected component.
+/// `local` maps global vertex ids to component-local union-find slots.
+/// Node numbering inside the arena is deterministic (levels descend;
+/// roots sorted by local representative), so the caller's
+/// component-ordered concatenation is thread-count independent.
 fn build_component_subtree(
     g: &AttributedGraph,
     comp: &[VertexId],
@@ -429,83 +451,92 @@ fn build_component_subtree(
     let comp_max = comp.iter().map(|&v| core[v.index()]).max().unwrap_or(0);
     if comp_max == 0 {
         // A lone isolated vertex: no arena, handled by the root assembly.
-        return ComponentSubtree { nodes: Vec::new(), top: None };
+        return ComponentSubtree { nodes: Vec::new(), node_of: Vec::new(), top: None };
     }
     // Component vertices grouped by core number.
     let mut levels: Vec<Vec<VertexId>> = vec![Vec::new(); comp_max as usize + 1];
     for &v in comp {
         levels[core[v.index()] as usize].push(v);
     }
-
     let mut nodes: Vec<ClTreeNode> = Vec::new();
-    let mut uf = UnionFind::new(comp.len());
-    // Current component anchors: local union-find representative → node id.
-    let mut anchors: HashMap<u32, NodeId> = HashMap::new();
+    let mut node_of = vec![NodeId(u32::MAX); comp.len()];
+    let anchors = sweep_levels(
+        g,
+        core,
+        &levels,
+        |v| local[v.index()],
+        &mut UnionFind::new(comp.len()),
+        HashMap::new(),
+        &mut nodes,
+        |v, nid| node_of[local[v.index()] as usize] = nid,
+    );
+    // A connected component with any edge is fully joined at level 1.
+    debug_assert_eq!(anchors.len(), 1, "component not fully anchored");
+    let top = anchors.into_values().next();
+    ComponentSubtree { nodes, node_of, top }
+}
 
-    for k in (1..=comp_max).rev() {
-        // Snapshot anchors before this level's unions change representatives.
-        let snapshot: Vec<(u32, NodeId)> =
-            anchors.iter().map(|(&rep, &nid)| (rep, nid)).collect();
-
-        // Union every edge from a level-k vertex to a vertex of core ≥ k.
-        for &v in &levels[k as usize] {
+/// The bottom-up construction over `levels[1..]`, highest level first:
+/// union every edge from a level-k vertex into the k-core, regroup the
+/// anchors (union-find representative → node currently representing that
+/// component) under their new representatives, and give every group that
+/// gained level-k vertices or merged several anchors a new node in
+/// `nodes`. `slot` maps a vertex to its union-find element; `place`
+/// receives every swept vertex with its node. Returns the level-1 anchors.
+///
+/// [`ClTree::update`] enters with `anchors` (and `uf`) describing the
+/// subtrees it carries over, so this is the only copy of the sweep.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn sweep_levels(
+    g: &AttributedGraph,
+    core: &[u32],
+    levels: &[Vec<VertexId>],
+    slot: impl Fn(VertexId) -> u32,
+    uf: &mut UnionFind,
+    mut anchors: HashMap<u32, NodeId>,
+    nodes: &mut Vec<ClTreeNode>,
+    mut place: impl FnMut(VertexId, NodeId),
+) -> HashMap<u32, NodeId> {
+    for k in (1..levels.len()).rev() {
+        let residents = &levels[k];
+        for &v in residents {
             for &u in g.neighbors(v) {
-                if core[u.index()] >= k {
-                    uf.union(local[v.index()], local[u.index()]);
+                if core[u.index()] >= k as u32 {
+                    uf.union(slot(v), slot(u));
                 }
             }
         }
-
-        // Regroup old anchors and the new level-k vertices by new root.
-        let mut child_anchors: HashMap<u32, Vec<NodeId>> = HashMap::new();
-        for (rep, nid) in snapshot {
-            child_anchors.entry(uf.find(rep)).or_default().push(nid);
+        // New representative → (child anchors, gained level-k vertices).
+        let mut groups: HashMap<u32, (Vec<NodeId>, bool)> = HashMap::new();
+        for (rep, nid) in anchors.drain() {
+            groups.entry(uf.find(rep)).or_default().0.push(nid);
         }
-        let mut new_vertices: HashMap<u32, Vec<VertexId>> = HashMap::new();
-        for &v in &levels[k as usize] {
-            new_vertices.entry(uf.find(local[v.index()])).or_default().push(v);
-        }
-
-        let mut next_anchors: HashMap<u32, NodeId> = HashMap::new();
-        let mut roots: Vec<u32> = child_anchors.keys().copied().collect();
-        for &r in new_vertices.keys() {
-            if !child_anchors.contains_key(&r) {
-                roots.push(r);
-            }
+        for &v in residents {
+            groups.entry(uf.find(slot(v))).or_default().1 = true;
         }
         // Deterministic node numbering regardless of hash order.
+        let mut roots: Vec<u32> = groups.keys().copied().collect();
         roots.sort_unstable();
         for root in roots {
-            let mut verts = new_vertices.remove(&root).unwrap_or_default();
-            let mut kids = child_anchors.remove(&root).unwrap_or_default();
-            if verts.is_empty() && kids.len() == 1 {
+            let (mut kids, has_residents) = groups.remove(&root).expect("root came from groups");
+            if !has_residents && kids.len() == 1 {
                 // Component unchanged at this level: no node, carry forward.
-                next_anchors.insert(root, kids[0]);
+                anchors.insert(root, kids[0]);
                 continue;
             }
-            verts.sort_unstable();
             kids.sort_unstable();
             let nid = NodeId(nodes.len() as u32);
             for &kid in &kids {
                 nodes[kid.index()].parent = Some(nid);
             }
-            nodes.push(ClTreeNode {
-                level: k,
-                parent: None,
-                children: kids,
-                vertices: verts,
-                inverted: Default::default(),
-                signature: KeywordSignature::EMPTY,
-            });
-            next_anchors.insert(root, nid);
+            nodes.push(ClTreeNode::new(k as u32, None, kids));
+            anchors.insert(root, nid);
         }
-        anchors = next_anchors;
+        for &v in residents {
+            place(v, anchors[&uf.find(slot(v))]);
+        }
     }
-
-    // A connected component with any edge is fully joined at level 1.
-    debug_assert_eq!(anchors.len(), 1, "component not fully anchored");
-    let top = anchors.into_values().next();
-    ComponentSubtree { nodes, top }
+    anchors
 }
 
 #[cfg(test)]
@@ -526,27 +557,27 @@ mod tests {
         // Root is the level-0 node holding exactly J.
         let root = t.node(t.root());
         assert_eq!(root.level, 0);
-        assert_eq!(names(&root.vertices), vec!["J"]);
+        assert_eq!(names(t.residents(t.root())), vec!["J"]);
         // Root has two children: the ABCDEFG component (level 1, holding F,G)
         // and the H–I pair (level 1).
         assert_eq!(root.children.len(), 2);
-        let kids: Vec<&ClTreeNode> = root.children.iter().map(|&c| t.node(c)).collect();
-        assert!(kids.iter().all(|n| n.level == 1));
-        let mut kid_vertices: Vec<Vec<&str>> = kids.iter().map(|n| names(&n.vertices)).collect();
+        assert!(root.children.iter().all(|&c| t.node(c).level == 1));
+        let mut kid_vertices: Vec<Vec<&str>> =
+            root.children.iter().map(|&c| names(t.residents(c))).collect();
         kid_vertices.sort();
         assert_eq!(kid_vertices, vec![vec!["F", "G"], vec!["H", "I"]]);
 
         // Under {F,G}: level-2 node {E}; under it, level-3 node {A,B,C,D}.
-        let fg = kids.iter().find(|n| names(&n.vertices).contains(&"F")).unwrap();
+        let fg = t.node(t.node_of(label("F")));
         assert_eq!(fg.children.len(), 1);
-        let e_node = t.node(fg.children[0]);
-        assert_eq!(e_node.level, 2);
-        assert_eq!(names(&e_node.vertices), vec!["E"]);
-        assert_eq!(e_node.children.len(), 1);
-        let abcd = t.node(e_node.children[0]);
-        assert_eq!(abcd.level, 3);
-        assert_eq!(names(&abcd.vertices), vec!["A", "B", "C", "D"]);
-        assert!(abcd.children.is_empty());
+        let e_id = fg.children[0];
+        assert_eq!(t.node(e_id).level, 2);
+        assert_eq!(names(t.residents(e_id)), vec!["E"]);
+        assert_eq!(t.node(e_id).children.len(), 1);
+        let abcd_id = t.node(e_id).children[0];
+        assert_eq!(t.node(abcd_id).level, 3);
+        assert_eq!(names(t.residents(abcd_id)), vec!["A", "B", "C", "D"]);
+        assert!(t.node(abcd_id).children.is_empty());
 
         // Five nodes total, height 4, exactly as in Figure 5(b).
         assert_eq!(t.node_count(), 5);
@@ -584,7 +615,7 @@ mod tests {
     }
 
     #[test]
-    fn figure5_inverted_lists() {
+    fn figure5_carriers() {
         let g = figure5_graph();
         let t = ClTree::build(&g);
         let a = g.vertex_by_label("A").unwrap();
@@ -597,11 +628,10 @@ mod tests {
         assert_eq!(xs.len(), 4);
         let ws = t.keyword_vertices_in_k_core(a, 2, w).unwrap();
         assert_eq!(ws, vec![a]);
-        // Keyword counts over the 3-core subtree.
+        // Carrier counts over the 3-core subtree.
         let root3 = t.subtree_root_for(a, 3).unwrap();
-        let counts = t.keyword_counts_in_subtree(root3);
-        assert_eq!(counts.get(&x), Some(&4));
-        assert_eq!(counts.get(&y), Some(&3)); // A, C, D
+        assert_eq!(t.carriers(root3, x).len(), 4);
+        assert_eq!(t.carriers(root3, y).len(), 3); // A, C, D
     }
 
     #[test]
@@ -616,7 +646,7 @@ mod tests {
         let t = ClTree::build(&b.build());
         let root = t.node(t.root());
         assert_eq!(root.level, 0);
-        assert!(root.vertices.is_empty());
+        assert!(t.residents(t.root()).is_empty());
         assert_eq!(root.children.len(), 2);
         assert_eq!(t.node_count(), 3);
     }
@@ -645,7 +675,8 @@ mod tests {
         assert_eq!(t.node_count(), 1);
         assert_eq!(t.max_core(), 0);
         assert_eq!(t.height(), 1);
-        assert!(t.node(t.root()).vertices.is_empty());
+        assert!(t.residents(t.root()).is_empty());
+        assert!(t.order().is_empty() && t.postings().is_empty());
     }
 
     #[test]
@@ -680,8 +711,8 @@ mod tests {
         let g = figure5_graph();
         let t = ClTree::build(&g);
         let mut seen = vec![0usize; g.vertex_count()];
-        for (_, n) in t.iter_nodes() {
-            for &v in &n.vertices {
+        for (id, _) in t.iter_nodes() {
+            for &v in t.residents(id) {
                 seen[v.index()] += 1;
             }
         }
@@ -689,7 +720,7 @@ mod tests {
         // node_of agrees with the node listing.
         for v in g.vertices() {
             let nid = t.node_of(v);
-            assert!(t.node(nid).vertices.contains(&v));
+            assert!(t.residents(nid).contains(&v));
             assert_eq!(t.node(nid).level, t.core(v));
         }
     }
@@ -702,31 +733,11 @@ mod tests {
     }
 
     #[test]
-    fn signatures_cover_exactly_the_subtree_keywords() {
-        let g = figure5_graph();
-        let t = ClTree::build(&g);
-        for (id, node) in t.iter_nodes() {
-            let counts = t.keyword_counts_in_subtree(id);
-            // Soundness: every keyword present in the subtree tests positive.
-            for &w in counts.keys() {
-                assert!(
-                    node.signature.contains_all(&KeywordSignature::mask_of(w)),
-                    "keyword {w:?} missing from signature of node {id:?}"
-                );
-            }
-            // A leaf with no keywords has an empty signature.
-            if counts.is_empty() {
-                assert!(node.signature.is_empty());
-            }
-        }
-    }
-
-    #[test]
-    fn pruned_walk_matches_plain_walk_and_prunes() {
+    fn carriers_are_cut_from_the_postings_by_subtree() {
         // Two K4s joined through a degree-2 middle vertex: the 3-core has
         // two components (the K4s), children of the level-2 {m} node.
-        // Keyword "a" lives only in the left K4, so its walk must prune
-        // the right subtree and still return the identical carrier list.
+        // Keyword "a" lives only in the left K4, so the right subtree's
+        // slice of its postings is empty and the left's is all of it.
         let mut b = GraphBuilder::new();
         for i in 0..4 {
             b.add_vertex(&format!("l{i}"), &["a", "common"]);
@@ -747,26 +758,18 @@ mod tests {
         let g = b.build();
         let t = ClTree::build(&g);
         assert_eq!(t.core(VertexId(8)), 2);
-        assert_eq!(t.node(t.subtree_root_for(VertexId(0), 1).unwrap()).children.len(), 2);
-        let root1 = t.subtree_root_for(VertexId(0), 1).unwrap();
-        let (mut stack, mut plain, mut pruned) = (Vec::new(), Vec::new(), Vec::new());
-        let mut total_pruned = 0;
-        for name in ["a", "b", "common", "absent-everywhere"] {
-            let Some(w) = g.interner().get(name) else {
-                continue;
-            };
-            t.keyword_vertices_in_subtree_into(root1, w, &mut stack, &mut plain);
-            let stats = t.keyword_vertices_in_subtree_pruned_into(
-                root1,
-                w,
-                &KeywordSignature::mask_of(w),
-                &mut stack,
-                &mut pruned,
-            );
-            assert_eq!(plain, pruned, "pruned walk diverged for {name}");
-            assert!(!stats.cancelled);
-            total_pruned += stats.subtrees_pruned;
-        }
-        assert!(total_pruned >= 2, "expected the opposite triangle to be pruned");
+        let top = t.subtree_root_for(VertexId(0), 1).unwrap();
+        assert_eq!(t.node(top).children.len(), 2);
+        let (left, right) = (t.node_of(VertexId(0)), t.node_of(VertexId(4)));
+        let kw = |name: &str| g.interner().get(name).unwrap();
+        let left_k4: Vec<VertexId> = (0..4).map(VertexId).collect();
+        assert_eq!(t.carrier_vertices(top, kw("a")), left_k4);
+        assert_eq!(t.carrier_vertices(left, kw("a")), left_k4);
+        assert!(t.carriers(right, kw("a")).is_empty());
+        assert!(t.carriers(left, kw("b")).is_empty());
+        assert_eq!(t.carriers(top, kw("common")).len(), 9);
+        assert_eq!(t.carriers(left, kw("common")).len(), 4);
+        // A keyword id the graph never interned has no postings at all.
+        assert!(t.carriers(top, KeywordId(g.keyword_count() as u32)).is_empty());
     }
 }

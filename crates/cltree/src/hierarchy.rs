@@ -99,41 +99,17 @@ pub struct Hierarchy {
 
 impl Hierarchy {
     /// Builds the hierarchy for `g` and its CL-tree: one O(m) edge
-    ///-ownership scan plus one post-order aggregation sweep.
+    ///-ownership scan, one post-order aggregation sweep, and each
+    /// subtree's top keywords counted straight from the tree's columns.
     pub fn build(g: &AttributedGraph, tree: &ClTree) -> Self {
-        Self::build_reusing(g, tree, None)
-    }
-
-    /// Rebuilds aggregates after an incremental [`ClTree::update`],
-    /// reusing the expensive per-subtree keyword merge for every subtree
-    /// the update carried over unchanged (detected through the `Arc`
-    /// identity of the nodes' inverted lists — shared exactly when a
-    /// node's `(level, vertices)` survived). Degree and edge columns are
-    /// always recomputed: an edge edit changes degrees even where core
-    /// numbers, and hence the tree, did not move.
-    pub fn update(
-        g: &AttributedGraph,
-        tree: &ClTree,
-        prev_tree: &ClTree,
-        prev: &Hierarchy,
-    ) -> Self {
-        Self::build_reusing(g, tree, Some((prev_tree, prev)))
-    }
-
-    fn build_reusing(
-        g: &AttributedGraph,
-        tree: &ClTree,
-        prev: Option<(&ClTree, &Hierarchy)>,
-    ) -> Self {
         let _span = cx_obs::span("cltree.hierarchy.build");
-        let nn = tree.node_count();
         let mut stats: Vec<SupernodeStats> = tree
             .iter_nodes()
-            .map(|(_, n)| SupernodeStats {
+            .map(|(id, n)| SupernodeStats {
                 level: n.level,
                 parent: n.parent,
-                residents: n.vertices.len() as u32,
-                subtree_vertices: 0,
+                residents: tree.residents(id).len() as u32,
+                subtree_vertices: tree.subtree_ranks(id).len() as u32,
                 owned_edges: 0,
                 subtree_edges: 0,
                 sum_degree: 0,
@@ -156,65 +132,81 @@ impl Hierarchy {
             }
         }
 
-        // Which old subtree, if any, is carried over verbatim — keyed by
-        // the Arc pointer of the node's inverted list.
-        let reuse = prev.map(|(pt, ph)| PreservedSubtrees::scan(tree, pt, ph));
-
-        // Post-order sweep: children before parents. An explicit stack
-        // keeps us safe on adversarially deep trees.
-        let order = post_order(tree);
-        let mut kw: Vec<HashMap<KeywordId, u32>> = vec![HashMap::new(); nn];
-        for &nid in &order {
-            let node = tree.node(nid);
+        // One walk, children before parents (an explicit stack keeps us
+        // safe on adversarially deep trees), aggregating the degree and
+        // edge columns from the children's and counting keywords in a
+        // dense per-vocabulary tally. A node's *largest* child is walked
+        // last and leaves its counts in the tally; the node then adds only
+        // what lies outside that child — its residents and its other
+        // children's subtrees, two contiguous runs of `order` — so a
+        // vertex is re-counted once per smaller-sibling step on its path
+        // to the root (at most log n times) instead of once per ancestor.
+        let order = tree.order();
+        let mut tally = KeywordTally { counts: vec![0; tree.keyword_count()], present: Vec::new() };
+        enum Step {
+            Enter(NodeId, bool),
+            Exit(NodeId, bool, Option<NodeId>),
+        }
+        let mut stack = vec![Step::Enter(tree.root(), false)];
+        while let Some(step) = stack.pop() {
+            let (nid, keep, largest) = match step {
+                Step::Enter(nid, keep) => {
+                    let kids = &tree.node(nid).children;
+                    let largest =
+                        kids.iter().copied().max_by_key(|&c| tree.subtree_ranks(c).len());
+                    stack.push(Step::Exit(nid, keep, largest));
+                    stack.extend(largest.map(|c| Step::Enter(c, true)));
+                    stack.extend(
+                        kids.iter().filter(|&&c| Some(c) != largest).map(|&c| Step::Enter(c, false)),
+                    );
+                    continue;
+                }
+                Step::Exit(nid, keep, largest) => (nid, keep, largest),
+            };
             let i = nid.index();
-
-            let mut sub_v = node.vertices.len() as u64;
             let mut sub_e = stats[i].owned_edges;
             let mut sum_d = 0u64;
             let mut max_d = 0u32;
-            for &v in &node.vertices {
+            for &v in tree.residents(nid) {
                 let d = g.degree(v) as u64;
                 sum_d += d;
                 max_d = max_d.max(d as u32);
             }
-            for &c in &node.children {
+            for &c in &tree.node(nid).children {
                 let cs = &stats[c.index()];
-                sub_v += cs.subtree_vertices as u64;
                 sub_e += cs.subtree_edges;
                 sum_d += cs.sum_degree;
                 max_d = max_d.max(cs.max_degree);
             }
-            stats[i].subtree_vertices = sub_v as u32;
             stats[i].subtree_edges = sub_e;
             stats[i].sum_degree = sum_d;
             stats[i].max_degree = max_d;
 
-            if let Some(preserved) = reuse.as_ref().and_then(|r| r.old_of(nid)) {
-                // Whole subtree carried over: take the old top keywords
-                // and skip the merge below it entirely (children maps are
-                // empty because they were skipped the same way).
-                stats[i].top_keywords = preserved.clone();
-                continue;
+            let span = tree.subtree_ranks(nid);
+            let counted = largest.map_or(span.start..span.start, |c| tree.subtree_ranks(c));
+            tally.add(g, &order[span.start..counted.start]);
+            tally.add(g, &order[counted.end..span.end]);
+            stats[i].top_keywords = tally.top();
+            if !keep {
+                tally.clear();
             }
-            // Merge children's subtree keyword counts into this node's,
-            // largest map first to bound rehashing.
-            let mut acc = std::mem::take(&mut kw[i]);
-            for (&w, vs) in node.inverted.iter() {
-                *acc.entry(w).or_insert(0) += vs.len() as u32;
-            }
-            for &c in &node.children {
-                let child = std::mem::take(&mut kw[c.index()]);
-                let (mut big, small) = if child.len() > acc.len() { (child, acc) } else { (acc, child) };
-                for (w, n) in small {
-                    *big.entry(w).or_insert(0) += n;
-                }
-                acc = big;
-            }
-            stats[i].top_keywords = top_k(&acc);
-            kw[i] = acc;
         }
 
         Self { stats, max_level: tree.max_core() }
+    }
+
+    /// The hierarchy of the post-edit `(g, tree)`. Every column is
+    /// recomputed — an edge edit changes degrees even where core numbers,
+    /// and hence the tree, did not move, and a subtree's keyword counts
+    /// are read off the new tree's postings in less time than it took to
+    /// recognise which old subtrees survived.
+    pub fn update(
+        g: &AttributedGraph,
+        tree: &ClTree,
+        _prev_tree: &ClTree,
+        _prev: &Hierarchy,
+    ) -> Self {
+        Self::build(g, tree)
     }
 
     /// The deepest level at which any supernode exists.
@@ -273,17 +265,13 @@ impl Hierarchy {
         let node = tree.node(id);
         let level = node.level;
 
-        let truncated = node.vertices.len() > max_residents;
-        let mut residents: Vec<VertexId> = if truncated {
-            let mut by_degree: Vec<VertexId> = node.vertices.clone();
-            by_degree.sort_unstable_by_key(|&v| (usize::MAX - g.degree(v), v.0));
-            by_degree.truncate(max_residents);
-            by_degree.sort_unstable();
-            by_degree
-        } else {
-            node.vertices.clone()
-        };
-        residents.dedup();
+        let mut residents: Vec<VertexId> = tree.residents(id).to_vec();
+        let truncated = residents.len() > max_residents;
+        if truncated {
+            residents.sort_unstable_by_key(|&v| (usize::MAX - g.degree(v), v.0));
+            residents.truncate(max_residents);
+            residents.sort_unstable();
+        }
 
         let listed: std::collections::HashSet<VertexId> = residents.iter().copied().collect();
         let mut internal_edges = Vec::new();
@@ -360,10 +348,9 @@ impl Hierarchy {
         tree: &ClTree,
         id: NodeId,
     ) -> Vec<(VertexId, VertexId)> {
-        let node = tree.node(id);
-        let level = node.level;
+        let level = tree.node(id).level;
         let mut out = Vec::new();
-        for &u in &node.vertices {
+        for &u in tree.residents(id) {
             for &v in g.neighbors(u) {
                 let cv = tree.core(v);
                 if cv > level || (cv == level && u < v) {
@@ -401,75 +388,43 @@ fn child_containing(tree: &ClTree, p: NodeId, v: VertexId) -> NodeId {
     }
 }
 
-/// Children-before-parents ordering of all tree nodes, iteratively.
-fn post_order(tree: &ClTree) -> Vec<NodeId> {
-    let mut order = Vec::with_capacity(tree.node_count());
-    let mut stack = vec![tree.root()];
-    // Reverse-DFS trick: pre-order with children pushed left-to-right,
-    // then reversed, yields a valid post-order.
-    while let Some(nid) = stack.pop() {
-        order.push(nid);
-        stack.extend_from_slice(&tree.node(nid).children);
-    }
-    order.reverse();
-    order
+/// Keyword occurrence counts of the vertices added so far: a dense
+/// per-vocabulary counter plus the list of keywords it holds, so reading
+/// and clearing cost what was counted, not the vocabulary.
+struct KeywordTally {
+    counts: Vec<u32>,
+    present: Vec<KeywordId>,
 }
 
-/// The top-[`TOP_KEYWORDS`] entries by `(count desc, keyword id asc)`.
-fn top_k(counts: &HashMap<KeywordId, u32>) -> Vec<(KeywordId, u32)> {
-    let mut all: Vec<(KeywordId, u32)> = counts.iter().map(|(&w, &c)| (w, c)).collect();
-    all.sort_unstable_by_key(|&(w, c)| (u32::MAX - c, w));
-    all.truncate(TOP_KEYWORDS);
-    all
-}
-
-/// For [`Hierarchy::update`]: which new nodes root a subtree carried over
-/// verbatim from the previous tree, mapped to the old top-keyword lists.
-struct PreservedSubtrees {
-    /// New node id → old node's `top_keywords`, for fully preserved subtrees.
-    preserved: HashMap<NodeId, Vec<(KeywordId, u32)>>,
-}
-
-impl PreservedSubtrees {
-    fn scan(tree: &ClTree, prev_tree: &ClTree, prev: &Hierarchy) -> Self {
-        // Old inverted-list Arc pointer → old node id. Sharing happens
-        // exactly when ClTree::update carried the node.
-        let mut old_by_ptr: HashMap<*const (), NodeId> = HashMap::new();
-        for (oid, onode) in prev_tree.iter_nodes() {
-            old_by_ptr.insert(std::sync::Arc::as_ptr(&onode.inverted) as *const (), oid);
-        }
-        // Bottom-up: a subtree is preserved when its root shares its
-        // inverted Arc with old node `o` AND its children's subtrees are
-        // preserved AND they map exactly onto o's children.
-        let mut map_of: HashMap<NodeId, NodeId> = HashMap::new(); // new → old
-        let mut preserved = HashMap::new();
-        for nid in post_order(tree) {
-            let node = tree.node(nid);
-            let Some(&old) =
-                old_by_ptr.get(&(std::sync::Arc::as_ptr(&node.inverted) as *const ()))
-            else {
-                continue;
-            };
-            let mut kids_old: Vec<NodeId> = Vec::with_capacity(node.children.len());
-            if !node.children.iter().all(|c| {
-                map_of.get(c).map(|&o| kids_old.push(o)).is_some()
-            }) {
-                continue;
+impl KeywordTally {
+    fn add(&mut self, g: &AttributedGraph, vertices: &[VertexId]) {
+        for &v in vertices {
+            for &w in g.keywords(v) {
+                if self.counts[w.index()] == 0 {
+                    self.present.push(w);
+                }
+                self.counts[w.index()] += 1;
             }
-            kids_old.sort_unstable();
-            let mut expect: Vec<NodeId> = prev_tree.node(old).children.clone();
-            expect.sort_unstable();
-            if kids_old != expect {
-                continue;
-            }
-            map_of.insert(nid, old);
-            preserved.insert(nid, prev.stats(old).top_keywords.clone());
         }
-        Self { preserved }
     }
 
-    fn old_of(&self, nid: NodeId) -> Option<&Vec<(KeywordId, u32)>> {
-        self.preserved.get(&nid)
+    /// The top-[`TOP_KEYWORDS`] entries by `(count desc, keyword id asc)`.
+    fn top(&self) -> Vec<(KeywordId, u32)> {
+        let mut all: Vec<(KeywordId, u32)> =
+            self.present.iter().map(|&w| (w, self.counts[w.index()])).collect();
+        let key = |&(w, c): &(KeywordId, u32)| (u32::MAX - c, w);
+        if all.len() > TOP_KEYWORDS {
+            all.select_nth_unstable_by_key(TOP_KEYWORDS, key);
+            all.truncate(TOP_KEYWORDS);
+        }
+        all.sort_unstable_by_key(key);
+        all
+    }
+
+    fn clear(&mut self) {
+        for w in self.present.drain(..) {
+            self.counts[w.index()] = 0;
+        }
     }
 }
 
@@ -621,40 +576,60 @@ mod tests {
     }
 
     #[test]
-    fn update_reuses_preserved_subtree_keywords() {
+    fn update_on_an_updated_tree_matches_a_fresh_world() {
+        // Supernode aggregates, node ids aside (an updated tree numbers
+        // its nodes differently from a fresh build).
+        fn columns(t: &ClTree, h: &Hierarchy) -> Vec<String> {
+            let mut out: Vec<String> = t
+                .iter_nodes()
+                .map(|(id, _)| {
+                    let s = SupernodeStats { parent: None, ..h.stats(id).clone() };
+                    format!("{:?} {s:?}", t.residents(id))
+                })
+                .collect();
+            out.sort();
+            out
+        }
         let g = figure5_graph();
         let t = ClTree::build(&g);
         let h = Hierarchy::build(&g, &t);
-        // Rebuild the tree via update with an empty delta → everything
-        // preserved; the hierarchy must come out identical.
-        let delta = cx_graph::EdgeDelta::default();
-        let g2 = g.apply_delta(&delta);
-        let cores = t.core_numbers().to_vec();
-        let t2 = t.update(&g2, &delta, &cores);
-        let h2 = Hierarchy::update(&g2, &t2, &t, &h);
-        assert_eq!(h2.node_count(), h.node_count());
-        for (id, _) in t2.iter_nodes() {
-            assert_eq!(h2.stats(id).subtree_vertices, h.stats(id).subtree_vertices);
-            assert_eq!(h2.stats(id).top_keywords, h.stats(id).top_keywords);
+        let label = |l: &str| g.vertex_by_label(l).unwrap();
+        // Dropping H–I sends both to the root and carries {A,B,C,D} and
+        // {E} over; joining H to E instead reshapes level 1.
+        for (add, remove) in [
+            (vec![], vec![(label("H"), label("I"))]),
+            (vec![(label("E"), label("H"))], vec![]),
+            (vec![], vec![]),
+        ] {
+            let delta = g.edge_delta(&add, &remove).unwrap();
+            let g2 = g.apply_delta(&delta);
+            let cores = cx_kcore::CoreDecomposition::compute(&g2).core_numbers().to_vec();
+            let t2 = t.update(&g2, &delta, &cores);
+            let h2 = Hierarchy::update(&g2, &t2, &t, &h);
+            let fresh = ClTree::build(&g2);
+            assert_eq!(columns(&t2, &h2), columns(&fresh, &Hierarchy::build(&g2, &fresh)));
+            let root = h2.stats(t2.root());
+            assert_eq!(root.subtree_vertices as usize, g2.vertex_count());
+            assert_eq!(root.subtree_edges as usize, g2.edge_count());
         }
     }
 
     #[test]
-    fn update_after_real_edit_matches_fresh_build() {
-        let g = figure5_graph();
+    fn top_keywords_match_a_per_subtree_count() {
+        let (g, _) = cx_datagen::dblp_like(&cx_datagen::DblpParams::scaled(600, 5));
         let t = ClTree::build(&g);
         let h = Hierarchy::build(&g, &t);
-        // Connect H to E: changes components at level ≥ 1.
-        let e = g.vertex_by_label("E").unwrap();
-        let hv = g.vertex_by_label("H").unwrap();
-        let delta = g.edge_delta(&[(e, hv)], &[]).unwrap();
-        let g2 = g.apply_delta(&delta);
-        let cores2 = cx_kcore::CoreDecomposition::compute_par(&g2);
-        let t2 = ClTree::build_with(&g2, &cores2);
-        let h_inc = Hierarchy::update(&g2, &t2, &t, &h);
-        let h_fresh = Hierarchy::build(&g2, &t2);
-        for (id, _) in t2.iter_nodes() {
-            assert_eq!(h_inc.stats(id), h_fresh.stats(id), "stats diverge at {id:?}");
+        for (id, _) in t.iter_nodes() {
+            let mut counts: HashMap<KeywordId, u32> = HashMap::new();
+            for &v in &t.order()[t.subtree_ranks(id)] {
+                for &w in g.keywords(v) {
+                    *counts.entry(w).or_insert(0) += 1;
+                }
+            }
+            let mut want: Vec<(KeywordId, u32)> = counts.into_iter().collect();
+            want.sort_unstable_by_key(|&(w, c)| (u32::MAX - c, w));
+            want.truncate(TOP_KEYWORDS);
+            assert_eq!(h.stats(id).top_keywords, want, "{id:?}");
         }
     }
 
@@ -677,3 +652,4 @@ mod tests {
         assert_eq!(h.max_level(), 1);
     }
 }
+

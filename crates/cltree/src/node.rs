@@ -1,11 +1,6 @@
 //! CL-tree node structure.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
-use cx_graph::{KeywordId, VertexId};
-
-use crate::signature::KeywordSignature;
+use std::ops::Range;
 
 /// Index of a node within its [`crate::ClTree`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -19,9 +14,9 @@ impl NodeId {
     }
 }
 
-/// One CL-tree node: a connected component of the `level`-core, storing the
-/// vertices whose core number equals `level` plus an inverted keyword list
-/// over exactly those vertices.
+/// One CL-tree node: a connected component of the `level`-core. Its
+/// resident vertices (core number == `level`) are not stored here but in
+/// the tree's preorder column — see [`crate::ClTree::residents`].
 #[derive(Debug, Clone)]
 pub struct ClTreeNode {
     /// The k this node's component belongs to.
@@ -30,52 +25,30 @@ pub struct ClTreeNode {
     pub parent: Option<NodeId>,
     /// Child nodes (higher-level core components nested in this one).
     pub children: Vec<NodeId>,
-    /// Vertices with core number == `level` in this component, sorted.
-    pub vertices: Vec<VertexId>,
-    /// Keyword → sorted vertices *of this node* carrying it. `Arc`-shared
-    /// so that [`crate::ClTree::update`] can carry an unchanged node's
-    /// keyword index into the successor tree without copying it (keyword
-    /// sets are immutable under edge edits, so the map is determined by
-    /// the vertex list).
-    pub inverted: Arc<HashMap<KeywordId, Vec<VertexId>>>,
-    /// Bloom-style signature of every keyword in this node's *subtree*
-    /// (own inverted lists ∪ all descendants). No false negatives, so a
-    /// missing bit proves a keyword's absence and lets query walks skip
-    /// the subtree. Maintained by [`crate::signature::compute_signatures`]
-    /// at build/update/snapshot-load time; carried nodes keep it by clone.
-    pub signature: KeywordSignature,
+    /// Preorder rank of the first resident (== first rank of the subtree).
+    pub(crate) first: u32,
+    /// One past the last resident's rank; the children's subtrees follow.
+    pub(crate) residents_end: u32,
+    /// One past the last rank of the whole subtree.
+    pub(crate) subtree_end: u32,
 }
 
 impl ClTreeNode {
-    /// Builds the node's inverted list from a keyword accessor.
-    pub(crate) fn index_keywords<'a>(
-        &mut self,
-        keywords_of: impl Fn(VertexId) -> &'a [KeywordId],
-    ) {
-        let mut map: HashMap<KeywordId, Vec<VertexId>> = HashMap::new();
-        for &v in &self.vertices {
-            for &w in keywords_of(v) {
-                map.entry(w).or_default().push(v);
-            }
-        }
-        // Vertices were iterated in sorted order, so each list is sorted.
-        self.inverted = Arc::new(map);
+    /// A node whose rank intervals the layout pass has yet to fill.
+    pub(crate) fn new(level: u32, parent: Option<NodeId>, children: Vec<NodeId>) -> Self {
+        Self { level, parent, children, first: 0, residents_end: 0, subtree_end: 0 }
     }
 
-    /// Vertices of this node carrying keyword `w`.
-    pub fn vertices_with(&self, w: KeywordId) -> &[VertexId] {
-        self.inverted.get(&w).map(Vec::as_slice).unwrap_or(&[])
+    /// Rank interval of the residents.
+    #[inline]
+    pub(crate) fn resident_ranks(&self) -> Range<usize> {
+        self.first as usize..self.residents_end as usize
     }
 
-    /// Number of distinct keywords appearing in this node.
-    pub fn keyword_count(&self) -> usize {
-        self.inverted.len()
-    }
-
-    /// Exact number of this node's own vertices carrying `w` — the
-    /// per-node keyword-count summary the verifier's short-circuit sums
-    /// during a pruned walk.
-    pub fn keyword_support(&self, w: KeywordId) -> usize {
-        self.vertices_with(w).len()
+    /// Rank interval of the whole subtree (residents, then each child's
+    /// subtree in child order).
+    #[inline]
+    pub(crate) fn subtree_ranks(&self) -> Range<usize> {
+        self.first as usize..self.subtree_end as usize
     }
 }

@@ -4,21 +4,21 @@
 //! DBLP sample is ~1M vertices) a production deployment builds the index
 //! offline once and memory-maps/loads it at server start — the paper's
 //! "Indexing (offline)" box in Figure 3. The snapshot stores the tree
-//! structure and core numbers; per-node inverted keyword lists are rebuilt
-//! from the graph on load (they are derived data and dominate the size).
+//! structure and core numbers; the preorder columns and keyword postings
+//! are laid out again from the graph on load (they are derived data and
+//! dominate the size).
 //!
 //! Format (little-endian): magic `CXT1`, vertex count, node count, root
-//! id, core numbers, then per node: level, parent(+1, 0 = none), vertex
+//! id, core numbers, then per node: level, parent(+1, 0 = none), resident
 //! list, child list. Every structural invariant is re-validated on load.
 
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use cx_graph::{AttributedGraph, GraphError, VertexId};
+use cx_graph::{AttributedGraph, GraphError};
 
-use crate::build::ClTree;
+use crate::build::{layout, ClTree};
 use crate::node::{ClTreeNode, NodeId};
-use crate::signature::{compute_signatures, KeywordSignature};
 
 const MAGIC: &[u8; 4] = b"CXT1";
 
@@ -43,11 +43,12 @@ impl ClTree {
         for &c in self.core_numbers() {
             put_u32(&mut w, c)?;
         }
-        for (_, node) in self.iter_nodes() {
+        for (id, node) in self.iter_nodes() {
             put_u32(&mut w, node.level)?;
             put_u32(&mut w, node.parent.map_or(0, |p| p.0 + 1))?;
-            put_u32(&mut w, node.vertices.len() as u32)?;
-            for &v in &node.vertices {
+            let residents = self.residents(id);
+            put_u32(&mut w, residents.len() as u32)?;
+            for &v in residents {
                 put_u32(&mut w, v.0)?;
             }
             put_u32(&mut w, node.children.len() as u32)?;
@@ -59,9 +60,10 @@ impl ClTree {
         Ok(())
     }
 
-    /// Reads a snapshot written by [`ClTree::write_snapshot`], rebuilding
-    /// the inverted keyword lists from `g`. Fails if the snapshot does not
-    /// match the graph (vertex count, structural invariants).
+    /// Reads a snapshot written by [`ClTree::write_snapshot`], laying out
+    /// the preorder columns and keyword postings from `g`. Fails if the
+    /// snapshot does not match the graph (vertex count, structural
+    /// invariants).
     pub fn read_snapshot<R: Read>(g: &AttributedGraph, r: &mut R) -> Result<Self, GraphError> {
         let mut r = BufReader::new(r);
         let mut magic = [0u8; 4];
@@ -106,7 +108,6 @@ impl ClTree {
             if v_len > n {
                 return Err(GraphError::Snapshot("vertex list too long".into()));
             }
-            let mut vertices = Vec::with_capacity(v_len);
             for _ in 0..v_len {
                 let v = get_u32(&mut r)?;
                 if v as usize >= n {
@@ -120,7 +121,6 @@ impl ClTree {
                 if core[v as usize] != level {
                     return Err(GraphError::Snapshot("vertex core != node level".into()));
                 }
-                vertices.push(VertexId(v));
             }
             let c_len = get_u32(&mut r)? as usize;
             if c_len > node_count {
@@ -134,23 +134,16 @@ impl ClTree {
                 }
                 children.push(NodeId(c));
             }
-            let mut node = ClTreeNode {
-                level,
-                parent,
-                children,
-                vertices,
-                inverted: Default::default(),
-                signature: KeywordSignature::EMPTY,
-            };
-            node.index_keywords(|v| g.keywords(v));
-            nodes.push(node);
+            nodes.push(ClTreeNode::new(level, parent, children));
         }
         if node_of.contains(&NodeId(u32::MAX)) {
             return Err(GraphError::Snapshot("some vertex belongs to no node".into()));
         }
-        // Parent/child links must agree, and children must sit at strictly
-        // higher levels — the nesting invariant the bottom-up signature
-        // pass (and every subtree walk) relies on.
+        // The layout walks the nodes as a tree under `root`, so they must be
+        // one: parent/child links agree, children sit at strictly higher
+        // levels (no cycles), and every node but the parentless root is
+        // listed as a child exactly once.
+        let mut listed = vec![false; node_count];
         for (i, node) in nodes.iter().enumerate() {
             for &c in &node.children {
                 if nodes[c.index()].parent != Some(NodeId(i as u32)) {
@@ -159,13 +152,16 @@ impl ClTree {
                 if nodes[c.index()].level <= node.level {
                     return Err(GraphError::Snapshot("child level not above parent".into()));
                 }
+                if std::mem::replace(&mut listed[c.index()], true) {
+                    return Err(GraphError::Snapshot("child listed twice".into()));
+                }
             }
         }
-        let max_core = core.iter().copied().max().unwrap_or(0);
-        // Subtree keyword signatures are derived data, rebuilt bottom-up
-        // from the freshly re-indexed inverted lists.
-        compute_signatures(&mut nodes, u32::MAX);
-        Ok(ClTree::from_parts(nodes, root, node_of, core, max_core))
+        let orphans = listed.iter().filter(|&&l| !l).count();
+        if nodes[root.index()].parent.is_some() || orphans != 1 {
+            return Err(GraphError::Snapshot("nodes do not form one tree under the root".into()));
+        }
+        Ok(layout(g, nodes, root, node_of, core))
     }
 
     /// Saves the index snapshot to a file.
@@ -206,15 +202,13 @@ mod tests {
                 );
             }
         }
-        // Inverted lists and subtree signatures rebuilt identically.
-        for (id, node) in tree.iter_nodes() {
+        // The columns are laid out identically.
+        assert_eq!(loaded.order(), tree.order());
+        for (id, _) in tree.iter_nodes() {
+            assert_eq!(loaded.residents(id), tree.residents(id));
             for (w, _) in g.interner().iter() {
-                assert_eq!(
-                    loaded.node(id).vertices_with(w),
-                    node.vertices_with(w)
-                );
+                assert_eq!(loaded.carriers(id, w), tree.carriers(id, w));
             }
-            assert_eq!(loaded.node(id).signature, node.signature);
         }
     }
 
@@ -265,6 +259,35 @@ mod tests {
             // If it somehow still parses, it must be structurally identical.
             assert_eq!(loaded.core_numbers(), tree.core_numbers());
         }
+    }
+
+    #[test]
+    fn rejects_a_node_list_that_is_not_one_tree() {
+        // Two triangles: nodes 0 and 1 (level 2) under an empty root 2.
+        let mut b = cx_graph::GraphBuilder::new();
+        for i in 0..6 {
+            b.add_vertex(&format!("v{i}"), &["k"]);
+        }
+        for (x, y) in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)] {
+            b.add_edge(cx_graph::VertexId(x), cx_graph::VertexId(y));
+        }
+        let g = b.build();
+        let mut buf = Vec::new();
+        ClTree::build(&g).write_snapshot(&mut buf).unwrap();
+        // The root record is last: level, parent, 0 residents, 2 children.
+        let kids = buf.len() - 8;
+        assert_eq!(buf[kids..], [0, 0, 0, 0, 1, 0, 0, 0]);
+        let load = |bytes: &[u8]| ClTree::read_snapshot(&g, &mut &bytes[..]);
+        assert!(load(&buf).is_ok());
+        // Child 0 listed twice, child 1 orphaned: its vertices would get no rank.
+        let mut twice = buf.clone();
+        twice[kids + 4] = 0;
+        assert!(load(&twice).is_err());
+        // Child 1 dropped from the list altogether.
+        let mut dropped = buf.clone();
+        dropped.truncate(kids + 4);
+        dropped[kids - 4] = 1;
+        assert!(load(&dropped).is_err());
     }
 
     #[test]

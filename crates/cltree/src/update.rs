@@ -39,8 +39,8 @@ use std::collections::HashMap;
 use cx_graph::delta::EdgeDelta;
 use cx_graph::{AttributedGraph, VertexId};
 
+use crate::build::{finish, sweep_levels};
 use crate::node::{ClTreeNode, NodeId};
-use crate::signature::{compute_signatures, KeywordSignature};
 use crate::unionfind::UnionFind;
 use crate::ClTree;
 
@@ -55,10 +55,10 @@ impl ClTree {
     /// `g` (maintained by `cx_kcore::DynamicCore` in the engine).
     ///
     /// The result is structurally identical to `ClTree::build_with_cores
-    /// (g, new_cores)` — same nodes, same nesting, same per-node vertex
-    /// sets and inverted lists — though node *ids* may be numbered
-    /// differently (preserved nodes keep their relative order and come
-    /// first). All query entry points are id-agnostic.
+    /// (g, new_cores)` — same nodes, same nesting, same per-node residents
+    /// and carriers — though node *ids* may be numbered differently
+    /// (preserved nodes keep their relative order and come first). All
+    /// query entry points are id-agnostic.
     pub fn update(&self, g: &AttributedGraph, delta: &EdgeDelta, new_cores: &[u32]) -> ClTree {
         let _span = cx_obs::span("cltree.update");
         let n = g.vertex_count();
@@ -82,10 +82,9 @@ impl ClTree {
         for &(u, v) in &delta.added {
             level = level.max(new_cores[u.index()].min(new_cores[v.index()]));
         }
-        for (v, (&o, &nc)) in old_cores.iter().zip(new_cores).enumerate() {
+        for (&o, &nc) in old_cores.iter().zip(new_cores) {
             if o != nc {
                 level = level.max(o.max(nc));
-                let _ = v;
             }
         }
 
@@ -98,7 +97,8 @@ impl ClTree {
         // ---- Carry the untouched sub-forest (levels > L). ----
         // Preserved nodes keep their relative order; `remap` translates old
         // ids. Children of a preserved node are always at a strictly higher
-        // level, hence preserved themselves.
+        // level, hence preserved themselves, and so are their residents:
+        // a vertex of new core > L kept its core and its node.
         let mut nodes: Vec<ClTreeNode> = Vec::new();
         let mut remap: Vec<Option<NodeId>> = vec![None; self.node_count()];
         for (old_id, node) in self.iter_nodes() {
@@ -107,16 +107,19 @@ impl ClTree {
                 nodes.push(node.clone());
             }
         }
-        let mut tops: Vec<(NodeId, NodeId)> = Vec::new(); // (old id, new id)
         for node in &mut nodes {
             node.children.iter_mut().for_each(|c| *c = remap[c.index()].expect("child preserved"));
             node.parent = node.parent.and_then(|p| remap[p.index()]);
         }
-        for (old_id, node) in self.iter_nodes() {
-            if node.level > level
-                && node.parent.is_none_or(|p| self.node(p).level <= level)
-            {
-                tops.push((old_id, remap[old_id.index()].unwrap()));
+        let mut node_of = vec![NodeId(u32::MAX); n];
+        // Vertices whose node is being rebuilt, grouped by new core.
+        let mut levels: Vec<Vec<VertexId>> = vec![Vec::new(); level as usize + 1];
+        for v in g.vertices() {
+            let c = new_cores[v.index()];
+            if c <= level {
+                levels[c as usize].push(v);
+            } else {
+                node_of[v.index()] = remap[self.node_of(v).index()].expect("node preserved");
             }
         }
 
@@ -124,139 +127,35 @@ impl ClTree {
         // Pre-union each carried top's subtree so the union-find starts in
         // exactly the state a fresh build reaches after processing the
         // levels above L: the components of the "min-core > L" edge
-        // subgraph are precisely the carried subtrees.
+        // subgraph are precisely the carried subtrees. Each is one rank
+        // interval of `self`; its smallest vertex leads the unions, which
+        // makes it the representative and keeps node numbering what a
+        // union over the sorted vertex list gives.
         let mut uf = UnionFind::new(n);
         let mut anchors: HashMap<u32, NodeId> = HashMap::new();
-        for &(old_top, new_top) in &tops {
-            let verts = self.subtree_vertices(old_top);
-            let mut rep = verts[0].0;
-            for &v in &verts[1..] {
-                rep = uf.union(rep, v.0);
+        for (old_id, node) in self.iter_nodes() {
+            if node.level <= level || node.parent.is_some_and(|p| self.node(p).level > level) {
+                continue;
             }
-            anchors.insert(uf.find(rep), new_top);
+            let verts = &self.order()[self.subtree_ranks(old_id)];
+            let lead = verts.iter().min().expect("a node above level 0 has residents").0;
+            for &v in verts {
+                uf.union(lead, v.0);
+            }
+            anchors.insert(uf.find(lead), remap[old_id.index()].expect("top preserved"));
         }
+        let anchors = sweep_levels(
+            g,
+            new_cores,
+            &levels,
+            |v| v.0,
+            &mut uf,
+            anchors,
+            &mut nodes,
+            |v, nid| node_of[v.index()] = nid,
+        );
 
-        // Vertices whose node is being rebuilt, grouped by new core.
-        let mut levels: Vec<Vec<VertexId>> = vec![Vec::new(); level as usize + 1];
-        for v in g.vertices() {
-            let c = new_cores[v.index()];
-            if c <= level {
-                levels[c as usize].push(v);
-            }
-        }
-
-        for k in (1..=level).rev() {
-            let snapshot: Vec<(u32, NodeId)> =
-                anchors.iter().map(|(&rep, &nid)| (rep, nid)).collect();
-            for &v in &levels[k as usize] {
-                for &u in g.neighbors(v) {
-                    if new_cores[u.index()] >= k {
-                        uf.union(v.0, u.0);
-                    }
-                }
-            }
-            let mut child_anchors: HashMap<u32, Vec<NodeId>> = HashMap::new();
-            for (rep, nid) in snapshot {
-                child_anchors.entry(uf.find(rep)).or_default().push(nid);
-            }
-            let mut new_vertices: HashMap<u32, Vec<VertexId>> = HashMap::new();
-            for &v in &levels[k as usize] {
-                new_vertices.entry(uf.find(v.0)).or_default().push(v);
-            }
-            let mut next_anchors: HashMap<u32, NodeId> = HashMap::new();
-            let mut roots: Vec<u32> = child_anchors.keys().copied().collect();
-            for &r in new_vertices.keys() {
-                if !child_anchors.contains_key(&r) {
-                    roots.push(r);
-                }
-            }
-            roots.sort_unstable();
-            for root in roots {
-                let mut verts = new_vertices.remove(&root).unwrap_or_default();
-                let mut kids = child_anchors.remove(&root).unwrap_or_default();
-                if verts.is_empty() && kids.len() == 1 {
-                    // Chain compression, exactly as in the fresh build.
-                    next_anchors.insert(root, kids[0]);
-                    continue;
-                }
-                verts.sort_unstable();
-                kids.sort_unstable();
-                let nid = NodeId(nodes.len() as u32);
-                for &kid in &kids {
-                    nodes[kid.index()].parent = Some(nid);
-                }
-                let mut node = ClTreeNode {
-                    level: k,
-                    parent: None,
-                    children: kids,
-                    vertices: verts,
-                    inverted: Default::default(),
-                    signature: KeywordSignature::EMPTY,
-                };
-                self.fill_inverted(&mut node, g);
-                nodes.push(node);
-                next_anchors.insert(root, nid);
-            }
-            anchors = next_anchors;
-        }
-
-        // ---- Level-0 root assembly, as in the fresh build. ----
-        let mut isolated: Vec<VertexId> =
-            g.vertices().filter(|&v| new_cores[v.index()] == 0).collect();
-        let mut top_ids: Vec<NodeId> = anchors.into_values().collect();
-        top_ids.sort_unstable();
-        let root = if isolated.is_empty() && top_ids.len() == 1 {
-            top_ids[0]
-        } else {
-            let nid = NodeId(nodes.len() as u32);
-            for &kid in &top_ids {
-                nodes[kid.index()].parent = Some(nid);
-            }
-            isolated.sort_unstable();
-            let mut node = ClTreeNode {
-                level: 0,
-                parent: None,
-                children: top_ids,
-                vertices: isolated,
-                inverted: Default::default(),
-                signature: KeywordSignature::EMPTY,
-            };
-            self.fill_inverted(&mut node, g);
-            nodes.push(node);
-            nid
-        };
-
-        let mut node_of = vec![NodeId(u32::MAX); n];
-        for (i, node) in nodes.iter().enumerate() {
-            for &v in &node.vertices {
-                node_of[v.index()] = NodeId(i as u32);
-            }
-        }
-        let max_core = new_cores.iter().copied().max().unwrap_or(0);
-
-        // Repair subtree signatures under the same threshold rule: carried
-        // nodes (level > L) keep their signature — a preserved subtree's
-        // keyword set is immutable under edge edits, so the clone above is
-        // already exact — and only the rebuilt levels L..=0 recompute
-        // bottom-up, reading the carried children's signatures.
-        compute_signatures(&mut nodes, level);
-
-        Self::from_parts(nodes, root, node_of, new_cores.to_vec(), max_core)
-    }
-
-    /// Populates a rebuilt node's inverted keyword list, sharing the old
-    /// node's `Arc` when a node with the very same vertex list existed at
-    /// the same level in `self` (edits never change keyword sets, so an
-    /// identical vertex list implies an identical index).
-    fn fill_inverted(&self, node: &mut ClTreeNode, g: &AttributedGraph) {
-        if let Some(&first) = node.vertices.first() {
-            let old = self.node(self.node_of(first));
-            if old.level == node.level && old.vertices == node.vertices {
-                node.inverted = std::sync::Arc::clone(&old.inverted);
-                return;
-            }
-        }
-        node.index_keywords(|v| g.keywords(v));
+        finish(g, nodes, anchors.into_values().collect(), node_of, new_cores.to_vec())
     }
 }
 
@@ -289,19 +188,16 @@ mod tests {
     }
 
     /// Id-independent structural equality: recursive canonical encoding of
-    /// (level, vertices, inverted, children-as-multiset).
+    /// (level, residents, children-as-multiset). Carriers are compared by
+    /// `tests/columns.rs` and cx-check's `tree_canonical`.
     fn canon(t: &ClTree, id: NodeId) -> String {
         let node = t.node(id);
         let mut kids: Vec<String> = node.children.iter().map(|&c| canon(t, c)).collect();
         kids.sort();
-        let mut inv: Vec<_> = node.inverted.iter().map(|(w, vs)| (w.0, vs.clone())).collect();
-        inv.sort();
         format!(
-            "(l{} v{:?} i{:?} s{:02x?} [{}])",
+            "(l{} v{:?} [{}])",
             node.level,
-            node.vertices.iter().map(|x| x.0).collect::<Vec<_>>(),
-            inv,
-            node.signature.to_bytes(),
+            t.residents(id).iter().map(|x| x.0).collect::<Vec<_>>(),
             kids.join(",")
         )
     }
@@ -314,7 +210,7 @@ mod tests {
         // node_of is consistent with the arena.
         for vi in 0..updated.core_numbers().len() {
             let nid = updated.node_of(v(vi as u32));
-            assert!(updated.node(nid).vertices.contains(&v(vi as u32)));
+            assert!(updated.residents(nid).contains(&v(vi as u32)));
         }
     }
 
@@ -346,28 +242,23 @@ mod tests {
     }
 
     #[test]
-    fn carried_nodes_share_inverted_lists_by_pointer() {
+    fn carried_nodes_keep_their_residents_and_carriers() {
         let g = figure5_graph();
         let tree = ClTree::build(&g);
         // Toggling H–I only reaches level 1: the {A,B,C,D} level-3 node
-        // and the {E} level-2 node must be carried with their keyword
-        // indexes shared, not recomputed.
+        // and the {E} level-2 node are carried, and come first.
         let delta = g.edge_delta(&[], &[(v(7), v(8))]).unwrap();
         let g2 = g.apply_delta(&delta);
         let cores = CoreDecomposition::compute(&g2).core_numbers().to_vec();
         let updated = tree.update(&g2, &delta, &cores);
         assert_equivalent(&updated, &ClTree::build(&g2));
-        let abcd_old = tree.node(tree.node_of(v(0)));
-        let abcd_new = updated.node(updated.node_of(v(0)));
-        assert!(std::sync::Arc::ptr_eq(&abcd_old.inverted, &abcd_new.inverted));
-        let e_old = tree.node(tree.node_of(v(4)));
-        let e_new = updated.node(updated.node_of(v(4)));
-        assert!(std::sync::Arc::ptr_eq(&e_old.inverted, &e_new.inverted));
-        // Carried nodes keep their subtree signature verbatim (repair only
-        // re-derives the rebuilt levels).
-        assert_eq!(abcd_old.signature, abcd_new.signature);
-        assert_eq!(e_old.signature, e_new.signature);
-        assert!(!abcd_new.signature.is_empty());
+        let x = g.interner().get("x").unwrap();
+        for q in [v(0), v(4)] {
+            let (old, new) = (tree.node_of(q), updated.node_of(q));
+            assert!(new.0 < 2, "carried nodes are numbered first");
+            assert_eq!(tree.residents(old), updated.residents(new));
+            assert_eq!(tree.carrier_vertices(old, x), updated.carrier_vertices(new, x));
+        }
     }
 
     #[test]

@@ -14,8 +14,7 @@ fn shape(tree: &ClTree, g: &AttributedGraph) -> Vec<(u32, Option<u32>, Vec<u32>)
     let mut out: Vec<(u32, Option<u32>, Vec<u32>)> = (0..tree.node_count())
         .map(|i| {
             let node = tree.node(NodeId(i as u32));
-            let mut vs: Vec<u32> = node.vertices.iter().map(|v| v.0).collect();
-            vs.sort_unstable();
+            let vs: Vec<u32> = tree.residents(NodeId(i as u32)).iter().map(|v| v.0).collect();
             (node.level, node.parent.map(|p| tree.node(p).level), vs)
         })
         .collect();

@@ -56,8 +56,8 @@ proptest! {
     fn tree_is_linear_space_vertices_partitioned(g in arb_graph(40)) {
         let t = ClTree::build(&g);
         let mut count = vec![0usize; g.vertex_count()];
-        for (_, n) in t.iter_nodes() {
-            for &v in &n.vertices {
+        for (id, n) in t.iter_nodes() {
+            for &v in t.residents(id) {
                 count[v.index()] += 1;
             }
             // Children are strictly deeper levels.

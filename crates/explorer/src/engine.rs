@@ -1283,6 +1283,28 @@ mod tests {
     }
 
     #[test]
+    fn a_cancelled_search_is_a_deadline_error_and_caches_nothing() {
+        let e = engine();
+        let snap = e.snapshot(None).unwrap();
+        let spec = QuerySpec::by_label("A").k(2);
+        let token = CancelToken::manual();
+        token.cancel();
+        for algo in ["acq", "global"] {
+            let out = e.search_snapshot_cancellable(&snap, algo, &spec, &token);
+            assert!(matches!(out, Err(ExplorerError::DeadlineExceeded)), "{algo}: {out:?}");
+        }
+        assert_eq!(e.cache_stats().len, 0, "a cancelled answer must not be cached");
+        // The same query under a live token computes, caches, and then hits.
+        let live = CancelToken::manual();
+        let first = e.search_snapshot_cancellable(&snap, "acq", &spec, &live).unwrap();
+        assert_eq!(first[0].len(), 3);
+        let (len, hits) = (e.cache_stats().len, e.cache_stats().hits);
+        assert_eq!(len, 1);
+        assert_eq!(e.search_snapshot_cancellable(&snap, "acq", &spec, &live).unwrap(), first);
+        assert_eq!(e.cache_stats().hits, hits + 1);
+    }
+
+    #[test]
     fn search_paper_example_through_engine() {
         let e = engine();
         let out = e.search("acq", &QuerySpec::by_label("A").k(2)).unwrap();

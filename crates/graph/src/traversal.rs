@@ -120,36 +120,57 @@ pub fn is_connected(g: &AttributedGraph) -> bool {
 /// Eccentricity-based diameter of the subgraph induced by `members`
 /// (exact, runs one BFS per member — intended for community-sized inputs).
 /// Returns `None` if the induced subgraph is empty or disconnected.
+///
+/// Works on a member-local copy of the induced adjacency, so time is
+/// O(|C| · (|C| + m_C)) after one pass over the members' neighbour lists
+/// and nothing is allocated in proportion to the graph.
 pub fn induced_diameter(g: &AttributedGraph, members: &[VertexId]) -> Option<usize> {
-    if members.is_empty() {
+    let mut sorted = members.to_vec();
+    sorted.sort_unstable();
+    sorted.dedup();
+    let c = sorted.len();
+    if c == 0 {
         return None;
     }
-    let mut mask = vec![false; g.vertex_count()];
-    for &v in members {
-        mask[v.index()] = true;
+    // Member-local CSR: vertex `sorted[i]` is `i`. Both lists are sorted,
+    // so probe the longer with the shorter.
+    let mut off = Vec::with_capacity(c + 1);
+    let mut adj: Vec<u32> = Vec::new();
+    off.push(0);
+    for &u in &sorted {
+        let nbrs = g.neighbors(u);
+        if nbrs.len() <= c {
+            adj.extend(nbrs.iter().filter_map(|v| sorted.binary_search(v).ok().map(|j| j as u32)));
+        } else {
+            adj.extend(
+                (0..c as u32).filter(|&j| nbrs.binary_search(&sorted[j as usize]).is_ok()),
+            );
+        }
+        off.push(adj.len());
     }
     let mut diameter = 0;
-    for &s in members {
-        // BFS within the induced subgraph.
-        let mut dist = vec![usize::MAX; g.vertex_count()];
-        let mut q = VecDeque::new();
-        dist[s.index()] = 0;
-        q.push_back(s);
-        let mut reached = 0usize;
-        while let Some(u) = q.pop_front() {
-            reached += 1;
-            for &v in g.neighbors(u) {
-                if mask[v.index()] && dist[v.index()] == usize::MAX {
-                    dist[v.index()] = dist[u.index()] + 1;
-                    q.push_back(v);
+    let mut dist = vec![u32::MAX; c];
+    let mut queue: Vec<u32> = Vec::with_capacity(c);
+    for s in 0..c as u32 {
+        dist.fill(u32::MAX);
+        queue.clear();
+        dist[s as usize] = 0;
+        queue.push(s);
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            for &v in &adj[off[u as usize]..off[u as usize + 1]] {
+                if dist[v as usize] == u32::MAX {
+                    dist[v as usize] = dist[u as usize] + 1;
+                    queue.push(v);
                 }
             }
         }
-        if reached != members.len() {
+        if queue.len() != c {
             return None; // disconnected
         }
-        let ecc = members.iter().map(|&v| dist[v.index()]).max().unwrap();
-        diameter = diameter.max(ecc);
+        // BFS order is distance order: the last vertex reached is farthest.
+        diameter = diameter.max(dist[queue[c - 1] as usize] as usize);
     }
     Some(diameter)
 }

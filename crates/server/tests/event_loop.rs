@@ -255,32 +255,6 @@ fn tight_deadline_returns_typed_408_over_the_wire() {
 }
 
 #[test]
-fn acq_search_deadline_returns_typed_408_through_the_pruned_walk() {
-    // An ACQ search (the signature-pruned CL-tree walk path) under an
-    // already-hopeless 1ms deadline: the walk's cancellation checkpoints
-    // and the engine's post-run token re-check must surface as a typed
-    // 408, never a partial 200.
-    let (g, _) = cx_datagen::dblp_like(&cx_datagen::DblpParams::scaled(20_000, 11));
-    let server = Server::new(Engine::with_graph("dblp", g));
-    let handle = server.serve_background().unwrap();
-    let mut stream = TcpStream::connect(("127.0.0.1", handle.port())).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    write!(
-        stream,
-        "GET /api/v1/search?id=0&k=2&algo=acq&timeout_ms=1 HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
-    )
-    .unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).unwrap();
-    assert!(raw.starts_with("HTTP/1.1 408"), "{raw}");
-    let (_, body) = raw.split_once("\r\n\r\n").unwrap();
-    let v = Json::parse(body).unwrap();
-    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
-    let code = v.get("error").and_then(|e| e.get("code")).and_then(Json::as_str);
-    assert_eq!(code, Some("deadline_exceeded"), "{body}");
-}
-
-#[test]
 fn overload_sheds_with_503_and_retry_after() {
     let inflight = Arc::new(AtomicUsize::new(0));
     let release = Arc::new(AtomicBool::new(false));

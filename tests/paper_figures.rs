@@ -17,7 +17,7 @@ fn figure5_cltree_shape() {
     };
     let root = tree.node(tree.root());
     assert_eq!(root.level, 0);
-    assert_eq!(names(&root.vertices), ["J"]);
+    assert_eq!(names(tree.residents(tree.root())), ["J"]);
     // The core-number table of Figure 5(b).
     let expect = [
         ("A", 3), ("B", 3), ("C", 3), ("D", 3),
