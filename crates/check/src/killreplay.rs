@@ -11,12 +11,26 @@
 //! recovery panic.
 //!
 //! Procedure: one reference run (durable engine, seeded graph, seeded
-//! edit script) records the fingerprints of every published generation
-//! and leaves a WAL behind. Each crash case then clones the store
-//! directory with the WAL truncated at a seeded byte offset — or, every
-//! third case, with a seeded single-bit flip instead — reopens the
-//! engine on the clone, and checks the recovered generation against the
-//! reference table.
+//! edit script) records the fingerprints of every published generation.
+//! It compacts twice on the way, so it leaves two stores to crash: the
+//! log alone as it stood before the first compaction (recovery replays
+//! the `AddGraph` frame), and the final directory — a checkpoint with its
+//! CL-tree index sidecar, plus the log of the edits after it. Crash cases
+//! cycle through three kinds of damage, each on a clone:
+//!
+//! * the WAL cut at a seeded byte offset;
+//! * one seeded bit of the WAL flipped;
+//! * the index sidecar gone, cut short, one bit flipped, or swapped for
+//!   the (whole, valid) sidecar of the earlier checkpoint — with the WAL
+//!   torn inside its first frame, so that recovery lands exactly on the
+//!   checkpoint and the sidecar alone decides between loading the index
+//!   and rebuilding it.
+//!
+//! The verdict is the same for all of them: the engine reopens, and the
+//! recovered generation is one the reference run committed, with its
+//! graph fingerprint and its CL-tree canonical form. The sidecar is
+//! derived data outside the durability contract; damage to it must never
+//! cost more than a rebuild.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -30,7 +44,7 @@ use crate::workload::{check_params, edit_script};
 /// Parameters for one kill-replay sweep.
 #[derive(Debug, Clone)]
 pub struct KillReplayParams {
-    /// Crash cases to run (truncations + bit flips).
+    /// Crash cases to run (see [`CASES_PER_CYCLE`] for the mix).
     pub cases: usize,
     /// Author count of the seeded DBLP-like graph.
     pub authors: usize,
@@ -52,10 +66,12 @@ impl Default for KillReplayParams {
 pub struct KillReplayReport {
     /// Crash cases executed.
     pub cases: usize,
-    /// Cases that cut the WAL (the rest flip a bit).
+    /// Cases that cut the WAL.
     pub truncations: usize,
-    /// Cases that flipped a single bit.
+    /// Cases that flipped a single bit of the WAL.
     pub bitflips: usize,
+    /// Cases that damaged the index sidecar, by [`SidecarDamage`] order.
+    pub sidecar_cases: [usize; 4],
     /// Reproducer strings for every violation found.
     pub failures: Vec<String>,
     /// Highest generation the reference run committed.
@@ -75,6 +91,28 @@ struct GenState {
     tree: String,
 }
 
+/// What a crash case does to the CL-tree index sidecar.
+#[derive(Debug, Clone, Copy)]
+enum SidecarDamage {
+    Missing,
+    Truncated,
+    BitFlip,
+    /// Replaced by the sidecar of an earlier checkpoint of the same
+    /// graph: whole, a valid tree for that graph, bound to that payload.
+    Foreign,
+}
+
+const SIDECAR_DAMAGE: [SidecarDamage; 4] = [
+    SidecarDamage::Missing,
+    SidecarDamage::Truncated,
+    SidecarDamage::BitFlip,
+    SidecarDamage::Foreign,
+];
+
+/// Crash cases per cycle: two cuts, one flip, one of each sidecar damage.
+/// A sweep of at least this many cases has tried them all.
+pub const CASES_PER_CYCLE: usize = 3 + SIDECAR_DAMAGE.len();
+
 const GRAPH: &str = "g";
 
 fn fresh_dir(tag: &str, seed: u64) -> PathBuf {
@@ -86,80 +124,159 @@ fn fresh_dir(tag: &str, seed: u64) -> PathBuf {
     dir
 }
 
-/// Clones a store directory, truncating the WAL to `wal` (which is the
-/// original WAL bytes already cut or mutated by the caller).
-fn clone_store(src: &Path, dst: &Path, wal: &[u8]) -> std::io::Result<()> {
+/// Builds a store directory at `dst` whose WAL is `wal` (the original
+/// bytes already cut or mutated by the caller), over a copy of `src`'s
+/// manifest and snapshot files — or over nothing, for the store as it was
+/// before its first compaction.
+fn clone_store(src: Option<&Path>, dst: &Path, wal: &[u8]) -> std::io::Result<()> {
     std::fs::create_dir_all(dst.join(cx_store::SNAPSHOTS_DIR))?;
-    let manifest = src.join(cx_store::MANIFEST_FILE);
-    if manifest.exists() {
-        std::fs::copy(&manifest, dst.join(cx_store::MANIFEST_FILE))?;
-    }
-    let snaps = src.join(cx_store::SNAPSHOTS_DIR);
-    if snaps.exists() {
-        for entry in std::fs::read_dir(&snaps)? {
+    if let Some(src) = src {
+        std::fs::copy(src.join(cx_store::MANIFEST_FILE), dst.join(cx_store::MANIFEST_FILE))?;
+        for entry in std::fs::read_dir(src.join(cx_store::SNAPSHOTS_DIR))? {
             let entry = entry?;
             std::fs::copy(entry.path(), dst.join(cx_store::SNAPSHOTS_DIR).join(entry.file_name()))?;
         }
     }
-    std::fs::write(dst.join(cx_store::WAL_FILE), wal)?;
-    Ok(())
+    std::fs::write(dst.join(cx_store::WAL_FILE), wal)
+}
+
+/// What the reference run leaves behind for the crash cases.
+struct Reference {
+    /// Fingerprints of every generation it published.
+    states: BTreeMap<u64, GenState>,
+    /// The WAL as it stood before the first compaction: the whole store
+    /// at that point, `AddGraph` frame first.
+    wal_only: Vec<u8>,
+    /// The final store directory: the second compaction's checkpoint and
+    /// sidecar, and `wal` after them.
+    dir: PathBuf,
+    wal: Vec<u8>,
+    /// The checkpoint's generation, and its sidecar's path under a store.
+    checkpoint: u64,
+    sidecar: PathBuf,
+    /// The first compaction's sidecar, swept since.
+    earlier_sidecar: Vec<u8>,
+}
+
+/// Runs the seeded history on a durable engine, compacting after the
+/// first and the second third of the script.
+fn reference_run(params: &KillReplayParams) -> Reference {
+    let dir = fresh_dir("ref", params.seed);
+    let read_wal = || std::fs::read(dir.join(cx_store::WAL_FILE)).expect("reference WAL exists");
+    let sidecar_of = |generation| {
+        Path::new(cx_store::SNAPSHOTS_DIR).join(cx_store::index_file_name(GRAPH, generation))
+    };
+    let engine = Engine::open_durable(&dir).expect("reference store must open");
+    let (graph, _areas) = cx_datagen::dblp_like(&check_params(params.authors, params.seed));
+    let script = edit_script(&graph, params.steps, params.seed ^ 0xDEAD_BEEF);
+    engine.try_add_graph(GRAPH, graph).expect("reference add must log");
+
+    let mut states = BTreeMap::new();
+    let mut record = || {
+        let snap = engine.snapshot(Some(GRAPH)).unwrap();
+        let state =
+            GenState { graph: graph_fingerprint(&snap.graph), tree: tree_canonical(&snap.tree) };
+        states.insert(snap.generation, state);
+        snap.generation
+    };
+    let mut generation = record();
+    let (mut wal_only, mut earlier_sidecar) = (Vec::new(), Vec::new());
+    let mut checkpoint = 0;
+    let third = script.len() / 3;
+    for (i, step) in script.iter().enumerate() {
+        if i == third {
+            wal_only = read_wal();
+            engine.compact_store().expect("reference compaction");
+            earlier_sidecar = std::fs::read(dir.join(sidecar_of(generation))).expect("a sidecar");
+        } else if i == 2 * third {
+            engine.compact_store().expect("reference compaction");
+            checkpoint = generation;
+        }
+        engine
+            .apply_edits(Some(GRAPH), &step.add, &step.remove)
+            .expect("reference edit must apply");
+        generation = record();
+    }
+    let wal = read_wal();
+    Reference {
+        states,
+        wal_only,
+        wal,
+        checkpoint,
+        sidecar: sidecar_of(checkpoint),
+        earlier_sidecar,
+        dir,
+    }
 }
 
 /// Runs the kill-replay sweep. Never panics on a well-behaved store; all
 /// violations are collected into the report.
 pub fn kill_replay(params: &KillReplayParams) -> KillReplayReport {
+    assert!(params.steps >= 3, "the reference run compacts after each third of its script");
     let mut report = KillReplayReport::default();
-
-    // Reference run: a durable engine executing a seeded history, with
-    // the fingerprints of every published generation recorded.
-    let ref_dir = fresh_dir("ref", params.seed);
-    let mut states: BTreeMap<u64, GenState> = BTreeMap::new();
-    {
-        let engine = Engine::open_durable(&ref_dir).expect("reference store must open");
-        let (graph, _areas) = cx_datagen::dblp_like(&check_params(params.authors, params.seed));
-        let script = edit_script(&graph, params.steps, params.seed ^ 0xDEAD_BEEF);
-        engine.try_add_graph(GRAPH, graph).expect("reference add must log");
-        let record = |states: &mut BTreeMap<u64, GenState>, e: &Engine| {
-            let snap = e.snapshot(Some(GRAPH)).unwrap();
-            states.insert(
-                snap.generation,
-                GenState {
-                    graph: graph_fingerprint(&snap.graph),
-                    tree: tree_canonical(&snap.tree),
-                },
-            );
-        };
-        record(&mut states, &engine);
-        for step in &script {
-            engine
-                .apply_edits(Some(GRAPH), &step.add, &step.remove)
-                .expect("reference edit must apply");
-            record(&mut states, &engine);
-        }
-        report.committed_generations = states.keys().max().copied().unwrap_or(0);
-    }
-    let wal = std::fs::read(ref_dir.join(cx_store::WAL_FILE)).expect("reference WAL exists");
+    let reference = reference_run(params);
+    report.committed_generations = reference.states.keys().max().copied().unwrap_or(0);
+    // A cut inside the first frame leaves no frame to replay.
+    let first_frame = cx_store::frame::FRAME_HEADER_LEN
+        + u32::from_le_bytes(reference.wal[..4].try_into().unwrap()) as usize;
 
     let mut rng = Rng64::seed_from_u64(params.seed.wrapping_mul(0x2545_F491_4F6C_DD1D));
     for case in 0..params.cases {
         report.cases += 1;
-        // Every third case flips one bit instead of cutting the tail —
-        // mid-log corruption, not just torn appends.
-        let (mutated, label) = if case % 3 == 2 && !wal.is_empty() {
-            report.bitflips += 1;
-            let byte = (rng.next_u64() as usize) % wal.len();
-            let bit = (rng.next_u64() % 8) as u8;
-            let mut m = wal.clone();
-            m[byte] ^= 1 << bit;
-            (m, format!("bitflip@{byte}.{bit}"))
-        } else {
-            report.truncations += 1;
-            let cut = (rng.next_u64() as usize) % (wal.len() + 1);
-            (wal[..cut].to_vec(), format!("truncate@{cut}"))
+        let kind = case % CASES_PER_CYCLE;
+        // WAL damage alternates, cycle by cycle, between the two stores;
+        // sidecar damage needs the one that has a sidecar.
+        let checkpointed = kind >= 3 || (case / CASES_PER_CYCLE) % 2 == 1;
+        let wal = if checkpointed { &reference.wal } else { &reference.wal_only };
+        let mut sidecar_damage = None;
+        let (mutated, label) = match kind {
+            0 | 1 => {
+                report.truncations += 1;
+                let cut = (rng.next_u64() as usize) % (wal.len() + 1);
+                (wal[..cut].to_vec(), format!("truncate@{cut}"))
+            }
+            // One flipped bit: mid-log corruption, not just torn appends.
+            2 => {
+                report.bitflips += 1;
+                let byte = (rng.next_u64() as usize) % wal.len();
+                let bit = (rng.next_u64() % 8) as u8;
+                let mut m = wal.clone();
+                m[byte] ^= 1 << bit;
+                (m, format!("bitflip@{byte}.{bit}"))
+            }
+            _ => {
+                report.sidecar_cases[kind - 3] += 1;
+                sidecar_damage = Some(SIDECAR_DAMAGE[kind - 3]);
+                let cut = (rng.next_u64() as usize) % first_frame;
+                (wal[..cut].to_vec(), format!("truncate@{cut}"))
+            }
         };
+        let store = if checkpointed { "checkpointed" } else { "log-only" };
+        let mut label = format!("{store} store, {label}");
 
         let crash_dir = fresh_dir(&format!("case{case}"), params.seed);
-        clone_store(&ref_dir, &crash_dir, &mutated).expect("store clone");
+        clone_store(checkpointed.then_some(reference.dir.as_path()), &crash_dir, &mutated)
+            .expect("store clone");
+        if let Some(damage) = sidecar_damage {
+            let path = crash_dir.join(&reference.sidecar);
+            let whole = std::fs::read(&path).expect("the checkpoint has a sidecar");
+            let at = (rng.next_u64() as usize) % whole.len();
+            let damaged = match damage {
+                SidecarDamage::Missing => None,
+                SidecarDamage::Truncated => Some(whole[..at].to_vec()),
+                SidecarDamage::BitFlip => {
+                    let mut m = whole;
+                    m[at] ^= 1 << (rng.next_u64() % 8);
+                    Some(m)
+                }
+                SidecarDamage::Foreign => Some(reference.earlier_sidecar.clone()),
+            };
+            match damaged {
+                Some(bytes) => std::fs::write(&path, bytes).expect("sidecar damage"),
+                None => std::fs::remove_file(&path).expect("sidecar removal"),
+            }
+            label = format!("{label}, sidecar {damage:?}@{at}");
+        }
 
         // Recovery must never panic; catch violations as report entries.
         match Engine::open_durable(&crash_dir) {
@@ -170,12 +287,11 @@ pub fn kill_replay(params: &KillReplayParams) -> KillReplayReport {
             }
             Ok(engine) => match engine.snapshot(Some(GRAPH)) {
                 Err(_) => {
-                    // The graph may legitimately be absent only when the
-                    // crash destroyed the very first (AddGraph) frame.
-                    let add_survives = {
-                        let scan = cx_store::frame::scan(&mutated, 0);
-                        !scan.frames.is_empty()
-                    };
+                    // The graph may legitimately be absent only when no
+                    // checkpoint holds it and the crash destroyed the
+                    // very first (AddGraph) frame.
+                    let add_survives =
+                        checkpointed || !cx_store::frame::scan(&mutated, 0).frames.is_empty();
                     if add_survives {
                         report.failures.push(format!(
                             "case {case} ({label}): graph lost although its add frame survived"
@@ -183,7 +299,13 @@ pub fn kill_replay(params: &KillReplayParams) -> KillReplayReport {
                     }
                 }
                 Ok(snap) => {
-                    match states.get(&snap.generation) {
+                    if sidecar_damage.is_some() && snap.generation != reference.checkpoint {
+                        report.failures.push(format!(
+                            "case {case} ({label}): recovered generation {} with no frame to replay over checkpoint {}",
+                            snap.generation, reference.checkpoint
+                        ));
+                    }
+                    match reference.states.get(&snap.generation) {
                         None => report.failures.push(format!(
                             "case {case} ({label}): recovered uncommitted generation {}",
                             snap.generation
@@ -211,7 +333,7 @@ pub fn kill_replay(params: &KillReplayParams) -> KillReplayReport {
         let _ = std::fs::remove_dir_all(&crash_dir);
     }
 
-    let _ = std::fs::remove_dir_all(&ref_dir);
+    let _ = std::fs::remove_dir_all(&reference.dir);
     report
 }
 
@@ -222,14 +344,15 @@ mod tests {
     #[test]
     fn small_sweep_passes() {
         let report = kill_replay(&KillReplayParams {
-            cases: 9,
+            cases: 2 * CASES_PER_CYCLE,
             authors: 60,
             steps: 6,
             seed: 3,
         });
-        assert_eq!(report.cases, 9);
-        assert!(report.truncations >= 6);
-        assert!(report.bitflips >= 1);
+        assert_eq!(report.cases, 14);
+        assert_eq!(report.truncations, 4);
+        assert_eq!(report.bitflips, 2);
+        assert_eq!(report.sidecar_cases, [2; 4]);
         assert!(report.passed(), "violations: {:?}", report.failures);
         assert!(report.committed_generations >= 7);
     }

@@ -34,8 +34,9 @@
 //!   never a panic, never a 500, never an empty body.
 //! * [`killreplay`] — the durability oracle: runs a seeded history on a
 //!   store-backed engine, then crashes the store at arbitrary WAL byte
-//!   offsets (truncations and bit flips) and requires recovery to land on
-//!   a committed generation with byte-identical graph and CL-tree
+//!   offsets (truncations and bit flips) or damages the CL-tree index
+//!   sidecar of its checkpoint, and requires recovery to land on a
+//!   committed generation with byte-identical graph and CL-tree
 //!   fingerprints — never a panic, never an invented state.
 //!
 //! The crate doubles as a test-support library (dev-dependency of the

@@ -336,14 +336,25 @@ impl Engine {
 
     /// An engine backed by the durable store at `dir`: recovers every
     /// graph to its exact pre-crash generation (manifest checkpoints plus
-    /// WAL replay, see `cx-store`), rebuilds each CL-tree index, and
-    /// attaches the store so every subsequent write is logged before it
-    /// is published.
+    /// WAL replay, see `cx-store`), loads each CL-tree index from the
+    /// snapshot the last compaction stored beside the checkpoint —
+    /// rebuilding it when there is none, the WAL has moved the graph past
+    /// it, or it does not validate against the graph — and attaches the
+    /// store so every subsequent write is logged before it is published.
+    /// `cx_index_boot_total{source}` counts which of the two happened.
     pub fn open_durable(dir: &Path) -> Result<Self, ExplorerError> {
         let (store, state) = cx_store::Store::open(dir)?;
         let e = Self::new();
         for (name, rg) in &state.graphs {
-            let tree = ClTree::build(&rg.graph);
+            let loaded = rg
+                .index
+                .as_deref()
+                .and_then(|mut index| ClTree::read_snapshot(&rg.graph, &mut index).ok());
+            cx_obs::metrics::inc(match loaded {
+                Some(_) => "cx_index_boot_total{source=\"loaded\"}",
+                None => "cx_index_boot_total{source=\"rebuilt\"}",
+            });
+            let tree = loaded.unwrap_or_else(|| ClTree::build(&rg.graph));
             let profiles = ProfileStore::from_pairs(rg.profiles.iter().map(|p| {
                 (
                     p.vertex,
@@ -1193,12 +1204,17 @@ impl Engine {
                             interests: p.interests,
                         })
                         .collect();
+                    let mut index = Vec::new();
+                    s.tree
+                        .write_snapshot(&mut index)
+                        .expect("writing to a Vec cannot fail");
                     cx_store::GraphCheckpoint {
                         name: name.clone(),
                         generation: s.generation,
                         graph: Arc::clone(&s.graph),
                         profiles,
                         coords: s.coords.as_ref().map(|c| (**c).clone()),
+                        index: Some(index),
                     }
                 })
                 .collect();
@@ -1983,120 +1999,5 @@ mod spatial_tests {
             e.set_coordinates(Some("ghost"), vec![]),
             Err(ExplorerError::UnknownGraph(_))
         ));
-    }
-}
-
-impl Engine {
-    /// Persists every uploaded graph and its CL-tree index into `dir`
-    /// (`<name>.graph.bin` + `<name>.index.bin`) — the offline side of
-    /// Figure 3's Indexing box. Graph names must be filesystem-safe
-    /// (alphanumeric, `-`, `_`). Profiles and coordinates are runtime
-    /// state and are not persisted. Snapshot Arcs are collected under one
-    /// brief registry lock; the file writes run off-lock.
-    pub fn save_dir(&self, dir: &Path) -> Result<(), ExplorerError> {
-        std::fs::create_dir_all(dir).map_err(cx_graph::GraphError::from)?;
-        let snaps: Vec<Arc<GraphSnapshot>> = {
-            let r = self.registry();
-            r.snapshots.values().cloned().collect()
-        };
-        for snap in snaps {
-            let name = snap.name();
-            if !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_') {
-                return Err(ExplorerError::BadQuery(format!(
-                    "graph name {name:?} is not filesystem-safe"
-                )));
-            }
-            cx_graph::io::save_snapshot_file(&snap.graph, dir.join(format!("{name}.graph.bin")))?;
-            snap.tree.save_snapshot_file(dir.join(format!("{name}.index.bin")))?;
-        }
-        Ok(())
-    }
-
-    /// Loads every `<name>.graph.bin` (+ matching index snapshot, if
-    /// present and valid — otherwise the index is rebuilt) from `dir`
-    /// into a fresh engine with the built-in algorithms.
-    pub fn load_dir(dir: &Path) -> Result<Engine, ExplorerError> {
-        let engine = Engine::new();
-        let mut names: Vec<String> = Vec::new();
-        for entry in std::fs::read_dir(dir).map_err(cx_graph::GraphError::from)? {
-            let entry = entry.map_err(cx_graph::GraphError::from)?;
-            let fname = entry.file_name().to_string_lossy().into_owned();
-            if let Some(name) = fname.strip_suffix(".graph.bin") {
-                names.push(name.to_owned());
-            }
-        }
-        names.sort();
-        for name in names {
-            let graph = cx_graph::io::load_snapshot_file(dir.join(format!("{name}.graph.bin")))?;
-            let index_path = dir.join(format!("{name}.index.bin"));
-            let tree = match std::fs::File::open(&index_path) {
-                Ok(mut f) => ClTree::read_snapshot(&graph, &mut f)
-                    .unwrap_or_else(|_| ClTree::build(&graph)),
-                Err(_) => ClTree::build(&graph),
-            };
-            let generation = engine.reserve_generation(&name);
-            engine.publish(GraphSnapshot::new(
-                name,
-                Arc::new(graph),
-                Arc::new(tree),
-                Arc::new(ProfileStore::default()),
-                None,
-                generation,
-            ));
-        }
-        Ok(engine)
-    }
-}
-
-#[cfg(test)]
-mod persistence_tests {
-    use super::*;
-    use crate::query::QuerySpec;
-    use cx_datagen::{figure5_graph, small_collab_graph};
-
-    #[test]
-    fn save_and_load_roundtrip() {
-        let dir = std::env::temp_dir().join("cx_engine_persist_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let e = Engine::with_graph("fig5", figure5_graph());
-        e.add_graph("collab", small_collab_graph());
-        e.save_dir(&dir).unwrap();
-
-        let restored = Engine::load_dir(&dir).unwrap();
-        assert_eq!(restored.graph_names(), vec!["collab", "fig5"]);
-        // Queries answer identically after the round trip.
-        let spec = QuerySpec::by_label("A").k(2);
-        let before = e.search_on(Some("fig5"), "acq", &spec).unwrap();
-        let after = restored.search_on(Some("fig5"), "acq", &spec).unwrap();
-        assert_eq!(before, after);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn unsafe_names_are_rejected() {
-        let dir = std::env::temp_dir().join("cx_engine_persist_badname");
-        let e = Engine::new();
-        e.add_graph("../evil", figure5_graph());
-        assert!(matches!(e.save_dir(&dir), Err(ExplorerError::BadQuery(_))));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_index_falls_back_to_rebuild() {
-        let dir = std::env::temp_dir().join("cx_engine_persist_corrupt");
-        let _ = std::fs::remove_dir_all(&dir);
-        let e = Engine::with_graph("fig5", figure5_graph());
-        e.save_dir(&dir).unwrap();
-        std::fs::write(dir.join("fig5.index.bin"), b"garbage").unwrap();
-        let restored = Engine::load_dir(&dir).unwrap();
-        // Index was rebuilt; queries still answer.
-        let out = restored.search("acq", &QuerySpec::by_label("A").k(2)).unwrap();
-        assert_eq!(out.len(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn missing_dir_errors() {
-        assert!(Engine::load_dir(std::path::Path::new("/definitely/not/here")).is_err());
     }
 }

@@ -13,16 +13,24 @@
 //!
 //! # Binary snapshot
 //!
-//! Little-endian: magic `CXG1`, then `n`, `m2` (directed slot count),
-//! CSR offsets/adjacency, keyword CSR, interner strings, labels, each
-//! string as `u32 len + bytes`.
+//! Little-endian: magic `CXG1`, then `n`, `m2` (directed slot count), the
+//! degree column (`n`), the adjacency column (`m2`), the keyword slot
+//! count, the keyword-count column (`n`), the keyword-id column, the
+//! vocabulary size and its strings in id order, then the `n` labels; each
+//! string is `u32 len + bytes`. The writer emits the graph's columns as
+//! they are and the reader decodes them in bulk into the same columns,
+//! then checks every graph invariant on them in place (see
+//! [`read_snapshot_bytes`]).
 
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 use crate::builder::GraphBuilder;
 use crate::error::GraphError;
-use crate::graph::{AttributedGraph, VertexId};
+use crate::graph::{AttributedGraph, CsrOffset, VertexId};
+use crate::keywords::{KeywordId, KeywordInterner};
 
 const MAGIC: &[u8; 4] = b"CXG1";
 
@@ -103,8 +111,31 @@ pub fn save_text_file<P: AsRef<Path>>(g: &AttributedGraph, path: P) -> Result<()
     write_text(g, &mut f)
 }
 
+/// Values per `write_all` when a `u32` column is encoded: each 64 KiB
+/// chunk is larger than the `BufWriter`'s buffer, so it goes to the sink
+/// in one call instead of being staged four bytes at a time.
+const CHUNK: usize = 16 * 1024;
+
 fn put_u32<W: Write>(w: &mut W, x: u32) -> std::io::Result<()> {
     w.write_all(&x.to_le_bytes())
+}
+
+/// Writes a whole `u32` column little-endian, a chunk per write.
+fn put_u32s<W: Write>(w: &mut W, col: impl Iterator<Item = u32>) -> std::io::Result<()> {
+    let mut buf = Vec::with_capacity(4 * CHUNK);
+    for x in col {
+        buf.extend_from_slice(&x.to_le_bytes());
+        if buf.len() == 4 * CHUNK {
+            w.write_all(&buf)?;
+            buf.clear();
+        }
+    }
+    w.write_all(&buf)
+}
+
+/// The per-vertex counts a CSR offset column encodes.
+fn counts(off: &[CsrOffset]) -> impl Iterator<Item = u32> + '_ {
+    off.windows(2).map(|o| o[1] - o[0])
 }
 
 fn put_str<W: Write>(w: &mut W, s: &str) -> std::io::Result<()> {
@@ -112,131 +143,210 @@ fn put_str<W: Write>(w: &mut W, s: &str) -> std::io::Result<()> {
     w.write_all(s.as_bytes())
 }
 
-fn get_u32<R: Read>(r: &mut R) -> Result<u32, GraphError> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-fn get_str<R: Read>(r: &mut R) -> Result<String, GraphError> {
-    let len = get_u32(r)? as usize;
-    if len > 1 << 24 {
-        return Err(GraphError::Snapshot(format!("unreasonable string length {len}")));
-    }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    String::from_utf8(buf).map_err(|_| GraphError::Snapshot("non-utf8 string".into()))
-}
-
-/// Writes the binary snapshot of `g` to `w`.
+/// Writes the binary snapshot of `g` to `w`, column by column.
 pub fn write_snapshot<W: Write>(g: &AttributedGraph, w: &mut W) -> Result<(), GraphError> {
+    // Buffers only the strings: every column chunk bypasses it.
     let mut w = BufWriter::new(w);
     w.write_all(MAGIC)?;
-    let n = g.vertex_count();
-    put_u32(&mut w, n as u32)?;
+    put_u32(&mut w, g.vertex_count() as u32)?;
     put_u32(&mut w, g.adj.len() as u32)?;
-    for v in g.vertices() {
-        put_u32(&mut w, g.degree(v) as u32)?;
-    }
-    for &u in &g.adj {
-        put_u32(&mut w, u.0)?;
-    }
+    put_u32s(&mut w, counts(&g.adj_off))?;
+    put_u32s(&mut w, g.adj.iter().map(|u| u.0))?;
     put_u32(&mut w, g.kws.len() as u32)?;
-    for v in g.vertices() {
-        put_u32(&mut w, g.keywords(v).len() as u32)?;
-    }
-    for &k in g.kws.iter() {
-        put_u32(&mut w, k.0)?;
-    }
+    put_u32s(&mut w, counts(&g.kw_off))?;
+    put_u32s(&mut w, g.kws.iter().map(|k| k.0))?;
     put_u32(&mut w, g.interner.len() as u32)?;
     for (_, name) in g.interner.iter() {
         put_str(&mut w, name)?;
     }
-    for v in g.vertices() {
-        put_str(&mut w, g.label(v))?;
+    for label in g.labels.iter() {
+        put_str(&mut w, label)?;
     }
     w.flush()?;
     Ok(())
 }
 
-/// Reads a binary snapshot. The adjacency and keyword data is revalidated
-/// through [`GraphBuilder`], so a corrupted snapshot cannot produce an
-/// inconsistent graph.
-pub fn read_snapshot<R: Read>(r: &mut R) -> Result<AttributedGraph, GraphError> {
-    let mut r = BufReader::new(r);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(GraphError::Snapshot("bad magic".into()));
-    }
-    let n = get_u32(&mut r)? as usize;
-    let m2 = get_u32(&mut r)? as usize;
-    let mut degs = Vec::with_capacity(n);
-    for _ in 0..n {
-        degs.push(get_u32(&mut r)? as usize);
-    }
-    if degs.iter().sum::<usize>() != m2 {
-        return Err(GraphError::Snapshot("degree sum mismatch".into()));
-    }
-    let mut adj = Vec::with_capacity(m2);
-    for _ in 0..m2 {
-        adj.push(get_u32(&mut r)?);
-    }
-    let kw_total = get_u32(&mut r)? as usize;
-    let mut kw_counts = Vec::with_capacity(n);
-    for _ in 0..n {
-        kw_counts.push(get_u32(&mut r)? as usize);
-    }
-    if kw_counts.iter().sum::<usize>() != kw_total {
-        return Err(GraphError::Snapshot("keyword count mismatch".into()));
-    }
-    let mut kw_ids = Vec::with_capacity(kw_total);
-    for _ in 0..kw_total {
-        kw_ids.push(get_u32(&mut r)?);
-    }
-    let vocab_len = get_u32(&mut r)? as usize;
-    let mut vocab = Vec::with_capacity(vocab_len);
-    for _ in 0..vocab_len {
-        vocab.push(get_str(&mut r)?);
-    }
-    let mut labels = Vec::with_capacity(n);
-    for _ in 0..n {
-        labels.push(get_str(&mut r)?);
+fn bad(message: impl Into<String>) -> GraphError {
+    GraphError::Snapshot(message.into())
+}
+
+/// Bounds-checked reader over snapshot bytes. Every length taken from the
+/// input is checked against the bytes that remain *before* anything is
+/// allocated for it, so a hostile header costs an error, not memory.
+struct Columns<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Columns<'a> {
+    fn take(&mut self, len: usize, what: &str) -> Result<&'a [u8], GraphError> {
+        if len > self.rest.len() {
+            return Err(bad(format!("truncated {what}: {len} bytes wanted, {} left", self.rest.len())));
+        }
+        let (head, rest) = self.rest.split_at(len);
+        self.rest = rest;
+        Ok(head)
     }
 
-    // Rebuild through the builder for validation.
-    let mut b = GraphBuilder::with_capacity(n, m2 / 2);
-    let mut kw_cursor = 0usize;
-    for i in 0..n {
-        let kws: Vec<&str> = kw_ids[kw_cursor..kw_cursor + kw_counts[i]]
-            .iter()
-            .map(|&id| {
-                vocab
-                    .get(id as usize)
-                    .map(String::as_str)
-                    .ok_or_else(|| GraphError::Snapshot(format!("keyword id {id} out of vocab")))
-            })
-            .collect::<Result<_, _>>()?;
-        kw_cursor += kw_counts[i];
-        b.add_vertex(&labels[i], &kws);
+    fn u32(&mut self, what: &str) -> Result<u32, GraphError> {
+        let raw = self.take(4, what)?;
+        Ok(u32::from_le_bytes(raw.try_into().expect("take(4) returns four bytes")))
     }
-    let mut adj_cursor = 0usize;
-    for (i, &d) in degs.iter().enumerate() {
-        for &u in &adj[adj_cursor..adj_cursor + d] {
-            let (a, c) = (i as u32, u);
-            if a < c {
-                b.add_edge(VertexId(a), VertexId(c));
-            }
+
+    /// A column of `len` little-endian `u32`s.
+    fn u32s(&mut self, len: usize, what: &str) -> Result<impl Iterator<Item = u32> + 'a, GraphError> {
+        let bytes = len.checked_mul(4).ok_or_else(|| bad(format!("{what} length overflows")))?;
+        let raw = self.take(bytes, what)?;
+        Ok(raw
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().expect("chunks_exact(4) yields four bytes"))))
+    }
+
+    /// A per-vertex count column as CSR offsets; the counts must add up
+    /// to `total` (which came from a `u32`, so the offsets fit one).
+    fn offsets(&mut self, n: usize, total: usize, what: &str) -> Result<Vec<CsrOffset>, GraphError> {
+        let counts = self.u32s(n, what)?;
+        let mut off = Vec::with_capacity(n + 1);
+        let mut end = 0u64;
+        off.push(0);
+        for c in counts {
+            end += u64::from(c);
+            off.push(end as CsrOffset);
         }
-        adj_cursor += d;
+        if end != total as u64 {
+            return Err(bad(format!("{what} column sums to {end}, header says {total}")));
+        }
+        Ok(off)
     }
-    b.try_build()
+
+    /// `len` strings, each `u32 len + bytes`, UTF-8.
+    fn strs(&mut self, len: usize, what: &str) -> Result<Vec<String>, GraphError> {
+        // Every string costs at least its four-byte length prefix.
+        if len.checked_mul(4).is_none_or(|b| b > self.rest.len()) {
+            return Err(bad(format!("truncated {what} list: {len} entries claimed")));
+        }
+        let mut out = Vec::with_capacity(len);
+        for _ in 0..len {
+            let bytes = self.u32(what)? as usize;
+            let s = std::str::from_utf8(self.take(bytes, what)?)
+                .map_err(|_| bad(format!("non-utf8 {what}")))?;
+            out.push(s.to_owned());
+        }
+        Ok(out)
+    }
+}
+
+/// What the graph builder establishes by construction, checked in
+/// place: neighbour ids in range, no self-loop, every list strictly
+/// ascending, and the adjacency symmetric.
+///
+/// Symmetry is one cursor walk. Visiting `u` in ascending order, each
+/// `v` in `N(u)` must find `u` as the *next unread* entry of `N(v)` —
+/// true of a symmetric graph because every list is ascending. Each of the
+/// `m2` slots reads exactly one entry and no list is read past its end,
+/// so if every read matches, every list was read to its end.
+fn check_adjacency(adj_off: &[CsrOffset], adj: &[VertexId]) -> Result<(), GraphError> {
+    let n = adj_off.len() - 1;
+    let mut next = adj_off[..n].to_vec();
+    for u in 0..n {
+        let mut prev = None;
+        for &v in &adj[adj_off[u] as usize..adj_off[u + 1] as usize] {
+            if v.index() >= n {
+                return Err(bad(format!("neighbour {v} of v{u} out of range ({n} vertices)")));
+            }
+            if v.index() == u {
+                return Err(bad(format!("self-loop at v{u}")));
+            }
+            if prev.is_some_and(|p| p >= v) {
+                return Err(bad(format!("adjacency of v{u} not strictly ascending")));
+            }
+            prev = Some(v);
+            let at = next[v.index()];
+            if at == adj_off[v.index() + 1] || adj[at as usize].index() != u {
+                return Err(bad(format!("edge v{u}-{v} has no reverse slot")));
+            }
+            next[v.index()] = at + 1;
+        }
+    }
+    Ok(())
+}
+
+/// Keyword sets strictly ascending and inside the vocabulary.
+fn check_keyword_sets(
+    kw_off: &[CsrOffset],
+    kws: &[KeywordId],
+    vocab_len: usize,
+) -> Result<(), GraphError> {
+    for (v, span) in kw_off.windows(2).enumerate() {
+        let set = &kws[span[0] as usize..span[1] as usize];
+        if !set.windows(2).all(|w| w[0] < w[1]) {
+            return Err(bad(format!("keyword set of v{v} not strictly ascending")));
+        }
+        if let Some(w) = set.last().filter(|w| w.index() >= vocab_len) {
+            return Err(bad(format!("keyword id {} of v{v} out of vocabulary ({vocab_len})", w.0)));
+        }
+    }
+    Ok(())
+}
+
+/// Decodes a binary snapshot held in memory: the columns go straight into
+/// the graph's own, and every invariant of [`AttributedGraph`] is checked
+/// on them in place, so a corrupted snapshot cannot produce an
+/// inconsistent graph. Keyword ids are the snapshot's own. Anything wrong
+/// — truncation and trailing bytes included — is a
+/// [`GraphError::Snapshot`].
+pub fn read_snapshot_bytes(bytes: &[u8]) -> Result<AttributedGraph, GraphError> {
+    let mut c = Columns { rest: bytes };
+    if c.take(MAGIC.len(), "magic")? != MAGIC {
+        return Err(bad("bad magic"));
+    }
+    let n = c.u32("vertex count")? as usize;
+    let m2 = c.u32("adjacency length")? as usize;
+    if !m2.is_multiple_of(2) {
+        return Err(bad(format!("odd adjacency length {m2}")));
+    }
+    let adj_off = c.offsets(n, m2, "degree")?;
+    let adj: Vec<VertexId> = c.u32s(m2, "adjacency")?.map(VertexId).collect();
+    check_adjacency(&adj_off, &adj)?;
+
+    let kw_total = c.u32("keyword slot count")? as usize;
+    let kw_off = c.offsets(n, kw_total, "keyword count")?;
+    let kws: Vec<KeywordId> = c.u32s(kw_total, "keyword ids")?.map(KeywordId).collect();
+    let vocab_len = c.u32("vocabulary size")? as usize;
+    check_keyword_sets(&kw_off, &kws, vocab_len)?;
+    let interner = KeywordInterner::from_names(c.strs(vocab_len, "keyword")?)
+        .map_err(|dup| bad(format!("keyword {dup:?} appears twice in the vocabulary")))?;
+
+    let labels = c.strs(n, "label")?;
+    if !c.rest.is_empty() {
+        return Err(bad(format!("{} trailing bytes", c.rest.len())));
+    }
+    // Duplicate labels are legal; the index keeps the first, as the
+    // builder does.
+    let mut label_index = HashMap::with_capacity(n);
+    for (v, label) in labels.iter().enumerate() {
+        label_index.entry(label.clone()).or_insert(VertexId(v as u32));
+    }
+    Ok(AttributedGraph {
+        adj_off,
+        adj,
+        kw_off: Arc::new(kw_off),
+        kws: Arc::new(kws),
+        labels: Arc::new(labels),
+        label_index: Arc::new(label_index),
+        interner: Arc::new(interner),
+    })
+}
+
+/// [`read_snapshot_bytes`] over a reader, which is read to its end.
+pub fn read_snapshot<R: Read>(r: &mut R) -> Result<AttributedGraph, GraphError> {
+    let mut bytes = Vec::new();
+    r.read_to_end(&mut bytes)?;
+    read_snapshot_bytes(&bytes)
 }
 
 /// Loads a binary snapshot from a file path.
 pub fn load_snapshot_file<P: AsRef<Path>>(path: P) -> Result<AttributedGraph, GraphError> {
-    let mut f = std::fs::File::open(path)?;
-    read_snapshot(&mut f)
+    read_snapshot_bytes(&std::fs::read(path)?)
 }
 
 /// Saves a binary snapshot to a file path.

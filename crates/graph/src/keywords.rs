@@ -42,6 +42,18 @@ impl KeywordInterner {
         Self::default()
     }
 
+    /// An interner whose ids are the positions in `names`; the duplicated
+    /// name is the error when one appears twice.
+    pub(crate) fn from_names(names: Vec<String>) -> Result<Self, String> {
+        let mut by_name = HashMap::with_capacity(names.len());
+        for (id, name) in names.iter().enumerate() {
+            if by_name.insert(name.clone(), KeywordId(id as u32)).is_some() {
+                return Err(name.clone());
+            }
+        }
+        Ok(Self { by_name, names })
+    }
+
     /// Interns `name`, returning its existing id if already present.
     pub fn intern(&mut self, name: &str) -> KeywordId {
         if let Some(&id) = self.by_name.get(name) {

@@ -24,6 +24,12 @@ impl ByteWriter {
         Self::default()
     }
 
+    /// An empty writer with room for `bytes`, for payloads whose size is
+    /// roughly known (a 130 MB checkpoint should not grow by doubling).
+    pub fn with_capacity(bytes: usize) -> Self {
+        Self { buf: Vec::with_capacity(bytes) }
+    }
+
     /// The encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -55,10 +61,19 @@ impl ByteWriter {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    /// Appends length-prefixed raw bytes.
-    pub fn bytes(&mut self, b: &[u8]) {
-        self.u64(b.len() as u64);
-        self.buf.extend_from_slice(b);
+    /// Appends a length-prefixed block of raw bytes that `fill` writes
+    /// straight into this writer's buffer; the length is patched in once
+    /// it is known, so a large block is never built somewhere else first.
+    pub fn block<E>(
+        &mut self,
+        fill: impl FnOnce(&mut Vec<u8>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let at = self.buf.len();
+        self.u64(0);
+        fill(&mut self.buf)?;
+        let len = (self.buf.len() - at - 8) as u64;
+        self.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
+        Ok(())
     }
 
     /// Appends a length-prefixed list of `(u32, u32)` pairs.
@@ -207,7 +222,11 @@ mod tests {
         w.u64(u64::MAX - 3);
         w.f64(-1.5);
         w.str("héllo");
-        w.bytes(b"raw");
+        w.block(|buf| {
+            buf.extend_from_slice(b"raw");
+            Ok::<(), ()>(())
+        })
+        .unwrap();
         w.pairs(&[(1, 2), (3, 4)]);
         w.strs(&["a".into(), "".into()]);
         let bytes = w.into_bytes();

@@ -8,7 +8,10 @@
 //!   ([`frame`], [`wal`]);
 //! - **snapshot checkpoints** (`snapshots/*.cxs`) freezing one graph
 //!   generation each, committed as a set by an atomically-replaced
-//!   **manifest** ([`snapshot`], [`manifest`]);
+//!   **manifest** ([`snapshot`], [`manifest`]), each with an optional
+//!   **index sidecar** (`*.cxi`): the caller's index over that graph as
+//!   opaque bytes, handed back at boot only when it is whole and bound
+//!   to the checkpoint it sits beside;
 //! - **recovery and compaction** in [`Store`]: boot replays the WAL on
 //!   top of the manifest's checkpoints and lands on the exact pre-crash
 //!   generation (or a clean prefix if the tail was torn); compaction
@@ -39,7 +42,9 @@ pub use crc::crc32;
 pub use error::StoreError;
 pub use manifest::{Manifest, ManifestEntry, MANIFEST_VERSION};
 pub use record::{Record, StoredProfile};
-pub use snapshot::{hex_name, snapshot_file_name, GraphCheckpoint, SNAPSHOT_VERSION};
+pub use snapshot::{
+    hex_name, index_file_name, snapshot_file_name, GraphCheckpoint, SNAPSHOT_VERSION,
+};
 pub use store::{
     CompactionStats, RecoveredGraph, RecoveredState, Store, TornTail, MANIFEST_FILE,
     SNAPSHOTS_DIR, WAL_FILE,

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use cx_graph::io::{read_snapshot, write_snapshot};
+use cx_graph::io::{read_snapshot_bytes, write_snapshot};
 use cx_graph::{AttributedGraph, EdgeDelta, VertexId};
 
 use crate::codec::{ByteReader, ByteWriter};
@@ -163,9 +163,7 @@ impl Record {
                 w.u8(KIND_ADD_GRAPH);
                 w.str(name);
                 w.u64(*generation);
-                let mut graph_bytes = Vec::new();
-                write_snapshot(graph, &mut graph_bytes)?;
-                w.bytes(&graph_bytes);
+                w.block(|buf| write_snapshot(graph, buf))?;
             }
             Record::Edit { name, generation, delta } => {
                 w.u8(KIND_EDIT);
@@ -214,8 +212,7 @@ impl Record {
             KIND_ADD_GRAPH => {
                 let name = r.str()?;
                 let generation = r.u64()?;
-                let graph_bytes = r.bytes()?;
-                let graph = read_snapshot(&mut std::io::Cursor::new(graph_bytes))?;
+                let graph = read_snapshot_bytes(r.bytes()?)?;
                 Record::AddGraph { name, generation, graph: Arc::new(graph) }
             }
             KIND_EDIT => {

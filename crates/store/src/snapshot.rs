@@ -22,11 +22,27 @@
 //! [`SNAPSHOT_VERSION`] is the only version read or written: any other
 //! value in the header is rejected with a typed
 //! [`StoreError::UnsupportedVersion`] instead of decoding garbage.
+//!
+//! # Index sidecar
+//!
+//! Beside a checkpoint may sit `<hex(name)>-<generation>.cxi`, the
+//! caller's index over that graph (the engine's CL-tree snapshot), which
+//! the store carries as opaque bytes:
+//!
+//! ```text
+//! [magic "CXSI"] [crc32(checkpoint payload): u32 le]
+//! [index_len: u64 le] [crc32(index): u32 le] [index]
+//! ```
+//!
+//! It is derived data and outside the durability contract: it is handed
+//! back only when it is whole and bound to the very payload just read,
+//! and a missing, torn, flipped or foreign sidecar is simply not there.
 
 use std::io::{Read, Write};
+use std::path::Path;
 use std::sync::Arc;
 
-use cx_graph::io::{read_snapshot, write_snapshot};
+use cx_graph::io::{read_snapshot_bytes, write_snapshot};
 use cx_graph::AttributedGraph;
 
 use crate::codec::{ByteReader, ByteWriter, MAX_LEN};
@@ -35,6 +51,10 @@ use crate::error::StoreError;
 use crate::record::StoredProfile;
 
 const MAGIC: &[u8; 4] = b"CXSS";
+const INDEX_MAGIC: &[u8; 4] = b"CXSI";
+/// Bytes before the payload of a checkpoint, and before the index of a
+/// sidecar: magic, a `u32`, a `u64`, a `u32`.
+const HEADER_LEN: usize = 4 + 4 + 8 + 4;
 
 /// Current checkpoint format version (2 = interned profile strings).
 pub const SNAPSHOT_VERSION: u32 = 2;
@@ -52,6 +72,10 @@ pub struct GraphCheckpoint {
     pub profiles: Vec<StoredProfile>,
     /// Precomputed layout coordinates, if attached.
     pub coords: Option<Vec<(f64, f64)>>,
+    /// The caller's index over `graph`, as opaque bytes. Not part of the
+    /// checkpoint file: [`crate::Store::compact`] writes it as the
+    /// sidecar, and [`GraphCheckpoint::read_from`] leaves it `None`.
+    pub index: Option<Vec<u8>>,
 }
 
 fn intern<'a>(
@@ -138,12 +162,10 @@ fn get_profiles(r: &mut ByteReader<'_>) -> Result<Vec<StoredProfile>, StoreError
 impl GraphCheckpoint {
     /// Serializes the checkpoint (header + checksummed payload) to `w`.
     pub fn write_to<W: Write>(&self, w: &mut W) -> Result<(), StoreError> {
-        let mut p = ByteWriter::new();
+        let mut p = ByteWriter::with_capacity(self.graph.memory_bytes());
         p.str(&self.name);
         p.u64(self.generation);
-        let mut graph_bytes = Vec::new();
-        write_snapshot(&self.graph, &mut graph_bytes)?;
-        p.bytes(&graph_bytes);
+        p.block(|buf| write_snapshot(&self.graph, buf))?;
         put_profiles(&mut p, &self.profiles);
         match &self.coords {
             Some(coords) => {
@@ -168,7 +190,7 @@ impl GraphCheckpoint {
     /// Reads and validates a checkpoint: magic, version gate, length
     /// bound, checksum, then structural decode with no trailing garbage.
     pub fn read_from<R: Read>(r: &mut R) -> Result<GraphCheckpoint, StoreError> {
-        let mut header = [0u8; 4 + 4 + 8 + 4];
+        let mut header = [0u8; HEADER_LEN];
         r.read_exact(&mut header)?;
         if &header[0..4] != MAGIC {
             return Err(StoreError::Corrupt("bad snapshot magic".into()));
@@ -193,8 +215,7 @@ impl GraphCheckpoint {
         let mut p = ByteReader::new(&payload);
         let name = p.str()?;
         let generation = p.u64()?;
-        let graph_bytes = p.bytes()?;
-        let graph = read_snapshot(&mut std::io::Cursor::new(graph_bytes))?;
+        let graph = read_snapshot_bytes(p.bytes()?)?;
         let profiles = get_profiles(&mut p)?;
         let coords = match p.u8()? {
             0 => None,
@@ -212,8 +233,44 @@ impl GraphCheckpoint {
             x => return Err(StoreError::Corrupt(format!("invalid coords presence byte {x}"))),
         };
         p.finish("snapshot payload")?;
-        Ok(GraphCheckpoint { name, generation, graph: Arc::new(graph), profiles, coords })
+        Ok(GraphCheckpoint { name, generation, graph: Arc::new(graph), profiles, coords, index: None })
     }
+}
+
+/// The payload checksum a checkpoint file's header records — what the
+/// file's index sidecar binds to.
+pub(crate) fn checkpoint_crc(path: &Path) -> Result<u32, StoreError> {
+    let mut header = [0u8; HEADER_LEN];
+    std::fs::File::open(path)?.read_exact(&mut header)?;
+    Ok(u32::from_le_bytes(header[16..20].try_into().unwrap()))
+}
+
+/// Writes `index` as the sidecar of the checkpoint whose payload
+/// checksum is `checkpoint_crc`, synced to disk.
+pub(crate) fn write_index(path: &Path, checkpoint_crc: u32, index: &[u8]) -> Result<(), StoreError> {
+    let mut f = std::fs::File::create(path)?;
+    f.write_all(INDEX_MAGIC)?;
+    f.write_all(&checkpoint_crc.to_le_bytes())?;
+    f.write_all(&(index.len() as u64).to_le_bytes())?;
+    f.write_all(&crc32(index).to_le_bytes())?;
+    f.write_all(index)?;
+    f.sync_all()?;
+    Ok(())
+}
+
+/// The index in the sidecar at `path`, if the file is whole and was
+/// written for the checkpoint whose payload checksum is `checkpoint_crc`.
+pub(crate) fn read_index(path: &Path, checkpoint_crc: u32) -> Option<Vec<u8>> {
+    let mut bytes = std::fs::read(path).ok()?;
+    let header = bytes.get(..HEADER_LEN)?;
+    let bound_to = u32::from_le_bytes(header[4..8].try_into().unwrap());
+    let len = u64::from_le_bytes(header[8..16].try_into().unwrap());
+    let want_crc = u32::from_le_bytes(header[16..20].try_into().unwrap());
+    let whole = &header[0..4] == INDEX_MAGIC
+        && bound_to == checkpoint_crc
+        && len == (bytes.len() - HEADER_LEN) as u64
+        && crc32(&bytes[HEADER_LEN..]) == want_crc;
+    whole.then(|| bytes.split_off(HEADER_LEN))
 }
 
 /// Hex-encodes a registry name for use in a snapshot filename.
@@ -229,6 +286,12 @@ pub fn hex_name(name: &str) -> String {
 /// snapshots directory.
 pub fn snapshot_file_name(name: &str, generation: u64) -> String {
     format!("{}-{generation}.cxs", hex_name(name))
+}
+
+/// The index sidecar's filename for `(name, generation)`, relative to
+/// the snapshots directory.
+pub fn index_file_name(name: &str, generation: u64) -> String {
+    format!("{}-{generation}.cxi", hex_name(name))
 }
 
 #[cfg(test)]
@@ -255,6 +318,7 @@ mod tests {
                 interests: vec!["graphs".into()],
             }],
             coords: Some(vec![(0.0, 1.0), (-2.5, 3.5), (7.0, 7.0)]),
+            index: None,
         }
     }
 
@@ -334,6 +398,7 @@ mod tests {
             graph: Arc::new(b.build()),
             profiles,
             coords: None,
+            index: None,
         };
         let inline: usize = cp
             .profiles
@@ -385,6 +450,7 @@ mod tests {
     fn filenames_are_hex_and_stable() {
         assert_eq!(hex_name("ab"), "6162");
         assert_eq!(snapshot_file_name("a/b", 9), "612f62-9.cxs");
+        assert_eq!(index_file_name("a/b", 9), "612f62-9.cxi");
         // Unicode and spaces survive.
         let f = snapshot_file_name("gráph name", 1);
         assert!(f.ends_with("-1.cxs"));

@@ -7,6 +7,7 @@
 //! <dir>/MANIFEST        atomic snapshot-set descriptor (see manifest.rs)
 //! <dir>/wal.log         append-only frame log (see frame.rs / wal.rs)
 //! <dir>/snapshots/*.cxs one checkpoint file per (graph, generation)
+//! <dir>/snapshots/*.cxi that checkpoint's index sidecar (see snapshot.rs)
 //! ```
 //!
 //! ## Recovery invariant
@@ -23,18 +24,21 @@
 //! kill-replay harness checks: recovery lands on a prefix of committed
 //! generations, never on an invented state.
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-use cx_graph::AttributedGraph;
+use cx_graph::{AttributedGraph, VertexId};
 
 use crate::error::StoreError;
 use crate::frame;
 use crate::manifest::{Manifest, ManifestEntry};
 use crate::record::{Record, StoredProfile};
-use crate::snapshot::{snapshot_file_name, GraphCheckpoint};
+use crate::snapshot::{
+    checkpoint_crc, index_file_name, read_index, snapshot_file_name, write_index, GraphCheckpoint,
+};
 use crate::wal::Wal;
 
 /// Name of the WAL file inside a store directory.
@@ -55,7 +59,18 @@ pub struct RecoveredGraph {
     pub profiles: Vec<StoredProfile>,
     /// Layout coordinates, if any were attached.
     pub coords: Option<Vec<(f64, f64)>>,
+    /// The index a compaction stored beside this graph's checkpoint, as
+    /// the opaque bytes it was given — present only while `graph` is
+    /// still exactly the checkpointed one (no `AddGraph` or `Edit` was
+    /// replayed over it) and the sidecar file was whole and bound to
+    /// that checkpoint. `None` means build the index from `graph`.
+    pub index: Option<Vec<u8>>,
 }
+
+/// Where each vertex's row sits in a recovered graph's `profiles`, built
+/// the first time replay merges into that graph, so a `SetProfiles`
+/// record costs its own length rather than a scan per profile.
+type ProfileRows = HashMap<String, HashMap<VertexId, usize>>;
 
 /// Where and why the WAL stopped being readable.
 #[derive(Debug, Clone)]
@@ -164,6 +179,11 @@ impl Store {
                         generation: cp.generation,
                         profiles: cp.profiles,
                         coords: cp.coords,
+                        index: read_index(
+                            &dir.join(SNAPSHOTS_DIR)
+                                .join(index_file_name(&entry.name, entry.generation)),
+                            checkpoint_crc(&path)?,
+                        ),
                     },
                 );
             }
@@ -185,10 +205,11 @@ impl Store {
             cx_obs::metrics::inc("cx_store_torn_tail_total");
         }
         let mut last_lsn = manifest.wal_lsn;
+        let mut rows = ProfileRows::new();
         for f in &scan.frames {
             last_lsn = f.lsn;
             let record = Record::decode(f.record)?;
-            Store::replay_one(&mut state, record)?;
+            Store::replay_one(&mut state, &mut rows, record)?;
             state.frames_replayed += 1;
         }
 
@@ -213,7 +234,11 @@ impl Store {
         Ok((store, state))
     }
 
-    fn replay_one(state: &mut RecoveredState, record: Record) -> Result<(), StoreError> {
+    fn replay_one(
+        state: &mut RecoveredState,
+        rows: &mut ProfileRows,
+        record: Record,
+    ) -> Result<(), StoreError> {
         // SetDefault carries no generation; every scanned frame is newer
         // than the manifest's wal_lsn, so it always applies.
         let Some(name) = record.graph_name().map(str::to_owned) else {
@@ -229,9 +254,16 @@ impl Store {
         }
         match record {
             Record::AddGraph { graph, .. } => {
+                rows.remove(&name);
                 state.graphs.insert(
                     name.clone(),
-                    RecoveredGraph { graph, generation, profiles: Vec::new(), coords: None },
+                    RecoveredGraph {
+                        graph,
+                        generation,
+                        profiles: Vec::new(),
+                        coords: None,
+                        index: None,
+                    },
                 );
                 if state.default_graph.is_none() {
                     state.default_graph = Some(name.clone());
@@ -242,9 +274,12 @@ impl Store {
                     StoreError::Replay(format!("edit for unknown graph '{name}'"))
                 })?;
                 rg.graph = Arc::new(rg.graph.apply_delta(&delta));
+                // The checkpoint's index describes the graph before this edit.
+                rg.index = None;
                 rg.generation = generation;
             }
             Record::Remove { .. } => {
+                rows.remove(&name);
                 state.graphs.remove(&name);
                 if state.default_graph.as_deref() == Some(name.as_str()) {
                     state.default_graph = state.graphs.keys().next().cloned();
@@ -256,11 +291,16 @@ impl Store {
                 })?;
                 // Merge the increment, newest wins per vertex — mirrors
                 // `Engine::set_profiles`.
+                let row_of = rows.entry(name.clone()).or_insert_with(|| {
+                    rg.profiles.iter().enumerate().map(|(i, p)| (p.vertex, i)).collect()
+                });
                 for p in profiles {
-                    if let Some(slot) = rg.profiles.iter_mut().find(|q| q.vertex == p.vertex) {
-                        *slot = p;
-                    } else {
-                        rg.profiles.push(p);
+                    match row_of.entry(p.vertex) {
+                        Entry::Occupied(row) => rg.profiles[*row.get()] = p,
+                        Entry::Vacant(row) => {
+                            row.insert(rg.profiles.len());
+                            rg.profiles.push(p);
+                        }
                     }
                 }
                 rg.generation = generation;
@@ -308,7 +348,9 @@ impl Store {
     }
 
     /// Folds the given cut of live state into fresh checkpoint files,
-    /// atomically swaps the manifest, and truncates the WAL.
+    /// atomically swaps the manifest, and truncates the WAL. A
+    /// checkpoint that carries an `index` gets it written beside its
+    /// file as the sidecar [`RecoveredGraph::index`] is read from.
     ///
     /// The caller must guarantee `live` + `counters` + `default_graph`
     /// form a consistent cut with no writer racing ahead (the engine
@@ -327,7 +369,7 @@ impl Store {
         let mut stats = CompactionStats { wal_bytes_folded: inner.wal.bytes(), ..Default::default() };
 
         let mut entries = Vec::with_capacity(counters.len());
-        let mut live_files = Vec::with_capacity(live.len());
+        let mut live_files = Vec::with_capacity(2 * live.len());
         for cp in live {
             let file = snapshot_file_name(&cp.name, cp.generation);
             let path = snap_dir.join(&file);
@@ -339,6 +381,18 @@ impl Store {
                 f.sync_all()?;
                 stats.snapshots_written += 1;
             }
+            // The sidecar lands (synced) before the manifest swap that
+            // makes its checkpoint live; one already there and whole —
+            // this generation was compacted before — is left alone.
+            let index_file = index_file_name(&cp.name, cp.generation);
+            if let Some(index) = &cp.index {
+                let index_path = snap_dir.join(&index_file);
+                let crc = checkpoint_crc(&path)?;
+                if read_index(&index_path, crc).is_none() {
+                    write_index(&index_path, crc, index)?;
+                }
+            }
+            live_files.push(index_file);
             live_files.push(file.clone());
             entries.push(ManifestEntry { name: cp.name.clone(), generation: cp.generation, file: Some(file) });
         }
@@ -360,7 +414,8 @@ impl Store {
         inner.manifest = manifest;
         inner.wal.truncate()?;
 
-        // Everything not referenced by the new manifest is garbage.
+        // Everything that is neither a file the new manifest references
+        // nor the sidecar of one is garbage.
         for entry in std::fs::read_dir(&snap_dir)? {
             let entry = entry?;
             let fname = entry.file_name();
@@ -461,6 +516,7 @@ mod tests {
                     interests: vec!["x".into()],
                 }],
                 coords: None,
+                index: None,
             };
             let stats = store
                 .compact(&[cp], Some("g".into()), &[("g".into(), 2)])
@@ -502,6 +558,7 @@ mod tests {
                 graph: g1,
                 profiles: vec![],
                 coords: None,
+                index: None,
             };
             store.compact(&[cp], Some("g".into()), &[("g".into(), 1)]).unwrap();
             // Remove claims generation 2, re-add claims 3.
@@ -516,6 +573,7 @@ mod tests {
                 graph: g2,
                 profiles: vec![],
                 coords: None,
+                index: None,
             };
             let stats = store.compact(&[cp], Some("g".into()), &[("g".into(), 3)]).unwrap();
             // The generation-1 snapshot file is now stale and deleted.

@@ -56,6 +56,7 @@ fn checkpoint(name: &str, graph: AttributedGraph, area_of: &[usize], seed: u64) 
         graph: Arc::new(graph),
         profiles,
         coords: Some(coords),
+        index: None,
     }
 }
 
@@ -86,6 +87,7 @@ fn bare_checkpoint_roundtrips_without_decorations() {
         graph: Arc::new(figure5_graph()),
         profiles: Vec::new(),
         coords: None,
+        index: None,
     };
     assert_exact(&cp);
 }
@@ -101,6 +103,7 @@ fn future_format_version_is_rejected_with_typed_error() {
         graph: Arc::new(figure5_graph()),
         profiles: Vec::new(),
         coords: None,
+        index: None,
     };
     let mut buf = Vec::new();
     cp.write_to(&mut buf).unwrap();

@@ -11,7 +11,9 @@
 #   4. the cx-check correctness sweep at CX_THREADS=1 and
 #   5. again at CX_THREADS=8 (invariants + differential oracles incl.
 #      snapshot pinning, incremental-vs-scratch and scratch reuse + API
-#      fuzz + the kill-replay durability oracle over a seeded matrix);
+#      fuzz + the kill-replay durability oracle over a seeded matrix:
+#      56 crash cases = 8 each of two WAL cuts, a WAL bit flip, and the
+#      index sidecar missing / cut short / bit-flipped / foreign);
 #   6. the tests of the standalone benchmark/ package (its own workspace
 #      with path deps on crates/*, so step 1 does not compile it);
 #   7. `benchmark/run.sh --quick`: every cxb workload end to end over
@@ -36,11 +38,11 @@ CX_THREADS=8 cargo test -q --workspace
 
 echo "== cx-check seed matrix (3 sizes x 2 seeds x 4 queries + fuzz + kill-replay, CX_THREADS=1) =="
 CX_THREADS=1 cargo run -q --release -p cx-check --bin cx-check -- \
-  --sizes 60,200,800 --seeds 7,21 --queries 4 --fuzz 600 --kill-replay 25
+  --sizes 60,200,800 --seeds 7,21 --queries 4 --fuzz 600 --kill-replay 56
 
 echo "== cx-check seed matrix (3 sizes x 2 seeds x 4 queries + fuzz + kill-replay, CX_THREADS=8) =="
 CX_THREADS=8 cargo run -q --release -p cx-check --bin cx-check -- \
-  --sizes 60,200,800 --seeds 7,21 --queries 4 --fuzz 600 --kill-replay 25
+  --sizes 60,200,800 --seeds 7,21 --queries 4 --fuzz 600 --kill-replay 56
 
 echo "== benchmark/ package tests =="
 cargo test -q --manifest-path benchmark/Cargo.toml

@@ -9,8 +9,8 @@
 //! cx compare <graph> <name> [--k K] [--algos a,b,c] Figure 6(a) table + quality bars
 //! cx detect <graph> [--algo codicil]                community detection summary
 //! cx serve <graph> [--port P]                       launch the web UI
-//! cx save <graph> <dir>                             persist graph + index snapshots
-//! cx load <dir> [--port P]                          serve a persisted deployment
+//! cx save <graph> <dir>                             write <graph> into the durable store at <dir>
+//! cx load <dir> [--port P]                          serve the durable store at <dir>
 //! ```
 //!
 //! `<graph>` is a `.bin` snapshot, a text-format graph file, or one of
@@ -264,8 +264,13 @@ fn run(args: &[String]) -> Result<(), String> {
         "save" => {
             let g = load_graph(pos.get(1).copied().ok_or("save needs a graph")?, &opts)?;
             let dir = pos.get(2).copied().ok_or("save needs a target directory")?;
-            let engine = Engine::with_graph("main", g);
-            engine.save_dir(std::path::Path::new(dir)).map_err(|e| e.to_string())?;
+            // A deployment directory is a durable store: the graph goes in
+            // through the WAL and is folded at once into a checkpoint with
+            // its CL-tree index beside it, which `cx load` boots from.
+            let engine =
+                Engine::open_durable(std::path::Path::new(dir)).map_err(|e| e.to_string())?;
+            engine.try_add_graph("main", g).map_err(|e| e.to_string())?;
+            engine.compact_store().map_err(|e| e.to_string())?;
             println!("persisted graph + CL-tree index into {dir}");
             Ok(())
         }
@@ -274,7 +279,12 @@ fn run(args: &[String]) -> Result<(), String> {
             let port: u16 = opts.get("port").map_or(Ok(7171), |s| {
                 s.parse().map_err(|_| "--port must be a port number".to_owned())
             })?;
-            let engine = Engine::load_dir(std::path::Path::new(dir)).map_err(|e| e.to_string())?;
+            // Opening creates what is missing; a mistyped path should not.
+            if !std::path::Path::new(dir).is_dir() {
+                return Err(format!("{dir} is not a directory (`cx save <graph> {dir}` makes one)"));
+            }
+            let engine =
+                Engine::open_durable(std::path::Path::new(dir)).map_err(|e| e.to_string())?;
             println!(
                 "loaded graphs: {:?} (default {:?})",
                 engine.graph_names(),

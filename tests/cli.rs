@@ -65,12 +65,23 @@ fn generate_save_roundtrip() {
     let (ok, stdout, _) = run(&["stats", bin_path.to_str().unwrap()]);
     assert!(ok);
     assert!(stdout.contains("|V|=300"));
-    // Persist a deployment directory.
+    // Persist a deployment directory: a durable store holding the graph
+    // as a checkpoint with its CL-tree index beside it.
     let deploy = dir.join("deploy");
     let (ok, _, stderr) = run(&["save", bin_path.to_str().unwrap(), deploy.to_str().unwrap()]);
     assert!(ok, "stderr: {stderr}");
-    assert!(deploy.join("main.graph.bin").exists());
-    assert!(deploy.join("main.index.bin").exists());
+    assert!(deploy.join("MANIFEST").exists());
+    let mut files: Vec<String> = std::fs::read_dir(deploy.join("snapshots"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    // hex("main") = 6d61696e, generation 1.
+    assert_eq!(files, ["6d61696e-1.cxi", "6d61696e-1.cxs"]);
+    // Loading refuses a path that is not a deployment directory.
+    let (ok, _, stderr) = run(&["load", dir.join("nowhere").to_str().unwrap()]);
+    assert!(!ok);
+    assert!(stderr.contains("not a directory"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -6,9 +6,14 @@
 use c_explorer::prelude::*;
 use cx_explorer::Profile;
 
-/// Builds the demo deployment: DBLP-like graph + profiles + coordinates,
-/// exactly like `examples/serve.rs` does.
+/// Builds the demo deployment in memory.
 fn demo_deployment() -> (Engine, VertexId) {
+    deploy_into(Engine::new())
+}
+
+/// Loads the demo deployment into `engine`: DBLP-like graph + profiles +
+/// coordinates, exactly like `examples/serve.rs` does.
+fn deploy_into(engine: Engine) -> (Engine, VertexId) {
     let (graph, areas) = dblp_like(&DblpParams::scaled(3_000, 42));
     let hub = graph.vertices().max_by_key(|&v| graph.degree(v)).unwrap();
     let profiles = cx_datagen::generate_profiles(&graph, &areas, 3);
@@ -27,7 +32,7 @@ fn demo_deployment() -> (Engine, VertexId) {
             )
         })
         .collect();
-    let engine = Engine::with_graph("dblp", graph);
+    engine.add_graph("dblp", graph);
     engine.set_profiles(None, records).unwrap();
     engine.set_coordinates(None, coords).unwrap();
     engine.add_graph("figure5", cx_datagen::figure5_graph());
@@ -118,7 +123,11 @@ fn demonstration_comparison_analysis() {
 /// spatial search, evolving edits, and persistence — all on one engine.
 #[test]
 fn demonstration_full_facilities() {
-    let (engine, hub) = demo_deployment();
+    // This deployment lives in a durable store, so the last step can
+    // restart it.
+    let dir = std::env::temp_dir().join(format!("cx_demo_persist-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (engine, hub) = deploy_into(Engine::open_durable(&dir).unwrap());
 
     // Graph selector: switch to the paper's example graph and back.
     assert_eq!(engine.graph_names(), vec!["dblp", "figure5"]);
@@ -142,12 +151,19 @@ fn demonstration_full_facilities() {
         assert!(c.min_internal_degree(&engine.snapshot(None).unwrap().graph) >= 4);
     }
 
-    // Persistence: save, reload, same answers.
-    let dir = std::env::temp_dir().join("cx_demo_persist");
-    let _ = std::fs::remove_dir_all(&dir);
-    engine.save_dir(&dir).unwrap();
-    let restored = Engine::load_dir(&dir).unwrap();
+    // Persistence: fold the store into checkpoints (graph, profiles,
+    // coordinates, and the CL-tree index beside them), restart from the
+    // directory alone, same answers.
+    engine.compact_store().unwrap();
+    let profile = engine.profile(None, hub).unwrap();
+    let sac = engine.search("sac", &QuerySpec::by_label(&name).k(4)).unwrap();
+    drop(engine);
+    let restored = Engine::open_durable(&dir).unwrap();
+    assert_eq!(restored.graph_names(), vec!["dblp", "figure5"]);
     let again = restored.search("acq", &QuerySpec::by_label(&name).k(4)).unwrap();
     assert_eq!(after, again);
+    // Profiles and coordinates are part of what a restart brings back.
+    assert_eq!(restored.profile(None, hub).unwrap(), profile);
+    assert_eq!(restored.search("sac", &QuerySpec::by_label(&name).k(4)).unwrap(), sac);
     let _ = std::fs::remove_dir_all(&dir);
 }
