@@ -4,7 +4,9 @@
 //!
 //! 1. **Invariants** — every community returned by the ACQ reference
 //!    passes connectivity / membership / min-degree / theme checks, and
-//!    every ACQ result passes keyword-maximality.
+//!    every ACQ result passes keyword-maximality; the CL-tree's preorder
+//!    columns and postings, and the graph's label column, match their
+//!    definitions.
 //! 2. **Core-number differential** — `CoreDecomposition` (sequential and
 //!    parallel) vs. a naive fixpoint peel.
 //! 2b. **Hierarchy reconstruction** — at every level, fully expanding the
@@ -37,7 +39,7 @@
 //! Exit status 0 = clean; 1 = violations found; 2 = bad usage.
 
 use cx_acq::AcqOptions;
-use cx_check::invariants::{check_core_numbers, check_tree_columns};
+use cx_check::invariants::{check_core_numbers, check_label_column, check_tree_columns};
 use cx_check::oracle::thread_differential;
 use cx_check::{
     acq_strategy_differential, cached_vs_uncached, check_acq_result, edit_script, fingerprint,
@@ -155,6 +157,11 @@ fn main() {
 
         // The index's preorder columns and keyword postings, by brute force.
         for v in check_tree_columns(g, &tree) {
+            problems.push(format!("{} {v}", case.name));
+        }
+
+        // The label column's arena, folded twin and sorted order.
+        for v in check_label_column(g) {
             problems.push(format!("{} {v}", case.name));
         }
 

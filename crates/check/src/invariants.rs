@@ -410,6 +410,57 @@ pub fn check_tree_columns(g: &AttributedGraph, tree: &ClTree) -> Vec<Violation> 
     out
 }
 
+/// The label column against its definition: the arena's offsets (and the
+/// folded twin's) run from 0 to the end of the arena, never decrease and
+/// fall on char boundaries; the twin holds `to_lowercase` of every label,
+/// and is absent only when every label is its own fold; `order` is a
+/// permutation of the vertices sorted strictly by (folded label, id).
+pub fn check_label_column(g: &AttributedGraph) -> Vec<Violation> {
+    let mut out = Vec::new();
+    let mut bad = |detail: String| out.push(Violation::new("label-column", detail));
+    let n = g.vertex_count();
+    let col = g.labels();
+    let arenas = [Some(("labels", col.arena())), col.folded_twin().map(|t| ("twin", t))];
+    for (name, arena) in arenas.into_iter().flatten() {
+        let (text, off) = (arena.text(), arena.offsets());
+        if off.len() != n + 1 || off.first() != Some(&0) || off.last() != Some(&(text.len() as u32)) {
+            bad(format!("{name}: {} offsets for {n} labels over {} bytes", off.len(), text.len()));
+            return out;
+        }
+        if let Some(i) = off.windows(2).position(|w| w[0] > w[1]) {
+            bad(format!("{name}: offset {i} decreases"));
+            return out;
+        }
+        if let Some(&o) = off.iter().find(|&&o| !text.is_char_boundary(o as usize)) {
+            bad(format!("{name}: offset {o} splits a char"));
+            return out;
+        }
+    }
+    for v in g.vertices() {
+        let want = g.label(v).to_lowercase();
+        if col.folded(v) != want {
+            bad(format!("{v:?}: fold {:?}, to_lowercase {want:?}", col.folded(v)));
+        }
+    }
+    let order = col.order();
+    let mut seen = vec![false; n];
+    for &v in order {
+        if v.index() >= n || std::mem::replace(&mut seen[v.index()], true) {
+            bad(format!("order holds {v:?} out of range or twice"));
+            return out;
+        }
+    }
+    if order.len() != n {
+        bad(format!("order holds {} of {n} vertices", order.len()));
+    }
+    for (i, p) in order.windows(2).enumerate() {
+        if (col.folded(p[0]), p[0]) >= (col.folded(p[1]), p[1]) {
+            bad(format!("order[{i}] = {:?} is not below order[{}] = {:?}", p[0], i + 1, p[1]));
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -541,6 +592,25 @@ mod tests {
         }
         let shifted = check_tree_columns(&b.build(), &tree);
         assert!(shifted.iter().any(|v| v.detail.contains("carriers of")), "{shifted:?}");
+    }
+
+    #[test]
+    fn label_column_holds_with_and_without_a_twin() {
+        assert_eq!(check_label_column(&figure5_graph()), Vec::new());
+        let mut b = cx_graph::GraphBuilder::new();
+        for l in ["author-2", "author-10", "", "author-2"] {
+            b.add_vertex(l, &[]);
+        }
+        let plain = b.build();
+        assert!(plain.labels().folded_twin().is_none());
+        assert_eq!(check_label_column(&plain), Vec::new());
+        let mut b = cx_graph::GraphBuilder::new();
+        for l in ["İstanbul", "STRASSE", "Straße", "ΟΔΟΣ", "", "b", "B"] {
+            b.add_vertex(l, &[]);
+        }
+        let folded = b.build();
+        assert!(folded.labels().folded_twin().is_some());
+        assert_eq!(check_label_column(&folded), Vec::new());
     }
 
     #[test]

@@ -231,8 +231,10 @@ pub fn snapshot_pinning_differential(
 /// Replays a seeded [`EditStep`] script through ONE long-lived engine —
 /// whose `apply_edits` patches the CSR, maintains core numbers with the
 /// warm `DynamicCore`, and repairs the CL-tree incrementally — and after
-/// EVERY step compares four views against a from-scratch world rebuilt
-/// from the coalesced edge set:
+/// EVERY step checks that the patched graph still shares `g`'s attribute
+/// columns (keywords, label column, interner) by `Arc`, and compares
+/// four views against a from-scratch world rebuilt from the coalesced
+/// edge set:
 ///
 /// 1. the graph fingerprint (full adjacency, CSR order),
 /// 2. core numbers vs. a fresh [`CoreDecomposition`],
@@ -274,6 +276,9 @@ pub fn incremental_vs_scratch(
 
         let scratch_graph = rebuild_with_edges(g, &edges);
         let snap = inc.snapshot(None).expect("graph stays registered across edits");
+        if !snap.graph.shares_attributes_with(g) {
+            mismatches.push(mismatch("the edit copied the attribute columns".into()));
+        }
         if graph_fingerprint(&snap.graph) != graph_fingerprint(&scratch_graph) {
             mismatches.push(mismatch(format!(
                 "graph fingerprints diverge (incremental m={}, scratch m={})",

@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use cx_cltree::{ClTree, Hierarchy};
-use cx_graph::{AttributedGraph, Community, VertexId};
+use cx_graph::{AttributedGraph, Community, GraphStats, VertexId};
 use cx_layout::{layout_community, layout_summary, LayoutAlgorithm, Scene, SummaryItem};
 use cx_par::task::{CancelToken, ProgressFn};
 
@@ -91,6 +91,9 @@ pub struct GraphSnapshot {
     /// the edit path seeds the successor's cell incrementally when this
     /// one was populated.
     hierarchy: std::sync::OnceLock<Arc<Hierarchy>>,
+    /// Whole-graph statistics, computed on first use. Never carried to a
+    /// successor: an edit's snapshot starts empty and recomputes.
+    stats: std::sync::OnceLock<GraphStats>,
     /// Whether this snapshot bumped the live-snapshot gauge when built
     /// (observability could be toggled between construction and drop).
     gauge_counted: bool,
@@ -117,6 +120,7 @@ impl GraphSnapshot {
             coords,
             generation,
             hierarchy: std::sync::OnceLock::new(),
+            stats: std::sync::OnceLock::new(),
             gauge_counted,
         }
     }
@@ -135,6 +139,12 @@ impl GraphSnapshot {
     /// The hierarchy if it was already built for this snapshot.
     pub fn hierarchy_cached(&self) -> Option<Arc<Hierarchy>> {
         self.hierarchy.get().map(Arc::clone)
+    }
+
+    /// [`GraphStats`] of this snapshot's graph (an O(n + m) pass with a
+    /// BFS and a degree sort), computed on first call and then shared.
+    pub fn stats(&self) -> &GraphStats {
+        self.stats.get_or_init(|| GraphStats::compute(&self.graph))
     }
 
     /// Pre-populates the hierarchy cell (edit path). A no-op if built.
@@ -1136,11 +1146,16 @@ impl Engine {
     }
 
     /// Paged [`Engine::suggest`]: returns the `offset..offset+limit`
-    /// slice of the ranked match list plus the total match count. Only
-    /// the best `offset + limit` candidates are ever materialised
-    /// (bounded partial selection in the graph layer), so pagination
-    /// stays correct *and* cheap at paper scale — no fixed scan cap that
-    /// silently truncates pages.
+    /// slice of the ranked match list (exact ▸ prefix ▸ interior, each
+    /// tier by degree then id) plus a match count. Only the best
+    /// `offset + limit` candidates are ever materialised, so pages stay
+    /// mutually consistent at any depth.
+    ///
+    /// The count is the exact size of the exact + prefix tiers, plus the
+    /// interior matches whenever the interior pass ran — that is, when
+    /// those tiers held fewer than `offset + limit` matches (see
+    /// [`cx_graph::LabelColumn::search`]). The `suggest` route never
+    /// serves it.
     pub fn suggest_page(
         &self,
         graph: Option<&str>,
@@ -1890,6 +1905,30 @@ mod edit_tests {
             before.coords.as_ref().unwrap()
         ));
         assert_eq!(after.generation, before.generation + 1);
+    }
+
+    #[test]
+    fn stats_after_an_edit_describe_the_edited_graph() {
+        // The path a—b—c—d: cutting b—c splits it, adding a—d rejoins it.
+        let mut b = cx_graph::GraphBuilder::new();
+        let v: Vec<VertexId> = ["a", "b", "c", "d"].iter().map(|l| b.add_vertex(l, &[])).collect();
+        for i in 0..3 {
+            b.add_edge(v[i], v[i + 1]);
+        }
+        let e = Engine::with_graph("path", b.build());
+        let first = e.snapshot(None).unwrap();
+        assert_eq!((first.stats().edges, first.stats().components), (3, 1));
+
+        e.apply_edits(None, &[], &[(v[1], v[2])]).unwrap();
+        let cut = e.snapshot(None).unwrap();
+        assert_eq!((cut.stats().edges, cut.stats().components), (2, 2));
+        assert_eq!(cut.stats().degrees.max, 1);
+        // A reader pinned to the old snapshot keeps its own statistics.
+        assert_eq!((first.stats().edges, first.stats().components), (3, 1));
+
+        e.apply_edits(None, &[(v[0], v[3])], &[]).unwrap();
+        let rejoined = e.snapshot(None).unwrap();
+        assert_eq!((rejoined.stats().edges, rejoined.stats().components), (3, 1));
     }
 
     #[test]

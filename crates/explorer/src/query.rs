@@ -8,7 +8,7 @@ use crate::error::ExplorerError;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VertexRef {
     /// A single vertex by exact display label (case-insensitive fallback
-    /// to the best `search_label` hit, as the UI's name box behaves).
+    /// to the best `search_label_top` hit, as the UI's name box behaves).
     Label(String),
     /// A single vertex by id.
     Id(VertexId),
@@ -67,13 +67,14 @@ impl QuerySpec {
 
     /// Resolves the query vertices against a graph. Single-vertex refs
     /// yield one element. Labels resolve exactly first, then through
-    /// case-insensitive search (best hit).
+    /// case-insensitive search (the top-ranked hit).
     pub fn resolve(&self, g: &AttributedGraph) -> Result<Vec<VertexId>, ExplorerError> {
         let resolve_label = |label: &str| -> Result<VertexId, ExplorerError> {
             if let Some(v) = g.vertex_by_label(label) {
                 return Ok(v);
             }
-            g.search_label(label)
+            g.search_label_top(label, 1)
+                .0
                 .first()
                 .copied()
                 .ok_or_else(|| ExplorerError::UnknownVertex(label.to_owned()))

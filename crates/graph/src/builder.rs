@@ -1,10 +1,10 @@
 //! Mutable construction of [`AttributedGraph`]s.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::graph::{AttributedGraph, VertexId};
 use crate::keywords::KeywordInterner;
+use crate::labels::LabelArena;
 use crate::GraphError;
 
 /// Accumulates vertices, keywords and edges, then packs them into an
@@ -13,17 +13,14 @@ use crate::GraphError;
 /// The builder is forgiving: duplicate edges and self-loops are silently
 /// dropped at [`GraphBuilder::build`] time, keyword lists are deduplicated
 /// and sorted, and edges may reference vertices added later (they are
-/// validated at build time). Duplicate labels are allowed by default — the
-/// label index keeps the first occurrence — but can be rejected with
-/// [`GraphBuilder::deny_duplicate_labels`].
+/// validated at build time). Duplicate labels are allowed; a lookup by
+/// label answers with the first.
 #[derive(Debug, Default)]
 pub struct GraphBuilder {
-    labels: Vec<String>,
+    labels: LabelArena,
     keyword_sets: Vec<Vec<crate::KeywordId>>,
     edges: Vec<(VertexId, VertexId)>,
     interner: KeywordInterner,
-    label_index: HashMap<String, VertexId>,
-    deny_dup_labels: bool,
 }
 
 impl GraphBuilder {
@@ -35,44 +32,25 @@ impl GraphBuilder {
     /// Creates a builder with capacity hints for vertices and edges.
     pub fn with_capacity(vertices: usize, edges: usize) -> Self {
         Self {
-            labels: Vec::with_capacity(vertices),
+            labels: LabelArena::with_capacity(vertices, 0),
             keyword_sets: Vec::with_capacity(vertices),
             edges: Vec::with_capacity(edges),
             ..Self::default()
         }
     }
 
-    /// Makes [`Self::try_add_vertex`] reject labels that already exist.
-    pub fn deny_duplicate_labels(mut self) -> Self {
-        self.deny_dup_labels = true;
-        self
-    }
-
     /// Adds a vertex with a label and keyword strings, returning its id.
     ///
-    /// Panics only if more than `u32::MAX` vertices are added.
+    /// Panics only if more than `u32::MAX` vertices, or more than
+    /// `u32::MAX` bytes of labels, are added.
     pub fn add_vertex(&mut self, label: &str, keywords: &[&str]) -> VertexId {
-        self.try_add_vertex(label, keywords).expect("duplicate label rejected")
-    }
-
-    /// Fallible vertex addition; errors on a duplicate label when the builder
-    /// was configured with [`Self::deny_duplicate_labels`].
-    pub fn try_add_vertex(
-        &mut self,
-        label: &str,
-        keywords: &[&str],
-    ) -> Result<VertexId, GraphError> {
-        if self.deny_dup_labels && self.label_index.contains_key(label) {
-            return Err(GraphError::DuplicateLabel(label.to_owned()));
-        }
         let id = VertexId(u32::try_from(self.labels.len()).expect("vertex count exceeds u32"));
-        self.labels.push(label.to_owned());
+        self.labels.push(label).expect("label bytes exceed u32");
         let mut kws: Vec<_> = keywords.iter().map(|k| self.interner.intern(k)).collect();
         kws.sort_unstable();
         kws.dedup();
         self.keyword_sets.push(kws);
-        self.label_index.entry(label.to_owned()).or_insert(id);
-        Ok(id)
+        id
     }
 
     /// Appends extra keywords to an existing vertex.
@@ -184,8 +162,7 @@ impl GraphBuilder {
             adj,
             kw_off: Arc::new(kw_off),
             kws: Arc::new(kws),
-            labels: Arc::new(self.labels),
-            label_index: Arc::new(self.label_index),
+            labels: Arc::new(self.labels.seal()?),
             interner: Arc::new(self.interner),
         })
     }
@@ -251,13 +228,6 @@ mod tests {
         let g = b.build();
         assert_eq!(g.vertex_count(), 2);
         assert_eq!(g.vertex_by_label("dup"), Some(first));
-    }
-
-    #[test]
-    fn deny_duplicate_labels_rejects() {
-        let mut b = GraphBuilder::new().deny_duplicate_labels();
-        b.try_add_vertex("dup", &[]).unwrap();
-        assert!(matches!(b.try_add_vertex("dup", &[]), Err(GraphError::DuplicateLabel(_))));
     }
 
     #[test]

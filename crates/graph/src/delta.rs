@@ -97,7 +97,7 @@ impl AttributedGraph {
 
     /// Produces the successor graph `(V, (E \ removed) ∪ added)` by
     /// patching the CSR adjacency. Attribute columns (keyword CSR,
-    /// labels, label index, interner) are shared with `self` by `Arc` —
+    /// label column, interner) are shared with `self` by `Arc` —
     /// see [`Self::shares_attributes_with`].
     ///
     /// `delta` must come from [`Self::edge_delta`] on this same graph
@@ -161,7 +161,6 @@ impl AttributedGraph {
             kw_off: Arc::clone(&self.kw_off),
             kws: Arc::clone(&self.kws),
             labels: Arc::clone(&self.labels),
-            label_index: Arc::clone(&self.label_index),
             interner: Arc::clone(&self.interner),
         }
     }

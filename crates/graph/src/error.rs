@@ -14,8 +14,6 @@ pub enum GraphError {
     },
     /// A vertex label was looked up but does not exist in the graph.
     UnknownLabel(String),
-    /// A duplicate label was added to a builder configured to reject them.
-    DuplicateLabel(String),
     /// A text file could not be parsed; carries line number and message.
     Parse {
         /// 1-based line number of the failure.
@@ -39,7 +37,6 @@ impl fmt::Display for GraphError {
                 write!(f, "vertex id {vertex} out of range (graph has {vertex_count} vertices)")
             }
             GraphError::UnknownLabel(l) => write!(f, "no vertex labelled {l:?}"),
-            GraphError::DuplicateLabel(l) => write!(f, "duplicate vertex label {l:?}"),
             GraphError::Parse { line, message } => write!(f, "parse error at line {line}: {message}"),
             GraphError::Snapshot(m) => write!(f, "invalid graph snapshot: {m}"),
             GraphError::Capacity(m) => write!(f, "graph capacity exceeded: {m}"),

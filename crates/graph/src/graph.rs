@@ -1,10 +1,10 @@
 //! The immutable CSR attributed graph.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::error::GraphError;
 use crate::keywords::{KeywordId, KeywordInterner};
+use crate::labels::LabelColumn;
 
 /// The integer type of CSR offsets: `u32` rather than `usize`, halving
 /// the per-vertex offset columns on 64-bit hosts. A graph is limited to
@@ -51,8 +51,7 @@ pub struct AttributedGraph {
     // CSR keyword sets: W(v) = kws[kw_off[v] .. kw_off[v+1]].
     pub(crate) kw_off: Arc<Vec<CsrOffset>>,
     pub(crate) kws: Arc<Vec<KeywordId>>,
-    pub(crate) labels: Arc<Vec<String>>,
-    pub(crate) label_index: Arc<HashMap<String, VertexId>>,
+    pub(crate) labels: Arc<LabelColumn>,
     pub(crate) interner: Arc<KeywordInterner>,
 }
 
@@ -132,12 +131,18 @@ impl AttributedGraph {
     /// The display label of `v`.
     #[inline]
     pub fn label(&self, v: VertexId) -> &str {
-        &self.labels[v.index()]
+        self.labels.get(v)
     }
 
-    /// Looks a vertex up by its exact label.
+    /// The label column: arena, case-folded twin and sorted order.
+    pub fn labels(&self) -> &LabelColumn {
+        &self.labels
+    }
+
+    /// Looks a vertex up by its exact label; the lowest id among
+    /// duplicates (a binary search on the folded order).
     pub fn vertex_by_label(&self, label: &str) -> Option<VertexId> {
-        self.label_index.get(label).copied()
+        self.labels.find(label)
     }
 
     /// Like [`Self::vertex_by_label`] but returns a descriptive error.
@@ -145,53 +150,13 @@ impl AttributedGraph {
         self.vertex_by_label(label).ok_or_else(|| GraphError::UnknownLabel(label.to_owned()))
     }
 
-    /// Case-insensitive label search returning all matches (the UI's
-    /// name box is case-insensitive: "jim gray" finds "Jim Gray").
-    pub fn search_label(&self, query: &str) -> Vec<VertexId> {
-        let q = query.to_lowercase();
-        let mut hits: Vec<VertexId> = self
-            .vertices()
-            .filter(|&v| self.label(v).to_lowercase().contains(&q))
-            .collect();
-        // Exact (case-insensitive) matches first, then by degree descending so
-        // prominent vertices rank first, then by id for determinism.
-        hits.sort_by_key(|&v| {
-            (self.label(v).to_lowercase() != q, usize::MAX - self.degree(v), v.0)
-        });
-        hits
-    }
-
-    /// Like [`Self::search_label`] but keeps only the `top` best-ranked
-    /// matches (same total order) and reports the total match count — a
-    /// bounded partial selection, O(n log top), so paging the name box at
-    /// a million vertices never materialises a million-entry hit list.
+    /// Case-insensitive label search for the UI's name box ("jim gray"
+    /// finds "Jim Gray"): the `top` best matches, ranked exact ▸ prefix ▸
+    /// interior and each tier by degree descending, then id, plus a match
+    /// count — see [`LabelColumn::search`] for when the count includes
+    /// the interior matches.
     pub fn search_label_top(&self, query: &str, top: usize) -> (Vec<VertexId>, usize) {
-        let q = query.to_lowercase();
-        let mut total = 0usize;
-        // Max-heap keeps the *worst* retained rank on top, so each new
-        // candidate compares against the cutoff in O(1).
-        let mut heap: std::collections::BinaryHeap<(bool, usize, u32)> =
-            std::collections::BinaryHeap::with_capacity(top + 1);
-        for v in self.vertices() {
-            let label = self.label(v).to_lowercase();
-            if !label.contains(&q) {
-                continue;
-            }
-            total += 1;
-            if top == 0 {
-                continue;
-            }
-            let rank = (label != q, usize::MAX - self.degree(v), v.0);
-            if heap.len() < top {
-                heap.push(rank);
-            } else if let Some(mut worst) = heap.peek_mut() {
-                if rank < *worst {
-                    *worst = rank;
-                }
-            }
-        }
-        let best = heap.into_sorted_vec().into_iter().map(|(_, _, id)| VertexId(id)).collect();
-        (best, total)
+        self.labels.search(query, top, |v| self.degree(v))
     }
 
     /// The keyword interner mapping ids to strings.
@@ -228,18 +193,17 @@ impl AttributedGraph {
         Arc::ptr_eq(&self.kw_off, &other.kw_off)
             && Arc::ptr_eq(&self.kws, &other.kws)
             && Arc::ptr_eq(&self.labels, &other.labels)
-            && Arc::ptr_eq(&self.label_index, &other.label_index)
             && Arc::ptr_eq(&self.interner, &other.interner)
     }
 
-    /// Approximate heap footprint in bytes (CSR arrays + labels), used by the
-    /// index-size experiments.
+    /// Approximate heap footprint in bytes (CSR arrays + the label
+    /// column), used by the index-size experiments.
     pub fn memory_bytes(&self) -> usize {
         self.adj_off.len() * std::mem::size_of::<CsrOffset>()
             + self.adj.len() * std::mem::size_of::<VertexId>()
             + self.kw_off.len() * std::mem::size_of::<CsrOffset>()
             + self.kws.len() * std::mem::size_of::<KeywordId>()
-            + self.labels.iter().map(|l| l.len() + std::mem::size_of::<String>()).sum::<usize>()
+            + self.labels.memory_bytes()
     }
 }
 
@@ -326,11 +290,11 @@ mod tests {
         assert_eq!(g.vertex_by_label("c"), Some(VertexId(2)));
         assert_eq!(g.vertex_by_label("zz"), None);
         assert!(g.require_label("zz").is_err());
-        assert_eq!(g.search_label("C"), vec![VertexId(2)]);
+        assert_eq!(g.search_label_top("C", 10), (vec![VertexId(2)], 1));
     }
 
     #[test]
-    fn search_label_ranks_exact_match_then_degree() {
+    fn search_label_top_ranks_exact_match_then_degree() {
         let mut b = GraphBuilder::new();
         let gray = b.add_vertex("Jim Gray", &[]);
         let grayson = b.add_vertex("Jim Grayson", &[]);
@@ -338,12 +302,11 @@ mod tests {
         // Grayson gets higher degree than Gray.
         b.add_edge(grayson, other);
         let g = b.build();
-        let hits = g.search_label("jim gray");
-        assert_eq!(hits, vec![gray, grayson]);
+        assert_eq!(g.search_label_top("jim gray", 10), (vec![gray, grayson], 2));
     }
 
     #[test]
-    fn search_label_top_matches_full_sort() {
+    fn search_label_top_pages_are_prefixes_of_the_full_ranking() {
         let mut b = GraphBuilder::new();
         let hub = b.add_vertex("hub", &[]);
         for i in 0..40 {
@@ -354,7 +317,8 @@ mod tests {
             }
         }
         let g = b.build();
-        let full = g.search_label("author-1");
+        let (full, _) = g.search_label_top("author-1", g.vertex_count());
+        assert_eq!(full.len(), 11);
         for top in [0, 1, 3, full.len(), full.len() + 5] {
             let (best, total) = g.search_label_top("author-1", top);
             assert_eq!(total, full.len(), "total at top={top}");

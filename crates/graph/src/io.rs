@@ -22,7 +22,6 @@
 //! then checks every graph invariant on them in place (see
 //! [`read_snapshot_bytes`]).
 
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
@@ -31,6 +30,7 @@ use crate::builder::GraphBuilder;
 use crate::error::GraphError;
 use crate::graph::{AttributedGraph, CsrOffset, VertexId};
 use crate::keywords::{KeywordId, KeywordInterner};
+use crate::labels::LabelArena;
 
 const MAGIC: &[u8; 4] = b"CXG1";
 
@@ -159,8 +159,8 @@ pub fn write_snapshot<W: Write>(g: &AttributedGraph, w: &mut W) -> Result<(), Gr
     for (_, name) in g.interner.iter() {
         put_str(&mut w, name)?;
     }
-    for label in g.labels.iter() {
-        put_str(&mut w, label)?;
+    for v in g.vertices() {
+        put_str(&mut w, g.label(v))?;
     }
     w.flush()?;
     Ok(())
@@ -218,20 +218,36 @@ impl<'a> Columns<'a> {
         Ok(off)
     }
 
-    /// `len` strings, each `u32 len + bytes`, UTF-8.
-    fn strs(&mut self, len: usize, what: &str) -> Result<Vec<String>, GraphError> {
-        // Every string costs at least its four-byte length prefix.
+    /// One string, `u32 len + bytes`, UTF-8.
+    fn str(&mut self, what: &str) -> Result<&'a str, GraphError> {
+        let bytes = self.u32(what)? as usize;
+        std::str::from_utf8(self.take(bytes, what)?).map_err(|_| bad(format!("non-utf8 {what}")))
+    }
+
+    /// Checks that `len` strings can fit in what is left: every string
+    /// costs at least its four-byte length prefix.
+    fn claim_strs(&self, len: usize, what: &str) -> Result<(), GraphError> {
         if len.checked_mul(4).is_none_or(|b| b > self.rest.len()) {
             return Err(bad(format!("truncated {what} list: {len} entries claimed")));
         }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            let bytes = self.u32(what)? as usize;
-            let s = std::str::from_utf8(self.take(bytes, what)?)
-                .map_err(|_| bad(format!("non-utf8 {what}")))?;
-            out.push(s.to_owned());
+        Ok(())
+    }
+
+    /// `len` strings.
+    fn strs(&mut self, len: usize, what: &str) -> Result<Vec<String>, GraphError> {
+        self.claim_strs(len, what)?;
+        (0..len).map(|_| self.str(what).map(str::to_owned)).collect()
+    }
+
+    /// `n` labels straight into one arena, sized by the bytes that remain
+    /// after their length prefixes.
+    fn labels(&mut self, n: usize) -> Result<LabelArena, GraphError> {
+        self.claim_strs(n, "label")?;
+        let mut arena = LabelArena::with_capacity(n, self.rest.len() - 4 * n);
+        for _ in 0..n {
+            arena.push(self.str("label")?)?;
         }
-        Ok(out)
+        Ok(arena)
     }
 }
 
@@ -316,23 +332,16 @@ pub fn read_snapshot_bytes(bytes: &[u8]) -> Result<AttributedGraph, GraphError> 
     let interner = KeywordInterner::from_names(c.strs(vocab_len, "keyword")?)
         .map_err(|dup| bad(format!("keyword {dup:?} appears twice in the vocabulary")))?;
 
-    let labels = c.strs(n, "label")?;
+    let labels = c.labels(n)?;
     if !c.rest.is_empty() {
         return Err(bad(format!("{} trailing bytes", c.rest.len())));
-    }
-    // Duplicate labels are legal; the index keeps the first, as the
-    // builder does.
-    let mut label_index = HashMap::with_capacity(n);
-    for (v, label) in labels.iter().enumerate() {
-        label_index.entry(label.clone()).or_insert(VertexId(v as u32));
     }
     Ok(AttributedGraph {
         adj_off,
         adj,
         kw_off: Arc::new(kw_off),
         kws: Arc::new(kws),
-        labels: Arc::new(labels),
-        label_index: Arc::new(label_index),
+        labels: Arc::new(labels.seal()?),
         interner: Arc::new(interner),
     })
 }

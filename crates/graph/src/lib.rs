@@ -12,6 +12,9 @@
 //!
 //! * [`AttributedGraph`] — the immutable graph: sorted CSR adjacency,
 //!   per-vertex keyword sets, label↔vertex lookup.
+//! * [`LabelColumn`] — every label in one arena with a case-folded twin
+//!   and the vertices sorted by fold, so exact lookup and the name box's
+//!   prefix search are binary searches.
 //! * [`GraphBuilder`] — the only way to construct a graph; deduplicates
 //!   edges, drops self-loops, sorts adjacency and keyword lists.
 //! * [`KeywordInterner`] / [`KeywordId`] — string interning so keyword sets
@@ -48,6 +51,7 @@ pub mod graph;
 pub mod inverted;
 pub mod io;
 pub mod keywords;
+pub mod labels;
 pub mod stats;
 pub mod subgraph;
 pub mod traversal;
@@ -60,6 +64,7 @@ pub use error::GraphError;
 pub use graph::{AttributedGraph, CsrOffset, VertexId};
 pub use inverted::InvertedIndex;
 pub use keywords::{KeywordId, KeywordInterner};
+pub use labels::LabelColumn;
 pub use stats::{DegreeStats, GraphStats};
 pub use subgraph::Subgraph;
 pub use vertexset::VertexSet;

@@ -290,6 +290,42 @@ fn dblp_roundtrip_is_the_identity() {
     assert_eq!(again, bytes);
 }
 
+/// Labels whose case folds differ in length, are context-dependent, or
+/// are empty survive the trip into the label column; cut anywhere in the
+/// label section, or with a multi-byte char broken, they are a typed
+/// error.
+#[test]
+fn folding_labels_roundtrip_and_their_damage_is_typed() {
+    let tricky = ["İstanbul", "Straße", "ΟΔΟΣ", ""];
+    let mut raw = Raw::valid();
+    raw.labels = tricky.iter().map(|s| s.as_bytes().to_vec()).collect();
+    let (marks, bytes) = raw.encode();
+    let g = read_snapshot_bytes(&bytes).unwrap();
+    for (v, want) in g.vertices().zip(tricky) {
+        assert_eq!(g.label(v), want);
+        assert_eq!(g.vertex_by_label(want), Some(v));
+    }
+    assert_eq!(g.labels().folded(VertexId(0)), "i\u{307}stanbul");
+    assert_eq!(g.labels().folded(VertexId(2)), "οδος");
+    assert_eq!(g.search_label_top("STRASSE", 8).0, Vec::<VertexId>::new());
+    assert_eq!(g.search_label_top("STRAß", 8), (vec![VertexId(1)], 1));
+    assert_eq!(g.search_label_top("ΟΔΟΣ", 8), (vec![VertexId(2)], 1));
+    assert_eq!(cx_check::invariants::check_label_column(&g), Vec::new());
+    let mut again = Vec::new();
+    write_snapshot(&g, &mut again).unwrap();
+    assert_eq!(again, bytes);
+
+    let labels_start = *marks.last().unwrap();
+    for cut in labels_start..bytes.len() {
+        expect_snapshot_error(&format!("label section cut at byte {cut}"), &bytes[..cut]);
+    }
+    let mut broken = raw.clone();
+    broken.labels[1] = "Straße".as_bytes()[..5].to_vec(); // the first byte of ß alone
+    expect_snapshot_error("a label ending inside a char", &broken.bytes());
+    broken.labels[1] = vec![b'S', 0xC3, b'e'];
+    expect_snapshot_error("a label with a broken char", &broken.bytes());
+}
+
 /// Labels may repeat; the index answers with the first, as the builder's
 /// does.
 #[test]

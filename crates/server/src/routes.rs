@@ -584,7 +584,7 @@ fn graphs(ctx: &Ctx) -> Handler {
 
 fn stats(ctx: &Ctx) -> Handler {
     let snap = ctx.snapshot()?;
-    let s = cx_graph::stats::GraphStats::compute(&snap.graph);
+    let s = snap.stats();
     let tree = &snap.tree;
     let cache = ctx.engine.cache_stats();
     Ok(Payload::Data(Json::obj([
@@ -1441,6 +1441,35 @@ mod tests {
         let page = page.as_array().unwrap();
         assert_eq!(page.len(), 2);
         assert_eq!(page[0], all[1], "offset=1 must skip the first suggestion");
+    }
+
+    #[test]
+    fn suggest_ranks_exact_then_prefix_then_interior() {
+        // "Joanna" contains "ann" inside and has the highest degree; it
+        // still ranks after every label that starts with "ann".
+        let mut b = cx_graph::GraphBuilder::new();
+        let ids: Vec<VertexId> = ["Joanna", "Annie", "ann", "Annabel", "Bo", "Cy", "Di"]
+            .iter()
+            .map(|l| b.add_vertex(l, &[]))
+            .collect();
+        for &other in &ids[4..] {
+            b.add_edge(ids[0], other);
+        }
+        b.add_edge(ids[1], ids[4]);
+        let s = crate::Server::new(Engine::with_graph("names", b.build()));
+        let hits = v1_data(&s.handle(&Request::get("/api/v1/suggest?q=ANN&limit=8")));
+        let labels: Vec<&str> = hits
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|h| h.get("label").and_then(Json::as_str).unwrap())
+            .collect();
+        assert_eq!(labels, ["ann", "Annie", "Annabel", "Joanna"]);
+        // A page that the prefix tier fills never reaches the interior tier.
+        let two = v1_data(&s.handle(&Request::get("/api/v1/suggest?q=ann&limit=2&offset=1")));
+        let two: Vec<&str> =
+            two.as_array().unwrap().iter().map(|h| h.get("label").and_then(Json::as_str).unwrap()).collect();
+        assert_eq!(two, ["Annie", "Annabel"]);
     }
 
     #[test]
