@@ -25,28 +25,34 @@
 //! poisoned mutex anyway (`unwrap_or_else(PoisonError::into_inner)`) since
 //! the guarded state is always internally consistent at release time.
 
+
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
-use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-use cx_cltree::{ClTree, Hierarchy};
-use cx_graph::{AttributedGraph, Community, GraphStats, VertexId};
+use cx_cltree::Hierarchy;
+use cx_graph::{AttributedGraph, Community, VertexId};
 use cx_layout::{layout_community, layout_summary, LayoutAlgorithm, Scene, SummaryItem};
 use cx_par::task::{CancelToken, ProgressFn};
 
 use crate::api::{
     AcqAlgorithm, CdAlgorithm, CodicilAlgorithm, CsAlgorithm, GlobalAlgorithm,
-    GlobalMaxMinAlgorithm, GirvanNewmanAlgorithm, GraphContext, KEccAlgorithm, KTrussAlgorithm, LocalAlgorithm,
+    GlobalMaxMinAlgorithm, GirvanNewmanAlgorithm, KEccAlgorithm, KTrussAlgorithm, LocalAlgorithm,
     SacAlgorithm,
     LouvainAlgorithm,
 };
 use crate::cache::{CacheStats, QueryKey, ShardedCache, DEFAULT_CAPACITY};
 use crate::error::ExplorerError;
-use crate::profile::ProfileStore;
 use crate::query::QuerySpec;
 use crate::report::AnalysisReport;
+
+mod durable;
+mod snapshot;
+mod write;
+
+pub use snapshot::GraphSnapshot;
+use write::WriteState;
 
 /// A researcher profile record (Figure 2's popup content). The engine
 /// stores one per vertex per graph; where they come from (Wikipedia in the
@@ -61,127 +67,6 @@ pub struct Profile {
     pub institutes: Vec<String>,
     /// Research interests.
     pub interests: Vec<String>,
-}
-
-/// One immutable, internally consistent version of a graph: contents,
-/// index, and decorations all frozen at publish time. Cheap to share
-/// (`Arc`), never mutated after construction — a reader holding one can
-/// answer queries indefinitely while the engine publishes newer versions.
-///
-/// Dereferences to the [`AttributedGraph`] for convenience.
-pub struct GraphSnapshot {
-    name: String,
-    /// The graph contents.
-    pub graph: Arc<AttributedGraph>,
-    /// The CL-tree index built for exactly this graph version.
-    pub tree: Arc<ClTree>,
-    /// Vertex profiles (Figure 2 popups), in the compact interned column
-    /// store. `Arc`-shared across snapshots: an edge edit republishes the
-    /// same store, only `set_profiles` builds a new one.
-    pub profiles: Arc<ProfileStore>,
-    /// Vertex coordinates for spatial algorithms, if installed. Shared
-    /// across snapshots like `profiles`.
-    pub coords: Option<Arc<Vec<(f64, f64)>>>,
-    /// Per-graph monotone version number; exactly one snapshot is ever
-    /// published per (graph, generation) pair.
-    pub generation: u64,
-    /// The multi-resolution summary hierarchy, built on first use and
-    /// cached for this snapshot's lifetime. Tree node ids change across
-    /// generations, so per-snapshot caching is exactly the right scope;
-    /// the edit path seeds the successor's cell incrementally when this
-    /// one was populated.
-    hierarchy: std::sync::OnceLock<Arc<Hierarchy>>,
-    /// Whole-graph statistics, computed on first use. Never carried to a
-    /// successor: an edit's snapshot starts empty and recomputes.
-    stats: std::sync::OnceLock<GraphStats>,
-    /// Whether this snapshot bumped the live-snapshot gauge when built
-    /// (observability could be toggled between construction and drop).
-    gauge_counted: bool,
-}
-
-impl GraphSnapshot {
-    fn new(
-        name: String,
-        graph: Arc<AttributedGraph>,
-        tree: Arc<ClTree>,
-        profiles: Arc<ProfileStore>,
-        coords: Option<Arc<Vec<(f64, f64)>>>,
-        generation: u64,
-    ) -> Self {
-        let gauge_counted = cx_obs::enabled();
-        if gauge_counted {
-            cx_obs::global().gauge("cx_snapshots_live").add(1);
-        }
-        Self {
-            name,
-            graph,
-            tree,
-            profiles,
-            coords,
-            generation,
-            hierarchy: std::sync::OnceLock::new(),
-            stats: std::sync::OnceLock::new(),
-            gauge_counted,
-        }
-    }
-
-    /// The summary hierarchy over this snapshot's CL-tree (supernode
-    /// aggregates, level views, expansion) — built on first call, then
-    /// shared. Concurrent first calls may race to build; `OnceLock`
-    /// keeps exactly one winner and the losers' work is discarded.
-    pub fn hierarchy(&self) -> Arc<Hierarchy> {
-        Arc::clone(
-            self.hierarchy
-                .get_or_init(|| Arc::new(Hierarchy::build(&self.graph, &self.tree))),
-        )
-    }
-
-    /// The hierarchy if it was already built for this snapshot.
-    pub fn hierarchy_cached(&self) -> Option<Arc<Hierarchy>> {
-        self.hierarchy.get().map(Arc::clone)
-    }
-
-    /// [`GraphStats`] of this snapshot's graph (an O(n + m) pass with a
-    /// BFS and a degree sort), computed on first call and then shared.
-    pub fn stats(&self) -> &GraphStats {
-        self.stats.get_or_init(|| GraphStats::compute(&self.graph))
-    }
-
-    /// Pre-populates the hierarchy cell (edit path). A no-op if built.
-    fn seed_hierarchy(&self, h: Arc<Hierarchy>) {
-        let _ = self.hierarchy.set(h);
-    }
-
-    /// The registry name this snapshot was published under.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The algorithm-facing view of this snapshot.
-    pub fn context(&self) -> GraphContext<'_> {
-        GraphContext {
-            graph: &self.graph,
-            tree: &self.tree,
-            coords: self.coords.as_ref().map(|c| c.as_slice()),
-        }
-    }
-}
-
-impl Deref for GraphSnapshot {
-    type Target = AttributedGraph;
-    fn deref(&self) -> &AttributedGraph {
-        &self.graph
-    }
-}
-
-impl Drop for GraphSnapshot {
-    fn drop(&mut self) {
-        if self.gauge_counted {
-            // Bypass the enabled() gate: the increment happened, so the
-            // decrement must too, even if CX_OBS was toggled since.
-            cx_obs::global().gauge("cx_snapshots_live").add(-1);
-        }
-    }
 }
 
 /// One graph's row in [`RegistryIndex`]: O(1) fields only, no snapshot
@@ -250,23 +135,6 @@ impl Drop for RegistryGuard<'_> {
             self.start.elapsed().as_micros() as u64,
         );
     }
-}
-
-/// Writer-only state protected by a graph's write gate. Holding the gate
-/// *is* holding this state, so no extra synchronisation is needed.
-///
-/// `dyncore` is a warm [`cx_kcore::DynamicCore`] seeded from the snapshot
-/// it was last advanced to; `dyncore_for` pins the identity of that graph
-/// version. The cache is valid only when `dyncore_for` points at the graph
-/// `Arc` currently published for this name — attribute-only republishes
-/// (`set_profiles` / `set_coordinates`) keep the same graph `Arc` so the
-/// cache survives them, while `add_graph` / `upload` replace the graph and
-/// naturally invalidate it. Comparing via `Weak::as_ptr` is ABA-safe
-/// because the `Weak` itself keeps the old allocation's address reserved.
-#[derive(Default)]
-struct WriteState {
-    dyncore_for: std::sync::Weak<AttributedGraph>,
-    dyncore: Option<cx_kcore::DynamicCore>,
 }
 
 /// The C-Explorer engine. One instance serves many graphs and algorithms
@@ -344,194 +212,12 @@ impl Engine {
         e
     }
 
-    /// An engine backed by the durable store at `dir`: recovers every
-    /// graph to its exact pre-crash generation (manifest checkpoints plus
-    /// WAL replay, see `cx-store`), loads each CL-tree index from the
-    /// snapshot the last compaction stored beside the checkpoint —
-    /// rebuilding it when there is none, the WAL has moved the graph past
-    /// it, or it does not validate against the graph — and attaches the
-    /// store so every subsequent write is logged before it is published.
-    /// `cx_index_boot_total{source}` counts which of the two happened.
-    pub fn open_durable(dir: &Path) -> Result<Self, ExplorerError> {
-        let (store, state) = cx_store::Store::open(dir)?;
-        let e = Self::new();
-        for (name, rg) in &state.graphs {
-            let loaded = rg
-                .index
-                .as_deref()
-                .and_then(|mut index| ClTree::read_snapshot(&rg.graph, &mut index).ok());
-            cx_obs::metrics::inc(match loaded {
-                Some(_) => "cx_index_boot_total{source=\"loaded\"}",
-                None => "cx_index_boot_total{source=\"rebuilt\"}",
-            });
-            let tree = loaded.unwrap_or_else(|| ClTree::build(&rg.graph));
-            let profiles = ProfileStore::from_pairs(rg.profiles.iter().map(|p| {
-                (
-                    p.vertex,
-                    Profile {
-                        name: p.name.clone(),
-                        areas: p.areas.clone(),
-                        institutes: p.institutes.clone(),
-                        interests: p.interests.clone(),
-                    },
-                )
-            }));
-            // Publishing with the store still unattached appends nothing
-            // to the WAL; the recovered generation is installed as-is.
-            e.publish(GraphSnapshot::new(
-                name.clone(),
-                Arc::clone(&rg.graph),
-                Arc::new(tree),
-                Arc::new(profiles),
-                rg.coords.clone().map(Arc::new),
-                rg.generation,
-            ));
-        }
-        {
-            let mut r = e.registry();
-            r.generations = state.generations.iter().map(|(n, g)| (n.clone(), *g)).collect();
-            r.default_graph = state.default_graph.clone();
-        }
-        let mut e = e;
-        e.store = Some(Arc::new(store));
-        Ok(e)
-    }
-
-    /// The durable store backing this engine, if any.
-    pub fn store(&self) -> Option<&Arc<cx_store::Store>> {
-        self.store.as_ref()
-    }
-
-    /// Appends `record` to the WAL when a store is attached. Called by
-    /// every write path *before* its publish.
-    fn log(&self, record: &cx_store::Record) -> Result<(), ExplorerError> {
-        if let Some(store) = &self.store {
-            store.append(record)?;
-        }
-        Ok(())
-    }
-
     /// Locks the registry, timing the hold.
     fn registry(&self) -> RegistryGuard<'_> {
         RegistryGuard {
             start: Instant::now(),
             guard: self.registry.lock().unwrap_or_else(|p| p.into_inner()),
         }
-    }
-
-    /// The writer gate for `name` (created on first use, kept forever —
-    /// an idle gate is a mutex plus an empty [`WriteState`], negligible
-    /// to retain).
-    fn write_gate(&self, name: &str) -> Arc<Mutex<WriteState>> {
-        let mut gates = self.write_gates.lock().unwrap_or_else(|p| p.into_inner());
-        gates.entry(name.to_owned()).or_default().clone()
-    }
-
-    /// Claims the next generation for `name`. Strictly monotone per graph
-    /// for the engine's lifetime (counters survive graph removal).
-    fn reserve_generation(&self, name: &str) -> u64 {
-        let mut r = self.registry();
-        let g = r.generations.entry(name.to_owned()).or_insert(0);
-        *g += 1;
-        *g
-    }
-
-    /// Publishes a finished snapshot: one map insert under the registry
-    /// lock (the atomic swap), then cache maintenance off-lock. Readers
-    /// holding the previous snapshot keep it alive through their `Arc`.
-    fn publish(&self, snap: GraphSnapshot) {
-        let name = snap.name.clone();
-        let generation = snap.generation;
-        {
-            let mut r = self.registry();
-            r.snapshots.insert(name.clone(), Arc::new(snap));
-            if r.default_graph.is_none() {
-                r.default_graph = Some(name.clone());
-            }
-            cx_obs::metrics::gauge_set("cx_graphs_loaded", r.snapshots.len() as i64);
-        }
-        cx_obs::metrics::inc("cx_snapshot_swap_total");
-        self.cache.purge_older(&name, generation);
-    }
-
-    /// Adds (or replaces) a graph, building its CL-tree index — the paper's
-    /// offline Indexing module. The first graph added becomes the default.
-    ///
-    /// Panics if the durable store fails to log the addition; use
-    /// [`Engine::try_add_graph`] to handle that error.
-    pub fn add_graph(&self, name: impl Into<String>, graph: AttributedGraph) {
-        self.try_add_graph(name, graph).expect("durable store rejected add_graph");
-    }
-
-    /// [`Engine::add_graph`], surfacing store errors instead of panicking.
-    /// On a non-durable engine this never fails.
-    pub fn try_add_graph(
-        &self,
-        name: impl Into<String>,
-        graph: AttributedGraph,
-    ) -> Result<(), ExplorerError> {
-        let name = name.into();
-        let gate = self.write_gate(&name);
-        let _writing = gate.lock().unwrap_or_else(|p| p.into_inner());
-        let tree = ClTree::build(&graph);
-        let graph = Arc::new(graph);
-        let generation = self.reserve_generation(&name);
-        self.log(&cx_store::Record::AddGraph {
-            name: name.clone(),
-            generation,
-            graph: Arc::clone(&graph),
-        })?;
-        self.publish(GraphSnapshot::new(
-            name,
-            graph,
-            Arc::new(tree),
-            Arc::new(ProfileStore::default()),
-            None,
-            generation,
-        ));
-        Ok(())
-    }
-
-    /// Removes a graph from the registry. Readers already pinned to its
-    /// snapshot finish unaffected; the default moves to the first
-    /// remaining name (sorted) if the removed graph was the default.
-    pub fn remove_graph(&self, name: &str) -> Result<(), ExplorerError> {
-        let gate = self.write_gate(name);
-        let _writing = gate.lock().unwrap_or_else(|p| p.into_inner());
-        if !self.registry().snapshots.contains_key(name) {
-            return Err(ExplorerError::UnknownGraph(name.to_owned()));
-        }
-        // Removal claims a generation of its own so the durable log can
-        // order it against checkpoints: a snapshot taken before the
-        // removal has a strictly older generation and can never
-        // resurrect the graph on recovery.
-        let generation = self.reserve_generation(name);
-        self.log(&cx_store::Record::Remove { name: name.to_owned(), generation })?;
-        {
-            let mut r = self.registry();
-            r.snapshots.remove(name);
-            if r.default_graph.as_deref() == Some(name) {
-                let mut names: Vec<String> = r.snapshots.keys().cloned().collect();
-                names.sort_unstable();
-                r.default_graph = names.into_iter().next();
-            }
-            cx_obs::metrics::gauge_set("cx_graphs_loaded", r.snapshots.len() as i64);
-        }
-        cx_obs::metrics::inc("cx_snapshot_swap_total");
-        self.cache.purge_graph(name);
-        Ok(())
-    }
-
-    /// The paper's `upload(filePath)`: loads a graph file (binary snapshot
-    /// if the extension is `.bin`, text format otherwise) and indexes it
-    /// under `name`.
-    pub fn upload(&self, name: impl Into<String>, path: &Path) -> Result<(), ExplorerError> {
-        let graph = if path.extension().is_some_and(|e| e == "bin") {
-            cx_graph::io::load_snapshot_file(path)?
-        } else {
-            cx_graph::io::load_text_file(path)?
-        };
-        self.try_add_graph(name, graph)
     }
 
     /// Registers (or replaces, by name) a community-search algorithm.
@@ -574,21 +260,6 @@ impl Engine {
     /// The default graph's name.
     pub fn default_graph_name(&self) -> Option<String> {
         self.registry().default_graph.clone()
-    }
-
-    /// Makes `name` the default graph.
-    pub fn set_default_graph(&self, name: &str) -> Result<(), ExplorerError> {
-        // The gate serializes against a concurrent remove/re-add of the
-        // same name, so the existence check stays valid across the log
-        // append below.
-        let gate = self.write_gate(name);
-        let _writing = gate.lock().unwrap_or_else(|p| p.into_inner());
-        if !self.registry().snapshots.contains_key(name) {
-            return Err(ExplorerError::UnknownGraph(name.to_owned()));
-        }
-        self.log(&cx_store::Record::SetDefault { default: Some(name.to_owned()) })?;
-        self.registry().default_graph = Some(name.to_owned());
-        Ok(())
     }
 
     /// A cheap listing of every loaded graph (name, generation, sizes) —
@@ -967,171 +638,9 @@ impl Engine {
         )))
     }
 
-    /// Installs profile records for a graph's vertices. Publishes a new
-    /// snapshot (graph and index are shared with the previous one — only
-    /// the profile map is rebuilt).
-    pub fn set_profiles(
-        &self,
-        graph: Option<&str>,
-        profiles: impl IntoIterator<Item = (VertexId, Profile)>,
-    ) -> Result<(), ExplorerError> {
-        let name = self.resolved_owned(graph)?;
-        let gate = self.write_gate(&name);
-        let _writing = gate.lock().unwrap_or_else(|p| p.into_inner());
-        let snap = self.snapshot(Some(&name))?;
-        let increment: Vec<(VertexId, Profile)> = profiles.into_iter().collect();
-        let merged = snap.profiles.merged(&increment);
-        let generation = self.reserve_generation(&name);
-        // The log carries the increment, not the merged map; replay
-        // re-merges it, mirroring this method.
-        self.log(&cx_store::Record::SetProfiles {
-            name: name.clone(),
-            generation,
-            profiles: increment
-                .iter()
-                .map(|(v, p)| cx_store::StoredProfile {
-                    vertex: *v,
-                    name: p.name.clone(),
-                    areas: p.areas.clone(),
-                    institutes: p.institutes.clone(),
-                    interests: p.interests.clone(),
-                })
-                .collect(),
-        })?;
-        self.publish(GraphSnapshot::new(
-            name,
-            Arc::clone(&snap.graph),
-            Arc::clone(&snap.tree),
-            Arc::new(merged),
-            snap.coords.clone(),
-            generation,
-        ));
-        Ok(())
-    }
-
-    /// Installs vertex coordinates for a graph, enabling spatial-aware
-    /// algorithms (`sac`). Must provide exactly one `(x, y)` per vertex.
-    /// Coordinates change query answers, so this publishes a new
-    /// generation (graph and index are shared with the previous snapshot).
-    pub fn set_coordinates(
-        &self,
-        graph: Option<&str>,
-        coords: Vec<(f64, f64)>,
-    ) -> Result<(), ExplorerError> {
-        let name = self.resolved_owned(graph)?;
-        let gate = self.write_gate(&name);
-        let _writing = gate.lock().unwrap_or_else(|p| p.into_inner());
-        let snap = self.snapshot(Some(&name))?;
-        if coords.len() != snap.graph.vertex_count() {
-            return Err(ExplorerError::BadQuery(format!(
-                "expected {} coordinates, got {}",
-                snap.graph.vertex_count(),
-                coords.len()
-            )));
-        }
-        let generation = self.reserve_generation(&name);
-        self.log(&cx_store::Record::SetCoords {
-            name: name.clone(),
-            generation,
-            coords: coords.clone(),
-        })?;
-        self.publish(GraphSnapshot::new(
-            name,
-            Arc::clone(&snap.graph),
-            Arc::clone(&snap.tree),
-            Arc::clone(&snap.profiles),
-            Some(Arc::new(coords)),
-            generation,
-        ));
-        Ok(())
-    }
-
     /// The profile of a vertex (the Figure 2 popup), if one is installed.
     pub fn profile(&self, graph: Option<&str>, v: VertexId) -> Result<Option<Profile>, ExplorerError> {
         Ok(self.snapshot(graph)?.profiles.get(v))
-    }
-
-    /// Applies a batch of edge edits to a graph — the evolving-network
-    /// path (new co-authorships appear, stale ones are pruned).
-    ///
-    /// The edits are coalesced into an effective [`cx_graph::EdgeDelta`],
-    /// the CSR adjacency is patched with [`AttributedGraph::apply_delta`]
-    /// (attribute columns shared by `Arc`), core numbers are maintained
-    /// subcore-locally by a warm [`cx_kcore::DynamicCore`] cached in the
-    /// write gate, and the CL-tree is repaired with [`ClTree::update`]
-    /// (which itself falls back to a full rebuild when too many core
-    /// numbers changed).
-    ///
-    /// The work happens off the registry lock; concurrent
-    /// readers keep answering from the previous snapshot until the
-    /// publish, and every call — including a structural no-op — publishes
-    /// a fresh generation. Wall time is recorded in the
-    /// `cx_edit_apply_us` histogram.
-    pub fn apply_edits(
-        &self,
-        graph: Option<&str>,
-        add: &[(VertexId, VertexId)],
-        remove: &[(VertexId, VertexId)],
-    ) -> Result<(), ExplorerError> {
-        let start = Instant::now();
-        let name = self.resolved_owned(graph)?;
-        let gate = self.write_gate(&name);
-        let mut ws = gate.lock().unwrap_or_else(|p| p.into_inner());
-        let snap = self.snapshot(Some(&name))?;
-        let g = &snap.graph;
-        // Validates every endpoint before any effect, so a bad edit
-        // leaves the graph untouched.
-        let delta = g.edge_delta(add, remove)?;
-        let (new_graph, new_tree) = if delta.is_empty() {
-            // Structural no-op: share graph and index wholesale but
-            // still publish (callers observe a generation per edit).
-            (Arc::clone(g), Arc::clone(&snap.tree))
-        } else {
-            let new_graph = Arc::new(g.apply_delta(&delta));
-            let mut dc = match ws.dyncore.take() {
-                Some(dc) if ws.dyncore_for.as_ptr() == Arc::as_ptr(g) => dc,
-                _ => cx_kcore::DynamicCore::from_graph_with_cores(g, snap.tree.core_numbers()),
-            };
-            // Effective sets are disjoint (no edge is both added and
-            // removed), so the order of the two loops is immaterial.
-            for &(u, v) in &delta.removed {
-                dc.remove_edge(u, v);
-            }
-            for &(u, v) in &delta.added {
-                dc.insert_edge(u, v);
-            }
-            let tree = snap.tree.update(&new_graph, &delta, dc.core_numbers());
-            ws.dyncore_for = Arc::downgrade(&new_graph);
-            ws.dyncore = Some(dc);
-            (new_graph, Arc::new(tree))
-        };
-        let generation = self.reserve_generation(&name);
-        self.log(&cx_store::Record::Edit { name: name.clone(), generation, delta })?;
-        let next = GraphSnapshot::new(
-            name,
-            new_graph,
-            new_tree,
-            Arc::clone(&snap.profiles),
-            snap.coords.clone(),
-            generation,
-        );
-        // Carry the summary hierarchy forward incrementally so a
-        // browsing client doesn't pay a full rebuild after each edit.
-        if let Some(prev_h) = snap.hierarchy_cached() {
-            if Arc::ptr_eq(&next.tree, &snap.tree) {
-                next.seed_hierarchy(prev_h);
-            } else {
-                next.seed_hierarchy(Arc::new(Hierarchy::update(
-                    &next.graph,
-                    &next.tree,
-                    &snap.tree,
-                    &prev_h,
-                )));
-            }
-        }
-        self.publish(next);
-        cx_obs::metrics::observe_us("cx_edit_apply_us", start.elapsed().as_micros() as u64);
-        Ok(())
     }
 
     /// Case-insensitive vertex search for the UI's name box; returns
@@ -1173,101 +682,6 @@ impl Engine {
             .collect();
         Ok((page, total))
     }
-
-    /// Folds the WAL into fresh snapshot checkpoints and truncates it.
-    /// No-op (returning `None`) on a non-durable engine.
-    ///
-    /// Writers are quiesced for the duration: the write-gate map lock is
-    /// held (blocking any writer from even looking up its gate) and every
-    /// existing gate is locked in sorted order (waiting out in-flight
-    /// writes). Readers are unaffected — they run off pinned snapshots
-    /// and never touch gates. The quiescence makes the (registry,
-    /// generation counters, default) cut handed to the store consistent
-    /// with the WAL truncation: no record can land between the cut and
-    /// the truncate and be lost.
-    pub fn compact_store(&self) -> Result<Option<cx_store::CompactionStats>, ExplorerError> {
-        let Some(store) = &self.store else { return Ok(None) };
-
-        // Quiesce: hold the gate map (blocks new writers incl. new graph
-        // names) and then every gate (waits out in-flight writers).
-        let gates_map = self.write_gates.lock().unwrap_or_else(|p| p.into_inner());
-        let mut gates: Vec<(&String, &Arc<Mutex<WriteState>>)> = gates_map.iter().collect();
-        gates.sort_unstable_by_key(|(name, _)| name.as_str());
-        let _held: Vec<_> = gates
-            .iter()
-            .map(|(_, gate)| gate.lock().unwrap_or_else(|p| p.into_inner()))
-            .collect();
-
-        // A consistent cut of the registry.
-        let (live, default_graph, counters) = {
-            let r = self.registry();
-            let mut live: Vec<cx_store::GraphCheckpoint> = r
-                .snapshots
-                .iter()
-                .map(|(name, s)| {
-                    // The column store iterates in vertex order, so the
-                    // checkpoint's sorted-rows contract holds by
-                    // construction.
-                    let profiles: Vec<cx_store::StoredProfile> = s
-                        .profiles
-                        .iter()
-                        .map(|(v, p)| cx_store::StoredProfile {
-                            vertex: v,
-                            name: p.name,
-                            areas: p.areas,
-                            institutes: p.institutes,
-                            interests: p.interests,
-                        })
-                        .collect();
-                    let mut index = Vec::new();
-                    s.tree
-                        .write_snapshot(&mut index)
-                        .expect("writing to a Vec cannot fail");
-                    cx_store::GraphCheckpoint {
-                        name: name.clone(),
-                        generation: s.generation,
-                        graph: Arc::clone(&s.graph),
-                        profiles,
-                        coords: s.coords.as_ref().map(|c| (**c).clone()),
-                        index: Some(index),
-                    }
-                })
-                .collect();
-            live.sort_unstable_by(|a, b| a.name.cmp(&b.name));
-            let mut counters: Vec<(String, u64)> =
-                r.generations.iter().map(|(n, g)| (n.clone(), *g)).collect();
-            counters.sort_unstable();
-            (live, r.default_graph.clone(), counters)
-        };
-
-        let stats = store.compact(&live, default_graph, &counters)?;
-        Ok(Some(stats))
-    }
-
-    /// Kicks off [`Engine::compact_store`] on a background thread when
-    /// the WAL has outgrown the `CX_COMPACT_BYTES` threshold (default
-    /// 64 MiB) and no compaction is already running. Cheap enough to call
-    /// after every write request.
-    pub fn maybe_compact_in_background(self: &Arc<Self>) {
-        use std::sync::atomic::Ordering;
-        let Some(store) = &self.store else { return };
-        if store.wal_bytes() < compact_threshold_bytes() {
-            return;
-        }
-        if self.compacting.swap(true, Ordering::SeqCst) {
-            return; // One at a time.
-        }
-        let me = Arc::clone(self);
-        std::thread::spawn(move || {
-            if let Err(e) = me.compact_store() {
-                // Compaction failure is not fatal: the WAL keeps growing
-                // and recovery still works; surface it via metrics.
-                cx_obs::metrics::inc("cx_store_compaction_errors_total");
-                eprintln!("background compaction failed: {e}");
-            }
-            me.compacting.store(false, Ordering::SeqCst);
-        });
-    }
 }
 
 /// Summary-scene item for one supernode: labelled with level, subtree
@@ -1283,18 +697,10 @@ fn supernode_item(g: &AttributedGraph, h: &Hierarchy, id: cx_cltree::NodeId) -> 
     SummaryItem { id: id.0, label, size: s.subtree_vertices as f64, is_super: true }
 }
 
-/// WAL size that triggers a background compaction (`CX_COMPACT_BYTES`,
-/// default 64 MiB).
-fn compact_threshold_bytes() -> u64 {
-    std::env::var("CX_COMPACT_BYTES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(64 << 20)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::GraphContext;
     use cx_datagen::{figure5_graph, small_collab_graph};
 
     fn engine() -> Engine {
@@ -1510,121 +916,9 @@ mod tests {
 }
 
 #[cfg(test)]
-mod snapshot_tests {
-    use super::*;
-    use cx_datagen::figure5_graph;
-
-    #[test]
-    fn generations_are_per_graph_and_monotone() {
-        let e = Engine::with_graph("a", figure5_graph());
-        e.add_graph("b", figure5_graph());
-        // Per-graph counters: both start at 1, not 1 and 2.
-        assert_eq!(e.snapshot(Some("a")).unwrap().generation, 1);
-        assert_eq!(e.snapshot(Some("b")).unwrap().generation, 1);
-
-        let a_before = e.snapshot(Some("a")).unwrap();
-        let gb = e.snapshot(Some("b")).unwrap();
-        let (u, v) = (gb.vertex_by_label("A").unwrap(), gb.vertex_by_label("B").unwrap());
-        e.apply_edits(Some("b"), &[], &[(u, v)]).unwrap();
-
-        assert_eq!(e.snapshot(Some("b")).unwrap().generation, 2);
-        let a_after = e.snapshot(Some("a")).unwrap();
-        assert!(Arc::ptr_eq(&a_before, &a_after), "editing b must not republish a");
-        assert_eq!(a_after.generation, 1);
-
-        // Removal + re-add continues the counter — it never resets, so
-        // old cache keys can never be resurrected. The removal claims a
-        // generation of its own (3) so the durable log can order it
-        // against checkpoints; the re-add lands on 4.
-        e.remove_graph("b").unwrap();
-        e.add_graph("b", figure5_graph());
-        assert_eq!(e.snapshot(Some("b")).unwrap().generation, 4);
-    }
-
-    #[test]
-    fn pinned_snapshot_survives_edits() {
-        let e = Engine::with_graph("fig5", figure5_graph());
-        let old = e.snapshot(None).unwrap();
-        let (a, b) = (old.vertex_by_label("A").unwrap(), old.vertex_by_label("B").unwrap());
-        e.apply_edits(None, &[], &[(a, b)]).unwrap();
-
-        // The pinned reader still sees the pre-edit world, index included.
-        assert_eq!(old.edge_count(), 11);
-        assert_eq!(old.tree.max_core(), 3);
-        let out = e.search_snapshot(&old, "global", &QuerySpec::by_id(a).k(3)).unwrap();
-        assert_eq!(out[0].len(), 4, "K4 intact in the pinned snapshot");
-
-        // New requests see the new world.
-        let new = e.snapshot(None).unwrap();
-        assert_eq!(new.edge_count(), 10);
-        assert_eq!(new.tree.max_core(), 2);
-        assert!(new.generation > old.generation);
-    }
-
-    #[test]
-    fn registry_index_lists_without_cloning_snapshots() {
-        let e = Engine::with_graph("fig5", figure5_graph());
-        e.add_graph("zz", figure5_graph());
-        let idx = e.registry_index();
-        assert_eq!(idx.default_graph.as_deref(), Some("fig5"));
-        assert_eq!(idx.graphs.len(), 2);
-        assert_eq!(idx.graphs[0].name, "fig5");
-        assert!(idx.graphs[0].is_default);
-        assert_eq!(idx.graphs[0].vertices, 10);
-        assert_eq!(idx.graphs[0].edges, 11);
-        assert_eq!(idx.graphs[0].generation, 1);
-        assert_eq!(idx.graphs[1].name, "zz");
-        assert!(!idx.graphs[1].is_default);
-    }
-
-    #[test]
-    fn concurrent_readers_and_writer_stay_consistent() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-
-        let e = Arc::new(Engine::with_graph("fig5", figure5_graph()));
-        let snap = e.snapshot(None).unwrap();
-        let (a, b) = (snap.vertex_by_label("A").unwrap(), snap.vertex_by_label("B").unwrap());
-        drop(snap);
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let readers: Vec<_> = (0..4)
-            .map(|_| {
-                let e = Arc::clone(&e);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let mut last_gen = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        let s = e.snapshot(None).unwrap();
-                        assert!(s.generation >= last_gen, "generation went backwards");
-                        last_gen = s.generation;
-                        // A snapshot is internally consistent: edge count
-                        // and index agree (A-B present ⇔ 3-core exists).
-                        let has_ab = s.neighbors(a).contains(&b);
-                        assert_eq!(s.tree.max_core(), if has_ab { 3 } else { 2 });
-                        assert_eq!(s.edge_count(), if has_ab { 11 } else { 10 });
-                    }
-                })
-            })
-            .collect();
-
-        for i in 0..20 {
-            if i % 2 == 0 {
-                e.apply_edits(None, &[], &[(a, b)]).unwrap();
-            } else {
-                e.apply_edits(None, &[(a, b)], &[]).unwrap();
-            }
-        }
-        stop.store(true, Ordering::Relaxed);
-        for r in readers {
-            r.join().unwrap();
-        }
-        assert_eq!(e.snapshot(None).unwrap().generation, 21);
-    }
-}
-
-#[cfg(test)]
 mod cache_tests {
     use super::*;
+    use crate::api::GraphContext;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -1807,197 +1101,6 @@ mod cache_tests {
         assert!(e.search("nope", &QuerySpec::by_label("A")).is_err());
         let s = e.cache_stats();
         assert_eq!(s.len, 0);
-    }
-}
-
-#[cfg(test)]
-mod edit_tests {
-    use super::*;
-    use cx_datagen::figure5_graph;
-    use crate::query::QuerySpec;
-
-    #[test]
-    fn adding_edges_grows_the_core() {
-        let e = Engine::with_graph("fig5", figure5_graph());
-        let snap = e.snapshot(None).unwrap();
-        let (ee, f, gg) = (
-            snap.vertex_by_label("E").unwrap(),
-            snap.vertex_by_label("F").unwrap(),
-            snap.vertex_by_label("G").unwrap(),
-        );
-        // Before: E is in the 2-core, F and G are only 1-core.
-        assert_eq!(snap.tree.core(f), 1);
-        // Close the E-F-G triangle fully against the K4: G-E edge already
-        // exists? No — add G-E and F-C to densify.
-        let c = snap.vertex_by_label("C").unwrap();
-        e.apply_edits(None, &[(gg, ee), (f, c)], &[]).unwrap();
-        let snap = e.snapshot(None).unwrap();
-        assert!(snap.tree.core(f) >= 2, "F core {} after densifying", snap.tree.core(f));
-        assert!(snap.tree.core(gg) >= 2);
-        // Queries run against the updated graph.
-        let out = e.search("acq", &QuerySpec::by_label("A").k(2)).unwrap();
-        assert!(!out.is_empty());
-    }
-
-    #[test]
-    fn removing_edges_shrinks_the_core() {
-        let e = Engine::with_graph("fig5", figure5_graph());
-        let snap = e.snapshot(None).unwrap();
-        let (a, b) = (snap.vertex_by_label("A").unwrap(), snap.vertex_by_label("B").unwrap());
-        e.apply_edits(None, &[], &[(a, b)]).unwrap();
-        // K4 minus an edge: cores drop from 3 to 2.
-        let snap = e.snapshot(None).unwrap();
-        assert_eq!(snap.tree.core(a), 2);
-        assert_eq!(snap.tree.max_core(), 2);
-        assert_eq!(snap.edge_count(), 10);
-    }
-
-    #[test]
-    fn edits_validate_vertices_and_keep_profiles() {
-        let e = Engine::with_graph("fig5", figure5_graph());
-        let a = e.snapshot(None).unwrap().vertex_by_label("A").unwrap();
-        e.set_profiles(
-            None,
-            [(a, Profile {
-                name: "A".into(),
-                areas: vec![],
-                institutes: vec![],
-                interests: vec![],
-            })],
-        )
-        .unwrap();
-        assert!(e.apply_edits(None, &[(a, VertexId(99))], &[]).is_err());
-        let b = e.snapshot(None).unwrap().vertex_by_label("B").unwrap();
-        e.apply_edits(None, &[], &[(a, b)]).unwrap();
-        // Profile survives the rebuild.
-        assert!(e.profile(None, a).unwrap().is_some());
-    }
-
-    #[test]
-    fn incremental_edits_share_attribute_columns_and_profiles() {
-        let e = Engine::with_graph("fig5", figure5_graph());
-        let before = e.snapshot(None).unwrap();
-        let a = before.vertex_by_label("A").unwrap();
-        let b = before.vertex_by_label("B").unwrap();
-        e.set_profiles(
-            None,
-            [(a, Profile {
-                name: "A".into(),
-                areas: vec![],
-                institutes: vec![],
-                interests: vec![],
-            })],
-        )
-        .unwrap();
-        let coords: Vec<(f64, f64)> =
-            (0..before.vertex_count()).map(|i| (i as f64, -(i as f64))).collect();
-        e.set_coordinates(None, coords).unwrap();
-        let before = e.snapshot(None).unwrap();
-        e.apply_edits(None, &[], &[(a, b)]).unwrap();
-        let after = e.snapshot(None).unwrap();
-        // The edit must not deep-copy what it didn't touch: attribute
-        // columns, the profile map, and the coordinate vector are all
-        // carried by pointer into the successor snapshot.
-        assert!(after.graph.shares_attributes_with(&before.graph));
-        assert!(Arc::ptr_eq(&after.profiles, &before.profiles));
-        assert!(Arc::ptr_eq(
-            after.coords.as_ref().unwrap(),
-            before.coords.as_ref().unwrap()
-        ));
-        assert_eq!(after.generation, before.generation + 1);
-    }
-
-    #[test]
-    fn stats_after_an_edit_describe_the_edited_graph() {
-        // The path a—b—c—d: cutting b—c splits it, adding a—d rejoins it.
-        let mut b = cx_graph::GraphBuilder::new();
-        let v: Vec<VertexId> = ["a", "b", "c", "d"].iter().map(|l| b.add_vertex(l, &[])).collect();
-        for i in 0..3 {
-            b.add_edge(v[i], v[i + 1]);
-        }
-        let e = Engine::with_graph("path", b.build());
-        let first = e.snapshot(None).unwrap();
-        assert_eq!((first.stats().edges, first.stats().components), (3, 1));
-
-        e.apply_edits(None, &[], &[(v[1], v[2])]).unwrap();
-        let cut = e.snapshot(None).unwrap();
-        assert_eq!((cut.stats().edges, cut.stats().components), (2, 2));
-        assert_eq!(cut.stats().degrees.max, 1);
-        // A reader pinned to the old snapshot keeps its own statistics.
-        assert_eq!((first.stats().edges, first.stats().components), (3, 1));
-
-        e.apply_edits(None, &[(v[0], v[3])], &[]).unwrap();
-        let rejoined = e.snapshot(None).unwrap();
-        assert_eq!((rejoined.stats().edges, rejoined.stats().components), (3, 1));
-    }
-
-    #[test]
-    fn no_op_edit_publishes_a_generation_sharing_graph_and_tree() {
-        let e = Engine::with_graph("fig5", figure5_graph());
-        let before = e.snapshot(None).unwrap();
-        let a = before.vertex_by_label("A").unwrap();
-        let b = before.vertex_by_label("B").unwrap();
-        let h = before.vertex_by_label("H").unwrap();
-        let i = before.vertex_by_label("I").unwrap();
-        // A–B already exists and H–I is removed-then-re-added within the
-        // same batch: structurally nothing changes.
-        e.apply_edits(None, &[(a, b), (h, i)], &[(h, i)]).unwrap();
-        let after = e.snapshot(None).unwrap();
-        assert_eq!(after.generation, before.generation + 1);
-        assert!(Arc::ptr_eq(&after.graph, &before.graph));
-        assert!(Arc::ptr_eq(&after.tree, &before.tree));
-    }
-
-    #[test]
-    fn chained_incremental_edits_match_a_from_scratch_engine() {
-        let inc = Engine::with_graph("fig5", figure5_graph());
-        let scratch = |edits: &dyn Fn(&Engine)| {
-            let e = Engine::with_graph("fig5", figure5_graph());
-            edits(&e);
-            e
-        };
-        let snap = inc.snapshot(None).unwrap();
-        let v = |l: &str| snap.vertex_by_label(l).unwrap();
-        let (a, b, c, ee, f, gg, h, i, j) = (
-            v("A"),
-            v("B"),
-            v("C"),
-            v("E"),
-            v("F"),
-            v("G"),
-            v("H"),
-            v("I"),
-            v("J"),
-        );
-        // A long script mixing inserts, deletes, batches, and a re-add,
-        // exercising the warm DynamicCore across consecutive calls.
-        let script: Vec<(Vec<(VertexId, VertexId)>, Vec<(VertexId, VertexId)>)> = vec![
-            (vec![(gg, ee), (f, c)], vec![]),
-            (vec![], vec![(a, b)]),
-            (vec![(a, b), (j, i)], vec![(h, i)]),
-            (vec![(h, i)], vec![(j, i)]),
-            (vec![], vec![(0, 2), (1, 3)].iter().map(|&(x, y)| (VertexId(x), VertexId(y))).collect()),
-            (vec![(VertexId(0), VertexId(2))], vec![]),
-        ];
-        for (step, (add, remove)) in script.iter().enumerate() {
-            inc.apply_edits(None, add, remove).unwrap();
-            let fresh = scratch(&|e| {
-                for (add, remove) in &script[..=step] {
-                    e.apply_edits(None, add, remove).unwrap();
-                }
-            });
-            let got = inc.snapshot(None).unwrap();
-            let want = fresh.snapshot(None).unwrap();
-            assert_eq!(got.edge_count(), want.edge_count(), "step {step}");
-            assert_eq!(got.tree.core_numbers(), want.tree.core_numbers(), "step {step}");
-            assert_eq!(got.tree.max_core(), want.tree.max_core(), "step {step}");
-            for q in ["A", "E", "H"] {
-                let spec = QuerySpec::by_label(q).k(2);
-                let gi = inc.search("acq", &spec).unwrap();
-                let gf = fresh.search("acq", &spec).unwrap();
-                assert_eq!(gi, gf, "step {step} query {q}");
-            }
-        }
     }
 }
 
