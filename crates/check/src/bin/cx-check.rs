@@ -15,7 +15,9 @@
 //! 3. **Strategy differential** — Dec vs. Inc-S / Inc-T / Basic. At the
 //!    default `--basic-limit` every workload query must take the
 //!    index-free Basic leg; the summary line reports the count.
-//! 4. **Cache differential** — cold vs. warm vs. cache-disabled engines.
+//! 4. **Cache differential** — cold vs. warm vs. cache-disabled engines;
+//!    and for every registered CD algorithm, `search` on each workload
+//!    query vertex vs. the first cluster of a fresh `detect` holding it.
 //! 5. **Snapshot differential** — a reader pinned to a pre-edit snapshot
 //!    vs. the post-edit snapshot: each must match an engine that only
 //!    ever saw that graph version, and generations must advance.
@@ -42,10 +44,10 @@ use cx_acq::AcqOptions;
 use cx_check::invariants::{check_core_numbers, check_label_column, check_tree_columns};
 use cx_check::oracle::thread_differential;
 use cx_check::{
-    acq_strategy_differential, cached_vs_uncached, check_acq_result, edit_script, fingerprint,
-    fuzz_server, graph_matrix, hierarchy_reconstruction, incremental_vs_scratch, kill_replay,
-    query_workload, scratch_reuse_differential, snapshot_pinning_differential, FuzzParams,
-    KillReplayParams,
+    acq_strategy_differential, cached_vs_uncached, cd_search_vs_detect, check_acq_result,
+    edit_script, fingerprint, fuzz_server, graph_matrix, hierarchy_reconstruction,
+    incremental_vs_scratch, kill_replay, query_workload, scratch_reuse_differential,
+    snapshot_pinning_differential, FuzzParams, KillReplayParams,
 };
 use cx_cltree::ClTree;
 use cx_datagen::dblp_like;
@@ -205,6 +207,12 @@ fn main() {
                     problems.push(format!("{} {}", case.name, m));
                 }
             }
+        }
+
+        // CD-search differential: every CD name, every workload vertex.
+        let qs: Vec<_> = workload.iter().map(|qc| qc.q).collect();
+        for m in cd_search_vs_detect(g, &qs) {
+            problems.push(format!("{} {}", case.name, m));
         }
 
         // Snapshot differential: a reader pinned to the pre-edit snapshot

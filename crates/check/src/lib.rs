@@ -59,7 +59,7 @@ pub use invariants::{
     check_acq_result, check_community, check_ktruss_community, Violation,
 };
 pub use oracle::{
-    acq_strategy_differential, cached_vs_uncached, incremental_vs_scratch,
+    acq_strategy_differential, cached_vs_uncached, cd_search_vs_detect, incremental_vs_scratch,
     scratch_reuse_differential, snapshot_pinning_differential, with_threads, Mismatch,
 };
 pub use workload::{edit_script, graph_matrix, query_workload, EditStep, GraphCase, QueryCase};

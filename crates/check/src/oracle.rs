@@ -8,7 +8,8 @@
 //!   index, so a four-way agreement also covers index vs. index-free.
 //! * **Cache transparency** — a warm [`cx_explorer::Engine`] query must be
 //!   byte-identical to the cold computation, and to an engine with the
-//!   cache disabled entirely.
+//!   cache disabled entirely; a CD name in `search` must answer exactly
+//!   what detecting and selecting the query vertex's cluster would.
 //! * **Thread independence** — every `cx-par` helper documents output
 //!   independent of `CX_THREADS`; [`with_threads`] re-runs a closure under
 //!   different counts so callers can fingerprint-compare.
@@ -145,6 +146,42 @@ pub fn cached_vs_uncached(
             context,
             detail: format!("uncached engine errored where cached succeeded: {e}"),
         }),
+    }
+    mismatches
+}
+
+/// CD-search oracle: for every registered CD algorithm and every vertex
+/// in `queries`, `search(cd, q)` on one engine must equal the first
+/// community of a fresh engine's `detect(cd)` that contains `q` (nothing
+/// when none does) — "detect, then select", the reference meaning of a CD
+/// name in `search`. The searching engine answers from its per-snapshot
+/// clustering memo, so this also pins that memo to a cold run.
+pub fn cd_search_vs_detect(g: &AttributedGraph, queries: &[VertexId]) -> Vec<Mismatch> {
+    let mut mismatches = Vec::new();
+    let engine = Engine::with_graph("check", g.clone());
+    for cd in engine.cd_names() {
+        let reference = match Engine::with_graph("check", g.clone()).detect(cd) {
+            Ok(r) => r,
+            Err(e) => {
+                mismatches.push(Mismatch {
+                    oracle: "cd-search",
+                    context: format!("algo={cd}"),
+                    detail: format!("detect errored: {e}"),
+                });
+                continue;
+            }
+        };
+        for &q in queries {
+            let context = format!("algo={cd} q={q:?}");
+            let want: Vec<_> = reference.iter().find(|c| c.contains(q)).cloned().into_iter().collect();
+            let detail = match engine.search(cd, &QuerySpec::by_id(q)) {
+                Ok(got) => diff_results("search", &got, "detect", &want),
+                Err(e) => Some(format!("search errored: {e}")),
+            };
+            if let Some(detail) = detail {
+                mismatches.push(Mismatch { oracle: "cd-search", context, detail });
+            }
+        }
     }
     mismatches
 }
@@ -475,6 +512,14 @@ mod tests {
             let mm = cached_vs_uncached(&g, algo, &QuerySpec::by_label("A").k(2));
             assert!(mm.is_empty(), "{algo}: {mm:?}");
         }
+    }
+
+    #[test]
+    fn cd_search_oracle_is_clean_on_figure5() {
+        let g = figure5_graph();
+        let qs: Vec<VertexId> = g.vertices().collect();
+        let mm = cd_search_vs_detect(&g, &qs);
+        assert!(mm.is_empty(), "{mm:?}");
     }
 
     #[test]

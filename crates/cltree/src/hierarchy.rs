@@ -195,11 +195,11 @@ impl Hierarchy {
         Self { stats, max_level: tree.max_core() }
     }
 
-    /// The hierarchy of the post-edit `(g, tree)`. Every column is
-    /// recomputed — an edge edit changes degrees even where core numbers,
-    /// and hence the tree, did not move, and a subtree's keyword counts
-    /// are read off the new tree's postings in less time than it took to
-    /// recognise which old subtrees survived.
+    /// The hierarchy of the post-edit `(g, tree)`: exactly
+    /// [`Hierarchy::build`] — the previous tree and hierarchy are unused.
+    /// The engine no longer calls this (a snapshot builds its hierarchy
+    /// lazily on first read); it stays because the `benchmark/` crate's
+    /// `cltree.hierarchy_update_ms` probe calls it.
     pub fn update(
         g: &AttributedGraph,
         tree: &ClTree,

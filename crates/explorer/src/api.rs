@@ -34,19 +34,16 @@ pub trait CsAlgorithm: Send + Sync {
 }
 
 /// A community-*detection* algorithm: clusters the whole graph.
+///
+/// Register with [`crate::Engine::register_cd`] to appear in `detect`,
+/// `search` and comparison analysis; the engine runs `detect` at most
+/// once per graph snapshot and memoises the clustering.
 pub trait CdAlgorithm: Send + Sync {
     /// Registry name.
     fn name(&self) -> &str;
 
     /// Detects all communities of the graph.
     fn detect(&self, ctx: &GraphContext<'_>) -> Vec<Community>;
-
-    /// The community of one vertex — default: detect and select. CD
-    /// algorithms are exposed through the CS-style UI this way (the paper
-    /// compares CODICIL alongside the CS methods in Figure 6(a)).
-    fn community_of(&self, ctx: &GraphContext<'_>, q: VertexId) -> Option<Community> {
-        self.detect(ctx).into_iter().find(|c| c.contains(q))
-    }
 }
 
 // ---- Built-in algorithm adapters -------------------------------------
@@ -258,16 +255,6 @@ mod tests {
         assert_eq!(LocalAlgorithm.name(), "local");
         assert_eq!(KTrussAlgorithm.name(), "ktruss");
         assert_eq!(CodicilAlgorithm::default().name(), "codicil");
-    }
-
-    #[test]
-    fn cd_default_community_of_selects_query_cluster() {
-        let g = figure5_graph();
-        let tree = ClTree::build(&g);
-        let ctx = GraphContext { graph: &g, tree: &tree, coords: None };
-        let a = g.vertex_by_label("A").unwrap();
-        let c = CodicilAlgorithm::default().community_of(&ctx, a).unwrap();
-        assert!(c.contains(a));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Sharded, bounded LRU cache for engine query results.
+//! Sharded, bounded LRU cache for engine community-search results.
 //!
 //! Browsing sessions re-run the same query constantly: the user tweaks
 //! `k`, flips back, compares two algorithms on the same vertex, or
@@ -13,9 +13,10 @@
 //! publishes a new snapshot it calls [`ShardedCache::purge_older`] to
 //! drop the orphaned entries of the replaced generation immediately;
 //! anything that slips through (a reader pinned to an old snapshot may
-//! re-insert) ages out through normal LRU eviction. Replacing an
-//! algorithm (`register_cs` / `register_cd`) clears the cache wholesale —
-//! the same name may now mean different code.
+//! re-insert) ages out through normal LRU eviction. Replacing a CS
+//! algorithm (`register_cs`) clears the cache wholesale — the same name
+//! may now mean different code.
+//! CD clusterings are memoised on their `GraphSnapshot`, not here.
 //!
 //! Concurrency: the cache is split into shards, each behind its own
 //! `Mutex`, selected by a deterministic hash of the key. Concurrent
@@ -37,9 +38,7 @@ use cx_graph::{Community, VertexId};
 /// `generation` pins the key to one published snapshot of the graph, so
 /// edits can never leak a stale answer. `vertices` holds the *resolved*
 /// query vertex ids, so `by_label("A")` and `by_id` of the same vertex
-/// share a slot. A detect-style query (whole-graph clustering) has no
-/// query vertices; resolution guarantees searches always have at least
-/// one, so the two cannot collide.
+/// share a slot.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct QueryKey {
     /// Resolved graph name (never the "default" alias).
@@ -48,9 +47,9 @@ pub struct QueryKey {
     pub generation: u64,
     /// Algorithm name as registered.
     pub algo: String,
-    /// Resolved query vertices (empty for detect).
+    /// Resolved query vertices.
     pub vertices: Vec<VertexId>,
-    /// Minimum-degree parameter (0 for detect).
+    /// Minimum-degree parameter.
     pub k: u32,
     /// Keyword selection, in query order.
     pub keywords: Vec<String>,
@@ -204,11 +203,19 @@ impl ShardedCache {
         let shards = self.shards.read().unwrap_or_else(|p| p.into_inner());
         let shard = &shards[Self::shard_index(key, shards.len())];
         let out = shard.lock().unwrap_or_else(|p| p.into_inner()).get(key);
-        match out {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
+        self.record(out.is_some());
         out
+    }
+
+    /// Counts one lookup (also the engine's CD clustering lookups) in
+    /// [`CacheStats`] and `cx_engine_cache_total`.
+    pub fn record(&self, hit: bool) {
+        let (counter, event) = match hit {
+            true => (&self.hits, "cx_engine_cache_total{event=\"hit\"}"),
+            false => (&self.misses, "cx_engine_cache_total{event=\"miss\"}"),
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        cx_obs::metrics::inc(event);
     }
 
     /// Stores a freshly computed result.

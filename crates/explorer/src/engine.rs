@@ -25,15 +25,14 @@
 //! poisoned mutex anyway (`unwrap_or_else(PoisonError::into_inner)`) since
 //! the guarded state is always internally consistent at release time.
 
-
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-use cx_cltree::Hierarchy;
 use cx_graph::{AttributedGraph, Community, VertexId};
-use cx_layout::{layout_community, layout_summary, LayoutAlgorithm, Scene, SummaryItem};
+use cx_layout::{layout_community, LayoutAlgorithm, Scene};
 use cx_par::task::{CancelToken, ProgressFn};
 
 use crate::api::{
@@ -52,6 +51,7 @@ mod snapshot;
 mod write;
 
 pub use snapshot::GraphSnapshot;
+use snapshot::Clustering;
 use write::WriteState;
 
 /// A researcher profile record (Figure 2's popup content). The engine
@@ -143,10 +143,10 @@ impl Drop for RegistryGuard<'_> {
 /// build the next snapshot off-lock and publish it atomically (see the
 /// module docs for the full concurrency model).
 ///
-/// Query results from [`Engine::search_on`] / [`Engine::detect_on`] are
-/// memoised in a bounded, sharded LRU cache keyed by the resolved query
-/// *and the snapshot generation*, so mutation can never serve stale
-/// answers.
+/// CS search results are memoised in a sharded LRU keyed by the resolved
+/// query *and the snapshot generation*; everything else derived from a
+/// graph version (hierarchy, stats, CD clusterings) lives on its
+/// [`GraphSnapshot`] and dies with it.
 pub struct Engine {
     registry: Mutex<Registry>,
     /// Per-graph writer serialization. Writers hold their graph's gate
@@ -155,8 +155,8 @@ pub struct Engine {
     /// The gate also carries the writer-only incremental state (a warm
     /// [`cx_kcore::DynamicCore`]) so consecutive edits skip the peel.
     write_gates: Mutex<HashMap<String, Arc<Mutex<WriteState>>>>,
-    cs: Vec<Box<dyn CsAlgorithm>>,
-    cd: Vec<Box<dyn CdAlgorithm>>,
+    cs: Vec<Plugin<dyn CsAlgorithm>>,
+    cd: Vec<Plugin<dyn CdAlgorithm>>,
     cache: ShardedCache,
     /// Durable backing store, if this engine was opened with
     /// [`Engine::open_durable`]. Every write path appends its record
@@ -165,6 +165,24 @@ pub struct Engine {
     store: Option<Arc<cx_store::Store>>,
     /// Set while a background compaction is in flight (at most one).
     compacting: std::sync::atomic::AtomicBool,
+}
+
+/// A registered algorithm plus what registration derives from it once.
+struct Plugin<A: ?Sized> {
+    algo: Box<A>,
+    /// `algo.<name>`, the span every run opens.
+    span: String,
+    /// Unique per registration: tags a CD algorithm's snapshot memos, so
+    /// re-registering the name orphans them.
+    id: u64,
+}
+
+impl<A: ?Sized> Plugin<A> {
+    fn new(algo: Box<A>, name: &str) -> Self {
+        static REGISTRATIONS: AtomicU64 = AtomicU64::new(0);
+        let id = REGISTRATIONS.fetch_add(1, Ordering::Relaxed);
+        Self { algo, span: format!("algo.{name}"), id }
+    }
 }
 
 impl Default for Engine {
@@ -225,28 +243,29 @@ impl Engine {
     /// Setup-time API: takes `&mut self`, so registration happens before
     /// the engine is shared.
     pub fn register_cs(&mut self, algo: Box<dyn CsAlgorithm>) {
-        self.cs.retain(|a| a.name() != algo.name());
-        self.cs.push(algo);
+        let name = algo.name().to_owned();
+        self.cs.retain(|a| a.algo.name() != name);
+        self.cs.push(Plugin::new(algo, &name));
         self.cache.clear();
     }
 
-    /// Registers (or replaces, by name) a community-detection algorithm.
-    /// Clears the query cache — the name may now mean different code.
+    /// Registers (or replaces, by name) a community-detection algorithm;
+    /// clusterings the replaced code memoised are never served again.
     /// Setup-time API like [`Engine::register_cs`].
     pub fn register_cd(&mut self, algo: Box<dyn CdAlgorithm>) {
-        self.cd.retain(|a| a.name() != algo.name());
-        self.cd.push(algo);
-        self.cache.clear();
+        let name = algo.name().to_owned();
+        self.cd.retain(|a| a.algo.name() != name);
+        self.cd.push(Plugin::new(algo, &name));
     }
 
     /// Names of the registered CS algorithms.
     pub fn cs_names(&self) -> Vec<&str> {
-        self.cs.iter().map(|a| a.name()).collect()
+        self.cs.iter().map(|a| a.algo.name()).collect()
     }
 
     /// Names of the registered CD algorithms.
     pub fn cd_names(&self) -> Vec<&str> {
-        self.cd.iter().map(|a| a.name()).collect()
+        self.cd.iter().map(|a| a.algo.name()).collect()
     }
 
     /// Names of the uploaded graphs (sorted).
@@ -308,19 +327,19 @@ impl Engine {
             .ok_or_else(|| ExplorerError::UnknownGraph(name.to_owned()))
     }
 
-    fn find_cs(&self, name: &str) -> Option<&dyn CsAlgorithm> {
-        self.cs.iter().find(|a| a.name() == name).map(Box::as_ref)
+    fn find_cs(&self, name: &str) -> Option<&Plugin<dyn CsAlgorithm>> {
+        self.cs.iter().find(|a| a.algo.name() == name)
     }
 
-    fn find_cd(&self, name: &str) -> Option<&dyn CdAlgorithm> {
-        self.cd.iter().find(|a| a.name() == name).map(Box::as_ref)
+    fn find_cd(&self, name: &str) -> Option<&Plugin<dyn CdAlgorithm>> {
+        self.cd.iter().find(|a| a.algo.name() == name)
     }
 
     /// The paper's `search(CSAlgorithm, Query)` on the default graph.
     ///
-    /// A CD algorithm name is accepted too: its clustering is computed and
-    /// the query vertex's cluster returned (how CODICIL shows up alongside
-    /// the CS methods in Figure 6(a)).
+    /// A CD algorithm name is accepted too: the answer is the first cluster
+    /// of its memoised clustering that contains the query vertex (how
+    /// CODICIL shows up alongside the CS methods in Figure 6(a)).
     pub fn search(&self, algo: &str, spec: &QuerySpec) -> Result<Vec<Community>, ExplorerError> {
         self.search_on(None, algo, spec)
     }
@@ -366,6 +385,11 @@ impl Engine {
     ) -> Result<Vec<Community>, ExplorerError> {
         let _span = cx_obs::span("engine.search");
         let qs = spec.resolve(&snap.graph)?;
+        let cs = self.find_cs(algo);
+        if let (None, Some(cd)) = (cs, self.find_cd(algo)) {
+            let clustering = self.clustering(snap, cd, token, None, "search")?;
+            return Ok(clustering.cluster_of(qs[0]).cloned().into_iter().collect());
+        }
         let key = QueryKey {
             graph: snap.name.clone(),
             generation: snap.generation,
@@ -375,90 +399,31 @@ impl Engine {
             keywords: spec.keywords.clone(),
         };
         if let Some(hit) = self.cache.get(&key) {
-            cx_obs::metrics::inc("cx_engine_cache_total{event=\"hit\"}");
             return Ok(hit);
         }
-        cx_obs::metrics::inc("cx_engine_cache_total{event=\"miss\"}");
-        if token.is_cancelled() {
-            cx_obs::metrics::inc("cx_engine_deadline_total{op=\"search\"}");
-            return Err(ExplorerError::DeadlineExceeded);
-        }
+        let cs = cs.ok_or_else(|| ExplorerError::UnknownAlgorithm(algo.to_owned()));
         let ctx = snap.context();
-        let run = || {
-            let _algo_span = cx_obs::span(&format!("algo.{algo}"));
-            if let Some(a) = self.find_cs(algo) {
-                Ok(a.search(&ctx, &qs, spec))
-            } else if let Some(a) = self.find_cd(algo) {
-                Ok(a.community_of(&ctx, qs[0]).into_iter().collect())
-            } else {
-                Err(ExplorerError::UnknownAlgorithm(algo.to_owned()))
-            }
-        };
-        let out: Vec<Community> = if token.is_armed() {
-            cx_par::task::scope(token, None, run)?
-        } else {
-            run()?
-        };
-        if token.is_cancelled() {
-            cx_obs::metrics::inc("cx_engine_deadline_total{op=\"search\"}");
-            return Err(ExplorerError::DeadlineExceeded);
-        }
+        let out = run_cancellable(token, None, "search", || {
+            let cs = cs?;
+            let _algo_span = cx_obs::span(&cs.span);
+            Ok(cs.algo.search(&ctx, &qs, spec))
+        })?;
         self.cache.insert(key, out.clone());
         Ok(out)
     }
 
     /// The paper's `detect(CDAlgorithm)` on the default graph.
     pub fn detect(&self, algo: &str) -> Result<Vec<Community>, ExplorerError> {
-        self.detect_on(None, algo)
+        self.detect_cancellable(&*self.snapshot(None)?, algo, &CancelToken::none(), None)
     }
 
-    /// `detect` against a named graph: pins the current snapshot and
-    /// delegates to [`Engine::detect_snapshot`].
-    pub fn detect_on(
-        &self,
-        graph: Option<&str>,
-        algo: &str,
-    ) -> Result<Vec<Community>, ExplorerError> {
-        self.detect_snapshot(&*self.snapshot(graph)?, algo)
-    }
-
-    /// `detect` against an already pinned snapshot. Cached like
-    /// [`Engine::search_snapshot`] (a detect key has no query vertices,
-    /// so it never collides with a search key).
-    pub fn detect_snapshot(
-        &self,
-        snap: &GraphSnapshot,
-        algo: &str,
-    ) -> Result<Vec<Community>, ExplorerError> {
-        self.detect_snapshot_with(snap, algo, &CancelToken::none(), None)
-    }
-
-    /// [`Engine::detect_snapshot`] under a cooperative cancellation token —
-    /// the deadline semantics of [`Engine::search_snapshot_cancellable`].
-    pub fn detect_snapshot_cancellable(
-        &self,
-        snap: &GraphSnapshot,
-        algo: &str,
-        token: &CancelToken,
-    ) -> Result<Vec<Community>, ExplorerError> {
-        self.detect_snapshot_with(snap, algo, token, None)
-    }
-
-    /// Streaming `detect`: the algorithm's [`cx_par::task::progress`] calls
-    /// reach `progress` (the SSE layer frames them as events), and `token`
-    /// carries both the request deadline and client-disconnect abort. A
-    /// cache hit short-circuits with the result and no progress events.
-    pub fn detect_snapshot_streaming(
-        &self,
-        snap: &GraphSnapshot,
-        algo: &str,
-        token: &CancelToken,
-        progress: Arc<ProgressFn>,
-    ) -> Result<Vec<Community>, ExplorerError> {
-        self.detect_snapshot_with(snap, algo, token, Some(progress))
-    }
-
-    fn detect_snapshot_with(
+    /// `detect` against a pinned snapshot under `token` (deadline and
+    /// client disconnect, as in [`Engine::search_snapshot_cancellable`]);
+    /// the algorithm's [`cx_par::task::progress`] calls reach `progress`.
+    /// The clustering is memoised on the snapshot and shared with every
+    /// CD-named `search`: a memoised answer emits no progress events, and
+    /// a cancelled run memoises nothing.
+    pub fn detect_cancellable(
         &self,
         snap: &GraphSnapshot,
         algo: &str,
@@ -466,42 +431,35 @@ impl Engine {
         progress: Option<Arc<ProgressFn>>,
     ) -> Result<Vec<Community>, ExplorerError> {
         let _span = cx_obs::span("engine.detect");
-        let a = self
+        let cd = self
             .find_cd(algo)
             .ok_or_else(|| ExplorerError::UnknownAlgorithm(algo.to_owned()))?;
-        let key = QueryKey {
-            graph: snap.name.clone(),
-            generation: snap.generation,
-            algo: algo.to_owned(),
-            vertices: Vec::new(),
-            k: 0,
-            keywords: Vec::new(),
-        };
-        if let Some(hit) = self.cache.get(&key) {
-            cx_obs::metrics::inc("cx_engine_cache_total{event=\"hit\"}");
-            return Ok(hit);
-        }
-        cx_obs::metrics::inc("cx_engine_cache_total{event=\"miss\"}");
-        if token.is_cancelled() {
-            cx_obs::metrics::inc("cx_engine_deadline_total{op=\"detect\"}");
-            return Err(ExplorerError::DeadlineExceeded);
+        Ok(self.clustering(snap, cd, token, progress, "detect")?.communities.clone())
+    }
+
+    /// `cd`'s clustering of `snap`: the snapshot's memo, or one run of the
+    /// algorithm. Lookups count as query-cache hits and misses; a deadline
+    /// is counted under the calling `op`.
+    fn clustering(
+        &self,
+        snap: &GraphSnapshot,
+        cd: &Plugin<dyn CdAlgorithm>,
+        token: &CancelToken,
+        progress: Option<Arc<ProgressFn>>,
+        op: &str,
+    ) -> Result<Arc<Clustering>, ExplorerError> {
+        let memo = snap.clustering(cd.id);
+        self.cache.record(memo.is_some());
+        if let Some(c) = memo {
+            return Ok(c);
         }
         let ctx = snap.context();
-        let run = || {
-            let _algo_span = cx_obs::span(&format!("algo.{algo}"));
-            a.detect(&ctx)
-        };
-        let out = if token.is_armed() || progress.is_some() {
-            cx_par::task::scope(token, progress, run)
-        } else {
-            run()
-        };
-        if token.is_cancelled() {
-            cx_obs::metrics::inc("cx_engine_deadline_total{op=\"detect\"}");
-            return Err(ExplorerError::DeadlineExceeded);
-        }
-        self.cache.insert(key, out.clone());
-        Ok(out)
+        let communities = run_cancellable(token, progress, op, || {
+            let _algo_span = cx_obs::span(&cd.span);
+            Ok(cd.algo.detect(&ctx))
+        })?;
+        let clustering = Clustering::new(communities, snap.graph.vertex_count());
+        Ok(snap.keep_clustering(cd.id, clustering))
     }
 
     /// Query-cache counters (hits, misses, occupancy, capacity).
@@ -516,17 +474,8 @@ impl Engine {
     }
 
     /// The paper's `analyze(Community)`: CPJ/CMF quality plus per-community
-    /// statistics for a result set, w.r.t. query vertex `q`.
-    pub fn analyze(
-        &self,
-        graph: Option<&str>,
-        communities: &[Community],
-        q: VertexId,
-    ) -> Result<AnalysisReport, ExplorerError> {
-        self.analyze_snapshot(&*self.snapshot(graph)?, communities, q)
-    }
-
-    /// [`Engine::analyze`] against an already pinned snapshot.
+    /// statistics for a result set, w.r.t. query vertex `q`, on a pinned
+    /// snapshot.
     pub fn analyze_snapshot(
         &self,
         snap: &GraphSnapshot,
@@ -558,84 +507,6 @@ impl Engine {
         highlight: Option<VertexId>,
     ) -> Scene {
         layout_community(&snap.graph, community, algo, highlight, 960.0, 600.0, 42)
-    }
-
-    /// Scene for a multi-resolution level view: the level-`level`
-    /// supernodes as disjoint bubbles (largest first, at most
-    /// `max_nodes`). Level views have no inter-supernode edges by
-    /// construction — see the hierarchy module docs.
-    pub fn hierarchy_level_scene(
-        &self,
-        snap: &GraphSnapshot,
-        level: u32,
-        max_nodes: usize,
-    ) -> Scene {
-        let h = snap.hierarchy();
-        let nodes = h.level_nodes(level);
-        let shown = nodes.len().min(max_nodes.max(1));
-        let items: Vec<SummaryItem> = nodes[..shown]
-            .iter()
-            .map(|&id| supernode_item(&snap.graph, &h, id))
-            .collect();
-        layout_summary(&items, &[], 960.0, 600.0).titled(format!(
-            "Hierarchy level {level} — showing {shown} of {} supernodes",
-            nodes.len()
-        ))
-    }
-
-    /// Scene for one supernode's expansion: listed residents as plain
-    /// vertices, child supernodes as bubbles, resident–resident edges,
-    /// and weighted resident→child links, bounded to `max_nodes` by
-    /// [`Hierarchy::expand_bounded`]. `None` when the snapshot's hierarchy
-    /// has no supernode `node`.
-    pub fn hierarchy_expand_scene(
-        &self,
-        snap: &GraphSnapshot,
-        node: u32,
-        max_nodes: usize,
-    ) -> Option<Scene> {
-        let h = snap.hierarchy();
-        let g = &snap.graph;
-        let ex = h.expand_bounded(g, &snap.tree, node, max_nodes)?;
-
-        let mut items: Vec<SummaryItem> = ex
-            .residents
-            .iter()
-            .map(|&v| SummaryItem {
-                id: v.0,
-                label: g.label(v).to_owned(),
-                size: g.degree(v) as f64,
-                is_super: false,
-            })
-            .collect();
-        let vert_index: HashMap<VertexId, usize> =
-            ex.residents.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-        let child_index: HashMap<cx_cltree::NodeId, usize> = ex
-            .children
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (c, items.len() + i))
-            .collect();
-        items.extend(ex.children.iter().map(|&c| supernode_item(g, &h, c)));
-
-        let mut links: Vec<(usize, usize, f64)> = ex
-            .internal_edges
-            .iter()
-            .map(|&(u, v)| (vert_index[&u], vert_index[&v], 1.0))
-            .collect();
-        links.extend(
-            ex.child_links.iter().map(|&(u, c, w)| (vert_index[&u], child_index[&c], w as f64)),
-        );
-
-        let s = h.stats(cx_cltree::NodeId(node));
-        let truncated = ex.truncated || ex.children.len() < ex.children_total;
-        Some(layout_summary(&items, &links, 960.0, 600.0).titled(format!(
-            "Supernode {node} (level {}) — {} residents, {} children{}",
-            s.level,
-            ex.residents.len(),
-            ex.children.len(),
-            if truncated { ", truncated" } else { "" }
-        )))
     }
 
     /// The profile of a vertex (the Figure 2 popup), if one is installed.
@@ -684,17 +555,32 @@ impl Engine {
     }
 }
 
-/// Summary-scene item for one supernode: labelled with level, subtree
-/// size, and the dominant keyword when it has one.
-fn supernode_item(g: &AttributedGraph, h: &Hierarchy, id: cx_cltree::NodeId) -> SummaryItem {
-    let s = h.stats(id);
-    let kw = s.top_keywords.first().and_then(|&(w, _)| g.interner().name(w)).unwrap_or("");
-    let label = if kw.is_empty() {
-        format!("k{} | {}v", s.level, s.subtree_vertices)
-    } else {
-        format!("k{} | {}v | {kw}", s.level, s.subtree_vertices)
+/// Runs `f` under `token` — inside a [`cx_par::task::scope`] when the
+/// token is armed or `progress` is given — and turns a cancellation seen
+/// before or after the run into [`ExplorerError::DeadlineExceeded`],
+/// counted under `op`.
+fn run_cancellable<T>(
+    token: &CancelToken,
+    progress: Option<Arc<ProgressFn>>,
+    op: &str,
+    f: impl FnOnce() -> Result<T, ExplorerError>,
+) -> Result<T, ExplorerError> {
+    let deadline = || {
+        cx_obs::metrics::inc(&format!("cx_engine_deadline_total{{op=\"{op}\"}}"));
+        Err(ExplorerError::DeadlineExceeded)
     };
-    SummaryItem { id: id.0, label, size: s.subtree_vertices as f64, is_super: true }
+    if token.is_cancelled() {
+        return deadline();
+    }
+    let out = if token.is_armed() || progress.is_some() {
+        cx_par::task::scope(token, progress, f)?
+    } else {
+        f()?
+    };
+    if token.is_cancelled() {
+        return deadline();
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -799,7 +685,7 @@ mod tests {
         let out = e.search("acq", &QuerySpec::by_label("A").k(2)).unwrap();
         let snap = e.snapshot(None).unwrap();
         let a = snap.vertex_by_label("A").unwrap();
-        let report = e.analyze(None, &out, a).unwrap();
+        let report = e.analyze_snapshot(&snap, &out, a).unwrap();
         assert!(report.cpj > 0.5);
         assert!(report.cmf > 0.5);
         let scene = e
@@ -1080,18 +966,136 @@ mod cache_tests {
         assert_eq!(calls.load(Ordering::SeqCst), 3, "C was just inserted: must hit");
     }
 
+    /// A stub CD algorithm that counts its `detect` runs, reports one
+    /// progress step per run, and splits the graph by vertex-id parity,
+    /// followed by one overlapping cluster of every vertex.
+    /// When `trip` holds a token, the run cancels it (a deadline firing
+    /// mid-run).
+    struct CountingCd {
+        calls: Arc<AtomicUsize>,
+        trip: Arc<std::sync::Mutex<Option<CancelToken>>>,
+    }
+    impl crate::api::CdAlgorithm for CountingCd {
+        fn name(&self) -> &str {
+            "counting-cd"
+        }
+        fn detect(&self, ctx: &GraphContext<'_>) -> Vec<Community> {
+            self.calls.fetch_add(1, Ordering::SeqCst);
+            cx_par::task::progress("counting", 1, 1);
+            if let Some(token) = self.trip.lock().unwrap().take() {
+                token.cancel();
+            }
+            let (even, odd): (Vec<VertexId>, Vec<VertexId>) =
+                ctx.graph.vertices().partition(|v| v.0 % 2 == 0);
+            let all = ctx.graph.vertices().collect();
+            vec![Community::structural(even), Community::structural(odd), Community::structural(all)]
+        }
+    }
+
+    fn counting_cd(e: &mut Engine) -> (Arc<AtomicUsize>, Arc<std::sync::Mutex<Option<CancelToken>>>) {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let trip = Arc::new(std::sync::Mutex::new(None));
+        e.register_cd(Box::new(CountingCd { calls: Arc::clone(&calls), trip: Arc::clone(&trip) }));
+        (calls, trip)
+    }
+
+    /// A 30-vertex path, so twenty distinct query vertices exist.
+    fn path30() -> cx_graph::AttributedGraph {
+        let mut b = cx_graph::GraphBuilder::new();
+        let v: Vec<VertexId> = (0..30).map(|i| b.add_vertex(&format!("p{i}"), &[])).collect();
+        for w in v.windows(2) {
+            b.add_edge(w[0], w[1]);
+        }
+        b.build()
+    }
+
     #[test]
     fn detect_results_are_cached_per_graph() {
-        let e = Engine::with_graph("fig5", figure5_graph());
+        let mut e = Engine::with_graph("fig5", figure5_graph());
         e.add_graph("collab", small_collab_graph());
-        let a = e.detect_on(Some("fig5"), "louvain").unwrap();
-        let before = e.cache_stats();
-        let b = e.detect_on(Some("fig5"), "louvain").unwrap();
+        let (calls, _) = counting_cd(&mut e);
+        let fig5 = e.snapshot(Some("fig5")).unwrap();
+        let detect = |snap: &GraphSnapshot| {
+            e.detect_cancellable(snap, "counting-cd", &CancelToken::none(), None).unwrap()
+        };
+        let a = detect(&fig5);
+        let b = detect(&fig5);
         assert_eq!(a, b);
-        assert_eq!(e.cache_stats().hits, before.hits + 1);
-        // A different graph is a different key.
-        let c = e.detect_on(Some("collab"), "louvain").unwrap();
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "the second detect reads the memo");
+        // Another graph's snapshot has its own memo.
+        let c = detect(&e.snapshot(Some("collab")).unwrap());
         assert_ne!(a, c);
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn a_cd_algorithm_runs_once_per_snapshot() {
+        let mut e = Engine::with_graph("path", path30());
+        let (calls, _) = counting_cd(&mut e);
+        let snap = e.snapshot(None).unwrap();
+        for q in 0..20 {
+            let out = e.search_snapshot(&snap, "counting-cd", &QuerySpec::by_id(VertexId(q))).unwrap();
+            assert_eq!(out.len(), 1);
+            assert!(out[0].contains(VertexId(q)));
+            assert!(out[0].vertices().iter().all(|v| v.0 % 2 == q % 2), "q={q}: not the first cluster");
+        }
+        let all = e.detect("counting-cd").unwrap();
+        assert_eq!(all.len(), 3);
+        let events = Arc::new(AtomicUsize::new(0));
+        let sink: Arc<ProgressFn> = {
+            let events = Arc::clone(&events);
+            Arc::new(move |_: &str, _: u64, _: u64| {
+                events.fetch_add(1, Ordering::SeqCst);
+            })
+        };
+        let streamed = e
+            .detect_cancellable(&snap, "counting-cd", &CancelToken::manual(), Some(sink))
+            .unwrap();
+        assert_eq!(streamed, all);
+        assert_eq!(events.load(Ordering::SeqCst), 0, "a memoised answer streams no progress");
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "20 searches + detect + streamed detect");
+
+        // An edit publishes a snapshot with an empty memo: one more run.
+        e.apply_edits(None, &[(VertexId(0), VertexId(29))], &[]).unwrap();
+        e.search("counting-cd", &QuerySpec::by_id(VertexId(3))).unwrap();
+        e.detect("counting-cd").unwrap();
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn a_cancelled_detect_memoises_nothing() {
+        let mut e = Engine::with_graph("fig5", figure5_graph());
+        let (calls, trip) = counting_cd(&mut e);
+        let snap = e.snapshot(None).unwrap();
+        // Cancelled before the run: the algorithm never starts.
+        let cancelled = CancelToken::manual();
+        cancelled.cancel();
+        let out = e.detect_cancellable(&snap, "counting-cd", &cancelled, None);
+        assert!(matches!(out, Err(ExplorerError::DeadlineExceeded)), "{out:?}");
+        assert_eq!(calls.load(Ordering::SeqCst), 0);
+        // Cancelled mid-run: the run completes but its result is dropped.
+        let mid = CancelToken::manual();
+        *trip.lock().unwrap() = Some(mid.clone());
+        let out = e.detect_cancellable(&snap, "counting-cd", &mid, None);
+        assert!(matches!(out, Err(ExplorerError::DeadlineExceeded)), "{out:?}");
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
+        // So the next reader computes afresh.
+        e.detect_cancellable(&snap, "counting-cd", &CancelToken::none(), None).unwrap();
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn re_registering_a_cd_name_invalidates_live_memos() {
+        let mut e = Engine::with_graph("fig5", figure5_graph());
+        let (calls, _) = counting_cd(&mut e);
+        let snap = e.snapshot(None).unwrap();
+        let spec = QuerySpec::by_label("A");
+        e.search_snapshot(&snap, "counting-cd", &spec).unwrap();
+        let (calls2, _) = counting_cd(&mut e);
+        e.search_snapshot(&snap, "counting-cd", &spec).unwrap();
+        e.detect("counting-cd").unwrap();
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
+        assert_eq!(calls2.load(Ordering::SeqCst), 1, "the new code ran once on the pinned snapshot");
     }
 
     #[test]

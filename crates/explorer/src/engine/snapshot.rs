@@ -1,10 +1,15 @@
-//! [`GraphSnapshot`]: one immutable, published version of a graph.
+//! [`GraphSnapshot`]: one immutable, published version of a graph, and
+//! the only owner of state derived from it — the [`Hierarchy`], the
+//! [`GraphStats`] and the CD clusterings, each built lazily on first read,
+//! kept for the snapshot's lifetime and never carried to a successor.
 
+use std::collections::HashMap;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 
-use cx_cltree::{ClTree, Hierarchy};
-use cx_graph::{AttributedGraph, GraphStats};
+use cx_cltree::{ClTree, Hierarchy, NodeId};
+use cx_graph::{AttributedGraph, Community, GraphStats, VertexId};
+use cx_layout::{layout_summary, Scene, SummaryItem};
 
 use crate::api::GraphContext;
 use crate::profile::ProfileStore;
@@ -31,18 +36,45 @@ pub struct GraphSnapshot {
     /// Per-graph monotone version number; exactly one snapshot is ever
     /// published per (graph, generation) pair.
     pub generation: u64,
-    /// The multi-resolution summary hierarchy, built on first use and
-    /// cached for this snapshot's lifetime. Tree node ids change across
-    /// generations, so per-snapshot caching is exactly the right scope;
-    /// the edit path seeds the successor's cell incrementally when this
-    /// one was populated.
-    hierarchy: std::sync::OnceLock<Arc<Hierarchy>>,
-    /// Whole-graph statistics, computed on first use. Never carried to a
-    /// successor: an edit's snapshot starts empty and recomputes.
-    stats: std::sync::OnceLock<GraphStats>,
+    /// The multi-resolution summary hierarchy, built on first read. Tree
+    /// node ids change across generations, so the snapshot is exactly
+    /// its scope.
+    hierarchy: OnceLock<Arc<Hierarchy>>,
+    /// Whole-graph statistics, computed on first read.
+    stats: OnceLock<GraphStats>,
+    /// CD clusterings by the registration id of the algorithm that
+    /// computed them. Re-registering a name issues a new id, so the
+    /// replaced code's entries are never served again (they die with the
+    /// snapshot). Filled by the engine's `detect`.
+    clusterings: Mutex<HashMap<u64, Arc<Clustering>>>,
     /// Whether this snapshot bumped the live-snapshot gauge when built
     /// (observability could be toggled between construction and drop).
     gauge_counted: bool,
+}
+
+/// One CD algorithm's clustering of a snapshot: its communities plus,
+/// per vertex, the index of the first community containing it
+/// (`u32::MAX` for none), so "the cluster of `q`" is one lookup.
+pub(crate) struct Clustering {
+    pub(crate) communities: Vec<Community>,
+    first: Vec<u32>,
+}
+
+impl Clustering {
+    pub(crate) fn new(communities: Vec<Community>, vertex_count: usize) -> Self {
+        let mut first = vec![u32::MAX; vertex_count];
+        for (i, c) in communities.iter().enumerate().rev() {
+            for &v in c.vertices() {
+                first[v.index()] = i as u32;
+            }
+        }
+        Self { communities, first }
+    }
+
+    /// The first community containing `v`, if any.
+    pub(crate) fn cluster_of(&self, v: VertexId) -> Option<&Community> {
+        self.communities.get(*self.first.get(v.index())? as usize)
+    }
 }
 
 impl GraphSnapshot {
@@ -65,8 +97,9 @@ impl GraphSnapshot {
             profiles,
             coords,
             generation,
-            hierarchy: std::sync::OnceLock::new(),
-            stats: std::sync::OnceLock::new(),
+            hierarchy: OnceLock::new(),
+            stats: OnceLock::new(),
+            clusterings: Mutex::default(),
             gauge_counted,
         }
     }
@@ -82,9 +115,10 @@ impl GraphSnapshot {
         )
     }
 
-    /// The hierarchy if it was already built for this snapshot.
-    pub fn hierarchy_cached(&self) -> Option<Arc<Hierarchy>> {
-        self.hierarchy.get().map(Arc::clone)
+    /// Whether the hierarchy slot has been filled (tests only).
+    #[cfg(test)]
+    pub(crate) fn hierarchy_is_built(&self) -> bool {
+        self.hierarchy.get().is_some()
     }
 
     /// [`GraphStats`] of this snapshot's graph (an O(n + m) pass with a
@@ -93,9 +127,18 @@ impl GraphSnapshot {
         self.stats.get_or_init(|| GraphStats::compute(&self.graph))
     }
 
-    /// Pre-populates the hierarchy cell (edit path). A no-op if built.
-    pub(super) fn seed_hierarchy(&self, h: Arc<Hierarchy>) {
-        let _ = self.hierarchy.set(h);
+    /// The clustering CD registration `id` computed for this snapshot,
+    /// if it has.
+    pub(crate) fn clustering(&self, id: u64) -> Option<Arc<Clustering>> {
+        self.clusterings.lock().unwrap_or_else(|p| p.into_inner()).get(&id).cloned()
+    }
+
+    /// Memoises a freshly computed clustering and returns the one kept:
+    /// when racing first builders both computed, the first to get here
+    /// wins and the later result is dropped.
+    pub(crate) fn keep_clustering(&self, id: u64, c: Clustering) -> Arc<Clustering> {
+        let mut memo = self.clusterings.lock().unwrap_or_else(|p| p.into_inner());
+        Arc::clone(memo.entry(id).or_insert_with(|| Arc::new(c)))
     }
 
     /// The registry name this snapshot was published under.
@@ -111,6 +154,87 @@ impl GraphSnapshot {
             coords: self.coords.as_ref().map(|c| c.as_slice()),
         }
     }
+
+    /// Scene for a multi-resolution level view: the level-`level`
+    /// supernodes as disjoint bubbles (largest first, at most
+    /// `max_nodes`). Level views have no inter-supernode edges by
+    /// construction — see the hierarchy module docs.
+    pub fn hierarchy_level_scene(&self, level: u32, max_nodes: usize) -> Scene {
+        let h = self.hierarchy();
+        let nodes = h.level_nodes(level);
+        let shown = nodes.len().min(max_nodes.max(1));
+        let items: Vec<SummaryItem> = nodes[..shown]
+            .iter()
+            .map(|&id| supernode_item(&self.graph, &h, id))
+            .collect();
+        layout_summary(&items, &[], 960.0, 600.0).titled(format!(
+            "Hierarchy level {level} — showing {shown} of {} supernodes",
+            nodes.len()
+        ))
+    }
+
+    /// Scene for one supernode's expansion: listed residents as plain
+    /// vertices, child supernodes as bubbles, resident–resident edges,
+    /// and weighted resident→child links, bounded to `max_nodes` by
+    /// [`Hierarchy::expand_bounded`]. `None` when the snapshot's hierarchy
+    /// has no supernode `node`.
+    pub fn hierarchy_expand_scene(&self, node: u32, max_nodes: usize) -> Option<Scene> {
+        let h = self.hierarchy();
+        let g = &self.graph;
+        let ex = h.expand_bounded(g, &self.tree, node, max_nodes)?;
+
+        let mut items: Vec<SummaryItem> = ex
+            .residents
+            .iter()
+            .map(|&v| SummaryItem {
+                id: v.0,
+                label: g.label(v).to_owned(),
+                size: g.degree(v) as f64,
+                is_super: false,
+            })
+            .collect();
+        let vert_index: HashMap<VertexId, usize> =
+            ex.residents.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+        let child_index: HashMap<NodeId, usize> = ex
+            .children
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| (c, items.len() + i))
+            .collect();
+        items.extend(ex.children.iter().map(|&c| supernode_item(g, &h, c)));
+
+        let mut links: Vec<(usize, usize, f64)> = ex
+            .internal_edges
+            .iter()
+            .map(|&(u, v)| (vert_index[&u], vert_index[&v], 1.0))
+            .collect();
+        links.extend(
+            ex.child_links.iter().map(|&(u, c, w)| (vert_index[&u], child_index[&c], w as f64)),
+        );
+
+        let s = h.stats(NodeId(node));
+        let truncated = ex.truncated || ex.children.len() < ex.children_total;
+        Some(layout_summary(&items, &links, 960.0, 600.0).titled(format!(
+            "Supernode {node} (level {}) — {} residents, {} children{}",
+            s.level,
+            ex.residents.len(),
+            ex.children.len(),
+            if truncated { ", truncated" } else { "" }
+        )))
+    }
+}
+
+/// Summary-scene item for one supernode: labelled with level, subtree
+/// size, and the dominant keyword when it has one.
+fn supernode_item(g: &AttributedGraph, h: &Hierarchy, id: NodeId) -> SummaryItem {
+    let s = h.stats(id);
+    let kw = s.top_keywords.first().and_then(|&(w, _)| g.interner().name(w)).unwrap_or("");
+    let label = if kw.is_empty() {
+        format!("k{} | {}v", s.level, s.subtree_vertices)
+    } else {
+        format!("k{} | {}v | {kw}", s.level, s.subtree_vertices)
+    };
+    SummaryItem { id: id.0, label, size: s.subtree_vertices as f64, is_super: true }
 }
 
 impl Deref for GraphSnapshot {

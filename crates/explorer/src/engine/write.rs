@@ -6,7 +6,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use cx_cltree::{ClTree, Hierarchy};
+use cx_cltree::ClTree;
 use cx_graph::{AttributedGraph, VertexId};
 
 use super::{Engine, GraphSnapshot, Profile};
@@ -296,29 +296,16 @@ impl Engine {
         };
         let generation = self.reserve_generation(&name);
         self.log(&cx_store::Record::Edit { name: name.clone(), generation, delta })?;
-        let next = GraphSnapshot::new(
+        // Derived state is not carried: the successor's slots start empty
+        // and fill on first read.
+        self.publish(GraphSnapshot::new(
             name,
             new_graph,
             new_tree,
             Arc::clone(&snap.profiles),
             snap.coords.clone(),
             generation,
-        );
-        // Carry the summary hierarchy forward incrementally so a
-        // browsing client doesn't pay a full rebuild after each edit.
-        if let Some(prev_h) = snap.hierarchy_cached() {
-            if Arc::ptr_eq(&next.tree, &snap.tree) {
-                next.seed_hierarchy(prev_h);
-            } else {
-                next.seed_hierarchy(Arc::new(Hierarchy::update(
-                    &next.graph,
-                    &next.tree,
-                    &snap.tree,
-                    &prev_h,
-                )));
-            }
-        }
-        self.publish(next);
+        ));
         cx_obs::metrics::observe_us("cx_edit_apply_us", start.elapsed().as_micros() as u64);
         Ok(())
     }
@@ -443,6 +430,27 @@ mod edit_tests {
         e.apply_edits(None, &[(v[0], v[3])], &[]).unwrap();
         let rejoined = e.snapshot(None).unwrap();
         assert_eq!((rejoined.stats().edges, rejoined.stats().components), (3, 1));
+    }
+
+    #[test]
+    fn the_writer_never_builds_the_hierarchy() {
+        let e = Engine::with_graph("fig5", figure5_graph());
+        let before = e.snapshot(None).unwrap();
+        // A client has the hierarchy view open on the current snapshot.
+        before.hierarchy();
+        let (a, b) = (before.vertex_by_label("A").unwrap(), before.vertex_by_label("B").unwrap());
+        e.apply_edits(None, &[], &[(a, b)]).unwrap();
+        let next = e.snapshot(None).unwrap();
+        assert!(!next.hierarchy_is_built(), "the edit must leave the successor's slot empty");
+        // The first reader builds exactly what a from-scratch build gives.
+        let want = cx_cltree::Hierarchy::build(&next.graph, &next.tree);
+        let got = next.hierarchy();
+        assert!(next.hierarchy_is_built());
+        assert_eq!(got.max_level(), want.max_level());
+        assert_eq!(got.node_count(), want.node_count());
+        for id in (0..want.node_count() as u32).map(cx_cltree::NodeId) {
+            assert_eq!(got.stats(id), want.stats(id), "supernode {id:?}");
+        }
     }
 
     #[test]

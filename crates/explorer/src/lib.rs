@@ -14,7 +14,7 @@
 //! | `upload(String filePath)`      | [`Engine::upload`] / [`Engine::add_graph`] |
 //! | `search(CSAlgorithm, Query)`   | [`Engine::search`]                    |
 //! | `detect(CDAlgorithm)`          | [`Engine::detect`]                    |
-//! | `analyze(Community)`           | [`Engine::analyze`] / [`Engine::compare`] |
+//! | `analyze(Community)`           | [`Engine::analyze_snapshot`] / [`Engine::compare`] |
 //! | `display(Community)`           | [`Engine::display`]                   |
 //!
 //! Third-party algorithms plug in by implementing [`CsAlgorithm`] or

@@ -1134,11 +1134,9 @@ fn svg(ctx: &Ctx) -> Handler {
             let Ok(n) = node.parse::<u32>() else {
                 return Err(ApiError::bad_query("supernode must be an integer id"));
             };
-            ctx.engine
-                .hierarchy_expand_scene(&snap, n, max_nodes)
-                .ok_or_else(no_such_supernode)?
+            snap.hierarchy_expand_scene(n, max_nodes).ok_or_else(no_such_supernode)?
         } else {
-            ctx.engine.hierarchy_level_scene(&snap, ctx.param_as::<u32>("level", 0), max_nodes)
+            snap.hierarchy_level_scene(ctx.param_as::<u32>("level", 0), max_nodes)
         };
         return Ok(Payload::Raw(Response::svg(scene.to_svg())));
     }
@@ -1221,7 +1219,7 @@ fn detect(ctx: &Ctx) -> Handler {
     let algo = ctx.param("algo").unwrap_or("codicil");
     let limit = ctx.param_as::<usize>("limit", 20);
     let snap = ctx.snapshot()?;
-    let communities = ctx.engine.detect_snapshot_cancellable(&snap, algo, &ctx.token())?;
+    let communities = ctx.engine.detect_cancellable(&snap, algo, &ctx.token(), None)?;
     Ok(Payload::Data(Json::obj(detect_summary(&snap.graph, algo, &communities, limit))))
 }
 
@@ -1310,7 +1308,7 @@ fn detect_stream(ctx: &Ctx) -> Handler {
             }
         })
     };
-    let (event, data) = match ctx.engine.detect_snapshot_streaming(&snap, algo, &token, progress) {
+    let (event, data) = match ctx.engine.detect_cancellable(&snap, algo, &token, Some(progress)) {
         Ok(communities) => {
             let mut data = detect_summary(&snap.graph, algo, &communities, limit);
             data.push(("elapsed_ms", Json::num(ctx.t0.elapsed().as_secs_f64() * 1e3)));

@@ -3,19 +3,21 @@
 # on a wall-clock measurement:
 #
 #   1. release build of the workspace;
-#   2. the full test suite at CX_THREADS=1 and
-#   3. again at CX_THREADS=8 (every parallel helper promises thread-count
+#   2. the tests of the standalone benchmark/ package (its own workspace
+#      with path deps on crates/*, so step 1 does not compile it) — early,
+#      so an engine API the benchmark uses that went missing fails fast;
+#   3. the full test suite at CX_THREADS=1 and
+#   4. again at CX_THREADS=8 (every parallel helper promises thread-count
 #      independence; the suite holds the zero-allocation hot path, the
 #      shed-not-reset overload contract and the 8-reader/1-writer
 #      snapshot stress);
-#   4. the cx-check correctness sweep at CX_THREADS=1 and
-#   5. again at CX_THREADS=8 (invariants + differential oracles incl.
-#      snapshot pinning, incremental-vs-scratch and scratch reuse + API
-#      fuzz + the kill-replay durability oracle over a seeded matrix:
-#      56 crash cases = 8 each of two WAL cuts, a WAL bit flip, and the
-#      index sidecar missing / cut short / bit-flipped / foreign);
-#   6. the tests of the standalone benchmark/ package (its own workspace
-#      with path deps on crates/*, so step 1 does not compile it);
+#   5. the cx-check correctness sweep at CX_THREADS=1 and
+#   6. again at CX_THREADS=8 (invariants + differential oracles incl.
+#      snapshot pinning, incremental-vs-scratch, scratch reuse and CD
+#      search vs. detect + API fuzz + the kill-replay durability oracle
+#      over a seeded matrix: 56 crash cases = 8 each of two WAL cuts, a
+#      WAL bit flip, and the index sidecar missing / cut short /
+#      bit-flipped / foreign);
 #   7. `benchmark/run.sh --quick`: every cxb workload end to end over
 #      /api/v1 at smoke scale, every answer digest-checked.
 #
@@ -30,6 +32,9 @@ tree_before=$(git status --porcelain)
 echo "== cargo build --release --workspace =="
 cargo build --release --workspace
 
+echo "== benchmark/ package tests =="
+cargo test -q --manifest-path benchmark/Cargo.toml
+
 echo "== cargo test -q --workspace (CX_THREADS=1) =="
 CX_THREADS=1 cargo test -q --workspace
 
@@ -43,9 +48,6 @@ CX_THREADS=1 cargo run -q --release -p cx-check --bin cx-check -- \
 echo "== cx-check seed matrix (3 sizes x 2 seeds x 4 queries + fuzz + kill-replay, CX_THREADS=8) =="
 CX_THREADS=8 cargo run -q --release -p cx-check --bin cx-check -- \
   --sizes 60,200,800 --seeds 7,21 --queries 4 --fuzz 600 --kill-replay 56
-
-echo "== benchmark/ package tests =="
-cargo test -q --manifest-path benchmark/Cargo.toml
 
 echo "== benchmark/run.sh --quick (end-to-end smoke over /api/v1) =="
 bash benchmark/run.sh --quick
