@@ -30,7 +30,8 @@ pub struct ComparisonRow {
     pub cpj: f64,
     /// CMF quality (w.r.t. the first query vertex).
     pub cmf: f64,
-    /// Wall-clock query time in milliseconds.
+    /// Wall-clock time of the whole row in milliseconds: the search plus
+    /// its statistics, CPJ and CMF.
     pub millis: f64,
     /// The raw result set (for the "view" links / similarity analysis).
     pub results: Vec<Community>,
@@ -68,17 +69,18 @@ impl Engine {
         for &name in algos {
             let start = Instant::now();
             let results = self.search_snapshot(&snap, name, spec)?;
-            let millis = start.elapsed().as_secs_f64() * 1e3;
             let stats = cx_metrics::CommunityStats::compute(g, &results);
+            let cpj = cx_metrics::cpj(g, &results);
+            let cmf = cx_metrics::cmf(g, &results, q);
             rows.push(ComparisonRow {
                 method: name.to_owned(),
                 communities: stats.communities,
                 avg_vertices: stats.avg_vertices,
                 avg_edges: stats.avg_edges,
                 avg_degree: stats.avg_degree,
-                cpj: cx_metrics::cpj(g, &results),
-                cmf: cx_metrics::cmf(g, &results, q),
-                millis,
+                cpj,
+                cmf,
+                millis: start.elapsed().as_secs_f64() * 1e3,
                 results,
             });
         }

@@ -102,6 +102,11 @@ extern "C" {
 fn poll_wait(fds: &mut [PollFd], timeout: Duration) {
     let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
     // EINTR and friends just mean "recompute and poll again".
+    // SAFETY: `fds` is a live, exclusively borrowed slice of `#[repr(C)]`
+    // `PollFd`s laid out as `struct pollfd`, so the pointer is valid for
+    // reads and writes of exactly `fds.len()` entries — the `nfds` passed —
+    // for the whole call; poll(2) writes only their `revents` and keeps no
+    // pointer after it returns.
     unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, ms) };
 }
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 verification wrapper. Seven steps, none of whose verdict depends
+# Tier-1 verification wrapper. Eight steps, none of whose verdict depends
 # on a wall-clock measurement:
 #
 #   1. release build of the workspace;
@@ -18,7 +18,10 @@
 #      over a seeded matrix: 56 crash cases = 8 each of two WAL cuts, a
 #      WAL bit flip, and the index sidecar missing / cut short /
 #      bit-flipped / foreign);
-#   7. `benchmark/run.sh --quick`: every cxb workload end to end over
+#   7. `cx experiments`: the paper's twelve measured experiments at the
+#      sizes EXPERIMENTS.md quotes, red if any clock-free shape check
+#      fails (timings are printed, never judged);
+#   8. `benchmark/run.sh --quick`: every cxb workload end to end over
 #      /api/v1 at smoke scale, every answer digest-checked.
 #
 # Performance is cxb's job (`bash benchmark/run.sh`, compared against
@@ -48,6 +51,9 @@ CX_THREADS=1 cargo run -q --release -p cx-check --bin cx-check -- \
 echo "== cx-check seed matrix (3 sizes x 2 seeds x 4 queries + fuzz + kill-replay, CX_THREADS=8) =="
 CX_THREADS=8 cargo run -q --release -p cx-check --bin cx-check -- \
   --sizes 60,200,800 --seeds 7,21 --queries 4 --fuzz 600 --kill-replay 56
+
+echo "== cx experiments (the paper's shape checks at the quoted sizes) =="
+cargo run -q --release --bin cx -- experiments
 
 echo "== benchmark/run.sh --quick (end-to-end smoke over /api/v1) =="
 bash benchmark/run.sh --quick

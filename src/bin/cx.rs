@@ -11,6 +11,7 @@
 //! cx serve <graph> [--port P]                       launch the web UI
 //! cx save <graph> <dir>                             write <graph> into the durable store at <dir>
 //! cx load <dir> [--port P]                          serve the durable store at <dir>
+//! cx experiments [E2 E7 …]                          regenerate EXPERIMENTS.md's tables
 //! ```
 //!
 //! `<graph>` is a `.bin` snapshot, a text-format graph file, or one of
@@ -22,6 +23,7 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
+use c_explorer::experiments::ALL;
 use c_explorer::prelude::*;
 use cx_graph::AttributedGraph;
 
@@ -47,6 +49,7 @@ const USAGE: &str = "usage:
   cx serve <graph> [--port P]
   cx save <graph> <dir>
   cx load <dir> [--port P]
+  cx experiments [E2 E3 E6 … E15]
   (<graph> may be a file path, 'demo', 'paper', or 'fig5';
    generated datasets accept --scale N to override the author count)";
 
@@ -294,6 +297,28 @@ fn run(args: &[String]) -> Result<(), String> {
             let addr = format!("127.0.0.1:{port}");
             println!("serving C-Explorer on http://{addr}/");
             server.serve(&addr).map_err(|e| e.to_string())
+        }
+        "experiments" => {
+            if !opts.is_empty() {
+                return Err("experiments takes no options".to_owned());
+            }
+            if let Some(id) = pos[1..].iter().find(|id| !ALL.iter().any(|e| e.0 == **id)) {
+                return Err(format!("unknown experiment {id:?}"));
+            }
+            let chosen: Vec<_> =
+                ALL.iter().filter(|e| pos.len() == 1 || pos[1..].contains(&e.0)).collect();
+            let (mut held, mut total) = (0, 0);
+            for (_, size, run) in &chosen {
+                let table = run(*size);
+                println!("{}", table.markdown());
+                held += table.checks.iter().filter(|&&(_, ok)| ok).count();
+                total += table.checks.len();
+            }
+            println!("**{held} of {total} checks hold across {} experiments.**", chosen.len());
+            if held < total {
+                std::process::exit(1);
+            }
+            Ok(())
         }
         other => Err(format!("unknown command {other:?}")),
     }

@@ -43,6 +43,8 @@ pub use cx_metrics as metrics;
 pub use cx_server as server;
 pub use cx_store as store;
 
+pub mod experiments;
+
 /// One-stop imports for application code and the examples.
 pub mod prelude {
     pub use cx_acq::{AcqOptions, AcqStrategy};

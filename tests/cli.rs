@@ -93,6 +93,11 @@ fn bad_usage_fails_with_usage_text() {
     let (ok, _, stderr) = run(&["search", "fig5", "NOBODY"]);
     assert!(!ok);
     assert!(stderr.contains("NOBODY"), "{stderr}");
+    // An unknown experiment id is refused before anything runs.
+    let (ok, stdout, stderr) = run(&["experiments", "E2", "E99"]);
+    assert!(!ok);
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(stderr.contains("\"E99\"") && stderr.contains("usage:"), "{stderr}");
     let (ok, _, _) = run(&[]);
     assert!(!ok);
 }

@@ -1,6 +1,7 @@
 //! Experiment E1 — the paper's figures as executable assertions, driven
 //! through the public facade crate exactly as a downstream user would.
 
+use c_explorer::experiments::ALL;
 use c_explorer::prelude::*;
 
 /// Figure 5(a)+(b): the example graph's CL-tree has the paper's exact
@@ -52,79 +53,34 @@ fn figure5_acq_worked_example() {
     }
 }
 
-/// Figure 6(a)'s qualitative shape on the DBLP-like workload:
-/// Global returns one huge community; Local and ACQ return small ones;
-/// ACQ may return several; ACQ wins CPJ and CMF against Global.
+/// Every experiment `cx experiments` runs (E2, E3, E6–E15), at a small
+/// size: each of its clock-free shape checks holds. EXPERIMENTS.md quotes
+/// the same tables at the sizes in `experiments::ALL`.
 #[test]
-fn figure6a_shape() {
-    let (g, _) = dblp_like(&DblpParams::scaled(4000, 42));
-    let hub = g.vertices().max_by_key(|&v| g.degree(v)).unwrap();
-    let label = g.label(hub).to_owned();
-    let engine = Engine::with_graph("dblp", g);
-    let spec = QuerySpec::by_label(label).k(4);
-    let report = engine.compare(None, &["global", "local", "acq"], &spec).unwrap();
-    let row = |m: &str| report.rows.iter().find(|r| r.method == m).unwrap();
-
-    assert!(row("global").communities == 1);
-    assert!(
-        row("global").avg_vertices >= 10.0 * row("acq").avg_vertices,
-        "global {} not ≫ acq {}",
-        row("global").avg_vertices,
-        row("acq").avg_vertices
-    );
-    assert!(row("local").avg_vertices < row("global").avg_vertices);
-    assert!(row("acq").cpj > row("global").cpj, "ACQ must win CPJ");
-    assert!(row("acq").cmf > row("global").cmf, "ACQ must win CMF");
-    // Every ACQ community satisfies the degree constraint.
-    let snap = engine.snapshot(None).unwrap();
-    let g = &*snap.graph;
-    for c in &row("acq").results {
-        assert!(c.min_internal_degree(g) >= 4);
-    }
-}
-
-/// The "Dec is *generally* faster" claim (E7), measured as verification
-/// work aggregated over hub queries (for an individual query whose answer
-/// sits mid-lattice, Dec can examine more subsets — the paper's wording
-/// is "generally" for exactly this reason).
-#[test]
-fn dec_generally_verifies_fewer_candidates_than_inc_s() {
-    let (g, _) = dblp_like(&DblpParams::scaled(2000, 42));
-    let tree = ClTree::build(&g);
-    let mut hubs: Vec<VertexId> = g.vertices().collect();
-    hubs.sort_by_key(|&v| std::cmp::Reverse(g.degree(v)));
-    let (mut dec_total, mut inc_total) = (0usize, 0usize);
-    for &q in hubs.iter().take(24) {
-        let s: Vec<KeywordId> = g.keywords(q).iter().copied().take(8).collect();
-        let opts = AcqOptions::with_k(4).keywords(s);
-        let dec = cx_acq::acq(&g, &tree, q, &opts, AcqStrategy::Dec);
-        let inc = cx_acq::acq(&g, &tree, q, &opts, AcqStrategy::IncS);
-        assert_eq!(dec.communities, inc.communities, "answers must agree at q={q}");
-        dec_total += dec.candidates_verified;
-        inc_total += inc.candidates_verified;
-    }
-    assert!(
-        dec_total <= inc_total,
-        "aggregate: Dec {dec_total} > Inc-S {inc_total}"
-    );
-}
-
-/// The CL-tree index is linear-size: bytes per vertex stay bounded as the
-/// graph doubles (E6's space half).
-#[test]
-fn cltree_space_is_linear() {
-    let mut per_vertex = Vec::new();
-    for n in [2000usize, 4000, 8000] {
-        let (g, _) = dblp_like(&DblpParams::scaled(n, 7));
-        let tree = ClTree::build(&g);
-        per_vertex.push(tree.memory_bytes() as f64 / n as f64);
-    }
-    let (min, max) = (
-        per_vertex.iter().cloned().fold(f64::MAX, f64::min),
-        per_vertex.iter().cloned().fold(0.0, f64::max),
-    );
-    assert!(
-        max / min < 1.5,
-        "bytes/vertex varies superlinearly: {per_vertex:?}"
-    );
+fn experiment_shape_checks_hold_at_small_sizes() {
+    let small = [
+        // Below 4,000 the hub's connected 4-core is too small for E2's
+        // "an order of magnitude larger than ACQ's" check.
+        ("E2", 4_000),
+        ("E3", 2_000),
+        ("E6", 16_000),
+        ("E7", 2_000),
+        ("E8", 8_000),
+        ("E9", 2_000),
+        ("E10", 2_000),
+        ("E11", 2_000),
+        ("E12", 120),
+        ("E13", 4_000),
+        ("E14", 120),
+        ("E15", 2_000),
+    ];
+    assert_eq!(ALL.map(|(id, ..)| id), small.map(|(id, _)| id));
+    let failed: Vec<String> = ALL
+        .iter()
+        .zip(small)
+        .map(|((_, _, run), (_, size))| run(size))
+        .filter(|table| table.checks.iter().any(|&(_, ok)| !ok))
+        .map(|table| table.markdown())
+        .collect();
+    assert!(failed.is_empty(), "{}", failed.join("\n"));
 }
