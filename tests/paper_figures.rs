@@ -53,34 +53,72 @@ fn figure5_acq_worked_example() {
     }
 }
 
-/// Every experiment `cx experiments` runs (E2, E3, E6–E15), at a small
-/// size: each of its clock-free shape checks holds. EXPERIMENTS.md quotes
-/// the same tables at the sizes in `experiments::ALL`.
-#[test]
-fn experiment_shape_checks_hold_at_small_sizes() {
-    let small = [
-        // Below 4,000 the hub's connected 4-core is too small for E2's
-        // "an order of magnitude larger than ACQ's" check.
-        ("E2", 4_000),
-        ("E3", 2_000),
-        ("E6", 16_000),
-        ("E7", 2_000),
-        ("E8", 8_000),
-        ("E9", 2_000),
-        ("E10", 2_000),
-        ("E11", 2_000),
-        ("E12", 120),
-        ("E13", 4_000),
-        ("E14", 120),
-        ("E15", 2_000),
-    ];
-    assert_eq!(ALL.map(|(id, ..)| id), small.map(|(id, _)| id));
+/// The size each experiment (E2, E3, E6–E15) runs at in these tests.
+/// EXPERIMENTS.md quotes the same tables at the sizes in
+/// `experiments::ALL`.
+const SMALL: [(&str, usize); 12] = [
+    // Below 4,000 the hub's connected 4-core is too small for E2's
+    // "an order of magnitude larger than ACQ's" check.
+    ("E2", 4_000),
+    ("E3", 2_000),
+    ("E6", 16_000),
+    ("E7", 2_000),
+    ("E8", 8_000),
+    ("E9", 2_000),
+    ("E10", 2_000),
+    ("E11", 2_000),
+    ("E12", 120),
+    ("E13", 4_000),
+    ("E14", 120),
+    ("E15", 2_000),
+];
+
+/// The experiments with a test of their own below.
+const OWN_TEST: [&str; 3] = ["E2", "E6", "E7"];
+
+/// Runs each experiment in `ids` at its `SMALL` size and fails with the
+/// Markdown of every table that has a failing shape check.
+fn assert_checks_hold(ids: &[&str]) {
+    assert_eq!(ALL.map(|(id, ..)| id), SMALL.map(|(id, _)| id));
     let failed: Vec<String> = ALL
         .iter()
-        .zip(small)
+        .zip(SMALL)
+        .filter(|((id, ..), _)| ids.contains(id))
         .map(|((_, _, run), (_, size))| run(size))
         .filter(|table| table.checks.iter().any(|&(_, ok)| !ok))
         .map(|table| table.markdown())
         .collect();
     assert!(failed.is_empty(), "{}", failed.join("\n"));
+}
+
+/// Figure 6(a), experiment E2: one Global community, an order of
+/// magnitude larger than ACQ's; Local smaller than Global; ACQ beats
+/// Global on CPJ and CMF; ACQ's minimum degree is at least k.
+#[test]
+fn figure6a_shape() {
+    assert_checks_hold(&["E2"]);
+}
+
+/// Experiment E7: all four ACQ strategies agree, and Dec verifies no
+/// more candidates than Inc-S or Inc-T at every |S| and fewer than Inc-S
+/// over the sweep.
+#[test]
+fn dec_generally_verifies_fewer_candidates_than_inc_s() {
+    assert_checks_hold(&["E7"]);
+}
+
+/// Experiment E6: the CL-tree's bytes per vertex vary by less than 1.5×
+/// across a doubling sweep.
+#[test]
+fn cltree_space_is_linear() {
+    assert_checks_hold(&["E6"]);
+}
+
+/// Every other experiment `cx experiments` runs: each of its clock-free
+/// shape checks holds at a small size.
+#[test]
+fn experiment_shape_checks_hold_at_small_sizes() {
+    let rest: Vec<&str> =
+        SMALL.iter().map(|&(id, _)| id).filter(|id| !OWN_TEST.contains(id)).collect();
+    assert_checks_hold(&rest);
 }
