@@ -353,6 +353,20 @@ fn check_response(req: &Request, resp: &Response) -> Option<String> {
                 ))
             }
         };
+        // Canonical form: what a tree of the same value serialises to.
+        // A hand-written fragment with a key out of order or a number in
+        // another spelling parses fine and fails here.
+        let canonical = parsed.to_string();
+        if canonical != text {
+            let at = canonical.bytes().zip(text.bytes()).take_while(|(a, b)| a == b).count();
+            let near: String = text
+                .char_indices()
+                .filter(|&(i, _)| i + 40 >= at)
+                .take(100)
+                .map(|(_, c)| c)
+                .collect();
+            return Some(format!("{line} → JSON body is not canonical at byte {at}: …{near}"));
+        }
         if req.path.starts_with("/api/v1/") {
             if let Some(v) = check_envelope(&line, resp.status, &parsed) {
                 return Some(v);
@@ -486,8 +500,18 @@ mod tests {
         // Error bodies must be the JSON envelope with a typed error.
         assert!(check_response(&req, &json(400, "{}")).unwrap().contains("missing boolean ok"));
         assert!(check_response(&req, &json(400, "{oops")).unwrap().contains("malformed"));
-        let untyped = r#"{"ok":false,"data":null,"error":{},"request_id":"r1","elapsed_ms":0}"#;
+        let untyped = r#"{"data":null,"elapsed_ms":0,"error":{},"ok":false,"request_id":"r1"}"#;
         assert!(check_response(&req, &json(404, untyped)).unwrap().contains("code/message"));
+        // Every JSON body is in the form its tree would serialise to.
+        for spelled_otherwise in [
+            r#"{"ok":true,"data":null,"error":null,"request_id":"r1","elapsed_ms":0}"#,
+            r#"{"data":1.0,"elapsed_ms":0,"error":null,"ok":true,"request_id":"r1"}"#,
+            r#"{"data":"a\/b","elapsed_ms":0,"error":null,"ok":true,"request_id":"r1"}"#,
+            r#"{"data":[1, 2],"elapsed_ms":0,"error":null,"ok":true,"request_id":"r1"}"#,
+        ] {
+            let v = check_response(&req, &json(200, spelled_otherwise));
+            assert!(v.as_deref().is_some_and(|v| v.contains("not canonical")), "{v:?}");
+        }
         // A stream ends in exactly one terminal frame carrying JSON.
         let stream = Request::get("/api/v1/detect_stream");
         let sse = |body: &str| Response::with_body("text/event-stream", body);

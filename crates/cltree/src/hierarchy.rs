@@ -268,7 +268,11 @@ impl Hierarchy {
         let mut residents: Vec<VertexId> = tree.residents(id).to_vec();
         let truncated = residents.len() > max_residents;
         if truncated {
-            residents.sort_unstable_by_key(|&v| (usize::MAX - g.degree(v), v.0));
+            // (degree desc, id asc) is a total order, so the prefix a
+            // selection leaves before index `max_residents` holds exactly
+            // the vertices a full sort would: O(R), not O(R log R).
+            residents
+                .select_nth_unstable_by_key(max_residents, |&v| (usize::MAX - g.degree(v), v.0));
             residents.truncate(max_residents);
             residents.sort_unstable();
         }
@@ -552,6 +556,71 @@ mod tests {
         assert!(ex.internal_edges.iter().all(|(u, v)| {
             ex.residents.contains(u) && ex.residents.contains(v)
         }));
+    }
+
+    /// The listed residents under a cap, by full sort: what the selection
+    /// in [`Hierarchy::expand`] must reproduce exactly.
+    fn residents_by_full_sort(
+        g: &AttributedGraph,
+        t: &ClTree,
+        id: NodeId,
+        cap: usize,
+    ) -> Vec<VertexId> {
+        let mut all = t.residents(id).to_vec();
+        all.sort_unstable_by_key(|&v| (usize::MAX - g.degree(v), v.0));
+        all.truncate(cap);
+        all.sort_unstable();
+        all
+    }
+
+    #[test]
+    fn truncated_residents_match_a_full_sort_across_degree_ties() {
+        // A caterpillar: spine 0..6 with 2, 1, 2, 1, 2, 1 legs — one
+        // 1-core component, so every vertex is resident in one node, and
+        // degrees 3, 3, 4, 3, 4, 2 among the spine plus nine legs of
+        // degree 1 tie at every cut past the spine.
+        let mut b = GraphBuilder::new();
+        let spine: Vec<VertexId> = (0..6).map(|i| b.add_vertex(&format!("s{i}"), &[])).collect();
+        for w in spine.windows(2) {
+            b.add_edge(w[0], w[1]);
+        }
+        for (i, &s) in spine.iter().enumerate() {
+            for leg in 0..if i % 2 == 0 { 2 } else { 1 } {
+                let v = b.add_vertex(&format!("l{i}.{leg}"), &[]);
+                b.add_edge(s, v);
+            }
+        }
+        let g = b.build();
+        let t = ClTree::build(&g);
+        let h = Hierarchy::build(&g, &t);
+        let node = t.node_of(spine[0]);
+        let n = t.residents(node).len();
+        assert_eq!(n, g.vertex_count());
+        let degree_at = |cap: usize| {
+            let mut all = t.residents(node).to_vec();
+            all.sort_unstable_by_key(|&v| (usize::MAX - g.degree(v), v.0));
+            (g.degree(all[cap - 1]), g.degree(all[cap]))
+        };
+        // Cuts that split a run of equal degrees: inside the degree-3
+        // spine run and inside the degree-1 legs.
+        assert_eq!(degree_at(3), (3, 3));
+        assert_eq!(degree_at(8), (1, 1));
+        for cap in 0..=n + 1 {
+            let ex = h.expand(&g, &t, node, cap);
+            assert_eq!(ex.truncated, n > cap, "cap {cap}");
+            assert_eq!(ex.residents, residents_by_full_sort(&g, &t, node, cap), "cap {cap}");
+        }
+        // And on every node of a generated graph, at a few caps.
+        let (g, _) = cx_datagen::dblp_like(&cx_datagen::DblpParams::scaled(2_000, 3));
+        let t = ClTree::build(&g);
+        let h = Hierarchy::build(&g, &t);
+        for (id, _) in t.iter_nodes() {
+            let n = t.residents(id).len();
+            for cap in [1, 2, n / 3, n / 2, n.saturating_sub(1)] {
+                let want = residents_by_full_sort(&g, &t, id, cap);
+                assert_eq!(h.expand(&g, &t, id, cap).residents, want, "{id:?} cap {cap}");
+            }
+        }
     }
 
     #[test]

@@ -171,7 +171,7 @@ pub struct Engine {
 struct Plugin<A: ?Sized> {
     algo: Box<A>,
     /// `algo.<name>`, the span every run opens.
-    span: String,
+    span: &'static str,
     /// Unique per registration: tags a CD algorithm's snapshot memos, so
     /// re-registering the name orphans them.
     id: u64,
@@ -181,7 +181,7 @@ impl<A: ?Sized> Plugin<A> {
     fn new(algo: Box<A>, name: &str) -> Self {
         static REGISTRATIONS: AtomicU64 = AtomicU64::new(0);
         let id = REGISTRATIONS.fetch_add(1, Ordering::Relaxed);
-        Self { algo, span: format!("algo.{name}"), id }
+        Self { algo, span: cx_obs::trace::intern(&format!("algo.{name}")), id }
     }
 }
 
@@ -405,7 +405,7 @@ impl Engine {
         let ctx = snap.context();
         let out = run_cancellable(token, None, "search", || {
             let cs = cs?;
-            let _algo_span = cx_obs::span(&cs.span);
+            let _algo_span = cx_obs::span(cs.span);
             Ok(cs.algo.search(&ctx, &qs, spec))
         })?;
         self.cache.insert(key, out.clone());
@@ -455,7 +455,7 @@ impl Engine {
         }
         let ctx = snap.context();
         let communities = run_cancellable(token, progress, op, || {
-            let _algo_span = cx_obs::span(&cd.span);
+            let _algo_span = cx_obs::span(cd.span);
             Ok(cd.algo.detect(&ctx))
         })?;
         let clustering = Clustering::new(communities, snap.graph.vertex_count());

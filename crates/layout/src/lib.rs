@@ -16,8 +16,8 @@
 //!
 //! [`layout_community`] produces a [`Scene`]: positions fitted to a
 //! viewport plus edges and labels, which renders to SVG
-//! ([`Scene::to_svg`], the "save as .jpg / print" stand-in) or to the
-//! JSON the web UI draws on a canvas ([`Scene::to_json`]).
+//! ([`Scene::to_svg`], the "save as .jpg / print" stand-in); the server
+//! writes the JSON the web UI draws on a canvas from the same fields.
 
 pub mod force;
 pub mod render;

@@ -1,5 +1,6 @@
-//! Renderers: SVG (for files — the paper's "save the community into a
-//! .jpg file or print it" feature) and JSON (for the web UI's canvas).
+//! The SVG renderer (for files — the paper's "save the community into a
+//! .jpg file or print it" feature). The JSON the web UI's canvas draws is
+//! written by the server from the scene's public fields.
 
 use crate::scene::Scene;
 
@@ -10,23 +11,6 @@ fn xml_escape(s: &str) -> String {
         .replace('>', "&gt;")
         .replace('"', "&quot;")
         .replace('\'', "&apos;")
-}
-
-/// Escapes a string for embedding in a JSON literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl Scene {
@@ -90,57 +74,6 @@ impl Scene {
         svg.push_str("</svg>\n");
         svg
     }
-
-    /// Serialises the scene to the JSON the embedded web UI consumes:
-    /// `{title, theme, width, height, nodes: [{id, label, x, y, highlight}],
-    /// edges: [[i, j], …]}`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"title\":\"{}\",", json_escape(&self.title)));
-        out.push_str("\"theme\":[");
-        for (i, t) in self.theme.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\"", json_escape(t)));
-        }
-        out.push_str("],");
-        out.push_str(&format!("\"width\":{:.1},\"height\":{:.1},", self.width, self.height));
-        out.push_str("\"nodes\":[");
-        for (i, &(v, p)) in self.vertices.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"id\":{},\"label\":\"{}\",\"x\":{:.1},\"y\":{:.1},\"highlight\":{}",
-                v.0,
-                json_escape(&self.labels[i]),
-                p.x,
-                p.y,
-                self.highlight == Some(i)
-            ));
-            // Summary-scene extras, only when the scene carries them.
-            if let Some(&r) = self.radii.get(i) {
-                out.push_str(&format!(",\"r\":{r:.1}"));
-            }
-            if let Some(&s) = self.supers.get(i) {
-                out.push_str(&format!(",\"super\":{s}"));
-            }
-            out.push('}');
-        }
-        out.push_str("],\"edges\":[");
-        for (i, &(a, b)) in self.edges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            match self.weights.get(i) {
-                Some(&w) => out.push_str(&format!("[{a},{b},{w:.0}]")),
-                None => out.push_str(&format!("[{a},{b}]")),
-            }
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -178,22 +111,5 @@ mod tests {
     fn svg_highlights_query() {
         let svg = scene().to_svg();
         assert_eq!(svg.matches("#d9534f").count(), 1);
-    }
-
-    #[test]
-    fn json_has_nodes_and_edges() {
-        let json = scene().to_json();
-        assert!(json.contains("\"nodes\":["));
-        assert_eq!(json.matches("\"label\"").count(), 3);
-        assert!(json.contains("\"highlight\":true"));
-        assert!(json.contains("\"edges\":[["));
-        // Escaped title.
-        assert!(json.contains("\\\"friends\\\""));
-    }
-
-    #[test]
-    fn json_escape_handles_control_chars() {
-        assert_eq!(super::json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(super::json_escape("\u{1}"), "\\u0001");
     }
 }

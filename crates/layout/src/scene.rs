@@ -13,7 +13,8 @@ pub struct Point {
     pub y: f64,
 }
 
-/// A laid-out community ready for the SVG or JSON renderer.
+/// A laid-out community, ready for the SVG renderer or the server's
+/// scene JSON.
 #[derive(Debug, Clone)]
 pub struct Scene {
     /// Viewport width in pixels.

@@ -66,12 +66,9 @@ proptest! {
                 let (u, v) = (scene.vertices[i].0, scene.vertices[j].0);
                 prop_assert!(g.has_edge(u, v));
             }
-            // Renderers never panic and stay structurally sane.
+            // The renderer never panics and stays structurally sane.
             let svg = scene.to_svg();
             prop_assert!(svg.starts_with("<svg"));
-            let json = scene.to_json();
-            let json_ok = json.starts_with('{') && json.ends_with('}');
-            prop_assert!(json_ok, "malformed scene JSON");
         }
     }
 

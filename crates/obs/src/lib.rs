@@ -24,9 +24,11 @@
 //! is recorded turns the whole subsystem into no-ops. [`set_enabled`]
 //! flips the gate at runtime (used by tests; traces and metrics recorded
 //! earlier stay readable). What recording costs a search when it is on
-//! has no trustworthy measurement yet (ROADMAP item 4); the known part is
-//! allocations — a span owns its label and `format!`s its histogram key
-//! on drop, which is what cxb's `acq.allocs_per_query` counts.
+//! has no trustworthy measurement yet (ROADMAP item 1(e)). It allocates
+//! nothing in the steady state: span names are `&'static str` and a span
+//! finds its histogram by that name ([`metrics::Registry::span_histogram`]),
+//! which cxb's `acq.allocs_per_query` and `cx-acq`'s `zero_alloc` test
+//! both hold to zero.
 //!
 //! ## Who depends on this
 //!

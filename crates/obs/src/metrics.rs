@@ -174,6 +174,9 @@ pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
+    /// The `cx_span_duration_us{span="…"}` cells of `histograms` again,
+    /// by span name, so a span finds its cell without spelling the key.
+    spans: Mutex<BTreeMap<&'static str, Arc<Histogram>>>,
 }
 
 impl Registry {
@@ -219,6 +222,20 @@ impl Registry {
                 h
             }
         }
+    }
+
+    /// The `cx_span_duration_us{span="<span>"}` histogram — the cell
+    /// [`Registry::histogram`] returns for that name. Only a span's first
+    /// record formats the key; later ones find the cell by the name alone
+    /// and allocate nothing.
+    pub fn span_histogram(&self, span: &'static str) -> Arc<Histogram> {
+        let mut m = self.spans.lock().expect("metrics registry poisoned");
+        if let Some(h) = m.get(span) {
+            return Arc::clone(h);
+        }
+        let h = self.histogram(&format!("cx_span_duration_us{{span=\"{span}\"}}"));
+        m.insert(span, Arc::clone(&h));
+        h
     }
 
     /// Serialises every metric into the Prometheus text exposition format
@@ -448,6 +465,18 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("cx_route_us_count{route=\"/api/v1/search\"} 1"));
+    }
+
+    #[test]
+    fn span_histograms_are_the_named_cells() {
+        let r = Registry::new();
+        r.span_histogram("engine.search").observe_us(40);
+        r.span_histogram("engine.search").observe_us(60);
+        let named = r.histogram("cx_span_duration_us{span=\"engine.search\"}");
+        assert_eq!((named.count(), named.sum_us()), (2, 100));
+        let text = r.prometheus_text();
+        assert_eq!(text.matches("# TYPE cx_span_duration_us histogram").count(), 1, "{text}");
+        assert!(text.contains("cx_span_duration_us_count{span=\"engine.search\"} 2"), "{text}");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! [`get_trace`] (the `GET /api/v1/trace` endpoint).
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -29,7 +29,7 @@ pub const TRACE_CAPACITY: usize = 256;
 pub struct SpanRecord {
     /// Span name, dot-namespaced by layer (`http.request`, `engine.search`,
     /// `acq.dec`, …).
-    pub name: String,
+    pub name: &'static str,
     /// Index of the parent span within the trace, `None` for the root.
     pub parent: Option<u32>,
     /// Start offset from the beginning of the request, in microseconds.
@@ -119,10 +119,12 @@ impl Drop for RequestGuard {
 /// Opens a span named `name`. The guard records the duration on drop:
 /// always into the `cx_span_duration_us{span="<name>"}` histogram, and —
 /// when a trace is active on this thread — as a node in the trace's span
-/// tree. A full no-op when observability is disabled.
-pub fn span(name: &str) -> SpanGuard {
+/// tree. A full no-op when observability is disabled. The name is
+/// `'static` so recording never allocates: a name built at run time goes
+/// through [`intern`] once, where it is registered.
+pub fn span(name: &'static str) -> SpanGuard {
     if !crate::enabled() {
-        return SpanGuard { name: String::new(), start: None, idx: None };
+        return SpanGuard { name, start: None, idx: None };
     }
     let start = Instant::now();
     let idx = ACTIVE.with(|a| {
@@ -130,7 +132,7 @@ pub fn span(name: &str) -> SpanGuard {
         let t = a.as_mut()?;
         let idx = t.spans.len() as u32;
         t.spans.push(SpanRecord {
-            name: name.to_owned(),
+            name,
             parent: t.stack.last().copied(),
             start_us: t.t0.elapsed().as_micros() as u64,
             dur_us: 0,
@@ -138,12 +140,28 @@ pub fn span(name: &str) -> SpanGuard {
         t.stack.push(idx);
         Some(idx)
     });
-    SpanGuard { name: name.to_owned(), start: Some(start), idx }
+    SpanGuard { name, start: Some(start), idx }
+}
+
+/// The `'static` copy of a span name built at run time (an engine's
+/// `algo.<name>`). Each distinct name is leaked once for the life of the
+/// process, so the cost is bounded by how many names exist, not by how
+/// often this is called — but call it where the name is registered, not
+/// per span.
+pub fn intern(name: &str) -> &'static str {
+    static NAMES: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    let mut names = NAMES.lock().expect("span name set poisoned");
+    if let Some(&known) = names.get(name) {
+        return known;
+    }
+    let leaked: &'static str = Box::leak(name.into());
+    names.insert(leaked);
+    leaked
 }
 
 /// Guard for an open span; see [`span`].
 pub struct SpanGuard {
-    name: String,
+    name: &'static str,
     start: Option<Instant>,
     idx: Option<u32>,
 }
@@ -152,7 +170,7 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(start) = self.start else { return };
         let dur_us = start.elapsed().as_micros() as u64;
-        crate::metrics::observe_us(&format!("cx_span_duration_us{{span=\"{}\"}}", self.name), dur_us);
+        crate::global().span_histogram(self.name).observe_us(dur_us);
         if let Some(idx) = self.idx {
             ACTIVE.with(|a| {
                 let mut a = a.borrow_mut();
@@ -230,6 +248,14 @@ mod tests {
                 .count()
                 >= 1
         );
+    }
+
+    #[test]
+    fn interned_names_are_shared() {
+        let a = intern(&format!("algo.{}", "x"));
+        let b = intern("algo.x");
+        assert!(std::ptr::eq(a, b));
+        assert_eq!(a, "algo.x");
     }
 
     #[test]

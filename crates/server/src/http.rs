@@ -130,9 +130,11 @@ pub struct Response {
 }
 
 impl Response {
-    /// 200 with a JSON body.
+    /// 200 with a JSON body, written into one buffer sized up front.
     pub fn json(v: &crate::json::Json) -> Self {
-        Self::with_body("application/json", v.to_string().into_bytes())
+        let mut body = String::with_capacity(v.size_hint());
+        v.write_into(&mut body);
+        Self::with_body("application/json", body.into_bytes())
     }
 
     /// 200 with an HTML body.
@@ -158,8 +160,8 @@ impl Response {
 
     /// An error response with a JSON `{error}` body.
     pub fn error(status: u16, message: &str) -> Self {
-        let v = crate::json::Json::obj([("error", crate::json::Json::str(message))]);
-        let mut r = Self::with_body("application/json", v.to_string().into_bytes());
+        let mut r =
+            Self::json(&crate::json::Json::obj([("error", crate::json::Json::str(message))]));
         r.status = status;
         r
     }
@@ -203,18 +205,23 @@ impl Response {
     /// client asked for it.
     pub fn to_bytes(&self, keep_alive: bool) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.body.len() + 256);
-        out.extend_from_slice(
-            format!(
-                "HTTP/1.1 {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
-                self.status_line(),
-                self.content_type,
-                self.body.len(),
-                if keep_alive { "keep-alive" } else { "close" }
-            )
-            .as_bytes(),
-        );
+        let length = self.body.len().to_string();
+        for part in [
+            "HTTP/1.1 ",
+            self.status_line(),
+            "\r\nContent-Type: ",
+            self.content_type.as_str(),
+            "\r\nContent-Length: ",
+            length.as_str(),
+            "\r\nConnection: ",
+            if keep_alive { "keep-alive\r\n" } else { "close\r\n" },
+        ] {
+            out.extend_from_slice(part.as_bytes());
+        }
         for (name, value) in &self.headers {
-            out.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
+            for part in [name.as_str(), ": ", value, "\r\n"] {
+                out.extend_from_slice(part.as_bytes());
+            }
         }
         out.extend_from_slice(b"\r\n");
         out.extend_from_slice(&self.body);

@@ -3,7 +3,7 @@
 //! The browser protocol is a handful of small documents; a hand-rolled
 //! implementation keeps the server free of heavyweight dependencies and
 //! is easy to audit. The parser is recursive-descent with a depth limit;
-//! the writer escapes per RFC 8259.
+//! the writer appends to one `String` and escapes per RFC 8259.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -26,12 +26,14 @@ pub enum Json {
     Object(BTreeMap<String, Json>),
     /// A pre-serialized JSON fragment, written verbatim by the writer.
     ///
-    /// This is the zero-copy escape hatch for hot responses: a handler can
-    /// stream graph-resident slices (labels, interned keyword names)
-    /// straight into one buffer with [`escape_into`] instead of cloning
-    /// each into an owned [`Json::String`] node. The parser never produces
-    /// this variant, and the caller is responsible for the fragment being
-    /// well-formed JSON.
+    /// Hot responses (browse rows, search communities and their scenes)
+    /// are written straight from graph-resident slices into one buffer
+    /// through the same writer a tree uses ([`escape_into`],
+    /// [`number_into`]) instead of being built as a tree first. The parser
+    /// never produces this variant, and the caller is responsible for the
+    /// fragment being the canonical JSON a tree of the same value would
+    /// serialise to — keys ascending, numbers and strings in the writer's
+    /// forms.
     Raw(String),
 }
 
@@ -126,89 +128,204 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+// ---------------------------------------------------------------------------
+// The writer: one `String` sink under every response. A tree, a fragment
+// and a streamed row all serialise through `escape_into` / `number_into`,
+// so there is exactly one spelling of each string and number on the wire.
+
+impl Json {
+    /// Appends this value's serialisation to `out`.
+    pub(crate) fn write_into(&self, out: &mut String) {
         match self {
-            Json::Null => write!(f, "null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Number(n) => {
-                // JSON has no NaN/Infinity literals; serialize them as
-                // null (what JSON.stringify does) so output always parses.
-                if !n.is_finite() {
-                    write!(f, "null")
-                } else if n.fract() == 0.0 && n.abs() < 9e15 {
-                    write!(f, "{}", *n as i64)
-                } else {
-                    write!(f, "{n}")
-                }
-            }
-            Json::String(s) => write_escaped(f, s),
-            Json::Array(a) => {
-                write!(f, "[")?;
-                for (i, v) in a.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                write!(f, "]")
-            }
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Number(n) => number_into(out, *n),
+            Json::String(s) => escape_into(out, s),
+            Json::Array(a) => array_into(out, a, |out, v| v.write_into(out)),
             Json::Object(m) => {
-                write!(f, "{{")?;
+                out.push('{');
                 for (i, (k, v)) in m.iter().enumerate() {
                     if i > 0 {
-                        write!(f, ",")?;
+                        out.push(',');
                     }
-                    write_escaped(f, k)?;
-                    write!(f, ":{v}")?;
+                    escape_into(out, k);
+                    out.push(':');
+                    v.write_into(out);
                 }
-                write!(f, "}}")
+                out.push('}');
             }
-            Json::Raw(s) => write!(f, "{s}"),
+            Json::Raw(s) => out.push_str(s),
+        }
+    }
+
+    /// A cheap estimate of the serialised length, so a response buffer is
+    /// sized once: exact for fragments, which are what make a body large,
+    /// and close for the small tree around them.
+    pub(crate) fn size_hint(&self) -> usize {
+        match self {
+            Json::Null | Json::Bool(_) => 5,
+            Json::Number(_) => 8,
+            Json::String(s) => s.len() + 2,
+            Json::Raw(s) => s.len(),
+            Json::Array(a) => 2 + a.iter().map(|v| v.size_hint() + 1).sum::<usize>(),
+            Json::Object(m) => {
+                2 + m.iter().map(|(k, v)| k.len() + 4 + v.size_hint()).sum::<usize>()
+            }
         }
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    escape_to(f, s)
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = String::with_capacity(self.size_hint());
+        self.write_into(&mut out);
+        f.write_str(&out)
+    }
 }
 
-/// Appends `s` to `out` as a quoted, RFC 8259-escaped JSON string —
-/// the streaming counterpart of [`Json::String`] serialisation, for
-/// building [`Json::Raw`] fragments without intermediate allocations.
+/// Appends `s` to `out` as a quoted JSON string. Clean runs are copied
+/// whole; only `"`, `\` and the control characters are escaped (`\n`,
+/// `\r`, `\t` by name, the rest as `\u00xx`), everything else — U+2028
+/// and all other non-ASCII included — passes through as UTF-8.
 pub fn escape_into(out: &mut String, s: &str) {
-    // Writing to a String is infallible.
-    let _ = escape_to(out, s);
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(s.len() + 2);
+    out.push('"');
+    let mut clean = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let named = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        out.push_str(&s[clean..i]);
+        clean = i + 1;
+        if named.is_empty() {
+            out.push_str("\\u00");
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 0xf)] as char);
+        } else {
+            out.push_str(named);
+        }
+    }
+    out.push_str(&s[clean..]);
+    out.push('"');
 }
 
-/// Appends a JSON number to `out`, matching [`Json::Number`]'s rules:
-/// non-finite values become `null`, integral values print without a
-/// fractional part.
+/// Appends a JSON number to `out`: non-finite values become `null` (JSON
+/// has no NaN/Infinity, and `JSON.stringify` does the same), integral
+/// values below 9e15 print as integers, anything else in Rust's shortest
+/// round-trip form.
 pub fn number_into(out: &mut String, n: f64) {
-    use fmt::Write;
     if !n.is_finite() {
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 9e15 {
-        let _ = write!(out, "{}", n as i64);
+        integer_into(out, n as i64);
     } else {
+        use fmt::Write;
+        // Writing to a String is infallible.
         let _ = write!(out, "{n}");
     }
 }
 
-fn escape_to<W: fmt::Write>(f: &mut W, s: &str) -> fmt::Result {
-    write!(f, "\"")?;
-    for ch in s.chars() {
-        match ch {
-            '"' => write!(f, "\\\"")?,
-            '\\' => write!(f, "\\\\")?,
-            '\n' => write!(f, "\\n")?,
-            '\r' => write!(f, "\\r")?,
-            '\t' => write!(f, "\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// Appends `n` in decimal.
+fn integer_into(out: &mut String, n: i64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
         }
     }
-    write!(f, "\"")
+    if n < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Appends `items` as a JSON array, each element written by `each`.
+pub(crate) fn array_into<I: IntoIterator>(
+    out: &mut String,
+    items: I,
+    mut each: impl FnMut(&mut String, I::Item),
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        each(out, item);
+    }
+    out.push(']');
+}
+
+/// [`array_into`] a fresh buffer, as a fragment for a tree.
+pub(crate) fn raw_array<I: IntoIterator>(items: I, each: impl FnMut(&mut String, I::Item)) -> Json {
+    let mut out = String::new();
+    array_into(&mut out, items, each);
+    Json::Raw(out)
+}
+
+/// Writes one JSON object straight into a buffer. Members must come in
+/// the order a [`Json::Object`] serialises them — ascending byte order of
+/// the key — so a fragment reads exactly like the tree it replaces; debug
+/// builds assert it. Keys are plain literals and are not escaped.
+pub(crate) struct ObjectWriter<'a> {
+    out: &'a mut String,
+    last: Option<&'static str>,
+}
+
+impl<'a> ObjectWriter<'a> {
+    /// Opens the object.
+    pub(crate) fn new(out: &'a mut String) -> Self {
+        out.push('{');
+        ObjectWriter { out, last: None }
+    }
+
+    /// Writes `"key":` and returns the buffer for the value.
+    pub(crate) fn key(&mut self, key: &'static str) -> &mut String {
+        if let Some(last) = self.last {
+            debug_assert!(last < key, "object keys out of order: {last:?} before {key:?}");
+            self.out.push(',');
+        }
+        self.last = Some(key);
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\":");
+        self.out
+    }
+
+    /// A number member.
+    pub(crate) fn num(&mut self, key: &'static str, n: f64) -> &mut Self {
+        number_into(self.key(key), n);
+        self
+    }
+
+    /// A string member.
+    pub(crate) fn str(&mut self, key: &'static str, s: &str) -> &mut Self {
+        escape_into(self.key(key), s);
+        self
+    }
+
+    /// A boolean member.
+    pub(crate) fn bool(&mut self, key: &'static str, b: bool) -> &mut Self {
+        self.key(key).push_str(if b { "true" } else { "false" });
+        self
+    }
+
+    /// Closes the object.
+    pub(crate) fn close(&mut self) {
+        self.out.push('}');
+    }
 }
 
 const MAX_DEPTH: usize = 64;
@@ -534,6 +651,201 @@ mod tests {
             escape_into(&mut buf, s);
             assert_eq!(buf, Json::str(s).to_string());
         }
+    }
+
+    /// The writer as it was before it became one `String` sink — `write!`
+    /// per char and per number through `fmt::Formatter` — kept as the
+    /// reference the fast writer must match byte for byte.
+    fn oracle(v: &Json) -> String {
+        struct Old<'a>(&'a Json);
+        fn escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+            write!(f, "\"")?;
+            for ch in s.chars() {
+                match ch {
+                    '"' => write!(f, "\\\"")?,
+                    '\\' => write!(f, "\\\\")?,
+                    '\n' => write!(f, "\\n")?,
+                    '\r' => write!(f, "\\r")?,
+                    '\t' => write!(f, "\\t")?,
+                    c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                    c => write!(f, "{c}")?,
+                }
+            }
+            write!(f, "\"")
+        }
+        impl fmt::Display for Old<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                match self.0 {
+                    Json::Null => write!(f, "null"),
+                    Json::Bool(b) => write!(f, "{b}"),
+                    Json::Number(n) => {
+                        if !n.is_finite() {
+                            write!(f, "null")
+                        } else if n.fract() == 0.0 && n.abs() < 9e15 {
+                            write!(f, "{}", *n as i64)
+                        } else {
+                            write!(f, "{n}")
+                        }
+                    }
+                    Json::String(s) => escaped(f, s),
+                    Json::Array(a) => {
+                        write!(f, "[")?;
+                        for (i, v) in a.iter().enumerate() {
+                            if i > 0 {
+                                write!(f, ",")?;
+                            }
+                            write!(f, "{}", Old(v))?;
+                        }
+                        write!(f, "]")
+                    }
+                    Json::Object(m) => {
+                        write!(f, "{{")?;
+                        for (i, (k, v)) in m.iter().enumerate() {
+                            if i > 0 {
+                                write!(f, ",")?;
+                            }
+                            escaped(f, k)?;
+                            write!(f, ":{}", Old(v))?;
+                        }
+                        write!(f, "}}")
+                    }
+                    Json::Raw(s) => write!(f, "{s}"),
+                }
+            }
+        }
+        Old(v).to_string()
+    }
+
+    /// splitmix64: a seeded stream, so a failing tree can be replayed.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+            xs[self.below(xs.len())]
+        }
+    }
+
+    /// Numbers at every edge of the writer's three forms.
+    const EDGE_NUMBERS: &[f64] = &[
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        0.5,
+        -2.5e-7,
+        9e15,
+        -9e15,
+        9e15 - 1.0,
+        -(9e15 - 1.0),
+        9_007_199_254_740_992.0,
+        1e21,
+        -1e21,
+        5e-324,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::MIN,
+        123_456_789.125,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+
+    fn random_string(rng: &mut Rng) -> String {
+        const SPECIAL: &[char] =
+            &['"', '\\', '/', 'a', 'Z', ' ', 'é', '你', '😀', '\u{2028}', '\u{2029}', '\u{7f}'];
+        (0..rng.below(7))
+            .map(|_| {
+                if rng.below(2) == 0 {
+                    char::from(rng.below(0x20) as u8)
+                } else {
+                    rng.pick(SPECIAL)
+                }
+            })
+            .collect()
+    }
+
+    fn random_number(rng: &mut Rng) -> f64 {
+        match rng.below(4) {
+            0 => rng.pick(EDGE_NUMBERS),
+            1 => f64::from_bits(rng.next()),
+            2 => (rng.next() as i64 >> rng.below(64)) as f64,
+            _ => (rng.next() % 2_000_001) as f64 / 1000.0 - 1000.0,
+        }
+    }
+
+    fn random_tree(rng: &mut Rng, depth: u32) -> Json {
+        let leaf = depth == 0 || rng.below(3) == 0;
+        match if leaf { rng.below(5) } else { 5 + rng.below(2) } {
+            0 => Json::Null,
+            1 => Json::Bool(rng.below(2) == 0),
+            2 => Json::Number(random_number(rng)),
+            3 => Json::String(random_string(rng)),
+            4 => Json::Raw(oracle(&Json::String(random_string(rng)))),
+            5 => Json::Array((0..rng.below(5)).map(|_| random_tree(rng, depth - 1)).collect()),
+            _ => Json::Object(
+                (0..rng.below(5))
+                    .map(|_| (random_string(rng), random_tree(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    #[test]
+    fn writer_matches_the_char_by_char_oracle() {
+        // Every edge number and every control character on its own first.
+        for &n in EDGE_NUMBERS {
+            assert_eq!(Json::num(n).to_string(), oracle(&Json::num(n)), "{n:?}");
+        }
+        for c in (0..0x20u8).map(char::from).chain(['"', '\\', '\u{2028}', 'é']) {
+            let s = Json::str(format!("a{c}b{c}"));
+            assert_eq!(s.to_string(), oracle(&s), "{c:?}");
+        }
+        assert_eq!(Json::str("").to_string(), "\"\"");
+        let mut rng = Rng(42);
+        for case in 0..3_000 {
+            let tree = random_tree(&mut rng, 4);
+            let want = oracle(&tree);
+            assert_eq!(tree.to_string(), want, "case {case}: {tree:?}");
+            let mut buf = String::new();
+            tree.write_into(&mut buf);
+            assert_eq!(buf, want, "case {case}");
+        }
+    }
+
+    #[test]
+    fn object_writer_reads_like_the_tree() {
+        let mut buf = String::new();
+        let mut o = ObjectWriter::new(&mut buf);
+        o.num("a", 1.0).str("b", "x\n").bool("c", false);
+        array_into(o.key("d"), [1.0, 2.5], number_into);
+        o.close();
+        let tree = Json::obj([
+            ("d", Json::arr([Json::num(1.0), Json::num(2.5)])),
+            ("c", Json::Bool(false)),
+            ("b", Json::str("x\n")),
+            ("a", Json::num(1.0)),
+        ]);
+        assert_eq!(buf, tree.to_string());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "out of order")]
+    fn object_writer_refuses_keys_out_of_order() {
+        let mut buf = String::new();
+        ObjectWriter::new(&mut buf).num("id", 1.0).num("edges", 2.0);
     }
 
     #[test]

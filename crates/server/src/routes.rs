@@ -30,8 +30,7 @@
 //! publish a new snapshot atomically; in-flight readers are unaffected.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use cx_explorer::{
@@ -42,7 +41,7 @@ use cx_layout::{LayoutAlgorithm, Scene};
 use cx_par::task::CancelToken;
 
 use crate::http::{Request, Response};
-use crate::json::{escape_into, number_into, Json};
+use crate::json::{array_into, escape_into, number_into, raw_array, Json, ObjectWriter};
 
 /// Typed, stable error codes for the JSON API. The HTTP status of every
 /// error is derived from its code in exactly one place ([`ErrorCode::status`]).
@@ -378,13 +377,12 @@ pub fn route(
     };
     // A stream is a 200 whose bytes `emit_frame` counted as they left.
     let (status, framed_bytes) = resp.as_ref().map_or((200, 0), |r| (r.status, r.body.len()));
-    let class = match status {
-        200..=299 => "2xx",
-        300..=399 => "3xx",
-        400..=499 => "4xx",
-        _ => "5xx",
-    };
-    cx_obs::metrics::inc(&format!("cx_http_requests_total{{class=\"{class}\"}}"));
+    cx_obs::metrics::inc(match status {
+        200..=299 => "cx_http_requests_total{class=\"2xx\"}",
+        300..=399 => "cx_http_requests_total{class=\"3xx\"}",
+        400..=499 => "cx_http_requests_total{class=\"4xx\"}",
+        _ => "cx_http_requests_total{class=\"5xx\"}",
+    });
     cx_obs::metrics::add("cx_http_bytes_in_total", req.body.len() as u64);
     cx_obs::metrics::add("cx_http_bytes_out_total", framed_bytes as u64);
     cx_obs::metrics::observe_us("cx_http_request_duration_us", t0.elapsed().as_micros() as u64);
@@ -403,7 +401,7 @@ fn dispatch(
     t0: Instant,
 ) -> Handler {
     check_auth(req, auth)?;
-    let row = ENDPOINTS.iter().find(|e| e.method == req.method && e.path == req.path);
+    let row = ENDPOINTS.iter().position(|e| e.method == req.method && e.path == req.path);
     // Nonsense in `timeout_ms` is a typed 400 on every `/api/v1` path,
     // known or not, so it is judged before a miss is reported.
     let v1 = req.path.starts_with("/api/v1/");
@@ -411,27 +409,43 @@ fn dispatch(
         Some(s) if v1 => timeout_ms(s.parse().ok())?,
         _ => Duration::from_millis(DEFAULT_TIMEOUT_MS),
     };
-    let Some(row) = row else {
+    let Some(i) = row else {
         return Err(if req.method == "GET" {
             ApiError::not_found("no such endpoint")
         } else {
             ApiError::new(ErrorCode::MethodNotAllowed, "method not allowed")
         });
     };
+    let row = &ENDPOINTS[i];
     let ctx = Ctx { engine, req, timeout, sink, request_id, t0, declared: row.params };
-    let Some(label) = row.path.strip_prefix("/api/v1/") else {
+    let Some((span, histogram)) = route_names(i) else {
         return (row.handler)(&ctx);
     };
     // Per-endpoint span + latency histogram. The label comes from the
     // table, so a hostile path can't explode metric cardinality.
-    let _span = cx_obs::span(&format!("route.{label}"));
+    let _span = cx_obs::span(span);
     let t = Instant::now();
     let out = (row.handler)(&ctx);
-    cx_obs::metrics::observe_us(
-        &format!("cx_route_duration_us{{endpoint=\"{label}\"}}"),
-        t.elapsed().as_micros() as u64,
-    );
+    cx_obs::metrics::observe_us(histogram, t.elapsed().as_micros() as u64);
     out
+}
+
+/// The `route.<endpoint>` span and `cx_route_duration_us{endpoint=…}`
+/// histogram names of `ENDPOINTS[i]` (`None` outside `/api/v1`), spelled
+/// once per process so that a request formats neither.
+fn route_names(i: usize) -> Option<(&'static str, &'static str)> {
+    static NAMES: OnceLock<Vec<Option<(String, String)>>> = OnceLock::new();
+    let names = NAMES.get_or_init(|| {
+        ENDPOINTS
+            .iter()
+            .map(|e| {
+                let label = e.path.strip_prefix("/api/v1/")?;
+                let histogram = format!("cx_route_duration_us{{endpoint=\"{label}\"}}");
+                Some((format!("route.{label}"), histogram))
+            })
+            .collect()
+    });
+    names[i].as_ref().map(|(span, histogram)| (span.as_str(), histogram.as_str()))
 }
 
 /// `{ok, data, error}`: the whole of a `search_batch` item and the core
@@ -522,7 +536,7 @@ fn trace(ctx: &Ctx) -> Handler {
     };
     let spans = Json::arr(t.spans.iter().map(|s| {
         Json::obj([
-            ("name", Json::str(s.name.clone())),
+            ("name", Json::str(s.name)),
             ("parent", s.parent.map(|p| Json::num(p as f64)).unwrap_or(Json::Null)),
             ("start_us", Json::num(s.start_us as f64)),
             ("dur_us", Json::num(s.dur_us as f64)),
@@ -542,7 +556,7 @@ fn span_tree(spans: &[cx_obs::trace::SpanRecord]) -> Json {
     fn node(spans: &[cx_obs::trace::SpanRecord], children: &[Vec<usize>], i: usize) -> Json {
         let s = &spans[i];
         Json::obj([
-            ("name", Json::str(s.name.clone())),
+            ("name", Json::str(s.name)),
             ("start_us", Json::num(s.start_us as f64)),
             ("dur_us", Json::num(s.dur_us as f64)),
             ("children", Json::arr(children[i].iter().map(|&c| node(spans, children, c)))),
@@ -691,18 +705,18 @@ fn suggest(ctx: &Ctx) -> Handler {
         return Err(ApiError::bad_query("suggest offset is capped at 10000; narrow the query"));
     }
     let (hits, _total) = ctx.engine.suggest_page(ctx.param("graph"), q, offset, limit)?;
-    Ok(Payload::Data(Json::arr(
-        hits.into_iter().map(|(v, label, degree)| vertex_json(v, label, degree)),
-    )))
+    Ok(Payload::Data(raw_array(hits, |out, (v, label, degree)| {
+        write_vertex(out, v, &label, degree);
+    })))
 }
 
 /// A vertex as `suggest` and a hierarchy expansion list it.
-fn vertex_json(v: VertexId, label: impl Into<String>, degree: usize) -> Json {
-    Json::obj([
-        ("id", Json::num(v.0 as f64)),
-        ("label", Json::str(label)),
-        ("degree", Json::num(degree as f64)),
-    ])
+fn write_vertex(out: &mut String, v: VertexId, label: &str, degree: usize) {
+    ObjectWriter::new(out)
+        .num("degree", degree as f64)
+        .num("id", v.0 as f64)
+        .str("label", label)
+        .close();
 }
 
 /// Builds the query spec shared by `search`, `svg`, `compare` and `chart`:
@@ -740,66 +754,84 @@ fn layout_from(ctx: &Ctx) -> LayoutAlgorithm {
     }
 }
 
-/// Appends the community's `theme` array straight from the keyword
-/// interner: each shared-keyword name is escaped from its interned `&str`
-/// slice into `buf` — no `Vec<String>` materialisation.
-fn write_theme(buf: &mut String, g: &AttributedGraph, c: &Community) {
-    buf.push('[');
-    let interner = g.interner();
-    let mut first = true;
-    for &w in c.shared_keywords() {
-        if let Some(name) = interner.name(w) {
-            if !first {
-                buf.push(',');
-            }
-            first = false;
-            escape_into(buf, name);
-        }
-    }
-    buf.push(']');
-}
-
-/// Appends the community's `members` array straight from the CSR label
-/// column: each label is escaped from the graph-resident `&str` into
-/// `buf` — no per-member `String` clone.
-fn write_members(buf: &mut String, g: &AttributedGraph, c: &Community) {
-    for (i, &v) in c.vertices().iter().enumerate() {
-        buf.push_str(if i == 0 { "[{\"id\":" } else { ",{\"id\":" });
-        number_into(buf, v.0 as f64);
-        buf.push_str(",\"label\":");
-        escape_into(buf, g.label(v));
-        buf.push('}');
-    }
-    if c.vertices().is_empty() {
-        buf.push('[');
-    }
-    buf.push(']');
-}
-
-/// Appends one community object to `buf`, serialised zero-copy from graph
-/// slices. GET `search` passes the community's laid-out `scene`;
-/// `search_batch` items go without (clients wanting a drawing fetch
-/// `/api/v1/svg` per community).
-fn write_community(buf: &mut String, g: &AttributedGraph, c: &Community, scene: Option<Scene>) {
-    buf.push_str("{\"avg_degree\":");
-    number_into(buf, c.average_internal_degree(g));
-    buf.push_str(",\"edges\":");
-    number_into(buf, c.internal_edge_count(g) as f64);
-    buf.push_str(",\"members\":");
-    write_members(buf, g, c);
+/// Appends one community object to `buf`, straight from graph slices:
+/// member labels from the CSR label column, theme words from the keyword
+/// interner, no per-member `String`. GET `search` passes the community's
+/// laid-out `scene`; `search_batch` items go without (clients wanting a
+/// drawing fetch `/api/v1/svg` per community).
+fn write_community(buf: &mut String, g: &AttributedGraph, c: &Community, scene: Option<&Scene>) {
+    let mut o = ObjectWriter::new(buf);
+    o.num("avg_degree", c.average_internal_degree(g)).num("edges", c.internal_edge_count(g) as f64);
+    array_into(o.key("members"), c.vertices(), |out, &v| {
+        ObjectWriter::new(out).num("id", v.0 as f64).str("label", g.label(v)).close();
+    });
     if let Some(scene) = scene {
-        // The scene is decorative; if serialization fails (e.g. degenerate
-        // coordinates), degrade to `scene: null` rather than failing the
-        // whole response.
-        let scene = Json::parse(&scene.to_json()).unwrap_or(Json::Null);
-        // Writing to a String is infallible.
-        let _ = write!(buf, ",\"scene\":{scene}");
+        write_scene(o.key("scene"), scene);
     }
-    buf.push_str(",\"size\":");
-    number_into(buf, c.len() as f64);
-    buf.push_str(",\"theme\":");
-    write_theme(buf, g, c);
-    buf.push('}');
+    o.num("size", c.len() as f64);
+    let interner = g.interner();
+    let theme = c.shared_keywords().iter().filter_map(|&w| interner.name(w));
+    array_into(o.key("theme"), theme, escape_into);
+    o.close();
+}
+
+/// Appends a laid-out community as the page's canvas draws it:
+/// `{edges, height, nodes: [{highlight, id, label, r?, super?, x, y}],
+/// theme, title, width}`. Coordinates and radii are rounded to one
+/// decimal and weights to none — the text of `{:.1}` / `{:.0}` read back
+/// as a number, so `600.0` is written `600` and `-0.0` is `0`. The scene
+/// is decorative: a non-finite coordinate makes it `null` rather than
+/// failing the response.
+fn write_scene(out: &mut String, scene: &Scene) {
+    let start = out.len();
+    let mut text = String::new();
+    let mut finite = true;
+    // `{:.N}` of `x`, read back and written as a JSON number.
+    let mut rounded = |out: &mut String, x: f64, decimals: usize| {
+        use std::fmt::Write as _;
+        text.clear();
+        let _ = write!(text, "{x:.decimals$}");
+        match text.parse::<f64>() {
+            Ok(x) if x.is_finite() => number_into(out, x),
+            _ => finite = false,
+        }
+    };
+    let mut o = ObjectWriter::new(out);
+    array_into(o.key("edges"), scene.edges.iter().enumerate(), |out, (i, &(a, b))| {
+        out.push('[');
+        number_into(out, a as f64);
+        out.push(',');
+        number_into(out, b as f64);
+        if let Some(&w) = scene.weights.get(i) {
+            out.push(',');
+            rounded(out, w, 0);
+        }
+        out.push(']');
+    });
+    rounded(o.key("height"), scene.height, 1);
+    array_into(o.key("nodes"), scene.vertices.iter().enumerate(), |out, (i, &(v, p))| {
+        let mut node = ObjectWriter::new(out);
+        node.bool("highlight", scene.highlight == Some(i))
+            .num("id", v.0 as f64)
+            .str("label", &scene.labels[i]);
+        if let Some(&r) = scene.radii.get(i) {
+            rounded(node.key("r"), r, 1);
+        }
+        if let Some(&s) = scene.supers.get(i) {
+            node.bool("super", s);
+        }
+        rounded(node.key("x"), p.x, 1);
+        rounded(node.key("y"), p.y, 1);
+        node.close();
+    });
+    array_into(o.key("theme"), &scene.theme, |out, t| escape_into(out, t));
+    o.str("title", &scene.title);
+    rounded(o.key("width"), scene.width, 1);
+    o.close();
+    if !finite {
+        out.truncate(start);
+        out.push_str("null");
+    }
 }
 
 /// One search as the wire states it: the GET `search` parameters, or one
@@ -842,15 +874,10 @@ fn search_data(
     let (q, communities) = run_query(engine, snap, &item.spec, &item.algo, token)?;
     let g = &*snap.graph;
     let analysis = engine.analyze_snapshot(snap, &communities, q)?;
-    let mut list = String::from("[");
-    for (i, c) in communities.iter().skip(item.offset).take(item.limit).enumerate() {
-        if i > 0 {
-            list.push(',');
-        }
+    let list = raw_array(communities.iter().skip(item.offset).take(item.limit), |out, c| {
         let scene = layout.map(|l| engine.display_snapshot(snap, c, l, Some(q)));
-        write_community(&mut list, g, c, scene);
-    }
-    list.push(']');
+        write_community(out, g, c, scene.as_ref());
+    });
     let data = vec![
         (
             "query",
@@ -861,7 +888,7 @@ fn search_data(
                 ("algo", Json::str(item.algo.clone())),
             ]),
         ),
-        ("communities", Json::Raw(list)),
+        ("communities", list),
         ("total_communities", Json::num(communities.len() as f64)),
         ("limit", Json::num(item.limit as f64)),
         ("offset", Json::num(item.offset as f64)),
@@ -1021,33 +1048,26 @@ fn no_such_supernode() -> ApiError {
     ApiError::not_found("no such supernode")
 }
 
-/// One supernode as JSON: identity, aggregates, top keywords.
-fn supernode_json(g: &AttributedGraph, h: &Hierarchy, id: NodeId) -> Json {
+/// One supernode: identity, aggregates, top keywords.
+fn write_supernode(out: &mut String, g: &AttributedGraph, h: &Hierarchy, id: NodeId) {
     let s = h.stats(id);
     let avg_degree = if s.subtree_vertices > 0 {
         s.sum_degree as f64 / s.subtree_vertices as f64
     } else {
         0.0
     };
-    Json::obj([
-        ("id", Json::num(id.0 as f64)),
-        ("level", Json::num(s.level as f64)),
-        ("residents", Json::num(s.residents as f64)),
-        ("vertices", Json::num(s.subtree_vertices as f64)),
-        ("edges", Json::num(s.subtree_edges as f64)),
-        ("avg_degree", Json::num(avg_degree)),
-        ("max_degree", Json::num(s.max_degree as f64)),
-        (
-            "keywords",
-            Json::arr(s.top_keywords.iter().filter_map(|&(w, c)| {
-                let name = g.interner().name(w)?;
-                Some(Json::obj([
-                    ("keyword", Json::str(name.to_owned())),
-                    ("count", Json::num(c as f64)),
-                ]))
-            })),
-        ),
-    ])
+    let mut o = ObjectWriter::new(out);
+    o.num("avg_degree", avg_degree).num("edges", s.subtree_edges as f64).num("id", id.0 as f64);
+    let interner = g.interner();
+    let keywords = s.top_keywords.iter().filter_map(|&(w, c)| Some((interner.name(w)?, c)));
+    array_into(o.key("keywords"), keywords, |out, (name, c)| {
+        ObjectWriter::new(out).num("count", c as f64).str("keyword", name).close();
+    });
+    o.num("level", s.level as f64)
+        .num("max_degree", s.max_degree as f64)
+        .num("residents", s.residents as f64)
+        .num("vertices", s.subtree_vertices as f64)
+        .close();
 }
 
 /// GET /api/v1/hierarchy — the multi-resolution summary.
@@ -1081,41 +1101,40 @@ fn hierarchy(ctx: &Ctx) -> Handler {
             ("level", Json::num(h.stats(NodeId(n)).level as f64)),
             (
                 "residents",
-                Json::arr(ex.residents.iter().map(|&v| vertex_json(v, g.label(v), g.degree(v)))),
+                raw_array(&ex.residents, |out, &v| write_vertex(out, v, g.label(v), g.degree(v))),
             ),
             ("residents_truncated", Json::Bool(ex.truncated)),
-            ("children", Json::arr(ex.children.iter().map(|&c| supernode_json(g, &h, c)))),
+            ("children", raw_array(&ex.children, |out, &c| write_supernode(out, g, &h, c))),
             ("children_total", Json::num(ex.children_total as f64)),
             ("children_truncated", Json::Bool(ex.children.len() < ex.children_total)),
             (
                 "edges",
-                Json::arr(ex.internal_edges.iter().map(|&(u, v)| {
-                    Json::arr([Json::num(u.0 as f64), Json::num(v.0 as f64)])
-                })),
+                raw_array(&ex.internal_edges, |out, &(u, v)| {
+                    array_into(out, [u, v], |out, x| number_into(out, x.0 as f64));
+                }),
             ),
             (
                 "links",
-                Json::arr(ex.child_links.iter().map(|&(u, c, w)| {
-                    Json::obj([
-                        ("from", Json::num(u.0 as f64)),
-                        ("to", Json::num(c.0 as f64)),
-                        ("weight", Json::num(w as f64)),
-                    ])
-                })),
+                raw_array(&ex.child_links, |out, &(u, c, w)| {
+                    ObjectWriter::new(out)
+                        .num("from", u.0 as f64)
+                        .num("to", c.0 as f64)
+                        .num("weight", w as f64)
+                        .close();
+                }),
             ),
         ])));
     }
 
     let level = ctx.param_as::<u32>("level", 0);
     let nodes = h.level_nodes(level);
-    let total = nodes.len();
-    let shown: Vec<NodeId> = nodes.into_iter().take(limit).collect();
+    let shown = &nodes[..nodes.len().min(limit)];
     Ok(Payload::Data(Json::obj([
         ("level", Json::num(level as f64)),
         ("max_level", Json::num(h.max_level() as f64)),
-        ("total", Json::num(total as f64)),
-        ("truncated", Json::Bool(shown.len() < total)),
-        ("nodes", Json::arr(shown.iter().map(|&id| supernode_json(g, &h, id)))),
+        ("total", Json::num(nodes.len() as f64)),
+        ("truncated", Json::Bool(shown.len() < nodes.len())),
+        ("nodes", raw_array(shown, |out, &id| write_supernode(out, g, &h, id))),
     ])))
 }
 
@@ -2034,3 +2053,6 @@ mod edit_endpoint_tests {
         assert_eq!(s.handle(&Request::post("/api/v1/edit", "{}")).status, 200);
     }
 }
+
+#[cfg(test)]
+mod fragment_tests;
