@@ -20,7 +20,9 @@
 //!   `cx-par` helper is documented to be thread-count independent, and
 //!   the incremental write path must land on exactly the state a
 //!   from-scratch rebuild produces after every step of an edit script.
-//!   The oracle runs both sides and diffs canonicalized results.
+//!   The oracle runs both sides and diffs canonicalized results. The
+//!   engine's CPJ and CMF must equal their pair-by-pair definitions
+//!   bit for bit.
 //! * [`hierarchy`] — the reconstruction oracle for the multi-resolution
 //!   summary: at every level, recursively expanding the level's
 //!   supernodes must reproduce the exact vertex set and edge multiset of
@@ -59,7 +61,8 @@ pub use invariants::{
     check_acq_result, check_community, check_ktruss_community, Violation,
 };
 pub use oracle::{
-    acq_strategy_differential, cached_vs_uncached, cd_search_vs_detect, incremental_vs_scratch,
-    scratch_reuse_differential, snapshot_pinning_differential, with_threads, Mismatch,
+    acq_strategy_differential, analysis_vs_pairs, cached_vs_uncached, cd_search_vs_detect,
+    cmf_all_members, cpj_all_pairs, incremental_vs_scratch, scratch_reuse_differential,
+    snapshot_pinning_differential, with_threads, Mismatch,
 };
 pub use workload::{edit_script, graph_matrix, query_workload, EditStep, GraphCase, QueryCase};

@@ -13,6 +13,9 @@
 //! * **Thread independence** — every `cx-par` helper documents output
 //!   independent of `CX_THREADS`; [`with_threads`] re-runs a closure under
 //!   different counts so callers can fingerprint-compare.
+//!
+//! Beside them, [`analysis_vs_pairs`] holds the engine's CPJ and CMF to
+//! the metrics' definitions, computed pair by pair.
 
 use std::collections::HashSet;
 use std::sync::Mutex;
@@ -20,11 +23,12 @@ use std::sync::Mutex;
 use cx_acq::{acq, AcqOptions, AcqResult, AcqStrategy};
 use cx_cltree::ClTree;
 use cx_explorer::{Engine, QuerySpec};
-use cx_graph::{AttributedGraph, VertexId};
+use cx_graph::keywords::{intersection_size, jaccard};
+use cx_graph::{AttributedGraph, Community, VertexId};
 use cx_kcore::CoreDecomposition;
 
 use crate::canonical::{diff_results, fingerprint, graph_fingerprint, tree_canonical};
-use crate::workload::EditStep;
+use crate::workload::{EditStep, QueryCase};
 
 /// One disagreement between two paths that must agree.
 #[derive(Debug, Clone)]
@@ -180,6 +184,86 @@ pub fn cd_search_vs_detect(g: &AttributedGraph, queries: &[VertexId]) -> Vec<Mis
             };
             if let Some(detail) = detail {
                 mismatches.push(Mismatch { oracle: "cd-search", context, detail });
+            }
+        }
+    }
+    mismatches
+}
+
+/// CPJ of one community as its definition reads: the keyword Jaccard of
+/// every member pair, merged pair by pair and summed in `i < j` order,
+/// over the number of pairs. The reference `cx_metrics::cpj_single` must
+/// equal bit for bit.
+pub fn cpj_all_pairs(g: &AttributedGraph, c: &Community) -> f64 {
+    let vs = c.vertices();
+    let n = vs.len();
+    if n < 2 {
+        return 0.0;
+    }
+    let mut total = 0.0;
+    for i in 0..n {
+        for j in (i + 1)..n {
+            total += jaccard(g.keywords(vs[i]), g.keywords(vs[j]));
+        }
+    }
+    total / (n * (n - 1) / 2) as f64
+}
+
+/// CMF of a result set as its definition reads: per member of every
+/// community, the fraction of `W(q)` it carries, averaged (0 when `W(q)`
+/// or the member list is empty).
+pub fn cmf_all_members(g: &AttributedGraph, communities: &[Community], q: VertexId) -> f64 {
+    let wq = g.keywords(q);
+    let fractions: Vec<f64> = communities
+        .iter()
+        .flat_map(|c| c.vertices())
+        .map(|&v| intersection_size(g.keywords(v), wq) as f64 / wq.len() as f64)
+        .collect();
+    if wq.is_empty() || fractions.is_empty() {
+        return 0.0;
+    }
+    fractions.iter().fold(0.0, |total, f| total + f) / fractions.len() as f64
+}
+
+/// Analysis oracle: for every registered CS algorithm and every query,
+/// [`Engine::analyze_snapshot`]'s CPJ (the mean of [`cpj_all_pairs`]) and
+/// CMF ([`cmf_all_members`]) must equal the references bit for bit.
+pub fn analysis_vs_pairs(g: &AttributedGraph, queries: &[QueryCase]) -> Vec<Mismatch> {
+    let mut mismatches = Vec::new();
+    let engine = Engine::with_graph("check", g.clone());
+    let snap = engine.snapshot(None).expect("the engine was built with one graph");
+    for algo in engine.cs_names() {
+        for qc in queries {
+            let context = format!("algo={algo} q={:?} k={}", qc.q, qc.k);
+            let spec = QuerySpec::by_id(qc.q).k(qc.k);
+            let report = engine
+                .search_snapshot(&snap, algo, &spec)
+                .and_then(|cs| Ok((engine.analyze_snapshot(&snap, &cs, qc.q)?, cs)));
+            let (report, communities) = match report {
+                Ok(r) => r,
+                Err(e) => {
+                    mismatches.push(Mismatch {
+                        oracle: "analysis",
+                        context,
+                        detail: format!("search or analysis errored: {e}"),
+                    });
+                    continue;
+                }
+            };
+            let cpj = if communities.is_empty() {
+                0.0
+            } else {
+                communities.iter().map(|c| cpj_all_pairs(g, c)).sum::<f64>() / communities.len() as f64
+            };
+            let cmf = cmf_all_members(g, &communities, qc.q);
+            for (metric, got, want) in [("cpj", report.cpj, cpj), ("cmf", report.cmf, cmf)] {
+                if got.to_bits() != want.to_bits() {
+                    mismatches.push(Mismatch {
+                        oracle: "analysis",
+                        context: context.clone(),
+                        detail: format!("{metric} {got:e} != all-pairs {want:e}"),
+                    });
+                }
             }
         }
     }
@@ -519,6 +603,17 @@ mod tests {
         let g = figure5_graph();
         let qs: Vec<VertexId> = g.vertices().collect();
         let mm = cd_search_vs_detect(&g, &qs);
+        assert!(mm.is_empty(), "{mm:?}");
+    }
+
+    #[test]
+    fn analysis_oracle_is_clean_on_figure5() {
+        let g = figure5_graph();
+        let qs: Vec<QueryCase> = g
+            .vertices()
+            .flat_map(|q| (1..=3).map(move |k| QueryCase { q, k, keywords: Vec::new() }))
+            .collect();
+        let mm = analysis_vs_pairs(&g, &qs);
         assert!(mm.is_empty(), "{mm:?}");
     }
 

@@ -473,9 +473,9 @@ impl Engine {
         self.cache.set_capacity(capacity);
     }
 
-    /// The paper's `analyze(Community)`: CPJ/CMF quality plus per-community
-    /// statistics for a result set, w.r.t. query vertex `q`, on a pinned
-    /// snapshot.
+    /// The paper's `analyze(Community)`: CPJ/CMF quality of a result set,
+    /// w.r.t. query vertex `q`, on a pinned snapshot. One community's
+    /// statistics are [`crate::CommunityReport::new`]'s.
     pub fn analyze_snapshot(
         &self,
         snap: &GraphSnapshot,

@@ -61,26 +61,20 @@ impl CommunityReport {
     }
 }
 
-/// Quality analysis of one result set (the `analyze` API): CPJ, CMF and
-/// the per-community reports.
-#[derive(Debug, Clone)]
+/// Quality analysis of one result set (the `analyze` API): CPJ and CMF.
+/// Per-community statistics are [`CommunityReport::new`]'s, on request.
+#[derive(Debug, Clone, Copy)]
 pub struct AnalysisReport {
     /// Community pairwise Jaccard (keyword similarity), averaged.
     pub cpj: f64,
     /// Community member frequency w.r.t. the query vertex.
     pub cmf: f64,
-    /// Per-community breakdowns.
-    pub reports: Vec<CommunityReport>,
 }
 
 impl AnalysisReport {
     /// Analyses a result set for query vertex `q`.
     pub fn new(g: &AttributedGraph, communities: &[Community], q: VertexId) -> Self {
-        Self {
-            cpj: cx_metrics::cpj(g, communities),
-            cmf: cx_metrics::cmf(g, communities, q),
-            reports: communities.iter().cloned().map(|c| CommunityReport::new(g, c)).collect(),
-        }
+        Self { cpj: cx_metrics::cpj(g, communities), cmf: cx_metrics::cmf(g, communities, q) }
     }
 }
 
@@ -123,7 +117,6 @@ mod tests {
         let r = AnalysisReport::new(&g, &[c], a);
         assert!(r.cpj > 0.0);
         assert!(r.cmf > 0.0);
-        assert_eq!(r.reports.len(), 1);
     }
 
     #[test]
@@ -133,6 +126,5 @@ mod tests {
         let r = AnalysisReport::new(&g, &[], a);
         assert_eq!(r.cpj, 0.0);
         assert_eq!(r.cmf, 0.0);
-        assert!(r.reports.is_empty());
     }
 }

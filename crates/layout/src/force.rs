@@ -13,7 +13,8 @@ pub enum LayoutAlgorithm {
         iterations: usize,
     },
     /// Kamada–Kawai-style stress minimisation over BFS hop distances,
-    /// optimised by gradient steps.
+    /// optimised by gradient steps. Keeps an n×n distance matrix, so it
+    /// draws at most [`KK_MAX_MEMBERS`] vertices.
     KamadaKawai {
         /// Optimisation sweeps.
         iterations: usize,
@@ -25,18 +26,35 @@ pub enum LayoutAlgorithm {
     Shell,
 }
 
+/// The most vertices [`LayoutAlgorithm::KamadaKawai`] lays out. Its
+/// hop-distance matrix holds n² words and each sweep visits every pair:
+/// 8 MB and 80 M pair steps at this bound, against ~11 GB for a
+/// 38k-member community.
+pub const KK_MAX_MEMBERS: usize = 1_000;
+
 impl LayoutAlgorithm {
     /// A sensible default: FR with 60 iterations.
     pub fn default_force() -> Self {
         LayoutAlgorithm::FruchtermanReingold { iterations: 60 }
     }
 
+    /// Whether this algorithm lays out `n` vertices; only Kamada–Kawai is
+    /// bounded, by [`KK_MAX_MEMBERS`].
+    pub fn accepts(&self, n: usize) -> bool {
+        !matches!(self, LayoutAlgorithm::KamadaKawai { .. }) || n <= KK_MAX_MEMBERS
+    }
+
     /// Computes raw (unfitted) unit-space positions for `sub`.
-    /// Deterministic for a given `seed`.
+    /// Deterministic for a given `seed`. An algorithm that does not
+    /// [`accept`](Self::accepts) `sub`'s size places nothing: every
+    /// position is NaN.
     pub fn run(&self, sub: &Subgraph, seed: u64) -> Vec<(f64, f64)> {
         let n = sub.vertex_count();
         if n == 0 {
             return Vec::new();
+        }
+        if !self.accepts(n) {
+            return vec![(f64::NAN, f64::NAN); n];
         }
         if n == 1 {
             return vec![(0.5, 0.5)];
@@ -55,7 +73,8 @@ fn initial_positions(n: usize, seed: u64) -> Vec<(f64, f64)> {
     (0..n).map(|_| (rng.gen::<f64>(), rng.gen::<f64>())).collect()
 }
 
-/// Fruchterman–Reingold in the unit square.
+/// Fruchterman–Reingold in the unit square, with the grid variant of
+/// repulsion (see [`Grid::repulse`]).
 fn fr(sub: &Subgraph, iterations: usize, seed: u64) -> Vec<(f64, f64)> {
     let n = sub.vertex_count();
     let mut pos = initial_positions(n, seed);
@@ -63,24 +82,12 @@ fn fr(sub: &Subgraph, iterations: usize, seed: u64) -> Vec<(f64, f64)> {
     let k = (area / n as f64).sqrt();
     let mut temp = 0.25f64;
     let cool = 0.95f64;
+    let mut grid = Grid::default();
+    let mut disp = vec![(0.0f64, 0.0f64); n];
 
     for _ in 0..iterations.max(1) {
-        let mut disp = vec![(0.0f64, 0.0f64); n];
-        // Repulsion between all pairs.
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let dx = pos[i].0 - pos[j].0;
-                let dy = pos[i].1 - pos[j].1;
-                let d2 = (dx * dx + dy * dy).max(1e-9);
-                let d = d2.sqrt();
-                let f = k * k / d;
-                let (ux, uy) = (dx / d, dy / d);
-                disp[i].0 += ux * f;
-                disp[i].1 += uy * f;
-                disp[j].0 -= ux * f;
-                disp[j].1 -= uy * f;
-            }
-        }
+        disp.fill((0.0, 0.0));
+        grid.repulse(&pos, k, &mut disp);
         // Attraction along edges.
         for i in 0..n as u32 {
             for &j in sub.neighbors(i) {
@@ -110,6 +117,111 @@ fn fr(sub: &Subgraph, iterations: usize, seed: u64) -> Vec<(f64, f64)> {
         temp *= cool;
     }
     pos
+}
+
+/// A cell of the repulsion grid: `floor(x / 2k), floor(y / 2k)`, counted
+/// from the lowest occupied cell. The `as u32` casts saturate, which
+/// keeps adjacent cells adjacent.
+type Cell = (u32, u32);
+
+/// Scratch for FR repulsion, reused across iterations.
+#[derive(Default)]
+struct Grid {
+    /// `(cell, vertex)`, sorted.
+    order: Vec<(Cell, u32)>,
+    /// Each occupied cell and where its run starts in `order`.
+    cells: Vec<(Cell, usize)>,
+}
+
+impl Grid {
+    /// Adds to `disp` each vertex's repulsion from every vertex closer
+    /// than `2k` — Fruchterman and Reingold's grid variant, which drops
+    /// the negligible push of far vertices. The pair step is
+    /// `(dx, dy)·k²/d²`: FR's `k²/d` along the unit vector, with one
+    /// division and no square root.
+    ///
+    /// Vertices are bucketed into cells of side `2k`, so a repelling
+    /// vertex lies in the same cell or one of the eight around it; each
+    /// pair is met once, from its cell and the four neighbours after it in
+    /// `(x, y)` order. A layout fills about the unit square, about n/4
+    /// cells, so a cell holds a handful of vertices and an iteration is
+    /// O(n) pairs. When the positions span at most 16 cells (4×4, about 64
+    /// members) they are scanned as one cell: most pairs are neighbours
+    /// there anyway, and bucketing costs more than the pairs it skips.
+    /// Returns the number of occupied cells, at most `pos.len()`.
+    fn repulse(&mut self, pos: &[(f64, f64)], k: f64, disp: &mut [(f64, f64)]) -> usize {
+        let side = 2.0 * k;
+        let (reach2, k2) = (side * side, k * k);
+        let mut push = |i: u32, j: u32| {
+            let (i, j) = (i as usize, j as usize);
+            let dx = pos[i].0 - pos[j].0;
+            let dy = pos[i].1 - pos[j].1;
+            let d2 = dx * dx + dy * dy;
+            if d2 < reach2 {
+                let s = k2 / d2.max(1e-9);
+                disp[i].0 += dx * s;
+                disp[i].1 += dy * s;
+                disp[j].0 -= dx * s;
+                disp[j].1 -= dy * s;
+            }
+        };
+        let cell = |x: f64| (x / side).floor();
+        let (mut lo, mut hi) = ((f64::MAX, f64::MAX), (f64::MIN, f64::MIN));
+        for &(x, y) in pos {
+            lo = (lo.0.min(x), lo.1.min(y));
+            hi = (hi.0.max(x), hi.1.max(y));
+        }
+        let span = |a: f64, b: f64| cell(b) - cell(a) + 1.0;
+        if span(lo.0, hi.0) * span(lo.1, hi.1) <= 16.0 {
+            for i in 0..pos.len() as u32 {
+                for j in i + 1..pos.len() as u32 {
+                    push(i, j);
+                }
+            }
+            return 1;
+        }
+
+        self.order.clear();
+        let (x0, y0) = (cell(lo.0), cell(lo.1));
+        self.order.extend(pos.iter().enumerate().map(|(i, &(x, y))| {
+            (((cell(x) - x0) as u32, (cell(y) - y0) as u32), i as u32)
+        }));
+        self.order.sort_unstable();
+        self.cells.clear();
+        for (at, &(c, _)) in self.order.iter().enumerate() {
+            if self.cells.last().is_none_or(|&(last, _)| last != c) {
+                self.cells.push((c, at));
+            }
+        }
+        let (order, cells) = (&self.order, &self.cells);
+        let run = |r: usize| &order[cells[r].1..cells.get(r + 1).map_or(order.len(), |&(_, s)| s)];
+        // The first cell at or after (x + 1, y − 1); it only moves forward.
+        let mut right = 0;
+        for (r, &((x, y), _)) in cells.iter().enumerate() {
+            let here = run(r);
+            for (a, &(_, i)) in here.iter().enumerate() {
+                for &(_, j) in &here[a + 1..] {
+                    push(i, j);
+                }
+            }
+            let right_lo = (x.saturating_add(1), y.saturating_sub(1));
+            let right_hi = (x.saturating_add(1), y.saturating_add(1));
+            while right < cells.len() && cells[right].0 < right_lo {
+                right += 1;
+            }
+            let above_cell = (x, y.saturating_add(1));
+            let above = cells.get(r + 1).is_some_and(|&(c, _)| c == above_cell).then_some(r + 1);
+            let beside = (right..cells.len()).take_while(|&s| cells[s].0 <= right_hi);
+            for s in above.into_iter().chain(beside) {
+                for &(_, i) in here {
+                    for &(_, j) in run(s) {
+                        push(i, j);
+                    }
+                }
+            }
+        }
+        cells.len()
+    }
 }
 
 /// Kamada–Kawai-style: target distance = BFS hops scaled; gradient descent
@@ -286,6 +398,94 @@ mod tests {
         // Farther path vertices sit on larger rings.
         let r = |p: (f64, f64)| ((p.0 - 0.5f64).powi(2) + (p.1 - 0.5).powi(2)).sqrt();
         assert!(r(pos[4]) > r(pos[1]));
+    }
+
+    /// Each vertex's repulsion from every vertex closer than `2k`, summed
+    /// over all pairs, with the sum of the terms' magnitudes as its scale.
+    fn pairwise_repulsion(pos: &[(f64, f64)], k: f64) -> Vec<((f64, f64), f64)> {
+        let mut out = vec![((0.0, 0.0), 0.0); pos.len()];
+        for i in 0..pos.len() {
+            for j in i + 1..pos.len() {
+                let (dx, dy) = (pos[i].0 - pos[j].0, pos[i].1 - pos[j].1);
+                let d2 = dx * dx + dy * dy;
+                if d2 < 4.0 * k * k {
+                    let s = k * k / d2.max(1e-9);
+                    let size = (dx.abs() + dy.abs()) * s;
+                    let ((ix, iy), is) = out[i];
+                    let ((jx, jy), js) = out[j];
+                    out[i] = ((ix + dx * s, iy + dy * s), is + size);
+                    out[j] = ((jx - dx * s, jy - dy * s), js + size);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn grid_repulsion_equals_the_pair_sum_within_2k() {
+        let mut rng = Rng64::seed_from_u64(0x6121D);
+        let mut grid = Grid::default();
+        let mut gridded = 0;
+        for set in 0..200 {
+            let n = 2 + (2998.0 * (set as f64 / 199.0).powi(4)) as usize;
+            let k = (1.0 / n as f64).sqrt();
+            let spread = [0.05, 1.0, 4.0, 30.0][set % 4];
+            let mut pos: Vec<(f64, f64)> = (0..n)
+                .map(|_| (rng.gen::<f64>() * spread, rng.gen::<f64>() * spread))
+                .collect();
+            match set {
+                // Every point in one place: no direction to repel along.
+                120 => pos.fill((0.25, 0.75)),
+                // One point a million units out: the grid stays one cell
+                // per occupied bucket, not one per cell of the span.
+                121 => pos[n - 1] = (1e6, -1e6),
+                _ => {}
+            }
+            let mut disp = vec![(0.0, 0.0); n];
+            let cells = grid.repulse(&pos, k, &mut disp);
+            assert!(cells <= n, "set {set}: {cells} cells for {n} points");
+            gridded += usize::from(cells > 1);
+            for (i, ((x, y), scale)) in pairwise_repulsion(&pos, k).into_iter().enumerate() {
+                let tol = 1e-9 * scale;
+                assert!(
+                    (disp[i].0 - x).abs() <= tol && (disp[i].1 - y).abs() <= tol,
+                    "set {set} (n={n}) vertex {i}: grid {:?}, pairs {:?}",
+                    disp[i],
+                    (x, y)
+                );
+            }
+        }
+        assert!(gridded >= 100, "only {gridded} of 200 sets took the grid path");
+    }
+
+    #[test]
+    fn a_5000_member_community_lays_out_finitely_in_bounds() {
+        let n = 5_000u32;
+        let mut b = GraphBuilder::new();
+        for i in 0..n {
+            b.add_vertex(&format!("v{i}"), &[]);
+        }
+        for i in 0..n {
+            b.add_edge(VertexId(i), VertexId((i + 1) % n));
+            b.add_edge(VertexId(i), VertexId((i + 37) % n));
+        }
+        let g = b.build();
+        let c = cx_graph::Community::structural(g.vertices().collect());
+        let algo = LayoutAlgorithm::default_force();
+        let scene = crate::layout_community(&g, &c, algo, Some(VertexId(0)), 960.0, 600.0, 42);
+        assert_eq!(scene.vertex_count(), n as usize);
+        assert!(scene.vertices.iter().all(|(_, p)| p.x.is_finite() && p.y.is_finite()));
+        assert!(scene.in_bounds());
+    }
+
+    #[test]
+    fn kk_places_nothing_above_its_bound() {
+        let kk = LayoutAlgorithm::KamadaKawai { iterations: 1 };
+        assert!(kk.accepts(KK_MAX_MEMBERS) && !kk.accepts(KK_MAX_MEMBERS + 1));
+        assert!(LayoutAlgorithm::default_force().accepts(usize::MAX));
+        let pos = kk.run(&path_subgraph(KK_MAX_MEMBERS + 1), 0);
+        assert_eq!(pos.len(), KK_MAX_MEMBERS + 1);
+        assert!(pos.iter().all(|p| p.0.is_nan() && p.1.is_nan()));
     }
 
     #[test]

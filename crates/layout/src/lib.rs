@@ -7,9 +7,10 @@
 //! reimplements the same classic algorithms and two renderers:
 //!
 //! * [`LayoutAlgorithm::FruchtermanReingold`] — force-directed layout
-//!   (JUNG's `FRLayout`), the default for community views;
+//!   (JUNG's `FRLayout`), the default for community views, with the grid
+//!   variant of repulsion so an iteration is linear in the member count;
 //! * [`LayoutAlgorithm::KamadaKawai`] — stress-style layout over BFS
-//!   distances (JUNG's `KKLayout`);
+//!   distances (JUNG's `KKLayout`), up to [`KK_MAX_MEMBERS`] vertices;
 //! * [`LayoutAlgorithm::Circular`] and [`LayoutAlgorithm::Shell`] —
 //!   deterministic fallbacks (query vertex centred, members ringed by
 //!   hop distance for `Shell`).
@@ -23,5 +24,5 @@ pub mod force;
 pub mod render;
 pub mod scene;
 
-pub use force::LayoutAlgorithm;
+pub use force::{LayoutAlgorithm, KK_MAX_MEMBERS};
 pub use scene::{layout_community, layout_summary, Point, Scene, SummaryItem};

@@ -1,21 +1,66 @@
 //! CPJ and CMF — the keyword-cohesiveness quality metrics.
 
-use cx_graph::keywords::{intersection_size, jaccard};
+use cx_graph::keywords::intersection_size;
 use cx_graph::{AttributedGraph, Community, VertexId};
 
 /// CPJ of one community: the average Jaccard similarity of the keyword
 /// sets over all unordered member pairs. 0 for communities with fewer
 /// than two members.
+///
+/// Intersections come from member-local keyword postings instead of a
+/// keyword-set merge per pair: for each member `i`, the later members on
+/// each of `i`'s postings bump an overlap counter, and the terms
+/// `inter / (|W_i| + |W_j| − inter)` are then added in `i < j` order. A
+/// pair that shares no keyword adds `0 / union = +0.0` (`0 / 1` for two
+/// empty sets, whose Jaccard is 0), which leaves the sum unchanged, so
+/// the result is bit-identical to summing `jaccard` over every pair. The
+/// cost is one sort of the `Σ|W_i|` postings, `|C|²/2` counter reads and
+/// one bump per shared keyword of each pair.
 pub fn cpj_single(g: &AttributedGraph, c: &Community) -> f64 {
     let vs = c.vertices();
     let n = vs.len();
     if n < 2 {
         return 0.0;
     }
+    // `keyword << 32 | member index`, sorted: each keyword's run lists its
+    // members in member order.
+    let mut postings: Vec<u64> = vs
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &v)| g.keywords(v).iter().map(move |w| u64::from(w.0) << 32 | i as u64))
+        .collect();
+    postings.sort_unstable();
+    let member = |e: u64| e as u32 as usize;
+    // `run_end[p]`: where the run holding entry `p` ends.
+    let mut run_end = vec![postings.len(); postings.len()];
+    for p in (1..postings.len()).rev() {
+        let same = postings[p - 1] >> 32 == postings[p] >> 32;
+        run_end[p - 1] = if same { run_end[p] } else { p };
+    }
+    // `at[start[i]..start[i + 1]]`: where member i's entries sit.
+    let mut start = vec![0; n + 1];
+    for (i, &v) in vs.iter().enumerate() {
+        start[i + 1] = start[i] + g.keywords(v).len();
+    }
+    let mut at = vec![0; postings.len()];
+    let mut next = start.clone();
+    for (p, &e) in postings.iter().enumerate() {
+        at[next[member(e)]] = p;
+        next[member(e)] += 1;
+    }
+    let mut overlap = vec![0u32; n];
     let mut total = 0.0;
     for i in 0..n {
-        for j in (i + 1)..n {
-            total += jaccard(g.keywords(vs[i]), g.keywords(vs[j]));
+        for &p in &at[start[i]..start[i + 1]] {
+            for &e in &postings[p + 1..run_end[p]] {
+                overlap[member(e)] += 1;
+            }
+        }
+        let size_i = start[i + 1] - start[i];
+        for j in i + 1..n {
+            let inter = std::mem::take(&mut overlap[j]) as usize;
+            let union = size_i + start[j + 1] - start[j] - inter;
+            total += inter as f64 / union.max(1) as f64;
         }
     }
     total / (n * (n - 1) / 2) as f64

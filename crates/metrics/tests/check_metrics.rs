@@ -2,10 +2,100 @@
 //! random communities drawn from generated graphs (dependency-free; the
 //! workload generator in cx-check replaces an external proptest).
 
+use std::collections::HashMap;
+
 use cx_check::workload::graph_matrix;
-use cx_graph::{Community, VertexId};
+use cx_check::{cmf_all_members, cpj_all_pairs};
+use cx_datagen::{dblp_like, figure5_graph, DblpParams};
+use cx_explorer::{Engine, QuerySpec};
+use cx_graph::{AttributedGraph, Community, GraphBuilder, VertexId};
 use cx_metrics::{cmf, cpj, cpj_single, f1_score, pairwise_jaccard_matrix};
 use cx_par::rng::Rng64;
+
+/// Asserts that `cpj_single` and the all-pairs definition agree to the
+/// bit on `c`, and returns the value.
+fn assert_cpj_exact(g: &AttributedGraph, c: &Community, what: &str) -> f64 {
+    let (got, want) = (cpj_single(g, c), cpj_all_pairs(g, c));
+    assert_eq!(got.to_bits(), want.to_bits(), "{what}: {got:e} vs all-pairs {want:e}");
+    want
+}
+
+#[test]
+fn cpj_is_the_all_pairs_sum_to_the_bit_on_every_figure5_subset() {
+    let g = figure5_graph();
+    let n = g.vertex_count();
+    for mask in 0u32..1 << n {
+        let members = (0..n as u32).filter(|&i| mask >> i & 1 == 1).map(VertexId).collect();
+        assert_cpj_exact(&g, &Community::structural(members), &format!("subset {mask:#b}"));
+    }
+}
+
+#[test]
+fn cpj_is_the_all_pairs_sum_to_the_bit_on_hub_answers() {
+    let (g, _) = dblp_like(&DblpParams::scaled(2_000, 7));
+    let engine = Engine::with_graph("dblp", g.clone());
+    let mut hubs: Vec<VertexId> = g.vertices().collect();
+    hubs.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v.0));
+    // Hubs share their Global answers, so each distinct community is
+    // summed pair by pair once.
+    let mut reference: HashMap<Vec<VertexId>, f64> = HashMap::new();
+    for &q in &hubs[..8] {
+        for algo in ["acq", "global"] {
+            for k in 2..=5 {
+                let what = format!("{algo} q={q:?} k={k}");
+                let answer = engine.search(algo, &QuerySpec::by_id(q).k(k)).unwrap();
+                let mut total = 0.0;
+                for c in &answer {
+                    total += *reference
+                        .entry(c.vertices().to_vec())
+                        .or_insert_with(|| assert_cpj_exact(&g, c, &what));
+                }
+                let mean = if answer.is_empty() { 0.0 } else { total / answer.len() as f64 };
+                assert_eq!(cpj(&g, &answer).to_bits(), mean.to_bits(), "{what}");
+                let want = cmf_all_members(&g, &answer, q);
+                assert_eq!(cmf(&g, &answer, q).to_bits(), want.to_bits(), "{algo} q={q:?} k={k}");
+            }
+        }
+    }
+    let largest = reference.keys().map(Vec::len).max();
+    assert!(largest >= Some(1_000), "largest answer {largest:?}");
+}
+
+#[test]
+fn cpj_is_the_all_pairs_sum_to_the_bit_on_hand_cases() {
+    let mut b = GraphBuilder::new();
+    let sets: [&[&str]; 8] = [
+        &[],
+        &[],
+        &["db", "graphs"],
+        &["db", "graphs"],
+        &["ml", "vision"],
+        &["db", "ml", "nlp"],
+        &["graphs"],
+        &["db", "graphs", "ml", "nlp", "vision"],
+    ];
+    for (i, kws) in sets.iter().enumerate() {
+        b.add_vertex(&format!("v{i}"), kws);
+    }
+    let g = b.build();
+    let c = |ids: &[u32]| Community::structural(ids.iter().copied().map(VertexId).collect());
+    for (ids, what) in [
+        (&[][..], "no members"),
+        (&[2], "one member"),
+        (&[2, 6], "two members"),
+        (&[0, 1], "two empty keyword sets"),
+        (&[0, 2, 1], "empty sets beside a non-empty one"),
+        (&[2, 3], "identical sets"),
+        (&[2, 4], "disjoint sets"),
+        (&[2, 4, 6], "disjoint and nested sets"),
+        (&[0, 1, 2, 3, 4, 5, 6, 7], "everything"),
+    ] {
+        assert_cpj_exact(&g, &c(ids), what);
+    }
+    assert_eq!(cpj_single(&g, &c(&[2, 3])), 1.0);
+    assert_eq!(cpj_single(&g, &c(&[2, 4])), 0.0);
+    assert_eq!(cpj_single(&g, &c(&[0, 1])), 0.0);
+}
 
 /// Draws `count` random communities (2–10 members each) from `g`.
 fn random_communities(

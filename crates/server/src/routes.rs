@@ -37,7 +37,7 @@ use cx_explorer::{
     ComparisonReport, Engine, ExplorerError, GraphSnapshot, Hierarchy, NodeId, QuerySpec,
 };
 use cx_graph::{AttributedGraph, Community, VertexId};
-use cx_layout::{LayoutAlgorithm, Scene};
+use cx_layout::{LayoutAlgorithm, Scene, KK_MAX_MEMBERS};
 use cx_par::task::CancelToken;
 
 use crate::http::{Request, Response};
@@ -757,16 +757,24 @@ fn layout_from(ctx: &Ctx) -> LayoutAlgorithm {
 /// Appends one community object to `buf`, straight from graph slices:
 /// member labels from the CSR label column, theme words from the keyword
 /// interner, no per-member `String`. GET `search` passes the community's
-/// laid-out `scene`; `search_batch` items go without (clients wanting a
-/// drawing fetch `/api/v1/svg` per community).
-fn write_community(buf: &mut String, g: &AttributedGraph, c: &Community, scene: Option<&Scene>) {
+/// `scene` — `None` inside when the layout does not accept its size, which
+/// is written `null`; `search_batch` items go without the key (clients
+/// wanting a drawing fetch `/api/v1/svg` per community).
+fn write_community(
+    buf: &mut String,
+    g: &AttributedGraph,
+    c: &Community,
+    scene: Option<&Option<Scene>>,
+) {
     let mut o = ObjectWriter::new(buf);
     o.num("avg_degree", c.average_internal_degree(g)).num("edges", c.internal_edge_count(g) as f64);
     array_into(o.key("members"), c.vertices(), |out, &v| {
         ObjectWriter::new(out).num("id", v.0 as f64).str("label", g.label(v)).close();
     });
-    if let Some(scene) = scene {
-        write_scene(o.key("scene"), scene);
+    match scene {
+        Some(Some(scene)) => write_scene(o.key("scene"), scene),
+        Some(None) => o.key("scene").push_str("null"),
+        None => {}
     }
     o.num("size", c.len() as f64);
     let interner = g.interner();
@@ -860,10 +868,21 @@ fn run_query(
     Ok((q, communities))
 }
 
+/// A typed 408 once `token` has expired: the checkpoint between the
+/// stages of a request, so an expired deadline stops the work instead of
+/// answering late.
+fn check_deadline(token: &CancelToken) -> Result<(), ApiError> {
+    if token.is_cancelled() {
+        return Err(ExplorerError::DeadlineExceeded.into());
+    }
+    Ok(())
+}
+
 /// Runs one search and renders its payload — query echo, quality metrics,
 /// and the `offset..offset+limit` page of communities, each drawn with
 /// `layout` when one is given. Returns the members of the `data` object
-/// (GET `search` adds two more) and the query vertex.
+/// (GET `search` adds two more) and the query vertex. The deadline is
+/// checked after the analysis and before each community is laid out.
 fn search_data(
     engine: &Engine,
     snap: &GraphSnapshot,
@@ -874,9 +893,17 @@ fn search_data(
     let (q, communities) = run_query(engine, snap, &item.spec, &item.algo, token)?;
     let g = &*snap.graph;
     let analysis = engine.analyze_snapshot(snap, &communities, q)?;
-    let list = raw_array(communities.iter().skip(item.offset).take(item.limit), |out, c| {
-        let scene = layout.map(|l| engine.display_snapshot(snap, c, l, Some(q)));
-        write_community(out, g, c, scene.as_ref());
+    check_deadline(token)?;
+    let page: Vec<&Community> = communities.iter().skip(item.offset).take(item.limit).collect();
+    let mut scenes = Vec::new();
+    if let Some(l) = layout {
+        for c in &page {
+            check_deadline(token)?;
+            scenes.push(l.accepts(c.len()).then(|| engine.display_snapshot(snap, c, l, Some(q))));
+        }
+    }
+    let list = raw_array(page.iter().enumerate(), |out, (i, c)| {
+        write_community(out, g, c, scenes.get(i));
     });
     let data = vec![
         (
@@ -1167,9 +1194,16 @@ fn svg(ctx: &Ctx) -> Handler {
     let Some(c) = communities.get(index) else {
         return Err(ApiError::not_found("community index out of range"));
     };
+    let layout = layout_from(ctx);
+    if !layout.accepts(c.len()) {
+        return Err(ApiError::bad_query(format!(
+            "layout=kk draws at most {KK_MAX_MEMBERS} members; this community has {}",
+            c.len()
+        )));
+    }
     let scene = ctx
         .engine
-        .display_snapshot(&snap, c, layout_from(ctx), Some(q))
+        .display_snapshot(&snap, c, layout, Some(q))
         .titled(format!("Method: {algo} — community {} of {}", index + 1, communities.len()));
     Ok(Payload::Raw(Response::svg(scene.to_svg())))
 }
@@ -1718,6 +1752,68 @@ mod tests {
         assert!(r.text().starts_with("<svg"));
         let out_of_range = s.handle(&Request::get("/api/v1/svg?name=A&k=2&index=9"));
         assert_eq!(out_of_range.status, 404);
+    }
+
+    /// One community of `KK_MAX_MEMBERS + 1` members: a ring is its own
+    /// connected 2-core.
+    fn ring_server() -> crate::Server {
+        let n = KK_MAX_MEMBERS as u32 + 1;
+        let mut b = cx_graph::GraphBuilder::new();
+        for i in 0..n {
+            b.add_vertex(&format!("r{i}"), &["ring"]);
+        }
+        for i in 0..n {
+            b.add_edge(VertexId(i), VertexId((i + 1) % n));
+        }
+        crate::Server::new(Engine::with_graph("ring", b.build()))
+    }
+
+    #[test]
+    fn search_writes_a_null_scene_above_the_kk_bound() {
+        let s = ring_server();
+        let scene = |layout: &str| {
+            let target = format!("/api/v1/search?id=0&k=2&algo=global&layout={layout}");
+            let v = v1_data(&s.handle(&Request::get(&target)));
+            let comms = v.get("communities").and_then(Json::as_array).unwrap();
+            let size = comms[0].get("size").and_then(Json::as_f64);
+            assert_eq!(size, Some(KK_MAX_MEMBERS as f64 + 1.0));
+            comms[0].get("scene").unwrap().clone()
+        };
+        assert_eq!(scene("kk"), Json::Null);
+        assert!(matches!(scene("force"), Json::Object(_)));
+    }
+
+    #[test]
+    fn svg_is_a_bad_query_above_the_kk_bound() {
+        let s = ring_server();
+        let r = s.handle(&Request::get("/api/v1/svg?id=0&k=2&algo=global&layout=kk"));
+        assert_eq!(r.status, 400, "{}", r.text());
+        let v = Json::parse(&r.text()).unwrap();
+        assert_eq!(v.get("error").unwrap().get("code").and_then(Json::as_str), Some("bad_query"));
+        let r = s.handle(&Request::get("/api/v1/svg?id=0&k=2&algo=global&layout=circular"));
+        assert_eq!(r.status, 200);
+    }
+
+    /// A search whose answer is a giant community stops at the deadline
+    /// checks after its analysis instead of laying the community out.
+    #[test]
+    fn search_of_a_giant_core_meets_its_deadline() {
+        let (g, _) = cx_datagen::dblp_like(&cx_datagen::DblpParams::scaled(20_000, 42));
+        let hub = g.vertices().max_by_key(|&v| (g.degree(v), std::cmp::Reverse(v.0))).unwrap();
+        let s = crate::Server::new(Engine::with_graph("dblp", g));
+        // Cached, the search itself is instant, so only the later stages
+        // can overrun the budget.
+        let spec = QuerySpec::by_id(hub).k(2);
+        let giant = s.engine().search("global", &spec).unwrap();
+        assert!(giant[0].len() > 10_000, "{} members", giant[0].len());
+        let target = format!("/api/v1/search?id={}&k=2&algo=global&timeout_ms=1", hub.0);
+        let r = s.handle(&Request::get(&target));
+        assert_eq!(r.status, 408, "{}", r.text());
+        let v = Json::parse(&r.text()).unwrap();
+        assert_eq!(
+            v.get("error").unwrap().get("code").and_then(Json::as_str),
+            Some("deadline_exceeded")
+        );
     }
 
     #[test]
