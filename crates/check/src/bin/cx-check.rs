@@ -219,8 +219,9 @@ fn main() {
             problems.push(format!("{} {}", case.name, m));
         }
 
-        // Analysis differential: every CS name, every workload query.
-        for m in analysis_vs_pairs(g, &workload) {
+        // Analysis differential: every CS name, every workload query
+        // (acq-basic within --basic-limit keywords).
+        for m in analysis_vs_pairs(g, &workload, args.basic_limit) {
             problems.push(format!("{} {}", case.name, m));
         }
 

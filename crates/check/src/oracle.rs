@@ -226,16 +226,28 @@ pub fn cmf_all_members(g: &AttributedGraph, communities: &[Community], q: Vertex
 }
 
 /// Analysis oracle: for every registered CS algorithm and every query,
-/// [`Engine::analyze_snapshot`]'s CPJ (the mean of [`cpj_all_pairs`]) and
-/// CMF ([`cmf_all_members`]) must equal the references bit for bit.
-pub fn analysis_vs_pairs(g: &AttributedGraph, queries: &[QueryCase]) -> Vec<Mismatch> {
+/// with the query's keyword selection, [`Engine::analyze_snapshot`]'s CPJ
+/// (the mean of [`cpj_all_pairs`]) and CMF ([`cmf_all_members`]) must
+/// equal the references bit for bit. `acq-basic` runs only when the
+/// effective keyword set has at most `basic_keyword_limit` keywords, the
+/// rule [`acq_strategy_differential`] applies to `Basic`.
+pub fn analysis_vs_pairs(
+    g: &AttributedGraph,
+    queries: &[QueryCase],
+    basic_keyword_limit: usize,
+) -> Vec<Mismatch> {
     let mut mismatches = Vec::new();
     let engine = Engine::with_graph("check", g.clone());
     let snap = engine.snapshot(None).expect("the engine was built with one graph");
     for algo in engine.cs_names() {
         for qc in queries {
-            let context = format!("algo={algo} q={:?} k={}", qc.q, qc.k);
-            let spec = QuerySpec::by_id(qc.q).k(qc.k);
+            let effective =
+                if qc.keywords.is_empty() { g.keywords(qc.q).len() } else { qc.keywords.len() };
+            if algo == "acq-basic" && effective > basic_keyword_limit {
+                continue;
+            }
+            let context = format!("algo={algo} {}", qc.describe(g));
+            let spec = QuerySpec::by_id(qc.q).k(qc.k).with_keywords(g.keyword_names(&qc.keywords));
             let report = engine
                 .search_snapshot(&snap, algo, &spec)
                 .and_then(|cs| Ok((engine.analyze_snapshot(&snap, &cs, qc.q)?, cs)));
@@ -609,11 +621,17 @@ mod tests {
     #[test]
     fn analysis_oracle_is_clean_on_figure5() {
         let g = figure5_graph();
+        // Each vertex and k with the default S = W(q), then with S = the
+        // first keyword of W(q) alone.
         let qs: Vec<QueryCase> = g
             .vertices()
-            .flat_map(|q| (1..=3).map(move |k| QueryCase { q, k, keywords: Vec::new() }))
+            .flat_map(|q| (1..=3).map(move |k| (q, k)))
+            .flat_map(|(q, k)| {
+                let first = g.keywords(q).iter().take(1).copied().collect();
+                [QueryCase { q, k, keywords: Vec::new() }, QueryCase { q, k, keywords: first }]
+            })
             .collect();
-        let mm = analysis_vs_pairs(&g, &qs);
+        let mm = analysis_vs_pairs(&g, &qs, 10);
         assert!(mm.is_empty(), "{mm:?}");
     }
 

@@ -120,8 +120,10 @@ fn fr(sub: &Subgraph, iterations: usize, seed: u64) -> Vec<(f64, f64)> {
 }
 
 /// A cell of the repulsion grid: `floor(x / 2k), floor(y / 2k)`, counted
-/// from the lowest occupied cell. The `as u32` casts saturate, which
-/// keeps adjacent cells adjacent.
+/// from the lowest occupied cell. The `as u32` casts do not saturate in
+/// [`fr`]: its steps are capped by a temperature that sums to 5 over any
+/// number of iterations, so positions stay within 5 units of the unit
+/// square, about 5.5·√n cells across.
 type Cell = (u32, u32);
 
 /// Scratch for FR repulsion, reused across iterations.
@@ -181,6 +183,10 @@ impl Grid {
             return 1;
         }
 
+        debug_assert!(
+            span(lo.0, hi.0) <= u32::MAX as f64 && span(lo.1, hi.1) <= u32::MAX as f64,
+            "the positions span more cells than a u32 counts"
+        );
         self.order.clear();
         let (x0, y0) = (cell(lo.0), cell(lo.1));
         self.order.extend(pos.iter().enumerate().map(|(i, &(x, y))| {

@@ -14,8 +14,9 @@ use cx_graph::{AttributedGraph, Community, VertexId};
 /// pair that shares no keyword adds `0 / union = +0.0` (`0 / 1` for two
 /// empty sets, whose Jaccard is 0), which leaves the sum unchanged, so
 /// the result is bit-identical to summing `jaccard` over every pair. The
-/// cost is one sort of the `Σ|W_i|` postings, `|C|²/2` counter reads and
-/// one bump per shared keyword of each pair.
+/// cost is one sort of the `Σ|W_i|` postings, two binary searches per
+/// posting, `|C|²/2` counter reads and one bump per shared keyword of each
+/// pair.
 pub fn cpj_single(g: &AttributedGraph, c: &Community) -> f64 {
     let vs = c.vertices();
     let n = vs.len();
@@ -31,35 +32,22 @@ pub fn cpj_single(g: &AttributedGraph, c: &Community) -> f64 {
         .collect();
     postings.sort_unstable();
     let member = |e: u64| e as u32 as usize;
-    // `run_end[p]`: where the run holding entry `p` ends.
-    let mut run_end = vec![postings.len(); postings.len()];
-    for p in (1..postings.len()).rev() {
-        let same = postings[p - 1] >> 32 == postings[p] >> 32;
-        run_end[p - 1] = if same { run_end[p] } else { p };
-    }
-    // `at[start[i]..start[i + 1]]`: where member i's entries sit.
-    let mut start = vec![0; n + 1];
-    for (i, &v) in vs.iter().enumerate() {
-        start[i + 1] = start[i] + g.keywords(v).len();
-    }
-    let mut at = vec![0; postings.len()];
-    let mut next = start.clone();
-    for (p, &e) in postings.iter().enumerate() {
-        at[next[member(e)]] = p;
-        next[member(e)] += 1;
-    }
+    let size: Vec<usize> = vs.iter().map(|&v| g.keywords(v).len()).collect();
     let mut overlap = vec![0u32; n];
     let mut total = 0.0;
-    for i in 0..n {
-        for &p in &at[start[i]..start[i + 1]] {
-            for &e in &postings[p + 1..run_end[p]] {
+    for (i, &v) in vs.iter().enumerate() {
+        for w in g.keywords(v) {
+            let w = u64::from(w.0);
+            // The later members on w's run: after i's entry, up to the run's end.
+            let from = postings.partition_point(|&e| e <= w << 32 | i as u64);
+            let to = postings.partition_point(|&e| e >> 32 <= w);
+            for &e in &postings[from..to] {
                 overlap[member(e)] += 1;
             }
         }
-        let size_i = start[i + 1] - start[i];
         for j in i + 1..n {
             let inter = std::mem::take(&mut overlap[j]) as usize;
-            let union = size_i + start[j + 1] - start[j] - inter;
+            let union = size[i] + size[j] - inter;
             total += inter as f64 / union.max(1) as f64;
         }
     }

@@ -757,24 +757,16 @@ fn layout_from(ctx: &Ctx) -> LayoutAlgorithm {
 /// Appends one community object to `buf`, straight from graph slices:
 /// member labels from the CSR label column, theme words from the keyword
 /// interner, no per-member `String`. GET `search` passes the community's
-/// `scene` — `None` inside when the layout does not accept its size, which
-/// is written `null`; `search_batch` items go without the key (clients
-/// wanting a drawing fetch `/api/v1/svg` per community).
-fn write_community(
-    buf: &mut String,
-    g: &AttributedGraph,
-    c: &Community,
-    scene: Option<&Option<Scene>>,
-) {
+/// laid-out `scene`; `search_batch` items go without (clients wanting a
+/// drawing fetch `/api/v1/svg` per community).
+fn write_community(buf: &mut String, g: &AttributedGraph, c: &Community, scene: Option<&Scene>) {
     let mut o = ObjectWriter::new(buf);
     o.num("avg_degree", c.average_internal_degree(g)).num("edges", c.internal_edge_count(g) as f64);
     array_into(o.key("members"), c.vertices(), |out, &v| {
         ObjectWriter::new(out).num("id", v.0 as f64).str("label", g.label(v)).close();
     });
-    match scene {
-        Some(Some(scene)) => write_scene(o.key("scene"), scene),
-        Some(None) => o.key("scene").push_str("null"),
-        None => {}
+    if let Some(scene) = scene {
+        write_scene(o.key("scene"), scene);
     }
     o.num("size", c.len() as f64);
     let interner = g.interner();
@@ -882,7 +874,9 @@ fn check_deadline(token: &CancelToken) -> Result<(), ApiError> {
 /// and the `offset..offset+limit` page of communities, each drawn with
 /// `layout` when one is given. Returns the members of the `data` object
 /// (GET `search` adds two more) and the query vertex. The deadline is
-/// checked after the analysis and before each community is laid out.
+/// checked after the analysis and before each community is laid out. A
+/// community too large for `layout=kk` is placed at NaN, which
+/// [`write_scene`] writes as `"scene":null`.
 fn search_data(
     engine: &Engine,
     snap: &GraphSnapshot,
@@ -899,7 +893,7 @@ fn search_data(
     if let Some(l) = layout {
         for c in &page {
             check_deadline(token)?;
-            scenes.push(l.accepts(c.len()).then(|| engine.display_snapshot(snap, c, l, Some(q))));
+            scenes.push(engine.display_snapshot(snap, c, l, Some(q)));
         }
     }
     let list = raw_array(page.iter().enumerate(), |out, (i, c)| {

@@ -335,7 +335,7 @@ fn a_scene_with_one_non_finite_number_is_null() {
     for scene in [nan_x, inf_weight, nan_r, inf_width] {
         assert_eq!(scene_tree(&scene), Json::Null);
         let mut buf = String::from("[");
-        write_community(&mut buf, &g, &c, Some(&Some(scene.clone())));
+        write_community(&mut buf, &g, &c, Some(&scene));
         assert!(buf.contains(",\"scene\":null,\"size\":"), "{buf}");
         assert_eq!(buf[1..], community_tree(&g, &c, Some(&scene)).to_string());
     }
