@@ -6,108 +6,93 @@
 //! of any k−1 relationships, whereas a k-core can fall apart at a single
 //! cut vertex. This module implements the classic cut-based construction:
 //!
-//! 1. restrict to the connected k-core containing q (every k-edge-connected
-//!    subgraph has minimum degree ≥ k, so nothing is lost and the working
-//!    graph shrinks massively);
+//! 1. start from the connected k-core containing q, which the caller
+//!    supplies (every k-edge-connected subgraph has minimum degree ≥ k, so
+//!    nothing is lost and the working graph shrinks massively). The engine
+//!    reads it off the CL-tree as one preorder interval; the tests peel;
 //! 2. recursively split by global minimum cuts (Stoer–Wagner) until every
 //!    part's min cut is ≥ k — the parts are the k-edge-connected
 //!    components;
 //! 3. return the part containing q.
 
+use std::collections::BinaryHeap;
+
 use cx_graph::{AttributedGraph, Community, Subgraph, VertexId};
-use cx_kcore::connected_k_core_containing;
 
 /// The k-edge-connected community of `q`: the maximal subgraph containing
 /// q in which every pair of vertices is joined by k edge-disjoint paths.
-/// `None` when q ends up in a singleton part (no such community).
-pub fn kecc_community(g: &AttributedGraph, q: VertexId, k: u32) -> Option<Community> {
-    if !g.contains(q) || k == 0 {
+/// `core` is the connected k-core containing q (sorted); the search never
+/// leaves it. `None` when q is not in `core` or ends up in a singleton
+/// part (no such community).
+pub fn kecc_community(
+    g: &AttributedGraph,
+    core: &[VertexId],
+    q: VertexId,
+    k: u32,
+) -> Option<Community> {
+    if k == 0 {
         return None;
     }
-    let all: Vec<VertexId> = g.vertices().collect();
-    let core = connected_k_core_containing(g, &all, q, k)?;
-    let sub = Subgraph::induced(g, &core);
-    let lq = sub.local(q).expect("q is in its own core");
-
-    // Weighted local adjacency (weights accumulate under contraction).
+    let sub = Subgraph::induced(g, core);
+    let lq = sub.local(q)?;
     let n = sub.vertex_count();
     let adj: Vec<Vec<(u32, u64)>> = (0..n as u32)
         .map(|u| sub.neighbors(u).iter().map(|&v| (v, 1u64)).collect())
         .collect();
-
-    let members_local = kecc_part_containing(adj, (0..n as u32).collect(), lq, k as u64)?;
-    if members_local.len() < 2 {
-        return None;
-    }
+    let members_local = kecc_part_containing(&adj, (0..n as u32).collect(), lq, k as u64)?;
     Some(Community::structural(sub.to_global(&members_local)))
 }
 
-/// Recursively splits `vertices` (a subset of the local graph) by global
-/// min cuts until the part containing `target` has min cut ≥ k; returns
-/// that part (or `None` for a singleton).
+/// Recursively splits `part` (local ids) by global min cuts until the part
+/// containing `target` has min cut ≥ k; returns that part (`None` for a
+/// singleton). A k-edge-connected subgraph never straddles a cut lighter
+/// than k, so target's side of each cut, and target's component within
+/// it, keeps all of it.
 fn kecc_part_containing(
-    adj: Vec<Vec<(u32, u64)>>,
-    vertices: Vec<u32>,
+    adj: &[Vec<(u32, u64)>],
+    mut part: Vec<u32>,
     target: u32,
     k: u64,
 ) -> Option<Vec<u32>> {
-    let mut part = vertices;
-    let mut adj = adj;
-    loop {
-        if part.len() == 1 {
-            // A singleton (even the target itself) is not a community.
-            return None;
-        }
-        let (cut, side) = stoer_wagner(&adj, &part);
+    let mut keep = vec![false; adj.len()];
+    while part.len() > 1 {
+        let (cut, side) = stoer_wagner(adj, &part);
         if cut >= k {
             return Some(part);
         }
-        // Keep only target's side; drop crossing edges.
-        let keep: std::collections::HashSet<u32> = part
-            .iter()
-            .copied()
-            .filter(|v| side.contains(v) == side.contains(&target))
-            .collect();
+        let target_side = side.binary_search(&target).is_ok();
         for &v in &part {
-            if keep.contains(&v) {
-                adj[v as usize].retain(|(u, _)| keep.contains(u));
-            } else {
-                adj[v as usize].clear();
-            }
+            keep[v as usize] = side.binary_search(&v).is_ok() == target_side;
         }
-        part.retain(|v| keep.contains(v));
-        // The remaining part may now be disconnected; keep target's
-        // connected component before the next cut round.
-        let comp = component_of(&adj, target);
-        if comp.len() < part.len() {
-            let comp_set: std::collections::HashSet<u32> = comp.iter().copied().collect();
-            for &v in &part {
-                if !comp_set.contains(&v) {
-                    adj[v as usize].clear();
+        let mut next = vec![target];
+        keep[target as usize] = false;
+        let mut i = 0;
+        while let Some(&u) = next.get(i) {
+            i += 1;
+            for &(v, _) in &adj[u as usize] {
+                if keep[v as usize] {
+                    keep[v as usize] = false;
+                    next.push(v);
                 }
             }
-            part = comp;
         }
-        if part.len() == 1 {
-            return None;
+        for &v in &part {
+            keep[v as usize] = false;
         }
+        next.sort_unstable();
+        part = next;
     }
+    None
 }
 
-fn component_of(adj: &[Vec<(u32, u64)>], start: u32) -> Vec<u32> {
-    let mut seen = std::collections::HashSet::new();
-    let mut stack = vec![start];
-    seen.insert(start);
-    while let Some(u) = stack.pop() {
-        for &(v, _) in &adj[u as usize] {
-            if seen.insert(v) {
-                stack.push(v);
-            }
-        }
+/// The super-vertex `v` was contracted into (path halving).
+fn find(rep: &mut [u32], mut v: u32) -> u32 {
+    while rep[v as usize] != v {
+        let up = rep[rep[v as usize] as usize];
+        rep[v as usize] = up;
+        v = up;
     }
-    let mut out: Vec<u32> = seen.into_iter().collect();
-    out.sort_unstable();
-    out
+    v
 }
 
 /// Stoer–Wagner global minimum cut over the subgraph induced by `part`
@@ -115,85 +100,70 @@ fn component_of(adj: &[Vec<(u32, u64)>], start: u32) -> Vec<u32> {
 /// `part` must have ≥ 2 vertices; a disconnected input returns a 0-cut
 /// with one component as the side.
 ///
-/// Each maximum-adjacency phase runs with a lazy binary heap, giving
-/// O(n (n + m) log n) overall — fast enough to decompose the connected
-/// k-core of a community-sized region.
+/// Each maximum-adjacency phase runs with a lazy binary heap over flat
+/// per-vertex arrays, giving O(n (n + m) log n) overall. Contracting t
+/// into s moves t's edge list onto s and points t at s, so no list is
+/// copied; an edge is read through `find` to its current super-vertex.
 pub fn stoer_wagner(adj: &[Vec<(u32, u64)>], part: &[u32]) -> (u64, Vec<u32>) {
-    use std::collections::{BinaryHeap, HashMap, HashSet};
-
-    let in_part: HashSet<u32> = part.iter().copied().collect();
-    // Mutable weighted adjacency over active super-vertices.
-    let mut w: HashMap<u32, HashMap<u32, u64>> =
-        part.iter().map(|&v| (v, HashMap::new())).collect();
-    for &u in part {
-        for &(v, weight) in &adj[u as usize] {
-            if u < v && in_part.contains(&v) {
-                *w.get_mut(&u).unwrap().entry(v).or_insert(0) += weight;
-                *w.get_mut(&v).unwrap().entry(u).or_insert(0) += weight;
-            }
-        }
+    let n = adj.len();
+    let mut in_part = vec![false; n];
+    for &v in part {
+        in_part[v as usize] = true;
     }
-    let mut merged: HashMap<u32, Vec<u32>> = part.iter().map(|&v| (v, vec![v])).collect();
+    let mut edges: Vec<Vec<(u32, u64)>> = vec![Vec::new(); n];
+    let mut merged: Vec<Vec<u32>> = vec![Vec::new(); n];
+    for &v in part {
+        edges[v as usize] =
+            adj[v as usize].iter().copied().filter(|&(u, _)| in_part[u as usize]).collect();
+        merged[v as usize] = vec![v];
+    }
+    let mut rep: Vec<u32> = (0..n as u32).collect();
+    let (mut key, mut in_a) = (vec![0u64; n], vec![false; n]);
     let mut active: Vec<u32> = part.to_vec();
-
-    let mut best_cut = u64::MAX;
-    let mut best_side: Vec<u32> = Vec::new();
+    let mut heap: BinaryHeap<(u64, u32)> = BinaryHeap::new();
+    let mut order: Vec<u32> = Vec::with_capacity(part.len());
+    let (mut best_cut, mut best_side) = (u64::MAX, Vec::new());
 
     while active.len() > 1 {
-        // Maximum adjacency search with a lazy max-heap.
-        let start = active[0];
-        let mut in_a: HashSet<u32> = HashSet::new();
-        let mut key: HashMap<u32, u64> = active.iter().map(|&v| (v, 0)).collect();
-        let mut heap: BinaryHeap<(u64, u32)> = BinaryHeap::new();
-        heap.push((0, start));
-        let mut order: Vec<u32> = Vec::with_capacity(active.len());
+        for &v in &active {
+            key[v as usize] = 0;
+            in_a[v as usize] = false;
+        }
+        order.clear();
+        heap.push((0, active[0]));
         while order.len() < active.len() {
-            let Some((k, v)) = heap.pop() else {
-                // Disconnected: pull any remaining vertex with key 0.
-                let &v = active.iter().find(|v| !in_a.contains(v)).expect("remaining vertex");
-                in_a.insert(v);
-                order.push(v);
-                for (&u, &weight) in &w[&v] {
-                    if !in_a.contains(&u) {
-                        let nk = key[&u] + weight;
-                        key.insert(u, nk);
-                        heap.push((nk, u));
-                    }
+            let v = match heap.pop() {
+                Some((kv, v)) if in_a[v as usize] || key[v as usize] != kv => continue, // stale
+                Some((_, v)) => v,
+                // Disconnected: continue from any vertex outside A.
+                None => {
+                    *active.iter().find(|&&v| !in_a[v as usize]).expect("a vertex outside A")
                 }
-                continue;
             };
-            if in_a.contains(&v) || key[&v] != k {
-                continue; // stale heap entry
-            }
-            in_a.insert(v);
+            in_a[v as usize] = true;
             order.push(v);
-            for (&u, &weight) in &w[&v] {
-                if !in_a.contains(&u) {
-                    let nk = key[&u] + weight;
-                    key.insert(u, nk);
-                    heap.push((nk, u));
+            for &(u, weight) in &edges[v as usize] {
+                let u = find(&mut rep, u) as usize;
+                if !in_a[u] {
+                    key[u] += weight;
+                    heap.push((key[u], u as u32));
                 }
             }
         }
-        let t = *order.last().unwrap();
-        let s_prev = order[order.len() - 2];
-        let cut_of_phase = key[&t];
-        if cut_of_phase < best_cut {
-            best_cut = cut_of_phase;
-            best_side = merged[&t].clone();
+        heap.clear();
+        let [s, t] = [order[order.len() - 2], order[order.len() - 1]].map(|v| v as usize);
+        if key[t] < best_cut {
+            best_cut = key[t];
+            best_side = merged[t].clone();
         }
-        // Contract t into s_prev.
-        let t_merged = merged.remove(&t).unwrap();
-        merged.get_mut(&s_prev).unwrap().extend(t_merged);
-        let t_edges: Vec<(u32, u64)> =
-            w.remove(&t).unwrap().into_iter().filter(|&(v, _)| v != s_prev).collect();
-        for (v, weight) in t_edges {
-            w.get_mut(&v).unwrap().remove(&t);
-            *w.get_mut(&s_prev).unwrap().entry(v).or_insert(0) += weight;
-            *w.get_mut(&v).unwrap().entry(s_prev).or_insert(0) += weight;
-        }
-        w.get_mut(&s_prev).unwrap().remove(&t);
-        active.retain(|&v| v != t);
+        // Contract t into s.
+        rep[t] = s as u32;
+        let moved = std::mem::take(&mut edges[t]);
+        edges[s].extend(moved);
+        edges[s].retain(|&(u, _)| find(&mut rep, u) as usize != s);
+        let moved = std::mem::take(&mut merged[t]);
+        merged[s].extend(moved);
+        active.retain(|&v| v as usize != t);
     }
     best_side.sort_unstable();
     (if best_cut == u64::MAX { 0 } else { best_cut }, best_side)
@@ -217,6 +187,12 @@ mod tests {
             b.add_edge(v(a), v(c));
         }
         b.build()
+    }
+
+    /// The whole-graph reference: peel q's connected k-core, then search it.
+    fn kecc_community(g: &AttributedGraph, q: VertexId, k: u32) -> Option<Community> {
+        let core = crate::Global.fixed_k(g, q, k)?;
+        super::kecc_community(g, core.vertices(), q, k)
     }
 
     fn local_adj(g: &AttributedGraph) -> Vec<Vec<(u32, u64)>> {

@@ -1,20 +1,16 @@
 //! `Global` — the community-search algorithm of Sozio & Gionis
 //! ("The community-search problem and how to plan a successful cocktail
-//! party", SIGKDD 2010).
+//! party", SIGKDD 2010), in the fixed-k form C-Explorer's UI drives
+//! ("Structure: degree ≥ k"): the connected k-core containing q. This is
+//! why Global's community in Figure 6(a) is an order of magnitude larger
+//! than everyone else's — it is the *entire* connected k-core.
 //!
-//! Two forms are exposed:
-//!
-//! * [`Global::fixed_k`] — the form C-Explorer's UI drives ("Structure:
-//!   degree ≥ k"): peel the whole graph to its maximal k-core and return
-//!   the connected component containing q. This is why Global's community
-//!   in Figure 6(a) is an order of magnitude larger than everyone else's —
-//!   it is the *entire* connected k-core.
-//! * [`Global::max_min_degree`] — the original optimisation form: greedily
-//!   delete a minimum-degree vertex at a time (stopping before q would be
-//!   deleted) and return q's component in the prefix subgraph whose
-//!   minimum degree was maximal.
+//! The engine answers it from the CL-tree: the connected k-core of q is
+//! one preorder interval of the index (`ClTree::connected_k_core`), so a
+//! served query peels nothing. [`Global::fixed_k`] is the index-free
+//! reference the tests, E11 and cx-check hold that lookup to.
 
-use cx_graph::{AttributedGraph, Community, VertexId, VertexSet};
+use cx_graph::{AttributedGraph, Community, VertexId};
 use cx_kcore::{connected_k_core_containing, k_core_of_subset};
 
 /// The Sozio–Gionis global peeling algorithm. Stateless; methods take the
@@ -35,116 +31,12 @@ impl Global {
         let core = k_core_of_subset(g, &all, k);
         connected_k_core_containing(g, &core, q, k).map(Community::structural)
     }
-
-    /// Maximises the minimum internal degree of a connected subgraph
-    /// containing `q`: peel minimum-degree vertices one by one (never `q`);
-    /// the answer is q's component at the prefix with the best minimum
-    /// degree. Returns the community and that optimal minimum degree.
-    pub fn max_min_degree(&self, g: &AttributedGraph, q: VertexId) -> Option<(Community, u32)> {
-        if !g.contains(q) {
-            return None;
-        }
-        let n = g.vertex_count();
-        let mut deg: Vec<usize> = g.degrees();
-        let mut alive = VertexSet::from_iter(n, g.vertices());
-
-        // Buckets of vertices by current degree, processed lazily.
-        let max_deg = g.max_degree();
-        let mut bucket: Vec<Vec<VertexId>> = vec![Vec::new(); max_deg + 1];
-        for v in g.vertices() {
-            bucket[deg[v.index()]].push(v);
-        }
-        let mut cursor = 0usize; // lowest possibly-non-empty bucket
-
-        // Deletion order and the minimum degree observed *before* each
-        // deletion step.
-        let mut deleted: Vec<VertexId> = Vec::with_capacity(n);
-        let mut min_deg_before: Vec<usize> = Vec::with_capacity(n);
-        let mut best_min = 0usize;
-        let mut best_step = 0usize; // number of deletions performed at the best prefix
-
-        loop {
-            // Find the current minimum-degree vertex.
-            let mut picked: Option<VertexId> = None;
-            'scan: while cursor <= max_deg {
-                while let Some(&v) = bucket[cursor].last() {
-                    if !alive.contains(v) || deg[v.index()] != cursor {
-                        bucket[cursor].pop(); // stale entry
-                        continue;
-                    }
-                    picked = Some(v);
-                    break 'scan;
-                }
-                cursor += 1;
-            }
-            let Some(mut v) = picked else { break };
-            let cur_min = deg[v.index()];
-            if cur_min > best_min {
-                best_min = cur_min;
-                best_step = deleted.len();
-            }
-            if v == q {
-                // Never delete q: take another vertex from the same bucket
-                // if one exists, otherwise stop (q is the unique minimum).
-                let alt = bucket[cursor]
-                    .iter()
-                    .rev()
-                    .copied()
-                    .find(|&u| u != q && alive.contains(u) && deg[u.index()] == cursor);
-                match alt {
-                    Some(u) => v = u,
-                    None => break,
-                }
-            }
-            // Delete v.
-            alive.remove(v);
-            min_deg_before.push(cur_min);
-            deleted.push(v);
-            for &u in g.neighbors(v) {
-                if alive.contains(u) {
-                    let d = deg[u.index()] - 1;
-                    deg[u.index()] = d;
-                    bucket[d].push(u);
-                    if d < cursor {
-                        cursor = d;
-                    }
-                }
-            }
-        }
-        // The loop ends with q's degree as the final minimum candidate.
-        if alive.contains(q) {
-            let final_min = g
-                .neighbors(q)
-                .iter()
-                .filter(|&&u| alive.contains(u))
-                .count()
-                .min(alive.iter().map(|u| deg[u.index()]).min().unwrap_or(0));
-            if final_min > best_min {
-                best_min = final_min;
-                best_step = deleted.len();
-            }
-        }
-
-        // Rebuild the best prefix: everything not deleted in the first
-        // `best_step` deletions.
-        let mut prefix = VertexSet::from_iter(n, g.vertices());
-        for &v in deleted.iter().take(best_step) {
-            prefix.remove(v);
-        }
-        if !prefix.contains(q) {
-            return None;
-        }
-        let mut members = cx_graph::traversal::bfs_filtered(g, q, |v| prefix.contains(v));
-        members.sort_unstable();
-        Some((Community::structural(members), best_min as u32))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cx_datagen::{figure5_graph, small_collab_graph};
-    use cx_graph::GraphBuilder;
 
     #[test]
     fn fixed_k_is_whole_connected_core() {
@@ -165,52 +57,10 @@ mod tests {
     }
 
     #[test]
-    fn max_min_degree_finds_the_densest_region_around_q() {
-        let g = figure5_graph();
-        let a = g.vertex_by_label("A").unwrap();
-        let (c, k) = Global.max_min_degree(&g, a).unwrap();
-        // A sits in a K4: the best minimum degree is 3.
-        assert_eq!(k, 3);
-        assert_eq!(c.len(), 4);
-        assert_eq!(c.min_internal_degree(&g), 3);
-    }
-
-    #[test]
-    fn max_min_degree_for_peripheral_vertex() {
-        let g = figure5_graph();
-        let f = g.vertex_by_label("F").unwrap();
-        let (c, k) = Global.max_min_degree(&g, f).unwrap();
-        // F's best achievable minimum degree is 1 (it has degree 2 but its
-        // neighbours E and G can't all be kept at degree ≥ 2 with F).
-        assert!(c.contains(f));
-        assert!(k >= 1);
-        assert_eq!(c.min_internal_degree(&g) as u32, k);
-    }
-
-    #[test]
-    fn max_min_degree_on_clique_returns_clique() {
-        let mut b = GraphBuilder::new();
-        for i in 0..5 {
-            b.add_vertex(&format!("v{i}"), &[]);
-        }
-        for i in 0..5u32 {
-            for j in (i + 1)..5 {
-                b.add_edge(VertexId(i), VertexId(j));
-            }
-        }
-        let g = b.build();
-        let (c, k) = Global.max_min_degree(&g, VertexId(2)).unwrap();
-        assert_eq!(k, 4);
-        assert_eq!(c.len(), 5);
-    }
-
-    #[test]
     fn isolated_query_vertex() {
         let g = figure5_graph();
         let j = g.vertex_by_label("J").unwrap();
-        let (c, k) = Global.max_min_degree(&g, j).unwrap();
-        assert_eq!(k, 0);
-        assert_eq!(c.len(), 1);
+        assert_eq!(Global.fixed_k(&g, j, 0).unwrap().vertices(), &[j]);
         assert!(Global.fixed_k(&g, j, 1).is_none());
     }
 

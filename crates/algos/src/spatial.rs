@@ -12,6 +12,12 @@
 //! optimal circle's radius is at least half the distance from q to its
 //! farthest community member).
 //!
+//! Only the candidates the caller passes are sorted and probed. The
+//! engine passes q's connected k-core, one preorder interval of the
+//! CL-tree: a k-core found inside any disk lies inside that core, so
+//! restricting to it changes no answer and bounds every probe by the
+//! core's size instead of n.
+//!
 //! Coordinates live *beside* the attributed graph (a parallel slice), so
 //! the substrate stays attribute-agnostic; generators in `cx-datagen`
 //! produce area-clustered coordinates.
@@ -34,15 +40,18 @@ pub fn distance(a: (f64, f64), b: (f64, f64)) -> f64 {
 }
 
 /// `AppInc`: the smallest q-centred disk containing a connected k-core
-/// with q, by binary search over the distance-sorted vertex prefix.
+/// with q, by binary search over the distance-sorted prefixes of
+/// `candidates`.
 ///
 /// `coords[v]` is the position of vertex `v`; the slice must cover every
-/// vertex. Returns `None` when no k-core containing q exists at all.
+/// vertex. `candidates` must contain q's connected k-core (all vertices
+/// will do). Returns `None` when no k-core containing q exists among them.
 ///
-/// Cost: O(log n) subset-peel verifications over shrinking prefixes.
+/// Cost: O(log |candidates|) subset-peel verifications over prefixes.
 pub fn sac_appinc(
     g: &AttributedGraph,
     coords: &[(f64, f64)],
+    candidates: &[VertexId],
     q: VertexId,
     k: u32,
 ) -> Option<SpatialCommunity> {
@@ -50,9 +59,9 @@ pub fn sac_appinc(
     if !g.contains(q) {
         return None;
     }
-    // Vertices sorted by distance from q (q itself first).
+    // Candidates sorted by distance from q (q itself first).
     let cq = coords[q.index()];
-    let mut order: Vec<VertexId> = g.vertices().collect();
+    let mut order: Vec<VertexId> = candidates.to_vec();
     order.sort_by(|&a, &b| {
         distance(coords[a.index()], cq)
             .partial_cmp(&distance(coords[b.index()], cq))
@@ -60,7 +69,7 @@ pub fn sac_appinc(
             .then(a.cmp(&b))
     });
 
-    // Feasibility at the full graph first.
+    // Feasibility over all candidates first.
     connected_k_core_containing(g, &order, q, k)?;
 
     // Binary search the smallest feasible prefix length. Feasibility is
@@ -98,10 +107,21 @@ mod tests {
         VertexId(i)
     }
 
+    /// SAC over every vertex of `g`.
+    fn sac_all(
+        g: &AttributedGraph,
+        coords: &[(f64, f64)],
+        q: VertexId,
+        k: u32,
+    ) -> Option<SpatialCommunity> {
+        let all: Vec<VertexId> = g.vertices().collect();
+        sac_appinc(g, coords, &all, q, k)
+    }
+
     /// Two triangles containing q=0: a near one (0,1,2) and a far one
     /// (0,3,4). SAC must pick the near one; plain Global would return the
     /// whole connected 2-core.
-    fn two_triangles() -> (cx_graph::AttributedGraph, Vec<(f64, f64)>) {
+    fn two_triangles() -> (AttributedGraph, Vec<(f64, f64)>) {
         let mut b = GraphBuilder::new();
         for i in 0..5 {
             b.add_vertex(&format!("v{i}"), &[]);
@@ -116,7 +136,7 @@ mod tests {
     #[test]
     fn picks_the_spatially_close_core() {
         let (g, coords) = two_triangles();
-        let sac = sac_appinc(&g, &coords, v(0), 2).unwrap();
+        let sac = sac_all(&g, &coords, v(0), 2).unwrap();
         assert_eq!(sac.community.vertices(), &[v(0), v(1), v(2)]);
         assert!(sac.radius <= 1.0 + 1e-9, "radius {}", sac.radius);
         assert!(sac.community.min_internal_degree(&g) >= 2);
@@ -135,7 +155,7 @@ mod tests {
         }
         let coords = vec![(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (50.0, 0.0), (50.0, 1.0)];
         let g = b.build();
-        let sac = sac_appinc(&g, &coords, v(0), 2).unwrap();
+        let sac = sac_all(&g, &coords, v(0), 2).unwrap();
         assert_eq!(sac.community.vertices(), &[v(0), v(3), v(4)]);
         assert!(sac.radius >= 50.0);
     }
@@ -143,14 +163,14 @@ mod tests {
     #[test]
     fn no_core_returns_none() {
         let (g, coords) = two_triangles();
-        assert!(sac_appinc(&g, &coords, v(0), 3).is_none());
-        assert!(sac_appinc(&g, &coords, v(99), 2).is_none());
+        assert!(sac_all(&g, &coords, v(0), 3).is_none());
+        assert!(sac_all(&g, &coords, v(99), 2).is_none());
     }
 
     #[test]
     fn radius_is_minimal_among_prefixes() {
         let (g, coords) = two_triangles();
-        let sac = sac_appinc(&g, &coords, v(0), 2).unwrap();
+        let sac = sac_all(&g, &coords, v(0), 2).unwrap();
         // Any strictly smaller q-centred disk must not contain a 2-core
         // with q: check the prefix just below the community's size.
         let cq = coords[0];
@@ -175,6 +195,6 @@ mod tests {
     #[should_panic(expected = "one coordinate per vertex")]
     fn coordinate_length_mismatch_panics() {
         let (g, _) = two_triangles();
-        sac_appinc(&g, &[(0.0, 0.0)], v(0), 2);
+        sac_all(&g, &[(0.0, 0.0)], v(0), 2);
     }
 }

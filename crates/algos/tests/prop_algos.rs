@@ -44,18 +44,6 @@ proptest! {
     }
 
     #[test]
-    fn global_max_min_degree_is_core_number(g in arb_graph(25), qi in 0u32..25) {
-        let q = VertexId(qi % g.vertex_count() as u32);
-        let (c, best) = Global.max_min_degree(&g, q).unwrap();
-        // The optimal achievable min degree of a subgraph containing q is
-        // exactly q's core number (classic result).
-        let cd = CoreDecomposition::compute(&g);
-        prop_assert_eq!(best, cd.core(q), "q=v{}", q.0);
-        prop_assert!(c.contains(q));
-        prop_assert_eq!(c.min_internal_degree(&g) as u32, best);
-    }
-
-    #[test]
     fn local_answer_is_valid_and_inside_global(g in arb_graph(25), qi in 0u32..25, k in 1u32..4) {
         let q = VertexId(qi % g.vertex_count() as u32);
         let local = Local { max_candidates: 0, check_every: 1 }.fixed_k(&g, q, k);
@@ -140,6 +128,12 @@ fn max_edge_disjoint_paths(
     }
 }
 
+/// k-ECC search inside the peeled connected k-core of q.
+fn kecc(g: &AttributedGraph, q: VertexId, k: u32) -> Option<cx_graph::Community> {
+    let core = Global.fixed_k(g, q, k)?;
+    cx_algos::kecc_community(g, core.vertices(), q, k)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(30))]
 
@@ -148,7 +142,7 @@ proptest! {
     #[test]
     fn kecc_answer_is_k_edge_connected(g in arb_graph(14), qi in 0u32..14, k in 2u32..4) {
         let q = VertexId(qi % g.vertex_count() as u32);
-        if let Some(c) = cx_algos::kecc_community(&g, q, k) {
+        if let Some(c) = kecc(&g, q, k) {
             prop_assert!(c.contains(q));
             prop_assert!(c.len() >= 2);
             for &v in c.vertices() {
@@ -169,7 +163,7 @@ proptest! {
     #[test]
     fn kecc_within_k_core(g in arb_graph(16), qi in 0u32..16, k in 2u32..4) {
         let q = VertexId(qi % g.vertex_count() as u32);
-        if let Some(c) = cx_algos::kecc_community(&g, q, k) {
+        if let Some(c) = kecc(&g, q, k) {
             let core = Global.fixed_k(&g, q, k).expect("kECC implies k-core");
             for &v in c.vertices() {
                 prop_assert!(core.contains(v));

@@ -15,19 +15,23 @@
 //! 3. **Strategy differential** — Dec vs. Inc-S / Inc-T / Basic. At the
 //!    default `--basic-limit` every workload query must take the
 //!    index-free Basic leg; the summary line reports the count.
-//! 4. **Cache and analysis differentials** — cold vs. warm vs.
-//!    cache-disabled engines; for every registered CD algorithm, `search`
-//!    on each workload query vertex vs. the first cluster of a fresh
-//!    `detect` holding it; and for every registered CS algorithm and
+//! 4. **Cache, analysis and structural differentials** — cold vs. warm
+//!    vs. cache-disabled engines; for every registered CD algorithm,
+//!    `search` on each workload query vertex vs. the first cluster of a
+//!    fresh `detect` holding it; for every registered CS algorithm and
 //!    workload query, the engine's CPJ and CMF vs. their all-pairs
-//!    definitions, bit for bit.
+//!    definitions, bit for bit; and for every workload query vertex and
+//!    k in 0..=core(q)+1, the engine's `global`, `kecc` and `sac` (which
+//!    start from the CL-tree interval) vs. their whole-graph-peel
+//!    references.
 //! 5. **Snapshot differential** — a reader pinned to a pre-edit snapshot
 //!    vs. the post-edit snapshot: each must match an engine that only
 //!    ever saw that graph version, and generations must advance.
 //! 6. **Incremental differential** — a seeded edit script replayed
 //!    through the incremental write path: after every step the patched
-//!    graph, maintained core numbers, repaired CL-tree and a live query
-//!    must all match a from-scratch rebuild of the same edge set.
+//!    graph, maintained core numbers, repaired CL-tree and a live `acq`
+//!    and `global` query must all match a from-scratch rebuild of the
+//!    same edge set.
 //! 7. **Thread differential** — fingerprints at CX_THREADS=1 vs. N.
 //! 8. **Scratch-reuse differential** — the pooled zero-alloc query path
 //!    vs. a deliberately dirtied caller-managed scratch, at 1 and 8
@@ -51,7 +55,7 @@ use cx_check::{
     check_acq_result,
     edit_script, fingerprint, fuzz_server, graph_matrix, hierarchy_reconstruction,
     incremental_vs_scratch, kill_replay, query_workload, scratch_reuse_differential,
-    snapshot_pinning_differential, FuzzParams, KillReplayParams,
+    snapshot_pinning_differential, structural_vs_peel, FuzzParams, KillReplayParams,
 };
 use cx_cltree::ClTree;
 use cx_datagen::dblp_like;
@@ -219,9 +223,14 @@ fn main() {
             problems.push(format!("{} {}", case.name, m));
         }
 
-        // Analysis differential: every CS name, every workload query
-        // (acq-basic within --basic-limit keywords).
-        for m in analysis_vs_pairs(g, &workload, args.basic_limit) {
+        // Analysis differential: every CS name, every workload query.
+        for m in analysis_vs_pairs(g, &workload) {
+            problems.push(format!("{} {}", case.name, m));
+        }
+
+        // Structural differential: the CL-tree interval vs. a whole-graph
+        // peel, for every workload vertex and every k up to core(q) + 1.
+        for m in structural_vs_peel(g, &qs) {
             problems.push(format!("{} {}", case.name, m));
         }
 
@@ -246,8 +255,10 @@ fn main() {
         if let Some(qc) = workload.first() {
             let spec = QuerySpec::by_id(qc.q).k(qc.k);
             let script = edit_script(g, 12, 0xED17 ^ g.vertex_count() as u64);
-            for m in incremental_vs_scratch(g, &script, "acq", &spec) {
-                problems.push(format!("{} {}", case.name, m));
+            for algo in ["acq", "global"] {
+                for m in incremental_vs_scratch(g, &script, algo, &spec) {
+                    problems.push(format!("{} {}", case.name, m));
+                }
             }
         }
 

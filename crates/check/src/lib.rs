@@ -22,7 +22,8 @@
 //!   from-scratch rebuild produces after every step of an edit script.
 //!   The oracle runs both sides and diffs canonicalized results. The
 //!   engine's CPJ and CMF must equal their pair-by-pair definitions
-//!   bit for bit.
+//!   bit for bit, and the structural searches it answers from a CL-tree
+//!   interval (`global`, `kecc`, `sac`) their whole-graph-peel references.
 //! * [`hierarchy`] — the reconstruction oracle for the multi-resolution
 //!   summary: at every level, recursively expanding the level's
 //!   supernodes must reproduce the exact vertex set and edge multiset of
@@ -63,6 +64,6 @@ pub use invariants::{
 pub use oracle::{
     acq_strategy_differential, analysis_vs_pairs, cached_vs_uncached, cd_search_vs_detect,
     cmf_all_members, cpj_all_pairs, incremental_vs_scratch, scratch_reuse_differential,
-    snapshot_pinning_differential, with_threads, Mismatch,
+    snapshot_pinning_differential, structural_vs_peel, with_threads, Mismatch,
 };
 pub use workload::{edit_script, graph_matrix, query_workload, EditStep, GraphCase, QueryCase};

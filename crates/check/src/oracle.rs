@@ -15,17 +15,21 @@
 //!   different counts so callers can fingerprint-compare.
 //!
 //! Beside them, [`analysis_vs_pairs`] holds the engine's CPJ and CMF to
-//! the metrics' definitions, computed pair by pair.
+//! the metrics' definitions, computed pair by pair, and
+//! [`structural_vs_peel`] holds the structural searches the engine answers
+//! from the CL-tree interval to their whole-graph-peel references.
 
 use std::collections::HashSet;
 use std::sync::Mutex;
 
 use cx_acq::{acq, AcqOptions, AcqResult, AcqStrategy};
+use cx_algos::{kecc_community, sac_appinc, Global};
 use cx_cltree::ClTree;
 use cx_explorer::{Engine, QuerySpec};
 use cx_graph::keywords::{intersection_size, jaccard};
 use cx_graph::{AttributedGraph, Community, VertexId};
 use cx_kcore::CoreDecomposition;
+use cx_par::rng::Rng64;
 
 use crate::canonical::{diff_results, fingerprint, graph_fingerprint, tree_canonical};
 use crate::workload::{EditStep, QueryCase};
@@ -228,24 +232,13 @@ pub fn cmf_all_members(g: &AttributedGraph, communities: &[Community], q: Vertex
 /// Analysis oracle: for every registered CS algorithm and every query,
 /// with the query's keyword selection, [`Engine::analyze_snapshot`]'s CPJ
 /// (the mean of [`cpj_all_pairs`]) and CMF ([`cmf_all_members`]) must
-/// equal the references bit for bit. `acq-basic` runs only when the
-/// effective keyword set has at most `basic_keyword_limit` keywords, the
-/// rule [`acq_strategy_differential`] applies to `Basic`.
-pub fn analysis_vs_pairs(
-    g: &AttributedGraph,
-    queries: &[QueryCase],
-    basic_keyword_limit: usize,
-) -> Vec<Mismatch> {
+/// equal the references bit for bit.
+pub fn analysis_vs_pairs(g: &AttributedGraph, queries: &[QueryCase]) -> Vec<Mismatch> {
     let mut mismatches = Vec::new();
     let engine = Engine::with_graph("check", g.clone());
     let snap = engine.snapshot(None).expect("the engine was built with one graph");
     for algo in engine.cs_names() {
         for qc in queries {
-            let effective =
-                if qc.keywords.is_empty() { g.keywords(qc.q).len() } else { qc.keywords.len() };
-            if algo == "acq-basic" && effective > basic_keyword_limit {
-                continue;
-            }
             let context = format!("algo={algo} {}", qc.describe(g));
             let spec = QuerySpec::by_id(qc.q).k(qc.k).with_keywords(g.keyword_names(&qc.keywords));
             let report = engine
@@ -275,6 +268,49 @@ pub fn analysis_vs_pairs(
                         context: context.clone(),
                         detail: format!("{metric} {got:e} != all-pairs {want:e}"),
                     });
+                }
+            }
+        }
+    }
+    mismatches
+}
+
+/// Structural-search oracle: the engine's `global`, `kecc` and `sac` start
+/// from q's connected k-core as one CL-tree interval, and must answer
+/// exactly what their whole-graph references answer, for every distinct
+/// vertex of `queries` and every k in `0..=core(q) + 1`:
+///
+/// * `global` — [`Global::fixed_k`], a peel of all n vertices;
+/// * `kecc` — [`kecc_community`] inside that peeled core;
+/// * `sac` — [`sac_appinc`] over all n vertices, on seeded coordinates
+///   installed in the engine first.
+pub fn structural_vs_peel(g: &AttributedGraph, queries: &[VertexId]) -> Vec<Mismatch> {
+    let mut rng = Rng64::seed_from_u64(0x5AC ^ g.vertex_count() as u64);
+    let coords: Vec<(f64, f64)> =
+        g.vertices().map(|_| (rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0))).collect();
+    let engine = Engine::with_graph("check", g.clone());
+    engine.set_coordinates(None, coords.clone()).expect("one coordinate per vertex");
+    let snap = engine.snapshot(None).expect("the engine was built with one graph");
+    let cores = CoreDecomposition::compute(g);
+    let all: Vec<VertexId> = g.vertices().collect();
+    let mut qs = queries.to_vec();
+    qs.sort_unstable();
+    qs.dedup();
+    let mut mismatches = Vec::new();
+    for q in qs {
+        for k in 0..=cores.core(q) + 1 {
+            let core = Global.fixed_k(g, q, k);
+            let kecc = core.as_ref().and_then(|c| kecc_community(g, c.vertices(), q, k));
+            let sac = sac_appinc(g, &coords, &all, q, k).map(|s| s.community);
+            for (algo, want) in [("global", core), ("kecc", kecc), ("sac", sac)] {
+                let want: Vec<Community> = want.into_iter().collect();
+                let detail = match engine.search_snapshot(&snap, algo, &QuerySpec::by_id(q).k(k)) {
+                    Ok(got) => diff_results("index", &got, "peel", &want),
+                    Err(e) => Some(format!("search errored: {e}")),
+                };
+                if let Some(detail) = detail {
+                    let context = format!("algo={algo} q={} ({q:?}) k={k}", g.label(q));
+                    mismatches.push(Mismatch { oracle: "structural", context, detail });
                 }
             }
         }
@@ -631,7 +667,15 @@ mod tests {
                 [QueryCase { q, k, keywords: Vec::new() }, QueryCase { q, k, keywords: first }]
             })
             .collect();
-        let mm = analysis_vs_pairs(&g, &qs, 10);
+        let mm = analysis_vs_pairs(&g, &qs);
+        assert!(mm.is_empty(), "{mm:?}");
+    }
+
+    #[test]
+    fn structural_oracle_is_clean_on_figure5() {
+        let g = figure5_graph();
+        let qs: Vec<VertexId> = g.vertices().collect();
+        let mm = structural_vs_peel(&g, &qs);
         assert!(mm.is_empty(), "{mm:?}");
     }
 
@@ -710,10 +754,16 @@ mod tests {
 
     #[test]
     fn with_threads_restores_environment() {
-        let before = std::env::var("CX_THREADS").ok();
+        // Read outside `with_threads` under its lock too, so no other
+        // test's pinned value is seen in between.
+        let read = || {
+            let _guard = THREAD_ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+            std::env::var("CX_THREADS").ok()
+        };
+        let before = read();
         let seen = with_threads(3, || std::env::var("CX_THREADS").unwrap());
         assert_eq!(seen, "3");
-        assert_eq!(std::env::var("CX_THREADS").ok(), before);
+        assert_eq!(read(), before);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use cx_cltree::ClTree;
 use cx_graph::{AttributedGraph, Community, VertexId};
+use cx_kcore::truss::{truss_communities, TrussDecomposition};
 
 use crate::query::QuerySpec;
 
@@ -48,33 +49,23 @@ pub trait CdAlgorithm: Send + Sync {
 
 // ---- Built-in algorithm adapters -------------------------------------
 
-/// ACQ behind the [`CsAlgorithm`] trait, parameterised by strategy.
-pub struct AcqAlgorithm {
-    strategy: cx_acq::AcqStrategy,
-    name: &'static str,
+/// q's connected k-core, sorted: one preorder interval of the CL-tree.
+/// At k = 0 the level-0 root's interval is the whole graph, but the
+/// connected 0-core containing q is q's component: the k = 1 interval
+/// when q has an edge, `{q}` when it has none.
+fn connected_core(ctx: &GraphContext<'_>, q: VertexId, k: u32) -> Option<Vec<VertexId>> {
+    if k == 0 && ctx.tree.core(q) == 0 {
+        return Some(vec![q]);
+    }
+    ctx.tree.connected_k_core(q, k.max(1))
 }
 
-impl AcqAlgorithm {
-    /// The engine default (`Dec`), named plain `acq`.
-    pub fn dec() -> Self {
-        Self { strategy: cx_acq::AcqStrategy::Dec, name: "acq" }
-    }
-
-    /// A specific strategy, named `acq-<strategy>`.
-    pub fn with_strategy(strategy: cx_acq::AcqStrategy) -> Self {
-        let name = match strategy {
-            cx_acq::AcqStrategy::Basic => "acq-basic",
-            cx_acq::AcqStrategy::IncS => "acq-inc-s",
-            cx_acq::AcqStrategy::IncT => "acq-inc-t",
-            cx_acq::AcqStrategy::Dec => "acq",
-        };
-        Self { strategy, name }
-    }
-}
+/// ACQ (the `Dec` strategy) behind the [`CsAlgorithm`] trait.
+pub struct AcqAlgorithm;
 
 impl CsAlgorithm for AcqAlgorithm {
     fn name(&self) -> &str {
-        self.name
+        "acq"
     }
 
     fn search(&self, ctx: &GraphContext<'_>, qs: &[VertexId], spec: &QuerySpec) -> Vec<Community> {
@@ -84,11 +75,12 @@ impl CsAlgorithm for AcqAlgorithm {
             return cx_acq::multi::acq_multi(ctx.graph, ctx.tree, qs, &opts).communities;
         }
         let Some(&q) = qs.first() else { return Vec::new() };
-        cx_acq::acq(ctx.graph, ctx.tree, q, &opts, self.strategy).communities
+        cx_acq::acq(ctx.graph, ctx.tree, q, &opts, cx_acq::AcqStrategy::Dec).communities
     }
 }
 
-/// Global (fixed-k connected k-core) behind the trait.
+/// Global (fixed-k connected k-core) behind the trait, answered from the
+/// CL-tree without a peel.
 pub struct GlobalAlgorithm;
 
 impl CsAlgorithm for GlobalAlgorithm {
@@ -97,22 +89,11 @@ impl CsAlgorithm for GlobalAlgorithm {
     }
 
     fn search(&self, ctx: &GraphContext<'_>, qs: &[VertexId], spec: &QuerySpec) -> Vec<Community> {
-        let Some(&q) = qs.first() else { return Vec::new() };
-        cx_algos::Global.fixed_k(ctx.graph, q, spec.k).into_iter().collect()
-    }
-}
-
-/// Global in its original maximise-min-degree form.
-pub struct GlobalMaxMinAlgorithm;
-
-impl CsAlgorithm for GlobalMaxMinAlgorithm {
-    fn name(&self) -> &str {
-        "global-maxmin"
-    }
-
-    fn search(&self, ctx: &GraphContext<'_>, qs: &[VertexId], _spec: &QuerySpec) -> Vec<Community> {
-        let Some(&q) = qs.first() else { return Vec::new() };
-        cx_algos::Global.max_min_degree(ctx.graph, q).map(|(c, _)| c).into_iter().collect()
+        qs.first()
+            .and_then(|&q| connected_core(ctx, q, spec.k))
+            .map(Community::structural)
+            .into_iter()
+            .collect()
     }
 }
 
@@ -140,13 +121,15 @@ impl CsAlgorithm for KTrussAlgorithm {
 
     fn search(&self, ctx: &GraphContext<'_>, qs: &[VertexId], spec: &QuerySpec) -> Vec<Community> {
         let Some(&q) = qs.first() else { return Vec::new() };
-        cx_algos::KTruss::new().search(ctx.graph, q, spec.k.max(2))
+        let td = TrussDecomposition::compute(ctx.graph);
+        truss_communities(ctx.graph, &td, q, spec.k.max(2))
     }
 }
 
 /// Spatial-aware community search behind the trait: the smallest
-/// query-centred disk containing a connected k-core (AppInc). Returns
-/// nothing when the graph has no installed coordinates.
+/// query-centred disk containing a connected k-core (AppInc), probed
+/// over q's connected k-core only. Returns nothing when the graph has no
+/// installed coordinates.
 pub struct SacAlgorithm;
 
 impl CsAlgorithm for SacAlgorithm {
@@ -158,14 +141,16 @@ impl CsAlgorithm for SacAlgorithm {
         let (Some(&q), Some(coords)) = (qs.first(), ctx.coords) else {
             return Vec::new();
         };
-        cx_algos::spatial::sac_appinc(ctx.graph, coords, q, spec.k)
+        connected_core(ctx, q, spec.k)
+            .and_then(|core| cx_algos::sac_appinc(ctx.graph, coords, &core, q, spec.k))
             .map(|s| s.community)
             .into_iter()
             .collect()
     }
 }
 
-/// k-edge-connected community search behind the trait.
+/// k-edge-connected community search behind the trait, run inside q's
+/// connected k-core.
 pub struct KEccAlgorithm;
 
 impl CsAlgorithm for KEccAlgorithm {
@@ -175,7 +160,10 @@ impl CsAlgorithm for KEccAlgorithm {
 
     fn search(&self, ctx: &GraphContext<'_>, qs: &[VertexId], spec: &QuerySpec) -> Vec<Community> {
         let Some(&q) = qs.first() else { return Vec::new() };
-        cx_algos::kecc_community(ctx.graph, q, spec.k).into_iter().collect()
+        connected_core(ctx, q, spec.k)
+            .and_then(|core| cx_algos::kecc_community(ctx.graph, &core, q, spec.k))
+            .into_iter()
+            .collect()
     }
 }
 
@@ -193,23 +181,6 @@ impl CdAlgorithm for CodicilAlgorithm {
 
     fn detect(&self, ctx: &GraphContext<'_>) -> Vec<Community> {
         cx_algos::Codicil::new(self.params.clone()).detect(ctx.graph).communities
-    }
-}
-
-/// Girvan–Newman divisive detection behind the [`CdAlgorithm`] trait.
-#[derive(Default)]
-pub struct GirvanNewmanAlgorithm {
-    /// Tuning parameters.
-    pub params: cx_algos::GirvanNewmanParams,
-}
-
-impl CdAlgorithm for GirvanNewmanAlgorithm {
-    fn name(&self) -> &str {
-        "girvan-newman"
-    }
-
-    fn detect(&self, ctx: &GraphContext<'_>) -> Vec<Community> {
-        cx_algos::GirvanNewman::new(self.params.clone()).detect(ctx.graph).communities
     }
 }
 
@@ -242,15 +213,14 @@ mod tests {
         let ctx = GraphContext { graph: &g, tree: &tree, coords: None };
         let q = g.vertex_by_label("A").unwrap();
         let spec = QuerySpec::by_label("A").k(2);
-        let out = AcqAlgorithm::dec().search(&ctx, &[q], &spec);
+        let out = AcqAlgorithm.search(&ctx, &[q], &spec);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].len(), 3);
     }
 
     #[test]
     fn adapter_names_are_stable() {
-        assert_eq!(AcqAlgorithm::dec().name(), "acq");
-        assert_eq!(AcqAlgorithm::with_strategy(cx_acq::AcqStrategy::IncS).name(), "acq-inc-s");
+        assert_eq!(AcqAlgorithm.name(), "acq");
         assert_eq!(GlobalAlgorithm.name(), "global");
         assert_eq!(LocalAlgorithm.name(), "local");
         assert_eq!(KTrussAlgorithm.name(), "ktruss");
@@ -263,7 +233,7 @@ mod tests {
         let tree = ClTree::build(&g);
         let ctx = GraphContext { graph: &g, tree: &tree, coords: None };
         let spec = QuerySpec::by_label("A");
-        assert!(AcqAlgorithm::dec().search(&ctx, &[], &spec).is_empty());
+        assert!(AcqAlgorithm.search(&ctx, &[], &spec).is_empty());
         assert!(GlobalAlgorithm.search(&ctx, &[], &spec).is_empty());
         assert!(LocalAlgorithm.search(&ctx, &[], &spec).is_empty());
         assert!(KTrussAlgorithm.search(&ctx, &[], &spec).is_empty());

@@ -36,10 +36,8 @@ use cx_layout::{layout_community, LayoutAlgorithm, Scene};
 use cx_par::task::{CancelToken, ProgressFn};
 
 use crate::api::{
-    AcqAlgorithm, CdAlgorithm, CodicilAlgorithm, CsAlgorithm, GlobalAlgorithm,
-    GlobalMaxMinAlgorithm, GirvanNewmanAlgorithm, KEccAlgorithm, KTrussAlgorithm, LocalAlgorithm,
-    SacAlgorithm,
-    LouvainAlgorithm,
+    AcqAlgorithm, CdAlgorithm, CodicilAlgorithm, CsAlgorithm, GlobalAlgorithm, KEccAlgorithm,
+    KTrussAlgorithm, LocalAlgorithm, LouvainAlgorithm, SacAlgorithm,
 };
 use crate::cache::{CacheStats, QueryKey, ShardedCache, DEFAULT_CAPACITY};
 use crate::error::ExplorerError;
@@ -207,19 +205,14 @@ impl Engine {
             store: None,
             compacting: std::sync::atomic::AtomicBool::new(false),
         };
-        e.register_cs(Box::new(AcqAlgorithm::dec()));
-        e.register_cs(Box::new(AcqAlgorithm::with_strategy(cx_acq::AcqStrategy::IncS)));
-        e.register_cs(Box::new(AcqAlgorithm::with_strategy(cx_acq::AcqStrategy::IncT)));
-        e.register_cs(Box::new(AcqAlgorithm::with_strategy(cx_acq::AcqStrategy::Basic)));
+        e.register_cs(Box::new(AcqAlgorithm));
         e.register_cs(Box::new(GlobalAlgorithm));
-        e.register_cs(Box::new(GlobalMaxMinAlgorithm));
         e.register_cs(Box::new(LocalAlgorithm));
         e.register_cs(Box::new(KTrussAlgorithm));
         e.register_cs(Box::new(KEccAlgorithm));
         e.register_cs(Box::new(SacAlgorithm));
         e.register_cd(Box::new(CodicilAlgorithm::default()));
         e.register_cd(Box::new(LouvainAlgorithm::default()));
-        e.register_cd(Box::new(GirvanNewmanAlgorithm::default()));
         e
     }
 
@@ -596,11 +589,8 @@ mod tests {
     #[test]
     fn builtins_are_registered() {
         let e = engine();
-        let cs = e.cs_names();
-        for name in ["acq", "acq-inc-s", "acq-inc-t", "acq-basic", "global", "global-maxmin", "local", "ktruss", "kecc"] {
-            assert!(cs.contains(&name), "missing {name}");
-        }
-        assert_eq!(e.cd_names(), vec!["codicil", "louvain", "girvan-newman"]);
+        assert_eq!(e.cs_names(), vec!["acq", "global", "local", "ktruss", "kecc", "sac"]);
+        assert_eq!(e.cd_names(), vec!["codicil", "louvain"]);
         assert_eq!(e.graph_names(), vec!["fig5"]);
         assert_eq!(e.default_graph_name().as_deref(), Some("fig5"));
     }
@@ -636,6 +626,25 @@ mod tests {
         // Global on the same query returns the bigger plain core.
         let g = e.search("global", &QuerySpec::by_label("A").k(2)).unwrap();
         assert_eq!(g[0].len(), 5);
+    }
+
+    #[test]
+    fn global_at_k0_is_the_query_component() {
+        // The CL-tree's level-0 root spans the whole graph; at k = 0 Global
+        // must still answer q's component: A–G for A (not the H–I pair, not
+        // the isolated J), and J alone for J.
+        let e = engine();
+        let snap = e.snapshot(None).unwrap();
+        let (a, j) = (snap.vertex_by_label("A").unwrap(), snap.vertex_by_label("J").unwrap());
+        let got = e.search("global", &QuerySpec::by_id(a).k(0)).unwrap();
+        assert_eq!(got.len(), 1);
+        assert!(!got[0].contains(j));
+        assert_eq!(Some(&got[0]), cx_algos::Global.fixed_k(&snap.graph, a, 0).as_ref());
+        assert_eq!(got[0].len(), 7);
+        let alone = e.search("global", &QuerySpec::by_id(j).k(0)).unwrap();
+        assert_eq!(alone.len(), 1);
+        assert_eq!(alone[0].vertices(), &[j]);
+        assert!(e.search("global", &QuerySpec::by_id(j).k(1)).unwrap().is_empty());
     }
 
     #[test]

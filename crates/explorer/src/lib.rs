@@ -20,8 +20,11 @@
 //! Third-party algorithms plug in by implementing [`CsAlgorithm`] or
 //! [`CdAlgorithm`] and calling [`Engine::register_cs`] /
 //! [`Engine::register_cd`]; they then appear in search and comparison
-//! analysis exactly like the built-ins (`acq`, `acq-inc-s`, `acq-inc-t`,
-//! `acq-basic`, `global`, `global-maxmin`, `local`, `ktruss`, `codicil`).
+//! analysis exactly like the built-ins: the CS algorithms `acq`, `global`,
+//! `local`, `ktruss`, `kecc` and `sac`, and the CD algorithms `codicil`
+//! and `louvain`. `global`, `kecc` and `sac` start from q's connected
+//! k-core, one preorder interval of the CL-tree, instead of a whole-graph
+//! peel.
 
 pub mod api;
 pub mod cache;

@@ -1,7 +1,8 @@
 //! `Engine::open_durable` loads each CL-tree from the snapshot the last
 //! compaction stored beside the checkpoint, and rebuilds it whenever that
 //! is not possible. The two boots must be indistinguishable except in
-//! `cx_index_boot_total{source}` — same canonical tree, same answers.
+//! `cx_index_boot_total{source}` — same canonical tree, same answers,
+//! including `global`, which reads q's connected k-core off the tree.
 //!
 //! One test function: the counters are process-wide.
 
@@ -30,7 +31,10 @@ fn boot_loads_the_index_and_rebuilds_when_it_cannot() {
     let answers = |e: &Engine| {
         let snap = e.snapshot(Some("g")).unwrap();
         let found = e.search_on(Some("g"), "acq", &spec).unwrap();
-        (snap.generation, tree_canonical(&snap.tree), fingerprint(&found))
+        let core = e.search_on(Some("g"), "global", &spec).unwrap();
+        let peeled: Vec<_> = cx_algos::Global.fixed_k(&snap.graph, hub, 3).into_iter().collect();
+        assert_eq!(core, peeled, "global must be the peeled connected 3-core");
+        (snap.generation, tree_canonical(&snap.tree), fingerprint(&found), fingerprint(&core))
     };
 
     // The stored tree is one `update` produced, not a fresh build: node

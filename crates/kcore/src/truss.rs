@@ -338,6 +338,18 @@ mod tests {
     }
 
     #[test]
+    fn a_vertex_without_triangles_has_no_truss_community() {
+        // The fixture's loner has one edge and no triangle: that edge is
+        // a 2-truss edge, so k = 3 finds nothing.
+        let g = cx_datagen::small_collab_graph();
+        let loner = g.vertex_by_label("loner").unwrap();
+        let td = TrussDecomposition::compute(&g);
+        assert_eq!(g.degree(loner), 1);
+        assert!(truss_communities(&g, &td, loner, 3).is_empty());
+        assert_eq!(truss_communities(&g, &td, loner, 2).len(), 1);
+    }
+
+    #[test]
     fn empty_graph_decomposition() {
         let g = GraphBuilder::new().build();
         let td = TrussDecomposition::compute(&g);

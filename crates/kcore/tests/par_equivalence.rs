@@ -4,6 +4,8 @@
 //! input length and partial results are combined in chunk order, so this
 //! holds exactly (not just statistically).
 
+use std::sync::{Mutex, MutexGuard};
+
 use cx_datagen::{dblp_like, DblpParams};
 use cx_graph::AttributedGraph;
 use cx_kcore::truss::{triangle_count, TrussDecomposition};
@@ -16,8 +18,17 @@ fn graphs() -> Vec<AttributedGraph> {
         .collect()
 }
 
+/// Held by every test here: each one reads `CX_THREADS` (through the
+/// parallel paths) or writes it, and the tests run on parallel threads.
+static ENV_LOCK: Mutex<()> = Mutex::new(());
+
+fn env_lock() -> MutexGuard<'static, ()> {
+    ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Runs `f` once per thread count and asserts all outputs are equal.
 fn at_thread_counts<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T) {
+    let _guard = env_lock();
     std::env::set_var("CX_THREADS", "1");
     cx_par::refresh_threads();
     let base = f();
@@ -40,6 +51,7 @@ fn core_numbers_identical_across_thread_counts() {
 
 #[test]
 fn parallel_and_sequential_decompositions_agree() {
+    let _guard = env_lock();
     for g in graphs() {
         let seq = CoreDecomposition::compute(&g);
         let par = CoreDecomposition::compute_par(&g);

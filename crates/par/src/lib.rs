@@ -252,7 +252,12 @@ pub fn par_reduce<A: Send>(
 mod tests {
     use super::*;
 
+    /// Every test that reads or writes `CX_THREADS`, directly or through
+    /// a parallel helper, holds this lock.
+    static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     fn with_threads<R>(n: &str, f: impl FnOnce() -> R) -> R {
+        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let old = std::env::var("CX_THREADS").ok();
         std::env::set_var("CX_THREADS", n);
         refresh_threads();
@@ -346,7 +351,7 @@ mod tests {
     #[test]
     fn map_slice_borrows() {
         let items: Vec<String> = (0..5000).map(|i| format!("x{i}")).collect();
-        let lens = par_map_slice(&items, |s| s.len());
+        let lens = with_threads("2", || par_map_slice(&items, |s| s.len()));
         assert_eq!(lens.len(), 5000);
         assert_eq!(lens[0], 2);
         assert_eq!(lens[4999], 5);

@@ -424,9 +424,12 @@ fn e11_spatial(n: usize) -> Table {
     );
     let (mut rows, mut tighter, mut inside) = (Vec::new(), true, true);
     for q in top_hubs(&g, 5) {
-        let (sac, took) = timed(|| sac_appinc(&g, &coords, q, K));
-        let plain = Global.fixed_k(&g, q, K);
-        let (Some(sac), Some(plain)) = (sac, plain) else {
+        let Some(plain) = Global.fixed_k(&g, q, K) else {
+            inside = false;
+            continue;
+        };
+        let (sac, took) = timed(|| sac_appinc(&g, &coords, plain.vertices(), q, K));
+        let Some(sac) = sac else {
             inside = false;
             continue;
         };
