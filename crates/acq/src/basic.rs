@@ -14,20 +14,19 @@
 use cx_graph::{AttributedGraph, InvertedIndex, VertexId};
 
 use crate::dec::next_combination;
-use crate::scratch::{finalize_into, QueryAnswer, QueryScratch};
-use crate::{AcqOptions, AcqResult};
+use crate::scratch::{finalize_into, QueryAnswer, StratScratch, VerifyScratch};
+use crate::AcqOptions;
 
-/// Runs `Basic` into a caller-provided scratch and answer.
-pub(crate) fn run_scratch(
+/// Runs `Basic` for the query set `qs` into `out`, with `strat.s` already
+/// resolved; only the peel buffers of `vs` are used.
+pub(crate) fn walk(
     g: &AttributedGraph,
-    q: VertexId,
+    qs: &[VertexId],
     opts: &AcqOptions,
-    scratch: &mut QueryScratch,
+    vs: &mut VerifyScratch,
+    strat: &mut StratScratch,
     out: &mut QueryAnswer,
 ) {
-    out.clear();
-    let QueryScratch { verify: vs, strat } = scratch;
-    crate::effective_keywords_into(g, q, opts, &mut strat.s);
     let idx = InvertedIndex::build(g);
     let n = strat.s.len();
     let budget = opts.max_candidates;
@@ -46,7 +45,7 @@ pub(crate) fn run_scratch(
             let subset: Vec<_> = strat.idxs.iter().map(|&i| strat.s[i]).collect();
             let members = idx.vertices_with_all(g, &subset);
             verified += 1;
-            if vs.peel.connected_k_core_containing_into(g, &members, q, opts.k, &mut vs.peeled) {
+            if vs.peel.connected_k_core_containing_into(g, &members, qs, opts.k, &mut vs.peeled) {
                 strat.push_hit(&vs.peeled);
             }
             if !next_combination(&mut strat.idxs, n) {
@@ -65,31 +64,21 @@ pub(crate) fn run_scratch(
         }
     }
 
-    // Fallback: the plain connected k-core containing q, computed without
-    // any index (this is the baseline, after all).
-    let all: Vec<VertexId> = g.vertices().collect();
-    vs.peel.k_core_of_subset_into(g, &all, opts.k, &mut vs.kw_list);
-    strat.clear_hits();
+    // Fallback: the plain connected k-core containing Q, peeled from the
+    // whole graph without any index (this is the baseline, after all).
     out.candidates_verified = verified;
     out.truncated = truncated;
-    if vs.peel.connected_k_core_containing_into(g, &vs.kw_list, q, opts.k, &mut vs.peeled) {
-        strat.push_hit(&vs.peeled);
-        finalize_into(g, strat, false, out);
+    let all: Vec<VertexId> = g.vertices().collect();
+    if vs.peel.connected_k_core_containing_into(g, &all, qs, opts.k, &mut vs.peeled) {
+        crate::finalize_plain_core(g, &vs.peeled, strat, out);
     }
-    // else: out stays empty (q not in any k-core).
-}
-
-/// Runs `Basic` with a one-off scratch, returning an owned result.
-pub fn run(g: &AttributedGraph, q: VertexId, opts: &AcqOptions) -> AcqResult {
-    let mut scratch = QueryScratch::new();
-    let mut out = QueryAnswer::new();
-    run_scratch(g, q, opts, &mut scratch, &mut out);
-    out.to_result()
+    // else: out stays empty (Q shares no connected k-core).
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{acq, AcqOptions, AcqStrategy};
+    use cx_cltree::ClTree;
     use cx_datagen::figure5_graph;
 
     #[test]
@@ -98,7 +87,7 @@ mod tests {
         let q = g.vertex_by_label("A").unwrap();
         // |S| = |W(A)| = 3 and the answer is at size 2, so Basic checks
         // C(3,3) + C(3,2) = 4 candidates.
-        let res = run(&g, q, &AcqOptions::with_k(2));
+        let res = acq(&g, &ClTree::build(&g), q, &AcqOptions::with_k(2), AcqStrategy::Basic);
         assert_eq!(res.candidates_verified, 4);
         assert_eq!(res.shared_keyword_count, 2);
     }
@@ -107,7 +96,8 @@ mod tests {
     fn budget_stops_basic() {
         let g = figure5_graph();
         let q = g.vertex_by_label("A").unwrap();
-        let res = run(&g, q, &AcqOptions::with_k(2).max_candidates(1));
+        let opts = AcqOptions::with_k(2).max_candidates(1);
+        let res = acq(&g, &ClTree::build(&g), q, &opts, AcqStrategy::Basic);
         assert!(res.truncated);
     }
 }

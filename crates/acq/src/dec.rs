@@ -8,43 +8,31 @@
 //! picks Dec for the system.
 //!
 //! Dec is the strategy the engine serves, so it is held to the strictest
-//! hot-path contract: with a warmed [`QueryScratch`] it performs **zero**
+//! hot-path contract: with a warmed [`crate::QueryScratch`] it performs **zero**
 //! heap allocations per query (asserted by `tests/zero_alloc.rs`).
 
-use cx_cltree::ClTree;
-use cx_graph::{AttributedGraph, VertexId};
+use cx_graph::AttributedGraph;
 
-use crate::scratch::{finalize_into, QueryAnswer, QueryScratch};
+use crate::scratch::{finalize_into, QueryAnswer, StratScratch};
 use crate::verify::Verifier;
-use crate::{AcqOptions, AcqResult};
 
-/// Runs `Dec` into a caller-provided scratch and answer.
-pub(crate) fn run_scratch(
+/// Runs `Dec` over a built verifier into `out`, stopping after `budget`
+/// examined candidates (0 = unlimited) or at the request deadline.
+pub(crate) fn walk(
     g: &AttributedGraph,
-    tree: &ClTree,
-    q: VertexId,
-    opts: &AcqOptions,
-    scratch: &mut QueryScratch,
+    verifier: &mut Verifier<'_>,
+    strat: &mut StratScratch,
+    budget: usize,
     out: &mut QueryAnswer,
 ) {
-    out.clear();
-    let QueryScratch { verify: vs, strat } = scratch;
-    crate::effective_keywords_into(g, q, opts, &mut strat.s);
-    let Some(mut verifier) = Verifier::new(g, tree, q, opts.k, &strat.s, vs) else {
-        return;
-    };
     let n = verifier.alive_count();
     // Sizes above the neighbour-mask popcount bound are provably hitless
     // — start the downward sweep below them. With the filter unarmed the
     // cap equals `n`.
     let top = verifier.max_candidate_size();
-    let budget = opts.max_candidates;
     let mut truncated = false;
 
     for size in (1..=top).rev() {
-        if truncated {
-            break;
-        }
         strat.clear_hits();
         strat.idxs.clear();
         strat.idxs.extend(0..size);
@@ -62,9 +50,7 @@ pub(crate) fn run_scratch(
                 break;
             }
             if verifier.verify_idxs(&strat.idxs) {
-                let (hits_data, hits_off) = (&mut strat.hits_data, &mut strat.hits_off);
-                hits_data.extend_from_slice(verifier.peeled());
-                hits_off.push(hits_data.len());
+                strat.push_hit(verifier.peeled());
             }
             if !next_combination(&mut strat.idxs, n) {
                 break;
@@ -85,23 +71,9 @@ pub(crate) fn run_scratch(
     }
 
     // No keyword subset verified: fall back to the plain connected k-core.
-    strat.clear_hits();
-    strat.hits_data.extend_from_slice(verifier.core());
-    strat.hits_off.push(strat.hits_data.len());
-    out.shared_keyword_count = 0;
     out.candidates_verified = verifier.verified;
     out.truncated = truncated;
-    let t = crate::profile::timer();
-    finalize_into(g, strat, false, out);
-    crate::profile::add_expand(t);
-}
-
-/// Runs `Dec` with a one-off scratch, returning an owned result.
-pub fn run(g: &AttributedGraph, tree: &ClTree, q: VertexId, opts: &AcqOptions) -> AcqResult {
-    let mut scratch = QueryScratch::new();
-    let mut out = QueryAnswer::new();
-    run_scratch(g, tree, q, opts, &mut scratch, &mut out);
-    out.to_result()
+    crate::finalize_plain_core(g, verifier.core(), strat, out);
 }
 
 /// Advances `idxs` to the next size-|idxs| combination of `0..n` in

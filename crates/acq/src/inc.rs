@@ -15,30 +15,21 @@
 
 use std::collections::HashSet;
 
-use cx_cltree::ClTree;
 use cx_graph::{AttributedGraph, VertexId};
 
-use crate::scratch::{finalize_into, QueryAnswer, QueryScratch, StratScratch};
+use crate::scratch::{finalize_into, QueryAnswer, StratScratch};
 use crate::verify::Verifier;
-use crate::{AcqOptions, AcqResult};
 
-/// Runs `Inc-S` (level-wise apriori) into a caller-provided scratch.
-pub(crate) fn run_inc_s_scratch(
+/// Runs `Inc-S` (level-wise apriori) over a built verifier into `out`,
+/// stopping after `budget` examined candidates (0 = unlimited).
+pub(crate) fn walk_inc_s(
     g: &AttributedGraph,
-    tree: &ClTree,
-    q: VertexId,
-    opts: &AcqOptions,
-    scratch: &mut QueryScratch,
+    verifier: &mut Verifier<'_>,
+    strat: &mut StratScratch,
+    budget: usize,
     out: &mut QueryAnswer,
 ) {
-    out.clear();
-    let QueryScratch { verify: vs, strat } = scratch;
-    crate::effective_keywords_into(g, q, opts, &mut strat.s);
-    let Some(mut verifier) = Verifier::new(g, tree, q, opts.k, &strat.s, vs) else {
-        return;
-    };
     let n = verifier.alive_count();
-    let budget = opts.max_candidates;
     let mut truncated = false;
 
     // Level 1: every surviving singleton, re-verified to capture its core.
@@ -56,12 +47,9 @@ pub(crate) fn run_inc_s_scratch(
     }
 
     if level_sets.is_empty() {
-        strat.clear_hits();
-        strat.push_hit(verifier.core());
-        out.shared_keyword_count = 0;
         out.candidates_verified = verifier.verified;
         out.truncated = truncated;
-        finalize_into(g, strat, false, out);
+        crate::finalize_plain_core(g, verifier.core(), strat, out);
         return;
     }
 
@@ -117,14 +105,6 @@ pub(crate) fn run_inc_s_scratch(
     finalize_into(g, strat, true, out);
 }
 
-/// Runs `Inc-S` with a one-off scratch, returning an owned result.
-pub fn run_inc_s(g: &AttributedGraph, tree: &ClTree, q: VertexId, opts: &AcqOptions) -> AcqResult {
-    let mut scratch = QueryScratch::new();
-    let mut out = QueryAnswer::new();
-    run_inc_s_scratch(g, tree, q, opts, &mut scratch, &mut out);
-    out.to_result()
-}
-
 /// Depth-first state for `Inc-T`; best hits accumulate in the strategy
 /// scratch's flattened hit buffers.
 struct Dfs {
@@ -176,24 +156,18 @@ fn dfs(
     }
 }
 
-/// Runs `Inc-T` (set-enumeration tree, shared prefix verification) into a
-/// caller-provided scratch.
-pub(crate) fn run_inc_t_scratch(
+/// Runs `Inc-T` (set-enumeration tree, shared prefix verification) over a
+/// built verifier into `out`, stopping after `budget` examined candidates
+/// (0 = unlimited).
+pub(crate) fn walk_inc_t(
     g: &AttributedGraph,
-    tree: &ClTree,
-    q: VertexId,
-    opts: &AcqOptions,
-    scratch: &mut QueryScratch,
+    verifier: &mut Verifier<'_>,
+    strat: &mut StratScratch,
+    budget: usize,
     out: &mut QueryAnswer,
 ) {
-    out.clear();
-    let QueryScratch { verify: vs, strat } = scratch;
-    crate::effective_keywords_into(g, q, opts, &mut strat.s);
-    let Some(mut verifier) = Verifier::new(g, tree, q, opts.k, &strat.s, vs) else {
-        return;
-    };
     let n = verifier.alive_count();
-    let mut state = Dfs { best_size: 0, truncated: false, budget: opts.max_candidates };
+    let mut state = Dfs { best_size: 0, truncated: false, budget };
 
     strat.clear_hits();
     // The DFS root: the plain connected k-core, at the bottom of the
@@ -201,37 +175,22 @@ pub(crate) fn run_inc_t_scratch(
     strat.prefix_data.clear();
     strat.prefix_data.extend_from_slice(verifier.core());
     let root_hi = strat.prefix_data.len();
-    dfs(&mut verifier, strat, 0, root_hi, 0, 0, n, &mut state);
+    dfs(verifier, strat, 0, root_hi, 0, 0, n, &mut state);
 
+    out.candidates_verified = verifier.verified;
+    out.truncated = state.truncated;
     if state.best_size == 0 {
-        strat.clear_hits();
-        strat.prefix_data.truncate(root_hi);
-        let (hits_data, hits_off) = (&mut strat.hits_data, &mut strat.hits_off);
-        hits_data.extend_from_slice(&strat.prefix_data);
-        hits_off.push(hits_data.len());
-        out.shared_keyword_count = 0;
-        out.candidates_verified = verifier.verified;
-        out.truncated = state.truncated;
-        finalize_into(g, strat, false, out);
+        crate::finalize_plain_core(g, verifier.core(), strat, out);
         return;
     }
     out.shared_keyword_count = state.best_size;
-    out.candidates_verified = verifier.verified;
-    out.truncated = state.truncated;
     finalize_into(g, strat, true, out);
-}
-
-/// Runs `Inc-T` with a one-off scratch, returning an owned result.
-pub fn run_inc_t(g: &AttributedGraph, tree: &ClTree, q: VertexId, opts: &AcqOptions) -> AcqResult {
-    let mut scratch = QueryScratch::new();
-    let mut out = QueryAnswer::new();
-    run_inc_t_scratch(g, tree, q, opts, &mut scratch, &mut out);
-    out.to_result()
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{acq, AcqOptions, AcqStrategy};
+    use cx_cltree::ClTree;
     use cx_datagen::small_collab_graph;
 
     /// Inc-S and Inc-T agree with each other on the collab fixture for a
@@ -244,8 +203,8 @@ mod tests {
         for q in g.vertices() {
             for k in 1..=4 {
                 let opts = AcqOptions::with_k(k);
-                let a = run_inc_s(&g, &tree, q, &opts);
-                let b = run_inc_t(&g, &tree, q, &opts);
+                let a = acq(&g, &tree, q, &opts, AcqStrategy::IncS);
+                let b = acq(&g, &tree, q, &opts, AcqStrategy::IncT);
                 assert_eq!(a.shared_keyword_count, b.shared_keyword_count, "q={q} k={k}");
                 assert_eq!(a.communities, b.communities, "q={q} k={k}");
             }
@@ -260,8 +219,8 @@ mod tests {
         let tree = ClTree::build(&g);
         let q = g.vertex_by_label("db-author-0").unwrap();
         let opts = AcqOptions::with_k(3);
-        let a = run_inc_s(&g, &tree, q, &opts);
-        let b = run_inc_t(&g, &tree, q, &opts);
+        let a = acq(&g, &tree, q, &opts, AcqStrategy::IncS);
+        let b = acq(&g, &tree, q, &opts, AcqStrategy::IncT);
         assert!(
             b.candidates_verified <= a.candidates_verified,
             "Inc-T {} > Inc-S {}",
@@ -276,8 +235,8 @@ mod tests {
         let tree = ClTree::build(&g);
         let q = g.vertex_by_label("db-author-0").unwrap();
         let opts = AcqOptions::with_k(2).max_candidates(3);
-        for run in [run_inc_s, run_inc_t] {
-            let res = run(&g, &tree, q, &opts);
+        for strat in [AcqStrategy::IncS, AcqStrategy::IncT] {
+            let res = acq(&g, &tree, q, &opts, strat);
             assert!(res.truncated);
             assert!(res.candidates_verified <= 4); // 3 + the in-flight one
         }

@@ -28,20 +28,22 @@
 //!   keywords so the answer sits near the top of the lattice.
 //!
 //! All strategies except `Basic` run against the [`cx_cltree::ClTree`]
-//! index. A multi-query-vertex variant ([`multi::acq_multi`]) implements
-//! the paper's `Q`-set extension.
+//! index. Every strategy also answers the paper's multi-vertex variant
+//! ([`acq_set`]): a query *set* `Q` is the same lattice search with
+//! "contains q" read as "contains every q ∈ Q", so one query vertex is
+//! simply a one-element set.
 
-pub mod basic;
-pub mod dec;
-pub mod inc;
-pub mod multi;
+mod basic;
+mod dec;
+mod inc;
 pub mod profile;
 pub mod scratch;
-pub mod verify;
+mod verify;
 
 use cx_cltree::ClTree;
 use cx_graph::{AttributedGraph, Community, KeywordId, VertexId};
 
+use scratch::StratScratch;
 pub use scratch::{QueryAnswer, QueryScratch};
 
 /// Which ACQ query algorithm to run.
@@ -79,9 +81,11 @@ pub struct AcqOptions {
     /// Minimum degree k every community member must have inside the
     /// community (the "Structure: degree ≥ k" box in the UI).
     pub k: u32,
-    /// The query keyword set `S`. Keywords not in `W(q)` are dropped, per
-    /// the problem definition (`S ⊆ W(q)`). When empty, all of `W(q)` is
-    /// used — the UI's default of preselecting the author's keywords.
+    /// The query keyword set `S`. Keywords not in `W(q)` — for a query
+    /// set, not carried by every q ∈ Q — are dropped, per the problem
+    /// definition (`S ⊆ W(q)`). When empty, all of `W(q)` (`⋂ W(q)` for a
+    /// set) is used — the UI's default of preselecting the author's
+    /// keywords.
     pub keywords: Vec<KeywordId>,
     /// Safety valve: stop after this many candidate verifications
     /// (0 = unlimited). `Basic` on a large `S` needs this.
@@ -148,8 +152,21 @@ pub fn acq(
     opts: &AcqOptions,
     strategy: AcqStrategy,
 ) -> AcqResult {
+    acq_set(g, tree, std::slice::from_ref(&q), opts, strategy)
+}
+
+/// Runs an ACQ query for the query *set* `qs` (the UI's "+" button):
+/// communities containing every q ∈ Q. Empty when `qs` is empty, holds an
+/// invalid vertex, or its vertices share no connected k-core.
+pub fn acq_set(
+    g: &AttributedGraph,
+    tree: &ClTree,
+    qs: &[VertexId],
+    opts: &AcqOptions,
+    strategy: AcqStrategy,
+) -> AcqResult {
     scratch::with_pooled(|scratch, answer| {
-        acq_with_scratch(g, tree, q, opts, strategy, scratch, answer);
+        run(g, tree, qs, opts, strategy, scratch, answer);
         answer.to_result()
     })
 }
@@ -170,8 +187,23 @@ pub fn acq_with_scratch(
     scratch: &mut QueryScratch,
     out: &mut QueryAnswer,
 ) {
-    if !g.contains(q) {
-        out.clear();
+    run(g, tree, std::slice::from_ref(&q), opts, strategy, scratch, out);
+}
+
+/// The one ACQ walk behind every entry point and strategy: resolve `S`,
+/// build the [`verify::Verifier`] over q's connected k-core (all but
+/// `Basic`), and enumerate candidate keyword sets in the strategy's order.
+fn run(
+    g: &AttributedGraph,
+    tree: &ClTree,
+    qs: &[VertexId],
+    opts: &AcqOptions,
+    strategy: AcqStrategy,
+    scratch: &mut QueryScratch,
+    out: &mut QueryAnswer,
+) {
+    out.clear();
+    if qs.is_empty() || qs.iter().any(|&q| !g.contains(q)) {
         return;
     }
     let _span = cx_obs::span(match strategy {
@@ -180,78 +212,64 @@ pub fn acq_with_scratch(
         AcqStrategy::IncT => "acq.inc-t",
         AcqStrategy::Dec => "acq.dec",
     });
-    match strategy {
-        AcqStrategy::Basic => basic::run_scratch(g, q, opts, scratch, out),
-        AcqStrategy::IncS => inc::run_inc_s_scratch(g, tree, q, opts, scratch, out),
-        AcqStrategy::IncT => inc::run_inc_t_scratch(g, tree, q, opts, scratch, out),
-        AcqStrategy::Dec => dec::run_scratch(g, tree, q, opts, scratch, out),
+    let QueryScratch { verify: vs, strat } = scratch;
+    effective_keywords_into(g, qs, opts, &mut strat.s);
+    if strategy == AcqStrategy::Basic {
+        basic::walk(g, qs, opts, vs, strat, out);
+    } else if let Some(mut verifier) = verify::Verifier::new(g, tree, qs, opts.k, &strat.s, vs) {
+        let budget = opts.max_candidates;
+        match strategy {
+            AcqStrategy::IncS => inc::walk_inc_s(g, &mut verifier, strat, budget, out),
+            AcqStrategy::IncT => inc::walk_inc_t(g, &mut verifier, strat, budget, out),
+            _ => dec::walk(g, &mut verifier, strat, budget, out),
+        }
     }
     cx_obs::metrics::observe_us("cx_acq_candidates_verified", out.candidates_verified as u64);
 }
 
-/// The effective query keyword set: explicit `S` filtered to `W(q)`, or
-/// all of `W(q)` when no explicit set was given. Sorted, deduplicated.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn effective_keywords(
+/// The effective query keyword set into `out` (cleared first): explicit
+/// `S` filtered to the keywords every query vertex carries
+/// (`S ∩ ⋂ W(q)`), or `⋂ W(q)` when no explicit set was given. Sorted,
+/// deduplicated. `qs` must be non-empty.
+fn effective_keywords_into(
     g: &AttributedGraph,
-    q: VertexId,
-    opts: &AcqOptions,
-) -> Vec<KeywordId> {
-    let mut s = Vec::new();
-    effective_keywords_into(g, q, opts, &mut s);
-    s
-}
-
-/// [`effective_keywords`] into a reusable buffer (cleared first).
-pub(crate) fn effective_keywords_into(
-    g: &AttributedGraph,
-    q: VertexId,
+    qs: &[VertexId],
     opts: &AcqOptions,
     out: &mut Vec<KeywordId>,
 ) {
     out.clear();
-    let wq = g.keywords(q);
+    let carried_by =
+        |vs: &[VertexId], w: &KeywordId| vs.iter().all(|&v| g.keywords(v).binary_search(w).is_ok());
     if opts.keywords.is_empty() {
-        out.extend_from_slice(wq);
+        out.extend(g.keywords(qs[0]).iter().copied().filter(|w| carried_by(&qs[1..], w)));
     } else {
-        out.extend(opts.keywords.iter().copied().filter(|&w| wq.binary_search(&w).is_ok()));
+        out.extend(opts.keywords.iter().copied().filter(|w| carried_by(qs, w)));
         out.sort_unstable();
         out.dedup();
     }
 }
 
-/// Builds the final communities from verified raw answers: dedup by member
-/// set and attach the *actual* shared keyword set `L(Gq, S)`.
-pub(crate) fn finalize(
+/// Records the plain connected k-core (`L = ∅`) as the only hit and
+/// finalizes it: the answer when no keyword subset verifies.
+fn finalize_plain_core(
     g: &AttributedGraph,
-    s: &[KeywordId],
-    raw: Vec<Vec<VertexId>>,
-) -> Vec<Community> {
-    let mut seen: Vec<Vec<VertexId>> = Vec::new();
-    let mut out = Vec::new();
-    for members in raw {
-        if seen.contains(&members) {
-            continue;
-        }
-        // L = ∩_{v∈Gq} (W(v) ∩ S)
-        let mut shared: Vec<KeywordId> = s.to_vec();
-        for &v in &members {
-            shared = cx_graph::keywords::intersect_sorted(&shared, g.keywords(v));
-            if shared.is_empty() {
-                break;
-            }
-        }
-        out.push(Community::new(members.clone(), shared));
-        seen.push(members);
-    }
-    out.sort_by_key(|c| std::cmp::Reverse(c.len()));
-    out
+    core: &[VertexId],
+    strat: &mut StratScratch,
+    out: &mut QueryAnswer,
+) {
+    strat.clear_hits();
+    strat.push_hit(core);
+    out.shared_keyword_count = 0;
+    let t = profile::timer();
+    scratch::finalize_into(g, strat, false, out);
+    profile::add_expand(t);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cx_datagen::figure5_graph;
+    use cx_graph::keywords::intersection_size;
 
     /// The paper's worked example: q=A, k=2, S={w,x,y} → community
     /// {A, C, D} sharing {x, y} — for every strategy.
@@ -291,11 +309,18 @@ mod tests {
     #[test]
     fn foreign_keywords_are_dropped_from_s() {
         let g = figure5_graph();
-        let q = g.vertex_by_label("A").unwrap();
-        let z = g.interner().get("z").unwrap(); // not in W(A)
-        let x = g.interner().get("x").unwrap();
-        let s = effective_keywords(&g, q, &AcqOptions::with_k(2).keywords(vec![z, x, x]));
-        assert_eq!(s, vec![x]);
+        let kw = |n: &str| g.interner().get(n).unwrap();
+        let v = |l: &str| g.vertex_by_label(l).unwrap();
+        let s = |qs: &[VertexId], explicit: Vec<KeywordId>| {
+            let mut out = Vec::new();
+            effective_keywords_into(&g, qs, &AcqOptions::with_k(2).keywords(explicit), &mut out);
+            out
+        };
+        // z is not in W(A) = {w, x, y}.
+        assert_eq!(s(&[v("A")], vec![kw("z"), kw("x"), kw("x")]), vec![kw("x")]);
+        // A query set keeps what every vertex carries: W(A) ∩ W(D) = {x, y}.
+        assert_eq!(s(&[v("A"), v("D")], vec![]), vec![kw("x"), kw("y")]);
+        assert_eq!(s(&[v("A"), v("D")], vec![kw("y"), kw("w")]), vec![kw("y")]);
     }
 
     #[test]
@@ -342,27 +367,114 @@ mod tests {
         }
     }
 
-    /// All four strategies must agree on arbitrary queries over Figure 5.
+    /// All four strategies must agree on every query vertex and every
+    /// pair over Figure 5, from k = 0 up.
     #[test]
     fn strategies_agree_on_figure5_everywhere() {
         let g = figure5_graph();
         let tree = ClTree::build(&g);
-        for q in g.vertices() {
-            for k in 1..=3 {
+        let pairs = g.vertices().flat_map(|a| g.vertices().map(move |b| vec![a, b]));
+        for qs in g.vertices().map(|q| vec![q]).chain(pairs) {
+            for k in 0..=3 {
                 let opts = AcqOptions::with_k(k);
-                let reference = acq(&g, &tree, q, &opts, AcqStrategy::Dec);
+                let reference = acq_set(&g, &tree, &qs, &opts, AcqStrategy::Dec);
                 for strat in [AcqStrategy::Basic, AcqStrategy::IncS, AcqStrategy::IncT] {
-                    let res = acq(&g, &tree, q, &opts, strat);
+                    let res = acq_set(&g, &tree, &qs, &opts, strat);
                     assert_eq!(
                         res.shared_keyword_count, reference.shared_keyword_count,
-                        "L size mismatch {} vs Dec at q={q} k={k}", strat.name()
+                        "L size mismatch {} vs Dec at Q={qs:?} k={k}", strat.name()
                     );
                     assert_eq!(
                         res.communities, reference.communities,
-                        "communities mismatch {} vs Dec at q={q} k={k}", strat.name()
+                        "communities mismatch {} vs Dec at Q={qs:?} k={k}", strat.name()
                     );
                 }
             }
         }
+    }
+
+    fn labels(g: &AttributedGraph, c: &Community) -> Vec<String> {
+        c.vertices().iter().map(|&v| g.label(v).to_owned()).collect()
+    }
+
+    /// k = 0 keeps the answer connected: with no keyword of S carried
+    /// (S ∩ W(q) = ∅) the fallback is q's component, not the whole graph.
+    #[test]
+    fn k_zero_fallback_is_the_component() {
+        let g = figure5_graph();
+        let tree = ClTree::build(&g);
+        let w = g.interner().get("w").unwrap();
+        for (q, want) in [("H", vec!["H", "I"]), ("J", vec!["J"])] {
+            let q = g.vertex_by_label(q).unwrap();
+            for strat in AcqStrategy::ALL {
+                let res = acq(&g, &tree, q, &AcqOptions::with_k(0).keywords(vec![w]), strat);
+                assert_eq!(res.shared_keyword_count, 0, "{}", strat.name());
+                assert_eq!(res.communities.len(), 1, "{}", strat.name());
+                assert_eq!(labels(&g, &res.communities[0]), want, "{}", strat.name());
+            }
+        }
+    }
+
+    #[test]
+    fn joint_query_on_figure5() {
+        let g = figure5_graph();
+        let tree = ClTree::build(&g);
+        let v = |l: &str| g.vertex_by_label(l).unwrap();
+        for strat in AcqStrategy::ALL {
+            // W(A) ∩ W(D) = {x, y}; the joint community is {A, C, D}.
+            let res = acq_set(&g, &tree, &[v("A"), v("D")], &AcqOptions::with_k(2), strat);
+            assert_eq!(res.shared_keyword_count, 2, "{}", strat.name());
+            assert_eq!(res.communities.len(), 1, "{}", strat.name());
+            assert_eq!(labels(&g, &res.communities[0]), ["A", "C", "D"], "{}", strat.name());
+            // W(B) ∩ W(E) = ∅, but B and E share the 2-core {A,B,C,D,E}.
+            let res = acq_set(&g, &tree, &[v("B"), v("E")], &AcqOptions::with_k(2), strat);
+            assert_eq!(res.shared_keyword_count, 0, "{}", strat.name());
+            assert_eq!(labels(&g, &res.communities[0]), ["A", "B", "C", "D", "E"]);
+            // Different components, at k = 1 and at k = 0.
+            for k in [0, 1] {
+                let res = acq_set(&g, &tree, &[v("A"), v("H")], &AcqOptions::with_k(k), strat);
+                assert!(res.communities.is_empty(), "{} k={k}", strat.name());
+            }
+            // Empty and invalid query sets.
+            assert!(acq_set(&g, &tree, &[], &AcqOptions::with_k(1), strat).communities.is_empty());
+            let bad = [v("A"), VertexId(99)];
+            assert!(acq_set(&g, &tree, &bad, &AcqOptions::with_k(1), strat).communities.is_empty());
+        }
+    }
+
+    /// A query set honours the request deadline like a single vertex: in
+    /// a scope whose token has already cancelled, Dec bails at its first
+    /// lattice candidate, having verified at most one past its keyword
+    /// lookups.
+    #[test]
+    fn cancelled_query_set_stops_after_one_candidate() {
+        let (g, _) = cx_datagen::dblp_like(&cx_datagen::DblpParams::scaled(3_000, 7));
+        let tree = ClTree::build(&g);
+        let k = 3;
+        let hub = g.vertices().max_by_key(|&v| (g.degree(v), v.0)).unwrap();
+        let common = |u: VertexId| intersection_size(g.keywords(u), g.keywords(hub));
+        let mate = g
+            .neighbors(hub)
+            .iter()
+            .copied()
+            .filter(|&u| tree.core(u) >= k)
+            .max_by_key(|&u| (common(u), u.0))
+            .unwrap();
+        let qs = [hub, mate];
+        let shared = common(mate);
+        assert!(shared > 1, "the pair must leave a keyword lattice to walk");
+        let opts = AcqOptions::with_k(k);
+        let full = acq_set(&g, &tree, &qs, &opts, AcqStrategy::Dec);
+        assert!(!full.truncated && !full.communities.is_empty());
+        let token = cx_par::task::CancelToken::manual();
+        token.cancel();
+        let cut =
+            cx_par::task::scope(&token, None, || acq_set(&g, &tree, &qs, &opts, AcqStrategy::Dec));
+        assert!(cut.truncated, "a cancelled query set must come back truncated");
+        assert!(
+            cut.candidates_verified <= shared + 1,
+            "verified {} candidates after cancellation (|S| = {shared})",
+            cut.candidates_verified
+        );
     }
 }

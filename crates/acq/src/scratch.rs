@@ -10,9 +10,10 @@
 //! mark during warmup and then stay put — verified by the counting global
 //! allocator in `tests/zero_alloc.rs`.
 //!
-//! The public entry [`crate::acq`] draws a scratch from a thread-local
-//! pool (one per engine worker thread), so callers get the fast path
-//! without managing buffers; [`crate::acq_with_scratch`] exposes the
+//! The public entries [`crate::acq`] and [`crate::acq_set`] draw a
+//! scratch from a thread-local pool (one per engine worker thread), so
+//! callers get the fast path without managing buffers;
+//! [`crate::acq_with_scratch`] exposes the
 //! scratch-resident answer for benchmarks and batch executors that want
 //! to avoid even the final copy-out.
 
@@ -244,8 +245,7 @@ impl QueryAnswer {
 /// Builds the final answer from the recorded hits: dedup by member set
 /// (first occurrence wins), compute each community's actual shared
 /// keyword set `L = S ∩ ⋂_{v} W(v)`, order largest-first (stable), and
-/// write into `out` — the scratch-resident equivalent of
-/// [`crate::finalize`], allocation-free in steady state.
+/// write into `out` — allocation-free in steady state.
 ///
 /// When `use_s` is false the shared sets are empty (the plain-core
 /// fallback, `L = ∅`).

@@ -1,8 +1,9 @@
 //! Keyword-core verification — the inner loop shared by every strategy.
 //!
 //! A candidate keyword set `S'` verifies iff the subgraph induced on
-//! vertices carrying all of `S'` contains a connected k-core with q. The
-//! carriers of one keyword inside q's connected k-core are a slice of the
+//! vertices carrying all of `S'` contains a connected k-core with every
+//! query vertex q ∈ Q (one q for the single-vertex query). The carriers
+//! of one keyword inside q's connected k-core are a slice of the
 //! CL-tree's postings — ascending preorder *ranks*, read in place — so a
 //! candidate is intersected in rank space (any total order intersects),
 //! only the usually tiny intersection is mapped back to vertex ids, and
@@ -14,22 +15,26 @@
 //! across queries, so steady-state verification performs no heap
 //! allocation.
 
-use cx_cltree::{ClTree, NodeId};
+use std::ops::Range;
+
+use cx_cltree::ClTree;
 use cx_graph::{AttributedGraph, KeywordId, VertexId};
 
 use crate::profile;
 use crate::scratch::VerifyScratch;
 
-/// Per-query verification context: q's k-core subtree and the spans of
-/// its single-keyword rank lists, all resident in a borrowed
-/// [`VerifyScratch`].
+/// Per-query verification context: the connected k-core holding the
+/// query set as one CL-tree rank interval, and the spans of its
+/// single-keyword rank lists, all resident in a borrowed [`VerifyScratch`].
 pub(crate) struct Verifier<'a> {
     g: &'a AttributedGraph,
     tree: &'a ClTree,
-    q: VertexId,
+    /// The query set Q; every verified community contains all of it.
+    qs: &'a [VertexId],
     k: u32,
-    /// Root of q's connected k-core subtree in the CL-tree.
-    subtree: NodeId,
+    /// Preorder ranks of the connected k-core containing `qs[0]` — and,
+    /// checked at construction, every other q.
+    ranks: Range<usize>,
     /// Whether `vs.core` has been materialized — the Dec fast path never
     /// copies the full subtree out.
     core_ready: bool,
@@ -59,11 +64,16 @@ pub(crate) struct Verifier<'a> {
 }
 
 impl<'a> Verifier<'a> {
-    /// Builds the context, or `None` when q has no connected k-core.
+    /// Builds the context, or `None` when the query set shares no
+    /// connected k-core: `qs[0]` has none, or some q's rank lies outside
+    /// its interval. `qs` must be non-empty.
     ///
-    /// `s` is the effective query keyword set; keywords that provably
-    /// cannot appear in any answer are pruned immediately
-    /// (anti-monotonicity: any superset would fail too).
+    /// `s` is the effective query keyword set, carried by every q ∈ Q;
+    /// keywords that provably cannot appear in any answer are pruned
+    /// immediately (anti-monotonicity: any superset would fail too). The
+    /// neighbour masks and the size cap read `qs[0]` alone: a community
+    /// holding all of Q holds `qs[0]`, so their necessary conditions hold
+    /// for every Q.
     ///
     /// With the neighbour filter armed (or k = 0) the per-keyword
     /// singleton *peels* are skipped entirely: the verifier keeps the raw
@@ -81,12 +91,16 @@ impl<'a> Verifier<'a> {
     pub fn new(
         g: &'a AttributedGraph,
         tree: &'a ClTree,
-        q: VertexId,
+        qs: &'a [VertexId],
         k: u32,
         s: &[KeywordId],
         vs: &'a mut VerifyScratch,
     ) -> Option<Self> {
-        let subtree = tree.subtree_root_for(q, k)?;
+        let q = qs[0];
+        let ranks = tree.connected_k_core_ranks(q, k)?;
+        if !qs.iter().all(|&v| ranks.contains(&(tree.rank_of(v) as usize))) {
+            return None;
+        }
         vs.core.clear();
         vs.alive.clear();
         vs.alive_spos.clear();
@@ -124,15 +138,16 @@ impl<'a> Verifier<'a> {
         }
         // Deferred-peel mode: keep raw carrier lists and let the
         // per-candidate peel do all the work. Requires the neighbour
-        // filter (or k = 0, where "q is a carrier" is already the exact
-        // singleton test) to keep the candidate lattice in check.
+        // filter (or k = 0, where every keyword of S — carried by all of
+        // Q — already passes the singleton test) to keep the candidate
+        // lattice in check.
         let defer = k == 0 || filter_ready;
         let mut v = Self {
             g,
             tree,
-            q,
+            qs,
             k,
-            subtree,
+            ranks: ranks.clone(),
             core_ready: false,
             filter_ready,
             defer,
@@ -154,7 +169,7 @@ impl<'a> Verifier<'a> {
                 }
             }
             let t = profile::timer();
-            let span = tree.carrier_span(subtree, w);
+            let span = tree.carrier_span(ranks.clone(), w);
             profile::add_walk(t);
             // Exact-count short-circuit: a k-core needs at least k+1
             // vertices — too few carriers can never verify.
@@ -162,12 +177,8 @@ impl<'a> Verifier<'a> {
                 continue;
             }
             let span = if defer {
-                // Keep the keyword iff q itself is a carrier (every
-                // answer contains q); the peel is deferred to the
-                // candidate step, which works on intersections.
-                if g.keywords(q).binary_search(&w).is_err() {
-                    continue;
-                }
+                // The peel is deferred to the candidate step, which works
+                // on intersections.
                 (span.start, span.end)
             } else {
                 let t = profile::timer();
@@ -175,7 +186,7 @@ impl<'a> Verifier<'a> {
                 vs.kw_list.clear();
                 vs.kw_list.extend(tree.postings()[span].iter().map(|&r| tree.order()[r as usize]));
                 let ok =
-                    vs.peel.connected_k_core_containing_into(g, &vs.kw_list, q, k, &mut vs.peeled);
+                    vs.peel.connected_k_core_containing_into(g, &vs.kw_list, qs, k, &mut vs.peeled);
                 profile::add_verify(t);
                 if !ok {
                     continue;
@@ -250,13 +261,13 @@ impl<'a> Verifier<'a> {
         false
     }
 
-    /// Vertices of the connected k-core containing q (sorted), copied out
-    /// of the subtree's rank interval lazily on first use — the Dec fast
-    /// path (top-size candidate verifies) never needs it.
+    /// Vertices of the connected k-core containing Q (sorted), copied out
+    /// of its rank interval lazily on first use — the Dec fast path
+    /// (top-size candidate verifies) never needs it.
     pub fn core(&mut self) -> &[VertexId] {
         if !self.core_ready {
             let t = profile::timer();
-            self.tree.subtree_vertices_into(self.subtree, &mut self.vs.core);
+            self.tree.vertices_at_into(self.ranks.clone(), &mut self.vs.core);
             profile::add_walk(t);
             self.core_ready = true;
         }
@@ -329,15 +340,15 @@ impl<'a> Verifier<'a> {
         acc.extend(members.iter().map(|&r| order[r as usize]));
     }
 
-    /// Peels the accumulator to the connected k-core containing q; the
+    /// Peels the accumulator to the connected k-core containing Q; the
     /// result lands in [`Self::peeled`]. Increments the work counter. The
     /// peel itself rejects a member set of fewer than k+1 vertices or
-    /// without q before doing any work.
+    /// without some q before doing any work.
     fn peel_acc(&mut self) -> bool {
         self.verified += 1;
         self.examined += 1;
         let vs = &mut *self.vs;
-        vs.peel.connected_k_core_containing_into(self.g, &vs.acc, self.q, self.k, &mut vs.peeled)
+        vs.peel.connected_k_core_containing_into(self.g, &vs.acc, self.qs, self.k, &mut vs.peeled)
     }
 
     /// Verifies a candidate keyword subset (indices into [`Self::alive`]):
@@ -432,7 +443,7 @@ fn intersect_sorted_adaptive<T: Ord + Copy>(a: &[T], b: &[T], out: &mut Vec<T>) 
 
 /// Sorted-merge intersection of two ascending lists into a caller-provided
 /// buffer (cleared first); allocation-free once the buffer has capacity.
-pub fn intersect_sorted_into<T: Ord + Copy>(a: &[T], b: &[T], out: &mut Vec<T>) {
+fn intersect_sorted_into<T: Ord + Copy>(a: &[T], b: &[T], out: &mut Vec<T>) {
     out.clear();
     out.reserve(a.len().min(b.len()));
     let (mut i, mut j) = (0, 0);
@@ -453,6 +464,7 @@ pub fn intersect_sorted_into<T: Ord + Copy>(a: &[T], b: &[T], out: &mut Vec<T>) 
 mod tests {
     use super::*;
     use cx_datagen::figure5_graph;
+    use std::slice::from_ref;
 
     #[test]
     fn verifier_prunes_dead_singletons() {
@@ -462,7 +474,7 @@ mod tests {
         let s: Vec<KeywordId> =
             ["w", "x", "y"].iter().map(|n| g.interner().get(n).unwrap()).collect();
         let mut vs = crate::QueryScratch::new();
-        let mut v = Verifier::new(&g, &tree, a, 2, &s, &mut vs.verify).unwrap();
+        let mut v = Verifier::new(&g, &tree, from_ref(&a), 2, &s, &mut vs.verify).unwrap();
         // w is only on A → its singleton core dies; x and y survive.
         let names: Vec<&str> =
             v.alive().iter().map(|&w| g.interner().name(w).unwrap()).collect();
@@ -478,7 +490,7 @@ mod tests {
         let s: Vec<KeywordId> =
             ["w", "x", "y"].iter().map(|n| g.interner().get(n).unwrap()).collect();
         let mut vs = crate::QueryScratch::new();
-        let mut v = Verifier::new(&g, &tree, a, 2, &s, &mut vs.verify).unwrap();
+        let mut v = Verifier::new(&g, &tree, from_ref(&a), 2, &s, &mut vs.verify).unwrap();
         // {x, y} (both surviving keywords): A, C, D carry both.
         assert!(v.verify_idxs(&[0, 1]));
         let labels: Vec<&str> = v.peeled().iter().map(|&u| g.label(u)).collect();
@@ -491,7 +503,7 @@ mod tests {
         let tree = ClTree::build(&g);
         let a = g.vertex_by_label("A").unwrap();
         let mut vs = crate::QueryScratch::new();
-        assert!(Verifier::new(&g, &tree, a, 4, &[], &mut vs.verify).is_none());
+        assert!(Verifier::new(&g, &tree, from_ref(&a), 4, &[], &mut vs.verify).is_none());
     }
 
     #[test]
@@ -500,7 +512,7 @@ mod tests {
         let tree = ClTree::build(&g);
         let a = g.vertex_by_label("A").unwrap();
         let mut vs = crate::QueryScratch::new();
-        let mut v = Verifier::new(&g, &tree, a, 2, &[], &mut vs.verify).unwrap();
+        let mut v = Verifier::new(&g, &tree, from_ref(&a), 2, &[], &mut vs.verify).unwrap();
         assert!(!v.verify_members(&[]));
         assert!(v.verified >= 1);
     }
@@ -516,8 +528,8 @@ mod tests {
             for k in 1..=3 {
                 let s = g.keywords(q).to_vec();
                 let mut fresh = crate::QueryScratch::new();
-                let a = Verifier::new(&g, &tree, q, k, &s, &mut pooled.verify);
-                let b = Verifier::new(&g, &tree, q, k, &s, &mut fresh.verify);
+                let a = Verifier::new(&g, &tree, from_ref(&q), k, &s, &mut pooled.verify);
+                let b = Verifier::new(&g, &tree, from_ref(&q), k, &s, &mut fresh.verify);
                 match (a, b) {
                     (None, None) => {}
                     (Some(mut a), Some(mut b)) => {

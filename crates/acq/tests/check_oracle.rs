@@ -7,7 +7,9 @@
 //! naive reference algorithms.
 
 use cx_acq::AcqOptions;
-use cx_check::{acq_strategy_differential, check_acq_result, graph_matrix, query_workload};
+use cx_check::{
+    acq_strategy_differential, check_acq_result, check_community, graph_matrix, query_workload,
+};
 use cx_cltree::ClTree;
 
 #[test]
@@ -20,8 +22,8 @@ fn seeded_workloads_pass_differential_and_invariants() {
             if !qc.keywords.is_empty() {
                 opts = opts.keywords(qc.keywords.clone());
             }
-            let (reference, mismatches) =
-                acq_strategy_differential(g, &tree, qc.q, &opts, 10);
+            let qs = qc.qs();
+            let (reference, mismatches) = acq_strategy_differential(g, &tree, &qs, &opts, 10);
             assert!(
                 mismatches.is_empty(),
                 "{} {}: {mismatches:?}",
@@ -33,7 +35,14 @@ fn seeded_workloads_pass_differential_and_invariants() {
             } else {
                 qc.keywords.clone()
             };
-            let violations = check_acq_result(g, qc.q, qc.k, &s, &reference);
+            let violations = match qc.companion {
+                None => check_acq_result(g, qc.q, qc.k, &s, &reference),
+                Some(_) => reference
+                    .communities
+                    .iter()
+                    .flat_map(|c| check_community(g, c, &qs, qc.k))
+                    .collect(),
+            };
             assert!(
                 violations.is_empty(),
                 "{} {}: {violations:?}",
@@ -54,8 +63,7 @@ fn high_k_queries_return_empty_not_wrong() {
         let tree = ClTree::build(g);
         for qc in query_workload(g, 3, 1) {
             let opts = AcqOptions::with_k(64);
-            let (reference, mismatches) =
-                acq_strategy_differential(g, &tree, qc.q, &opts, 10);
+            let (reference, mismatches) = acq_strategy_differential(g, &tree, &qc.qs(), &opts, 10);
             assert!(mismatches.is_empty(), "{mismatches:?}");
             assert!(reference.communities.is_empty());
             let violations =
@@ -87,7 +95,7 @@ fn more_than_64_keywords_takes_the_eager_peel_walk() {
     let tree = ClTree::build(&g);
     let opts = AcqOptions::with_k(2);
     // 2^68 subsets: Basic sits this one out.
-    let (reference, mismatches) = acq_strategy_differential(&g, &tree, q, &opts, 0);
+    let (reference, mismatches) = acq_strategy_differential(&g, &tree, &[q], &opts, 0);
     assert!(mismatches.is_empty(), "{mismatches:?}");
     // {x,y} on the K4 and {x,z} on the triangle; {x,y,z} leaves only q, a.
     assert_eq!(reference.shared_keyword_count, 2);

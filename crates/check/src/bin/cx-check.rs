@@ -12,9 +12,12 @@
 //! 2b. **Hierarchy reconstruction** — at every level, fully expanding the
 //!    multi-resolution summary's supernodes must reproduce the exact
 //!    k-core vertex set and edge multiset.
-//! 3. **Strategy differential** — Dec vs. Inc-S / Inc-T / Basic. At the
+//! 3. **Strategy differential** — Dec vs. Inc-S / Inc-T / Basic, for
+//!    single query vertices and query pairs, from k = 0 up. At the
 //!    default `--basic-limit` every workload query must take the
-//!    index-free Basic leg; the summary line reports the count.
+//!    index-free Basic leg; the summary line reports the count, and how
+//!    many of those legs were query sets and k = 0 queries — neither may
+//!    be zero.
 //! 4. **Cache, analysis and structural differentials** — cold vs. warm
 //!    vs. cache-disabled engines; for every registered CD algorithm,
 //!    `search` on each workload query vertex vs. the first cluster of a
@@ -52,7 +55,7 @@ use cx_check::invariants::{check_core_numbers, check_label_column, check_tree_co
 use cx_check::oracle::thread_differential;
 use cx_check::{
     acq_strategy_differential, analysis_vs_pairs, cached_vs_uncached, cd_search_vs_detect,
-    check_acq_result,
+    check_acq_result, check_community,
     edit_script, fingerprint, fuzz_server, graph_matrix, hierarchy_reconstruction,
     incremental_vs_scratch, kill_replay, query_workload, scratch_reuse_differential,
     snapshot_pinning_differential, structural_vs_peel, FuzzParams, KillReplayParams,
@@ -142,6 +145,8 @@ fn main() {
     let mut problems: Vec<String> = Vec::new();
     let mut queries_run = 0usize;
     let mut basic_legs = 0usize;
+    let mut qset_basic = 0usize;
+    let mut k0_basic = 0usize;
     let matrix = graph_matrix(&args.sizes, &args.seeds);
     println!(
         "cx-check: {} graphs × {} queries, threads {:?}, fuzz {}",
@@ -190,8 +195,9 @@ fn main() {
             if !qc.keywords.is_empty() {
                 opts = opts.keywords(qc.keywords.clone());
             }
+            let qs = qc.qs();
             let (reference, mismatches) =
-                acq_strategy_differential(g, &tree, qc.q, &opts, args.basic_limit);
+                acq_strategy_differential(g, &tree, &qs, &opts, args.basic_limit);
             for m in mismatches {
                 problems.push(format!("{} {}", case.name, m));
             }
@@ -201,8 +207,21 @@ fn main() {
                 qc.keywords.clone()
             };
             // Same rule the differential applies to admit Basic.
-            basic_legs += usize::from(s.len() <= args.basic_limit);
-            for v in check_acq_result(g, qc.q, qc.k, &s, &reference) {
+            let basic = s.len() <= args.basic_limit;
+            basic_legs += usize::from(basic);
+            qset_basic += usize::from(basic && qc.companion.is_some());
+            k0_basic += usize::from(basic && qc.k == 0);
+            // Keyword maximality is checked for one query vertex; a query
+            // set's communities get the structural checks against all of Q.
+            let violations = match qc.companion {
+                None => check_acq_result(g, qc.q, qc.k, &s, &reference),
+                Some(_) => reference
+                    .communities
+                    .iter()
+                    .flat_map(|c| check_community(g, c, &qs, qc.k))
+                    .collect(),
+            };
+            for v in violations {
                 problems.push(format!("{} {} {}", case.name, qc.describe(g), v));
             }
         }
@@ -323,13 +342,21 @@ fn main() {
             "only {basic_legs} of {queries_run} workload queries were compared against Basic"
         ));
     }
+    if qset_basic == 0 || k0_basic == 0 {
+        problems.push(format!(
+            "Basic checked {qset_basic} query sets and {k0_basic} k = 0 queries; both must be \
+             non-zero (raise --queries or --basic-limit)"
+        ));
+    }
 
     if problems.is_empty() {
         println!(
-            "cx-check PASS: {} graphs, {} queries ({} vs Basic), {} fuzz requests, {} crash cases — no violations",
+            "cx-check PASS: {} graphs, {} queries ({} vs Basic: {} query sets, {} at k = 0), {} fuzz requests, {} crash cases — no violations",
             matrix.len(),
             queries_run,
             basic_legs,
+            qset_basic,
+            k0_basic,
             report.total,
             crashes
         );

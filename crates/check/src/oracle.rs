@@ -22,7 +22,7 @@
 use std::collections::HashSet;
 use std::sync::Mutex;
 
-use cx_acq::{acq, AcqOptions, AcqResult, AcqStrategy};
+use cx_acq::{acq, acq_set, AcqOptions, AcqResult, AcqStrategy};
 use cx_algos::{kecc_community, sac_appinc, Global};
 use cx_cltree::ClTree;
 use cx_explorer::{Engine, QuerySpec};
@@ -51,22 +51,23 @@ impl std::fmt::Display for Mismatch {
     }
 }
 
-/// Runs one ACQ query through every strategy and diffs the results against
-/// the `Dec` reference. `Basic` (the index-free exponential baseline) is
-/// included only when the effective keyword set has at most
-/// `basic_keyword_limit` keywords; pass ~10 for test-sized graphs, 0 to
-/// skip it. Returns the reference result plus any mismatches.
+/// Runs one ACQ query — for the query set `qs`, one vertex or several —
+/// through every strategy and diffs the results against the `Dec`
+/// reference. `Basic` (the index-free exponential baseline) is included
+/// only when the keyword set (the explicit one, else `W(qs[0])`) has at
+/// most `basic_keyword_limit` keywords; pass ~10 for test-sized graphs, 0
+/// to skip it. Returns the reference result plus any mismatches.
 pub fn acq_strategy_differential(
     g: &AttributedGraph,
     tree: &ClTree,
-    q: VertexId,
+    qs: &[VertexId],
     opts: &AcqOptions,
     basic_keyword_limit: usize,
 ) -> (AcqResult, Vec<Mismatch>) {
-    let reference = acq(g, tree, q, opts, AcqStrategy::Dec);
+    let reference = acq_set(g, tree, qs, opts, AcqStrategy::Dec);
     let mut mismatches = Vec::new();
     let effective = if opts.keywords.is_empty() {
-        g.keywords(q).len()
+        qs.first().map_or(0, |&q| g.keywords(q).len())
     } else {
         opts.keywords.len()
     };
@@ -74,9 +75,10 @@ pub fn acq_strategy_differential(
     if effective <= basic_keyword_limit {
         rivals.push(AcqStrategy::Basic);
     }
+    let labels: Vec<&str> = qs.iter().map(|&q| g.label(q)).collect();
     for strat in rivals {
-        let res = acq(g, tree, q, opts, strat);
-        let context = format!("q={} ({:?}) k={}", g.label(q), q, opts.k);
+        let res = acq_set(g, tree, qs, opts, strat);
+        let context = format!("Q={labels:?} ({qs:?}) k={}", opts.k);
         if res.shared_keyword_count != reference.shared_keyword_count {
             mismatches.push(Mismatch {
                 oracle: "acq-strategies",
@@ -627,7 +629,7 @@ mod tests {
         for q in g.vertices() {
             for k in 1..=3 {
                 let (reference, mm) =
-                    acq_strategy_differential(&g, &tree, q, &AcqOptions::with_k(k), 10);
+                    acq_strategy_differential(&g, &tree, &[q], &AcqOptions::with_k(k), 10);
                 assert!(mm.is_empty(), "{mm:?}");
                 // Reference passes its own invariants too.
                 let s =
@@ -664,7 +666,10 @@ mod tests {
             .flat_map(|q| (1..=3).map(move |k| (q, k)))
             .flat_map(|(q, k)| {
                 let first = g.keywords(q).iter().take(1).copied().collect();
-                [QueryCase { q, k, keywords: Vec::new() }, QueryCase { q, k, keywords: first }]
+                [
+                    QueryCase { q, companion: None, k, keywords: Vec::new() },
+                    QueryCase { q, companion: None, k, keywords: first },
+                ]
             })
             .collect();
         let mm = analysis_vs_pairs(&g, &qs);

@@ -2,7 +2,8 @@
 //! sweep.
 //!
 //! A *graph case* is a named, seeded [`cx_datagen`] graph; a *query case*
-//! is one (vertex, k, keyword-selection) combination against it. Both are
+//! is one (vertex or vertex pair, k, keyword-selection) combination
+//! against it. Both are
 //! pure functions of their seeds, so a CI failure message like
 //! `dblp-200/s7 q=author-63 k=2` reproduces exactly on any machine.
 
@@ -10,6 +11,7 @@ use std::collections::HashSet;
 
 use cx_datagen::{dblp_like, DblpParams};
 use cx_graph::{AttributedGraph, KeywordId, VertexId};
+use cx_kcore::CoreDecomposition;
 use cx_par::rng::Rng64;
 
 /// One named, seeded workload graph.
@@ -25,6 +27,9 @@ pub struct GraphCase {
 pub struct QueryCase {
     /// The query vertex.
     pub q: VertexId,
+    /// A second query vertex, making the case the multi-vertex query
+    /// `Q = {q, companion}` (the UI's "+" button).
+    pub companion: Option<VertexId>,
     /// Minimum internal degree.
     pub k: u32,
     /// Explicit keyword selection (empty = the ACQ default `S = W(q)`).
@@ -32,10 +37,19 @@ pub struct QueryCase {
 }
 
 impl QueryCase {
+    /// The query set: `q`, then the companion when there is one.
+    pub fn qs(&self) -> Vec<VertexId> {
+        std::iter::once(self.q).chain(self.companion).collect()
+    }
+
     /// Short reproducer string for failure messages.
     pub fn describe(&self, g: &AttributedGraph) -> String {
+        let with = match self.companion {
+            Some(c) => format!(" +{} ({c:?})", g.label(c)),
+            None => String::new(),
+        };
         format!(
-            "q={} ({:?}) k={} |S|={}",
+            "q={} ({:?}){with} k={} |S|={}",
             g.label(self.q),
             self.q,
             self.k,
@@ -76,9 +90,15 @@ pub fn graph_matrix(sizes: &[usize], seeds: &[u64]) -> Vec<GraphCase> {
 
 /// Generates `count` query cases against `g`, seeded: a mix of hub
 /// vertices (well-connected "renowned authors", what the paper queries),
-/// uniform random vertices, and low-degree periphery; `k` sweeps 1..=4;
-/// every third query pins an explicit keyword subset of `W(q)` (including
-/// occasionally a keyword `q` does not carry, which ACQ must ignore).
+/// uniform random vertices, and low-degree periphery; `k` cycles through
+/// 0..=4 from a seeded offset (so any five consecutive cases cover every
+/// k); every third query pins an explicit keyword subset of `W(q)`
+/// (including occasionally a keyword `q` does not carry, which ACQ must
+/// ignore); every second query carries a companion vertex — q's
+/// lowest-degree neighbour of core number ≥ k (the one a keyword-restricted
+/// peel most easily drops), or, one time in four (or when q has no such
+/// neighbour), a vertex outside q's connected k-core, where the answer
+/// must be empty.
 pub fn query_workload(g: &AttributedGraph, count: usize, seed: u64) -> Vec<QueryCase> {
     let n = g.vertex_count();
     if n == 0 {
@@ -87,6 +107,8 @@ pub fn query_workload(g: &AttributedGraph, count: usize, seed: u64) -> Vec<Query
     let mut rng = Rng64::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
     let mut by_degree: Vec<VertexId> = g.vertices().collect();
     by_degree.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v.0));
+    let cores = CoreDecomposition::compute(g);
+    let k_offset = rng.next_u64() as usize % 5;
     let mut out = Vec::with_capacity(count);
     for i in 0..count {
         let q = match i % 3 {
@@ -100,21 +122,39 @@ pub fn query_workload(g: &AttributedGraph, count: usize, seed: u64) -> Vec<Query
                 by_degree[n - 1 - (rng.next_u64() as usize) % tail]
             }
         };
-        let k = 1 + (rng.next_u64() % 4) as u32;
+        let k = ((i + k_offset) % 5) as u32;
         let mut keywords = Vec::new();
         if i % 3 == 2 {
             // Explicit subset of W(q) (possibly empty), sometimes salted
-            // with a keyword from elsewhere in the vocabulary.
+            // with a keyword from elsewhere in the vocabulary — half of
+            // those times alone, so S ∩ W(q) may be empty and ACQ must
+            // fall back to the plain connected k-core.
             for &w in g.keywords(q) {
                 if rng.next_u64() % 2 == 0 {
                     keywords.push(w);
                 }
             }
             if g.keyword_count() > 0 && rng.next_u64() % 4 == 0 {
+                if rng.next_u64().is_multiple_of(2) {
+                    keywords.clear();
+                }
                 keywords.push(KeywordId((rng.next_u64() % g.keyword_count() as u64) as u32));
             }
         }
-        out.push(QueryCase { q, k, keywords });
+        let companion = (i % 2 == 1).then(|| {
+            let mates: Vec<VertexId> =
+                g.neighbors(q).iter().copied().filter(|&u| cores.core(u) >= k).collect();
+            if !mates.is_empty() && !rng.next_u64().is_multiple_of(4) {
+                return *mates.iter().min_by_key(|&&u| (g.degree(u), u.0)).unwrap();
+            }
+            let core = cores.connected_k_core(g, q, k).unwrap_or_default();
+            let start = rng.next_u64() as usize % n;
+            (0..n)
+                .map(|j| VertexId(((start + j) % n) as u32))
+                .find(|v| core.binary_search(v).is_err())
+                .unwrap_or(q)
+        });
+        out.push(QueryCase { q, companion, k, keywords });
     }
     out
 }
@@ -218,11 +258,17 @@ mod tests {
         assert_eq!(w1.len(), 12);
         for (a, b) in w1.iter().zip(&w2) {
             assert_eq!(a.q, b.q);
+            assert_eq!(a.companion, b.companion);
             assert_eq!(a.k, b.k);
             assert_eq!(a.keywords, b.keywords);
             assert!(g.contains(a.q));
-            assert!((1..=4).contains(&a.k));
+            assert!(a.companion.is_none_or(|c| g.contains(c)));
+            assert!((0..=4).contains(&a.k));
         }
+        // Every k, single vertices and pairs all occur.
+        assert!((0..=4).all(|k| w1.iter().any(|c| c.k == k)));
+        assert!(w1.iter().any(|c| c.companion.is_some()));
+        assert!(w1.iter().any(|c| c.companion.is_none()));
         // Different seeds give different workloads.
         let w3 = query_workload(&g, 12, 4);
         assert!(w1.iter().zip(&w3).any(|(a, b)| a.q != b.q || a.k != b.k));

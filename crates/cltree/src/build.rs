@@ -194,20 +194,20 @@ impl ClTree {
         &self.kw_ranks
     }
 
-    /// Where in [`ClTree::postings`] the carriers of `w` inside the
-    /// subtree of `id` sit: the part of `w`'s ascending rank list that
-    /// falls in the subtree's rank interval, found by two binary searches.
+    /// Where in [`ClTree::postings`] the carriers of `w` among the ranks
+    /// `ranks` sit (a subtree's [`ClTree::subtree_ranks`], or a
+    /// [`ClTree::connected_k_core_ranks`]): the part of `w`'s ascending
+    /// rank list that falls in the interval, found by two binary searches.
     /// Empty for a keyword the graph does not know.
-    pub fn carrier_span(&self, id: NodeId, w: KeywordId) -> Range<usize> {
+    pub fn carrier_span(&self, ranks: Range<usize>, w: KeywordId) -> Range<usize> {
         let w = w.0 as usize;
         if w + 1 >= self.kw_off.len() {
             return 0..0;
         }
         let base = self.kw_off[w];
         let list = &self.kw_ranks[base..self.kw_off[w + 1]];
-        let node = &self.nodes[id.index()];
-        let lo = list.partition_point(|&r| r < node.first);
-        let hi = lo + list[lo..].partition_point(|&r| r < node.subtree_end);
+        let lo = list.partition_point(|&r| (r as usize) < ranks.start);
+        let hi = lo + list[lo..].partition_point(|&r| (r as usize) < ranks.end);
         base + lo..base + hi
     }
 
@@ -217,13 +217,19 @@ impl ClTree {
     /// through [`ClTree::order`] for vertex ids.
     #[inline]
     pub fn carriers(&self, id: NodeId, w: KeywordId) -> &[u32] {
-        &self.kw_ranks[self.carrier_span(id, w)]
+        &self.kw_ranks[self.carrier_span(self.subtree_ranks(id), w)]
     }
 
     /// [`ClTree::carriers`] as a sorted vertex list.
     pub fn carrier_vertices(&self, id: NodeId, w: KeywordId) -> Vec<VertexId> {
+        self.carrier_vertices_at(self.subtree_ranks(id), w)
+    }
+
+    /// The carriers of `w` among the ranks `ranks`, as a sorted vertex list.
+    fn carrier_vertices_at(&self, ranks: Range<usize>, w: KeywordId) -> Vec<VertexId> {
+        let span = self.carrier_span(ranks, w);
         let mut out: Vec<VertexId> =
-            self.carriers(id, w).iter().map(|&r| self.order[r as usize]).collect();
+            self.kw_ranks[span].iter().map(|&r| self.order[r as usize]).collect();
         out.sort_unstable();
         out
     }
@@ -249,22 +255,39 @@ impl ClTree {
     /// All vertices in the subtree rooted at `id`, sorted.
     pub fn subtree_vertices(&self, id: NodeId) -> Vec<VertexId> {
         let mut out = Vec::new();
-        self.subtree_vertices_into(id, &mut out);
+        self.vertices_at_into(self.subtree_ranks(id), &mut out);
         out
     }
 
-    /// Allocation-free variant of [`ClTree::subtree_vertices`]: the sorted
-    /// output is written into a caller-provided buffer (cleared first), so
-    /// the query hot path can reuse it.
-    pub fn subtree_vertices_into(&self, id: NodeId, out: &mut Vec<VertexId>) {
+    /// The vertices at preorder ranks `ranks`, sorted, written into a
+    /// caller-provided buffer (cleared first) so the query hot path can
+    /// reuse it.
+    pub fn vertices_at_into(&self, ranks: Range<usize>, out: &mut Vec<VertexId>) {
         out.clear();
-        out.extend_from_slice(&self.order[self.subtree_ranks(id)]);
+        out.extend_from_slice(&self.order[ranks]);
         out.sort_unstable();
+    }
+
+    /// The preorder ranks of the connected k-core containing `q`, or
+    /// `None` when `core(q) < k`. For k ≥ 1 that is the interval of
+    /// [`ClTree::subtree_root_for`]. At k = 0 it is q's connected
+    /// component, not the level-0 root's interval (the whole graph): the
+    /// k = 1 interval when q has an edge, and q's own rank alone when it
+    /// has none.
+    pub fn connected_k_core_ranks(&self, q: VertexId, k: u32) -> Option<Range<usize>> {
+        if k == 0 && self.core.get(q.index()) == Some(&0) {
+            let r = self.rank_of(q) as usize;
+            return Some(r..r + 1);
+        }
+        self.subtree_root_for(q, k.max(1)).map(|r| self.subtree_ranks(r))
     }
 
     /// The connected k-core containing `q` (sorted vertices), via the index.
     pub fn connected_k_core(&self, q: VertexId, k: u32) -> Option<Vec<VertexId>> {
-        self.subtree_root_for(q, k).map(|r| self.subtree_vertices(r))
+        let ranks = self.connected_k_core_ranks(q, k)?;
+        let mut out = Vec::new();
+        self.vertices_at_into(ranks, &mut out);
+        Some(out)
     }
 
     /// Convenience: vertices carrying `w` within the connected k-core of `q`.
@@ -274,7 +297,7 @@ impl ClTree {
         k: u32,
         w: KeywordId,
     ) -> Option<Vec<VertexId>> {
-        self.subtree_root_for(q, k).map(|r| self.carrier_vertices(r, w))
+        self.connected_k_core_ranks(q, k).map(|r| self.carrier_vertices_at(r, w))
     }
 
     /// Height of the tree (root counts as 1; 1 for a single-node tree).
@@ -610,8 +633,10 @@ mod tests {
         assert_eq!(names(t.connected_k_core(label("H"), 1).unwrap()), ["H", "I"]);
         assert!(t.connected_k_core(label("E"), 3).is_none());
         assert!(t.connected_k_core(label("J"), 1).is_none());
-        // k = 0 from any vertex reaches the whole graph through the root.
-        assert_eq!(t.connected_k_core(label("J"), 0).unwrap().len(), 10);
+        // k = 0 is q's component, not the level-0 root's whole graph.
+        assert_eq!(names(t.connected_k_core(label("H"), 0).unwrap()), ["H", "I"]);
+        assert_eq!(names(t.connected_k_core(label("J"), 0).unwrap()), ["J"]);
+        assert_eq!(t.connected_k_core(label("A"), 0), t.connected_k_core(label("A"), 1));
     }
 
     #[test]

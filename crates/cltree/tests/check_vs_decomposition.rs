@@ -69,3 +69,25 @@ fn subtree_for_query_is_the_connected_k_core() {
         }
     }
 }
+
+/// Every vertex and every k from 0 (q's component, not the whole graph)
+/// to one past the degeneracy: the index's connected k-core is the
+/// decomposition's breadth-first one.
+#[test]
+fn connected_k_core_matches_decomposition_from_k_zero() {
+    for case in graph_matrix(&[90], &[8]) {
+        let g = &case.graph;
+        let tree = ClTree::build(g);
+        let decomp = CoreDecomposition::compute(g);
+        for q in g.vertices() {
+            for k in 0..=decomp.max_core() + 1 {
+                assert_eq!(
+                    tree.connected_k_core(q, k),
+                    decomp.connected_k_core(g, q, k),
+                    "{} q={q:?} k={k}",
+                    case.name
+                );
+            }
+        }
+    }
+}

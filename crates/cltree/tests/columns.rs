@@ -22,7 +22,7 @@ fn check_columns(g: &AttributedGraph, t: &ClTree) {
     assert_eq!(cx_check::invariants::check_tree_columns(g, t), Vec::new());
     for (id, _) in t.iter_nodes() {
         for w in keywords(g) {
-            assert_eq!(t.carriers(id, w), &t.postings()[t.carrier_span(id, w)]);
+            assert_eq!(t.carriers(id, w), &t.postings()[t.carrier_span(t.subtree_ranks(id), w)]);
         }
     }
 }

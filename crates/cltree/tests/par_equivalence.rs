@@ -4,9 +4,19 @@
 //! per-component fan-out concatenates subtrees in the deterministic
 //! component order and `cx_par` chunking depends only on input length.
 
+use std::sync::{Mutex, MutexGuard};
+
 use cx_cltree::{ClTree, NodeId};
 use cx_datagen::{dblp_like, small_collab_graph, DblpParams};
 use cx_graph::AttributedGraph;
+
+/// Held by every test here: each one writes `CX_THREADS`, and the tests
+/// run on parallel threads.
+static ENV_LOCK: Mutex<()> = Mutex::new(());
+
+fn env_lock() -> MutexGuard<'static, ()> {
+    ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A structural summary of a tree that is independent of node-id
 /// numbering: sorted (level, parent level, sorted vertex list) triples.
@@ -24,6 +34,7 @@ fn shape(tree: &ClTree, g: &AttributedGraph) -> Vec<(u32, Option<u32>, Vec<u32>)
 }
 
 fn at_thread_counts(g: &AttributedGraph) {
+    let _guard = env_lock();
     std::env::set_var("CX_THREADS", "1");
     cx_par::refresh_threads();
     let base_tree = ClTree::build(g);
@@ -74,6 +85,7 @@ fn keyword_queries_identical_across_thread_counts() {
             })
             .collect()
     };
+    let _guard = env_lock();
     std::env::set_var("CX_THREADS", "1");
     cx_par::refresh_threads();
     let base = probe(&ClTree::build(&g));

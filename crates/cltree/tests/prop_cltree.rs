@@ -41,7 +41,7 @@ proptest! {
         let t = ClTree::build_with(&g, &cd);
         prop_assert_eq!(t.max_core(), cd.max_core());
         for q in g.vertices() {
-            for k in 1..=cd.max_core() + 1 {
+            for k in 0..=cd.max_core() + 1 {
                 let from_tree = t.connected_k_core(q, k);
                 let direct = cd.connected_k_core(&g, q, k);
                 prop_assert_eq!(

@@ -49,18 +49,8 @@ pub trait CdAlgorithm: Send + Sync {
 
 // ---- Built-in algorithm adapters -------------------------------------
 
-/// q's connected k-core, sorted: one preorder interval of the CL-tree.
-/// At k = 0 the level-0 root's interval is the whole graph, but the
-/// connected 0-core containing q is q's component: the k = 1 interval
-/// when q has an edge, `{q}` when it has none.
-fn connected_core(ctx: &GraphContext<'_>, q: VertexId, k: u32) -> Option<Vec<VertexId>> {
-    if k == 0 && ctx.tree.core(q) == 0 {
-        return Some(vec![q]);
-    }
-    ctx.tree.connected_k_core(q, k.max(1))
-}
-
-/// ACQ (the `Dec` strategy) behind the [`CsAlgorithm`] trait.
+/// ACQ (the `Dec` strategy) behind the [`CsAlgorithm`] trait; several
+/// query vertices ask for communities holding all of them.
 pub struct AcqAlgorithm;
 
 impl CsAlgorithm for AcqAlgorithm {
@@ -71,11 +61,7 @@ impl CsAlgorithm for AcqAlgorithm {
     fn search(&self, ctx: &GraphContext<'_>, qs: &[VertexId], spec: &QuerySpec) -> Vec<Community> {
         let keywords = spec.resolve_keywords(ctx.graph);
         let opts = cx_acq::AcqOptions::with_k(spec.k).keywords(keywords);
-        if qs.len() > 1 {
-            return cx_acq::multi::acq_multi(ctx.graph, ctx.tree, qs, &opts).communities;
-        }
-        let Some(&q) = qs.first() else { return Vec::new() };
-        cx_acq::acq(ctx.graph, ctx.tree, q, &opts, cx_acq::AcqStrategy::Dec).communities
+        cx_acq::acq_set(ctx.graph, ctx.tree, qs, &opts, cx_acq::AcqStrategy::Dec).communities
     }
 }
 
@@ -90,7 +76,7 @@ impl CsAlgorithm for GlobalAlgorithm {
 
     fn search(&self, ctx: &GraphContext<'_>, qs: &[VertexId], spec: &QuerySpec) -> Vec<Community> {
         qs.first()
-            .and_then(|&q| connected_core(ctx, q, spec.k))
+            .and_then(|&q| ctx.tree.connected_k_core(q, spec.k))
             .map(Community::structural)
             .into_iter()
             .collect()
@@ -141,7 +127,8 @@ impl CsAlgorithm for SacAlgorithm {
         let (Some(&q), Some(coords)) = (qs.first(), ctx.coords) else {
             return Vec::new();
         };
-        connected_core(ctx, q, spec.k)
+        ctx.tree
+            .connected_k_core(q, spec.k)
             .and_then(|core| cx_algos::sac_appinc(ctx.graph, coords, &core, q, spec.k))
             .map(|s| s.community)
             .into_iter()
@@ -160,7 +147,8 @@ impl CsAlgorithm for KEccAlgorithm {
 
     fn search(&self, ctx: &GraphContext<'_>, qs: &[VertexId], spec: &QuerySpec) -> Vec<Community> {
         let Some(&q) = qs.first() else { return Vec::new() };
-        connected_core(ctx, q, spec.k)
+        ctx.tree
+            .connected_k_core(q, spec.k)
             .and_then(|core| cx_algos::kecc_community(ctx.graph, &core, q, spec.k))
             .into_iter()
             .collect()

@@ -408,6 +408,7 @@ mod tests {
 
     #[test]
     fn compute_par_matches_sequential_on_multi_component_graph() {
+        let _guard = crate::test_env_lock();
         let g = figure5_graph(); // 4 components: the big one, H, I, J
         let a = CoreDecomposition::compute(&g);
         let b = CoreDecomposition::compute_par(&g);

@@ -32,3 +32,12 @@ pub use dynamic::DynamicCore;
 pub use scratch::PeelScratch;
 pub use subset::{connected_k_core_containing, k_core_of_subset};
 pub use truss::{truss_communities, TrussDecomposition};
+
+/// Held by every unit test here that writes `CX_THREADS` or whose answer
+/// path depends on it: environment variables are process-global and the
+/// tests run on parallel threads.
+#[cfg(test)]
+fn test_env_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}

@@ -107,12 +107,15 @@ impl PeelScratch {
         self.epoch += 1;
     }
 
-    /// The connected k-core containing `q` within the subgraph induced by
-    /// `members`, written sorted into `out`. Returns `false` (with `out`
-    /// cleared) when `q` is peeled away or not in `members`.
+    /// The connected k-core containing every query vertex of `qs` within
+    /// the subgraph induced by `members`, written sorted into `out`.
+    /// Returns `false` (with `out` cleared) when `qs` is empty, or some
+    /// `q ∈ qs` is not in `members`, is peeled away, or ends up in another
+    /// component than `qs[0]`. A single query vertex is
+    /// `std::slice::from_ref(&q)`.
     ///
-    /// Allocation-free in steady state; duplicates in `members` are
-    /// tolerated. For member sets of at least the parallel threshold
+    /// Allocation-free in steady state; duplicates in `members` and `qs`
+    /// are tolerated. For member sets of at least the parallel threshold
     /// ([`PAR_MEMBER_THRESHOLD`] unless overridden) and
     /// `cx_par::num_threads() > 1`, the peel and BFS run as
     /// level-synchronous parallel frontier sweeps (that path allocates
@@ -121,13 +124,14 @@ impl PeelScratch {
         &mut self,
         g: &AttributedGraph,
         members: &[VertexId],
-        q: VertexId,
+        qs: &[VertexId],
         k: u32,
         out: &mut Vec<VertexId>,
     ) -> bool {
         out.clear();
         let n = g.vertex_count();
-        if q.index() >= n {
+        let Some(&q) = qs.first() else { return false };
+        if qs.iter().any(|v| v.index() >= n) {
             return false;
         }
         // A k-core needs at least k+1 vertices (every member has k
@@ -144,7 +148,10 @@ impl PeelScratch {
         par_for(parallel, members.len(), |i| {
             self.mark[members[i].index()].store(epoch, Relaxed);
         });
-        if self.mark[q.index()].load(Relaxed) != epoch {
+        // Whether every query vertex carries this call's stamp.
+        let all_stamped =
+            |stamps: &[AtomicU32]| qs.iter().all(|v| stamps[v.index()].load(Relaxed) == epoch);
+        if !all_stamped(&self.mark) {
             return false;
         }
         par_for(parallel, members.len(), |i| {
@@ -190,7 +197,7 @@ impl PeelScratch {
             std::mem::swap(&mut frontier, &mut next);
         }
 
-        let survived = self.mark[q.index()].load(Relaxed) == epoch;
+        let mut survived = all_stamped(&self.mark);
         if survived {
             // Component BFS from q: an atomic swap on the visited stamp
             // claims each vertex exactly once.
@@ -213,66 +220,17 @@ impl PeelScratch {
                 out.extend_from_slice(&next);
                 std::mem::swap(&mut frontier, &mut next);
             }
-            out.sort_unstable();
+            // Every query vertex must be in q's component.
+            survived = all_stamped(&self.seen);
+            if survived {
+                out.sort_unstable();
+            } else {
+                out.clear();
+            }
         }
         self.frontier = frontier;
         self.next = next;
         survived
-    }
-
-    /// The maximal k-core of the subgraph induced by `members` (no
-    /// connectivity filter), written sorted into `out`. The scratch
-    /// counterpart of [`crate::subset::k_core_of_subset`].
-    pub fn k_core_of_subset_into(
-        &mut self,
-        g: &AttributedGraph,
-        members: &[VertexId],
-        k: u32,
-        out: &mut Vec<VertexId>,
-    ) -> usize {
-        out.clear();
-        self.begin(g.vertex_count());
-        let epoch = self.epoch;
-        for &v in members {
-            self.mark[v.index()].store(epoch, Relaxed);
-        }
-        for &v in members {
-            let d = g
-                .neighbors(v)
-                .iter()
-                .filter(|u| self.mark[u.index()].load(Relaxed) == epoch)
-                .count() as u32;
-            self.deg[v.index()].store(d, Relaxed);
-        }
-        let mut frontier = std::mem::take(&mut self.frontier);
-        let next = std::mem::take(&mut self.next);
-        frontier.clear();
-        for &v in members {
-            if self.deg[v.index()].load(Relaxed) < k
-                && self.mark[v.index()].swap(0, Relaxed) == epoch
-            {
-                frontier.push(v);
-            }
-        }
-        while let Some(v) = frontier.pop() {
-            for &u in g.neighbors(v) {
-                if self.mark[u.index()].load(Relaxed) == epoch
-                    && self.deg[u.index()].fetch_sub(1, Relaxed) == k
-                {
-                    self.mark[u.index()].store(0, Relaxed);
-                    frontier.push(u);
-                }
-            }
-        }
-        for &v in members {
-            if self.mark[v.index()].swap(0, Relaxed) == epoch {
-                out.push(v);
-            }
-        }
-        out.sort_unstable();
-        self.frontier = frontier;
-        self.next = next;
-        out.len()
     }
 }
 
@@ -323,7 +281,7 @@ fn collect_level(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::subset::{connected_k_core_containing, k_core_of_subset};
+    use crate::subset::connected_k_core_containing;
     use cx_graph::GraphBuilder;
 
     fn v(i: u32) -> VertexId {
@@ -353,7 +311,7 @@ mod tests {
         for k in 0..=5 {
             for &q in &all {
                 let want = connected_k_core_containing(&g, &all, q, k);
-                let got = s.connected_k_core_containing_into(&g, &all, q, k, &mut out);
+                let got = s.connected_k_core_containing_into(&g, &all, &[q], k, &mut out);
                 assert_eq!(got, want.is_some(), "q={q} k={k}");
                 if let Some(w) = want {
                     assert_eq!(out, w, "q={q} k={k}");
@@ -370,9 +328,9 @@ mod tests {
         let mut out = Vec::new();
         // Repeated reuse on one graph must not leak state across epochs.
         for _ in 0..3 {
-            assert!(s.connected_k_core_containing_into(&g, &all, v(1), 2, &mut out));
+            assert!(s.connected_k_core_containing_into(&g, &all, &[v(1)], 2, &mut out));
             assert_eq!(out, vec![v(0), v(1), v(2), v(3)]);
-            assert!(!s.connected_k_core_containing_into(&g, &all, v(4), 2, &mut out));
+            assert!(!s.connected_k_core_containing_into(&g, &all, &[v(4)], 2, &mut out));
             assert!(out.is_empty());
         }
         // A smaller graph after a bigger one reuses the same buffers.
@@ -385,7 +343,7 @@ mod tests {
         b.add_edge(v(0), v(2));
         let t = b.build();
         let tri: Vec<VertexId> = t.vertices().collect();
-        assert!(s.connected_k_core_containing_into(&t, &tri, v(0), 2, &mut out));
+        assert!(s.connected_k_core_containing_into(&t, &tri, &[v(0)], 2, &mut out));
         assert_eq!(out, tri);
     }
 
@@ -395,25 +353,25 @@ mod tests {
         let mut s = PeelScratch::new();
         let mut out = Vec::new();
         let dups = [v(0), v(1), v(2), v(3), v(0), v(3)];
-        assert!(s.connected_k_core_containing_into(&g, &dups, v(0), 3, &mut out));
+        assert!(s.connected_k_core_containing_into(&g, &dups, &[v(0)], 3, &mut out));
         assert_eq!(out, vec![v(0), v(1), v(2), v(3)]);
         // q absent from members, or out of range entirely.
-        assert!(!s.connected_k_core_containing_into(&g, &[v(1), v(2)], v(0), 0, &mut out));
-        assert!(!s.connected_k_core_containing_into(&g, &[v(1)], v(99), 0, &mut out));
-    }
-
-    #[test]
-    fn subset_core_into_matches_allocating_path() {
-        let g = fixture();
+        assert!(!s.connected_k_core_containing_into(&g, &[v(1), v(2)], &[v(0)], 0, &mut out));
+        assert!(!s.connected_k_core_containing_into(&g, &[v(1)], &[v(99)], 0, &mut out));
+        // Query sets: both in the K4, one listed twice — its 2-core.
         let all: Vec<VertexId> = g.vertices().collect();
-        let mut s = PeelScratch::new();
-        let mut out = Vec::new();
-        for k in 0..=4 {
-            s.k_core_of_subset_into(&g, &all, k, &mut out);
-            assert_eq!(out, k_core_of_subset(&g, &all, k), "k={k}");
-        }
-        s.k_core_of_subset_into(&g, &[v(4), v(6)], 0, &mut out);
-        assert_eq!(out, vec![v(4), v(6)]);
+        assert!(s.connected_k_core_containing_into(&g, &all, &[v(3), v(0), v(3)], 2, &mut out));
+        assert_eq!(out, vec![v(0), v(1), v(2), v(3)]);
+        // Different 2-core components, at k = 0 too.
+        assert!(!s.connected_k_core_containing_into(&g, &all, &[v(0), v(5)], 2, &mut out));
+        assert!(out.is_empty());
+        assert!(!s.connected_k_core_containing_into(&g, &all, &[v(0), v(5)], 0, &mut out));
+        // The pendant is peeled at k = 2 but kept at k = 1.
+        assert!(!s.connected_k_core_containing_into(&g, &all, &[v(0), v(4)], 2, &mut out));
+        assert!(s.connected_k_core_containing_into(&g, &all, &[v(0), v(4)], 1, &mut out));
+        assert_eq!(out, vec![v(0), v(1), v(2), v(3), v(4)]);
+        // No query vertex at all.
+        assert!(!s.connected_k_core_containing_into(&g, &all, &[], 2, &mut out));
     }
 
     /// The parallel frontier path (forced by lowering the per-scratch
@@ -441,6 +399,7 @@ mod tests {
         let all: Vec<VertexId> = g.vertices().collect();
 
         let serial = connected_k_core_containing(&g, &all, v(0), 3).unwrap();
+        let _guard = crate::test_env_lock();
         let old = std::env::var("CX_THREADS").ok();
         std::env::set_var("CX_THREADS", "4");
         cx_par::refresh_threads();
@@ -448,7 +407,7 @@ mod tests {
         s.set_parallel_threshold(1024);
         assert!(all.len() >= 1024);
         let mut out = Vec::new();
-        assert!(s.connected_k_core_containing_into(&g, &all, v(0), 3, &mut out));
+        assert!(s.connected_k_core_containing_into(&g, &all, &[v(0)], 3, &mut out));
         match old {
             Some(t) => std::env::set_var("CX_THREADS", t),
             None => std::env::remove_var("CX_THREADS"),

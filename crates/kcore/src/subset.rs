@@ -75,38 +75,6 @@ pub fn connected_k_core_containing(
     Some(out)
 }
 
-/// Like [`connected_k_core_containing`] but requires the component to
-/// contain *all* query vertices `qs` (the paper's multi-vertex ACQ
-/// variant). Returns `None` if any query vertex is peeled or the query
-/// vertices end up in different components.
-pub fn connected_k_core_containing_all(
-    g: &AttributedGraph,
-    members: &[VertexId],
-    qs: &[VertexId],
-    k: u32,
-) -> Option<Vec<VertexId>> {
-    let &first = qs.first()?;
-    let mut alive = VertexSet::with_capacity(g.vertex_count());
-    for &v in members {
-        alive.insert(v);
-    }
-    if qs.iter().any(|&q| !alive.contains(q)) {
-        return None;
-    }
-    peel_to_k_core(g, &mut alive, k);
-    if qs.iter().any(|&q| !alive.contains(q)) {
-        return None;
-    }
-    let comp = cx_graph::traversal::bfs_filtered(g, first, |v| alive.contains(v));
-    let in_comp = VertexSet::from_iter(g.vertex_count(), comp.iter().copied());
-    if qs.iter().any(|&q| !in_comp.contains(q)) {
-        return None;
-    }
-    let mut out = comp;
-    out.sort_unstable();
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,20 +149,6 @@ mod tests {
         assert!(connected_k_core_containing(&g, &all, v(0), 5).is_none());
         // q not even in the subset.
         assert!(connected_k_core_containing(&g, &[v(1), v(2)], v(0), 0).is_none());
-    }
-
-    #[test]
-    fn multi_vertex_requires_same_component() {
-        let g = fixture();
-        let all: Vec<VertexId> = g.vertices().collect();
-        let c = connected_k_core_containing_all(&g, &all, &[v(0), v(3)], 2).unwrap();
-        assert_eq!(c, vec![v(0), v(1), v(2), v(3)]);
-        // Different 2-core components → None.
-        assert!(connected_k_core_containing_all(&g, &all, &[v(0), v(5)], 2).is_none());
-        // Empty query set → None.
-        assert!(connected_k_core_containing_all(&g, &all, &[], 2).is_none());
-        // One query vertex peeled → None.
-        assert!(connected_k_core_containing_all(&g, &all, &[v(0), v(4)], 2).is_none());
     }
 
     #[test]

@@ -10,8 +10,7 @@
 
 use std::time::{Duration, Instant};
 
-use cx_acq::multi::acq_multi;
-use cx_acq::{acq, AcqOptions, AcqStrategy};
+use cx_acq::{acq, acq_set, AcqOptions, AcqStrategy};
 use cx_algos::spatial::distance;
 use cx_algos::{sac_appinc, Codicil, CodicilParams, GirvanNewman, Global, Louvain};
 use cx_cltree::ClTree;
@@ -346,7 +345,8 @@ fn e9_multi_vertex(n: usize) -> Table {
     for q_count in 1..=4usize {
         let mut qs = vec![hub];
         qs.extend(companions.iter().take(q_count - 1));
-        let (res, took) = timed(|| acq_multi(&g, &tree, &qs, &AcqOptions::with_k(K)));
+        let opts = AcqOptions::with_k(K);
+        let (res, took) = timed(|| acq_set(&g, &tree, &qs, &opts, AcqStrategy::Dec));
         let cs = &res.communities;
         valid &= !cs.is_empty()
             && cs.iter().all(|c| {
