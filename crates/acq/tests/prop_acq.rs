@@ -105,7 +105,7 @@ proptest! {
                 .vertices()
                 .filter(|&v| subset.iter().all(|&w| g.has_keyword(v, w)))
                 .collect();
-            if cx_kcore::connected_k_core_containing(&g, &members, q, k).is_some() {
+            if cx_check::invariants::reference_core_component(&g, &members, q, k).is_some() {
                 best = best.max(subset.len());
             }
         }

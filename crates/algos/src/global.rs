@@ -11,7 +11,7 @@
 //! reference the tests, E11 and cx-check hold that lookup to.
 
 use cx_graph::{AttributedGraph, Community, VertexId};
-use cx_kcore::{connected_k_core_containing, k_core_of_subset};
+use cx_kcore::PeelScratch;
 
 /// The Sozio–Gionis global peeling algorithm. Stateless; methods take the
 /// graph explicitly so one instance can serve many graphs.
@@ -23,13 +23,14 @@ impl Global {
     ///
     /// Runs a whole-graph peel — O(n + m) regardless of the answer size,
     /// which is exactly the inefficiency `Local` was invented to avoid.
+    /// It peels with [`PeelScratch`], not [`cx_kcore::CoreDecomposition`],
+    /// so it shares no code with the CL-tree it is the reference for.
     pub fn fixed_k(&self, g: &AttributedGraph, q: VertexId, k: u32) -> Option<Community> {
-        if !g.contains(q) {
-            return None;
-        }
         let all: Vec<VertexId> = g.vertices().collect();
-        let core = k_core_of_subset(g, &all, k);
-        connected_k_core_containing(g, &core, q, k).map(Community::structural)
+        let mut core = Vec::new();
+        PeelScratch::new()
+            .connected_k_core_containing_into(g, &all, &[q], k, &mut core)
+            .then(|| Community::structural(core))
     }
 }
 

@@ -7,14 +7,18 @@
 //! `C`, and after each admission checks whether `C` already contains a
 //! connected k-core with q. The first hit is returned (shrunk to that
 //! core), so the community found is *a* k-core around q — typically much
-//! smaller than Global's maximal one (Figure 6(a): 50 vs 305 vertices) —
-//! and the work done is proportional to the neighbourhood explored, not
-//! the graph.
+//! smaller than Global's maximal one (Figure 6(a): 50 vs 305 vertices).
+//!
+//! Every check peels only the candidate set, on one [`PeelScratch`] the
+//! query reuses: its graph-sized buffers are set up once per query and
+//! cleared per check by an epoch bump, so a check costs
+//! O(|C| + edges inside C) and the search's work is proportional to the
+//! neighbourhood explored, not to the graph.
 
 use std::collections::HashMap;
 
 use cx_graph::{AttributedGraph, Community, VertexId, VertexSet};
-use cx_kcore::connected_k_core_containing;
+use cx_kcore::PeelScratch;
 
 /// The Cui et al. local-expansion algorithm.
 #[derive(Debug, Clone, Copy)]
@@ -61,6 +65,14 @@ impl Local {
         }
 
         let cap = if self.max_candidates == 0 { usize::MAX } else { self.max_candidates };
+        // The connected k-core with q inside the candidate set, if any.
+        let mut scratch = PeelScratch::new();
+        let mut core = Vec::new();
+        let mut check = |members: &[VertexId]| {
+            scratch
+                .connected_k_core_containing_into(g, members, &[q], k, &mut core)
+                .then(|| Community::structural(std::mem::take(&mut core)))
+        };
         let mut since_check = 0usize;
         loop {
             // Admit the frontier vertex with the most connections into C;
@@ -72,8 +84,7 @@ impl Local {
                 .map(|t| t.3);
             let Some(v) = pick else {
                 // Frontier exhausted: one final check over everything seen.
-                return connected_k_core_containing(g, &members, q, k)
-                    .map(Community::structural);
+                return check(&members);
             };
             connections.remove(&v);
             in_c.insert(v);
@@ -89,14 +100,13 @@ impl Local {
             // the admission cadence says so.
             if members.len() > k as usize && since_check >= self.check_every {
                 since_check = 0;
-                if let Some(core) = connected_k_core_containing(g, &members, q, k) {
-                    return Some(Community::structural(core));
+                if let Some(c) = check(&members) {
+                    return Some(c);
                 }
             }
             if members.len() >= cap {
                 // Final attempt at the cap before giving up.
-                return connected_k_core_containing(g, &members, q, k)
-                    .map(Community::structural);
+                return check(&members);
             }
         }
     }

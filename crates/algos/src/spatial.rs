@@ -23,7 +23,7 @@
 //! produce area-clustered coordinates.
 
 use cx_graph::{AttributedGraph, Community, VertexId};
-use cx_kcore::connected_k_core_containing;
+use cx_kcore::PeelScratch;
 
 /// The result of a spatial community search.
 #[derive(Debug, Clone)]
@@ -47,7 +47,8 @@ pub fn distance(a: (f64, f64), b: (f64, f64)) -> f64 {
 /// vertex. `candidates` must contain q's connected k-core (all vertices
 /// will do). Returns `None` when no k-core containing q exists among them.
 ///
-/// Cost: O(log |candidates|) subset-peel verifications over prefixes.
+/// Cost: O(log |candidates|) subset peels over prefixes, on one reused
+/// [`PeelScratch`].
 pub fn sac_appinc(
     g: &AttributedGraph,
     coords: &[(f64, f64)],
@@ -69,28 +70,31 @@ pub fn sac_appinc(
             .then(a.cmp(&b))
     });
 
-    // Feasibility over all candidates first.
-    connected_k_core_containing(g, &order, q, k)?;
-
+    // A k-core needs k + 1 vertices, and the search below needs
+    // `lo <= order.len()`.
+    if order.len() <= k as usize {
+        return None;
+    }
     // Binary search the smallest feasible prefix length. Feasibility is
-    // monotone in the prefix: more vertices can only help.
-    let (mut lo, mut hi) = (k as usize + 1, order.len()); // need ≥ k+1 vertices
-    let mut best: Option<Vec<VertexId>> = None;
+    // monotone in the prefix: more vertices can only help. Every probe
+    // reuses one scratch; `core` holds the last feasible probe's answer.
+    let mut scratch = PeelScratch::new();
+    let (mut probe, mut core) = (Vec::new(), Vec::new());
+    let (mut lo, mut hi) = (k as usize + 1, order.len());
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        match connected_k_core_containing(g, &order[..mid], q, k) {
-            Some(core) => {
-                best = Some(core);
-                hi = mid;
-            }
-            None => lo = mid + 1,
+        if scratch.connected_k_core_containing_into(g, &order[..mid], &[q], k, &mut probe) {
+            std::mem::swap(&mut core, &mut probe);
+            hi = mid;
+        } else {
+            lo = mid + 1;
         }
     }
-    // `hi` is the minimal feasible prefix; make sure we hold its core.
-    let core = match best {
-        Some(c) if hi < order.len() => c,
-        _ => connected_k_core_containing(g, &order[..hi.max(lo)], q, k)?,
-    };
+    // No proper prefix sufficed: the answer, if any, needs every candidate.
+    let full = hi == order.len();
+    if full && !scratch.connected_k_core_containing_into(g, &order, &[q], k, &mut core) {
+        return None;
+    }
     let radius = core
         .iter()
         .map(|&v| distance(coords[v.index()], cq))
@@ -185,8 +189,9 @@ mod tests {
             .copied()
             .filter(|&u| distance(coords[u.index()], cq) < sac.radius - 1e-9)
             .collect();
+        let mut out = Vec::new();
         assert!(
-            cx_kcore::connected_k_core_containing(&g, &within, v(0), 2).is_none(),
+            !PeelScratch::new().connected_k_core_containing_into(&g, &within, &[v(0)], 2, &mut out),
             "a smaller disk should not suffice"
         );
     }

@@ -26,7 +26,8 @@
 //!    definitions, bit for bit; and for every workload query vertex and
 //!    k in 0..=core(q)+1, the engine's `global`, `kecc` and `sac` (which
 //!    start from the CL-tree interval) vs. their whole-graph-peel
-//!    references.
+//!    references, with `local` on the same legs held to Global's answer
+//!    (the summary line counts those Local legs; zero is a failure).
 //! 5. **Snapshot differential** — a reader pinned to a pre-edit snapshot
 //!    vs. the post-edit snapshot: each must match an engine that only
 //!    ever saw that graph version, and generations must advance.
@@ -147,6 +148,7 @@ fn main() {
     let mut basic_legs = 0usize;
     let mut qset_basic = 0usize;
     let mut k0_basic = 0usize;
+    let mut local_legs = 0usize;
     let matrix = graph_matrix(&args.sizes, &args.seeds);
     println!(
         "cx-check: {} graphs × {} queries, threads {:?}, fuzz {}",
@@ -249,7 +251,9 @@ fn main() {
 
         // Structural differential: the CL-tree interval vs. a whole-graph
         // peel, for every workload vertex and every k up to core(q) + 1.
-        for m in structural_vs_peel(g, &qs) {
+        let (mismatches, legs) = structural_vs_peel(g, &qs);
+        local_legs += legs;
+        for m in mismatches {
             problems.push(format!("{} {}", case.name, m));
         }
 
@@ -349,14 +353,20 @@ fn main() {
         ));
     }
 
+    // Local's only answer oracle is the structural sweep.
+    if local_legs == 0 {
+        problems.push("no Local leg was checked against Global".to_string());
+    }
+
     if problems.is_empty() {
         println!(
-            "cx-check PASS: {} graphs, {} queries ({} vs Basic: {} query sets, {} at k = 0), {} fuzz requests, {} crash cases — no violations",
+            "cx-check PASS: {} graphs, {} queries ({} vs Basic: {} query sets, {} at k = 0), {} Local legs, {} fuzz requests, {} crash cases — no violations",
             matrix.len(),
             queries_run,
             basic_legs,
             qset_basic,
             k0_basic,
+            local_legs,
             report.total,
             crashes
         );

@@ -72,9 +72,10 @@ fn internal_degree(g: &AttributedGraph, set: &HashSet<VertexId>, v: VertexId) ->
 /// Naive fixpoint peel: repeatedly drop members with internal degree < k
 /// until stable, then keep q's connected component. Quadratic and proud of
 /// it — this is the reference implementation the fast paths are judged
-/// against. Returns `None` when q is peeled away (no qualifying
-/// community exists within `members`).
-fn reference_core_component(
+/// against, here and by the tests of `cx-kcore`'s subset peel. Returns
+/// `None` when q is peeled away (no qualifying community exists within
+/// `members`).
+pub fn reference_core_component(
     g: &AttributedGraph,
     members: &[VertexId],
     q: VertexId,

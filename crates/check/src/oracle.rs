@@ -23,7 +23,7 @@ use std::collections::HashSet;
 use std::sync::Mutex;
 
 use cx_acq::{acq, acq_set, AcqOptions, AcqResult, AcqStrategy};
-use cx_algos::{kecc_community, sac_appinc, Global};
+use cx_algos::{kecc_community, sac_appinc, Global, Local};
 use cx_cltree::ClTree;
 use cx_explorer::{Engine, QuerySpec};
 use cx_graph::keywords::{intersection_size, jaccard};
@@ -32,6 +32,7 @@ use cx_kcore::CoreDecomposition;
 use cx_par::rng::Rng64;
 
 use crate::canonical::{diff_results, fingerprint, graph_fingerprint, tree_canonical};
+use crate::invariants::check_community;
 use crate::workload::{EditStep, QueryCase};
 
 /// One disagreement between two paths that must agree.
@@ -286,7 +287,13 @@ pub fn analysis_vs_pairs(g: &AttributedGraph, queries: &[QueryCase]) -> Vec<Mism
 /// * `kecc` — [`kecc_community`] inside that peeled core;
 /// * `sac` — [`sac_appinc`] over all n vertices, on seeded coordinates
 ///   installed in the engine first.
-pub fn structural_vs_peel(g: &AttributedGraph, queries: &[VertexId]) -> Vec<Mismatch> {
+///
+/// On the same legs, [`Local::fixed_k`] is held to Global's answer: its
+/// community must pass [`check_community`] and lie inside Global's, and
+/// when q's component is smaller than Local's candidate cap (so Local
+/// can always exhaust it) Local must find a community exactly when
+/// Global does. Returns the mismatches and the number of Local legs run.
+pub fn structural_vs_peel(g: &AttributedGraph, queries: &[VertexId]) -> (Vec<Mismatch>, usize) {
     let mut rng = Rng64::seed_from_u64(0x5AC ^ g.vertex_count() as u64);
     let coords: Vec<(f64, f64)> =
         g.vertices().map(|_| (rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0))).collect();
@@ -299,9 +306,35 @@ pub fn structural_vs_peel(g: &AttributedGraph, queries: &[VertexId]) -> Vec<Mism
     qs.sort_unstable();
     qs.dedup();
     let mut mismatches = Vec::new();
+    let mut local_legs = 0;
+    let local = Local::new();
     for q in qs {
+        let below_cap = cx_graph::traversal::bfs(g, q).len() < local.max_candidates;
         for k in 0..=cores.core(q) + 1 {
             let core = Global.fixed_k(g, q, k);
+            let context = |algo: &str| format!("algo={algo} q={} ({q:?}) k={k}", g.label(q));
+            let mut local_problems: Vec<String> = Vec::new();
+            match (local.fixed_k(g, q, k), &core) {
+                (Some(c), Some(global)) => {
+                    let violations = check_community(g, &c, &[q], k);
+                    local_problems.extend(violations.iter().map(ToString::to_string));
+                    if let Some(v) = c.vertices().iter().find(|&&v| !global.contains(v)) {
+                        local_problems.push(format!("member {v:?} lies outside Global's community"));
+                    }
+                }
+                (Some(c), None) => local_problems
+                    .push(format!("found {} members where Global finds no community", c.len())),
+                (None, Some(global)) if below_cap => local_problems.push(format!(
+                    "found nothing where Global finds {} members",
+                    global.len()
+                )),
+                (None, _) => {}
+            }
+            local_legs += 1;
+            for detail in local_problems {
+                let context = context("local");
+                mismatches.push(Mismatch { oracle: "structural", context, detail });
+            }
             let kecc = core.as_ref().and_then(|c| kecc_community(g, c.vertices(), q, k));
             let sac = sac_appinc(g, &coords, &all, q, k).map(|s| s.community);
             for (algo, want) in [("global", core), ("kecc", kecc), ("sac", sac)] {
@@ -311,13 +344,13 @@ pub fn structural_vs_peel(g: &AttributedGraph, queries: &[VertexId]) -> Vec<Mism
                     Err(e) => Some(format!("search errored: {e}")),
                 };
                 if let Some(detail) = detail {
-                    let context = format!("algo={algo} q={} ({q:?}) k={k}", g.label(q));
+                    let context = context(algo);
                     mismatches.push(Mismatch { oracle: "structural", context, detail });
                 }
             }
         }
     }
-    mismatches
+    (mismatches, local_legs)
 }
 
 /// Snapshot-pinning oracle: a reader holding a pre-edit snapshot and the
@@ -680,8 +713,9 @@ mod tests {
     fn structural_oracle_is_clean_on_figure5() {
         let g = figure5_graph();
         let qs: Vec<VertexId> = g.vertices().collect();
-        let mm = structural_vs_peel(&g, &qs);
+        let (mm, local_legs) = structural_vs_peel(&g, &qs);
         assert!(mm.is_empty(), "{mm:?}");
+        assert!(local_legs >= qs.len(), "{local_legs} Local legs");
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Whole-graph core decomposition (Batagelj–Zaversnik, 2003).
 //!
 //! The peel itself is inherently sequential (each removal changes the
-//! degrees the next step sees), but the O(n) setup — degree scan and the
-//! bucket histogram — runs on the cx-par pool, and [`CoreDecomposition::compute_par`]
-//! peels independent connected components concurrently. Both variants
-//! produce identical core numbers at any `CX_THREADS` value.
+//! degrees the next step sees), but the O(n) degree scan runs on the
+//! cx-par pool, and [`CoreDecomposition::compute_par`] peels independent
+//! connected components concurrently. Both variants run the one bucket
+//! peel `peel` and produce identical core numbers at any `CX_THREADS`
+//! value.
 
 use cx_graph::traversal::ConnectedComponents;
 use cx_graph::{AttributedGraph, VertexId};
@@ -16,9 +17,6 @@ use cx_graph::{AttributedGraph, VertexId};
 #[derive(Debug, Clone)]
 pub struct CoreDecomposition {
     core: Vec<u32>,
-    /// Vertices sorted by core number ascending — the peeling (degeneracy)
-    /// order; `order[i]` was the i-th vertex removed.
-    order: Vec<VertexId>,
     max_core: u32,
 }
 
@@ -26,107 +24,23 @@ impl CoreDecomposition {
     /// Runs the decomposition on `g`.
     pub fn compute(g: &AttributedGraph) -> Self {
         let _span = cx_obs::span("kcore.peel");
-        let n = g.vertex_count();
-        if n == 0 {
-            return Self { core: Vec::new(), order: Vec::new(), max_core: 0 };
-        }
         // Degree scan in parallel; exact and order-free, so thread count
         // cannot change the result.
-        let mut deg: Vec<usize> =
-            cx_par::par_map_indexed(n, |v| g.degree(VertexId(v as u32)));
-        let max_deg = cx_par::par_reduce(
-            n,
-            |r| r.clone().map(|v| deg[v]).max().unwrap_or(0),
-            usize::max,
-        )
-        .unwrap();
-
-        // Bucket sort vertices by degree: per-chunk histograms combined by
-        // element-wise addition (exact for integers in any order).
-        let mut bin = cx_par::par_reduce(
-            n,
-            |r| {
-                let mut h = vec![0usize; max_deg + 2];
-                for v in r {
-                    h[deg[v]] += 1;
-                }
-                h
-            },
-            |mut a, b| {
-                for (x, y) in a.iter_mut().zip(&b) {
-                    *x += y;
-                }
-                a
-            },
-        )
-        .unwrap();
-        let mut start = 0usize;
-        for b in bin.iter_mut() {
-            let count = *b;
-            *b = start;
-            start += count;
-        }
-        // pos[v] = index of v in vert; vert = vertices sorted by current degree.
-        let mut vert = vec![0u32; n];
-        let mut pos = vec![0usize; n];
-        {
-            let mut cursor = bin.clone();
-            for v in 0..n {
-                pos[v] = cursor[deg[v]];
-                vert[pos[v]] = v as u32;
-                cursor[deg[v]] += 1;
-            }
-        }
-
-        let mut core = vec![0u32; n];
-        let mut order = Vec::with_capacity(n);
-        for i in 0..n {
-            // Request-deadline checkpoint (see cx_par::task): a cancelled
-            // run's partial core numbers never escape — the scope owner
-            // discards the result — so bailing mid-peel is safe.
-            if i & 0xFFF == 0 && i != 0 && cx_par::task::cancelled() {
-                break;
-            }
-            let v = vert[i] as usize;
-            core[v] = deg[v] as u32;
-            order.push(VertexId(v as u32));
-            for &u in g.neighbors(VertexId(v as u32)) {
-                let u = u.index();
-                if deg[u] > deg[v] {
-                    // Move u to the front of its degree bucket, then shift
-                    // the bucket boundary: u's degree drops by one.
-                    let du = deg[u];
-                    let pu = pos[u];
-                    let pw = bin[du];
-                    let w = vert[pw] as usize;
-                    if u != w {
-                        vert.swap(pu, pw);
-                        pos[u] = pw;
-                        pos[w] = pu;
-                    }
-                    bin[du] += 1;
-                    deg[u] -= 1;
-                }
-            }
-        }
-        let max_core = core.iter().copied().max().unwrap_or(0);
-        Self { core, order, max_core }
+        let deg = cx_par::par_map_indexed(g.vertex_count(), |v| g.degree(VertexId(v as u32)));
+        Self::from_cores(peel(deg, |v| {
+            g.neighbors(VertexId(v as u32)).iter().map(|u| u.index())
+        }))
     }
 
     /// Parallel per-component decomposition: peels each connected component
     /// independently on the cx-par pool. Core numbers are identical to
-    /// [`CoreDecomposition::compute`] (a k-core never spans components);
-    /// the peeling order is a deterministic merge of the per-component
-    /// orders by core number, so the monotonicity invariant holds and the
-    /// result is independent of the thread count.
+    /// [`CoreDecomposition::compute`] (a k-core never spans components), so
+    /// the result is independent of the thread count.
     pub fn compute_par(g: &AttributedGraph) -> Self {
         let _span = cx_obs::span("kcore.decompose-par");
         let n = g.vertex_count();
-        if n == 0 {
-            return Self { core: Vec::new(), order: Vec::new(), max_core: 0 };
-        }
         let cc = ConnectedComponents::compute(g);
-        if cc.count == 1 {
+        if cc.count <= 1 {
             return Self::compute(g);
         }
         let comps = cc.groups();
@@ -137,29 +51,24 @@ impl CoreDecomposition {
                 local[v.index()] = i as u32;
             }
         }
-        let peeled: Vec<(Vec<u32>, Vec<VertexId>)> =
-            cx_par::par_map_slice(&comps, |comp| peel_component(g, comp, &local));
-
+        // Edges never leave a component, so the global degree is also the
+        // within-component degree.
+        let peeled: Vec<Vec<u32>> = cx_par::par_map_slice(&comps, |comp| {
+            let deg = comp.iter().map(|&v| g.degree(v)).collect();
+            peel(deg, |i| g.neighbors(comp[i]).iter().map(|u| local[u.index()] as usize))
+        });
         let mut core = vec![0u32; n];
-        for (comp, (cores, _)) in comps.iter().zip(&peeled) {
+        for (comp, cores) in comps.iter().zip(&peeled) {
             for (&v, &c) in comp.iter().zip(cores) {
                 core[v.index()] = c;
             }
         }
+        Self::from_cores(core)
+    }
+
+    fn from_cores(core: Vec<u32>) -> Self {
         let max_core = core.iter().copied().max().unwrap_or(0);
-        // Merge per-component peel orders into one globally monotone order:
-        // bucket by core number, components in their deterministic order.
-        let mut buckets: Vec<Vec<VertexId>> = vec![Vec::new(); max_core as usize + 1];
-        for (_, comp_order) in &peeled {
-            for &v in comp_order {
-                buckets[core[v.index()] as usize].push(v);
-            }
-        }
-        let mut order = Vec::with_capacity(n);
-        for b in buckets {
-            order.extend(b);
-        }
-        Self { core, order, max_core }
+        Self { core, max_core }
     }
 
     /// The core number of `v`.
@@ -178,13 +87,6 @@ impl CoreDecomposition {
     #[inline]
     pub fn max_core(&self) -> u32 {
         self.max_core
-    }
-
-    /// The peeling order (vertices sorted by core number ascending). The
-    /// reverse of this order is a degeneracy ordering.
-    #[inline]
-    pub fn peeling_order(&self) -> &[VertexId] {
-        &self.order
     }
 
     /// All vertices of the k-core `H_k` (those with core number ≥ k),
@@ -223,21 +125,18 @@ impl CoreDecomposition {
     }
 }
 
-/// Batagelj–Zaversnik peel restricted to one connected component.
-/// `local` maps global vertex ids to component-local indices. Returns the
-/// core number per component-local index plus the component's peel order
-/// (as global ids). Edges never leave a component, so the global degree is
-/// also the within-component degree.
-fn peel_component(
-    g: &AttributedGraph,
-    comp: &[VertexId],
-    local: &[u32],
-) -> (Vec<u32>, Vec<VertexId>) {
-    let n = comp.len();
-    let mut deg: Vec<usize> = comp.iter().map(|&v| g.degree(v)).collect();
+/// The Batagelj–Zaversnik bucket peel over vertices `0..deg.len()`:
+/// `deg[v]` is v's degree and `neighbors(v)` its neighbours, both in the
+/// same index space. Returns the core number of every vertex.
+fn peel<I>(mut deg: Vec<usize>, neighbors: impl Fn(usize) -> I) -> Vec<u32>
+where
+    I: Iterator<Item = usize>,
+{
+    let n = deg.len();
     let max_deg = deg.iter().copied().max().unwrap_or(0);
-
-    let mut bin = vec![0usize; max_deg + 2];
+    // bin[d] = start of degree bucket d in `vert`, which lists the
+    // vertices sorted by current degree; pos[v] = index of v in `vert`.
+    let mut bin = vec![0usize; max_deg + 1];
     for &d in &deg {
         bin[d] += 1;
     }
@@ -259,14 +158,19 @@ fn peel_component(
     }
 
     let mut core = vec![0u32; n];
-    let mut order = Vec::with_capacity(n);
     for i in 0..n {
+        // Request-deadline checkpoint (see cx_par::task): a cancelled
+        // run's partial core numbers never escape — the scope owner
+        // discards the result — so bailing mid-peel is safe.
+        if i & 0xFFF == 0 && i != 0 && cx_par::task::cancelled() {
+            break;
+        }
         let v = vert[i] as usize;
         core[v] = deg[v] as u32;
-        order.push(comp[v]);
-        for &gu in g.neighbors(comp[v]) {
-            let u = local[gu.index()] as usize;
+        for u in neighbors(v) {
             if deg[u] > deg[v] {
+                // Move u to the front of its degree bucket, then shift
+                // the bucket boundary: u's degree drops by one.
                 let du = deg[u];
                 let pu = pos[u];
                 let pw = bin[du];
@@ -281,7 +185,7 @@ fn peel_component(
             }
         }
     }
-    (core, order)
+    core
 }
 
 #[cfg(test)]
@@ -398,15 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn peeling_order_is_nondecreasing_in_core_number() {
-        let g = figure5_graph();
-        let cd = CoreDecomposition::compute(&g);
-        let cores: Vec<u32> = cd.peeling_order().iter().map(|&u| cd.core(u)).collect();
-        assert!(cores.windows(2).all(|w| w[0] <= w[1]), "order {cores:?} not monotone");
-        assert_eq!(cd.peeling_order().len(), g.vertex_count());
-    }
-
-    #[test]
     fn compute_par_matches_sequential_on_multi_component_graph() {
         let _guard = crate::test_env_lock();
         let g = figure5_graph(); // 4 components: the big one, H, I, J
@@ -414,9 +309,6 @@ mod tests {
         let b = CoreDecomposition::compute_par(&g);
         assert_eq!(a.core_numbers(), b.core_numbers());
         assert_eq!(a.max_core(), b.max_core());
-        assert_eq!(b.peeling_order().len(), g.vertex_count());
-        let cores: Vec<u32> = b.peeling_order().iter().map(|&u| b.core(u)).collect();
-        assert!(cores.windows(2).all(|w| w[0] <= w[1]), "par order not monotone");
         // Empty graph hits the early return.
         assert_eq!(CoreDecomposition::compute_par(&GraphBuilder::new().build()).max_core(), 0);
     }

@@ -1,14 +1,15 @@
-//! Reusable, epoch-cleared buffers for subset peeling — the query
-//! hot path's allocation-free replacement for [`crate::subset`]'s
-//! per-call `VertexSet`/`Vec` machinery.
+//! Subset peeling against reusable, epoch-cleared buffers: the one
+//! answer in the workspace to "which connected k-core inside this
+//! vertex set contains q?".
 //!
-//! ACQ verifies dozens of candidate keyword sets per query, and every
-//! verification used to allocate (and zero) three graph-sized buffers:
-//! the membership mask, the induced-degree array and the BFS visited
-//! mask. [`PeelScratch`] keeps all three alive across calls and clears
-//! them in O(1) by bumping an epoch stamp instead of touching memory, so
-//! a steady-state verification costs O(|members| + induced edges) with
-//! zero heap allocations.
+//! ACQ verifies dozens of candidate keyword sets per query, `Local`
+//! re-checks its growing candidate set every few admissions, SAC
+//! binary-searches disk prefixes and `Global` peels all n vertices once.
+//! Each check needs three graph-sized buffers: the membership mask, the
+//! induced-degree array and the BFS visited mask. [`PeelScratch`] keeps
+//! all three alive across calls and clears them in O(1) by bumping an
+//! epoch stamp instead of touching memory, so a steady-state check costs
+//! O(|members| + induced edges) with zero heap allocations.
 //!
 //! The buffers are `AtomicU32` so the same storage serves both the
 //! serial path (relaxed loads/stores compile to plain memory ops) and
@@ -25,13 +26,12 @@ use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
 use cx_graph::{AttributedGraph, VertexId};
 
-/// Default member-set size below which the frontier loops stay serial:
-/// the parallel path pays per-level `std::thread::scope` spawns (and
-/// their allocations), which only amortise over jumbo member sets —
-/// whole-graph subset peels, not per-query keyword cores. Keeping
-/// typical query verifications serial also keeps them allocation-free
-/// at every `CX_THREADS` setting, which `ci.sh` asserts. Tunable per
-/// scratch via [`PeelScratch::set_parallel_threshold`].
+/// Member-set size below which the frontier loops stay serial: the
+/// parallel path pays per-level `std::thread::scope` spawns (and their
+/// allocations), which only amortise over jumbo member sets — whole-graph
+/// subset peels, not per-query keyword cores. Keeping typical query
+/// verifications serial also keeps them allocation-free at every
+/// `CX_THREADS` setting, which `ci.sh` asserts.
 pub const PAR_MEMBER_THRESHOLD: usize = 65_536;
 
 /// Frontier size below which one level is processed serially even when
@@ -55,8 +55,6 @@ pub struct PeelScratch {
     frontier: Vec<VertexId>,
     /// Next frontier, swapped with `frontier` level by level.
     next: Vec<VertexId>,
-    /// Member-set size at which frontier sweeps go parallel.
-    par_threshold: usize,
 }
 
 impl Default for PeelScratch {
@@ -75,16 +73,7 @@ impl PeelScratch {
             epoch: 0,
             frontier: Vec::new(),
             next: Vec::new(),
-            par_threshold: PAR_MEMBER_THRESHOLD,
         }
-    }
-
-    /// Overrides the member-set size at which frontier sweeps go
-    /// parallel (default [`PAR_MEMBER_THRESHOLD`]). Lower it to force
-    /// the parallel path in tests, or raise it to pin a scratch serial.
-    /// The result set is identical either way.
-    pub fn set_parallel_threshold(&mut self, members: usize) {
-        self.par_threshold = members.max(1);
     }
 
     /// Starts a fresh call over a graph with `n` vertices: grows buffers
@@ -115,9 +104,8 @@ impl PeelScratch {
     /// `std::slice::from_ref(&q)`.
     ///
     /// Allocation-free in steady state; duplicates in `members` and `qs`
-    /// are tolerated. For member sets of at least the parallel threshold
-    /// ([`PAR_MEMBER_THRESHOLD`] unless overridden) and
-    /// `cx_par::num_threads() > 1`, the peel and BFS run as
+    /// are tolerated. For member sets of at least [`PAR_MEMBER_THRESHOLD`]
+    /// and `cx_par::num_threads() > 1`, the peel and BFS run as
     /// level-synchronous parallel frontier sweeps (that path allocates
     /// for thread scopes and per-chunk buffers).
     pub fn connected_k_core_containing_into(
@@ -140,7 +128,7 @@ impl PeelScratch {
             return false;
         }
         self.begin(n);
-        let parallel = members.len() >= self.par_threshold && cx_par::num_threads() > 1;
+        let parallel = members.len() >= PAR_MEMBER_THRESHOLD && cx_par::num_threads() > 1;
         let epoch = self.epoch;
 
         // Mark membership, then induced degrees (idempotent stores, so
@@ -281,7 +269,6 @@ fn collect_level(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::subset::connected_k_core_containing;
     use cx_graph::GraphBuilder;
 
     fn v(i: u32) -> VertexId {
@@ -300,24 +287,6 @@ mod tests {
             b.add_edge(v(a), v(c));
         }
         b.build()
-    }
-
-    #[test]
-    fn scratch_matches_allocating_path_on_fixture() {
-        let g = fixture();
-        let all: Vec<VertexId> = g.vertices().collect();
-        let mut s = PeelScratch::new();
-        let mut out = Vec::new();
-        for k in 0..=5 {
-            for &q in &all {
-                let want = connected_k_core_containing(&g, &all, q, k);
-                let got = s.connected_k_core_containing_into(&g, &all, &[q], k, &mut out);
-                assert_eq!(got, want.is_some(), "q={q} k={k}");
-                if let Some(w) = want {
-                    assert_eq!(out, w, "q={q} k={k}");
-                }
-            }
-        }
     }
 
     #[test]
@@ -372,47 +341,5 @@ mod tests {
         assert_eq!(out, vec![v(0), v(1), v(2), v(3), v(4)]);
         // No query vertex at all.
         assert!(!s.connected_k_core_containing_into(&g, &all, &[], 2, &mut out));
-    }
-
-    /// The parallel frontier path (forced by lowering the per-scratch
-    /// threshold) agrees with the serial path.
-    #[test]
-    fn parallel_frontier_matches_serial_on_large_graph() {
-        // Ring of K4 blocks: 3000 blocks x 4 vertices = 12000 members.
-        let blocks = 3_000u32;
-        let mut b = GraphBuilder::new();
-        for i in 0..blocks * 4 {
-            b.add_vertex(&format!("r{i}"), &[]);
-        }
-        for blk in 0..blocks {
-            let base = blk * 4;
-            for a in 0..4u32 {
-                for c in (a + 1)..4 {
-                    b.add_edge(v(base + a), v(base + c));
-                }
-            }
-            // Chain blocks into one component via a single bridge edge.
-            let nxt = ((blk + 1) % blocks) * 4;
-            b.add_edge(v(base), v(nxt));
-        }
-        let g = b.build();
-        let all: Vec<VertexId> = g.vertices().collect();
-
-        let serial = connected_k_core_containing(&g, &all, v(0), 3).unwrap();
-        let _guard = crate::test_env_lock();
-        let old = std::env::var("CX_THREADS").ok();
-        std::env::set_var("CX_THREADS", "4");
-        cx_par::refresh_threads();
-        let mut s = PeelScratch::new();
-        s.set_parallel_threshold(1024);
-        assert!(all.len() >= 1024);
-        let mut out = Vec::new();
-        assert!(s.connected_k_core_containing_into(&g, &all, &[v(0)], 3, &mut out));
-        match old {
-            Some(t) => std::env::set_var("CX_THREADS", t),
-            None => std::env::remove_var("CX_THREADS"),
-        }
-        cx_par::refresh_threads();
-        assert_eq!(out, serial);
     }
 }

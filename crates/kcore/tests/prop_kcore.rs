@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 
 use cx_graph::{AttributedGraph, GraphBuilder, VertexId};
-use cx_kcore::{k_core_of_subset, CoreDecomposition, TrussDecomposition};
+use cx_kcore::{CoreDecomposition, PeelScratch, TrussDecomposition};
 
 fn arb_graph(max_n: usize) -> impl Strategy<Value = AttributedGraph> {
     (2..=max_n).prop_flat_map(|n| {
@@ -129,11 +129,15 @@ proptest! {
     }
 
     #[test]
-    fn subset_core_on_full_graph_matches_decomposition(g in arb_graph(25), k in 0u32..5) {
+    fn scratch_peel_on_full_graph_matches_decomposition(g in arb_graph(25), k in 0u32..5) {
         let all: Vec<VertexId> = g.vertices().collect();
-        let sub = k_core_of_subset(&g, &all, k);
         let cd = CoreDecomposition::compute(&g);
-        prop_assert_eq!(sub, cd.k_core_vertices(k));
+        let mut s = PeelScratch::new();
+        let mut out = Vec::new();
+        for &q in &all {
+            let found = s.connected_k_core_containing_into(&g, &all, &[q], k, &mut out);
+            prop_assert_eq!(found.then(|| out.clone()), cd.connected_k_core(&g, q, k));
+        }
     }
 
     #[test]

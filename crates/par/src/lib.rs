@@ -6,7 +6,6 @@
 //! `std` what rayon/crossbeam would otherwise provide:
 //!
 //! * [`par_map_indexed`] — map an index range to a `Vec<R>` in input order;
-//! * [`par_chunks_mut`] — run a closure over disjoint mutable chunks;
 //! * [`par_reduce`] — the deterministic reduce-combine primitive: map
 //!   fixed chunks to partials, combine partials in ascending chunk order;
 //! * [`queue`] — an MPMC channel plus [`queue::WorkerPool`] for the
@@ -181,50 +180,6 @@ pub fn par_map_tasks<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R>
     run_chunked(n, &f).into_iter().map(|(_, r)| r).collect()
 }
 
-/// Runs `f(start_offset, chunk)` over disjoint mutable chunks of `data`
-/// (each `chunk_len` long except possibly the last) on parallel workers.
-///
-/// `start_offset` is the index of `chunk[0]` within `data`, so closures
-/// can correlate chunk elements with other per-index state.
-pub fn par_chunks_mut<T: Send>(
-    data: &mut [T],
-    chunk_len: usize,
-    f: impl Fn(usize, &mut [T]) + Sync,
-) {
-    assert!(chunk_len > 0, "chunk size must be positive");
-    let n = data.len();
-    if n == 0 {
-        return;
-    }
-    if n <= chunk_len || num_threads() == 1 {
-        f(0, data);
-        return;
-    }
-    let chunks: Vec<(usize, &mut [T])> = {
-        let mut offset = 0usize;
-        data.chunks_mut(chunk_len)
-            .map(|c| {
-                let pair = (offset, c);
-                offset += pair.1.len();
-                pair
-            })
-            .collect()
-    };
-    let threads = num_threads().min(chunks.len());
-    let work = std::sync::Mutex::new(chunks.into_iter());
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let item = work.lock().expect("cx-par queue poisoned").next();
-                match item {
-                    Some((offset, chunk)) => f(offset, chunk),
-                    None => break,
-                }
-            });
-        }
-    });
-}
-
 /// The deterministic reduce-combine primitive: maps every fixed-size chunk
 /// range of `0..n` to a partial with `map`, then folds the partials in
 /// ascending chunk order with `combine`. Returns `None` when `n == 0`.
@@ -300,22 +255,6 @@ mod tests {
                 par_map_indexed(n, |i| (i as u64).wrapping_mul(2654435761))
             });
             assert_eq!(got, expect, "threads={t}");
-        }
-    }
-
-    #[test]
-    fn chunks_mut_touches_every_element_once() {
-        let n = 30_000;
-        for t in ["1", "2", "8"] {
-            let mut data = vec![0u32; n];
-            with_threads(t, || {
-                par_chunks_mut(&mut data, 1024, |offset, chunk| {
-                    for (i, x) in chunk.iter_mut().enumerate() {
-                        *x += (offset + i) as u32 + 1;
-                    }
-                });
-            });
-            assert!(data.iter().enumerate().all(|(i, &x)| x == i as u32 + 1), "threads={t}");
         }
     }
 
