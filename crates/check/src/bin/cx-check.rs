@@ -43,10 +43,11 @@
 //! 9. **API fuzz** — mutated requests must never panic or break the
 //!    JSON error contract.
 //! 10. **Kill-replay** — a durable engine crashed at seeded WAL byte
-//!     offsets (truncations and bit flips), or with its checkpoint's
-//!     CL-tree index sidecar missing, cut, flipped or foreign, must
-//!     recover to a committed generation with byte-identical
-//!     fingerprints (`--kill-replay N` crash cases, every seven of them
+//!     offsets (truncations and bit flips), with its checkpoint's
+//!     CL-tree index sidecar missing, cut, flipped or foreign, or
+//!     mid-compaction (a torn copy of the next checkpoint left behind),
+//!     must recover to a committed generation with byte-identical
+//!     fingerprints (`--kill-replay N` crash cases, every eight of them
 //!     one of each kind; 0 skips the sweep).
 //!
 //! Exit status 0 = clean; 1 = violations found; 2 = bad usage.
@@ -333,8 +334,13 @@ fn main() {
         });
         crashes = kr.cases;
         println!(
-            "  kill-replay: {} cases ({} truncations, {} bitflips, sidecar missing/cut/flipped/foreign {:?}), {} committed generations",
-            kr.cases, kr.truncations, kr.bitflips, kr.sidecar_cases, kr.committed_generations
+            "  kill-replay: {} cases ({} truncations, {} bitflips, sidecar missing/cut/flipped/foreign {:?}, {} torn checkpoints), {} committed generations",
+            kr.cases,
+            kr.truncations,
+            kr.bitflips,
+            kr.sidecar_cases,
+            kr.torn_checkpoints,
+            kr.committed_generations
         );
         problems.extend(kr.failures.iter().map(|f| format!("kill-replay {f}")));
     }

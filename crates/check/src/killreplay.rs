@@ -16,7 +16,7 @@
 //! log alone as it stood before the first compaction (recovery replays
 //! the `AddGraph` frame), and the final directory — a checkpoint with its
 //! CL-tree index sidecar, plus the log of the edits after it. Crash cases
-//! cycle through three kinds of damage, each on a clone:
+//! cycle through four kinds of damage, each on a clone:
 //!
 //! * the WAL cut at a seeded byte offset;
 //! * one seeded bit of the WAL flipped;
@@ -24,7 +24,11 @@
 //!   the (whole, valid) sidecar of the earlier checkpoint — with the WAL
 //!   torn inside its first frame, so that recovery lands exactly on the
 //!   checkpoint and the sidecar alone decides between loading the index
-//!   and rebuilding it.
+//!   and rebuilding it;
+//! * a crashed compaction: a seeded prefix of the checkpoint the next
+//!   compaction would write (same name, same generation) left in
+//!   `snapshots/` beside the whole WAL, then a reboot and a compaction —
+//!   which must write that checkpoint whole, not commit the torn one.
 //!
 //! The verdict is the same for all of them: the engine reopens, and the
 //! recovered generation is one the reference run committed, with its
@@ -72,6 +76,8 @@ pub struct KillReplayReport {
     pub bitflips: usize,
     /// Cases that damaged the index sidecar, by [`SidecarDamage`] order.
     pub sidecar_cases: [usize; 4],
+    /// Cases that left a torn checkpoint for the next compaction.
+    pub torn_checkpoints: usize,
     /// Reproducer strings for every violation found.
     pub failures: Vec<String>,
     /// Highest generation the reference run committed.
@@ -109,9 +115,10 @@ const SIDECAR_DAMAGE: [SidecarDamage; 4] = [
     SidecarDamage::Foreign,
 ];
 
-/// Crash cases per cycle: two cuts, one flip, one of each sidecar damage.
-/// A sweep of at least this many cases has tried them all.
-pub const CASES_PER_CYCLE: usize = 3 + SIDECAR_DAMAGE.len();
+/// Crash cases per cycle: two cuts, one flip, one of each sidecar damage,
+/// one torn checkpoint. A sweep of at least this many cases has tried
+/// them all.
+pub const CASES_PER_CYCLE: usize = 4 + SIDECAR_DAMAGE.len();
 
 const GRAPH: &str = "g";
 
@@ -156,6 +163,10 @@ struct Reference {
     sidecar: PathBuf,
     /// The first compaction's sidecar, swept since.
     earlier_sidecar: Vec<u8>,
+    /// The last generation, and the checkpoint file the next compaction
+    /// of the final store writes for it.
+    last: u64,
+    next_checkpoint: Vec<u8>,
 }
 
 /// Runs the seeded history on a durable engine, compacting after the
@@ -197,7 +208,19 @@ fn reference_run(params: &KillReplayParams) -> Reference {
             .expect("reference edit must apply");
         generation = record();
     }
+    drop(engine);
     let wal = read_wal();
+    let next_checkpoint = {
+        let copy = fresh_dir("next", params.seed);
+        clone_store(Some(&dir), &copy, &wal).expect("store clone");
+        let engine = Engine::open_durable(&copy).expect("reference store must reopen");
+        engine.compact_store().expect("reference compaction");
+        let file = Path::new(cx_store::SNAPSHOTS_DIR)
+            .join(cx_store::snapshot_file_name(GRAPH, generation));
+        let bytes = std::fs::read(copy.join(file)).expect("the next checkpoint");
+        let _ = std::fs::remove_dir_all(&copy);
+        bytes
+    };
     Reference {
         states,
         wal_only,
@@ -205,6 +228,8 @@ fn reference_run(params: &KillReplayParams) -> Reference {
         checkpoint,
         sidecar: sidecar_of(checkpoint),
         earlier_sidecar,
+        last: generation,
+        next_checkpoint,
         dir,
     }
 }
@@ -229,6 +254,7 @@ pub fn kill_replay(params: &KillReplayParams) -> KillReplayReport {
         let checkpointed = kind >= 3 || (case / CASES_PER_CYCLE) % 2 == 1;
         let wal = if checkpointed { &reference.wal } else { &reference.wal_only };
         let mut sidecar_damage = None;
+        let torn_checkpoint = kind == CASES_PER_CYCLE - 1;
         let (mutated, label) = match kind {
             0 | 1 => {
                 report.truncations += 1;
@@ -243,6 +269,10 @@ pub fn kill_replay(params: &KillReplayParams) -> KillReplayReport {
                 let mut m = wal.clone();
                 m[byte] ^= 1 << bit;
                 (m, format!("bitflip@{byte}.{bit}"))
+            }
+            _ if torn_checkpoint => {
+                report.torn_checkpoints += 1;
+                (wal.clone(), "whole WAL".to_owned())
             }
             _ => {
                 report.sidecar_cases[kind - 3] += 1;
@@ -277,6 +307,19 @@ pub fn kill_replay(params: &KillReplayParams) -> KillReplayReport {
             }
             label = format!("{label}, sidecar {damage:?}@{at}");
         }
+        if torn_checkpoint {
+            let cut = (rng.next_u64() as usize) % reference.next_checkpoint.len();
+            let file = cx_store::snapshot_file_name(GRAPH, reference.last);
+            let path = crash_dir.join(cx_store::SNAPSHOTS_DIR).join(file);
+            std::fs::write(path, &reference.next_checkpoint[..cut]).expect("torn checkpoint");
+            label = format!("{label}, next checkpoint torn@{cut}");
+            // Reboot and compact over it; the verdict below reboots again.
+            if let Err(e) = Engine::open_durable(&crash_dir).and_then(|e| e.compact_store()) {
+                report
+                    .failures
+                    .push(format!("case {case} ({label}): reboot + compaction errored: {e}"));
+            }
+        }
 
         // Recovery must never panic; catch violations as report entries.
         match Engine::open_durable(&crash_dir) {
@@ -303,6 +346,12 @@ pub fn kill_replay(params: &KillReplayParams) -> KillReplayReport {
                         report.failures.push(format!(
                             "case {case} ({label}): recovered generation {} with no frame to replay over checkpoint {}",
                             snap.generation, reference.checkpoint
+                        ));
+                    }
+                    if torn_checkpoint && snap.generation != reference.last {
+                        report.failures.push(format!(
+                            "case {case} ({label}): recovered generation {} although the whole WAL reached {}",
+                            snap.generation, reference.last
                         ));
                     }
                     match reference.states.get(&snap.generation) {
@@ -349,10 +398,11 @@ mod tests {
             steps: 6,
             seed: 3,
         });
-        assert_eq!(report.cases, 14);
+        assert_eq!(report.cases, 16);
         assert_eq!(report.truncations, 4);
         assert_eq!(report.bitflips, 2);
         assert_eq!(report.sidecar_cases, [2; 4]);
+        assert_eq!(report.torn_checkpoints, 2);
         assert!(report.passed(), "violations: {:?}", report.failures);
         assert!(report.committed_generations >= 7);
     }

@@ -12,9 +12,7 @@
 //! id, core numbers, then per node: level, parent(+1, 0 = none), resident
 //! list, child list. Every structural invariant is re-validated on load.
 
-use std::io::{BufReader, BufWriter, Read, Write};
-use std::path::Path;
-
+use cx_graph::codec::{ByteReader, ByteWriter};
 use cx_graph::{AttributedGraph, GraphError};
 
 use crate::build::{layout, ClTree};
@@ -22,79 +20,55 @@ use crate::node::{ClTreeNode, NodeId};
 
 const MAGIC: &[u8; 4] = b"CXT1";
 
-fn put_u32<W: Write>(w: &mut W, x: u32) -> std::io::Result<()> {
-    w.write_all(&x.to_le_bytes())
-}
-
-fn get_u32<R: Read>(r: &mut R) -> Result<u32, GraphError> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
 impl ClTree {
-    /// Writes the index snapshot to `w`.
-    pub fn write_snapshot<W: Write>(&self, w: &mut W) -> Result<(), GraphError> {
-        let mut w = BufWriter::new(w);
-        w.write_all(MAGIC)?;
-        put_u32(&mut w, self.core_numbers().len() as u32)?;
-        put_u32(&mut w, self.node_count() as u32)?;
-        put_u32(&mut w, self.root().0)?;
-        for &c in self.core_numbers() {
-            put_u32(&mut w, c)?;
-        }
+    /// Appends the index snapshot to `out`.
+    pub fn write_snapshot(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(MAGIC);
+        out.u32(self.core_numbers().len() as u32);
+        out.u32(self.node_count() as u32);
+        out.u32(self.root().0);
+        out.u32s(self.core_numbers().iter().copied());
         for (id, node) in self.iter_nodes() {
-            put_u32(&mut w, node.level)?;
-            put_u32(&mut w, node.parent.map_or(0, |p| p.0 + 1))?;
+            out.u32(node.level);
+            out.u32(node.parent.map_or(0, |p| p.0 + 1));
             let residents = self.residents(id);
-            put_u32(&mut w, residents.len() as u32)?;
-            for &v in residents {
-                put_u32(&mut w, v.0)?;
-            }
-            put_u32(&mut w, node.children.len() as u32)?;
-            for &c in &node.children {
-                put_u32(&mut w, c.0)?;
-            }
+            out.u32(residents.len() as u32);
+            out.u32s(residents.iter().map(|v| v.0));
+            out.u32(node.children.len() as u32);
+            out.u32s(node.children.iter().map(|c| c.0));
         }
-        w.flush()?;
-        Ok(())
     }
 
     /// Reads a snapshot written by [`ClTree::write_snapshot`], laying out
     /// the preorder columns and keyword postings from `g`. Fails if the
     /// snapshot does not match the graph (vertex count, structural
-    /// invariants).
-    pub fn read_snapshot<R: Read>(g: &AttributedGraph, r: &mut R) -> Result<Self, GraphError> {
-        let mut r = BufReader::new(r);
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
+    /// invariants) or has bytes left over.
+    pub fn read_snapshot(g: &AttributedGraph, bytes: &[u8]) -> Result<Self, GraphError> {
+        let mut r = ByteReader::new(bytes);
+        if r.take(MAGIC.len(), "magic")? != MAGIC {
             return Err(GraphError::Snapshot("bad CL-tree magic".into()));
         }
-        let n = get_u32(&mut r)? as usize;
+        let n = r.u32()? as usize;
         if n != g.vertex_count() {
             return Err(GraphError::Snapshot(format!(
                 "snapshot is for a {n}-vertex graph, got {}",
                 g.vertex_count()
             )));
         }
-        let node_count = get_u32(&mut r)? as usize;
+        let node_count = r.u32()? as usize;
         if node_count > n + 1 {
             return Err(GraphError::Snapshot("node count exceeds linear bound".into()));
         }
-        let root = NodeId(get_u32(&mut r)?);
+        let root = NodeId(r.u32()?);
         if node_count == 0 || root.index() >= node_count {
             return Err(GraphError::Snapshot("root out of range".into()));
         }
-        let mut core = Vec::with_capacity(n);
-        for _ in 0..n {
-            core.push(get_u32(&mut r)?);
-        }
+        let core: Vec<u32> = r.u32s(n, "core numbers")?.collect();
         let mut nodes = Vec::with_capacity(node_count);
         let mut node_of = vec![NodeId(u32::MAX); n];
         for i in 0..node_count {
-            let level = get_u32(&mut r)?;
-            let parent_raw = get_u32(&mut r)?;
+            let level = r.u32()?;
+            let parent_raw = r.u32()?;
             let parent = if parent_raw == 0 {
                 None
             } else {
@@ -104,12 +78,11 @@ impl ClTree {
                 }
                 Some(p)
             };
-            let v_len = get_u32(&mut r)? as usize;
+            let v_len = r.u32()? as usize;
             if v_len > n {
                 return Err(GraphError::Snapshot("vertex list too long".into()));
             }
-            for _ in 0..v_len {
-                let v = get_u32(&mut r)?;
+            for v in r.u32s(v_len, "residents")? {
                 if v as usize >= n {
                     return Err(GraphError::Snapshot("vertex id out of range".into()));
                 }
@@ -122,13 +95,12 @@ impl ClTree {
                     return Err(GraphError::Snapshot("vertex core != node level".into()));
                 }
             }
-            let c_len = get_u32(&mut r)? as usize;
+            let c_len = r.u32()? as usize;
             if c_len > node_count {
                 return Err(GraphError::Snapshot("child list too long".into()));
             }
             let mut children = Vec::with_capacity(c_len);
-            for _ in 0..c_len {
-                let c = get_u32(&mut r)?;
+            for c in r.u32s(c_len, "children")? {
                 if c as usize >= node_count {
                     return Err(GraphError::Snapshot("child out of range".into()));
                 }
@@ -136,6 +108,7 @@ impl ClTree {
             }
             nodes.push(ClTreeNode::new(level, parent, children));
         }
+        r.finish("CL-tree snapshot")?;
         if node_of.contains(&NodeId(u32::MAX)) {
             return Err(GraphError::Snapshot("some vertex belongs to no node".into()));
         }
@@ -163,21 +136,6 @@ impl ClTree {
         }
         Ok(layout(g, nodes, root, node_of, core))
     }
-
-    /// Saves the index snapshot to a file.
-    pub fn save_snapshot_file<P: AsRef<Path>>(&self, path: P) -> Result<(), GraphError> {
-        let mut f = std::fs::File::create(path)?;
-        self.write_snapshot(&mut f)
-    }
-
-    /// Loads an index snapshot from a file (see [`ClTree::read_snapshot`]).
-    pub fn load_snapshot_file<P: AsRef<Path>>(
-        g: &AttributedGraph,
-        path: P,
-    ) -> Result<Self, GraphError> {
-        let mut f = std::fs::File::open(path)?;
-        Self::read_snapshot(g, &mut f)
-    }
 }
 
 #[cfg(test)]
@@ -188,8 +146,8 @@ mod tests {
     fn roundtrip(g: &AttributedGraph) {
         let tree = ClTree::build(g);
         let mut buf = Vec::new();
-        tree.write_snapshot(&mut buf).unwrap();
-        let loaded = ClTree::read_snapshot(g, &mut buf.as_slice()).unwrap();
+        tree.write_snapshot(&mut buf);
+        let loaded = ClTree::read_snapshot(g, &buf).unwrap();
         assert_eq!(loaded.node_count(), tree.node_count());
         assert_eq!(loaded.root(), tree.root());
         assert_eq!(loaded.core_numbers(), tree.core_numbers());
@@ -228,9 +186,9 @@ mod tests {
         let g = figure5_graph();
         let tree = ClTree::build(&g);
         let mut buf = Vec::new();
-        tree.write_snapshot(&mut buf).unwrap();
+        tree.write_snapshot(&mut buf);
         let (other, _) = dblp_like(&DblpParams { authors: 50, ..DblpParams::default() });
-        assert!(ClTree::read_snapshot(&other, &mut buf.as_slice()).is_err());
+        assert!(ClTree::read_snapshot(&other, &buf).is_err());
     }
 
     #[test]
@@ -238,16 +196,20 @@ mod tests {
         let g = figure5_graph();
         let tree = ClTree::build(&g);
         let mut buf = Vec::new();
-        tree.write_snapshot(&mut buf).unwrap();
+        tree.write_snapshot(&mut buf);
         // Bad magic.
         let mut bad = buf.clone();
         bad[0] = b'X';
-        assert!(ClTree::read_snapshot(&g, &mut bad.as_slice()).is_err());
-        // Truncation at every eighth byte boundary must never panic.
-        for cut in (4..buf.len()).step_by(8) {
+        assert!(ClTree::read_snapshot(&g, &bad).is_err());
+        // Trailing bytes.
+        let mut longer = buf.clone();
+        longer.push(0);
+        assert!(ClTree::read_snapshot(&g, &longer).is_err());
+        // Truncation at every byte must never panic.
+        for cut in 0..buf.len() {
             let mut t = buf.clone();
             t.truncate(cut);
-            assert!(ClTree::read_snapshot(&g, &mut t.as_slice()).is_err(), "cut at {cut}");
+            assert!(ClTree::read_snapshot(&g, &t).is_err(), "cut at {cut}");
         }
         // Flip a vertex id deep in the payload: must be caught by one of
         // the structural validations, never accepted silently as valid &
@@ -255,7 +217,7 @@ mod tests {
         let mut flip = buf.clone();
         let last = flip.len() - 6;
         flip[last] ^= 0x01;
-        if let Ok(loaded) = ClTree::read_snapshot(&g, &mut flip.as_slice()) {
+        if let Ok(loaded) = ClTree::read_snapshot(&g, &flip) {
             // If it somehow still parses, it must be structurally identical.
             assert_eq!(loaded.core_numbers(), tree.core_numbers());
         }
@@ -273,11 +235,11 @@ mod tests {
         }
         let g = b.build();
         let mut buf = Vec::new();
-        ClTree::build(&g).write_snapshot(&mut buf).unwrap();
+        ClTree::build(&g).write_snapshot(&mut buf);
         // The root record is last: level, parent, 0 residents, 2 children.
         let kids = buf.len() - 8;
         assert_eq!(buf[kids..], [0, 0, 0, 0, 1, 0, 0, 0]);
-        let load = |bytes: &[u8]| ClTree::read_snapshot(&g, &mut &bytes[..]);
+        let load = |bytes: &[u8]| ClTree::read_snapshot(&g, bytes);
         assert!(load(&buf).is_ok());
         // Child 0 listed twice, child 1 orphaned: its vertices would get no rank.
         let mut twice = buf.clone();
@@ -288,18 +250,5 @@ mod tests {
         dropped.truncate(kids + 4);
         dropped[kids - 4] = 1;
         assert!(load(&dropped).is_err());
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("cx_cltree_snapshot_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let g = figure5_graph();
-        let tree = ClTree::build(&g);
-        let path = dir.join("fig5.cxt");
-        tree.save_snapshot_file(&path).unwrap();
-        let loaded = ClTree::load_snapshot_file(&g, &path).unwrap();
-        assert_eq!(loaded.node_count(), tree.node_count());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -27,7 +27,7 @@ impl Engine {
             let loaded = rg
                 .index
                 .as_deref()
-                .and_then(|mut index| ClTree::read_snapshot(&rg.graph, &mut index).ok());
+                .and_then(|index| ClTree::read_snapshot(&rg.graph, index).ok());
             cx_obs::metrics::inc(match loaded {
                 Some(_) => "cx_index_boot_total{source=\"loaded\"}",
                 None => "cx_index_boot_total{source=\"rebuilt\"}",
@@ -125,9 +125,7 @@ impl Engine {
                         })
                         .collect();
                     let mut index = Vec::new();
-                    s.tree
-                        .write_snapshot(&mut index)
-                        .expect("writing to a Vec cannot fail");
+                    s.tree.write_snapshot(&mut index);
                     cx_store::GraphCheckpoint {
                         name: name.clone(),
                         generation: s.generation,

@@ -54,6 +54,12 @@ impl std::error::Error for GraphError {
     }
 }
 
+impl From<crate::codec::DecodeError> for GraphError {
+    fn from(e: crate::codec::DecodeError) -> Self {
+        GraphError::Snapshot(e.to_string())
+    }
+}
+
 impl From<std::io::Error> for GraphError {
     fn from(e: std::io::Error) -> Self {
         GraphError::Io(e)

@@ -17,16 +17,17 @@
 //! degree column (`n`), the adjacency column (`m2`), the keyword slot
 //! count, the keyword-count column (`n`), the keyword-id column, the
 //! vocabulary size and its strings in id order, then the `n` labels; each
-//! string is `u32 len + bytes`. The writer emits the graph's columns as
-//! they are and the reader decodes them in bulk into the same columns,
-//! then checks every graph invariant on them in place (see
-//! [`read_snapshot_bytes`]).
+//! string is `u32 len + bytes` ([`crate::codec`]). The writer emits the
+//! graph's columns as they are and the reader decodes them in bulk into
+//! the same columns, then checks every graph invariant on them in place
+//! (see [`read_snapshot_bytes`]).
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
 use crate::builder::GraphBuilder;
+use crate::codec::{ByteReader, ByteWriter};
 use crate::error::GraphError;
 use crate::graph::{AttributedGraph, CsrOffset, VertexId};
 use crate::keywords::{KeywordId, KeywordInterner};
@@ -111,144 +112,54 @@ pub fn save_text_file<P: AsRef<Path>>(g: &AttributedGraph, path: P) -> Result<()
     write_text(g, &mut f)
 }
 
-/// Values per `write_all` when a `u32` column is encoded: each 64 KiB
-/// chunk is larger than the `BufWriter`'s buffer, so it goes to the sink
-/// in one call instead of being staged four bytes at a time.
-const CHUNK: usize = 16 * 1024;
-
-fn put_u32<W: Write>(w: &mut W, x: u32) -> std::io::Result<()> {
-    w.write_all(&x.to_le_bytes())
-}
-
-/// Writes a whole `u32` column little-endian, a chunk per write.
-fn put_u32s<W: Write>(w: &mut W, col: impl Iterator<Item = u32>) -> std::io::Result<()> {
-    let mut buf = Vec::with_capacity(4 * CHUNK);
-    for x in col {
-        buf.extend_from_slice(&x.to_le_bytes());
-        if buf.len() == 4 * CHUNK {
-            w.write_all(&buf)?;
-            buf.clear();
-        }
-    }
-    w.write_all(&buf)
-}
-
 /// The per-vertex counts a CSR offset column encodes.
 fn counts(off: &[CsrOffset]) -> impl Iterator<Item = u32> + '_ {
     off.windows(2).map(|o| o[1] - o[0])
 }
 
-fn put_str<W: Write>(w: &mut W, s: &str) -> std::io::Result<()> {
-    put_u32(w, s.len() as u32)?;
-    w.write_all(s.as_bytes())
-}
-
-/// Writes the binary snapshot of `g` to `w`, column by column.
-pub fn write_snapshot<W: Write>(g: &AttributedGraph, w: &mut W) -> Result<(), GraphError> {
-    // Buffers only the strings: every column chunk bypasses it.
-    let mut w = BufWriter::new(w);
-    w.write_all(MAGIC)?;
-    put_u32(&mut w, g.vertex_count() as u32)?;
-    put_u32(&mut w, g.adj.len() as u32)?;
-    put_u32s(&mut w, counts(&g.adj_off))?;
-    put_u32s(&mut w, g.adj.iter().map(|u| u.0))?;
-    put_u32(&mut w, g.kws.len() as u32)?;
-    put_u32s(&mut w, counts(&g.kw_off))?;
-    put_u32s(&mut w, g.kws.iter().map(|k| k.0))?;
-    put_u32(&mut w, g.interner.len() as u32)?;
+/// Appends the binary snapshot of `g` to `out`, column by column.
+pub fn write_snapshot(g: &AttributedGraph, out: &mut Vec<u8>) {
+    out.extend_from_slice(MAGIC);
+    out.u32(g.vertex_count() as u32);
+    out.u32(g.adj.len() as u32);
+    out.u32s(counts(&g.adj_off));
+    out.u32s(g.adj.iter().map(|u| u.0));
+    out.u32(g.kws.len() as u32);
+    out.u32s(counts(&g.kw_off));
+    out.u32s(g.kws.iter().map(|k| k.0));
+    out.u32(g.interner.len() as u32);
     for (_, name) in g.interner.iter() {
-        put_str(&mut w, name)?;
+        out.str(name);
     }
     for v in g.vertices() {
-        put_str(&mut w, g.label(v))?;
+        out.str(g.label(v));
     }
-    w.flush()?;
-    Ok(())
 }
 
 fn bad(message: impl Into<String>) -> GraphError {
     GraphError::Snapshot(message.into())
 }
 
-/// Bounds-checked reader over snapshot bytes. Every length taken from the
-/// input is checked against the bytes that remain *before* anything is
-/// allocated for it, so a hostile header costs an error, not memory.
-struct Columns<'a> {
-    rest: &'a [u8],
-}
-
-impl<'a> Columns<'a> {
-    fn take(&mut self, len: usize, what: &str) -> Result<&'a [u8], GraphError> {
-        if len > self.rest.len() {
-            return Err(bad(format!("truncated {what}: {len} bytes wanted, {} left", self.rest.len())));
-        }
-        let (head, rest) = self.rest.split_at(len);
-        self.rest = rest;
-        Ok(head)
+/// A per-vertex count column as CSR offsets; the counts must add up to
+/// `total` (which came from a `u32`, so the offsets fit one).
+fn offsets(
+    r: &mut ByteReader<'_>,
+    n: usize,
+    total: usize,
+    what: &str,
+) -> Result<Vec<CsrOffset>, GraphError> {
+    let counts = r.u32s(n, what)?;
+    let mut off = Vec::with_capacity(n + 1);
+    let mut end = 0u64;
+    off.push(0);
+    for c in counts {
+        end += u64::from(c);
+        off.push(end as CsrOffset);
     }
-
-    fn u32(&mut self, what: &str) -> Result<u32, GraphError> {
-        let raw = self.take(4, what)?;
-        Ok(u32::from_le_bytes(raw.try_into().expect("take(4) returns four bytes")))
+    if end != total as u64 {
+        return Err(bad(format!("{what} column sums to {end}, header says {total}")));
     }
-
-    /// A column of `len` little-endian `u32`s.
-    fn u32s(&mut self, len: usize, what: &str) -> Result<impl Iterator<Item = u32> + 'a, GraphError> {
-        let bytes = len.checked_mul(4).ok_or_else(|| bad(format!("{what} length overflows")))?;
-        let raw = self.take(bytes, what)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("chunks_exact(4) yields four bytes"))))
-    }
-
-    /// A per-vertex count column as CSR offsets; the counts must add up
-    /// to `total` (which came from a `u32`, so the offsets fit one).
-    fn offsets(&mut self, n: usize, total: usize, what: &str) -> Result<Vec<CsrOffset>, GraphError> {
-        let counts = self.u32s(n, what)?;
-        let mut off = Vec::with_capacity(n + 1);
-        let mut end = 0u64;
-        off.push(0);
-        for c in counts {
-            end += u64::from(c);
-            off.push(end as CsrOffset);
-        }
-        if end != total as u64 {
-            return Err(bad(format!("{what} column sums to {end}, header says {total}")));
-        }
-        Ok(off)
-    }
-
-    /// One string, `u32 len + bytes`, UTF-8.
-    fn str(&mut self, what: &str) -> Result<&'a str, GraphError> {
-        let bytes = self.u32(what)? as usize;
-        std::str::from_utf8(self.take(bytes, what)?).map_err(|_| bad(format!("non-utf8 {what}")))
-    }
-
-    /// Checks that `len` strings can fit in what is left: every string
-    /// costs at least its four-byte length prefix.
-    fn claim_strs(&self, len: usize, what: &str) -> Result<(), GraphError> {
-        if len.checked_mul(4).is_none_or(|b| b > self.rest.len()) {
-            return Err(bad(format!("truncated {what} list: {len} entries claimed")));
-        }
-        Ok(())
-    }
-
-    /// `len` strings.
-    fn strs(&mut self, len: usize, what: &str) -> Result<Vec<String>, GraphError> {
-        self.claim_strs(len, what)?;
-        (0..len).map(|_| self.str(what).map(str::to_owned)).collect()
-    }
-
-    /// `n` labels straight into one arena, sized by the bytes that remain
-    /// after their length prefixes.
-    fn labels(&mut self, n: usize) -> Result<LabelArena, GraphError> {
-        self.claim_strs(n, "label")?;
-        let mut arena = LabelArena::with_capacity(n, self.rest.len() - 4 * n);
-        for _ in 0..n {
-            arena.push(self.str("label")?)?;
-        }
-        Ok(arena)
-    }
+    Ok(off)
 }
 
 /// What the graph builder establishes by construction, checked in
@@ -311,31 +222,35 @@ fn check_keyword_sets(
 /// — truncation and trailing bytes included — is a
 /// [`GraphError::Snapshot`].
 pub fn read_snapshot_bytes(bytes: &[u8]) -> Result<AttributedGraph, GraphError> {
-    let mut c = Columns { rest: bytes };
-    if c.take(MAGIC.len(), "magic")? != MAGIC {
+    let mut r = ByteReader::new(bytes);
+    if r.take(MAGIC.len(), "magic")? != MAGIC {
         return Err(bad("bad magic"));
     }
-    let n = c.u32("vertex count")? as usize;
-    let m2 = c.u32("adjacency length")? as usize;
+    let n = r.u32()? as usize;
+    let m2 = r.u32()? as usize;
     if !m2.is_multiple_of(2) {
         return Err(bad(format!("odd adjacency length {m2}")));
     }
-    let adj_off = c.offsets(n, m2, "degree")?;
-    let adj: Vec<VertexId> = c.u32s(m2, "adjacency")?.map(VertexId).collect();
+    let adj_off = offsets(&mut r, n, m2, "degree")?;
+    let adj: Vec<VertexId> = r.u32s(m2, "adjacency")?.map(VertexId).collect();
     check_adjacency(&adj_off, &adj)?;
 
-    let kw_total = c.u32("keyword slot count")? as usize;
-    let kw_off = c.offsets(n, kw_total, "keyword count")?;
-    let kws: Vec<KeywordId> = c.u32s(kw_total, "keyword ids")?.map(KeywordId).collect();
-    let vocab_len = c.u32("vocabulary size")? as usize;
-    check_keyword_sets(&kw_off, &kws, vocab_len)?;
-    let interner = KeywordInterner::from_names(c.strs(vocab_len, "keyword")?)
+    let kw_total = r.u32()? as usize;
+    let kw_off = offsets(&mut r, n, kw_total, "keyword count")?;
+    let kws: Vec<KeywordId> = r.u32s(kw_total, "keyword ids")?.map(KeywordId).collect();
+    let vocab = r.strs()?;
+    check_keyword_sets(&kw_off, &kws, vocab.len())?;
+    let interner = KeywordInterner::from_names(vocab)
         .map_err(|dup| bad(format!("keyword {dup:?} appears twice in the vocabulary")))?;
 
-    let labels = c.labels(n)?;
-    if !c.rest.is_empty() {
-        return Err(bad(format!("{} trailing bytes", c.rest.len())));
+    // The labels go straight into one arena, sized by the bytes that
+    // remain after their length prefixes.
+    r.claim(n, 4, "label")?;
+    let mut labels = LabelArena::with_capacity(n, r.remaining() - 4 * n);
+    for _ in 0..n {
+        labels.push(r.str()?)?;
     }
+    r.finish("graph snapshot")?;
     Ok(AttributedGraph {
         adj_off,
         adj,
@@ -346,13 +261,6 @@ pub fn read_snapshot_bytes(bytes: &[u8]) -> Result<AttributedGraph, GraphError> 
     })
 }
 
-/// [`read_snapshot_bytes`] over a reader, which is read to its end.
-pub fn read_snapshot<R: Read>(r: &mut R) -> Result<AttributedGraph, GraphError> {
-    let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes)?;
-    read_snapshot_bytes(&bytes)
-}
-
 /// Loads a binary snapshot from a file path.
 pub fn load_snapshot_file<P: AsRef<Path>>(path: P) -> Result<AttributedGraph, GraphError> {
     read_snapshot_bytes(&std::fs::read(path)?)
@@ -360,8 +268,9 @@ pub fn load_snapshot_file<P: AsRef<Path>>(path: P) -> Result<AttributedGraph, Gr
 
 /// Saves a binary snapshot to a file path.
 pub fn save_snapshot_file<P: AsRef<Path>>(g: &AttributedGraph, path: P) -> Result<(), GraphError> {
-    let mut f = std::fs::File::create(path)?;
-    write_snapshot(g, &mut f)
+    let mut out = Vec::new();
+    write_snapshot(g, &mut out);
+    Ok(std::fs::write(path, out)?)
 }
 
 #[cfg(test)]
@@ -429,19 +338,18 @@ mod tests {
     fn snapshot_roundtrip() {
         let g = sample();
         let mut buf = Vec::new();
-        write_snapshot(&g, &mut buf).unwrap();
-        let g2 = read_snapshot(&mut buf.as_slice()).unwrap();
-        assert_same(&g, &g2);
+        write_snapshot(&g, &mut buf);
+        assert_same(&g, &read_snapshot_bytes(&buf).unwrap());
     }
 
     #[test]
     fn snapshot_rejects_bad_magic_and_truncation() {
-        assert!(matches!(read_snapshot(&mut &b"NOPE"[..]), Err(GraphError::Snapshot(_))));
+        assert!(matches!(read_snapshot_bytes(b"NOPE"), Err(GraphError::Snapshot(_))));
         let g = sample();
         let mut buf = Vec::new();
-        write_snapshot(&g, &mut buf).unwrap();
+        write_snapshot(&g, &mut buf);
         buf.truncate(buf.len() / 2);
-        assert!(read_snapshot(&mut buf.as_slice()).is_err());
+        assert!(read_snapshot_bytes(&buf).is_err());
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //! * [`Subgraph`] — a materialised induced subgraph with local ids and a
 //!   mapping back to the parent graph.
 //!
-//! Text and binary persistence formats live in [`io`]; traversal helpers
+//! Text and binary persistence formats live in [`io`], on the
+//! workspace's one little-endian byte codec in [`codec`]; traversal helpers
 //! (BFS, connected components) in [`traversal`]; summary statistics in
 //! [`stats`].
 //!
@@ -44,6 +45,7 @@
 //! ```
 
 pub mod builder;
+pub mod codec;
 pub mod community;
 pub mod delta;
 pub mod error;

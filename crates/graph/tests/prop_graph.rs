@@ -85,8 +85,8 @@ proptest! {
     #[test]
     fn snapshot_roundtrip_preserves_graph(g in arb_graph(30)) {
         let mut buf = Vec::new();
-        cx_graph::io::write_snapshot(&g, &mut buf).unwrap();
-        let g2 = cx_graph::io::read_snapshot(&mut buf.as_slice()).unwrap();
+        cx_graph::io::write_snapshot(&g, &mut buf);
+        let g2 = cx_graph::io::read_snapshot_bytes(&buf).unwrap();
         prop_assert_eq!(g.vertex_count(), g2.vertex_count());
         prop_assert_eq!(g.edge_count(), g2.edge_count());
         for v in g.vertices() {
@@ -172,6 +172,6 @@ proptest! {
     /// The binary snapshot reader is total on arbitrary bytes.
     #[test]
     fn snapshot_reader_is_total(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
-        let _ = cx_graph::io::read_snapshot(&mut bytes.as_slice());
+        let _ = cx_graph::io::read_snapshot_bytes(&bytes);
     }
 }

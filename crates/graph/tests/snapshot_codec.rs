@@ -9,7 +9,7 @@
 //! encoder that uses only the graph's public accessors.
 
 use cx_datagen::{dblp_like, DblpParams};
-use cx_graph::io::{read_snapshot, read_snapshot_bytes, write_snapshot};
+use cx_graph::io::{read_snapshot_bytes, write_snapshot};
 use cx_graph::{AttributedGraph, GraphBuilder, GraphError, VertexId};
 
 /// A CXG1 file as its fields, so a case can break one and re-encode.
@@ -143,7 +143,7 @@ fn the_valid_buffer_is_what_the_writer_emits() {
     }
     let g = b.build();
     let mut written = Vec::new();
-    write_snapshot(&g, &mut written).unwrap();
+    write_snapshot(&g, &mut written);
     assert_eq!(written, Raw::valid().bytes());
     assert_eq!(written, reference_bytes(&g));
     assert_invariants(&read_snapshot_bytes(&written).unwrap());
@@ -208,9 +208,6 @@ fn truncation_anywhere_is_a_typed_error() {
     for cut in 0..bytes.len() {
         expect_snapshot_error(&format!("cut at byte {cut}"), &bytes[..cut]);
     }
-    // The reader-taking twin reports the same thing the same way.
-    let half = &bytes[..bytes.len() / 2];
-    assert!(matches!(read_snapshot(&mut &half[..]), Err(GraphError::Snapshot(_))));
 }
 
 /// A header may claim any size; what it claims is checked against the
@@ -265,7 +262,7 @@ fn every_single_bit_flip_is_rejected_or_harmless() {
 fn dblp_roundtrip_is_the_identity() {
     let (g, _) = dblp_like(&DblpParams::scaled(2_000, 19));
     let mut bytes = Vec::new();
-    write_snapshot(&g, &mut bytes).unwrap();
+    write_snapshot(&g, &mut bytes);
     assert_eq!(bytes, reference_bytes(&g), "the column writer changed the format");
 
     let back = read_snapshot_bytes(&bytes).unwrap();
@@ -286,7 +283,7 @@ fn dblp_roundtrip_is_the_identity() {
 
     // A second trip writes the same bytes.
     let mut again = Vec::new();
-    write_snapshot(&back, &mut again).unwrap();
+    write_snapshot(&back, &mut again);
     assert_eq!(again, bytes);
 }
 
@@ -312,7 +309,7 @@ fn folding_labels_roundtrip_and_their_damage_is_typed() {
     assert_eq!(g.search_label_top("ΟΔΟΣ", 8), (vec![VertexId(2)], 1));
     assert_eq!(cx_check::invariants::check_label_column(&g), Vec::new());
     let mut again = Vec::new();
-    write_snapshot(&g, &mut again).unwrap();
+    write_snapshot(&g, &mut again);
     assert_eq!(again, bytes);
 
     let labels_start = *marks.last().unwrap();

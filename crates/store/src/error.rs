@@ -56,6 +56,12 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
+impl From<cx_graph::codec::DecodeError> for StoreError {
+    fn from(e: cx_graph::codec::DecodeError) -> Self {
+        StoreError::Corrupt(e.to_string())
+    }
+}
+
 impl From<cx_graph::GraphError> for StoreError {
     fn from(e: cx_graph::GraphError) -> Self {
         StoreError::Graph(e)

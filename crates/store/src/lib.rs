@@ -28,12 +28,12 @@
 
 #![warn(missing_docs)]
 
-mod codec;
 mod crc;
 mod error;
 pub mod frame;
 mod manifest;
 mod record;
+mod sealed;
 mod snapshot;
 mod store;
 mod wal;

@@ -2,12 +2,13 @@
 //! files are live, how far the WAL has been folded into them, and every
 //! graph's generation counter.
 //!
-//! File layout (`<store>/MANIFEST`):
+//! `<store>/MANIFEST` is a sealed file (see [`crate::sealed`]) with magic
+//! `CXMF` and [`MANIFEST_VERSION`] as its word — the only version read:
+//! any other, older or newer, is a typed
+//! [`StoreError::UnsupportedVersion`]:
 //!
 //! ```text
-//! [magic "CXMF"] [version: u32 le] [payload_len: u64 le]
-//! [crc32(payload): u32 le] [payload]
-//! payload = [wal_lsn: u64] [default?] [counters] [entries]
+//! body = [wal_lsn: u64] [default?] [counters] [entries]
 //! ```
 //!
 //! The manifest is replaced atomically (write to `MANIFEST.tmp`, fsync,
@@ -16,12 +17,13 @@
 //! tombstone: the graph was removed at `generation` and must not be
 //! resurrected by older snapshot files or WAL records.
 
-use std::io::Write;
 use std::path::Path;
 
-use crate::codec::{ByteReader, ByteWriter, MAX_LEN};
-use crate::crc::crc32;
+use cx_graph::codec::{ByteReader, ByteWriter};
+
 use crate::error::StoreError;
+use crate::record::{get_name, put_name};
+use crate::sealed::{unseal, write_sealed};
 
 const MAGIC: &[u8; 4] = b"CXMF";
 
@@ -56,100 +58,45 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    /// Serializes to the on-disk byte form.
+    /// Encodes the body the MANIFEST file seals.
     pub fn encode(&self) -> Vec<u8> {
-        let mut p = ByteWriter::new();
-        p.u64(self.wal_lsn);
-        match &self.default_graph {
-            Some(name) => {
-                p.u8(1);
-                p.str(name);
-            }
-            None => p.u8(0),
-        }
-        p.u32(self.counters.len() as u32);
+        let mut w = Vec::new();
+        w.u64(self.wal_lsn);
+        put_name(&mut w, self.default_graph.as_deref());
+        w.u32(self.counters.len() as u32);
         for (name, counter) in &self.counters {
-            p.str(name);
-            p.u64(*counter);
+            w.str(name);
+            w.u64(*counter);
         }
-        p.u32(self.entries.len() as u32);
+        w.u32(self.entries.len() as u32);
         for e in &self.entries {
-            p.str(&e.name);
-            p.u64(e.generation);
-            match &e.file {
-                Some(f) => {
-                    p.u8(1);
-                    p.str(f);
-                }
-                None => p.u8(0),
-            }
+            w.str(&e.name);
+            w.u64(e.generation);
+            put_name(&mut w, e.file.as_deref());
         }
-        let payload = p.into_bytes();
-        let mut out = Vec::with_capacity(20 + payload.len());
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        w
     }
 
-    /// Decodes and validates the on-disk byte form.
-    pub fn decode(bytes: &[u8]) -> Result<Manifest, StoreError> {
-        if bytes.len() < 20 {
-            return Err(StoreError::Corrupt("manifest shorter than its header".into()));
-        }
-        if &bytes[0..4] != MAGIC {
-            return Err(StoreError::Corrupt("bad manifest magic".into()));
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        if version > MANIFEST_VERSION {
-            return Err(StoreError::UnsupportedVersion {
-                found: version,
-                supported: MANIFEST_VERSION,
-            });
-        }
-        let payload_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-        if payload_len > MAX_LEN || bytes.len() - 20 != payload_len {
-            return Err(StoreError::Corrupt("manifest payload length mismatch".into()));
-        }
-        let want_crc = u32::from_le_bytes(bytes[16..20].try_into().unwrap());
-        let payload = &bytes[20..];
-        if crc32(payload) != want_crc {
-            return Err(StoreError::Corrupt("manifest checksum mismatch".into()));
-        }
-        let mut r = ByteReader::new(payload);
+    /// Decodes a body written by [`Manifest::encode`].
+    pub fn decode(body: &[u8]) -> Result<Manifest, StoreError> {
+        let mut r = ByteReader::new(body);
         let wal_lsn = r.u64()?;
-        let default_graph = match r.u8()? {
-            0 => None,
-            1 => Some(r.str()?),
-            x => return Err(StoreError::Corrupt(format!("invalid default presence byte {x}"))),
-        };
+        let default_graph = get_name(&mut r, "default")?;
         let n_counters = r.u32()? as usize;
-        if n_counters > r.remaining() {
-            return Err(StoreError::Corrupt("counter list exceeds manifest".into()));
-        }
+        // A counter is at least a name length and a u64.
+        r.claim(n_counters, 12, "counter")?;
         let mut counters = Vec::with_capacity(n_counters);
         for _ in 0..n_counters {
-            let name = r.str()?;
-            let counter = r.u64()?;
-            counters.push((name, counter));
+            counters.push((r.str()?.to_owned(), r.u64()?));
         }
         let n_entries = r.u32()? as usize;
-        if n_entries > r.remaining() {
-            return Err(StoreError::Corrupt("entry list exceeds manifest".into()));
-        }
+        // An entry is at least a name length, a u64 and a presence byte.
+        r.claim(n_entries, 13, "entry")?;
         let mut entries = Vec::with_capacity(n_entries);
         for _ in 0..n_entries {
-            let name = r.str()?;
+            let name = r.str()?.to_owned();
             let generation = r.u64()?;
-            let file = match r.u8()? {
-                0 => None,
-                1 => Some(r.str()?),
-                x => {
-                    return Err(StoreError::Corrupt(format!("invalid file presence byte {x}")))
-                }
-            };
+            let file = get_name(&mut r, "file")?;
             entries.push(ManifestEntry { name, generation, file });
         }
         r.finish("manifest payload")?;
@@ -160,7 +107,7 @@ impl Manifest {
     /// manifest (fresh store).
     pub fn load(path: &Path) -> Result<Manifest, StoreError> {
         match std::fs::read(path) {
-            Ok(bytes) => Manifest::decode(&bytes),
+            Ok(bytes) => Manifest::decode(unseal(&bytes, MAGIC, MANIFEST_VERSION)?.0),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Manifest::default()),
             Err(e) => Err(e.into()),
         }
@@ -168,20 +115,26 @@ impl Manifest {
 
     /// Atomically replaces the manifest at `path` (tmp + fsync + rename).
     pub fn store(&self, path: &Path) -> Result<(), StoreError> {
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&self.encode())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+        write_sealed(path, MAGIC, MANIFEST_VERSION, &self.encode()).map(drop)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sealed::seal;
+
+    /// The MANIFEST file `m` makes, sealed with `version`.
+    fn sealed(m: &Manifest, version: u32) -> Vec<u8> {
+        let body = m.encode();
+        let (mut file, _) = seal(MAGIC, version, &body);
+        file.extend_from_slice(&body);
+        file
+    }
+
+    fn open(bytes: &[u8]) -> Result<Manifest, StoreError> {
+        Manifest::decode(unseal(bytes, MAGIC, MANIFEST_VERSION)?.0)
+    }
 
     fn sample() -> Manifest {
         Manifest {
@@ -224,21 +177,24 @@ mod tests {
 
     #[test]
     fn corruption_and_future_version_rejected() {
-        let bytes = sample().encode();
+        let bytes = sealed(&sample(), MANIFEST_VERSION);
+        assert_eq!(open(&bytes).unwrap(), sample());
         let mut bad = bytes.clone();
         let last = bad.len() - 1;
         bad[last] ^= 1;
-        assert!(Manifest::decode(&bad).is_err());
-        let mut future = bytes.clone();
-        future[4..8].copy_from_slice(&(MANIFEST_VERSION + 7).to_le_bytes());
-        match Manifest::decode(&future) {
-            Err(StoreError::UnsupportedVersion { found, .. }) => {
-                assert_eq!(found, MANIFEST_VERSION + 7)
+        assert!(open(&bad).is_err());
+        // Version 0 was never written: it is no more readable than a
+        // version from the future.
+        for version in [0, MANIFEST_VERSION + 7] {
+            match open(&sealed(&sample(), version)) {
+                Err(StoreError::UnsupportedVersion { found, supported }) => {
+                    assert_eq!((found, supported), (version, MANIFEST_VERSION))
+                }
+                other => panic!("version {version}: expected UnsupportedVersion, got {other:?}"),
             }
-            other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
         for cut in 0..bytes.len() {
-            assert!(Manifest::decode(&bytes[..cut]).is_err(), "cut {cut}");
+            assert!(open(&bytes[..cut]).is_err(), "cut {cut}");
         }
     }
 }

@@ -10,10 +10,10 @@
 
 use std::sync::Arc;
 
+use cx_graph::codec::{ByteReader, ByteWriter};
 use cx_graph::io::{read_snapshot_bytes, write_snapshot};
 use cx_graph::{AttributedGraph, EdgeDelta, VertexId};
 
-use crate::codec::{ByteReader, ByteWriter};
 use crate::error::StoreError;
 
 /// A vertex profile as persisted by the store. Mirrors the explorer's
@@ -97,7 +97,7 @@ const KIND_SET_PROFILES: u8 = 4;
 const KIND_SET_COORDS: u8 = 5;
 const KIND_SET_DEFAULT: u8 = 6;
 
-fn put_profiles(w: &mut ByteWriter, profiles: &[StoredProfile]) {
+fn put_profiles(w: &mut Vec<u8>, profiles: &[StoredProfile]) {
     w.u32(profiles.len() as u32);
     for p in profiles {
         w.u32(p.vertex.0);
@@ -110,14 +110,13 @@ fn put_profiles(w: &mut ByteWriter, profiles: &[StoredProfile]) {
 
 fn get_profiles(r: &mut ByteReader<'_>) -> Result<Vec<StoredProfile>, StoreError> {
     let len = r.u32()? as usize;
-    if len > r.remaining() {
-        return Err(StoreError::Corrupt("profile list length exceeds record".into()));
-    }
+    // Each profile costs at least its vertex, name and three list lengths.
+    r.claim(len, 20, "profile")?;
     let mut out = Vec::with_capacity(len);
     for _ in 0..len {
         out.push(StoredProfile {
             vertex: VertexId(r.u32()?),
-            name: r.str()?,
+            name: r.str()?.to_owned(),
             areas: r.strs()?,
             institutes: r.strs()?,
             interests: r.strs()?,
@@ -126,7 +125,9 @@ fn get_profiles(r: &mut ByteReader<'_>) -> Result<Vec<StoredProfile>, StoreError
     Ok(out)
 }
 
-fn put_coords(w: &mut ByteWriter, coords: &[(f64, f64)]) {
+/// A coordinate list, `u32 len` then `(x, y)` per vertex — the same in
+/// a `SetCoords` record and in a checkpoint.
+pub(crate) fn put_coords(w: &mut Vec<u8>, coords: &[(f64, f64)]) {
     w.u32(coords.len() as u32);
     for &(x, y) in coords {
         w.f64(x);
@@ -134,16 +135,44 @@ fn put_coords(w: &mut ByteWriter, coords: &[(f64, f64)]) {
     }
 }
 
-fn get_coords(r: &mut ByteReader<'_>) -> Result<Vec<(f64, f64)>, StoreError> {
+pub(crate) fn get_coords(r: &mut ByteReader<'_>) -> Result<Vec<(f64, f64)>, StoreError> {
     let len = r.u32()? as usize;
-    if len.checked_mul(16).is_none_or(|b| b > r.remaining()) {
-        return Err(StoreError::Corrupt("coord list length exceeds record".into()));
+    r.claim(len, 16, "coordinate")?;
+    (0..len).map(|_| Ok((r.f64()?, r.f64()?))).collect()
+}
+
+/// An optional value behind a presence byte, `0` (none) or `1` then the
+/// value — the manifest's default graph and entry files, a checkpoint's
+/// coordinates and `SetDefault`'s name.
+pub(crate) fn put_option<T>(w: &mut Vec<u8>, x: Option<T>, put: impl FnOnce(&mut Vec<u8>, T)) {
+    match x {
+        Some(x) => {
+            w.u8(1);
+            put(w, x);
+        }
+        None => w.u8(0),
     }
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push((r.f64()?, r.f64()?));
+}
+
+pub(crate) fn get_option<'a, T>(
+    r: &mut ByteReader<'a>,
+    what: &str,
+    get: impl FnOnce(&mut ByteReader<'a>) -> Result<T, StoreError>,
+) -> Result<Option<T>, StoreError> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => get(r).map(Some),
+        x => Err(StoreError::Corrupt(format!("invalid {what} presence byte {x}"))),
     }
-    Ok(out)
+}
+
+/// A name behind a presence byte.
+pub(crate) fn put_name(w: &mut Vec<u8>, name: Option<&str>) {
+    put_option(w, name, |w, name| w.str(name));
+}
+
+pub(crate) fn get_name(r: &mut ByteReader<'_>, what: &str) -> Result<Option<String>, StoreError> {
+    get_option(r, what, |r| Ok(r.str()?.to_owned()))
 }
 
 fn delta_pairs(edges: &[(VertexId, VertexId)]) -> Vec<(u32, u32)> {
@@ -156,14 +185,14 @@ fn pairs_delta(pairs: Vec<(u32, u32)>) -> Vec<(VertexId, VertexId)> {
 
 impl Record {
     /// Encodes the record to its WAL byte form.
-    pub fn encode(&self) -> Result<Vec<u8>, StoreError> {
-        let mut w = ByteWriter::new();
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = Vec::new();
         match self {
             Record::AddGraph { name, generation, graph } => {
                 w.u8(KIND_ADD_GRAPH);
                 w.str(name);
                 w.u64(*generation);
-                w.block(|buf| write_snapshot(graph, buf))?;
+                w.block(|w| write_snapshot(graph, w));
             }
             Record::Edit { name, generation, delta } => {
                 w.u8(KIND_EDIT);
@@ -191,16 +220,10 @@ impl Record {
             }
             Record::SetDefault { default } => {
                 w.u8(KIND_SET_DEFAULT);
-                match default {
-                    Some(name) => {
-                        w.u8(1);
-                        w.str(name);
-                    }
-                    None => w.u8(0),
-                }
+                put_name(&mut w, default.as_deref());
             }
         }
-        Ok(w.into_bytes())
+        w
     }
 
     /// Decodes a record from WAL bytes, rejecting unknown kinds and
@@ -210,43 +233,32 @@ impl Record {
         let kind = r.u8()?;
         let rec = match kind {
             KIND_ADD_GRAPH => {
-                let name = r.str()?;
+                let name = r.str()?.to_owned();
                 let generation = r.u64()?;
                 let graph = read_snapshot_bytes(r.bytes()?)?;
                 Record::AddGraph { name, generation, graph: Arc::new(graph) }
             }
             KIND_EDIT => {
-                let name = r.str()?;
+                let name = r.str()?.to_owned();
                 let generation = r.u64()?;
                 let added = pairs_delta(r.pairs()?);
                 let removed = pairs_delta(r.pairs()?);
                 Record::Edit { name, generation, delta: EdgeDelta { added, removed } }
             }
-            KIND_REMOVE => Record::Remove { name: r.str()?, generation: r.u64()? },
+            KIND_REMOVE => Record::Remove { name: r.str()?.to_owned(), generation: r.u64()? },
             KIND_SET_PROFILES => {
-                let name = r.str()?;
+                let name = r.str()?.to_owned();
                 let generation = r.u64()?;
                 let profiles = get_profiles(&mut r)?;
                 Record::SetProfiles { name, generation, profiles }
             }
             KIND_SET_COORDS => {
-                let name = r.str()?;
+                let name = r.str()?.to_owned();
                 let generation = r.u64()?;
                 let coords = get_coords(&mut r)?;
                 Record::SetCoords { name, generation, coords }
             }
-            KIND_SET_DEFAULT => {
-                let default = match r.u8()? {
-                    0 => None,
-                    1 => Some(r.str()?),
-                    x => {
-                        return Err(StoreError::Corrupt(format!(
-                            "invalid SetDefault presence byte {x}"
-                        )))
-                    }
-                };
-                Record::SetDefault { default }
-            }
+            KIND_SET_DEFAULT => Record::SetDefault { default: get_name(&mut r, "SetDefault")? },
             other => {
                 return Err(StoreError::Corrupt(format!("unknown WAL record kind {other}")))
             }
@@ -296,7 +308,7 @@ mod tests {
     }
 
     fn roundtrip(rec: &Record) -> Record {
-        Record::decode(&rec.encode().unwrap()).unwrap()
+        Record::decode(&rec.encode()).unwrap()
     }
 
     #[test]
@@ -372,11 +384,11 @@ mod tests {
     #[test]
     fn unknown_kind_and_trailing_garbage_rejected() {
         assert!(Record::decode(&[0xEE]).is_err());
-        let mut bytes = Record::Remove { name: "g".into(), generation: 1 }.encode().unwrap();
+        let mut bytes = Record::Remove { name: "g".into(), generation: 1 }.encode();
         bytes.push(0);
         assert!(Record::decode(&bytes).is_err());
         // Truncations error rather than panic.
-        let full = Record::Remove { name: "graph-name".into(), generation: 1 }.encode().unwrap();
+        let full = Record::Remove { name: "graph-name".into(), generation: 1 }.encode();
         for cut in 0..full.len() {
             assert!(Record::decode(&full[..cut]).is_err());
         }

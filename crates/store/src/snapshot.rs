@@ -1,12 +1,11 @@
 //! Snapshot checkpoint files: one graph generation frozen to disk.
 //!
-//! File layout:
+//! A checkpoint is a sealed file (see [`crate::sealed`]) with magic
+//! `CXSS` and [`SNAPSHOT_VERSION`] as its word:
 //!
 //! ```text
-//! [magic "CXSS"] [version: u32 le] [payload_len: u64 le]
-//! [crc32(payload): u32 le] [payload]
-//! payload = [name] [generation: u64] [graph: CXG1 bytes]
-//!           [profiles] [has_coords: u8] [coords?]
+//! body = [name] [generation: u64] [graph: CXG1 bytes]
+//!        [profiles] [has_coords: u8] [coords?]
 //! ```
 //!
 //! Profiles are stored against a deduplicated string pool:
@@ -27,34 +26,27 @@
 //!
 //! Beside a checkpoint may sit `<hex(name)>-<generation>.cxi`, the
 //! caller's index over that graph (the engine's CL-tree snapshot), which
-//! the store carries as opaque bytes:
-//!
-//! ```text
-//! [magic "CXSI"] [crc32(checkpoint payload): u32 le]
-//! [index_len: u64 le] [crc32(index): u32 le] [index]
-//! ```
+//! the store carries as opaque bytes: a sealed file with magic `CXSI`
+//! whose word is the body checksum of the checkpoint it was written for.
 //!
 //! It is derived data and outside the durability contract: it is handed
-//! back only when it is whole and bound to the very payload just read,
-//! and a missing, torn, flipped or foreign sidecar is simply not there.
+//! back only when it is whole and bound to the very checkpoint just
+//! read, and a missing, torn, flipped or foreign sidecar is simply not
+//! there.
 
-use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
+use cx_graph::codec::{ByteReader, ByteWriter};
 use cx_graph::io::{read_snapshot_bytes, write_snapshot};
 use cx_graph::AttributedGraph;
 
-use crate::codec::{ByteReader, ByteWriter, MAX_LEN};
-use crate::crc::crc32;
 use crate::error::StoreError;
-use crate::record::StoredProfile;
+use crate::record::{get_coords, get_option, put_coords, put_option, StoredProfile};
+use crate::sealed::{unseal, write_sealed};
 
 const MAGIC: &[u8; 4] = b"CXSS";
 const INDEX_MAGIC: &[u8; 4] = b"CXSI";
-/// Bytes before the payload of a checkpoint, and before the index of a
-/// sidecar: magic, a `u32`, a `u64`, a `u32`.
-const HEADER_LEN: usize = 4 + 4 + 8 + 4;
 
 /// Current checkpoint format version (2 = interned profile strings).
 pub const SNAPSHOT_VERSION: u32 = 2;
@@ -74,7 +66,7 @@ pub struct GraphCheckpoint {
     pub coords: Option<Vec<(f64, f64)>>,
     /// The caller's index over `graph`, as opaque bytes. Not part of the
     /// checkpoint file: [`crate::Store::compact`] writes it as the
-    /// sidecar, and [`GraphCheckpoint::read_from`] leaves it `None`.
+    /// sidecar, and reading a checkpoint leaves it `None`.
     pub index: Option<Vec<u8>>,
 }
 
@@ -94,7 +86,7 @@ fn intern<'a>(
 
 /// Profile section: a deduplicated string pool, then profiles referring
 /// into it by `u32` id.
-fn put_profiles(w: &mut ByteWriter, profiles: &[StoredProfile]) {
+fn put_profiles(w: &mut Vec<u8>, profiles: &[StoredProfile]) {
     let mut ids = std::collections::HashMap::new();
     let mut pool: Vec<&str> = Vec::new();
     let mut encoded: Vec<(u32, u32, Vec<u32>, Vec<u32>, Vec<u32>)> =
@@ -111,18 +103,13 @@ fn put_profiles(w: &mut ByteWriter, profiles: &[StoredProfile]) {
         w.str(s);
     }
     w.u32(profiles.len() as u32);
-    let put_ids = |w: &mut ByteWriter, ids: &[u32]| {
-        w.u32(ids.len() as u32);
-        for &id in ids {
-            w.u32(id);
-        }
-    };
     for (vertex, name, areas, insts, ints) in &encoded {
         w.u32(*vertex);
         w.u32(*name);
-        put_ids(w, areas);
-        put_ids(w, insts);
-        put_ids(w, ints);
+        for ids in [areas, insts, ints] {
+            w.u32(ids.len() as u32);
+            w.u32s(ids.iter().copied());
+        }
     }
 }
 
@@ -134,23 +121,19 @@ fn pooled(pool: &[String], id: u32) -> Result<String, StoreError> {
 
 fn get_id_list(r: &mut ByteReader<'_>, pool: &[String]) -> Result<Vec<String>, StoreError> {
     let len = r.u32()? as usize;
-    if len.checked_mul(4).is_none_or(|b| b > r.remaining()) {
-        return Err(StoreError::Corrupt("profile id list exceeds snapshot".into()));
-    }
-    (0..len).map(|_| r.u32().and_then(|id| pooled(pool, id))).collect()
+    r.u32s(len, "profile id list")?.map(|id| pooled(pool, id)).collect()
 }
 
 fn get_profiles(r: &mut ByteReader<'_>) -> Result<Vec<StoredProfile>, StoreError> {
     let pool = r.strs()?;
     let len = r.u32()? as usize;
-    if len > r.remaining() {
-        return Err(StoreError::Corrupt("profile list length exceeds snapshot".into()));
-    }
+    // Each profile costs at least its vertex, name id and three list lengths.
+    r.claim(len, 20, "profile")?;
     let mut out = Vec::with_capacity(len);
     for _ in 0..len {
         out.push(StoredProfile {
             vertex: cx_graph::VertexId(r.u32()?),
-            name: r.u32().and_then(|id| pooled(&pool, id))?,
+            name: pooled(&pool, r.u32()?)?,
             areas: get_id_list(r, &pool)?,
             institutes: get_id_list(r, &pool)?,
             interests: get_id_list(r, &pool)?,
@@ -160,117 +143,49 @@ fn get_profiles(r: &mut ByteReader<'_>) -> Result<Vec<StoredProfile>, StoreError
 }
 
 impl GraphCheckpoint {
-    /// Serializes the checkpoint (header + checksummed payload) to `w`.
-    pub fn write_to<W: Write>(&self, w: &mut W) -> Result<(), StoreError> {
-        let mut p = ByteWriter::with_capacity(self.graph.memory_bytes());
-        p.str(&self.name);
-        p.u64(self.generation);
-        p.block(|buf| write_snapshot(&self.graph, buf))?;
-        put_profiles(&mut p, &self.profiles);
-        match &self.coords {
-            Some(coords) => {
-                p.u8(1);
-                p.u32(coords.len() as u32);
-                for &(x, y) in coords {
-                    p.f64(x);
-                    p.f64(y);
-                }
-            }
-            None => p.u8(0),
-        }
-        let payload = p.into_bytes();
-        w.write_all(MAGIC)?;
-        w.write_all(&SNAPSHOT_VERSION.to_le_bytes())?;
-        w.write_all(&(payload.len() as u64).to_le_bytes())?;
-        w.write_all(&crc32(&payload).to_le_bytes())?;
-        w.write_all(&payload)?;
-        Ok(())
+    /// The checkpoint's body: everything its file seals.
+    fn encode(&self) -> Vec<u8> {
+        let mut w = Vec::with_capacity(self.graph.memory_bytes());
+        w.str(&self.name);
+        w.u64(self.generation);
+        w.block(|w| write_snapshot(&self.graph, w));
+        put_profiles(&mut w, &self.profiles);
+        put_option(&mut w, self.coords.as_deref(), put_coords);
+        w
     }
 
-    /// Reads and validates a checkpoint: magic, version gate, length
-    /// bound, checksum, then structural decode with no trailing garbage.
-    pub fn read_from<R: Read>(r: &mut R) -> Result<GraphCheckpoint, StoreError> {
-        let mut header = [0u8; HEADER_LEN];
-        r.read_exact(&mut header)?;
-        if &header[0..4] != MAGIC {
-            return Err(StoreError::Corrupt("bad snapshot magic".into()));
-        }
-        let version = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        if version != SNAPSHOT_VERSION {
-            return Err(StoreError::UnsupportedVersion {
-                found: version,
-                supported: SNAPSHOT_VERSION,
-            });
-        }
-        let payload_len = u64::from_le_bytes(header[8..16].try_into().unwrap());
-        if payload_len as usize > MAX_LEN {
-            return Err(StoreError::Corrupt("snapshot payload length too large".into()));
-        }
-        let want_crc = u32::from_le_bytes(header[16..20].try_into().unwrap());
-        let mut payload = vec![0u8; payload_len as usize];
-        r.read_exact(&mut payload)?;
-        if crc32(&payload) != want_crc {
-            return Err(StoreError::Corrupt("snapshot checksum mismatch".into()));
-        }
-        let mut p = ByteReader::new(&payload);
-        let name = p.str()?;
-        let generation = p.u64()?;
-        let graph = read_snapshot_bytes(p.bytes()?)?;
-        let profiles = get_profiles(&mut p)?;
-        let coords = match p.u8()? {
-            0 => None,
-            1 => {
-                let len = p.u32()? as usize;
-                if len.checked_mul(16).is_none_or(|b| b > p.remaining()) {
-                    return Err(StoreError::Corrupt("coord list exceeds snapshot".into()));
-                }
-                let mut cs = Vec::with_capacity(len);
-                for _ in 0..len {
-                    cs.push((p.f64()?, p.f64()?));
-                }
-                Some(cs)
-            }
-            x => return Err(StoreError::Corrupt(format!("invalid coords presence byte {x}"))),
-        };
-        p.finish("snapshot payload")?;
-        Ok(GraphCheckpoint { name, generation, graph: Arc::new(graph), profiles, coords, index: None })
+    /// Writes the checkpoint file to `path` atomically, returning its
+    /// body checksum — what the checkpoint's index sidecar binds to.
+    pub(crate) fn write_file(&self, path: &Path) -> Result<u32, StoreError> {
+        write_sealed(path, MAGIC, SNAPSHOT_VERSION, &self.encode())
+    }
+
+    /// Decodes and validates a checkpoint file — the envelope, then the
+    /// body with no trailing bytes — and returns its body checksum.
+    pub(crate) fn decode_file(bytes: &[u8]) -> Result<(GraphCheckpoint, u32), StoreError> {
+        let (body, crc) = unseal(bytes, MAGIC, SNAPSHOT_VERSION)?;
+        let mut r = ByteReader::new(body);
+        let name = r.str()?.to_owned();
+        let generation = r.u64()?;
+        let graph = Arc::new(read_snapshot_bytes(r.bytes()?)?);
+        let profiles = get_profiles(&mut r)?;
+        let coords = get_option(&mut r, "coords", get_coords)?;
+        r.finish("snapshot payload")?;
+        Ok((GraphCheckpoint { name, generation, graph, profiles, coords, index: None }, crc))
     }
 }
 
-/// The payload checksum a checkpoint file's header records — what the
-/// file's index sidecar binds to.
-pub(crate) fn checkpoint_crc(path: &Path) -> Result<u32, StoreError> {
-    let mut header = [0u8; HEADER_LEN];
-    std::fs::File::open(path)?.read_exact(&mut header)?;
-    Ok(u32::from_le_bytes(header[16..20].try_into().unwrap()))
-}
-
-/// Writes `index` as the sidecar of the checkpoint whose payload
-/// checksum is `checkpoint_crc`, synced to disk.
-pub(crate) fn write_index(path: &Path, checkpoint_crc: u32, index: &[u8]) -> Result<(), StoreError> {
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(INDEX_MAGIC)?;
-    f.write_all(&checkpoint_crc.to_le_bytes())?;
-    f.write_all(&(index.len() as u64).to_le_bytes())?;
-    f.write_all(&crc32(index).to_le_bytes())?;
-    f.write_all(index)?;
-    f.sync_all()?;
-    Ok(())
+/// Writes `index` atomically as the sidecar of the checkpoint whose body
+/// checksum is `bound_to`.
+pub(crate) fn write_index(path: &Path, bound_to: u32, index: &[u8]) -> Result<(), StoreError> {
+    write_sealed(path, INDEX_MAGIC, bound_to, index).map(drop)
 }
 
 /// The index in the sidecar at `path`, if the file is whole and was
-/// written for the checkpoint whose payload checksum is `checkpoint_crc`.
-pub(crate) fn read_index(path: &Path, checkpoint_crc: u32) -> Option<Vec<u8>> {
-    let mut bytes = std::fs::read(path).ok()?;
-    let header = bytes.get(..HEADER_LEN)?;
-    let bound_to = u32::from_le_bytes(header[4..8].try_into().unwrap());
-    let len = u64::from_le_bytes(header[8..16].try_into().unwrap());
-    let want_crc = u32::from_le_bytes(header[16..20].try_into().unwrap());
-    let whole = &header[0..4] == INDEX_MAGIC
-        && bound_to == checkpoint_crc
-        && len == (bytes.len() - HEADER_LEN) as u64
-        && crc32(&bytes[HEADER_LEN..]) == want_crc;
-    whole.then(|| bytes.split_off(HEADER_LEN))
+/// written for the checkpoint whose body checksum is `bound_to`.
+pub(crate) fn read_index(path: &Path, bound_to: u32) -> Option<Vec<u8>> {
+    let bytes = std::fs::read(path).ok()?;
+    unseal(&bytes, INDEX_MAGIC, bound_to).ok().map(|(index, _)| index.to_vec())
 }
 
 /// Hex-encodes a registry name for use in a snapshot filename.
@@ -297,7 +212,23 @@ pub fn index_file_name(name: &str, generation: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sealed::seal;
     use cx_graph::{GraphBuilder, VertexId};
+
+    /// The file `body` makes when sealed with `version`.
+    fn sealed(version: u32, body: &[u8]) -> Vec<u8> {
+        let (mut file, _) = seal(MAGIC, version, body);
+        file.extend_from_slice(body);
+        file
+    }
+
+    fn file(cp: &GraphCheckpoint) -> Vec<u8> {
+        sealed(SNAPSHOT_VERSION, &cp.encode())
+    }
+
+    fn read(bytes: &[u8]) -> Result<GraphCheckpoint, StoreError> {
+        GraphCheckpoint::decode_file(bytes).map(|(cp, _)| cp)
+    }
 
     fn checkpoint() -> GraphCheckpoint {
         let mut b = GraphBuilder::new();
@@ -325,9 +256,8 @@ mod tests {
     #[test]
     fn roundtrip_preserves_everything() {
         let cp = checkpoint();
-        let mut bytes = Vec::new();
-        cp.write_to(&mut bytes).unwrap();
-        let back = GraphCheckpoint::read_from(&mut std::io::Cursor::new(&bytes)).unwrap();
+        let (back, crc) = GraphCheckpoint::decode_file(&file(&cp)).unwrap();
+        assert_eq!(crc, crate::crc32(&cp.encode()));
         assert_eq!(back.name, cp.name);
         assert_eq!(back.generation, 42);
         assert_eq!(back.graph.vertex_count(), 3);
@@ -338,14 +268,9 @@ mod tests {
 
     #[test]
     fn future_version_rejected_with_typed_error() {
-        let cp = checkpoint();
-        let mut bytes = Vec::new();
-        cp.write_to(&mut bytes).unwrap();
-        // The checksum covers the payload only, so the header stays
-        // CRC-valid and the version gate is what fires.
+        let body = checkpoint().encode();
         for version in [0, 1, SNAPSHOT_VERSION + 1] {
-            bytes[4..8].copy_from_slice(&version.to_le_bytes());
-            match GraphCheckpoint::read_from(&mut std::io::Cursor::new(&bytes)) {
+            match read(&sealed(version, &body)) {
                 Err(StoreError::UnsupportedVersion { found, supported }) => {
                     assert_eq!(found, version);
                     assert_eq!(supported, SNAPSHOT_VERSION);
@@ -357,21 +282,19 @@ mod tests {
 
     #[test]
     fn corruption_detected() {
-        let cp = checkpoint();
-        let mut bytes = Vec::new();
-        cp.write_to(&mut bytes).unwrap();
+        let bytes = file(&checkpoint());
         // Flip a payload byte: checksum must catch it.
         let mut bad = bytes.clone();
         let last = bad.len() - 1;
         bad[last] ^= 0xFF;
-        assert!(GraphCheckpoint::read_from(&mut std::io::Cursor::new(&bad)).is_err());
+        assert!(read(&bad).is_err());
         // Bad magic.
         let mut bad = bytes.clone();
         bad[0] = b'X';
-        assert!(GraphCheckpoint::read_from(&mut std::io::Cursor::new(&bad)).is_err());
+        assert!(read(&bad).is_err());
         // Truncation at every prefix errors, never panics.
         for cut in 0..bytes.len() {
-            assert!(GraphCheckpoint::read_from(&mut std::io::Cursor::new(&bytes[..cut])).is_err());
+            assert!(read(&bytes[..cut]).is_err());
         }
     }
 
@@ -405,27 +328,22 @@ mod tests {
             .iter()
             .map(|p| p.name.len() + p.areas[0].len() + p.institutes[0].len() + p.interests[0].len())
             .sum();
-        let mut bytes = Vec::new();
-        cp.write_to(&mut bytes).unwrap();
+        let bytes = file(&cp);
         assert!(
             bytes.len() * 2 < inline,
             "pooled file ({}) should be well under half of the inline strings ({inline})",
             bytes.len()
         );
-        let back = GraphCheckpoint::read_from(&mut std::io::Cursor::new(&bytes)).unwrap();
+        let back = read(&bytes).unwrap();
         assert_eq!(back.profiles, cp.profiles);
     }
 
     #[test]
     fn hostile_pool_id_rejected() {
-        let cp = checkpoint();
-        let mut bytes = Vec::new();
-        cp.write_to(&mut bytes).unwrap();
         // Find the name-id field of the first profile and point it past
-        // the pool; the reader must error, not panic. Rebuild the crc so
+        // the pool; the reader must error, not panic. Seal it afresh so
         // only the structural check can reject it.
-        let payload_start = 20;
-        let mut payload = bytes[payload_start..].to_vec();
+        let mut payload = checkpoint().encode();
         // The profile section sits after the graph block; scan for the
         // profile count (1) followed by vertex id 0, then bump the next
         // u32 (the name id) to something out of range.
@@ -435,12 +353,8 @@ mod tests {
             .rposition(|w| w == needle)
             .expect("profile header bytes present");
         let name_at = at + needle.len();
-        payload[name_at..name_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let crc = crc32(&payload);
-        bytes[16..20].copy_from_slice(&crc.to_le_bytes());
-        bytes.truncate(payload_start);
-        bytes.extend_from_slice(&payload);
-        match GraphCheckpoint::read_from(&mut std::io::Cursor::new(&bytes)) {
+        payload[name_at..name_at + 4].copy_from_slice(&[0xFF; 4]);
+        match read(&sealed(SNAPSHOT_VERSION, &payload)) {
             Err(StoreError::Corrupt(msg)) => assert!(msg.contains("out of pool range"), "{msg}"),
             other => panic!("expected corrupt pool id, got {other:?}"),
         }

@@ -37,7 +37,7 @@ use crate::frame;
 use crate::manifest::{Manifest, ManifestEntry};
 use crate::record::{Record, StoredProfile};
 use crate::snapshot::{
-    checkpoint_crc, index_file_name, read_index, snapshot_file_name, write_index, GraphCheckpoint,
+    index_file_name, read_index, snapshot_file_name, write_index, GraphCheckpoint,
 };
 use crate::wal::Wal;
 
@@ -110,7 +110,9 @@ pub struct CompactionStats {
 
 struct Inner {
     wal: Wal,
-    manifest: Manifest,
+    /// The body checksum of every checkpoint the committed manifest
+    /// references, by file name.
+    checkpoints: HashMap<String, u32>,
 }
 
 /// Handle over one durable store directory. Cheap to share behind an
@@ -154,18 +156,20 @@ impl Store {
         // Load live checkpoints; tombstones only contribute their counter
         // (already folded in above, but older manifests may lack an
         // explicit counter — keep the max).
+        let mut checkpoints = HashMap::new();
         for entry in &manifest.entries {
             let gen_slot = state.generations.entry(entry.name.clone()).or_insert(0);
             *gen_slot = (*gen_slot).max(entry.generation);
             if let Some(file) = &entry.file {
                 let path = dir.join(SNAPSHOTS_DIR).join(file);
-                let mut f = std::fs::File::open(&path).map_err(|e| {
+                let bytes = std::fs::read(&path).map_err(|e| {
                     StoreError::Corrupt(format!(
                         "manifest references missing snapshot {}: {e}",
                         path.display()
                     ))
                 })?;
-                let cp = GraphCheckpoint::read_from(&mut f)?;
+                let (cp, crc) = GraphCheckpoint::decode_file(&bytes)?;
+                drop(bytes); // before the sidecar is read
                 if cp.name != entry.name || cp.generation != entry.generation {
                     return Err(StoreError::Corrupt(format!(
                         "snapshot {} does not match its manifest entry",
@@ -182,10 +186,11 @@ impl Store {
                         index: read_index(
                             &dir.join(SNAPSHOTS_DIR)
                                 .join(index_file_name(&entry.name, entry.generation)),
-                            checkpoint_crc(&path)?,
+                            crc,
                         ),
                     },
                 );
+                checkpoints.insert(file.clone(), crc);
             }
         }
 
@@ -230,7 +235,8 @@ impl Store {
         cx_obs::metrics::gauge_set("cx_store_wal_bytes", wal.bytes() as i64);
         cx_obs::metrics::observe_us("cx_store_recovery_us", t0.elapsed().as_micros() as u64);
 
-        let store = Store { dir: dir.to_path_buf(), fsync, inner: Mutex::new(Inner { wal, manifest }) };
+        let inner = Mutex::new(Inner { wal, checkpoints });
+        let store = Store { dir: dir.to_path_buf(), fsync, inner };
         Ok((store, state))
     }
 
@@ -354,10 +360,12 @@ impl Store {
     ///
     /// The caller must guarantee `live` + `counters` + `default_graph`
     /// form a consistent cut with no writer racing ahead (the engine
-    /// quiesces writers around this call). Crash-safety: checkpoint files
-    /// land first, the manifest rename commits them, the truncation runs
-    /// last — a crash between any two steps recovers correctly because
-    /// replay skips records whose generation a checkpoint already covers.
+    /// quiesces writers around this call). Crash-safety: every file is
+    /// written to a temporary name, synced and renamed into place, so a
+    /// path only ever holds a whole file; checkpoint files land first,
+    /// the manifest rename commits them, the truncation runs last — a
+    /// crash between any two steps recovers correctly because replay
+    /// skips records whose generation a checkpoint already covers.
     pub fn compact(
         &self,
         live: &[GraphCheckpoint],
@@ -370,24 +378,26 @@ impl Store {
 
         let mut entries = Vec::with_capacity(counters.len());
         let mut live_files = Vec::with_capacity(2 * live.len());
+        let mut checkpoints = HashMap::with_capacity(live.len());
         for cp in live {
             let file = snapshot_file_name(&cp.name, cp.generation);
-            let path = snap_dir.join(&file);
-            // (name, generation) is unique, so an existing identical file
-            // can be reused as-is.
-            if !path.exists() {
-                let mut f = std::fs::File::create(&path)?;
-                cp.write_to(&mut f)?;
-                f.sync_all()?;
-                stats.snapshots_written += 1;
-            }
-            // The sidecar lands (synced) before the manifest swap that
-            // makes its checkpoint live; one already there and whole —
-            // this generation was compacted before — is left alone.
+            // (name, generation) is unique, so a checkpoint the committed
+            // manifest already references is reused as-is. Any other
+            // file at this path is untrusted and replaced.
+            let crc = match inner.checkpoints.get(&file) {
+                Some(&crc) => crc,
+                None => {
+                    stats.snapshots_written += 1;
+                    cp.write_file(&snap_dir.join(&file))?
+                }
+            };
+            checkpoints.insert(file.clone(), crc);
+            // The sidecar lands before the manifest swap that makes its
+            // checkpoint live; one already there and whole — this
+            // generation was compacted before — is left alone.
             let index_file = index_file_name(&cp.name, cp.generation);
             if let Some(index) = &cp.index {
                 let index_path = snap_dir.join(&index_file);
-                let crc = checkpoint_crc(&path)?;
                 if read_index(&index_path, crc).is_none() {
                     write_index(&index_path, crc, index)?;
                 }
@@ -411,7 +421,7 @@ impl Store {
             entries,
         };
         manifest.store(&self.dir.join(MANIFEST_FILE))?;
-        inner.manifest = manifest;
+        inner.checkpoints = checkpoints;
         inner.wal.truncate()?;
 
         // Everything that is neither a file the new manifest references

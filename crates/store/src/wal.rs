@@ -44,7 +44,7 @@ impl Wal {
     /// Appends one record, returning its LSN. Syncs iff `fsync`.
     pub fn append(&mut self, record: &Record, fsync: bool) -> Result<u64, StoreError> {
         let lsn = self.lsn + 1;
-        let frame = encode_frame(lsn, &record.encode()?);
+        let frame = encode_frame(lsn, &record.encode());
         self.file.write_all(&frame)?;
         if fsync {
             self.file.sync_data()?;

@@ -9,16 +9,18 @@ use cx_store::frame::{encode_frame, scan, TailReason};
 /// The headline sweep: ≥50 seeded (graph, edit-script, crash-point)
 /// cases across two configurations, whole cycles of the oracle's crash
 /// kinds (WAL cut, WAL bit flip, index sidecar missing / cut / flipped /
-/// foreign). Every case either recovers a committed generation with
-/// byte-identical graph and CL-tree fingerprints, or (for a cut before
-/// the first frame of a store with no checkpoint) an empty store.
+/// foreign, torn checkpoint from a crashed compaction). Every case
+/// either recovers a committed generation with byte-identical graph and
+/// CL-tree fingerprints, or (for a cut before the first frame of a store
+/// with no checkpoint) an empty store.
 #[test]
 fn fifty_seeded_crash_points_recover_exactly() {
     let mut cases = 0;
     let mut truncations = 0;
     let mut bitflips = 0;
     let mut sidecars = [0; 4];
-    for (seed, authors, steps, n) in [(11, 120, 18, 63), (29, 200, 12, 42)] {
+    let mut torn_checkpoints = 0;
+    for (seed, authors, steps, n) in [(11, 120, 18, 64), (29, 200, 12, 56)] {
         let report = kill_replay(&KillReplayParams { cases: n, authors, steps, seed });
         assert!(
             report.passed(),
@@ -33,10 +35,12 @@ fn fifty_seeded_crash_points_recover_exactly() {
         for (total, n) in sidecars.iter_mut().zip(report.sidecar_cases) {
             *total += n;
         }
+        torn_checkpoints += report.torn_checkpoints;
     }
     assert!(cases >= 50, "sweep must cover at least 50 crash points, got {cases}");
     assert!(truncations >= 30 && bitflips >= 10, "both WAL crash modes must be exercised");
     assert!(sidecars.iter().all(|&n| n >= 10), "every sidecar damage kind must be exercised");
+    assert!(torn_checkpoints >= 10, "crashed compactions must be exercised");
 }
 
 /// Torn frames of every kind stop a scan cleanly — no panic, no

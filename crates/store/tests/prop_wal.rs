@@ -35,7 +35,7 @@ proptest! {
     #[test]
     fn delta_records_roundtrip(delta in arb_delta(64), generation in 1u64..1_000_000) {
         let rec = Record::Edit { name: "g".into(), generation, delta: delta.clone() };
-        match Record::decode(&rec.encode().unwrap()).unwrap() {
+        match Record::decode(&rec.encode()).unwrap() {
             Record::Edit { delta: back, generation: g2, .. } => {
                 prop_assert_eq!(back.added, delta.added);
                 prop_assert_eq!(back.removed, delta.removed);
@@ -53,7 +53,7 @@ proptest! {
         bit in 0u8..8,
     ) {
         let rec = Record::Edit { name: "g".into(), generation: 1, delta };
-        let frame = encode_frame(lsn, &rec.encode().unwrap());
+        let frame = encode_frame(lsn, &rec.encode());
         let mut bad = frame.clone();
         let byte = byte_sel.index(bad.len());
         bad[byte] ^= 1 << bit;
@@ -69,7 +69,7 @@ proptest! {
         let mut log = Vec::new();
         for (i, d) in deltas.iter().enumerate() {
             let rec = Record::Edit { name: format!("g{i}"), generation: i as u64 + 1, delta: d.clone() };
-            log.extend_from_slice(&encode_frame(i as u64 + 1, &rec.encode().unwrap()));
+            log.extend_from_slice(&encode_frame(i as u64 + 1, &rec.encode()));
         }
         let out = scan(&log, 0);
         prop_assert!(out.tail.is_none());

@@ -4,25 +4,40 @@
 //! files from a future format version with a typed error instead of
 //! misparsing them.
 
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use cx_check::{graph_fingerprint, tree_canonical};
 use cx_cltree::ClTree;
 use cx_datagen::{area_clustered_coords, dblp_like, figure5_graph, generate_profiles};
 use cx_graph::AttributedGraph;
-use cx_store::{GraphCheckpoint, StoreError, StoredProfile, SNAPSHOT_VERSION};
+use cx_store::{
+    snapshot_file_name, GraphCheckpoint, RecoveredGraph, Store, StoreError, StoredProfile,
+    SNAPSHOTS_DIR, SNAPSHOT_VERSION,
+};
 
-/// Writes `cp` to bytes and reads it back through the public codec.
-fn roundtrip(cp: &GraphCheckpoint) -> GraphCheckpoint {
-    let mut buf = Vec::new();
-    cp.write_to(&mut buf).expect("checkpoint writes");
-    GraphCheckpoint::read_from(&mut buf.as_slice()).expect("checkpoint reads back")
+/// A fresh store directory holding `cp` as its one checkpoint.
+fn compacted(cp: &GraphCheckpoint) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("cx-snap-rt-{}-{}", cp.name, std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (store, _) = Store::open_with_fsync(&dir, false).expect("store opens");
+    let counters = [(cp.name.clone(), cp.generation)];
+    store.compact(std::slice::from_ref(cp), None, &counters).expect("checkpoint writes");
+    dir
+}
+
+/// Writes `cp` as a checkpoint file and reads it back through recovery.
+fn roundtrip(cp: &GraphCheckpoint) -> RecoveredGraph {
+    let dir = compacted(cp);
+    let (_, mut state) = Store::open_with_fsync(&dir, false).expect("checkpoint reads back");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(state.frames_replayed, 0, "recovered from the checkpoint alone");
+    state.graphs.remove(&cp.name).expect("the checkpointed graph recovers")
 }
 
 /// Asserts every recoverable facet of `cp` survives the codec.
 fn assert_exact(cp: &GraphCheckpoint) {
     let back = roundtrip(cp);
-    assert_eq!(back.name, cp.name);
     assert_eq!(back.generation, cp.generation);
     assert_eq!(
         graph_fingerprint(&back.graph),
@@ -105,12 +120,16 @@ fn future_format_version_is_rejected_with_typed_error() {
         coords: None,
         index: None,
     };
-    let mut buf = Vec::new();
-    cp.write_to(&mut buf).unwrap();
+    let dir = compacted(&cp);
+    let path = dir.join(SNAPSHOTS_DIR).join(snapshot_file_name(&cp.name, cp.generation));
+    let mut buf = std::fs::read(&path).unwrap();
     // Bump the version field (little-endian u32 right after the magic).
     let future = SNAPSHOT_VERSION + 1;
     buf[4..8].copy_from_slice(&future.to_le_bytes());
-    match GraphCheckpoint::read_from(&mut buf.as_slice()) {
+    std::fs::write(&path, buf).unwrap();
+    let opened = Store::open_with_fsync(&dir, false).map(drop);
+    let _ = std::fs::remove_dir_all(&dir);
+    match opened {
         Err(StoreError::UnsupportedVersion { found, supported }) => {
             assert_eq!(found, future);
             assert_eq!(supported, SNAPSHOT_VERSION);

@@ -95,7 +95,7 @@ fn arbitrary_record(rng: &mut Rng) -> Record {
 fn assert_records_equal(a: &Record, b: &Record) {
     // The codec has no PartialEq (AttributedGraph is behind an Arc);
     // compare re-encoded bytes, which is exactly the durability contract.
-    assert_eq!(a.encode().unwrap(), b.encode().unwrap());
+    assert_eq!(a.encode(), b.encode());
 }
 
 #[test]
@@ -104,7 +104,7 @@ fn arbitrary_edge_deltas_roundtrip() {
     for case in 0..200 {
         let delta = arbitrary_delta(&mut rng, 64);
         let rec = Record::Edit { name: "g".into(), generation: case + 1, delta: delta.clone() };
-        match Record::decode(&rec.encode().unwrap()).unwrap() {
+        match Record::decode(&rec.encode()).unwrap() {
             Record::Edit { delta: back, generation, .. } => {
                 assert_eq!(back.added, delta.added, "case {case}");
                 assert_eq!(back.removed, delta.removed, "case {case}");
@@ -120,7 +120,7 @@ fn arbitrary_records_roundtrip() {
     let mut rng = Rng(0x5EED_0002);
     for case in 0..150 {
         let rec = arbitrary_record(&mut rng);
-        let back = Record::decode(&rec.encode().unwrap())
+        let back = Record::decode(&rec.encode())
             .unwrap_or_else(|e| panic!("case {case}: decode failed: {e}"));
         assert_records_equal(&rec, &back);
     }
@@ -131,7 +131,7 @@ fn checksum_detects_every_single_bit_flip() {
     let mut rng = Rng(0x5EED_0003);
     for case in 0..20 {
         let rec = arbitrary_record(&mut rng);
-        let frame = encode_frame(case + 1, &rec.encode().unwrap());
+        let frame = encode_frame(case + 1, &rec.encode());
         // CRC32 guarantees detection of any single-bit error.
         for byte in 0..frame.len() {
             for bit in 0..8 {
@@ -155,7 +155,7 @@ fn frames_self_delimit_under_concatenation() {
         let records: Vec<Record> = (0..1 + rng.below(8)).map(|_| arbitrary_record(&mut rng)).collect();
         let mut log = Vec::new();
         for (i, rec) in records.iter().enumerate() {
-            log.extend_from_slice(&encode_frame(i as u64 + 1, &rec.encode().unwrap()));
+            log.extend_from_slice(&encode_frame(i as u64 + 1, &rec.encode()));
         }
         let out = scan(&log, 0);
         assert!(out.tail.is_none(), "case {case}: clean log has no tail");

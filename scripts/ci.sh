@@ -15,9 +15,9 @@
 #   6. again at CX_THREADS=8 (invariants + differential oracles incl.
 #      snapshot pinning, incremental-vs-scratch, scratch reuse and CD
 #      search vs. detect + API fuzz + the kill-replay durability oracle
-#      over a seeded matrix: 56 crash cases = 8 each of two WAL cuts, a
-#      WAL bit flip, and the index sidecar missing / cut short /
-#      bit-flipped / foreign);
+#      over a seeded matrix: 64 crash cases = 8 each of two WAL cuts, a
+#      WAL bit flip, the index sidecar missing / cut short / bit-flipped
+#      / foreign, and a torn checkpoint left by a crashed compaction);
 #   7. `cx experiments`: the paper's twelve measured experiments at the
 #      sizes EXPERIMENTS.md quotes, red if any clock-free shape check
 #      fails (timings are printed, never judged);
@@ -46,11 +46,11 @@ CX_THREADS=8 cargo test -q --workspace
 
 echo "== cx-check seed matrix (3 sizes x 2 seeds x 4 queries + fuzz + kill-replay, CX_THREADS=1) =="
 CX_THREADS=1 cargo run -q --release -p cx-check --bin cx-check -- \
-  --sizes 60,200,800 --seeds 7,21 --queries 4 --fuzz 600 --kill-replay 56
+  --sizes 60,200,800 --seeds 7,21 --queries 4 --fuzz 600 --kill-replay 64
 
 echo "== cx-check seed matrix (3 sizes x 2 seeds x 4 queries + fuzz + kill-replay, CX_THREADS=8) =="
 CX_THREADS=8 cargo run -q --release -p cx-check --bin cx-check -- \
-  --sizes 60,200,800 --seeds 7,21 --queries 4 --fuzz 600 --kill-replay 56
+  --sizes 60,200,800 --seeds 7,21 --queries 4 --fuzz 600 --kill-replay 64
 
 echo "== cx experiments (the paper's shape checks at the quoted sizes) =="
 cargo run -q --release --bin cx -- experiments
