@@ -31,11 +31,14 @@
 //! 5. **Snapshot differential** — a reader pinned to a pre-edit snapshot
 //!    vs. the post-edit snapshot: each must match an engine that only
 //!    ever saw that graph version, and generations must advance.
-//! 6. **Incremental differential** — a seeded edit script replayed
-//!    through the incremental write path: after every step the patched
-//!    graph, maintained core numbers, repaired CL-tree and a live `acq`
-//!    and `global` query must all match a from-scratch rebuild of the
-//!    same edge set.
+//! 6. **Incremental differential** — a seeded 48-step edit script
+//!    replayed through the incremental write path: after every step the
+//!    patched graph, maintained core numbers, published CL-tree and a
+//!    live `acq` and `global` query must all match a from-scratch rebuild
+//!    of the same edge set, and a repaired tree's columns must pass the
+//!    column invariants. The summary line counts the steps that shared
+//!    the previous tree and those that repaired it; zero of either is a
+//!    failure.
 //! 7. **Thread differential** — fingerprints at CX_THREADS=1 vs. N.
 //! 8. **Scratch-reuse differential** — the pooled zero-alloc query path
 //!    vs. a deliberately dirtied caller-managed scratch, at 1 and 8
@@ -150,6 +153,8 @@ fn main() {
     let mut qset_basic = 0usize;
     let mut k0_basic = 0usize;
     let mut local_legs = 0usize;
+    let mut tree_shared = 0usize;
+    let mut tree_repaired = 0usize;
     let matrix = graph_matrix(&args.sizes, &args.seeds);
     println!(
         "cx-check: {} graphs × {} queries, threads {:?}, fuzz {}",
@@ -275,12 +280,16 @@ fn main() {
 
         // Incremental differential: a seeded edit script replayed through
         // the incremental write path must match a from-scratch rebuild
-        // after every single step.
+        // after every single step, counting the steps that shared the
+        // previous tree and those that repaired it.
         if let Some(qc) = workload.first() {
             let spec = QuerySpec::by_id(qc.q).k(qc.k);
-            let script = edit_script(g, 12, 0xED17 ^ g.vertex_count() as u64);
+            let script = edit_script(g, 48, 0xED17 ^ g.vertex_count() as u64);
             for algo in ["acq", "global"] {
-                for m in incremental_vs_scratch(g, &script, algo, &spec) {
+                let (mismatches, branches) = incremental_vs_scratch(g, &script, algo, &spec);
+                tree_shared += branches.shared;
+                tree_repaired += branches.repaired;
+                for m in mismatches {
                     problems.push(format!("{} {}", case.name, m));
                 }
             }
@@ -364,15 +373,26 @@ fn main() {
         problems.push("no Local leg was checked against Global".to_string());
     }
 
+    // Both ways an edit publishes its tree must have been checked.
+    if tree_shared == 0 || tree_repaired == 0 {
+        problems.push(format!(
+            "edit steps shared {tree_shared} trees and repaired {tree_repaired}; both must be \
+             non-zero"
+        ));
+    }
+
     if problems.is_empty() {
         println!(
-            "cx-check PASS: {} graphs, {} queries ({} vs Basic: {} query sets, {} at k = 0), {} Local legs, {} fuzz requests, {} crash cases — no violations",
+            "cx-check PASS: {} graphs, {} queries ({} vs Basic: {} query sets, {} at k = 0), {} Local legs, {} edit steps ({} shared trees, {} repaired), {} fuzz requests, {} crash cases — no violations",
             matrix.len(),
             queries_run,
             basic_legs,
             qset_basic,
             k0_basic,
             local_legs,
+            tree_shared + tree_repaired,
+            tree_shared,
+            tree_repaired,
             report.total,
             crashes
         );

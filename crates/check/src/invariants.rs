@@ -345,9 +345,12 @@ pub fn check_core_numbers(g: &AttributedGraph, core_of: &dyn Fn(VertexId) -> u32
 /// definitions, by brute force on the graph: `order` is a permutation with
 /// `rank_of` its inverse; a node's residents are ascending, live at its
 /// level and open its rank interval, which its children's intervals then
-/// tile in child order; every keyword's posting list is strictly
-/// ascending; and for every node and keyword the carriers read through the
-/// postings are exactly the subtree's vertices that carry the keyword.
+/// tile in child order; the postings are exactly a scatter over `order`
+/// (keyword w's list holds, ascending, the rank of every vertex carrying
+/// w — whether the tree was built or repaired); every keyword's posting
+/// list is strictly ascending; and for every node and keyword the carriers
+/// read through the postings are exactly the subtree's vertices that carry
+/// the keyword.
 pub fn check_tree_columns(g: &AttributedGraph, tree: &ClTree) -> Vec<Violation> {
     let mut out = Vec::new();
     let mut bad = |detail: String| out.push(Violation::new("tree-columns", detail));
@@ -361,6 +364,23 @@ pub fn check_tree_columns(g: &AttributedGraph, tree: &ClTree) -> Vec<Violation> 
         if v.index() >= n || tree.rank_of(v) as usize != rank {
             bad(format!("rank {rank} holds {v:?} but rank_of says {}", tree.rank_of(v)));
             return out;
+        }
+    }
+    if tree.keyword_count() == g.keyword_count() {
+        let mut scatter: Vec<Vec<u32>> = vec![Vec::new(); g.keyword_count()];
+        for (rank, &v) in order.iter().enumerate() {
+            for w in g.keywords(v) {
+                scatter[w.0 as usize].push(rank as u32);
+            }
+        }
+        if tree.postings() != scatter.concat() {
+            bad("postings differ from a scatter over the tree's order".to_string());
+        }
+        for (w, want) in scatter.iter().enumerate() {
+            if tree.postings()[tree.carrier_span(0..n, KeywordId(w as u32))] != want[..] {
+                bad(format!("keyword {w}: its posting list is not the scatter's"));
+                break;
+            }
         }
     }
     for (id, node) in tree.iter_nodes() {
@@ -388,11 +408,17 @@ pub fn check_tree_columns(g: &AttributedGraph, tree: &ClTree) -> Vec<Violation> 
         if cursor != span.end {
             bad(format!("{id:?}: children end at {cursor}, subtree at {}", span.end));
         }
-        let members = &order[span];
+        // Every (keyword, member) pair of the subtree, sorted: keyword w's
+        // run is its carriers among the members, ascending.
+        let mut carried: Vec<(KeywordId, VertexId)> = order[span]
+            .iter()
+            .flat_map(|&v| g.keywords(v).iter().map(move |&w| (w, v)))
+            .collect();
+        carried.sort_unstable();
+        let mut runs = carried.chunk_by(|a, b| a.0 == b.0).peekable();
         for (w, _) in g.interner().iter() {
-            let mut want: Vec<VertexId> =
-                members.iter().copied().filter(|&v| g.has_keyword(v, w)).collect();
-            want.sort_unstable();
+            let run = runs.next_if(|r| r[0].0 == w).unwrap_or_default();
+            let want: Vec<VertexId> = run.iter().map(|&(_, v)| v).collect();
             let ranks = tree.carriers(id, w);
             if !ranks.windows(2).all(|p| p[0] < p[1]) {
                 bad(format!("{id:?}: postings of {w:?} not strictly ascending"));

@@ -64,6 +64,6 @@ pub use invariants::{
 pub use oracle::{
     acq_strategy_differential, analysis_vs_pairs, cached_vs_uncached, cd_search_vs_detect,
     cmf_all_members, cpj_all_pairs, incremental_vs_scratch, scratch_reuse_differential,
-    snapshot_pinning_differential, structural_vs_peel, with_threads, Mismatch,
+    snapshot_pinning_differential, structural_vs_peel, with_threads, Mismatch, TreeBranches,
 };
 pub use workload::{edit_script, graph_matrix, query_workload, EditStep, GraphCase, QueryCase};

@@ -20,7 +20,7 @@
 //! from the CL-tree interval to their whole-graph-peel references.
 
 use std::collections::HashSet;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use cx_acq::{acq, acq_set, AcqOptions, AcqResult, AcqStrategy};
 use cx_algos::{kecc_community, sac_appinc, Global, Local};
@@ -32,7 +32,7 @@ use cx_kcore::CoreDecomposition;
 use cx_par::rng::Rng64;
 
 use crate::canonical::{diff_results, fingerprint, graph_fingerprint, tree_canonical};
-use crate::invariants::check_community;
+use crate::invariants::{check_community, check_tree_columns};
 use crate::workload::{EditStep, QueryCase};
 
 /// One disagreement between two paths that must agree.
@@ -447,6 +447,13 @@ pub fn snapshot_pinning_differential(
 ///    postings, so a column the update laid out wrong is caught),
 /// 4. one community query answered by both engines.
 ///
+/// A step that changed the graph either published the previous
+/// snapshot's tree (`Arc::ptr_eq`: the engine proved the edit cannot
+/// change it) or a repaired one, whose columns must then also pass
+/// [`check_tree_columns`] — postings equal to a scatter over its own
+/// order. The returned [`TreeBranches`] count the two, so a caller can
+/// require that both were exercised.
+///
 /// The scratch side is constructed directly (builder + fresh index).
 /// Stops at the first divergent step (later steps would only echo it).
 pub fn incremental_vs_scratch(
@@ -454,10 +461,12 @@ pub fn incremental_vs_scratch(
     script: &[EditStep],
     algo: &str,
     spec: &QuerySpec,
-) -> Vec<Mismatch> {
+) -> (Vec<Mismatch>, TreeBranches) {
     let norm = |&(u, v): &(VertexId, VertexId)| if u < v { (u, v) } else { (v, u) };
     let mut mismatches = Vec::new();
+    let mut branches = TreeBranches::default();
     let inc = Engine::with_graph("check", g.clone());
+    let mut prev = inc.snapshot(None).expect("just registered");
     let mut edges: Vec<(VertexId, VertexId)> = g.edges().collect();
     for (step_no, step) in script.iter().enumerate() {
         let context = format!("step {step_no} (+{} -{})", step.add.len(), step.remove.len());
@@ -467,7 +476,7 @@ pub fn incremental_vs_scratch(
             detail,
         };
         if let Err(e) = inc.apply_edits(None, &step.add, &step.remove) {
-            return vec![mismatch(format!("edit failed: {e}"))];
+            return (vec![mismatch(format!("edit failed: {e}"))], branches);
         }
         // Mirror the engine's documented coalescing, E' = (E \ removed) ∪
         // added with add-wins on conflict, onto a plain edge list.
@@ -480,6 +489,16 @@ pub fn incremental_vs_scratch(
 
         let scratch_graph = rebuild_with_edges(g, &edges);
         let snap = inc.snapshot(None).expect("graph stays registered across edits");
+        if !Arc::ptr_eq(&snap.graph, &prev.graph) {
+            if Arc::ptr_eq(&snap.tree, &prev.tree) {
+                branches.shared += 1;
+            } else {
+                branches.repaired += 1;
+                for v in check_tree_columns(&snap.graph, &snap.tree) {
+                    mismatches.push(mismatch(format!("repaired tree: {v}")));
+                }
+            }
+        }
         if !snap.graph.shares_attributes_with(g) {
             mismatches.push(mismatch("the edit copied the attribute columns".into()));
         }
@@ -514,10 +533,21 @@ pub fn incremental_vs_scratch(
             (Err(_), Err(_)) => {}
         }
         if !mismatches.is_empty() {
-            return mismatches;
+            return (mismatches, branches);
         }
+        prev = snap;
     }
-    mismatches
+    (mismatches, branches)
+}
+
+/// How the graph-changing steps of an [`incremental_vs_scratch`] run
+/// published their CL-tree.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TreeBranches {
+    /// Steps that published the previous snapshot's tree unchanged.
+    pub shared: usize,
+    /// Steps that published a repaired tree.
+    pub repaired: usize,
 }
 
 /// Scratch-reuse oracle for the zero-alloc query path: a reused
@@ -763,8 +793,10 @@ mod tests {
     fn incremental_oracle_is_clean_on_figure5() {
         let g = figure5_graph();
         let script = crate::workload::edit_script(&g, 25, 7);
-        let mm = incremental_vs_scratch(&g, &script, "acq", &QuerySpec::by_label("A").k(2));
+        let (mm, branches) =
+            incremental_vs_scratch(&g, &script, "acq", &QuerySpec::by_label("A").k(2));
         assert!(mm.is_empty(), "{mm:?}");
+        assert!(branches.repaired > 0, "{branches:?}");
     }
 
     #[test]
@@ -774,7 +806,7 @@ mod tests {
             add: vec![(VertexId(0), VertexId(99))],
             remove: vec![],
         }];
-        let mm = incremental_vs_scratch(&g, &script, "acq", &QuerySpec::by_label("A").k(2));
+        let (mm, _) = incremental_vs_scratch(&g, &script, "acq", &QuerySpec::by_label("A").k(2));
         assert_eq!(mm.len(), 1);
         assert!(mm[0].detail.contains("edit failed"), "{}", mm[0]);
     }

@@ -57,7 +57,7 @@ impl ClTree {
     /// root assembly step for level 0 (isolated vertices). Near-linear in
     /// `n + m`.
     pub fn build(g: &AttributedGraph) -> Self {
-        let cd = CoreDecomposition::compute_par(g);
+        let cd = CoreDecomposition::compute(g);
         Self::build_with(g, &cd)
     }
 
@@ -113,7 +113,7 @@ impl ClTree {
                 tops.push(NodeId(top.0 + offset));
             }
         }
-        finish(g, nodes, tops, node_of, cores.to_vec())
+        finish(g, nodes, tops, node_of, cores.to_vec(), None)
     }
 
     /// The core number of `v`.
@@ -342,13 +342,14 @@ impl ClTree {
 /// are exactly the isolated ones; a single root holds them, with every
 /// component's top anchor as a child (matching Figure 5(b), where the
 /// root contains J). `node_of` must already place every vertex of core
-/// ≥ 1.
+/// ≥ 1. `prior` is the tree an update repairs (see [`layout`]).
 pub(crate) fn finish(
     g: &AttributedGraph,
     mut nodes: Vec<ClTreeNode>,
     mut tops: Vec<NodeId>,
     mut node_of: Vec<NodeId>,
     core: Vec<u32>,
+    prior: Option<&ClTree>,
 ) -> ClTree {
     tops.sort_unstable();
     let has_isolated = core.contains(&0);
@@ -365,7 +366,7 @@ pub(crate) fn finish(
         }
         nid
     };
-    layout(g, nodes, root, node_of, core)
+    layout(g, nodes, root, node_of, core, prior)
 }
 
 /// The one place the vertex side of a tree is laid out: given the
@@ -373,6 +374,11 @@ pub(crate) fn finish(
 /// and its inverse, every node's resident and subtree rank intervals, and
 /// the keyword postings over ranks. Called by build and update (through
 /// [`finish`]) and by snapshot load.
+///
+/// Build and load scatter the postings from the graph's keyword sets. An
+/// update passes the tree it repairs as `prior` — same vertices, same
+/// keyword sets — and [`patch_postings`] moves that tree's postings to
+/// the new ranks instead.
 ///
 /// The caller guarantees a tree: every node but `root` is the child of
 /// exactly one node, and `node_of` names a node for every vertex.
@@ -382,6 +388,7 @@ pub(crate) fn layout(
     root: NodeId,
     node_of: Vec<NodeId>,
     core: Vec<u32>,
+    prior: Option<&ClTree>,
 ) -> ClTree {
     let n = node_of.len();
     // Resident counts, then (below) each node's fill cursor.
@@ -424,8 +431,17 @@ pub(crate) fn layout(
         *rank += 1;
     }
 
-    // Postings by counting sort: ranks are visited in ascending order, so
-    // every keyword's list is born sorted.
+    let (kw_off, kw_ranks) = match prior {
+        Some(old) => (old.kw_off.clone(), patch_postings(old, &order)),
+        None => scatter_postings(g, &order),
+    };
+    let max_core = core.iter().copied().max().unwrap_or(0);
+    ClTree { nodes, root, node_of, core, max_core, order, rank_of, kw_off, kw_ranks }
+}
+
+/// Postings by counting sort over the whole preorder: ranks are visited
+/// in ascending order, so every keyword's list is born sorted.
+fn scatter_postings(g: &AttributedGraph, order: &[VertexId]) -> (Vec<usize>, Vec<u32>) {
     let mut kw_off = vec![0usize; g.keyword_count() + 1];
     for v in g.vertices() {
         for w in g.keywords(v) {
@@ -444,9 +460,89 @@ pub(crate) fn layout(
             *at += 1;
         }
     }
+    (kw_off, kw_ranks)
+}
 
-    let max_core = core.iter().copied().max().unwrap_or(0);
-    ClTree { nodes, root, node_of, core, max_core, order, rank_of, kw_off, kw_ranks }
+/// `old`'s postings moved to the preorder `order` of a repaired tree over
+/// the same vertices and keyword sets, without looking at the graph.
+///
+/// The two preorders agree outside one rank span `lo..hi`, so every
+/// posting outside it is copied as is (and each list keeps its offsets,
+/// since the same carriers sit before `lo` and after `hi`). Inside, the
+/// new preorder is a sequence of *blocks*: maximal runs of new ranks
+/// whose old ranks are consecutive. A posting moves by its block's shift,
+/// so one list's postings in one block stay ascending — a *piece*. Blocks
+/// map to disjoint new intervals, so a list is sorted once its pieces are
+/// emitted in order of their block's new start: every piece is bucketed
+/// by block, and the buckets are drained in block order. No comparison
+/// sort; the cost is the copy plus O(postings in the span + blocks +
+/// keywords).
+fn patch_postings(old: &ClTree, order: &[VertexId]) -> Vec<u32> {
+    let mut out = old.kw_ranks.clone();
+    let Some(lo) = order.iter().zip(&old.order).position(|(a, b)| a != b) else {
+        return out;
+    };
+    let same_tail = order.iter().rev().zip(old.order.iter().rev()).take_while(|(a, b)| a == b);
+    let hi = order.len() - same_tail.count();
+
+    // Blocks in new-rank order. Block `b` is a run of old ranks ending
+    // before `old_end[b]`; `shift[b]` takes them to their new ranks
+    // (wrapping, as a shift may be negative); `block_at[x − lo]` is the
+    // block of old rank x.
+    let (mut shift, mut old_end) = (Vec::new(), Vec::new());
+    let mut block_at = vec![0u32; hi - lo];
+    let mut r = lo;
+    while r < hi {
+        let (start, first) = (r, old.rank_of[order[r].index()]);
+        while r < hi && old.rank_of[order[r].index()] == first + (r - start) as u32 {
+            block_at[first as usize + (r - start) - lo] = shift.len() as u32;
+            r += 1;
+        }
+        shift.push((start as u32).wrapping_sub(first));
+        old_end.push(first + (r - start) as u32);
+    }
+
+    // Each list's postings in `lo..hi`, cut into pieces and bucketed by
+    // block: (list's slot in `fill`, posting range in `old.kw_ranks`;
+    // positions fit in u32, as the graph's keyword CSR offsets do). A
+    // piece ends at the first posting past its block, a binary search.
+    let mut buckets: Vec<Vec<(u32, Range<u32>)>> = vec![Vec::new(); shift.len()];
+    let mut fill: Vec<usize> = Vec::new();
+    for w in old.kw_off.windows(2) {
+        let list = &old.kw_ranks[w[0]..w[1]];
+        if list.first().is_none_or(|&x| x as usize >= hi)
+            || list.last().is_some_and(|&x| (x as usize) < lo)
+        {
+            continue;
+        }
+        let mut i = list.partition_point(|&x| (x as usize) < lo);
+        let end = list.partition_point(|&x| (x as usize) < hi);
+        if i == end {
+            continue;
+        }
+        let slot = fill.len() as u32;
+        fill.push(w[0] + i);
+        while i < end {
+            let block = block_at[list[i] as usize - lo] as usize;
+            let j = i + list[i..end].partition_point(|&x| x < old_end[block]);
+            buckets[block].push((slot, (w[0] + i) as u32..(w[0] + j) as u32));
+            i = j;
+        }
+    }
+
+    // Draining the buckets in block order appends each list's pieces in
+    // order of their block's new start.
+    for (bucket, &s) in buckets.iter().zip(&shift) {
+        for (slot, range) in bucket {
+            let src = &old.kw_ranks[range.start as usize..range.end as usize];
+            let to = &mut fill[*slot as usize];
+            for (dst, &x) in out[*to..*to + src.len()].iter_mut().zip(src) {
+                *dst = x.wrapping_add(s);
+            }
+            *to += src.len();
+        }
+    }
+    out
 }
 
 /// One component's bottom-up subtree: a local node arena (ids local to the

@@ -134,7 +134,7 @@ impl ClTree {
         if nodes[root.index()].parent.is_some() || orphans != 1 {
             return Err(GraphError::Snapshot("nodes do not form one tree under the root".into()));
         }
-        Ok(layout(g, nodes, root, node_of, core))
+        Ok(layout(g, nodes, root, node_of, core, None))
     }
 }
 

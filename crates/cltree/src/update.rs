@@ -2,7 +2,25 @@
 //!
 //! [`ClTree::update`] produces the index of the post-edit graph by
 //! rebuilding only the *changed region* of the tree instead of repeating
-//! the full bottom-up construction.
+//! the full bottom-up construction, and [`ClTree::unchanged_by`] says when
+//! there is no changed region at all.
+//!
+//! ## When the tree cannot change
+//!
+//! A CL-tree is a function of the core numbers and, for every k, the
+//! connected components of the k-core: its nodes are those components,
+//! its residents the core numbers, its postings the (fixed) keyword sets
+//! laid over the resulting preorder. Take an edit that removes no edge,
+//! changes no core number, and adds only edges `(u, v)` whose endpoints
+//! already share the connected k-core for `k = min(core u, core v)`. At
+//! every level `k' ≤ k` both endpoints lie in one component already, so
+//! the edge joins nothing; at every `k' > k` one endpoint is outside the
+//! k'-core, so the edge is not in it. Every k-core keeps its vertex set
+//! (the cores did not move) and its components, so the old tree *is* the
+//! new one. Several added edges compose: cores only grow under insertion,
+//! so if the final cores equal the old ones every intermediate graph's do
+//! too, and each edge leaves the tree it is judged on unchanged. The
+//! engine publishes such an edit with the old tree's `Arc`.
 //!
 //! ## The level threshold
 //!
@@ -21,10 +39,21 @@
 //! decisions on both graphs — so every old node at level > `L` is carried
 //! into the new tree verbatim, and only levels `L..=0` are re-swept.
 //!
-//! The sweep itself only scans edges incident to vertices whose new core
-//! is ≤ `L`, which is the CL-tree analogue of the subcore bound the
-//! dynamic core maintenance gives: a single edit far from the high cores
-//! touches a handful of tree levels near its endpoints' cores.
+//! The sweep scans the edges of every vertex whose new core is ≤ `L`,
+//! whether or not the edit came near it: O(vertices and edges at levels
+//! ≤ L), not O(change).
+//!
+//! ## Laying out the repaired tree
+//!
+//! The preorder walk that numbers the ranks stays a pass over all nodes
+//! and vertices, and the new tree owns fresh copies of its columns
+//! (`order`, `rank_of`, the postings): O(n + keyword occurrences) of
+//! copying per edit. What no longer scales with the graph is the
+//! *postings*: the old and new preorders agree outside one rank span, so
+//! the old tree's postings are copied and only those inside the span are
+//! moved, block by block (`build::patch_postings`) — O(postings in the
+//! span + blocks + keywords), no scatter through the graph's keyword sets
+//! and no sort.
 //!
 //! ## Fallback
 //!
@@ -48,6 +77,22 @@ impl ClTree {
     /// Changed-core fraction above which [`ClTree::update`] abandons the
     /// incremental path and rebuilds from scratch.
     pub const FALLBACK_CHANGED_FRACTION: f64 = 0.25;
+
+    /// True when `self` is provably also the CL-tree after `delta`, whose
+    /// post-edit core numbers are `new_cores`: no edge is removed, no core
+    /// number changes, and every added `(u, v)` already lies in one
+    /// connected k-core for `k = min(core u, core v)` (see the module
+    /// docs for the proof). Costs a core-vector comparison plus two walks
+    /// up the tree per added edge; a caller that gets `true` can share
+    /// `self` instead of calling [`ClTree::update`].
+    pub fn unchanged_by(&self, delta: &EdgeDelta, new_cores: &[u32]) -> bool {
+        delta.removed.is_empty()
+            && self.core_numbers() == new_cores
+            && delta.added.iter().all(|&(u, v)| {
+                let k = self.core(u).min(self.core(v));
+                self.subtree_root_for(u, k) == self.subtree_root_for(v, k)
+            })
+    }
 
     /// Builds the CL-tree of `g` — the post-edit graph `self` was indexed
     /// for, patched by `delta` — reusing every node of `self` at levels
@@ -155,7 +200,7 @@ impl ClTree {
             |v, nid| node_of[v.index()] = nid,
         );
 
-        finish(g, nodes, anchors.into_values().collect(), node_of, new_cores.to_vec())
+        finish(g, nodes, anchors.into_values().collect(), node_of, new_cores.to_vec(), Some(self))
     }
 }
 

@@ -61,6 +61,11 @@ fn columns_match_brute_force_on_seeded_dblp_graphs() {
     }
 }
 
+/// Every step either shares the old tree (`unchanged_by` holds, so a
+/// fresh build must equal the *old* tree) or repairs it (`update` must
+/// equal a fresh build, with postings that are a scatter over its own
+/// order). Every fourth step inserts an edge inside one connected k-core,
+/// the kind of edit the sharing rule is for; both branches must be taken.
 #[test]
 fn two_hundred_edits_keep_update_equal_to_build() {
     for (seed, authors) in [(3u64, 120usize), (4, 400)] {
@@ -68,33 +73,50 @@ fn two_hundred_edits_keep_update_equal_to_build() {
         let n = g.vertex_count() as u32;
         let mut rng = Rng64::seed_from_u64(0xED17 ^ seed);
         let mut tree = ClTree::build(&g);
+        let (mut shared, mut repaired) = (0, 0);
         for step in 0..200 {
             let (mut add, mut remove) = (Vec::new(), Vec::new());
-            for _ in 0..rng.gen_range(1..4u32) {
+            if step % 4 == 3 {
+                // An insert inside u's connected k-core, k = core(u).
                 let u = VertexId(rng.gen_range(0..n));
-                if rng.gen_bool(0.5) || g.degree(u) == 0 {
-                    add.push((u, VertexId(rng.gen_range(0..n))));
-                } else {
-                    let nbrs = g.neighbors(u);
-                    remove.push((u, nbrs[rng.gen_range(0..nbrs.len())]));
+                let same = tree.connected_k_core(u, tree.core(u).max(1)).unwrap_or_default();
+                if !same.is_empty() {
+                    add.push((u, same[rng.gen_range(0..same.len() as u32) as usize]));
+                }
+            } else {
+                for _ in 0..rng.gen_range(1..4u32) {
+                    let u = VertexId(rng.gen_range(0..n));
+                    if rng.gen_bool(0.5) || g.degree(u) == 0 {
+                        add.push((u, VertexId(rng.gen_range(0..n))));
+                    } else {
+                        let nbrs = g.neighbors(u);
+                        remove.push((u, nbrs[rng.gen_range(0..nbrs.len())]));
+                    }
                 }
             }
             add.retain(|(u, v)| u != v);
             let delta = g.edge_delta(&add, &remove).unwrap();
             let g2 = g.apply_delta(&delta);
             let cores = CoreDecomposition::compute(&g2).core_numbers().to_vec();
-            let updated = tree.update(&g2, &delta, &cores);
             let fresh = ClTree::build(&g2);
-            assert_eq!(
-                canon(&g2, &updated, updated.root()),
-                canon(&g2, &fresh, fresh.root()),
-                "seed {seed} step {step}"
-            );
+            let want = canon(&g2, &fresh, fresh.root());
+            let next = if tree.unchanged_by(&delta, &cores) {
+                shared += 1;
+                assert_eq!(canon(&g2, &tree, tree.root()), want, "seed {seed} step {step}: shared");
+                tree
+            } else {
+                repaired += 1;
+                let updated = tree.update(&g2, &delta, &cores);
+                assert_eq!(canon(&g2, &updated, updated.root()), want, "seed {seed} step {step}");
+                assert_eq!(cx_check::invariants::check_tree_columns(&g2, &updated), Vec::new());
+                updated
+            };
             if step % 50 == 49 {
-                check_columns(&g2, &updated);
+                check_columns(&g2, &next);
             }
             g = g2;
-            tree = updated;
+            tree = next;
         }
+        assert!(shared > 0 && repaired > 0, "seed {seed}: {shared} shared, {repaired} repaired");
     }
 }

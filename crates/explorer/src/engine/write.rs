@@ -247,9 +247,11 @@ impl Engine {
     /// the CSR adjacency is patched with [`AttributedGraph::apply_delta`]
     /// (attribute columns shared by `Arc`), core numbers are maintained
     /// subcore-locally by a warm [`cx_kcore::DynamicCore`] cached in the
-    /// write gate, and the CL-tree is repaired with [`ClTree::update`]
-    /// (which itself falls back to a full rebuild when too many core
-    /// numbers changed).
+    /// write gate, and the CL-tree is shared when
+    /// [`ClTree::unchanged_by`] proves the edit cannot change it (counted
+    /// in `cx_edit_tree_shared_total`) and repaired with
+    /// [`ClTree::update`] otherwise (which itself falls back to a full
+    /// rebuild when too many core numbers changed).
     ///
     /// The work happens off the registry lock; concurrent
     /// readers keep answering from the previous snapshot until the
@@ -289,10 +291,17 @@ impl Engine {
             for &(u, v) in &delta.added {
                 dc.insert_edge(u, v);
             }
-            let tree = snap.tree.update(&new_graph, &delta, dc.core_numbers());
+            // An edit the old tree provably still indexes publishes that
+            // tree's `Arc`; any other repairs a copy.
+            let tree = if snap.tree.unchanged_by(&delta, dc.core_numbers()) {
+                cx_obs::metrics::inc("cx_edit_tree_shared_total");
+                Arc::clone(&snap.tree)
+            } else {
+                Arc::new(snap.tree.update(&new_graph, &delta, dc.core_numbers()))
+            };
             ws.dyncore_for = Arc::downgrade(&new_graph);
             ws.dyncore = Some(dc);
-            (new_graph, Arc::new(tree))
+            (new_graph, tree)
         };
         let generation = self.reserve_generation(&name);
         self.log(&cx_store::Record::Edit { name: name.clone(), generation, delta })?;
@@ -468,6 +477,28 @@ mod edit_tests {
         assert_eq!(after.generation, before.generation + 1);
         assert!(Arc::ptr_eq(&after.graph, &before.graph));
         assert!(Arc::ptr_eq(&after.tree, &before.tree));
+    }
+
+    #[test]
+    fn a_same_component_insert_shares_the_tree() {
+        // A 6-cycle is one connected 2-core. The chord 0–3 joins two of
+        // its vertices and leaves every core at 2: the old tree is the
+        // new one. Removing the chord again repairs a copy.
+        let mut b = cx_graph::GraphBuilder::new();
+        let v: Vec<VertexId> = (0..6).map(|i| b.add_vertex(&format!("c{i}"), &["k"])).collect();
+        for i in 0..6 {
+            b.add_edge(v[i], v[(i + 1) % 6]);
+        }
+        let e = Engine::with_graph("ring", b.build());
+        let before = e.snapshot(None).unwrap();
+        e.apply_edits(None, &[(v[0], v[3])], &[]).unwrap();
+        let chord = e.snapshot(None).unwrap();
+        assert!(!Arc::ptr_eq(&chord.graph, &before.graph));
+        assert!(Arc::ptr_eq(&chord.tree, &before.tree), "the chord changes no tree node");
+        assert_eq!(chord.edge_count(), 7);
+        e.apply_edits(None, &[], &[(v[0], v[3])]).unwrap();
+        let after = e.snapshot(None).unwrap();
+        assert!(!Arc::ptr_eq(&after.tree, &chord.tree), "a removal is always repaired");
     }
 
     #[test]

@@ -7,14 +7,17 @@
 //! graph, every removed edge present). [`AttributedGraph::apply_delta`]
 //! then produces the successor graph by splicing only the adjacency
 //! arrays; keywords, labels and the interner are shared with the base
-//! graph via `Arc`, so an edit costs O(n + m) memcpy for the adjacency
-//! plus O(Δ log Δ) for the patch — never a re-intern or label re-parse.
+//! graph via `Arc`. The delta's per-row patches are sorted once; each run
+//! of untouched rows between two patched rows is one `extend_from_slice`
+//! plus shifted offsets, so an edit costs an O(n + m) memcpy for the
+//! adjacency plus O(Δ log Δ) for the patch — no per-vertex lookup, and
+//! never a re-intern or label re-parse.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use crate::error::GraphError;
-use crate::graph::{AttributedGraph, VertexId};
+use crate::graph::{AttributedGraph, CsrOffset, VertexId};
 
 /// A coalesced, validated batch of edge edits against a specific base
 /// graph. Produced by [`AttributedGraph::edge_delta`]; consumed by
@@ -104,55 +107,60 @@ impl AttributedGraph {
     /// (checked with debug assertions).
     pub fn apply_delta(&self, delta: &EdgeDelta) -> AttributedGraph {
         let n = self.vertex_count();
-        // Per-vertex patch lists; only touched vertices get an entry, so
-        // untouched adjacency rows fall through to a straight memcpy.
-        let mut ins_of: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
-        let mut del_of: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
-        for &(u, v) in &delta.added {
-            debug_assert!(u < v, "delta edges must be normalised");
-            debug_assert!(!self.has_edge(u, v), "added edge already present");
-            ins_of.entry(u).or_default().push(v);
-            ins_of.entry(v).or_default().push(u);
-        }
-        for &(u, v) in &delta.removed {
-            debug_assert!(u < v, "delta edges must be normalised");
-            debug_assert!(self.has_edge(u, v), "removed edge absent");
-            del_of.entry(u).or_default().push(v);
-            del_of.entry(v).or_default().push(u);
-        }
+        debug_assert!(
+            delta.added.iter().all(|&(u, v)| u < v && !self.has_edge(u, v)),
+            "added edges must be normalised and absent"
+        );
+        debug_assert!(
+            delta.removed.iter().all(|&(u, v)| u < v && self.has_edge(u, v)),
+            "removed edges must be normalised and present"
+        );
+        // Every change as two (row, neighbour) patches, sorted once: each
+        // touched row's patches then form one run, ascending by neighbour,
+        // and the rows between two runs are untouched.
+        let mut patches: Vec<(VertexId, VertexId)> = delta
+            .added
+            .iter()
+            .chain(&delta.removed)
+            .flat_map(|&(u, v)| [(u, v), (v, u)])
+            .collect();
+        patches.sort_unstable();
 
         let new_len = self.adj.len() + 2 * delta.added.len() - 2 * delta.removed.len();
         let mut adj = Vec::with_capacity(new_len);
-        let mut adj_off: Vec<u32> = Vec::with_capacity(n + 1);
+        let mut adj_off: Vec<CsrOffset> = Vec::with_capacity(n + 1);
         adj_off.push(0);
-        for vi in 0..n {
-            let v = VertexId(vi as u32);
-            let old = self.neighbors(v);
-            let del = del_of.get(&v).map_or(&[][..], Vec::as_slice);
-            match ins_of.get_mut(&v) {
-                None if del.is_empty() => adj.extend_from_slice(old),
-                ins => {
-                    let ins = ins.map_or(&[][..], |list| {
-                        list.sort_unstable();
-                        &list[..]
-                    });
-                    // Sorted merge of (old \ del) with the insertions.
-                    let mut i = 0;
-                    for &w in old {
-                        if del.contains(&w) {
-                            continue;
-                        }
-                        while i < ins.len() && ins[i] < w {
-                            adj.push(ins[i]);
-                            i += 1;
-                        }
-                        adj.push(w);
-                    }
-                    adj.extend_from_slice(&ins[i..]);
+        // Rows `from..to` are untouched: one copy of their neighbours, and
+        // their end offsets moved by how far the copy lands from where the
+        // rows sat (a shift that may be negative, hence wrapping).
+        let copy_rows =
+            |adj: &mut Vec<VertexId>, adj_off: &mut Vec<CsrOffset>, from: usize, to: usize| {
+                let (start, end) = (self.adj_off[from], self.adj_off[to]);
+                let shift = (adj.len() as CsrOffset).wrapping_sub(start);
+                adj.extend_from_slice(&self.adj[start as usize..end as usize]);
+                adj_off.extend(self.adj_off[from + 1..=to].iter().map(|&o| o.wrapping_add(shift)));
+            };
+        let mut row = 0;
+        for run in patches.chunk_by(|a, b| a.0 == b.0) {
+            let r = run[0].0;
+            copy_rows(&mut adj, &mut adj_off, row, r.index());
+            // Sorted merge of the old row with its patches. The delta is
+            // effective, so a patch equal to an old neighbour removes it
+            // and any other patch is an insertion.
+            let mut run = run.iter().map(|&(_, x)| x).peekable();
+            for &w in self.neighbors(r) {
+                while let Some(x) = run.next_if(|&x| x < w) {
+                    adj.push(x);
+                }
+                if run.next_if_eq(&w).is_none() {
+                    adj.push(w);
                 }
             }
-            adj_off.push(adj.len() as u32);
+            adj.extend(run);
+            adj_off.push(adj.len() as CsrOffset);
+            row = r.index() + 1;
         }
+        copy_rows(&mut adj, &mut adj_off, row, n);
         debug_assert_eq!(adj.len(), new_len);
 
         AttributedGraph {
@@ -274,6 +282,92 @@ mod tests {
         assert_eq!(d.touched_vertices(), vec![v(0), v(2), v(3)]);
     }
 
+    /// Applies `d` to `g` and checks the result against a graph built
+    /// from scratch with the coalesced edge set `(E \ removed) ∪ added`.
+    fn apply_and_check(g: &AttributedGraph, d: &EdgeDelta) -> AttributedGraph {
+        let g2 = g.apply_delta(d);
+        assert_csr_invariants(&g2);
+        let removed: HashSet<_> = d.removed.iter().copied().collect();
+        let mut fresh = GraphBuilder::new();
+        for u in g.vertices() {
+            let names = g.keyword_names(g.keywords(u));
+            fresh.add_vertex(g.label(u), &names.iter().map(String::as_str).collect::<Vec<_>>());
+        }
+        for e in g.edges().filter(|e| !removed.contains(e)).chain(d.added.iter().copied()) {
+            fresh.add_edge(e.0, e.1);
+        }
+        let expect = fresh.build();
+        assert_eq!(g2.edge_count(), expect.edge_count());
+        for u in g2.vertices() {
+            assert_eq!(g2.neighbors(u), expect.neighbors(u), "adjacency differs at {u}");
+        }
+        g2
+    }
+
+    /// A 12-cycle with chords i—(i+3), so every row has neighbours on
+    /// both sides and room for more.
+    fn ring() -> AttributedGraph {
+        let mut b = GraphBuilder::new();
+        for i in 0..12 {
+            b.add_vertex(&format!("r{i}"), &["k"]);
+        }
+        for i in 0..12 {
+            b.add_edge(v(i), v((i + 1) % 12));
+            b.add_edge(v(i), v((i + 3) % 12));
+        }
+        b.build()
+    }
+
+    #[test]
+    fn untouched_runs_are_copied_around_every_patched_row() {
+        let g = ring();
+        // (0, 11) and (4, 5) are ring edges; (0, 5), (4, 9) and (5, 10)
+        // are absent.
+        type Edges<'a> = &'a [(VertexId, VertexId)];
+        let cases: [(&str, Edges, Edges); 5] = [
+            ("rows 0 and n-1 only", &[], &[(v(0), v(11))]),
+            ("rows 0 and n-1 among others", &[(v(0), v(5))], &[(v(8), v(11))]),
+            ("two adjacent rows only", &[], &[(v(4), v(5))]),
+            ("two adjacent rows, each with a far end", &[(v(4), v(9)), (v(5), v(10))], &[]),
+            ("every row of a batch adjacent", &[(v(4), v(9))], &[(v(3), v(4)), (v(5), v(6))]),
+        ];
+        for (what, add, remove) in cases {
+            let d = g.edge_delta(add, remove).unwrap();
+            assert_eq!(d.len(), add.len() + remove.len(), "{what}: every edit is effective");
+            apply_and_check(&g, &d);
+        }
+    }
+
+    #[test]
+    fn a_row_can_lose_every_neighbour() {
+        let g = ring();
+        for row in [0u32, 6, 11] {
+            let all: Vec<_> = g.neighbors(v(row)).iter().map(|&w| (v(row), w)).collect();
+            let g2 = apply_and_check(&g, &g.edge_delta(&[], &all).unwrap());
+            assert_eq!(g2.degree(v(row)), 0, "row {row}");
+        }
+    }
+
+    #[test]
+    fn sixteen_inserts_into_one_row() {
+        let mut b = GraphBuilder::new();
+        for i in 0..40 {
+            b.add_vertex(&format!("s{i}"), &[]);
+        }
+        for i in 0..39 {
+            b.add_edge(v(i), v(i + 1));
+        }
+        let g = b.build();
+        // Row 20 gains 16 neighbours on both sides of its old two, and
+        // loses one of them in the same batch.
+        let add: Vec<_> =
+            (0..40).step_by(2).filter(|&i| i != 20).take(16).map(|i| (v(20), v(i))).collect();
+        assert_eq!(add.len(), 16);
+        let d = g.edge_delta(&add, &[(v(20), v(21))]).unwrap();
+        let g2 = apply_and_check(&g, &d);
+        assert_eq!(g2.degree(v(20)), 2 + 16 - 1);
+    }
+
     #[test]
     fn delta_matches_from_scratch_rebuild_on_seeded_graphs() {
         // Deterministic xorshift so the test needs no rng dependency.
@@ -315,24 +409,7 @@ mod tests {
                 }
             }
             let d = g.edge_delta(&add, &remove).unwrap();
-            let g2 = g.apply_delta(&d);
-            assert_csr_invariants(&g2);
-
-            // From-scratch rebuild with the same coalesced semantics.
-            let removed: HashSet<_> = d.removed.iter().copied().collect();
-            let mut fresh = GraphBuilder::new();
-            for i in 0..n {
-                fresh.add_vertex(&format!("v{i}"), &["k"]);
-            }
-            for e in g.edges().filter(|e| !removed.contains(e)).chain(d.added.iter().copied()) {
-                fresh.add_edge(e.0, e.1);
-            }
-            let expect = fresh.build();
-            assert_eq!(g2.edge_count(), expect.edge_count());
-            for u in g2.vertices() {
-                assert_eq!(g2.neighbors(u), expect.neighbors(u), "adjacency differs at {u}");
-            }
-            g = g2;
+            g = apply_and_check(&g, &d);
         }
     }
 }

@@ -231,7 +231,12 @@ impl Grid {
 }
 
 /// Kamada–Kawai-style: target distance = BFS hops scaled; gradient descent
-/// on the stress function.
+/// on the stress function. The gradient at a vertex sums one term per
+/// other vertex, so a fixed step grows with the community and diverges on
+/// a few hundred members; the step is therefore capped at the inverse of
+/// the stress Hessian's diagonal, Σ_j 2/target², which makes it a weighted
+/// average of per-pair corrections — bounded by the layout's extent. Small
+/// communities never reach the cap and keep the fixed step.
 fn kk(sub: &Subgraph, iterations: usize, seed: u64) -> Vec<(f64, f64)> {
     let n = sub.vertex_count();
     // All-pairs BFS distances (community-sized inputs only).
@@ -258,10 +263,10 @@ fn kk(sub: &Subgraph, iterations: usize, seed: u64) -> Vec<(f64, f64)> {
     let ideal = |i: usize, j: usize| dist[i][j] as f64 / dmax;
 
     let mut pos = initial_positions(n, seed);
-    let lr = 0.05;
+    let lr: f64 = 0.05;
     for _ in 0..iterations.max(1) {
         for i in 0..n {
-            let (mut gx, mut gy) = (0.0, 0.0);
+            let (mut gx, mut gy, mut diag) = (0.0, 0.0, 0.0);
             for j in 0..n {
                 if i == j {
                     continue;
@@ -274,9 +279,11 @@ fn kk(sub: &Subgraph, iterations: usize, seed: u64) -> Vec<(f64, f64)> {
                 let coeff = 2.0 * (d - target) / (target * target * d);
                 gx += coeff * dx;
                 gy += coeff * dy;
+                diag += 2.0 / (target * target);
             }
-            pos[i].0 -= lr * gx;
-            pos[i].1 -= lr * gy;
+            let step = lr.min(1.0 / diag);
+            pos[i].0 -= step * gx;
+            pos[i].1 -= step * gy;
         }
     }
     pos
@@ -482,6 +489,29 @@ mod tests {
         assert_eq!(scene.vertex_count(), n as usize);
         assert!(scene.vertices.iter().all(|(_, p)| p.x.is_finite() && p.y.is_finite()));
         assert!(scene.in_bounds());
+    }
+
+    #[test]
+    fn kk_stays_finite_on_a_few_hundred_members() {
+        // A ring of 80 K4s (320 vertices), each joined to the next by one
+        // edge: connected, with long BFS distances and dense blocks.
+        let mut b = GraphBuilder::new();
+        for i in 0..320 {
+            b.add_vertex(&format!("v{i}"), &[]);
+        }
+        for k in 0..80u32 {
+            let base = 4 * k;
+            for (x, y) in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)] {
+                b.add_edge(VertexId(base + x), VertexId(base + y));
+            }
+            b.add_edge(VertexId(base + 3), VertexId((base + 4) % 320));
+        }
+        let g = b.build();
+        let members: Vec<VertexId> = g.vertices().collect();
+        let sub = Subgraph::induced(&g, &members);
+        let pos = LayoutAlgorithm::KamadaKawai { iterations: 80 }.run(&sub, 7);
+        assert_eq!(pos.len(), 320);
+        assert!(pos.iter().all(|p| p.0.is_finite() && p.1.is_finite()));
     }
 
     #[test]

@@ -135,12 +135,33 @@ fn metrics_totals_match_requests_issued_under_concurrency() {
     assert_eq!(edit_us.count(), edits0 + 2);
     assert_eq!(fallbacks.get(), fb0 + 1, "mass core change must count a fallback");
 
-    // Both series are visible on the exposition endpoint.
+    // An insert inside one connected k-core that moves no core number
+    // shares the old tree and counts; a removal never does. The chord
+    // 0–3 of a 6-cycle is such an insert.
+    let shared = cx_obs::global().counter("cx_edit_tree_shared_total");
+    let mut ring = cx_graph::GraphBuilder::new();
+    let c: Vec<_> = (0..6).map(|i| ring.add_vertex(&format!("c{i}"), &[])).collect();
+    for i in 0..6 {
+        ring.add_edge(c[i], c[(i + 1) % 6]);
+    }
+    let e = Engine::with_graph("ring", ring.build());
+    let sh0 = shared.get();
+    e.apply_edits(None, &[(c[0], c[3])], &[]).unwrap();
+    assert_eq!(shared.get(), sh0 + 1, "a same-component insert must share the tree");
+    e.apply_edits(None, &[], &[(c[0], c[3])]).unwrap();
+    assert_eq!(shared.get(), sh0 + 1, "a removal must repair, not share");
+    assert_eq!(fallbacks.get(), fb0 + 1, "neither edit falls back");
+
+    // The series are visible on the exposition endpoint.
     let scrape = s.handle(&Request::get("/metrics")).text();
     assert!(scrape.contains("cx_edit_apply_us_count"), "histogram missing from /metrics");
     assert!(
         scrape.contains("cx_incremental_fallback_total"),
         "fallback counter missing from /metrics"
+    );
+    assert!(
+        scrape.contains("cx_edit_tree_shared_total"),
+        "shared-tree counter missing from /metrics"
     );
 
     // The ACQ work histogram shares the same registry: one query, one
