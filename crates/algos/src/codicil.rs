@@ -138,11 +138,9 @@ impl Codicil {
                 (n as f64 / df as f64).ln().max(0.0)
             })
             .collect();
-        // Vector norms (parallel per vertex; each entry is independent).
-        let norm: Vec<f64> = cx_par::par_map_indexed(n, |i| {
-            let v = VertexId(i as u32);
-            g.keywords(v).iter().map(|w| idf[w.index()] * idf[w.index()]).sum::<f64>().sqrt()
-        });
+        // Vector norms.
+        let sq = |v: VertexId| g.keywords(v).iter().map(|w| idf[w.index()] * idf[w.index()]);
+        let norm: Vec<f64> = g.vertices().map(|v| sq(v).sum::<f64>().sqrt()).collect();
 
         let cosine = |u: VertexId, v: VertexId| -> f64 {
             let (nu, nv) = (norm[u.index()], norm[v.index()]);
@@ -207,8 +205,8 @@ impl Codicil {
             }
             ps
         };
-        let pair_weights: Vec<f64> = cx_par::par_map_slice(&pairs, |&(u, v)| {
-            let (u, v) = (VertexId(u), VertexId(v));
+        let pair_weights: Vec<f64> = cx_par::par_map_indexed(pairs.len(), |i| {
+            let (u, v) = (VertexId(pairs[i].0), VertexId(pairs[i].1));
             alpha * neighborhood_jaccard(g, u, v) + (1.0 - alpha) * cosine(u, v)
         });
         let mut weighted: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];

@@ -72,12 +72,12 @@ impl Louvain {
         if n == 0 {
             return Clustering { labels: Vec::new(), communities: Vec::new() };
         }
-        // Level-0 graph: unit weights. Each row only reads the CSR graph,
-        // so the build fans out over the cx-par pool.
+        // Level-0 graph: unit weights.
         let mut level = LevelGraph {
-            adj: cx_par::par_map_indexed(n, |ui| {
-                g.neighbors(VertexId(ui as u32)).iter().map(|&v| (v.index(), 1.0)).collect()
-            }),
+            adj: g
+                .vertices()
+                .map(|u| g.neighbors(u).iter().map(|&v| (v.index(), 1.0)).collect())
+                .collect(),
             total_weight: g.edge_count() as f64,
         };
         // membership[v] = community of original vertex v (composed across levels).
@@ -123,9 +123,9 @@ impl Louvain {
         let n = lg.adj.len();
         let m2 = (2.0 * lg.total_weight).max(1e-12);
         let mut comm: Vec<usize> = (0..n).collect();
-        // Weighted degree per vertex (parallel scan), which at the start of
-        // the level is also the per-community total.
-        let kdeg: Vec<f64> = cx_par::par_map_indexed(n, |u| lg.weighted_degree(u));
+        // Weighted degree per vertex, which at the start of the level is
+        // also the per-community total.
+        let kdeg: Vec<f64> = (0..n).map(|u| lg.weighted_degree(u)).collect();
         let mut comm_tot: Vec<f64> = kdeg.clone();
 
         let mut order: Vec<usize> = (0..n).collect();

@@ -7,8 +7,8 @@
 //!    every ACQ result passes keyword-maximality; the CL-tree's preorder
 //!    columns and postings, and the graph's label column, match their
 //!    definitions.
-//! 2. **Core-number differential** — `CoreDecomposition` (sequential and
-//!    parallel) vs. a naive fixpoint peel.
+//! 2. **Core-number differential** — `CoreDecomposition` vs. a naive
+//!    fixpoint peel.
 //! 2b. **Hierarchy reconstruction** — at every level, fully expanding the
 //!    multi-resolution summary's supernodes must reproduce the exact
 //!    k-core vertex set and edge multiset.
@@ -39,7 +39,11 @@
 //!    column invariants. The summary line counts the steps that shared
 //!    the previous tree and those that repaired it; zero of either is a
 //!    failure.
-//! 7. **Thread differential** — fingerprints at CX_THREADS=1 vs. N.
+//! 7. **Thread differential** — CODICIL's labels and a `par_map_tasks`
+//!    batch of ACQ answers at CX_THREADS=1 vs. N, on every graph with
+//!    more than 1,024 edges (below that CODICIL's pair-weight map runs
+//!    serially). The summary line counts those graphs; with a thread
+//!    count above 1, zero is a failure.
 //! 8. **Scratch-reuse differential** — the pooled zero-alloc query path
 //!    vs. a deliberately dirtied caller-managed scratch, at 1 and 8
 //!    threads: reuse must leave no residue between queries.
@@ -56,6 +60,7 @@
 //! Exit status 0 = clean; 1 = violations found; 2 = bad usage.
 
 use cx_acq::AcqOptions;
+use cx_algos::Codicil;
 use cx_check::invariants::{check_core_numbers, check_label_column, check_tree_columns};
 use cx_check::oracle::thread_differential;
 use cx_check::{
@@ -155,6 +160,7 @@ fn main() {
     let mut local_legs = 0usize;
     let mut tree_shared = 0usize;
     let mut tree_repaired = 0usize;
+    let mut thread_graphs = 0usize;
     let matrix = graph_matrix(&args.sizes, &args.seeds);
     println!(
         "cx-check: {} graphs × {} queries, threads {:?}, fuzz {}",
@@ -168,14 +174,10 @@ fn main() {
         let g = &case.graph;
         let tree = ClTree::build(g);
         let decomp = CoreDecomposition::compute(g);
-        let decomp_par = CoreDecomposition::compute_par(g);
 
-        // Core-number differential: sequential + parallel decomposition
-        // against the naive peel inside cx-check.
-        for (label, d) in [("seq", &decomp), ("par", &decomp_par)] {
-            for v in check_core_numbers(g, &|v| d.core(v)) {
-                problems.push(format!("{} [core/{label}] {v}", case.name));
-            }
+        // Core-number differential against the naive peel inside cx-check.
+        for v in check_core_numbers(g, &|v| decomp.core(v)) {
+            problems.push(format!("{} [core/seq] {v}", case.name));
         }
 
         // The index's preorder columns and keyword postings, by brute force.
@@ -295,15 +297,17 @@ fn main() {
             }
         }
 
-        // Thread differential: decomposition + index + query fingerprint
-        // must be identical at every thread count.
-        if let Some(qc) = workload.first() {
-            let (q, k) = (qc.q, qc.k);
+        // Thread differential: the parallel code a matrix graph reaches —
+        // CODICIL's clustering and a batch of ACQ answers fanned out one
+        // task per query — must be identical at every thread count.
+        if g.edge_count() > 1_024 {
+            thread_graphs += 1;
             for m in thread_differential(&case.name, &args.threads, || {
-                let d = CoreDecomposition::compute_par(g);
-                let t = ClTree::build(g);
-                let r = acq(g, &t, q, k);
-                format!("max_core={};{}", d.max_core(), fingerprint(&r))
+                let labels = Codicil::default().detect(g).labels;
+                let answers = cx_par::par_map_tasks(workload.len(), |i| {
+                    fingerprint(&acq(g, &tree, workload[i].q, workload[i].k))
+                });
+                format!("{labels:?};{}", answers.join(";"))
             }) {
                 problems.push(format!("{} {}", case.name, m));
             }
@@ -381,10 +385,20 @@ fn main() {
         ));
     }
 
+    // A thread differential over serial code proves nothing.
+    if thread_graphs == 0 && args.threads.iter().any(|&n| n > 1) {
+        problems.push(
+            "no graph has more than 1,024 edges, so the thread differential reached no \
+             parallel code (add a size of at least 800)"
+                .to_string(),
+        );
+    }
+
     if problems.is_empty() {
         println!(
-            "cx-check PASS: {} graphs, {} queries ({} vs Basic: {} query sets, {} at k = 0), {} Local legs, {} edit steps ({} shared trees, {} repaired), {} fuzz requests, {} crash cases — no violations",
+            "cx-check PASS: {} graphs ({} thread-checked), {} queries ({} vs Basic: {} query sets, {} at k = 0), {} Local legs, {} edit steps ({} shared trees, {} repaired), {} fuzz requests, {} crash cases — no violations",
             matrix.len(),
+            thread_graphs,
             queries_run,
             basic_legs,
             qset_basic,

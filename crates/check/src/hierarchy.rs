@@ -175,7 +175,7 @@ mod tests {
         let hv = g.vertex_by_label("H").unwrap();
         let delta = g.edge_delta(&[(a, hv)], &[]).unwrap();
         let g2 = g.apply_delta(&delta);
-        let cores2 = cx_kcore::CoreDecomposition::compute_par(&g2);
+        let cores2 = cx_kcore::CoreDecomposition::compute(&g2);
         let tree2 = ClTree::build_with(&g2, &cores2);
         // Stale hierarchy + fresh tree/graph: edge accounting must break.
         assert!(!hierarchy_reconstruction(&g2, &tree2, &h).is_empty());

@@ -1,11 +1,12 @@
 //! CL-tree construction (bottom-up, anchored union-find), the preorder
 //! layout every tree finishes through, and queries.
 //!
-//! Construction is parallel across connected components: every component
-//! owns an independent subtree, so subtrees are built concurrently on the
-//! cx-par pool (components ordered by smallest vertex id; local node
-//! arenas are concatenated in that order, which fixes the node numbering
-//! at any thread count).
+//! Construction runs one connected component at a time: every component
+//! owns an independent subtree, built into its own node arena, and the
+//! arenas are concatenated in component order (smallest vertex id first),
+//! which fixes the node numbering the `.cxi` sidecar stores. The build is
+//! sequential; fanning the components out over threads did not pay on a
+//! 2-CPU host (DESIGN §7).
 //!
 //! ## The vertex side, stored once
 //!
@@ -62,9 +63,6 @@ impl ClTree {
     }
 
     /// Like [`ClTree::build`] but reuses an existing core decomposition.
-    ///
-    /// Subtrees of independent connected components are built in parallel;
-    /// see the module docs for the determinism argument.
     pub fn build_with(g: &AttributedGraph, cd: &CoreDecomposition) -> Self {
         Self::build_with_cores(g, cd.core_numbers())
     }
@@ -81,8 +79,7 @@ impl ClTree {
 
         let cc = ConnectedComponents::compute(g);
         let comps = cc.groups();
-        // Global vertex id → index within its component, shared read-only
-        // by every subtree builder.
+        // Global vertex id → index within its component.
         let mut local = vec![0u32; n];
         for comp in &comps {
             for (i, &v) in comp.iter().enumerate() {
@@ -90,7 +87,7 @@ impl ClTree {
             }
         }
         let subtrees: Vec<ComponentSubtree> =
-            cx_par::par_map_slice(&comps, |comp| build_component_subtree(g, comp, cores, &local));
+            comps.iter().map(|comp| build_component_subtree(g, comp, cores, &local)).collect();
 
         // Concatenate the local arenas in component order, offsetting ids.
         let total: usize = subtrees.iter().map(|s| s.nodes.len()).sum();
@@ -560,7 +557,7 @@ struct ComponentSubtree {
 /// `local` maps global vertex ids to component-local union-find slots.
 /// Node numbering inside the arena is deterministic (levels descend;
 /// roots sorted by local representative), so the caller's
-/// component-ordered concatenation is thread-count independent.
+/// component-ordered concatenation fixes every node id.
 fn build_component_subtree(
     g: &AttributedGraph,
     comp: &[VertexId],

@@ -60,8 +60,8 @@
 //! When an edit changes the core number of more than
 //! [`ClTree::FALLBACK_CHANGED_FRACTION`] of all vertices, the carried
 //! region is small and the sweep approaches a full build anyway — the
-//! update falls back to [`ClTree::build_with_cores`] (parallel across
-//! components) and bumps the `cx_incremental_fallback_total` counter.
+//! update falls back to [`ClTree::build_with_cores`] and bumps the
+//! `cx_incremental_fallback_total` counter.
 
 use std::collections::HashMap;
 
@@ -133,8 +133,8 @@ impl ClTree {
             }
         }
 
-        // Nothing preserved above L? The sweep would be a full (serial)
-        // rebuild — use the parallel builder instead.
+        // Nothing preserved above L? The sweep would be a full rebuild —
+        // use the from-scratch builder instead.
         if !self.iter_nodes().any(|(_, node)| node.level > level) {
             return Self::build_with_cores(g, new_cores);
         }

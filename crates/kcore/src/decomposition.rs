@@ -1,13 +1,9 @@
-//! Whole-graph core decomposition (Batagelj–Zaversnik, 2003).
-//!
-//! The peel itself is inherently sequential (each removal changes the
-//! degrees the next step sees), but the O(n) degree scan runs on the
-//! cx-par pool, and [`CoreDecomposition::compute_par`] peels independent
-//! connected components concurrently. Both variants run the one bucket
-//! peel `peel` and produce identical core numbers at any `CX_THREADS`
-//! value.
+//! Whole-graph core decomposition (Batagelj–Zaversnik, 2003): one
+//! sequential O(n + m) bucket peel. Each removal changes the degrees the
+//! next step sees, and on a 2-CPU host neither a parallel degree scan nor
+//! a per-component fan-out beat the plain loop (DESIGN §7), so nothing
+//! here reads `CX_THREADS`.
 
-use cx_graph::traversal::ConnectedComponents;
 use cx_graph::{AttributedGraph, VertexId};
 
 /// Core numbers for every vertex of a graph, plus derived queries.
@@ -24,51 +20,17 @@ impl CoreDecomposition {
     /// Runs the decomposition on `g`.
     pub fn compute(g: &AttributedGraph) -> Self {
         let _span = cx_obs::span("kcore.peel");
-        // Degree scan in parallel; exact and order-free, so thread count
-        // cannot change the result.
-        let deg = cx_par::par_map_indexed(g.vertex_count(), |v| g.degree(VertexId(v as u32)));
-        Self::from_cores(peel(deg, |v| {
-            g.neighbors(VertexId(v as u32)).iter().map(|u| u.index())
-        }))
-    }
-
-    /// Parallel per-component decomposition: peels each connected component
-    /// independently on the cx-par pool. Core numbers are identical to
-    /// [`CoreDecomposition::compute`] (a k-core never spans components), so
-    /// the result is independent of the thread count.
-    pub fn compute_par(g: &AttributedGraph) -> Self {
-        let _span = cx_obs::span("kcore.decompose-par");
-        let n = g.vertex_count();
-        let cc = ConnectedComponents::compute(g);
-        if cc.count <= 1 {
-            return Self::compute(g);
-        }
-        let comps = cc.groups();
-        // Global vertex id → index within its component.
-        let mut local = vec![0u32; n];
-        for comp in &comps {
-            for (i, &v) in comp.iter().enumerate() {
-                local[v.index()] = i as u32;
-            }
-        }
-        // Edges never leave a component, so the global degree is also the
-        // within-component degree.
-        let peeled: Vec<Vec<u32>> = cx_par::par_map_slice(&comps, |comp| {
-            let deg = comp.iter().map(|&v| g.degree(v)).collect();
-            peel(deg, |i| g.neighbors(comp[i]).iter().map(|u| local[u.index()] as usize))
-        });
-        let mut core = vec![0u32; n];
-        for (comp, cores) in comps.iter().zip(&peeled) {
-            for (&v, &c) in comp.iter().zip(cores) {
-                core[v.index()] = c;
-            }
-        }
-        Self::from_cores(core)
-    }
-
-    fn from_cores(core: Vec<u32>) -> Self {
+        let core = peel(g);
         let max_core = core.iter().copied().max().unwrap_or(0);
         Self { core, max_core }
+    }
+
+    /// The same as [`CoreDecomposition::compute`]. The name survives only
+    /// because the benchmark's `kcore.decompose_ms` probe calls it; the
+    /// next change to the benchmark moves that probe to `compute` and
+    /// removes this alias.
+    pub fn compute_par(g: &AttributedGraph) -> Self {
+        Self::compute(g)
     }
 
     /// The core number of `v`.
@@ -125,13 +87,9 @@ impl CoreDecomposition {
     }
 }
 
-/// The Batagelj–Zaversnik bucket peel over vertices `0..deg.len()`:
-/// `deg[v]` is v's degree and `neighbors(v)` its neighbours, both in the
-/// same index space. Returns the core number of every vertex.
-fn peel<I>(mut deg: Vec<usize>, neighbors: impl Fn(usize) -> I) -> Vec<u32>
-where
-    I: Iterator<Item = usize>,
-{
+/// The Batagelj–Zaversnik bucket peel: the core number of every vertex.
+fn peel(g: &AttributedGraph) -> Vec<u32> {
+    let mut deg: Vec<usize> = g.vertices().map(|v| g.degree(v)).collect();
     let n = deg.len();
     let max_deg = deg.iter().copied().max().unwrap_or(0);
     // bin[d] = start of degree bucket d in `vert`, which lists the
@@ -167,7 +125,7 @@ where
         }
         let v = vert[i] as usize;
         core[v] = deg[v] as u32;
-        for u in neighbors(v) {
+        for u in g.neighbors(VertexId(v as u32)).iter().map(|u| u.index()) {
             if deg[u] > deg[v] {
                 // Move u to the front of its degree bucket, then shift
                 // the bucket boundary: u's degree drops by one.
@@ -299,18 +257,6 @@ mod tests {
         let c3 = cd.connected_k_core(&g, v(3), 2).unwrap();
         assert_eq!(c3, vec![v(3), v(4), v(5)]);
         assert!(cd.connected_k_core(&g, v(0), 3).is_none());
-    }
-
-    #[test]
-    fn compute_par_matches_sequential_on_multi_component_graph() {
-        let _guard = crate::test_env_lock();
-        let g = figure5_graph(); // 4 components: the big one, H, I, J
-        let a = CoreDecomposition::compute(&g);
-        let b = CoreDecomposition::compute_par(&g);
-        assert_eq!(a.core_numbers(), b.core_numbers());
-        assert_eq!(a.max_core(), b.max_core());
-        // Empty graph hits the early return.
-        assert_eq!(CoreDecomposition::compute_par(&GraphBuilder::new().build()).max_core(), 0);
     }
 
     #[test]

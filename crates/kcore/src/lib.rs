@@ -29,12 +29,3 @@ pub use decomposition::CoreDecomposition;
 pub use dynamic::DynamicCore;
 pub use scratch::PeelScratch;
 pub use truss::{truss_communities, TrussDecomposition};
-
-/// Held by every unit test here that writes `CX_THREADS` or whose answer
-/// path depends on it: environment variables are process-global and the
-/// tests run on parallel threads.
-#[cfg(test)]
-fn test_env_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}

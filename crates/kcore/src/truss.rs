@@ -35,11 +35,9 @@ impl TrussDecomposition {
         for (i, &(u, v)) in edges.iter().enumerate() {
             index.insert((u.0, v.0), i as u32);
         }
-        // Support initialization — the O(m·d) scan that dominates the
-        // decomposition — fans out per edge on the cx-par pool; each entry
-        // is an independent sorted-merge intersection.
+        // Support initialization: one sorted-merge intersection per edge.
         let support: Vec<u32> =
-            cx_par::par_map_slice(&edges, |&(u, v)| common_neighbor_count(g, u, v));
+            edges.iter().map(|&(u, v)| common_neighbor_count(g, u, v)).collect();
 
         // Bucket peeling on edges by support.
         let max_sup = support.iter().copied().max().unwrap_or(0) as usize;
@@ -159,18 +157,10 @@ pub fn common_neighbor_count(g: &AttributedGraph, u: VertexId, v: VertexId) -> u
     n
 }
 
-/// Total number of triangles in `g`. The per-edge intersection counts are
-/// summed with cx-par's ordered reduce, so the result (an exact integer
-/// sum) is identical at any thread count.
+/// Total number of triangles in `g`: every triangle is counted once per
+/// edge, as a common neighbour of its endpoints.
 pub fn triangle_count(g: &AttributedGraph) -> usize {
-    let edges: Vec<(VertexId, VertexId)> = g.edges().collect();
-    cx_par::par_reduce(
-        edges.len(),
-        |r| r.map(|i| common_neighbor_count(g, edges[i].0, edges[i].1) as usize).sum::<usize>(),
-        |a, b| a + b,
-    )
-    .unwrap_or(0)
-        / 3
+    g.edges().map(|(u, v)| common_neighbor_count(g, u, v) as usize).sum::<usize>() / 3
 }
 
 /// The k-truss communities of `q`: one [`Community`] per triangle-connected

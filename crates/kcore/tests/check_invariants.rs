@@ -1,35 +1,16 @@
-//! Core-decomposition differential: the optimized (and parallel) peeling
-//! in cx-kcore against the naive fixpoint reference inside cx-check.
+//! Core-decomposition differential: the bucket peel in cx-kcore against
+//! the naive fixpoint reference inside cx-check.
 
 use cx_check::invariants::check_core_numbers;
-use cx_check::oracle::thread_differential;
 use cx_check::workload::graph_matrix;
 use cx_kcore::CoreDecomposition;
 
 #[test]
-fn sequential_and_parallel_decomposition_match_naive_peel() {
+fn decomposition_matches_naive_peel() {
     for case in graph_matrix(&[80, 250], &[2, 9]) {
         let g = &case.graph;
-        let seq = CoreDecomposition::compute(g);
-        let par = CoreDecomposition::compute_par(g);
-        for (label, d) in [("seq", &seq), ("par", &par)] {
-            let violations = check_core_numbers(g, &|v| d.core(v));
-            assert!(violations.is_empty(), "{} [{label}]: {violations:?}", case.name);
-        }
-        assert_eq!(seq.max_core(), par.max_core(), "{}", case.name);
-    }
-}
-
-#[test]
-fn decomposition_is_thread_independent() {
-    for case in graph_matrix(&[200], &[4]) {
-        let g = &case.graph;
-        let mismatches = thread_differential(&case.name, &[1, 2, 8], || {
-            let d = CoreDecomposition::compute_par(g);
-            let cores: Vec<String> =
-                g.vertices().map(|v| d.core(v).to_string()).collect();
-            cores.join(",")
-        });
-        assert!(mismatches.is_empty(), "{mismatches:?}");
+        let d = CoreDecomposition::compute(g);
+        let violations = check_core_numbers(g, &|v| d.core(v));
+        assert!(violations.is_empty(), "{}: {violations:?}", case.name);
     }
 }

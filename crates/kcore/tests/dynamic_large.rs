@@ -2,10 +2,9 @@
 //! dblp_like graph run through 200-step insert/delete edit scripts,
 //! cross-checked against a from-scratch peel.
 //!
-//! The proptest-based checks in `prop_kcore.rs` are feature-gated off in
-//! offline builds, so this is a plain seeded test: deterministic, no
-//! external dependencies, and sized so a debug build finishes in seconds
-//! (the full recompute runs every few steps, not every step).
+//! The small-graph counterpart, a recompute after every single edit, is
+//! in `random_graphs.rs`. This one is sized so a debug build finishes in
+//! seconds (the full recompute runs every few steps, not every step).
 
 use cx_datagen::{dblp_like, DblpParams};
 use cx_graph::{GraphBuilder, VertexId};

@@ -5,9 +5,13 @@
 //! The build environment is offline, so this crate implements on plain
 //! `std` what rayon/crossbeam would otherwise provide:
 //!
-//! * [`par_map_indexed`] — map an index range to a `Vec<R>` in input order;
+//! * [`par_map_indexed`] — map an index range to a `Vec<R>` in input
+//!   order (CODICIL's content k-NN and pair weights);
+//! * [`par_map_tasks`] — the same with one task per index (the server's
+//!   `search_batch`);
 //! * [`par_reduce`] — the deterministic reduce-combine primitive: map
-//!   fixed chunks to partials, combine partials in ascending chunk order;
+//!   fixed chunks to partials, combine partials in ascending chunk order
+//!   (`PeelScratch`'s frontier sweeps over large member sets);
 //! * [`queue`] — an MPMC channel plus [`queue::WorkerPool`] for the
 //!   HTTP server's fixed worker pool;
 //! * [`rng`] — the workspace's seeded PRNG (xoshiro256++), replacing the
@@ -88,14 +92,13 @@ fn default_threads() -> usize {
 ///
 /// Small inputs get one chunk (no threading overhead); large inputs get
 /// enough chunks that dynamic scheduling load-balances well.
-pub fn chunk_size(len: usize) -> usize {
+fn chunk_size(len: usize) -> usize {
     // ≥ 256 chunks for big inputs, chunks of ≥ 1024 items otherwise.
     (len / 256).max(1024)
 }
 
-/// The chunk ranges [`par_reduce`] and friends iterate, exposed so tests
-/// and sequential reference paths can mirror the exact partition.
-pub fn chunk_ranges(len: usize, chunk: usize) -> Vec<Range<usize>> {
+/// The chunk ranges [`par_reduce`] iterates.
+fn chunk_ranges(len: usize, chunk: usize) -> Vec<Range<usize>> {
     assert!(chunk > 0, "chunk size must be positive");
     let mut out = Vec::with_capacity(len.div_ceil(chunk));
     let mut start = 0;
@@ -146,22 +149,12 @@ fn run_chunked<R: Send>(
 /// on parallel workers. Equivalent to `(0..n).map(f).collect()` — and
 /// bit-identical to it at every thread count.
 pub fn par_map_indexed<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    let chunk = chunk_size(n);
-    if n <= chunk || num_threads() == 1 {
-        return (0..n).map(f).collect();
-    }
-    let ranges = chunk_ranges(n, chunk);
-    let parts = run_chunked(ranges.len(), &|c| ranges[c].clone().map(&f).collect::<Vec<R>>());
-    let mut out = Vec::with_capacity(n);
-    for (_, part) in parts {
-        out.extend(part);
-    }
-    out
-}
-
-/// Maps a slice to a `Vec<R>` in input order (see [`par_map_indexed`]).
-pub fn par_map_slice<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    par_map_indexed(items.len(), |i| f(&items[i]))
+    let map = |r: Range<usize>| r.map(&f).collect::<Vec<R>>();
+    par_reduce(n, map, |mut a, b| {
+        a.extend(b);
+        a
+    })
+    .unwrap_or_default()
 }
 
 /// Maps `0..n` to a `Vec<R>` in index order with **one task per index**.
@@ -285,14 +278,5 @@ mod tests {
             assert_eq!(got, expect, "threads={t}");
         }
         assert!(par_map_tasks(0, |i| i).is_empty());
-    }
-
-    #[test]
-    fn map_slice_borrows() {
-        let items: Vec<String> = (0..5000).map(|i| format!("x{i}")).collect();
-        let lens = with_threads("2", || par_map_slice(&items, |s| s.len()));
-        assert_eq!(lens.len(), 5000);
-        assert_eq!(lens[0], 2);
-        assert_eq!(lens[4999], 5);
     }
 }
