@@ -13,7 +13,6 @@
 
 use cx_graph::{AttributedGraph, InvertedIndex, VertexId};
 
-use crate::dec::next_combination;
 use crate::scratch::{finalize_into, QueryAnswer, StratScratch, VerifyScratch};
 use crate::AcqOptions;
 
@@ -75,8 +74,30 @@ pub(crate) fn walk(
     // else: out stays empty (Q shares no connected k-core).
 }
 
+/// Advances `idxs` to the next size-|idxs| combination of `0..n` in
+/// lexicographic order; returns false after the last one.
+pub(crate) fn next_combination(idxs: &mut [usize], n: usize) -> bool {
+    let k = idxs.len();
+    if k == 0 {
+        return false;
+    }
+    let mut i = k;
+    while i > 0 {
+        i -= 1;
+        if idxs[i] != i + n - k {
+            idxs[i] += 1;
+            for j in i + 1..k {
+                idxs[j] = idxs[j - 1] + 1;
+            }
+            return true;
+        }
+    }
+    false
+}
+
 #[cfg(test)]
 mod tests {
+    use super::next_combination;
     use crate::{acq, AcqOptions, AcqStrategy};
     use cx_cltree::ClTree;
     use cx_datagen::figure5_graph;
@@ -99,5 +120,40 @@ mod tests {
         let opts = AcqOptions::with_k(2).max_candidates(1);
         let res = acq(&g, &ClTree::build(&g), q, &opts, AcqStrategy::Basic);
         assert!(res.truncated);
+    }
+
+    #[test]
+    fn combinations_enumerate_lexicographically() {
+        let mut idxs = vec![0, 1];
+        let mut all = vec![idxs.clone()];
+        while next_combination(&mut idxs, 4) {
+            all.push(idxs.clone());
+        }
+        assert_eq!(all, vec![
+            vec![0, 1], vec![0, 2], vec![0, 3],
+            vec![1, 2], vec![1, 3], vec![2, 3],
+        ]);
+    }
+
+    #[test]
+    fn single_element_combinations() {
+        let mut idxs = vec![0];
+        let mut count = 1;
+        while next_combination(&mut idxs, 5) {
+            count += 1;
+        }
+        assert_eq!(count, 5);
+    }
+
+    #[test]
+    fn full_size_combination_is_unique() {
+        let mut idxs = vec![0, 1, 2];
+        assert!(!next_combination(&mut idxs, 3));
+    }
+
+    #[test]
+    fn empty_combination_terminates() {
+        let mut idxs: Vec<usize> = vec![];
+        assert!(!next_combination(&mut idxs, 3));
     }
 }

@@ -195,7 +195,7 @@ mod tests {
 
     /// Inc-S and Inc-T agree with each other on the collab fixture for a
     /// sweep of queries (full cross-strategy agreement is covered by the
-    /// crate-level and property tests).
+    /// crate-level tests and `tests/check_oracle.rs`).
     #[test]
     fn inc_variants_agree_on_collab_graph() {
         let g = small_collab_graph();

@@ -122,7 +122,8 @@ pub struct AcqResult {
     /// to the plain k-core).
     pub shared_keyword_count: usize,
     /// Number of candidate keyword sets verified (keyword lookups plus
-    /// intersect/peel runs; near-free neighbour-mask rejects excluded).
+    /// intersect/peel runs; candidates the neighbour masks refute are
+    /// excluded — `/metrics` counts those in `cx_acq_lattice_examined`).
     pub candidates_verified: usize,
     /// True when the candidate budget was exhausted before completion.
     pub truncated: bool,
@@ -214,8 +215,12 @@ fn run(
     });
     let QueryScratch { verify: vs, strat } = scratch;
     effective_keywords_into(g, qs, opts, &mut strat.s);
+    // Candidates the lattice walk examined, refuted by the neighbour
+    // masks or peeled; Basic peels every one it examines.
+    let mut examined = 0;
     if strategy == AcqStrategy::Basic {
         basic::walk(g, qs, opts, vs, strat, out);
+        examined = out.candidates_verified;
     } else if let Some(mut verifier) = verify::Verifier::new(g, tree, qs, opts.k, &strat.s, vs) {
         let budget = opts.max_candidates;
         match strategy {
@@ -223,8 +228,10 @@ fn run(
             AcqStrategy::IncT => inc::walk_inc_t(g, &mut verifier, strat, budget, out),
             _ => dec::walk(g, &mut verifier, strat, budget, out),
         }
+        examined = verifier.examined;
     }
     cx_obs::metrics::observe_us("cx_acq_candidates_verified", out.candidates_verified as u64);
+    cx_obs::metrics::observe_us("cx_acq_lattice_examined", examined as u64);
 }
 
 /// The effective query keyword set into `out` (cleared first): explicit

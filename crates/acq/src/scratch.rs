@@ -3,7 +3,7 @@
 //! A steady-state ACQ query over a warmed [`QueryScratch`] performs **zero
 //! heap allocations**: every buffer the Dec strategy touches (the
 //! candidate-core buffer, the rank-space intersection accumulators, the
-//! peel marks, the combination cursor, the hit accumulator, and the final
+//! peel marks, the walk's prefix and support stacks, the hit accumulator, and the final
 //! answer itself) lives in the scratch or in the caller's
 //! [`QueryAnswer`] and is cleared by `Vec::clear`/epoch bump rather than
 //! reallocated. Capacities grow monotonically to the workload's high-water
@@ -81,8 +81,12 @@ impl VerifyScratch {
 pub(crate) struct StratScratch {
     /// Effective query keyword set S.
     pub s: Vec<KeywordId>,
-    /// Current keyword-subset combination (indices into `alive`).
+    /// Current keyword-subset combination (indices into `alive`): Dec's
+    /// walk prefix, Basic's combination cursor.
     pub idxs: Vec<usize>,
+    /// Dec's support stack: the alive-keyword neighbour masks, then per
+    /// walk depth the masks that still cover the prefix.
+    pub support: Vec<u64>,
     /// Flattened verified hits awaiting finalize: hit `i` is
     /// `hits_data[hits_off[i]..hits_off[i + 1]]`.
     pub hits_data: Vec<VertexId>,
@@ -101,6 +105,7 @@ impl StratScratch {
         Self {
             s: Vec::new(),
             idxs: Vec::new(),
+            support: Vec::new(),
             hits_data: Vec::new(),
             hits_off: Vec::new(),
             prefix_data: Vec::new(),
@@ -164,7 +169,8 @@ pub struct QueryAnswer {
     /// Size of the maximal shared keyword set (0 on plain-core fallback).
     pub shared_keyword_count: usize,
     /// Number of candidate keyword sets verified (keyword lookups plus
-    /// intersect/peel runs; near-free neighbour-mask rejects excluded).
+    /// intersect/peel runs; candidates the neighbour masks refute are
+    /// excluded).
     pub candidates_verified: usize,
     /// True when the candidate budget was exhausted before completion.
     pub truncated: bool,

@@ -53,13 +53,15 @@ pub(crate) struct Verifier<'a> {
     max_size: usize,
     vs: &'a mut VerifyScratch,
     /// Verification counter (keyword lookups + intersect/peel runs),
-    /// reported in [`crate::AcqResult`]. Candidates rejected by the
-    /// neighbour-mask filter are *not* counted here — the reject is a
-    /// handful of ANDs, not verification work.
+    /// reported in [`crate::AcqResult`]. Candidates the neighbour-mask
+    /// filter refutes are *not* counted here — they reach no
+    /// intersection or peel.
     pub verified: usize,
-    /// Budget meter: everything `verified` counts *plus* filter rejects,
-    /// so strategies sweeping a filtered lattice still terminate under
-    /// `max_candidates` even when almost nothing reaches a peel.
+    /// Budget meter: everything `verified` counts *plus* every candidate
+    /// the filter refutes — one at a time in Inc-S, a whole pruned
+    /// subtree at once in Dec — so strategies sweeping a filtered lattice
+    /// still terminate under `max_candidates` even when almost nothing
+    /// reaches a peel.
     pub examined: usize,
 }
 
@@ -240,6 +242,23 @@ impl<'a> Verifier<'a> {
         self.max_size
     }
 
+    /// The neighbour-mask filter re-indexed over the alive keywords, for
+    /// walks that prune whole subtrees of the lattice: appends one mask
+    /// per core-resident neighbour of q (bit `i` set iff it carries
+    /// `alive()[i]`) to `out` and returns how many of them must cover a
+    /// candidate — k when the filter is armed; 0 when it is not, with
+    /// nothing appended, so every candidate is admitted.
+    pub fn alive_masks_into(&self, out: &mut Vec<u64>) -> usize {
+        if !self.filter_ready {
+            return 0;
+        }
+        let spos = &self.vs.alive_spos;
+        out.extend(self.vs.nbr_mask.iter().map(|&m| {
+            spos.iter().enumerate().fold(0u64, |acc, (i, &p)| acc | ((m >> p) & 1) << i)
+        }));
+        self.k as usize
+    }
+
     /// The exact-count necessary condition for a candidate (indices into
     /// [`Self::alive`]): at least k neighbours of q must carry every
     /// candidate keyword, or no qualifying community can exist. Returns
@@ -355,15 +374,22 @@ impl<'a> Verifier<'a> {
     /// intersect the lists, then peel. On success the community is in
     /// [`Self::peeled`].
     pub fn verify_idxs(&mut self, idxs: &[usize]) -> bool {
-        let t = profile::timer();
         // The exact-count reject still counts as one examined candidate,
         // so the budget meters work uniformly across filtered and peeled
         // candidates.
         if !self.neighbor_filter_passes(idxs) {
             self.examined += 1;
-            profile::add_verify(t);
             return false;
         }
+        self.verify_admitted(idxs)
+    }
+
+    /// Verifies a candidate the caller has already passed through the
+    /// neighbour filter (Dec's walk prunes on the masks itself): intersect
+    /// the lists, then peel. On success the community is in
+    /// [`Self::peeled`].
+    pub fn verify_admitted(&mut self, idxs: &[usize]) -> bool {
+        let t = profile::timer();
         self.intersect_into_acc(idxs);
         let ok = self.peel_acc();
         profile::add_verify(t);

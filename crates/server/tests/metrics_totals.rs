@@ -186,4 +186,27 @@ fn metrics_totals_match_requests_issued_under_concurrency() {
         scrape.contains("cx_acq_candidates_verified_count"),
         "cx_acq_candidates_verified missing from /metrics:\n{scrape}"
     );
+
+    // Beside it, one sample per query of the lattice Dec examined —
+    // candidates the neighbour masks refute included, which the verified
+    // count leaves out. A hub's lattice is mostly refuted.
+    let examined = cx_obs::global().histogram("cx_acq_lattice_examined");
+    let (e0, sum0) = (examined.count(), examined.sum_us());
+    let (g3, _) = cx_datagen::dblp_like(&cx_datagen::DblpParams::scaled(3_000, 7));
+    let tree3 = cx_cltree::ClTree::build(&g3);
+    let hub = g3.vertices().max_by_key(|&v| (g3.degree(v), v.0)).unwrap();
+    let res =
+        cx_acq::acq(&g3, &tree3, hub, &cx_acq::AcqOptions::with_k(3), cx_acq::AcqStrategy::Dec);
+    assert_eq!(examined.count(), e0 + 1, "one query → one lattice sample");
+    let sample = examined.sum_us() - sum0;
+    assert!(
+        sample > res.candidates_verified as u64,
+        "the hub's lattice sample ({sample}) must count refuted candidates beyond the {} verified",
+        res.candidates_verified
+    );
+    let scrape = s.handle(&Request::get("/metrics")).text();
+    assert!(
+        scrape.contains("cx_acq_lattice_examined_count"),
+        "cx_acq_lattice_examined missing from /metrics:\n{scrape}"
+    );
 }
