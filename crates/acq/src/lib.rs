@@ -476,7 +476,7 @@ mod tests {
         let token = cx_par::task::CancelToken::manual();
         token.cancel();
         let cut =
-            cx_par::task::scope(&token, None, || acq_set(&g, &tree, &qs, &opts, AcqStrategy::Dec));
+            cx_par::task::scope(&token, || acq_set(&g, &tree, &qs, &opts, AcqStrategy::Dec));
         assert!(cut.truncated, "a cancelled query set must come back truncated");
         assert!(
             cut.candidates_verified <= shared + 1,

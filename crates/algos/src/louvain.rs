@@ -84,10 +84,9 @@ impl Louvain {
         let mut membership: Vec<usize> = (0..n).collect();
         let mut rng = Rng64::seed_from_u64(self.params.seed);
 
-        for lvl in 0..self.params.max_levels {
-            // Deadline checkpoint + SSE progress (see cx_par::task): with no
-            // scope installed both are a thread-local read.
-            cx_par::task::progress("louvain.level", lvl as u64, self.params.max_levels as u64);
+        for _ in 0..self.params.max_levels {
+            // Deadline checkpoint (see cx_par::task): with no scope
+            // installed it is a thread-local read.
             if cx_par::task::cancelled() {
                 break;
             }
@@ -130,8 +129,7 @@ impl Louvain {
 
         let mut order: Vec<usize> = (0..n).collect();
         let mut improved_any = false;
-        for sweep in 0..self.params.max_sweeps {
-            cx_par::task::progress("louvain.sweep", sweep as u64, self.params.max_sweeps as u64);
+        for _ in 0..self.params.max_sweeps {
             order.shuffle(rng);
             let mut moved = false;
             for (step, &u) in order.iter().enumerate() {

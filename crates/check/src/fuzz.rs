@@ -15,9 +15,7 @@
 //! * JSON responses parse, and `/api/v1/*` JSON responses honour the
 //!   envelope contract: `ok` mirrors the status class, `request_id` is a
 //!   non-empty string, `elapsed_ms` is a number, and `error` is `null`
-//!   on success or `{code, message}` (both non-empty) on failure;
-//! * a streamed (`text/event-stream`) response ends in exactly one
-//!   terminal `result` or `error` frame whose `data:` parses.
+//!   on success or `{code, message}` (both non-empty) on failure.
 //!
 //! Everything is seeded, so a failing case replays deterministically.
 
@@ -56,8 +54,6 @@ pub struct FuzzReport {
     pub status_counts: BTreeMap<u16, usize>,
     /// Requests generated from each [`ENDPOINTS`] row, by row index.
     pub row_counts: Vec<usize>,
-    /// Responses that were Server-Sent-Events streams.
-    pub streams: usize,
 }
 
 impl FuzzReport {
@@ -71,9 +67,8 @@ impl FuzzReport {
         let statuses: Vec<String> =
             self.status_counts.iter().map(|(s, n)| format!("{s}×{n}")).collect();
         format!(
-            "{} requests ({} streamed), {} panics, {} violations [{}]",
+            "{} requests, {} panics, {} violations [{}]",
             self.total,
-            self.streams,
             self.panics,
             self.failures.len(),
             statuses.join(" ")
@@ -377,25 +372,8 @@ fn check_response(req: &Request, resp: &Response) -> Option<String> {
             "{line} → error status {} with non-JSON content type {}",
             resp.status, resp.content_type
         ));
-    } else if resp.content_type == "text/event-stream" {
-        if let Some(v) = check_stream(&resp.text()) {
-            return Some(format!("{line} → {v}"));
-        }
     }
     None
-}
-
-/// The SSE contract for a whole stream body: the last frame, and only the
-/// last, is `event: result` or `event: error`, and its `data:` is JSON.
-fn check_stream(body: &str) -> Option<String> {
-    let terminal = |f: &str| f.starts_with("event: result\n") || f.starts_with("event: error\n");
-    let frames: Vec<&str> = body.split_terminator("\n\n").collect();
-    let last = frames.last().copied().unwrap_or("");
-    if !terminal(last) || frames.iter().filter(|f| terminal(f)).count() != 1 {
-        return Some(format!("stream does not end in exactly one terminal frame: {body:?}"));
-    }
-    let data = last.lines().find_map(|l| l.strip_prefix("data: ")).unwrap_or("");
-    Json::parse(data).err().map(|e| format!("terminal frame data is not JSON ({e}): {data:?}"))
 }
 
 /// The `/api/v1` envelope contract for a parsed JSON response body.
@@ -448,7 +426,6 @@ pub fn fuzz_server(server: &Server, params: &FuzzParams) -> FuzzReport {
         match catch_unwind(AssertUnwindSafe(|| server.handle(&req))) {
             Ok(resp) => {
                 *report.status_counts.entry(resp.status).or_insert(0) += 1;
-                report.streams += usize::from(resp.content_type == "text/event-stream");
                 if let Some(v) = check_response(&req, &resp) {
                     report.failures.push(v);
                 }
@@ -511,19 +488,6 @@ mod tests {
         ] {
             let v = check_response(&req, &json(200, spelled_otherwise));
             assert!(v.as_deref().is_some_and(|v| v.contains("not canonical")), "{v:?}");
-        }
-        // A stream ends in exactly one terminal frame carrying JSON.
-        let stream = Request::get("/api/v1/detect_stream");
-        let sse = |body: &str| Response::with_body("text/event-stream", body);
-        let good = "event: progress\ndata: {}\n\nevent: result\ndata: {\"total\":1}\n\n";
-        assert!(check_response(&stream, &sse(good)).is_none());
-        for bad in [
-            "event: progress\ndata: {}\n\n",
-            "event: result\ndata: {}\n\nevent: error\ndata: {}\n\n",
-            "event: result\ndata: {}\n\nevent: progress\ndata: {}\n\n",
-            "event: error\ndata: {oops\n\n",
-        ] {
-            assert!(check_response(&stream, &sse(bad)).is_some(), "{bad:?}");
         }
         // A real error passes.
         let s = server();

@@ -124,20 +124,6 @@ impl ComparisonReport {
         out
     }
 
-    /// Renders the CPJ and CMF charts as one SVG document (the Analysis
-    /// tab's exportable bar graphs).
-    pub fn quality_charts_svg(&self) -> String {
-        let cpj: Vec<(&str, f64)> =
-            self.rows.iter().map(|r| (r.method.as_str(), r.cpj)).collect();
-        let cmf: Vec<(&str, f64)> =
-            self.rows.iter().map(|r| (r.method.as_str(), r.cmf)).collect();
-        format!(
-            "{}\n{}",
-            cx_metrics::bar_chart_svg("CPJ (pairwise keyword similarity)", &cpj, 260.0),
-            cx_metrics::bar_chart_svg("CMF (query-keyword coverage)", &cmf, 260.0)
-        )
-    }
-
     /// Renders the CPJ and CMF bar charts (the Analysis tab's bar graphs).
     pub fn quality_charts(&self) -> String {
         let cpj: Vec<(&str, f64)> =
@@ -204,9 +190,6 @@ mod tests {
         let charts = report.quality_charts();
         assert!(charts.contains("CPJ"));
         assert!(charts.contains("CMF"));
-        let svg = report.quality_charts_svg();
-        assert_eq!(svg.matches("<svg").count(), 2);
-        assert!(svg.contains("global"));
     }
 
     #[test]

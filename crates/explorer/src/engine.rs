@@ -33,7 +33,7 @@ use std::time::Instant;
 
 use cx_graph::{AttributedGraph, Community, VertexId};
 use cx_layout::{layout_community, LayoutAlgorithm, Scene};
-use cx_par::task::{CancelToken, ProgressFn};
+use cx_par::task::CancelToken;
 
 use crate::api::{
     AcqAlgorithm, CdAlgorithm, CodicilAlgorithm, CsAlgorithm, GlobalAlgorithm, KEccAlgorithm,
@@ -380,7 +380,7 @@ impl Engine {
         let qs = spec.resolve(&snap.graph)?;
         let cs = self.find_cs(algo);
         if let (None, Some(cd)) = (cs, self.find_cd(algo)) {
-            let clustering = self.clustering(snap, cd, token, None, "search")?;
+            let clustering = self.clustering(snap, cd, token, "search")?;
             return Ok(clustering.cluster_of(qs[0]).cloned().into_iter().collect());
         }
         let key = QueryKey {
@@ -396,7 +396,7 @@ impl Engine {
         }
         let cs = cs.ok_or_else(|| ExplorerError::UnknownAlgorithm(algo.to_owned()));
         let ctx = snap.context();
-        let out = run_cancellable(token, None, "search", || {
+        let out = run_cancellable(token, "search", || {
             let cs = cs?;
             let _algo_span = cx_obs::span(cs.span);
             Ok(cs.algo.search(&ctx, &qs, spec))
@@ -407,27 +407,24 @@ impl Engine {
 
     /// The paper's `detect(CDAlgorithm)` on the default graph.
     pub fn detect(&self, algo: &str) -> Result<Vec<Community>, ExplorerError> {
-        self.detect_cancellable(&*self.snapshot(None)?, algo, &CancelToken::none(), None)
+        self.detect_cancellable(&*self.snapshot(None)?, algo, &CancelToken::none())
     }
 
-    /// `detect` against a pinned snapshot under `token` (deadline and
-    /// client disconnect, as in [`Engine::search_snapshot_cancellable`]);
-    /// the algorithm's [`cx_par::task::progress`] calls reach `progress`.
-    /// The clustering is memoised on the snapshot and shared with every
-    /// CD-named `search`: a memoised answer emits no progress events, and
+    /// `detect` against a pinned snapshot under `token` (the deadline, as
+    /// in [`Engine::search_snapshot_cancellable`]). The clustering is
+    /// memoised on the snapshot and shared with every CD-named `search`;
     /// a cancelled run memoises nothing.
     pub fn detect_cancellable(
         &self,
         snap: &GraphSnapshot,
         algo: &str,
         token: &CancelToken,
-        progress: Option<Arc<ProgressFn>>,
     ) -> Result<Vec<Community>, ExplorerError> {
         let _span = cx_obs::span("engine.detect");
         let cd = self
             .find_cd(algo)
             .ok_or_else(|| ExplorerError::UnknownAlgorithm(algo.to_owned()))?;
-        Ok(self.clustering(snap, cd, token, progress, "detect")?.communities.clone())
+        Ok(self.clustering(snap, cd, token, "detect")?.communities.clone())
     }
 
     /// `cd`'s clustering of `snap`: the snapshot's memo, or one run of the
@@ -438,7 +435,6 @@ impl Engine {
         snap: &GraphSnapshot,
         cd: &Plugin<dyn CdAlgorithm>,
         token: &CancelToken,
-        progress: Option<Arc<ProgressFn>>,
         op: &str,
     ) -> Result<Arc<Clustering>, ExplorerError> {
         let memo = snap.clustering(cd.id);
@@ -447,7 +443,7 @@ impl Engine {
             return Ok(c);
         }
         let ctx = snap.context();
-        let communities = run_cancellable(token, progress, op, || {
+        let communities = run_cancellable(token, op, || {
             let _algo_span = cx_obs::span(cd.span);
             Ok(cd.algo.detect(&ctx))
         })?;
@@ -549,12 +545,11 @@ impl Engine {
 }
 
 /// Runs `f` under `token` — inside a [`cx_par::task::scope`] when the
-/// token is armed or `progress` is given — and turns a cancellation seen
+/// token is armed — and turns a cancellation seen
 /// before or after the run into [`ExplorerError::DeadlineExceeded`],
 /// counted under `op`.
 fn run_cancellable<T>(
     token: &CancelToken,
-    progress: Option<Arc<ProgressFn>>,
     op: &str,
     f: impl FnOnce() -> Result<T, ExplorerError>,
 ) -> Result<T, ExplorerError> {
@@ -565,8 +560,8 @@ fn run_cancellable<T>(
     if token.is_cancelled() {
         return deadline();
     }
-    let out = if token.is_armed() || progress.is_some() {
-        cx_par::task::scope(token, progress, f)?
+    let out = if token.is_armed() {
+        cx_par::task::scope(token, f)?
     } else {
         f()?
     };
@@ -975,8 +970,8 @@ mod cache_tests {
         assert_eq!(calls.load(Ordering::SeqCst), 3, "C was just inserted: must hit");
     }
 
-    /// A stub CD algorithm that counts its `detect` runs, reports one
-    /// progress step per run, and splits the graph by vertex-id parity,
+    /// A stub CD algorithm that counts its `detect` runs and splits the
+    /// graph by vertex-id parity,
     /// followed by one overlapping cluster of every vertex.
     /// When `trip` holds a token, the run cancels it (a deadline firing
     /// mid-run).
@@ -990,7 +985,6 @@ mod cache_tests {
         }
         fn detect(&self, ctx: &GraphContext<'_>) -> Vec<Community> {
             self.calls.fetch_add(1, Ordering::SeqCst);
-            cx_par::task::progress("counting", 1, 1);
             if let Some(token) = self.trip.lock().unwrap().take() {
                 token.cancel();
             }
@@ -1025,7 +1019,7 @@ mod cache_tests {
         let (calls, _) = counting_cd(&mut e);
         let fig5 = e.snapshot(Some("fig5")).unwrap();
         let detect = |snap: &GraphSnapshot| {
-            e.detect_cancellable(snap, "counting-cd", &CancelToken::none(), None).unwrap()
+            e.detect_cancellable(snap, "counting-cd", &CancelToken::none()).unwrap()
         };
         let a = detect(&fig5);
         let b = detect(&fig5);
@@ -1050,19 +1044,9 @@ mod cache_tests {
         }
         let all = e.detect("counting-cd").unwrap();
         assert_eq!(all.len(), 3);
-        let events = Arc::new(AtomicUsize::new(0));
-        let sink: Arc<ProgressFn> = {
-            let events = Arc::clone(&events);
-            Arc::new(move |_: &str, _: u64, _: u64| {
-                events.fetch_add(1, Ordering::SeqCst);
-            })
-        };
-        let streamed = e
-            .detect_cancellable(&snap, "counting-cd", &CancelToken::manual(), Some(sink))
-            .unwrap();
-        assert_eq!(streamed, all);
-        assert_eq!(events.load(Ordering::SeqCst), 0, "a memoised answer streams no progress");
-        assert_eq!(calls.load(Ordering::SeqCst), 1, "20 searches + detect + streamed detect");
+        let armed = e.detect_cancellable(&snap, "counting-cd", &CancelToken::manual()).unwrap();
+        assert_eq!(armed, all);
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "20 searches + detect + armed detect");
 
         // An edit publishes a snapshot with an empty memo: one more run.
         e.apply_edits(None, &[(VertexId(0), VertexId(29))], &[]).unwrap();
@@ -1079,17 +1063,17 @@ mod cache_tests {
         // Cancelled before the run: the algorithm never starts.
         let cancelled = CancelToken::manual();
         cancelled.cancel();
-        let out = e.detect_cancellable(&snap, "counting-cd", &cancelled, None);
+        let out = e.detect_cancellable(&snap, "counting-cd", &cancelled);
         assert!(matches!(out, Err(ExplorerError::DeadlineExceeded)), "{out:?}");
         assert_eq!(calls.load(Ordering::SeqCst), 0);
         // Cancelled mid-run: the run completes but its result is dropped.
         let mid = CancelToken::manual();
         *trip.lock().unwrap() = Some(mid.clone());
-        let out = e.detect_cancellable(&snap, "counting-cd", &mid, None);
+        let out = e.detect_cancellable(&snap, "counting-cd", &mid);
         assert!(matches!(out, Err(ExplorerError::DeadlineExceeded)), "{out:?}");
         assert_eq!(calls.load(Ordering::SeqCst), 1);
         // So the next reader computes afresh.
-        e.detect_cancellable(&snap, "counting-cd", &CancelToken::none(), None).unwrap();
+        e.detect_cancellable(&snap, "counting-cd", &CancelToken::none()).unwrap();
         assert_eq!(calls.load(Ordering::SeqCst), 2);
     }
 

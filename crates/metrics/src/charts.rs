@@ -66,74 +66,3 @@ mod tests {
         assert_eq!(bar_pos(lines[0]), bar_pos(lines[1]));
     }
 }
-
-/// Renders labelled values as a standalone SVG bar chart (the file-export
-/// counterpart of [`bar_chart`], used by the Analysis tab's "save chart"
-/// action). Bars are scaled to the largest value; returns a complete SVG
-/// document. Empty input yields an empty-plot SVG.
-pub fn bar_chart_svg(title: &str, data: &[(&str, f64)], width: f64) -> String {
-    let bar_h = 22.0;
-    let gap = 8.0;
-    let label_w = 110.0;
-    let value_w = 64.0;
-    let top = 34.0;
-    let height = top + data.len() as f64 * (bar_h + gap) + 10.0;
-    let max = data.iter().map(|&(_, v)| v).fold(0.0f64, f64::max).max(1e-12);
-    let esc = |s: &str| {
-        s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;").replace('"', "&quot;")
-    };
-
-    let mut svg = format!(
-        "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{:.0}\" height=\"{:.0}\">\n\
-         <rect width=\"100%\" height=\"100%\" fill=\"white\"/>\n\
-         <text x=\"10\" y=\"20\" font-family=\"sans-serif\" font-size=\"14\" font-weight=\"bold\">{}</text>\n",
-        label_w + width + value_w,
-        height,
-        esc(title)
-    );
-    for (i, &(label, value)) in data.iter().enumerate() {
-        let y = top + i as f64 * (bar_h + gap);
-        let w = width * (value / max);
-        svg.push_str(&format!(
-            "<text x=\"{:.0}\" y=\"{:.1}\" font-family=\"sans-serif\" font-size=\"12\" text-anchor=\"end\">{}</text>\n",
-            label_w - 8.0,
-            y + bar_h * 0.7,
-            esc(label)
-        ));
-        svg.push_str(&format!(
-            "<rect x=\"{label_w:.0}\" y=\"{y:.1}\" width=\"{w:.1}\" height=\"{bar_h:.0}\" fill=\"#337ab7\"/>\n"
-        ));
-        svg.push_str(&format!(
-            "<text x=\"{:.1}\" y=\"{:.1}\" font-family=\"sans-serif\" font-size=\"12\">{value:.3}</text>\n",
-            label_w + w + 6.0,
-            y + bar_h * 0.7
-        ));
-    }
-    svg.push_str("</svg>\n");
-    svg
-}
-
-#[cfg(test)]
-mod svg_tests {
-    use super::*;
-
-    #[test]
-    fn svg_chart_structure() {
-        let svg = bar_chart_svg("CPJ <test>", &[("acq", 0.8), ("global", 0.2)], 200.0);
-        assert!(svg.starts_with("<svg"));
-        assert!(svg.ends_with("</svg>\n"));
-        assert_eq!(svg.matches("<rect").count(), 3); // background + 2 bars
-        assert!(svg.contains("&lt;test&gt;"));
-        assert!(svg.contains("0.800"));
-        // The larger value gets the full width.
-        assert!(svg.contains("width=\"200.0\""));
-        assert!(svg.contains("width=\"50.0\""));
-    }
-
-    #[test]
-    fn svg_chart_empty_data() {
-        let svg = bar_chart_svg("empty", &[], 100.0);
-        assert!(svg.starts_with("<svg"));
-        assert_eq!(svg.matches("<rect").count(), 1);
-    }
-}

@@ -23,7 +23,7 @@ pub mod quality;
 pub mod similarity;
 pub mod stats;
 
-pub use charts::{bar_chart, bar_chart_svg};
+pub use charts::bar_chart;
 pub use quality::{cmf, conductance, cpj, cpj_single};
 pub use similarity::{f1_score, modularity, nmi, pairwise_jaccard_matrix};
 pub use stats::CommunityStats;

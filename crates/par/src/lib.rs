@@ -16,8 +16,8 @@
 //!   HTTP server's fixed worker pool;
 //! * [`rng`] — the workspace's seeded PRNG (xoshiro256++), replacing the
 //!   `rand` dependency;
-//! * [`task`] — cooperative cancellation tokens (request deadlines) and
-//!   progress reporting for long-running algorithm runs.
+//! * [`task`] — cooperative cancellation tokens (request deadlines) for
+//!   long-running algorithm runs.
 //!
 //! ## Determinism contract
 //!

@@ -1,4 +1,4 @@
-//! Cooperative cancellation and progress reporting for long-running work.
+//! Cooperative cancellation for long-running work.
 //!
 //! The serving layer attaches a per-request deadline (`timeout_ms` in the
 //! API) and needs algorithm code — the ACQ candidate walk, the k-core
@@ -16,11 +16,8 @@
 //!   returns and maps expiry to a typed `deadline_exceeded` error, so a
 //!   partial result can never leak to a client or a cache.
 //!
-//! [`progress`] is the same idea for Server-Sent-Events streaming: a
-//! detection algorithm reports coarse phase/step counters, and whatever
-//! sink the scope installed forwards them (the HTTP layer frames them as
-//! SSE `progress` events). With no scope installed both helpers are a
-//! thread-local read — the zero-alloc query hot path is unaffected.
+//! With no scope installed [`cancelled`] is a thread-local read — the
+//! zero-alloc query hot path is unaffected.
 //!
 //! The thread-local deliberately does **not** propagate into `cx-par`
 //! worker threads: checkpoints live in the sequential control loops of
@@ -32,7 +29,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A cheaply clonable cancellation handle: an optional wall-clock deadline
-/// plus a manual flag (set on client disconnect). The default token
+/// plus a manual flag. The default token
 /// ([`CancelToken::none`]) can never cancel and costs nothing to check.
 #[derive(Clone, Default)]
 pub struct CancelToken {
@@ -65,8 +62,7 @@ impl CancelToken {
         }
     }
 
-    /// A manual token with no deadline: cancels only via [`CancelToken::cancel`]
-    /// (e.g. when a streaming client disconnects).
+    /// A manual token with no deadline: cancels only via [`CancelToken::cancel`].
     pub fn manual() -> Self {
         Self {
             inner: Some(Arc::new(TokenInner { deadline: None, flag: AtomicBool::new(false) })),
@@ -115,27 +111,14 @@ impl std::fmt::Debug for CancelToken {
     }
 }
 
-/// A progress callback: `(phase, done, total)`. `total` may be 0 when the
-/// amount of work is unknown up front.
-pub type ProgressFn = dyn Fn(&str, u64, u64) + Send + Sync;
-
-struct TaskScope {
-    token: CancelToken,
-    progress: Option<Arc<ProgressFn>>,
-}
-
 thread_local! {
-    static CURRENT: RefCell<Vec<TaskScope>> = const { RefCell::new(Vec::new()) };
+    static CURRENT: RefCell<Vec<CancelToken>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Runs `f` with `token` (and optionally a progress sink) installed as the
-/// current thread's task scope. Scopes nest; the innermost wins. The scope
-/// is popped on the way out even if `f` panics.
-pub fn scope<R>(
-    token: &CancelToken,
-    progress: Option<Arc<ProgressFn>>,
-    f: impl FnOnce() -> R,
-) -> R {
+/// Runs `f` with `token` installed as the current thread's task scope.
+/// Scopes nest; the innermost wins. The scope is popped on the way out
+/// even if `f` panics.
+pub fn scope<R>(token: &CancelToken, f: impl FnOnce() -> R) -> R {
     struct Pop;
     impl Drop for Pop {
         fn drop(&mut self) {
@@ -145,7 +128,7 @@ pub fn scope<R>(
         }
     }
     CURRENT.with(|c| {
-        c.borrow_mut().push(TaskScope { token: token.clone(), progress });
+        c.borrow_mut().push(token.clone());
     });
     let _pop = Pop;
     f()
@@ -158,18 +141,8 @@ pub fn scope<R>(
 pub fn cancelled() -> bool {
     CURRENT.with(|c| match c.borrow().last() {
         None => false,
-        Some(s) => s.token.is_cancelled(),
+        Some(token) => token.is_cancelled(),
     })
-}
-
-/// Reports coarse progress to the installed sink, if any. `phase` labels
-/// the unit of work (e.g. `"louvain.sweep"`).
-pub fn progress(phase: &str, done: u64, total: u64) {
-    CURRENT.with(|c| {
-        if let Some(sink) = c.borrow().last().and_then(|s| s.progress.clone()) {
-            sink(phase, done, total);
-        }
-    });
 }
 
 /// True when any scope is installed on this thread (tests / diagnostics).
@@ -180,7 +153,6 @@ pub fn in_scope() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn none_token_never_cancels() {
@@ -203,7 +175,7 @@ mod tests {
     fn manual_cancel_shows_through_clones_and_scope() {
         let t = CancelToken::manual();
         let handle = t.clone();
-        scope(&t, None, || {
+        scope(&t, || {
             assert!(!cancelled());
             handle.cancel();
             assert!(cancelled());
@@ -216,9 +188,9 @@ mod tests {
         let outer = CancelToken::manual();
         let inner = CancelToken::manual();
         outer.cancel();
-        scope(&outer, None, || {
+        scope(&outer, || {
             assert!(cancelled());
-            scope(&inner, None, || {
+            scope(&inner, || {
                 assert!(!cancelled(), "inner un-cancelled token shadows outer");
             });
             assert!(cancelled());
@@ -226,28 +198,11 @@ mod tests {
     }
 
     #[test]
-    fn progress_reaches_installed_sink() {
-        let hits = Arc::new(AtomicU64::new(0));
-        let h = Arc::clone(&hits);
-        let sink: Arc<ProgressFn> = Arc::new(move |phase, done, total| {
-            assert_eq!(phase, "unit");
-            assert_eq!((done, total), (3, 10));
-            h.fetch_add(1, Ordering::Relaxed);
-        });
-        progress("unit", 3, 10); // no scope: dropped
-        scope(&CancelToken::none(), Some(sink), || {
-            progress("unit", 3, 10);
-        });
-        progress("unit", 3, 10); // popped again
-        assert_eq!(hits.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
     fn scope_pops_on_panic() {
         let t = CancelToken::manual();
         t.cancel();
         let r = std::panic::catch_unwind(|| {
-            scope(&t, None, || panic!("boom"));
+            scope(&t, || panic!("boom"));
         });
         assert!(r.is_err());
         assert!(!in_scope(), "panicked scope must still pop");

@@ -12,17 +12,9 @@
 //! * **Write side** — responses complete on worker threads in any order;
 //!   each lands in its sequence slot of the shared [`Outbox`], and the
 //!   event loop flushes slots strictly in sequence order so pipelined
-//!   responses can never be reordered. A streaming (SSE) slot stays at the
-//!   front of the queue while its chunks flow through, and forces the
-//!   connection closed when it finishes (an event stream has no
-//!   `Content-Length`).
+//!   responses can never be reordered.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
-
-use cx_par::task::CancelToken;
 
 use crate::http::{parse_query, Request};
 
@@ -219,21 +211,11 @@ pub enum Slot {
     Pending,
     /// A fully serialized response, ready to flush.
     Ready(Vec<u8>),
-    /// A live event stream: chunks accumulate in `buf` as the worker
-    /// emits them; `done` marks the terminal event.
-    Stream {
-        /// Bytes not yet moved to the socket buffer (headers first).
-        buf: Vec<u8>,
-        /// Whether the stream headers have been emitted into `buf`.
-        started: bool,
-        /// Whether the worker finished the stream.
-        done: bool,
-        /// When the last chunk (or heartbeat) was emitted.
-        last_emit: Instant,
-    },
 }
 
-/// The in-order response queue shared between the event loop and workers.
+/// The in-order response queue shared between the event loop and workers
+/// (behind an `Arc<Mutex<_>>`).
+#[derive(Default)]
 pub struct Outbox {
     /// Sequence number of the next slot to flush.
     pub next_flush: u64,
@@ -241,53 +223,6 @@ pub struct Outbox {
     pub next_seq: u64,
     /// Outstanding slots by sequence number.
     pub slots: BTreeMap<u64, Slot>,
-}
-
-impl Outbox {
-    fn new() -> Self {
-        Self { next_flush: 0, next_seq: 0, slots: BTreeMap::new() }
-    }
-}
-
-/// Connection state shared with worker threads (behind an `Arc`).
-pub struct ConnShared {
-    /// The response outbox.
-    pub out: Mutex<Outbox>,
-    /// Set by the event loop when the peer disappeared; emitters check it.
-    pub gone: AtomicBool,
-    /// Cancellation tokens registered by streaming handlers on this
-    /// connection — cancelled on client disconnect and on shutdown.
-    pub tokens: Mutex<Vec<CancelToken>>,
-}
-
-impl Default for ConnShared {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ConnShared {
-    /// Fresh per-connection shared state.
-    pub fn new() -> Self {
-        Self {
-            out: Mutex::new(Outbox::new()),
-            gone: AtomicBool::new(false),
-            tokens: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Marks the peer gone and cancels every registered stream token.
-    pub fn abort(&self) {
-        self.gone.store(true, Ordering::Relaxed);
-        for t in self.tokens.lock().unwrap_or_else(std::sync::PoisonError::into_inner).iter() {
-            t.cancel();
-        }
-    }
-
-    /// Whether the peer is known to be gone.
-    pub fn is_gone(&self) -> bool {
-        self.gone.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -399,16 +334,5 @@ mod tests {
         let (reqs, _) = drain_all(&mut r);
         assert_eq!(reqs.len(), 1);
         assert_eq!(reqs[0].request.path, "/a");
-    }
-
-    #[test]
-    fn abort_cancels_registered_tokens() {
-        let shared = ConnShared::new();
-        let t = CancelToken::manual();
-        shared.tokens.lock().unwrap().push(t.clone());
-        assert!(!t.is_cancelled());
-        shared.abort();
-        assert!(t.is_cancelled());
-        assert!(shared.is_gone());
     }
 }

@@ -32,11 +32,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use cx_par::task::CancelToken;
-
-use crate::conn::{ConnReader, ConnShared, ParsedRequest, ReadOutcome, Slot};
+use crate::conn::{ConnReader, Outbox, ParsedRequest, ReadOutcome, Slot};
 use crate::http::{Request, Response};
-use crate::routes::StreamSink;
 
 /// Everything the transport needs to know that isn't the handler.
 #[derive(Clone)]
@@ -54,8 +51,6 @@ pub struct ServerConfig {
     pub header_timeout: Duration,
     /// How long an idle keep-alive connection is kept open.
     pub idle_timeout: Duration,
-    /// Comment-frame heartbeat interval for quiet SSE streams.
-    pub sse_heartbeat: Duration,
     /// How long shutdown waits for in-flight responses to flush before
     /// force-closing.
     pub drain_timeout: Duration,
@@ -69,16 +64,13 @@ impl Default for ServerConfig {
             max_inflight: 256,
             header_timeout: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(60),
-            sse_heartbeat: Duration::from_secs(10),
             drain_timeout: Duration::from_secs(5),
         }
     }
 }
 
-/// The handler contract: return `Some(response)` for a plain request, or
-/// stream through the sink and return `None` (see [`StreamSink`]).
-pub type StreamHandler =
-    dyn Fn(&Request, &Arc<dyn StreamSink>) -> Option<Response> + Send + Sync;
+/// The handler contract: one framed response per request.
+pub type RequestHandler = dyn Fn(&Request) -> Response + Send + Sync;
 
 // ---------------------------------------------------------------------------
 // poll(2) binding — the entire foreign surface of the crate.
@@ -175,7 +167,7 @@ impl Drop for ServerHandle {
 pub fn spawn(
     addr: &str,
     config: ServerConfig,
-    handler: Arc<StreamHandler>,
+    handler: Arc<RequestHandler>,
 ) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
@@ -199,7 +191,7 @@ pub fn spawn(
 struct Conn {
     stream: TcpStream,
     reader: ConnReader,
-    shared: Arc<ConnShared>,
+    out: Arc<Mutex<Outbox>>,
     /// Bytes staged for the socket, flushed as POLLOUT allows.
     wbuf: Vec<u8>,
     /// Peer half-closed (read returned 0) — no more requests will come.
@@ -219,7 +211,7 @@ struct Conn {
 impl Conn {
     /// True once every dispatched response has fully flushed.
     fn drained(&self) -> bool {
-        let out = lock(&self.shared.out);
+        let out = lock(&self.out);
         out.slots.is_empty() && self.wbuf.is_empty()
     }
 }
@@ -228,68 +220,11 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// The per-request sink workers stream through (SSE).
-struct ConnSink {
-    conn: Arc<ConnShared>,
-    seq: u64,
-    loop_shared: Arc<LoopShared>,
-}
-
-impl ConnSink {
-    fn push(&self, f: impl FnOnce(&mut Vec<u8>, &mut Instant)) -> bool {
-        if self.conn.is_gone() {
-            return false;
-        }
-        let mut out = lock(&self.conn.out);
-        if let Some(Slot::Stream { buf, last_emit, .. }) = out.slots.get_mut(&self.seq) {
-            f(buf, last_emit);
-            drop(out);
-            self.loop_shared.wake();
-            true
-        } else {
-            false
-        }
-    }
-}
-
-impl StreamSink for ConnSink {
-    fn start(&self, extra_headers: &[(String, String)]) {
-        self.push(|buf, last| {
-            buf.extend_from_slice(
-                b"HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nCache-Control: no-cache\r\nConnection: close\r\n",
-            );
-            for (n, v) in extra_headers {
-                buf.extend_from_slice(format!("{n}: {v}\r\n").as_bytes());
-            }
-            buf.extend_from_slice(b"\r\n");
-            *last = Instant::now();
-        });
-        let mut out = lock(&self.conn.out);
-        if let Some(Slot::Stream { started, .. }) = out.slots.get_mut(&self.seq) {
-            *started = true;
-        }
-    }
-
-    fn emit(&self, chunk: &[u8]) -> bool {
-        self.push(|buf, last| {
-            buf.extend_from_slice(chunk);
-            *last = Instant::now();
-        })
-    }
-
-    fn register_cancel(&self, token: &CancelToken) {
-        lock(&self.conn.tokens).push(token.clone());
-        if self.conn.is_gone() {
-            token.cancel();
-        }
-    }
-}
-
 struct EventLoop {
     listener: TcpListener,
     wake_rx: UnixStream,
     config: ServerConfig,
-    handler: Arc<StreamHandler>,
+    handler: Arc<RequestHandler>,
     shared: Arc<LoopShared>,
     conns: HashMap<i32, Conn>,
     pool: Option<cx_par::queue::WorkerPool>,
@@ -300,7 +235,7 @@ impl EventLoop {
         listener: TcpListener,
         wake_rx: UnixStream,
         config: ServerConfig,
-        handler: Arc<StreamHandler>,
+        handler: Arc<RequestHandler>,
         shared: Arc<LoopShared>,
     ) -> Self {
         let pool = cx_par::queue::WorkerPool::new("cx-http", config.workers.max(1));
@@ -322,10 +257,6 @@ impl EventLoop {
             let shutting_down = self.shared.shutdown.load(Ordering::SeqCst);
             if shutting_down && drain_started.is_none() {
                 drain_started = Some(Instant::now());
-                // Streams may run long; a shutdown must not wait on them.
-                for c in self.conns.values() {
-                    c.shared.abort();
-                }
             }
             if shutting_down {
                 let expired = drain_started
@@ -349,22 +280,16 @@ impl EventLoop {
                 });
             }
             for (fd, conn) in &mut self.conns {
-                let mut events = 0i16;
-                if !conn.read_closed && !shutting_down && conn.close_after_seq.is_none() {
-                    events |= POLLIN;
-                } else {
-                    // Still poll for readability to notice EOF/RST early
-                    // (important for SSE disconnect).
-                    events |= POLLIN;
-                }
-                if !conn.wbuf.is_empty() || has_flushable(&conn.shared) {
+                // Always poll for readability, to notice EOF/RST early.
+                let mut events = POLLIN;
+                if !conn.wbuf.is_empty() || has_flushable(&conn.out) {
                     events |= POLLOUT;
                 }
                 fds.push(PollFd { fd: *fd, events, revents: 0 });
             }
 
-            // A short tick bounds every timeout check (heartbeats, header
-            // deadlines, idle closes) without per-deadline bookkeeping.
+            // A short tick bounds every timeout check (header deadlines,
+            // idle closes) without per-deadline bookkeeping.
             poll_wait(&mut fds, Duration::from_millis(50));
 
             // Drain the self-pipe.
@@ -401,7 +326,7 @@ impl EventLoop {
                     );
                 }
                 if !remove {
-                    Self::pump_outbox(conn, &self.config, now);
+                    Self::pump_outbox(conn, now);
                     remove = Self::flush(conn);
                 }
                 if !remove && Self::conn_expired(conn, &self.config, now) {
@@ -418,24 +343,21 @@ impl EventLoop {
                 if fds_seen.contains(fd) {
                     continue;
                 }
-                Self::pump_outbox(conn, &self.config, now);
+                Self::pump_outbox(conn, now);
                 if Self::flush(conn) || Self::conn_expired(conn, &self.config, now) {
                     also_dead.push(*fd);
                 }
             }
             dead.extend(also_dead);
             for fd in dead {
-                if let Some(conn) = self.conns.remove(&fd) {
-                    conn.shared.abort();
+                if self.conns.remove(&fd).is_some() {
                     cx_obs::metrics::gauge_add("cx_http_connections_open", -1);
                 }
             }
         }
-        // Join workers: the pool drains its queue, and aborted stream
-        // tokens make any long-running job bail quickly.
+        // Join workers: the pool drains its queue.
         self.pool.take();
-        for (_, conn) in self.conns.drain() {
-            conn.shared.abort();
+        for _ in self.conns.drain() {
             cx_obs::metrics::gauge_add("cx_http_connections_open", -1);
         }
     }
@@ -456,7 +378,7 @@ impl EventLoop {
                         Conn {
                             stream,
                             reader: ConnReader::new(),
-                            shared: Arc::new(ConnShared::new()),
+                            out: Arc::default(),
                             wbuf: Vec::new(),
                             read_closed: false,
                             close_after_seq: None,
@@ -476,7 +398,7 @@ impl EventLoop {
     fn handle_readable(
         conn: &mut Conn,
         config: &ServerConfig,
-        handler: &Arc<StreamHandler>,
+        handler: &Arc<RequestHandler>,
         shared: &Arc<LoopShared>,
         pool: &cx_par::queue::WorkerPool,
         shutting_down: bool,
@@ -486,11 +408,6 @@ impl EventLoop {
             match conn.stream.read(&mut buf) {
                 Ok(0) => {
                     conn.read_closed = true;
-                    // An EOF mid-stream is a client disconnect: abort the
-                    // stream instead of letting it run to completion.
-                    if has_live_stream(&conn.shared) {
-                        return true;
-                    }
                     break;
                 }
                 Ok(n) => {
@@ -502,7 +419,7 @@ impl EventLoop {
                 Err(_) => return true,
             }
         }
-        if conn.read_closed && conn.reader.pending_len() == 0 && !has_undelivered(&conn.shared) {
+        if conn.read_closed && conn.reader.pending_len() == 0 && !has_undelivered(&conn.out) {
             // Clean EOF with nothing outstanding.
             return conn.drained();
         }
@@ -519,7 +436,7 @@ impl EventLoop {
             conn.last_progress = Instant::now();
             conn.mid_request = conn.reader.pending_len() > 0;
             let seq = {
-                let mut out = lock(&conn.shared.out);
+                let mut out = lock(&conn.out);
                 let seq = out.next_seq;
                 out.next_seq += 1;
                 seq
@@ -533,7 +450,7 @@ impl EventLoop {
                 cx_obs::metrics::inc("cx_http_shed_total");
                 let resp = crate::routes::shed_response(&p.request);
                 let keep = p.close_after || conn.read_closed;
-                lock(&conn.shared.out)
+                lock(&conn.out)
                     .slots
                     .insert(seq, Slot::Ready(resp.to_bytes(!keep)));
                 continue;
@@ -543,42 +460,15 @@ impl EventLoop {
                 "cx_http_inflight",
                 (inflight + 1) as i64,
             );
-            lock(&conn.shared.out).slots.insert(seq, Slot::Pending);
-            let conn_shared = Arc::clone(&conn.shared);
+            lock(&conn.out).slots.insert(seq, Slot::Pending);
+            let conn_out = Arc::clone(&conn.out);
             let loop_shared = Arc::clone(shared);
             let handler = Arc::clone(handler);
             let keep_alive = !p.close_after;
             let req = p.request;
             pool.execute(move || {
-                let sink: Arc<ConnSink> = Arc::new(ConnSink {
-                    conn: Arc::clone(&conn_shared),
-                    seq,
-                    loop_shared: Arc::clone(&loop_shared),
-                });
-                let dyn_sink: Arc<dyn StreamSink> = Arc::clone(&sink) as _;
-                // Pre-arm the slot as a stream; a plain response simply
-                // overwrites it.
-                lock(&conn_shared.out).slots.insert(
-                    seq,
-                    Slot::Stream {
-                        buf: Vec::new(),
-                        started: false,
-                        done: false,
-                        last_emit: Instant::now(),
-                    },
-                );
-                match handler(&req, &dyn_sink) {
-                    Some(resp) => {
-                        let bytes = resp.to_bytes(keep_alive);
-                        lock(&conn_shared.out).slots.insert(seq, Slot::Ready(bytes));
-                    }
-                    None => {
-                        let mut out = lock(&conn_shared.out);
-                        if let Some(Slot::Stream { done, .. }) = out.slots.get_mut(&seq) {
-                            *done = true;
-                        }
-                    }
-                }
+                let bytes = handler(&req).to_bytes(keep_alive);
+                lock(&conn_out).slots.insert(seq, Slot::Ready(bytes));
                 loop_shared.inflight.fetch_sub(1, Ordering::Relaxed);
                 loop_shared.wake();
             });
@@ -591,7 +481,7 @@ impl EventLoop {
                 }
             }
             ReadOutcome::Malformed(status, msg) => {
-                let mut out = lock(&conn.shared.out);
+                let mut out = lock(&conn.out);
                 let seq = out.next_seq;
                 out.next_seq += 1;
                 out.slots.insert(seq, Slot::Ready(Response::error(status, msg).to_bytes(false)));
@@ -604,20 +494,10 @@ impl EventLoop {
         false
     }
 
-    /// Moves in-order completed output from the outbox into the socket
-    /// buffer, injecting SSE heartbeats into quiet started streams.
-    fn pump_outbox(conn: &mut Conn, config: &ServerConfig, now: Instant) {
-        let mut out = lock(&conn.shared.out);
-        // Heartbeats keep proxies from timing out a quiet stream.
-        for slot in out.slots.values_mut() {
-            if let Slot::Stream { buf, started: true, done: false, last_emit } = slot {
-                if now.duration_since(*last_emit) >= config.sse_heartbeat {
-                    buf.extend_from_slice(b": heartbeat\n\n");
-                    *last_emit = now;
-                    cx_obs::metrics::inc("cx_http_sse_heartbeats_total");
-                }
-            }
-        }
+    /// Moves in-order completed responses from the outbox into the
+    /// socket buffer.
+    fn pump_outbox(conn: &mut Conn, now: Instant) {
+        let mut out = lock(&conn.out);
         loop {
             let seq = out.next_flush;
             match out.slots.get_mut(&seq) {
@@ -626,23 +506,6 @@ impl EventLoop {
                     out.slots.remove(&seq);
                     out.next_flush += 1;
                     conn.last_progress = now;
-                }
-                Some(Slot::Stream { buf, done, started, .. }) => {
-                    if !buf.is_empty() {
-                        conn.wbuf.append(buf);
-                        conn.last_progress = now;
-                    }
-                    if *done {
-                        // An SSE response carries no Content-Length, so
-                        // the stream's end is the connection's end.
-                        if *started {
-                            conn.close_after_seq = Some(seq);
-                        }
-                        out.slots.remove(&seq);
-                        out.next_flush += 1;
-                    } else {
-                        break;
-                    }
                 }
                 Some(Slot::Pending) | None => break,
             }
@@ -664,7 +527,7 @@ impl EventLoop {
             }
         }
         if conn.wbuf.is_empty() {
-            let out = lock(&conn.shared.out);
+            let out = lock(&conn.out);
             let outstanding = !out.slots.is_empty();
             let past_close = conn
                 .close_after_seq
@@ -685,7 +548,7 @@ impl EventLoop {
         let since = now.duration_since(conn.last_progress);
         if conn.mid_request {
             since >= config.header_timeout
-        } else if !has_undelivered(&conn.shared) && conn.wbuf.is_empty() {
+        } else if !has_undelivered(&conn.out) && conn.wbuf.is_empty() {
             since >= config.idle_timeout
         } else {
             false
@@ -693,24 +556,13 @@ impl EventLoop {
     }
 }
 
-fn has_flushable(shared: &ConnShared) -> bool {
-    let out = lock(&shared.out);
-    match out.slots.get(&out.next_flush) {
-        Some(Slot::Ready(_)) => true,
-        Some(Slot::Stream { buf, done, .. }) => !buf.is_empty() || *done,
-        _ => false,
-    }
+fn has_flushable(out: &Mutex<Outbox>) -> bool {
+    let out = lock(out);
+    matches!(out.slots.get(&out.next_flush), Some(Slot::Ready(_)))
 }
 
-fn has_undelivered(shared: &ConnShared) -> bool {
-    !lock(&shared.out).slots.is_empty()
-}
-
-fn has_live_stream(shared: &ConnShared) -> bool {
-    lock(&shared.out)
-        .slots
-        .values()
-        .any(|s| matches!(s, Slot::Stream { started: true, done: false, .. }))
+fn has_undelivered(out: &Mutex<Outbox>) -> bool {
+    !lock(out).slots.is_empty()
 }
 
 // Re-exported for lib.rs convenience.

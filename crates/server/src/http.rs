@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-pub use crate::event_loop::{ServerConfig, ServerHandle, StreamHandler};
+pub use crate::event_loop::{RequestHandler, ServerConfig, ServerHandle};
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone)]
@@ -229,13 +229,12 @@ impl Response {
     }
 }
 
-/// Binds `addr` with a streaming-capable handler (see
-/// [`crate::routes::StreamSink`]) and runs the event loop in the
-/// background.
-pub fn serve_stream(
+/// Binds `addr` and runs the event loop in the background, answering
+/// every request with `handler`.
+pub fn serve(
     addr: &str,
     config: ServerConfig,
-    handler: Arc<StreamHandler>,
+    handler: Arc<RequestHandler>,
 ) -> std::io::Result<ServerHandle> {
     crate::event_loop::spawn(addr, config, handler)
 }
@@ -261,6 +260,30 @@ mod tests {
         assert_eq!(url_decode("a+b"), "a b");
         assert_eq!(url_decode("100%"), "100%"); // bad escape passes through
         assert_eq!(url_decode("%e4%bd%a0"), "你");
+    }
+
+    /// Percent-encoding every byte but the unreserved ones, then decoding,
+    /// gives the text back; decoding arbitrary text never panics.
+    #[test]
+    fn url_decode_inverts_encoding_and_is_total() {
+        const CHARS: &[char] =
+            &['a', 'Z', '0', ' ', '/', '?', '=', '&', '-', '_', '.', '~', '%', '+', 'é', '你'];
+        let mut rng = cx_par::rng::Rng64::seed_from_u64(5);
+        for _ in 0..2_000 {
+            let len = rng.gen_range(0..32usize);
+            let s: String = (0..len).map(|_| CHARS[rng.gen_range(0..CHARS.len())]).collect();
+            let encoded: String = s
+                .bytes()
+                .map(|b| match b {
+                    b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
+                        char::from(b).to_string()
+                    }
+                    _ => format!("%{b:02X}"),
+                })
+                .collect();
+            assert_eq!(url_decode(&encoded), s, "{encoded}");
+            let _ = url_decode(&s);
+        }
     }
 
     #[test]
@@ -313,16 +336,15 @@ mod tests {
         assert_eq!(r.header("nope"), None);
     }
 
-    /// `serve_stream` with a handler that answers every request framed.
+    /// [`serve`] on an OS-assigned port with one worker.
     fn serve_framed(
         handler: impl Fn(&Request) -> Response + Send + Sync + 'static,
     ) -> ServerHandle {
         let config = ServerConfig { workers: 1, ..ServerConfig::default() };
-        serve_stream("127.0.0.1:0", config, Arc::new(move |req: &Request, _: &_| Some(handler(req))))
-            .unwrap()
+        serve("127.0.0.1:0", config, Arc::new(handler)).unwrap()
     }
 
-    /// Full socket round-trip: serve_stream, raw TCP client.
+    /// Full socket round-trip: serve, raw TCP client.
     #[test]
     fn end_to_end_socket_roundtrip() {
         use std::io::{Read, Write};

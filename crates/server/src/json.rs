@@ -824,6 +824,50 @@ mod tests {
         }
     }
 
+    /// `v` with what the writer cannot give back as written: a `Raw`
+    /// fragment parses as the value it spells, a non-finite number as
+    /// `null`.
+    fn parseable(v: Json) -> Json {
+        match v {
+            Json::Number(n) if !n.is_finite() => Json::Null,
+            Json::Raw(text) => Json::parse(&text).unwrap(),
+            Json::Array(a) => Json::Array(a.into_iter().map(parseable).collect()),
+            Json::Object(m) => Json::Object(m.into_iter().map(|(k, v)| (k, parseable(v))).collect()),
+            v => v,
+        }
+    }
+
+    #[test]
+    fn parse_inverts_the_writer() {
+        let mut rng = Rng(7);
+        for case in 0..3_000 {
+            let tree = parseable(random_tree(&mut rng, 4));
+            let text = tree.to_string();
+            assert_eq!(Json::parse(&text).as_ref(), Ok(&tree), "case {case}: {text}");
+        }
+    }
+
+    /// Any input is an `Ok` or an `Err`, never a panic: arbitrary chars,
+    /// and garbage made of JSON's own punctuation, which reaches the
+    /// recursive paths.
+    #[test]
+    fn parse_is_total() {
+        const SHAPED: &[char] = &[
+            '[', ']', '{', '}', '"', ',', ':', '0', '7', 'a', 'e', 'E', '+', '-', '.', ' ', '\\',
+            'n', 'u', 't',
+        ];
+        let mut rng = Rng(11);
+        for _ in 0..5_000 {
+            let garbage: String = (0..rng.below(64))
+                .map(|_| match rng.below(3) {
+                    0 => char::from_u32(rng.below(0x11_0000) as u32).unwrap_or('\u{fffd}'),
+                    _ => rng.pick(SHAPED),
+                })
+                .collect();
+            let _ = Json::parse(&garbage);
+        }
+    }
+
     #[test]
     fn object_writer_reads_like_the_tree() {
         let mut buf = String::new();

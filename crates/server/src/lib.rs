@@ -11,13 +11,13 @@
 //! * [`http`] — request/response types that are fully testable without
 //!   sockets, over the [`event_loop`] transport: a nonblocking
 //!   `poll(2)`-based event loop (keep-alive, pipelining, per-request
-//!   deadlines, admission control, SSE streaming) dispatching parsed
-//!   requests to a fixed [`cx_par::queue::WorkerPool`]
+//!   deadlines, admission control) dispatching parsed requests to a
+//!   fixed [`cx_par::queue::WorkerPool`]
 //!   ([`conn`] holds the per-connection read/write state machines);
 //! * [`routes`] — the REST API over a shared [`cx_explorer::Engine`]:
 //!   one table, [`routes::ENDPOINTS`], lists every path the server
-//!   answers, and one function, [`routes::route`], answers all of them —
-//!   the event loop and [`Server::handle`] both call it, so a test, the
+//!   answers, and one function, [`routes::route`], answers all of them
+//!   with one framed response per request — the event loop and [`Server::handle`] both call it, so a test, the
 //!   fuzzer and a socket client execute the same code. The engine needs
 //!   no outer lock: read handlers pin an immutable graph snapshot
 //!   (`Engine::snapshot`) and run lock-free; write handlers
@@ -45,51 +45,11 @@ pub use event_loop::{ServerConfig, ServerHandle};
 pub use http::{Request, Response};
 pub use json::Json;
 
-use std::sync::{Arc, Mutex};
-
-use routes::StreamSink;
+use std::sync::Arc;
 
 /// The C-Explorer web server: a shared snapshot engine plus the HTTP loop.
 pub struct Server {
     engine: Arc<cx_explorer::Engine>,
-}
-
-/// The in-memory [`StreamSink`] behind [`Server::handle`]: keeps the
-/// stream head's extra headers and the SSE frames. Nothing panics while
-/// holding its locks.
-#[derive(Default)]
-struct BufferSink {
-    headers: Mutex<Vec<(String, String)>>,
-    frames: Mutex<Vec<u8>>,
-}
-
-impl BufferSink {
-    /// Runs `answer` with a fresh buffer for a sink. A framed answer is
-    /// returned as is; a streamed one comes back as one finished
-    /// `text/event-stream` response with the frames for a body.
-    fn collect(answer: impl FnOnce(&Arc<dyn StreamSink>) -> Option<Response>) -> Response {
-        let sink = Arc::new(BufferSink::default());
-        let dyn_sink: Arc<dyn StreamSink> = Arc::clone(&sink) as _;
-        answer(&dyn_sink).unwrap_or_else(|| {
-            let headers = std::mem::take(&mut *sink.headers.lock().expect("never poisoned"));
-            let frames = std::mem::take(&mut *sink.frames.lock().expect("never poisoned"));
-            Response { headers, ..Response::with_body("text/event-stream", frames) }
-        })
-    }
-}
-
-impl StreamSink for BufferSink {
-    fn start(&self, extra_headers: &[(String, String)]) {
-        *self.headers.lock().expect("never poisoned") = extra_headers.to_vec();
-    }
-
-    fn emit(&self, chunk: &[u8]) -> bool {
-        self.frames.lock().expect("never poisoned").extend_from_slice(chunk);
-        true
-    }
-
-    // Nothing can disconnect from a buffer.
-    fn register_cancel(&self, _token: &cx_par::task::CancelToken) {}
 }
 
 impl Server {
@@ -114,12 +74,8 @@ impl Server {
     /// What both [`Server::handle`] and the event loop run per request:
     /// [`routes::route`] under the `CX_AUTH_TOKEN` policy, then the
     /// compaction check.
-    fn answer(
-        engine: &Arc<cx_explorer::Engine>,
-        req: &Request,
-        sink: &Arc<dyn StreamSink>,
-    ) -> Option<Response> {
-        let resp = routes::route(engine, req, sink, routes::env_auth_token());
+    fn answer(engine: &Arc<cx_explorer::Engine>, req: &Request) -> Response {
+        let resp = routes::route(engine, req, routes::env_auth_token());
         // Writes grow the WAL; check the compaction trigger after, not
         // during, the request (the check is two atomic loads when idle).
         if req.method == "POST" {
@@ -129,24 +85,21 @@ impl Server {
     }
 
     /// Handles one parsed request without a socket — what the unit tests,
-    /// the fuzzer and the benchmark's traced replay drive. A streamed
-    /// answer comes back whole: status 200, `text/event-stream`, the SSE
-    /// frames as the body.
+    /// the fuzzer and the benchmark's traced replay drive.
     pub fn handle(&self, req: &Request) -> Response {
-        BufferSink::collect(|sink| Self::answer(&self.engine, req, sink))
+        Self::answer(&self.engine, req)
     }
 
     /// The handler closure the event loop runs.
-    fn stream_handler(&self) -> Arc<http::StreamHandler> {
+    fn handler(&self) -> Arc<http::RequestHandler> {
         let engine = Arc::clone(&self.engine);
-        Arc::new(move |req: &Request, sink: &Arc<dyn StreamSink>| Self::answer(&engine, req, sink))
+        Arc::new(move |req: &Request| Self::answer(&engine, req))
     }
 
     /// Binds `addr` and serves forever (default event-loop config,
     /// 4 workers).
     pub fn serve(&self, addr: &str) -> std::io::Result<()> {
-        let mut handle =
-            http::serve_stream(addr, ServerConfig::default(), self.stream_handler())?;
+        let mut handle = http::serve(addr, ServerConfig::default(), self.handler())?;
         handle.wait();
         Ok(())
     }
@@ -161,8 +114,8 @@ impl Server {
     }
 
     /// [`Server::serve_background`] with an explicit transport config
-    /// (connection caps, in-flight budget, timeouts, heartbeat cadence).
+    /// (connection caps, in-flight budget, timeouts).
     pub fn serve_background_with(&self, config: ServerConfig) -> std::io::Result<ServerHandle> {
-        http::serve_stream("127.0.0.1:0", config, self.stream_handler())
+        http::serve("127.0.0.1:0", config, self.handler())
     }
 }

@@ -1,7 +1,7 @@
 //! Transport-level conformance tests for the poll(2) event loop: HTTP
-//! keep-alive and pipelining, slow-loris defense, SSE streaming (framing,
-//! heartbeats, client disconnect), per-request deadlines, admission
-//! control, bearer auth over the wire, and graceful shutdown drain.
+//! keep-alive and pipelining, slow-loris defense, per-request deadlines,
+//! admission control, bearer auth over the wire, and graceful shutdown
+//! drain.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -10,8 +10,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cx_explorer::Engine;
-use cx_server::http::serve_stream;
-use cx_server::routes::StreamSink;
+use cx_server::http::serve;
 use cx_server::{Json, Request, Response, Server, ServerConfig};
 
 fn fig5_server() -> Server {
@@ -125,113 +124,6 @@ fn slow_loris_is_cut_off_by_the_header_deadline() {
 }
 
 #[test]
-fn detect_stream_emits_progress_then_result_frames() {
-    let server = fig5_server();
-    let handle = server.serve_background().unwrap();
-    let mut stream = TcpStream::connect(("127.0.0.1", handle.port())).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    write!(
-        stream,
-        "GET /api/v1/detect_stream?algo=louvain&graph=fig5 HTTP/1.1\r\nHost: x\r\n\r\n"
-    )
-    .unwrap();
-    // The stream is delimited by connection close, not Content-Length.
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).unwrap();
-    let (head, body) = raw.split_once("\r\n\r\n").unwrap();
-    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-    let head_lower = head.to_ascii_lowercase();
-    assert!(head_lower.contains("content-type: text/event-stream"), "{head}");
-    assert!(head_lower.contains("connection: close"), "SSE pins the connection:\n{head}");
-    assert!(head_lower.contains("x-request-id:"), "{head}");
-
-    let frames: Vec<&str> = body.split("\n\n").filter(|f| !f.trim().is_empty()).collect();
-    assert!(
-        frames.iter().any(|f| f.starts_with("event: progress")),
-        "at least one progress frame:\n{body}"
-    );
-    let last = frames.last().unwrap();
-    assert!(last.starts_with("event: result"), "terminal frame is the result:\n{body}");
-    let data = last.lines().find_map(|l| l.strip_prefix("data: ")).unwrap();
-    let v = Json::parse(data).unwrap();
-    assert_eq!(v.get("algo").and_then(Json::as_str), Some("louvain"));
-    assert!(v.get("communities").and_then(Json::as_array).is_some(), "{data}");
-    assert!(v.get("elapsed_ms").and_then(Json::as_f64).is_some(), "{data}");
-    // Every progress frame is well-formed {phase, done, total}.
-    for f in frames.iter().filter(|f| f.starts_with("event: progress")) {
-        let d = f.lines().find_map(|l| l.strip_prefix("data: ")).unwrap();
-        let p = Json::parse(d).unwrap();
-        assert!(p.get("phase").and_then(Json::as_str).is_some(), "{d}");
-        assert!(p.get("done").and_then(Json::as_f64).is_some(), "{d}");
-    }
-}
-
-/// A transport config + handler where the stream stays quiet long enough
-/// for heartbeats to be the only traffic.
-#[test]
-fn quiet_streams_carry_comment_heartbeats() {
-    let handler: Arc<cx_server::http::StreamHandler> =
-        Arc::new(move |_req: &Request, sink: &Arc<dyn StreamSink>| {
-            sink.start(&[]);
-            std::thread::sleep(Duration::from_millis(400));
-            sink.emit(b"event: result\ndata: {}\n\n");
-            None
-        });
-    let config = ServerConfig {
-        workers: 1,
-        sse_heartbeat: Duration::from_millis(60),
-        ..ServerConfig::default()
-    };
-    let handle = serve_stream("127.0.0.1:0", config, handler).unwrap();
-    let mut stream = TcpStream::connect(("127.0.0.1", handle.port())).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    write!(stream, "GET /quiet HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).unwrap();
-    let (_, body) = raw.split_once("\r\n\r\n").unwrap();
-    let heartbeats = body.matches(": heartbeat\n\n").count();
-    assert!(heartbeats >= 2, "400ms of silence at 60ms cadence → heartbeats, got:\n{body}");
-    assert!(body.trim_end().ends_with("data: {}"), "the real frame still arrives:\n{body}");
-}
-
-#[test]
-fn client_disconnect_mid_stream_cancels_the_producer() {
-    let observed_gone = Arc::new(AtomicBool::new(false));
-    let handler: Arc<cx_server::http::StreamHandler> = {
-        let observed_gone = Arc::clone(&observed_gone);
-        Arc::new(move |_req: &Request, sink: &Arc<dyn StreamSink>| {
-            let token = cx_par::task::CancelToken::manual();
-            sink.register_cancel(&token);
-            sink.start(&[]);
-            for _ in 0..200 {
-                if token.is_cancelled() || !sink.emit(b"event: tick\ndata: 1\n\n") {
-                    observed_gone.store(true, Ordering::SeqCst);
-                    return None;
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            None
-        })
-    };
-    let config = ServerConfig { workers: 1, ..ServerConfig::default() };
-    let handle = serve_stream("127.0.0.1:0", config, handler).unwrap();
-    {
-        let mut stream = TcpStream::connect(("127.0.0.1", handle.port())).unwrap();
-        write!(stream, "GET /ticks HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-        let mut buf = [0u8; 64];
-        let _ = stream.read(&mut buf); // at least the head has arrived
-    } // client hangs up mid-stream
-    let t0 = Instant::now();
-    while !observed_gone.load(Ordering::SeqCst) {
-        assert!(
-            t0.elapsed() < Duration::from_secs(5),
-            "producer must learn of the disconnect via emit()/cancel token"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-#[test]
 fn tight_deadline_returns_typed_408_over_the_wire() {
     // Big enough that detection cannot finish inside 1ms.
     let (g, _) = cx_datagen::dblp_like(&cx_datagen::DblpParams::scaled(4000, 11));
@@ -258,9 +150,9 @@ fn tight_deadline_returns_typed_408_over_the_wire() {
 fn overload_sheds_with_503_and_retry_after() {
     let inflight = Arc::new(AtomicUsize::new(0));
     let release = Arc::new(AtomicBool::new(false));
-    let handler: Arc<cx_server::http::StreamHandler> = {
+    let handler: Arc<cx_server::http::RequestHandler> = {
         let (inflight, release) = (Arc::clone(&inflight), Arc::clone(&release));
-        Arc::new(move |_req: &Request, _sink: &Arc<dyn StreamSink>| {
+        Arc::new(move |_req: &Request| {
             inflight.fetch_add(1, Ordering::SeqCst);
             // Hold the slot until the test has read every shed answer
             // (capped, so a failing test cannot wedge the worker).
@@ -268,11 +160,11 @@ fn overload_sheds_with_503_and_retry_after() {
             while !release.load(Ordering::SeqCst) && t0.elapsed() < Duration::from_secs(20) {
                 std::thread::sleep(Duration::from_millis(5));
             }
-            Some(Response::json(&Json::str("slow but fine")))
+            Response::json(&Json::str("slow but fine"))
         })
     };
     let config = ServerConfig { workers: 2, max_inflight: 1, ..ServerConfig::default() };
-    let handle = serve_stream("127.0.0.1:0", config, handler).unwrap();
+    let handle = serve("127.0.0.1:0", config, handler).unwrap();
     let port = handle.port();
 
     // Occupy the single admission slot…
@@ -321,13 +213,11 @@ fn overload_sheds_with_503_and_retry_after() {
 #[test]
 fn bearer_auth_is_enforced_over_the_wire() {
     let engine = Arc::new(Engine::with_graph("fig5", cx_datagen::figure5_graph()));
-    let handler: Arc<cx_server::http::StreamHandler> = {
+    let handler: Arc<cx_server::http::RequestHandler> = {
         let engine = Arc::clone(&engine);
-        Arc::new(move |req: &Request, sink: &Arc<dyn StreamSink>| {
-            cx_server::routes::route(&engine, req, sink, Some("sekrit"))
-        })
+        Arc::new(move |req: &Request| cx_server::routes::route(&engine, req, Some("sekrit")))
     };
-    let handle = serve_stream("127.0.0.1:0", ServerConfig::default(), handler).unwrap();
+    let handle = serve("127.0.0.1:0", ServerConfig::default(), handler).unwrap();
     let port = handle.port();
 
     let get = |auth: Option<&str>| -> (u16, String) {
@@ -362,13 +252,13 @@ fn bearer_auth_is_enforced_over_the_wire() {
 
 #[test]
 fn shutdown_drains_inflight_responses_then_refuses_connections() {
-    let handler: Arc<cx_server::http::StreamHandler> =
-        Arc::new(move |_req: &Request, _sink: &Arc<dyn StreamSink>| {
+    let handler: Arc<cx_server::http::RequestHandler> =
+        Arc::new(move |_req: &Request| {
             std::thread::sleep(Duration::from_millis(300));
-            Some(Response::json(&Json::str("drained")))
+            Response::json(&Json::str("drained"))
         });
     let config = ServerConfig { workers: 1, ..ServerConfig::default() };
-    let mut handle = serve_stream("127.0.0.1:0", config, handler).unwrap();
+    let mut handle = serve("127.0.0.1:0", config, handler).unwrap();
     let port = handle.port();
 
     let client = std::thread::spawn(move || {

@@ -12,21 +12,7 @@
 use std::sync::Arc;
 
 use cx_explorer::Engine;
-use cx_server::routes::StreamSink;
 use cx_server::{Request, Server};
-
-/// The sink for a request that must be refused before it can stream.
-struct NeverStreams;
-
-impl StreamSink for NeverStreams {
-    fn start(&self, _: &[(String, String)]) {
-        panic!("a refused request must not start a stream");
-    }
-    fn emit(&self, _: &[u8]) -> bool {
-        panic!("a refused request must not stream");
-    }
-    fn register_cancel(&self, _: &cx_par::task::CancelToken) {}
-}
 
 /// Sums every `cx_http_requests_total{class=...}` sample in an
 /// exposition body, and reads `cx_http_request_duration_us_count`.
@@ -84,10 +70,9 @@ fn metrics_totals_match_requests_issued_under_concurrency() {
     assert_eq!(req1, req0 + n + 1, "request counter must match requests issued");
     assert_eq!(dur1, dur0 + n + 1, "duration histogram count must match");
 
-    // Streamed answers pass the same chokepoint: a detect_stream that
-    // streams, one that fails before the stream head, and one refused
-    // with a 401 each count as exactly one request. Every scrape sees
-    // the previous scrape plus the one request in between.
+    // A detect that answers, one that fails, and one refused with a 401
+    // each count as exactly one request. Every scrape sees the previous
+    // scrape plus the one request in between.
     let mut seen = (req1, dur1);
     let mut counted_once = |what: &str, status: u16, want: u16| {
         assert_eq!(status, want, "{what}");
@@ -99,17 +84,16 @@ fn metrics_totals_match_requests_issued_under_concurrency() {
         );
         seen = now;
     };
-    let stream = Request::get("/api/v1/detect_stream");
-    counted_once("streamed", s.handle(&stream).status, 200);
-    let unknown = s.handle(&Request::get("/api/v1/detect_stream?algo=nope"));
-    counted_once("pre-stream 4xx", unknown.status, 404);
-    let never: Arc<dyn StreamSink> = Arc::new(NeverStreams);
-    let refused = cx_server::routes::route(&s.engine(), &stream, &never, Some("sekrit")).unwrap();
+    let detect = Request::get("/api/v1/detect?algo=louvain");
+    counted_once("answered", s.handle(&detect).status, 200);
+    let unknown = s.handle(&Request::get("/api/v1/detect?algo=nope"));
+    counted_once("4xx", unknown.status, 404);
+    let refused = cx_server::routes::route(&s.engine(), &detect, Some("sekrit"));
     counted_once("401", refused.status, 401);
     let scrape = s.handle(&Request::get("/metrics")).text();
     assert!(
-        scrape.contains("cx_route_duration_us_count{endpoint=\"detect_stream\"}"),
-        "SSE requests must have a per-route latency series:\n{scrape}"
+        scrape.contains("cx_route_duration_us_count{endpoint=\"detect\"}"),
+        "detect requests must have a per-route latency series:\n{scrape}"
     );
 
     // The write-path metrics share the same process-global registry, so

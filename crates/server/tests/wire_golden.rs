@@ -1,17 +1,11 @@
 //! The wire format, frozen: one representative request per endpoint plus
-//! one error per error shape (envelope, `search_batch` item, plain, SSE
-//! `error` frame), each compared byte for byte with
-//! `tests/golden/wire.txt`. Only the fields that carry wall-clock or
-//! process-global values are masked (see [`MASKED`]).
-//!
-//! Framed requests go through `Server::handle`; the two SSE cases go over
-//! a real socket, so the file pins what a client actually reads.
+//! one error per error shape (envelope, `search_batch` item, plain), each
+//! compared byte for byte with `tests/golden/wire.txt`. Only the fields
+//! that carry wall-clock or process-global values are masked (see
+//! [`MASKED`]).
 //!
 //! To re-bless after an intended wire change, delete the golden file and
 //! run this test once: it writes the file and fails, asking for a rerun.
-
-use std::io::{Read, Write};
-use std::net::TcpStream;
 
 use cx_explorer::{Engine, Profile};
 use cx_graph::VertexId;
@@ -57,8 +51,7 @@ fn server() -> Server {
             [(VertexId(0), profile("A", "databases")), (VertexId(1), profile("B", "graphs"))],
         )
         .unwrap();
-    // Big enough that a 1 ms deadline always fires mid-detection: the one
-    // way to reach an SSE `error` frame.
+    // A second graph, so `graphs` lists more than one.
     let (big, _) = cx_datagen::dblp_like(&cx_datagen::DblpParams::scaled(4000, 11));
     engine.add_graph("dblp", big);
     Server::new(engine)
@@ -67,29 +60,6 @@ fn server() -> Server {
 /// The response as the golden file records it.
 fn record(resp: &Response) -> String {
     format!("{} {}\n{}", resp.status, resp.content_type, mask(&resp.text()))
-}
-
-/// One GET over a real socket, read to connection close; returns the
-/// status line's code, the `Content-Type` and the body.
-fn over_socket(port: u16, target: &str) -> String {
-    let mut stream = TcpStream::connect(("127.0.0.1", port)).unwrap();
-    write!(stream, "GET {target} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).unwrap();
-    let (head, body) = raw.split_once("\r\n\r\n").unwrap();
-    let status = head.split_whitespace().nth(1).unwrap();
-    let content_type = head
-        .lines()
-        .find_map(|l| l.strip_prefix("Content-Type: "))
-        .unwrap_or_else(|| panic!("no content type:\n{head}"));
-    format!("{status} {content_type}\n{}", mask(body))
-}
-
-/// The terminal frame of an SSE transcript (status line kept).
-fn terminal_frame(transcript: &str) -> String {
-    let (head, body) = transcript.split_once('\n').unwrap();
-    let last = body.trim_end_matches('\n').rsplit("\n\n").next().unwrap();
-    format!("{head}\n{last}\n\n")
 }
 
 /// Every case, in order, as `(name, recorded response)`. The order
@@ -144,7 +114,6 @@ fn transcript() -> Vec<(&'static str, String)> {
     out.push(("svg_level", record(&get("/api/v1/svg?level=1&max_nodes=50"))));
     out.push(("svg_supernode", record(&get("/api/v1/svg?supernode=2&max_nodes=3"))));
     out.push(("compare", record(&get("/api/v1/compare?name=A&k=2&algos=global,local,acq"))));
-    out.push(("chart", record(&get("/api/v1/chart?name=A&k=2&algos=global,acq"))));
     out.push(("detect", record(&get("/api/v1/detect?algo=codicil&limit=2"))));
     out.push(("profile", record(&get("/api/v1/profile?id=1"))));
     out.push(("hierarchy_level", record(&get("/api/v1/hierarchy?level=1&limit=5"))));
@@ -186,22 +155,6 @@ fn transcript() -> Vec<(&'static str, String)> {
     out.push(("plain_unknown_path", record(&get("/nope"))));
     out.push(("plain_retired_namespace", record(&get("/api/search?name=A"))));
     out.push(("plain_method", record(&s.handle(&Request::post("/healthz", "")))));
-
-    // SSE, over a real socket: the whole stream, then the terminal frame
-    // of a run whose deadline fires, then a failure before the stream head.
-    {
-        let handle = s.serve_background().unwrap();
-        let port = handle.port();
-        out.push(("sse", over_socket(port, "/api/v1/detect_stream?algo=louvain&graph=fig5&limit=2")));
-        out.push((
-            "sse_error_frame",
-            terminal_frame(&over_socket(
-                port,
-                "/api/v1/detect_stream?algo=louvain&graph=dblp&timeout_ms=1",
-            )),
-        ));
-        out.push(("sse_pre_stream_error", over_socket(port, "/api/v1/detect_stream?algo=nope")));
-    }
 
     // Writes last: they move the generation.
     out.push((
