@@ -12,11 +12,12 @@
 //! optimal circle's radius is at least half the distance from q to its
 //! farthest community member).
 //!
-//! Only the candidates the caller passes are sorted and probed. The
-//! engine passes q's connected k-core, one preorder interval of the
-//! CL-tree: a k-core found inside any disk lies inside that core, so
-//! restricting to it changes no answer and bounds every probe by the
-//! core's size instead of n.
+//! Only the candidates the caller passes are sorted and probed. Passing
+//! q's connected k-core, one preorder interval of the CL-tree, changes
+//! no answer — a k-core found inside any disk lies inside that core —
+//! and bounds every probe by the core's size instead of n. It is library
+//! code, not a registered engine name: no served graph carries
+//! coordinates.
 //!
 //! Coordinates live *beside* the attributed graph (a parallel slice), so
 //! the substrate stays attribute-agnostic; generators in `cx-datagen`

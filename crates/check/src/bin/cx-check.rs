@@ -24,10 +24,11 @@
 //!    fresh `detect` holding it; for every registered CS algorithm and
 //!    workload query, the engine's CPJ and CMF vs. their all-pairs
 //!    definitions, bit for bit; and for every workload query vertex and
-//!    k in 0..=core(q)+1, the engine's `global`, `kecc` and `sac` (which
-//!    start from the CL-tree interval) vs. their whole-graph-peel
-//!    references, with `local` on the same legs held to Global's answer
-//!    (the summary line counts those Local legs; zero is a failure).
+//!    k in 0..=core(q)+1, the engine's `global` and `kecc` (which start
+//!    from the CL-tree interval) vs. their whole-graph-peel references,
+//!    `sac_appinc` over that interval vs. over all n vertices, with
+//!    `local` on the same legs held to Global's answer (the summary line
+//!    counts those Local legs; zero is a failure).
 //! 5. **Snapshot differential** — a reader pinned to a pre-edit snapshot
 //!    vs. the post-edit snapshot: each must match an engine that only
 //!    ever saw that graph version, and generations must advance.

@@ -74,7 +74,8 @@ pub struct KillReplayReport {
     pub truncations: usize,
     /// Cases that flipped a single bit of the WAL.
     pub bitflips: usize,
-    /// Cases that damaged the index sidecar, by [`SidecarDamage`] order.
+    /// Cases that damaged the index sidecar: missing, cut short,
+    /// bit-flipped, foreign.
     pub sidecar_cases: [usize; 4],
     /// Cases that left a torn checkpoint for the next compaction.
     pub torn_checkpoints: usize,

@@ -23,7 +23,8 @@
 //!   The oracle runs both sides and diffs canonicalized results. The
 //!   engine's CPJ and CMF must equal their pair-by-pair definitions
 //!   bit for bit, and the structural searches it answers from a CL-tree
-//!   interval (`global`, `kecc`, `sac`) their whole-graph-peel references.
+//!   interval (`global`, `kecc`) their whole-graph-peel references, as
+//!   must `sac_appinc` run over that interval.
 //! * [`hierarchy`] — the reconstruction oracle for the multi-resolution
 //!   summary: at every level, recursively expanding the level's
 //!   supernodes must reproduce the exact vertex set and edge multiset of

@@ -278,15 +278,17 @@ pub fn analysis_vs_pairs(g: &AttributedGraph, queries: &[QueryCase]) -> Vec<Mism
     mismatches
 }
 
-/// Structural-search oracle: the engine's `global`, `kecc` and `sac` start
-/// from q's connected k-core as one CL-tree interval, and must answer
-/// exactly what their whole-graph references answer, for every distinct
-/// vertex of `queries` and every k in `0..=core(q) + 1`:
+/// Structural-search oracle: the engine's `global` and `kecc` start from
+/// q's connected k-core as one CL-tree interval, and must answer exactly
+/// what their whole-graph references answer, for every distinct vertex of
+/// `queries` and every k in `0..=core(q) + 1`:
 ///
 /// * `global` — [`Global::fixed_k`], a peel of all n vertices;
-/// * `kecc` — [`kecc_community`] inside that peeled core;
-/// * `sac` — [`sac_appinc`] over all n vertices, on seeded coordinates
-///   installed in the engine first.
+/// * `kecc` — [`kecc_community`] inside that peeled core.
+///
+/// [`sac_appinc`] is held to the same property directly, on seeded
+/// coordinates: run over the interval, it answers what it answers over
+/// all n vertices.
 ///
 /// On the same legs, [`Local::fixed_k`] is held to Global's answer: its
 /// community must pass [`check_community`] and lie inside Global's, and
@@ -298,7 +300,6 @@ pub fn structural_vs_peel(g: &AttributedGraph, queries: &[VertexId]) -> (Vec<Mis
     let coords: Vec<(f64, f64)> =
         g.vertices().map(|_| (rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0))).collect();
     let engine = Engine::with_graph("check", g.clone());
-    engine.set_coordinates(None, coords.clone()).expect("one coordinate per vertex");
     let snap = engine.snapshot(None).expect("the engine was built with one graph");
     let cores = CoreDecomposition::compute(g);
     let all: Vec<VertexId> = g.vertices().collect();
@@ -336,8 +337,14 @@ pub fn structural_vs_peel(g: &AttributedGraph, queries: &[VertexId]) -> (Vec<Mis
                 mismatches.push(Mismatch { oracle: "structural", context, detail });
             }
             let kecc = core.as_ref().and_then(|c| kecc_community(g, c.vertices(), q, k));
-            let sac = sac_appinc(g, &coords, &all, q, k).map(|s| s.community);
-            for (algo, want) in [("global", core), ("kecc", kecc), ("sac", sac)] {
+            let sac = |candidates: &[VertexId]| {
+                sac_appinc(g, &coords, candidates, q, k).map(|s| s.community).into_iter().collect()
+            };
+            let interval = snap.tree.connected_k_core(q, k).map_or_else(Vec::new, |c| sac(&c));
+            if let Some(detail) = diff_results("interval", &interval, "all", &sac(&all)) {
+                mismatches.push(Mismatch { oracle: "structural", context: context("sac"), detail });
+            }
+            for (algo, want) in [("global", core), ("kecc", kecc)] {
                 let want: Vec<Community> = want.into_iter().collect();
                 let detail = match engine.search_snapshot(&snap, algo, &QuerySpec::by_id(q).k(k)) {
                     Ok(got) => diff_results("index", &got, "peel", &want),
@@ -551,7 +558,7 @@ pub struct TreeBranches {
 }
 
 /// Scratch-reuse oracle for the zero-alloc query path: a reused
-/// [`QueryScratch`]/[`QueryAnswer`] pair must leave no residue between
+/// [`cx_acq::QueryScratch`]/[`cx_acq::QueryAnswer`] pair must leave no residue between
 /// queries, and the thread-pool gate must not change answers.
 ///
 /// For each strategy, four executions of the same query must agree:
@@ -559,7 +566,7 @@ pub struct TreeBranches {
 /// 1. the public [`acq`] entry (per-thread pooled scratch) at
 ///    `CX_THREADS=1` — the reference,
 /// 2. an immediate pooled repeat (the pool is now warm and dirty),
-/// 3. a caller-managed pair driven through [`acq_with_scratch`] twice —
+/// 3. a caller-managed pair driven through [`cx_acq::acq_with_scratch`] twice —
 ///    the *second* answer is compared, so stale hits, counters or
 ///    candidate buffers left by the first run would surface,
 /// 4. the same reused pair again at `CX_THREADS=8`, crossing the

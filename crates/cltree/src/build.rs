@@ -10,7 +10,7 @@
 //!
 //! ## The vertex side, stored once
 //!
-//! A finished node list goes through [`layout`], which writes every
+//! A finished node list goes through `layout`, which writes every
 //! vertex exactly once into `order` — each node's residents (ascending),
 //! followed by its children's subtrees — so a subtree is one contiguous
 //! *rank* interval. The keyword side is a single CSR postings column over

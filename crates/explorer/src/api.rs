@@ -15,10 +15,6 @@ pub struct GraphContext<'a> {
     pub graph: &'a AttributedGraph,
     /// The CL-tree index over `graph`.
     pub tree: &'a ClTree,
-    /// Vertex coordinates, when installed via
-    /// [`crate::Engine::set_coordinates`] (consumed by spatial-aware
-    /// algorithms such as `sac`; `None` for purely topological graphs).
-    pub coords: Option<&'a [(f64, f64)]>,
 }
 
 /// A community-*search* algorithm: query-based, online.
@@ -112,30 +108,6 @@ impl CsAlgorithm for KTrussAlgorithm {
     }
 }
 
-/// Spatial-aware community search behind the trait: the smallest
-/// query-centred disk containing a connected k-core (AppInc), probed
-/// over q's connected k-core only. Returns nothing when the graph has no
-/// installed coordinates.
-pub struct SacAlgorithm;
-
-impl CsAlgorithm for SacAlgorithm {
-    fn name(&self) -> &str {
-        "sac"
-    }
-
-    fn search(&self, ctx: &GraphContext<'_>, qs: &[VertexId], spec: &QuerySpec) -> Vec<Community> {
-        let (Some(&q), Some(coords)) = (qs.first(), ctx.coords) else {
-            return Vec::new();
-        };
-        ctx.tree
-            .connected_k_core(q, spec.k)
-            .and_then(|core| cx_algos::sac_appinc(ctx.graph, coords, &core, q, spec.k))
-            .map(|s| s.community)
-            .into_iter()
-            .collect()
-    }
-}
-
 /// k-edge-connected community search behind the trait, run inside q's
 /// connected k-core.
 pub struct KEccAlgorithm;
@@ -198,7 +170,7 @@ mod tests {
     fn acq_adapter_runs_paper_example() {
         let g = figure5_graph();
         let tree = ClTree::build(&g);
-        let ctx = GraphContext { graph: &g, tree: &tree, coords: None };
+        let ctx = GraphContext { graph: &g, tree: &tree };
         let q = g.vertex_by_label("A").unwrap();
         let spec = QuerySpec::by_label("A").k(2);
         let out = AcqAlgorithm.search(&ctx, &[q], &spec);
@@ -219,7 +191,7 @@ mod tests {
     fn empty_query_vector_is_harmless() {
         let g = figure5_graph();
         let tree = ClTree::build(&g);
-        let ctx = GraphContext { graph: &g, tree: &tree, coords: None };
+        let ctx = GraphContext { graph: &g, tree: &tree };
         let spec = QuerySpec::by_label("A");
         assert!(AcqAlgorithm.search(&ctx, &[], &spec).is_empty());
         assert!(GlobalAlgorithm.search(&ctx, &[], &spec).is_empty());

@@ -3,8 +3,8 @@
 //! # Snapshot concurrency model
 //!
 //! Every graph lives in the engine as one immutable [`GraphSnapshot`]
-//! behind an `Arc`: the attributed graph, its CL-tree index, profiles,
-//! coordinates, and a per-graph generation number, all frozen when the
+//! behind an `Arc`: the attributed graph, its CL-tree index, profiles and
+//! a per-graph generation number, all frozen when the
 //! snapshot is built. A lightweight registry (`Mutex<HashMap>`) maps graph
 //! names to the *current* snapshot Arc.
 //!
@@ -37,7 +37,7 @@ use cx_par::task::CancelToken;
 
 use crate::api::{
     AcqAlgorithm, CdAlgorithm, CodicilAlgorithm, CsAlgorithm, GlobalAlgorithm, KEccAlgorithm,
-    KTrussAlgorithm, LocalAlgorithm, LouvainAlgorithm, SacAlgorithm,
+    KTrussAlgorithm, LocalAlgorithm, LouvainAlgorithm,
 };
 use crate::cache::{CacheStats, QueryKey, ShardedCache, DEFAULT_CAPACITY};
 use crate::error::ExplorerError;
@@ -210,7 +210,6 @@ impl Engine {
         e.register_cs(Box::new(LocalAlgorithm));
         e.register_cs(Box::new(KTrussAlgorithm));
         e.register_cs(Box::new(KEccAlgorithm));
-        e.register_cs(Box::new(SacAlgorithm));
         e.register_cd(Box::new(CodicilAlgorithm::default()));
         e.register_cd(Box::new(LouvainAlgorithm::default()));
         e
@@ -584,7 +583,7 @@ mod tests {
     #[test]
     fn builtins_are_registered() {
         let e = engine();
-        assert_eq!(e.cs_names(), vec!["acq", "global", "local", "ktruss", "kecc", "sac"]);
+        assert_eq!(e.cs_names(), vec!["acq", "global", "local", "ktruss", "kecc"]);
         assert_eq!(e.cd_names(), vec!["codicil", "louvain"]);
         assert_eq!(e.graph_names(), vec!["fig5"]);
         assert_eq!(e.default_graph_name().as_deref(), Some("fig5"));
@@ -1098,45 +1097,5 @@ mod cache_tests {
         assert!(e.search("nope", &QuerySpec::by_label("A")).is_err());
         let s = e.cache_stats();
         assert_eq!(s.len, 0);
-    }
-}
-
-#[cfg(test)]
-mod spatial_tests {
-    use super::*;
-    use crate::query::QuerySpec;
-    use cx_datagen::figure5_graph;
-
-    #[test]
-    fn sac_requires_coordinates() {
-        let e = Engine::with_graph("fig5", figure5_graph());
-        // Without coordinates the sac algorithm returns nothing.
-        let none = e.search("sac", &QuerySpec::by_label("A").k(2)).unwrap();
-        assert!(none.is_empty());
-        // Wrong coordinate count is rejected.
-        assert!(matches!(
-            e.set_coordinates(None, vec![(0.0, 0.0)]),
-            Err(ExplorerError::BadQuery(_))
-        ));
-        // With coordinates the query answers: put the K4 near A and the
-        // rest far away; the spatial community is the K4.
-        let snap = e.snapshot(None).unwrap();
-        let coords: Vec<(f64, f64)> = snap
-            .vertices()
-            .map(|v| if v.0 <= 3 { (v.0 as f64, 0.0) } else { (1000.0 + v.0 as f64, 0.0) })
-            .collect();
-        e.set_coordinates(None, coords).unwrap();
-        let out = e.search("sac", &QuerySpec::by_label("A").k(2)).unwrap();
-        assert_eq!(out.len(), 1);
-        // The smallest disk around A with a 2-core is the A-B-C triangle
-        // (the K4 minus its farthest vertex) — strictly tighter than the
-        // full K4, and far from the distant vertices.
-        assert_eq!(out[0].len(), 3);
-        let snap = e.snapshot(None).unwrap();
-        assert!(out[0].vertices().iter().all(|&v| v.0 <= 3), "{:?}", out[0].labels(&snap.graph));
-        assert!(matches!(
-            e.set_coordinates(Some("ghost"), vec![]),
-            Err(ExplorerError::UnknownGraph(_))
-        ));
     }
 }

@@ -51,7 +51,6 @@ impl Engine {
                 Arc::clone(&rg.graph),
                 Arc::new(tree),
                 Arc::new(profiles),
-                rg.coords.clone().map(Arc::new),
                 rg.generation,
             ));
         }
@@ -131,7 +130,6 @@ impl Engine {
                         generation: s.generation,
                         graph: Arc::clone(&s.graph),
                         profiles,
-                        coords: s.coords.as_ref().map(|c| (**c).clone()),
                         index: Some(index),
                     }
                 })

@@ -30,9 +30,6 @@ pub struct GraphSnapshot {
     /// store. `Arc`-shared across snapshots: an edge edit republishes the
     /// same store, only `set_profiles` builds a new one.
     pub profiles: Arc<ProfileStore>,
-    /// Vertex coordinates for spatial algorithms, if installed. Shared
-    /// across snapshots like `profiles`.
-    pub coords: Option<Arc<Vec<(f64, f64)>>>,
     /// Per-graph monotone version number; exactly one snapshot is ever
     /// published per (graph, generation) pair.
     pub generation: u64,
@@ -83,7 +80,6 @@ impl GraphSnapshot {
         graph: Arc<AttributedGraph>,
         tree: Arc<ClTree>,
         profiles: Arc<ProfileStore>,
-        coords: Option<Arc<Vec<(f64, f64)>>>,
         generation: u64,
     ) -> Self {
         let gauge_counted = cx_obs::enabled();
@@ -95,7 +91,6 @@ impl GraphSnapshot {
             graph,
             tree,
             profiles,
-            coords,
             generation,
             hierarchy: OnceLock::new(),
             stats: OnceLock::new(),
@@ -148,11 +143,7 @@ impl GraphSnapshot {
 
     /// The algorithm-facing view of this snapshot.
     pub fn context(&self) -> GraphContext<'_> {
-        GraphContext {
-            graph: &self.graph,
-            tree: &self.tree,
-            coords: self.coords.as_ref().map(|c| c.as_slice()),
-        }
+        GraphContext { graph: &self.graph, tree: &self.tree }
     }
 
     /// Scene for a multi-resolution level view: the level-`level`

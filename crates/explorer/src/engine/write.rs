@@ -1,6 +1,5 @@
 //! The write path: per-graph gates, generation reservation, publish,
-//! and every mutation (add / remove / upload, profiles, coordinates,
-//! edge edits).
+//! and every mutation (add / remove / upload, profiles, edge edits).
 
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -20,7 +19,7 @@ use crate::profile::ProfileStore;
 /// it was last advanced to; `dyncore_for` pins the identity of that graph
 /// version. The cache is valid only when `dyncore_for` points at the graph
 /// `Arc` currently published for this name — attribute-only republishes
-/// (`set_profiles` / `set_coordinates`) keep the same graph `Arc` so the
+/// (`set_profiles`) keep the same graph `Arc` so the
 /// cache survives them, while `add_graph` / `upload` replace the graph and
 /// naturally invalidate it. Comparing via `Weak::as_ptr` is ABA-safe
 /// because the `Weak` itself keeps the old allocation's address reserved.
@@ -98,7 +97,6 @@ impl Engine {
             graph,
             Arc::new(tree),
             Arc::new(ProfileStore::default()),
-            None,
             generation,
         ));
         Ok(())
@@ -197,44 +195,6 @@ impl Engine {
             Arc::clone(&snap.graph),
             Arc::clone(&snap.tree),
             Arc::new(merged),
-            snap.coords.clone(),
-            generation,
-        ));
-        Ok(())
-    }
-
-    /// Installs vertex coordinates for a graph, enabling spatial-aware
-    /// algorithms (`sac`). Must provide exactly one `(x, y)` per vertex.
-    /// Coordinates change query answers, so this publishes a new
-    /// generation (graph and index are shared with the previous snapshot).
-    pub fn set_coordinates(
-        &self,
-        graph: Option<&str>,
-        coords: Vec<(f64, f64)>,
-    ) -> Result<(), ExplorerError> {
-        let name = self.resolved_owned(graph)?;
-        let gate = self.write_gate(&name);
-        let _writing = gate.lock().unwrap_or_else(|p| p.into_inner());
-        let snap = self.snapshot(Some(&name))?;
-        if coords.len() != snap.graph.vertex_count() {
-            return Err(ExplorerError::BadQuery(format!(
-                "expected {} coordinates, got {}",
-                snap.graph.vertex_count(),
-                coords.len()
-            )));
-        }
-        let generation = self.reserve_generation(&name);
-        self.log(&cx_store::Record::SetCoords {
-            name: name.clone(),
-            generation,
-            coords: coords.clone(),
-        })?;
-        self.publish(GraphSnapshot::new(
-            name,
-            Arc::clone(&snap.graph),
-            Arc::clone(&snap.tree),
-            Arc::clone(&snap.profiles),
-            Some(Arc::new(coords)),
             generation,
         ));
         Ok(())
@@ -312,7 +272,6 @@ impl Engine {
             new_graph,
             new_tree,
             Arc::clone(&snap.profiles),
-            snap.coords.clone(),
             generation,
         ));
         cx_obs::metrics::observe_us("cx_edit_apply_us", start.elapsed().as_micros() as u64);
@@ -399,21 +358,14 @@ mod edit_tests {
             })],
         )
         .unwrap();
-        let coords: Vec<(f64, f64)> =
-            (0..before.vertex_count()).map(|i| (i as f64, -(i as f64))).collect();
-        e.set_coordinates(None, coords).unwrap();
         let before = e.snapshot(None).unwrap();
         e.apply_edits(None, &[], &[(a, b)]).unwrap();
         let after = e.snapshot(None).unwrap();
         // The edit must not deep-copy what it didn't touch: attribute
-        // columns, the profile map, and the coordinate vector are all
-        // carried by pointer into the successor snapshot.
+        // columns and the profile map are carried by pointer into the
+        // successor snapshot.
         assert!(after.graph.shares_attributes_with(&before.graph));
         assert!(Arc::ptr_eq(&after.profiles, &before.profiles));
-        assert!(Arc::ptr_eq(
-            after.coords.as_ref().unwrap(),
-            before.coords.as_ref().unwrap()
-        ));
         assert_eq!(after.generation, before.generation + 1);
     }
 

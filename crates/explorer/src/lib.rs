@@ -21,10 +21,11 @@
 //! [`CdAlgorithm`] and calling [`Engine::register_cs`] /
 //! [`Engine::register_cd`]; they then appear in search and comparison
 //! analysis exactly like the built-ins: the CS algorithms `acq`, `global`,
-//! `local`, `ktruss`, `kecc` and `sac`, and the CD algorithms `codicil`
-//! and `louvain`. `global`, `kecc` and `sac` start from q's connected
-//! k-core, one preorder interval of the CL-tree, instead of a whole-graph
-//! peel.
+//! `local`, `ktruss` and `kecc`, and the CD algorithms `codicil` and
+//! `louvain`. `global` and `kecc` start from q's connected k-core, one
+//! preorder interval of the CL-tree, instead of a whole-graph peel. Every
+//! registered name is answerable on every served graph: an input no route
+//! can set (such as vertex coordinates) does not back a registered name.
 
 pub mod api;
 pub mod cache;

@@ -11,7 +11,7 @@ use cx_graph::VertexId;
 fn cache_oracle_clean_across_algorithms() {
     let (g, _) = dblp_like(&cx_check::workload::check_params(120, 3));
     let hub = g.vertices().max_by_key(|&v| g.degree(v)).unwrap();
-    for algo in ["acq", "global", "local", "ktruss", "kecc", "sac"] {
+    for algo in Engine::new().cs_names() {
         for k in [1, 2, 3] {
             let mismatches =
                 cached_vs_uncached(&g, algo, &QuerySpec::by_id(hub).k(k));

@@ -66,7 +66,6 @@ fn boot_loads_the_index_and_rebuilds_when_it_cannot() {
             generation: rg.generation,
             graph: Arc::clone(&rg.graph),
             profiles: Vec::new(),
-            coords: None,
             index: Some(b"CXT1 but not a tree".to_vec()),
         };
         store.compact(&[lie], Some("g".into()), &[("g".into(), rg.generation)]).unwrap();

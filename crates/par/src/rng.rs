@@ -58,7 +58,7 @@ impl Rng64 {
         result
     }
 
-    /// Next raw 32-bit output (upper bits of [`next_u64`]).
+    /// Next raw 32-bit output (upper bits of [`Rng64::next_u64`]).
     pub fn next_u32(&mut self) -> u32 {
         (self.next_u64() >> 32) as u32
     }

@@ -832,7 +832,9 @@ mod tests {
             Json::Number(n) if !n.is_finite() => Json::Null,
             Json::Raw(text) => Json::parse(&text).unwrap(),
             Json::Array(a) => Json::Array(a.into_iter().map(parseable).collect()),
-            Json::Object(m) => Json::Object(m.into_iter().map(|(k, v)| (k, parseable(v))).collect()),
+            Json::Object(m) => {
+                Json::Object(m.into_iter().map(|(k, v)| (k, parseable(v))).collect())
+            }
             v => v,
         }
     }

@@ -17,8 +17,9 @@
 //! * [`routes`] — the REST API over a shared [`cx_explorer::Engine`]:
 //!   one table, [`routes::ENDPOINTS`], lists every path the server
 //!   answers, and one function, [`routes::route`], answers all of them
-//!   with one framed response per request — the event loop and [`Server::handle`] both call it, so a test, the
-//!   fuzzer and a socket client execute the same code. The engine needs
+//!   with one framed response per request — the event loop and
+//!   [`Server::handle`] both call it, so a test, the fuzzer and a socket
+//!   client execute the same code. The engine needs
 //!   no outer lock: read handlers pin an immutable graph snapshot
 //!   (`Engine::snapshot`) and run lock-free; write handlers
 //!   (`/api/v1/edit`, `/api/v1/upload`) build the next snapshot off-lock

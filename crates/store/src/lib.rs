@@ -5,10 +5,10 @@
 //!
 //! - an **append-only WAL** (`wal.log`) of [`Record`]s framed with a
 //!   length prefix, CRC-32 checksum and a global strictly-increasing LSN
-//!   ([`frame`], [`wal`]);
+//!   ([`frame`], [`Wal`]);
 //! - **snapshot checkpoints** (`snapshots/*.cxs`) freezing one graph
 //!   generation each, committed as a set by an atomically-replaced
-//!   **manifest** ([`snapshot`], [`manifest`]), each with an optional
+//!   **manifest** ([`GraphCheckpoint`], [`Manifest`]), each with an optional
 //!   **index sidecar** (`*.cxi`): the caller's index over that graph as
 //!   opaque bytes, handed back at boot only when it is whole and bound
 //!   to the checkpoint it sits beside;

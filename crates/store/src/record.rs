@@ -74,15 +74,6 @@ pub enum Record {
         /// The increment, not the merged result.
         profiles: Vec<StoredProfile>,
     },
-    /// Precomputed layout coordinates were attached.
-    SetCoords {
-        /// Registry name.
-        name: String,
-        /// Generation assigned at publish.
-        generation: u64,
-        /// One `(x, y)` per vertex.
-        coords: Vec<(f64, f64)>,
-    },
     /// The default graph changed explicitly.
     SetDefault {
         /// New default, or `None` to clear.
@@ -94,7 +85,8 @@ const KIND_ADD_GRAPH: u8 = 1;
 const KIND_EDIT: u8 = 2;
 const KIND_REMOVE: u8 = 3;
 const KIND_SET_PROFILES: u8 = 4;
-const KIND_SET_COORDS: u8 = 5;
+// Kind 5 (vertex coordinates) is retired: no route ever wrote it, so it
+// decodes as the unknown-kind error like any other unused tag.
 const KIND_SET_DEFAULT: u8 = 6;
 
 fn put_profiles(w: &mut Vec<u8>, profiles: &[StoredProfile]) {
@@ -125,25 +117,9 @@ fn get_profiles(r: &mut ByteReader<'_>) -> Result<Vec<StoredProfile>, StoreError
     Ok(out)
 }
 
-/// A coordinate list, `u32 len` then `(x, y)` per vertex — the same in
-/// a `SetCoords` record and in a checkpoint.
-pub(crate) fn put_coords(w: &mut Vec<u8>, coords: &[(f64, f64)]) {
-    w.u32(coords.len() as u32);
-    for &(x, y) in coords {
-        w.f64(x);
-        w.f64(y);
-    }
-}
-
-pub(crate) fn get_coords(r: &mut ByteReader<'_>) -> Result<Vec<(f64, f64)>, StoreError> {
-    let len = r.u32()? as usize;
-    r.claim(len, 16, "coordinate")?;
-    (0..len).map(|_| Ok((r.f64()?, r.f64()?))).collect()
-}
-
 /// An optional value behind a presence byte, `0` (none) or `1` then the
-/// value — the manifest's default graph and entry files, a checkpoint's
-/// coordinates and `SetDefault`'s name.
+/// value — the manifest's default graph and entry files and
+/// `SetDefault`'s name.
 pub(crate) fn put_option<T>(w: &mut Vec<u8>, x: Option<T>, put: impl FnOnce(&mut Vec<u8>, T)) {
     match x {
         Some(x) => {
@@ -212,12 +188,6 @@ impl Record {
                 w.u64(*generation);
                 put_profiles(&mut w, profiles);
             }
-            Record::SetCoords { name, generation, coords } => {
-                w.u8(KIND_SET_COORDS);
-                w.str(name);
-                w.u64(*generation);
-                put_coords(&mut w, coords);
-            }
             Record::SetDefault { default } => {
                 w.u8(KIND_SET_DEFAULT);
                 put_name(&mut w, default.as_deref());
@@ -252,12 +222,6 @@ impl Record {
                 let profiles = get_profiles(&mut r)?;
                 Record::SetProfiles { name, generation, profiles }
             }
-            KIND_SET_COORDS => {
-                let name = r.str()?.to_owned();
-                let generation = r.u64()?;
-                let coords = get_coords(&mut r)?;
-                Record::SetCoords { name, generation, coords }
-            }
             KIND_SET_DEFAULT => Record::SetDefault { default: get_name(&mut r, "SetDefault")? },
             other => {
                 return Err(StoreError::Corrupt(format!("unknown WAL record kind {other}")))
@@ -273,8 +237,7 @@ impl Record {
             Record::AddGraph { name, .. }
             | Record::Edit { name, .. }
             | Record::Remove { name, .. }
-            | Record::SetProfiles { name, .. }
-            | Record::SetCoords { name, .. } => Some(name),
+            | Record::SetProfiles { name, .. } => Some(name),
             Record::SetDefault { .. } => None,
         }
     }
@@ -285,8 +248,7 @@ impl Record {
             Record::AddGraph { generation, .. }
             | Record::Edit { generation, .. }
             | Record::Remove { generation, .. }
-            | Record::SetProfiles { generation, .. }
-            | Record::SetCoords { generation, .. } => Some(*generation),
+            | Record::SetProfiles { generation, .. } => Some(*generation),
             Record::SetDefault { .. } => None,
         }
     }
@@ -328,7 +290,7 @@ mod tests {
     }
 
     #[test]
-    fn edit_remove_profiles_coords_default_roundtrip() {
+    fn edit_remove_profiles_default_roundtrip() {
         let delta = EdgeDelta {
             added: vec![(VertexId(0), VertexId(2))],
             removed: vec![(VertexId(1), VertexId(2))],
@@ -365,12 +327,6 @@ mod tests {
             other => panic!("wrong kind: {other:?}"),
         }
 
-        let coords = vec![(0.5, -1.25), (3.0, 4.0)];
-        match roundtrip(&Record::SetCoords { name: "g".into(), generation: 6, coords: coords.clone() }) {
-            Record::SetCoords { coords: c, .. } => assert_eq!(c, coords),
-            other => panic!("wrong kind: {other:?}"),
-        }
-
         match roundtrip(&Record::SetDefault { default: Some("g".into()) }) {
             Record::SetDefault { default } => assert_eq!(default.as_deref(), Some("g")),
             other => panic!("wrong kind: {other:?}"),
@@ -384,6 +340,17 @@ mod tests {
     #[test]
     fn unknown_kind_and_trailing_garbage_rejected() {
         assert!(Record::decode(&[0xEE]).is_err());
+        // The retired coordinates kind, with a well-formed name and
+        // generation after it, is an unknown kind.
+        let mut retired = vec![5u8];
+        retired.str("g");
+        retired.u64(6);
+        match Record::decode(&retired) {
+            Err(StoreError::Corrupt(msg)) => {
+                assert!(msg.contains("unknown WAL record kind 5"), "{msg}")
+            }
+            other => panic!("expected the unknown-kind error, got {other:?}"),
+        }
         let mut bytes = Record::Remove { name: "g".into(), generation: 1 }.encode();
         bytes.push(0);
         assert!(Record::decode(&bytes).is_err());

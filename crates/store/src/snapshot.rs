@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! body = [name] [generation: u64] [graph: CXG1 bytes]
-//!        [profiles] [has_coords: u8] [coords?]
+//!        [profiles] [has_coords: u8 = 0]
 //! ```
 //!
 //! Profiles are stored against a deduplicated string pool:
@@ -42,7 +42,7 @@ use cx_graph::io::{read_snapshot_bytes, write_snapshot};
 use cx_graph::AttributedGraph;
 
 use crate::error::StoreError;
-use crate::record::{get_coords, get_option, put_coords, put_option, StoredProfile};
+use crate::record::StoredProfile;
 use crate::sealed::{unseal, write_sealed};
 
 const MAGIC: &[u8; 4] = b"CXSS";
@@ -62,8 +62,6 @@ pub struct GraphCheckpoint {
     pub graph: Arc<AttributedGraph>,
     /// Merged vertex profiles at this generation.
     pub profiles: Vec<StoredProfile>,
-    /// Precomputed layout coordinates, if attached.
-    pub coords: Option<Vec<(f64, f64)>>,
     /// The caller's index over `graph`, as opaque bytes. Not part of the
     /// checkpoint file: [`crate::Store::compact`] writes it as the
     /// sidecar, and reading a checkpoint leaves it `None`.
@@ -150,7 +148,8 @@ impl GraphCheckpoint {
         w.u64(self.generation);
         w.block(|w| write_snapshot(&self.graph, w));
         put_profiles(&mut w, &self.profiles);
-        put_option(&mut w, self.coords.as_deref(), put_coords);
+        // has_coords: always 0 (coordinates are retired), kept so files keep their bytes.
+        w.u8(0);
         w
     }
 
@@ -169,9 +168,12 @@ impl GraphCheckpoint {
         let generation = r.u64()?;
         let graph = Arc::new(read_snapshot_bytes(r.bytes()?)?);
         let profiles = get_profiles(&mut r)?;
-        let coords = get_option(&mut r, "coords", get_coords)?;
+        if let x @ 1.. = r.u8()? {
+            let msg = format!("checkpoint has_coords byte {x}: coordinates are retired");
+            return Err(StoreError::Corrupt(msg));
+        }
         r.finish("snapshot payload")?;
-        Ok((GraphCheckpoint { name, generation, graph, profiles, coords, index: None }, crc))
+        Ok((GraphCheckpoint { name, generation, graph, profiles, index: None }, crc))
     }
 }
 
@@ -248,7 +250,6 @@ mod tests {
                 institutes: vec!["Analytical Engine Inst".into()],
                 interests: vec!["graphs".into()],
             }],
-            coords: Some(vec![(0.0, 1.0), (-2.5, 3.5), (7.0, 7.0)]),
             index: None,
         }
     }
@@ -263,7 +264,16 @@ mod tests {
         assert_eq!(back.graph.vertex_count(), 3);
         assert_eq!(back.graph.edge_count(), 2);
         assert_eq!(back.profiles, cp.profiles);
-        assert_eq!(back.coords, cp.coords);
+    }
+
+    #[test]
+    fn a_has_coords_byte_of_one_is_a_typed_error() {
+        let mut body = checkpoint().encode();
+        *body.last_mut().unwrap() = 1;
+        match read(&sealed(SNAPSHOT_VERSION, &body)) {
+            Err(StoreError::Corrupt(msg)) => assert!(msg.contains("has_coords byte 1"), "{msg}"),
+            other => panic!("expected a typed has_coords error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -320,7 +330,6 @@ mod tests {
             generation: 1,
             graph: Arc::new(b.build()),
             profiles,
-            coords: None,
             index: None,
         };
         let inline: usize = cp

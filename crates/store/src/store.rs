@@ -57,8 +57,6 @@ pub struct RecoveredGraph {
     pub generation: u64,
     /// Merged profiles at that generation.
     pub profiles: Vec<StoredProfile>,
-    /// Layout coordinates, if any were attached.
-    pub coords: Option<Vec<(f64, f64)>>,
     /// The index a compaction stored beside this graph's checkpoint, as
     /// the opaque bytes it was given — present only while `graph` is
     /// still exactly the checkpointed one (no `AddGraph` or `Edit` was
@@ -182,7 +180,6 @@ impl Store {
                         graph: cp.graph,
                         generation: cp.generation,
                         profiles: cp.profiles,
-                        coords: cp.coords,
                         index: read_index(
                             &dir.join(SNAPSHOTS_DIR)
                                 .join(index_file_name(&entry.name, entry.generation)),
@@ -267,7 +264,6 @@ impl Store {
                         graph,
                         generation,
                         profiles: Vec::new(),
-                        coords: None,
                         index: None,
                     },
                 );
@@ -309,13 +305,6 @@ impl Store {
                         }
                     }
                 }
-                rg.generation = generation;
-            }
-            Record::SetCoords { coords, .. } => {
-                let rg = state.graphs.get_mut(&name).ok_or_else(|| {
-                    StoreError::Replay(format!("coords for unknown graph '{name}'"))
-                })?;
-                rg.coords = Some(coords);
                 rg.generation = generation;
             }
             Record::SetDefault { .. } => unreachable!("handled above"),
@@ -525,7 +514,6 @@ mod tests {
                     institutes: vec![],
                     interests: vec!["x".into()],
                 }],
-                coords: None,
                 index: None,
             };
             let stats = store
@@ -535,18 +523,23 @@ mod tests {
             assert_eq!(store.wal_bytes(), 0);
             // LSN continues after truncation.
             store
-                .append(&Record::SetCoords {
+                .append(&Record::SetProfiles {
                     name: "g".into(),
                     generation: 3,
-                    coords: vec![(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)],
+                    profiles: vec![StoredProfile {
+                        vertex: VertexId(2),
+                        name: "C".into(),
+                        areas: vec![],
+                        institutes: vec![],
+                        interests: vec![],
+                    }],
                 })
                 .unwrap();
         }
         let (_store, state) = Store::open_with_fsync(&dir, false).unwrap();
         let rg = &state.graphs["g"];
         assert_eq!(rg.generation, 3);
-        assert_eq!(rg.profiles.len(), 1);
-        assert!(rg.coords.is_some());
+        assert_eq!(rg.profiles.len(), 2);
         assert_eq!(state.frames_replayed, 1); // only the post-compaction frame
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -567,7 +560,6 @@ mod tests {
                 generation: 1,
                 graph: g1,
                 profiles: vec![],
-                coords: None,
                 index: None,
             };
             store.compact(&[cp], Some("g".into()), &[("g".into(), 1)]).unwrap();
@@ -582,7 +574,6 @@ mod tests {
                 generation: 3,
                 graph: g2,
                 profiles: vec![],
-                coords: None,
                 index: None,
             };
             let stats = store.compact(&[cp], Some("g".into()), &[("g".into(), 3)]).unwrap();

@@ -41,7 +41,6 @@ fn checkpoint(
         generation,
         graph: Arc::clone(graph),
         profiles: Vec::new(),
-        coords: None,
         index: index.map(<[u8]>::to_vec),
     }
 }
@@ -152,16 +151,10 @@ fn replay_drops_the_index_exactly_when_the_graph_moves() {
                 profiles: vec![profile],
             })
             .unwrap();
-        store
-            .append(&Record::SetCoords {
-                name: "g".into(),
-                generation: 3,
-                coords: vec![(0.0, 0.0); 5],
-            })
-            .unwrap();
+        store.append(&Record::SetDefault { default: Some("g".into()) }).unwrap();
     }
     let (_, state) = Store::open_with_fsync(&dir, false).unwrap();
-    assert_eq!(state.graphs["g"].generation, 3);
+    assert_eq!(state.graphs["g"].generation, 2);
     assert_eq!(state.graphs["g"].index.as_deref(), Some(INDEX));
     std::fs::remove_dir_all(&dir).unwrap();
 

@@ -1,6 +1,6 @@
 //! Snapshot checkpoints must round-trip real graph shapes exactly —
-//! the recovered graph fingerprints, CL-tree canonical form, profiles
-//! and coordinates byte-identical to what was written — and must reject
+//! the recovered graph fingerprints, CL-tree canonical form and profiles
+//! byte-identical to what was written — and must reject
 //! files from a future format version with a typed error instead of
 //! misparsing them.
 
@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use cx_check::{graph_fingerprint, tree_canonical};
 use cx_cltree::ClTree;
-use cx_datagen::{area_clustered_coords, dblp_like, figure5_graph, generate_profiles};
+use cx_datagen::{dblp_like, figure5_graph, generate_profiles};
 use cx_graph::AttributedGraph;
 use cx_store::{
     snapshot_file_name, GraphCheckpoint, RecoveredGraph, Store, StoreError, StoredProfile,
@@ -50,10 +50,9 @@ fn assert_exact(cp: &GraphCheckpoint) {
         "CL-tree built on the recovered graph must canonicalize identically"
     );
     assert_eq!(back.profiles, cp.profiles, "profiles must survive exactly");
-    assert_eq!(back.coords, cp.coords, "coordinates must survive exactly");
 }
 
-fn checkpoint(name: &str, graph: AttributedGraph, area_of: &[usize], seed: u64) -> GraphCheckpoint {
+fn checkpoint(name: &str, graph: AttributedGraph, area_of: &[usize]) -> GraphCheckpoint {
     let profiles: Vec<StoredProfile> = generate_profiles(&graph, area_of, 4)
         .into_iter()
         .map(|p| StoredProfile {
@@ -64,13 +63,11 @@ fn checkpoint(name: &str, graph: AttributedGraph, area_of: &[usize], seed: u64) 
             interests: p.interests,
         })
         .collect();
-    let coords = area_clustered_coords(area_of, 12.0, 0.05, seed);
     GraphCheckpoint {
         name: name.to_owned(),
         generation: 7,
         graph: Arc::new(graph),
         profiles,
-        coords: Some(coords),
         index: None,
     }
 }
@@ -79,19 +76,19 @@ fn checkpoint(name: &str, graph: AttributedGraph, area_of: &[usize], seed: u64) 
 fn figure5_roundtrips_exactly() {
     let graph = figure5_graph();
     let area_of = vec![0usize; graph.vertex_count()];
-    assert_exact(&checkpoint("figure5", graph, &area_of, 1));
+    assert_exact(&checkpoint("figure5", graph, &area_of));
 }
 
 #[test]
 fn dblp_1k_roundtrips_exactly() {
     let (graph, area_of) = dblp_like(&cx_check::workload::check_params(1_000, 41));
-    assert_exact(&checkpoint("dblp-1k", graph, &area_of, 41));
+    assert_exact(&checkpoint("dblp-1k", graph, &area_of));
 }
 
 #[test]
 fn dblp_10k_roundtrips_exactly() {
     let (graph, area_of) = dblp_like(&cx_check::workload::check_params(10_000, 43));
-    assert_exact(&checkpoint("dblp-10k", graph, &area_of, 43));
+    assert_exact(&checkpoint("dblp-10k", graph, &area_of));
 }
 
 #[test]
@@ -101,7 +98,6 @@ fn bare_checkpoint_roundtrips_without_decorations() {
         generation: 1,
         graph: Arc::new(figure5_graph()),
         profiles: Vec::new(),
-        coords: None,
         index: None,
     };
     assert_exact(&cp);
@@ -117,7 +113,6 @@ fn future_format_version_is_rejected_with_typed_error() {
         generation: 3,
         graph: Arc::new(figure5_graph()),
         profiles: Vec::new(),
-        coords: None,
         index: None,
     };
     let dir = compacted(&cp);

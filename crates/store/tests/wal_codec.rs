@@ -1,13 +1,14 @@
-//! WAL frame + record codec properties, driven by a seeded sweep (the
-//! `proptest`-powered twin lives in `prop_wal.rs` behind the non-default
-//! `proptest` feature — this file keeps the same properties running in
-//! the offline default build).
+//! WAL frame + record codec properties, driven by a seeded sweep:
+//! round-trips of arbitrary deltas and records, single-bit-flip
+//! detection, self-delimiting frames under concatenation and truncation,
+//! and a retired record kind that recovery refuses instead of skipping.
 
 use std::sync::Arc;
 
 use cx_graph::{EdgeDelta, GraphBuilder, VertexId};
+use cx_graph::codec::ByteWriter;
 use cx_store::frame::{encode_frame, scan};
-use cx_store::{crc32, Record, StoredProfile};
+use cx_store::{crc32, Record, Store, StoreError, StoredProfile, WAL_FILE};
 
 /// Minimal seeded generator (xorshift*) so the sweep needs no external
 /// crates and reproduces from the constants below.
@@ -84,11 +85,7 @@ fn arbitrary_record(rng: &mut Rng) -> Record {
                 })
                 .collect(),
         },
-        _ => Record::SetCoords {
-            name,
-            generation,
-            coords: (0..rng.below(8)).map(|i| (i as f64 * 0.5, -(i as f64))).collect(),
-        },
+        _ => Record::SetDefault { default: (rng.below(2) == 0).then(|| arbitrary_string(rng)) },
     }
 }
 
@@ -171,6 +168,34 @@ fn frames_self_delimit_under_concatenation() {
             assert_records_equal(&Record::decode(frame.record).unwrap(), rec);
         }
     }
+}
+
+/// A whole, checksummed frame of the retired coordinates kind (5) is not
+/// a torn tail: `Store::open` answers the typed unknown-kind error and
+/// leaves every byte of the WAL where it was.
+#[test]
+fn a_retired_record_kind_is_refused_not_truncated() {
+    let dir = std::env::temp_dir().join(format!("cx-wal-retired-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut retired = vec![5u8];
+    retired.str("g");
+    retired.u64(2);
+    retired.u32(0);
+    let first = Record::Remove { name: "g".into(), generation: 1 };
+    let mut log = encode_frame(1, &first.encode());
+    log.extend_from_slice(&encode_frame(2, &retired));
+    let wal = dir.join(WAL_FILE);
+    std::fs::write(&wal, &log).unwrap();
+    match Store::open(&dir) {
+        Err(StoreError::Corrupt(msg)) => {
+            assert!(msg.contains("unknown WAL record kind 5"), "{msg}")
+        }
+        Err(other) => panic!("expected the unknown-kind error, got {other}"),
+        Ok(_) => panic!("a retired record kind must not open"),
+    }
+    assert_eq!(std::fs::read(&wal).unwrap(), log, "the WAL must be left as it was");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -1,27 +1,29 @@
 #!/usr/bin/env bash
-# Tier-1 verification wrapper. Eight steps, none of whose verdict depends
+# Tier-1 verification wrapper. Nine steps, none of whose verdict depends
 # on a wall-clock measurement:
 #
 #   1. release build of the workspace;
-#   2. the tests of the standalone benchmark/ package (its own workspace
+#   2. rustdoc of every crate with warnings as errors, so a doc link left
+#      pointing at a deleted or private item fails the run;
+#   3. the tests of the standalone benchmark/ package (its own workspace
 #      with path deps on crates/*, so step 1 does not compile it) — early,
 #      so an engine API the benchmark uses that went missing fails fast;
-#   3. the full test suite at CX_THREADS=1 and
-#   4. again at CX_THREADS=8 (every parallel helper promises thread-count
+#   4. the full test suite at CX_THREADS=1 and
+#   5. again at CX_THREADS=8 (every parallel helper promises thread-count
 #      independence; the suite holds the zero-allocation hot path, the
 #      shed-not-reset overload contract and the 8-reader/1-writer
 #      snapshot stress);
-#   5. the cx-check correctness sweep at CX_THREADS=1 and
-#   6. again at CX_THREADS=8 (invariants + differential oracles incl.
+#   6. the cx-check correctness sweep at CX_THREADS=1 and
+#   7. again at CX_THREADS=8 (invariants + differential oracles incl.
 #      snapshot pinning, incremental-vs-scratch, scratch reuse and CD
 #      search vs. detect + API fuzz + the kill-replay durability oracle
 #      over a seeded matrix: 64 crash cases = 8 each of two WAL cuts, a
 #      WAL bit flip, the index sidecar missing / cut short / bit-flipped
 #      / foreign, and a torn checkpoint left by a crashed compaction);
-#   7. `cx experiments`: the paper's twelve measured experiments at the
+#   8. `cx experiments`: the paper's twelve measured experiments at the
 #      sizes EXPERIMENTS.md quotes, red if any clock-free shape check
 #      fails (timings are printed, never judged);
-#   8. `benchmark/run.sh --quick`: every cxb workload end to end over
+#   9. `benchmark/run.sh --quick`: every cxb workload end to end over
 #      /api/v1 at smoke scale, every answer digest-checked.
 #
 # Performance is cxb's job (`bash benchmark/run.sh`, compared against
@@ -34,6 +36,9 @@ tree_before=$(git status --porcelain)
 
 echo "== cargo build --release --workspace =="
 cargo build --release --workspace
+
+echo "== cargo doc --workspace --no-deps (warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== benchmark/ package tests =="
 cargo test -q --manifest-path benchmark/Cargo.toml

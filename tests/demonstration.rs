@@ -11,13 +11,12 @@ fn demo_deployment() -> (Engine, VertexId) {
     deploy_into(Engine::new())
 }
 
-/// Loads the demo deployment into `engine`: DBLP-like graph + profiles +
-/// coordinates, exactly like `examples/serve.rs` does.
+/// Loads the demo deployment into `engine`: DBLP-like graph + profiles,
+/// like `examples/serve.rs` does.
 fn deploy_into(engine: Engine) -> (Engine, VertexId) {
     let (graph, areas) = dblp_like(&DblpParams::scaled(3_000, 42));
     let hub = graph.vertices().max_by_key(|&v| graph.degree(v)).unwrap();
     let profiles = cx_datagen::generate_profiles(&graph, &areas, 3);
-    let coords = cx_datagen::area_clustered_coords(&areas, 15.0, 0.05, 42);
     let records: Vec<(VertexId, Profile)> = profiles
         .into_iter()
         .map(|p| {
@@ -34,7 +33,6 @@ fn deploy_into(engine: Engine) -> (Engine, VertexId) {
         .collect();
     engine.add_graph("dblp", graph);
     engine.set_profiles(None, records).unwrap();
-    engine.set_coordinates(None, coords).unwrap();
     engine.add_graph("figure5", cx_datagen::figure5_graph());
     (engine, hub)
 }
@@ -119,7 +117,7 @@ fn demonstration_comparison_analysis() {
 }
 
 /// The facilities beyond the scripted demo: multi-graph switching,
-/// spatial search, evolving edits, and persistence — all on one engine.
+/// evolving edits, and persistence — all on one engine.
 #[test]
 fn demonstration_full_facilities() {
     // This deployment lives in a durable store, so the last step can
@@ -135,14 +133,8 @@ fn demonstration_full_facilities() {
         .unwrap();
     assert_eq!(fig5[0].len(), 3);
 
-    // Spatial-aware search (coordinates were installed at setup).
-    let name = engine.snapshot(None).unwrap().label(hub).to_owned();
-    let sac = engine.search("sac", &QuerySpec::by_label(&name).k(4)).unwrap();
-    if let Some(c) = sac.first() {
-        assert!(c.contains(hub));
-    }
-
     // Evolving network: delete one of the hub's edges and re-query.
+    let name = engine.snapshot(None).unwrap().label(hub).to_owned();
     let buddy = engine.snapshot(None).unwrap().neighbors(hub)[0];
     engine.apply_edits(None, &[], &[(hub, buddy)]).unwrap();
     let after = engine.search("acq", &QuerySpec::by_label(&name).k(4)).unwrap();
@@ -150,19 +142,17 @@ fn demonstration_full_facilities() {
         assert!(c.min_internal_degree(&engine.snapshot(None).unwrap().graph) >= 4);
     }
 
-    // Persistence: fold the store into checkpoints (graph, profiles,
-    // coordinates, and the CL-tree index beside them), restart from the
-    // directory alone, same answers.
+    // Persistence: fold the store into checkpoints (graph, profiles, and
+    // the CL-tree index beside them), restart from the directory alone,
+    // same answers.
     engine.compact_store().unwrap();
     let profile = engine.profile(None, hub).unwrap();
-    let sac = engine.search("sac", &QuerySpec::by_label(&name).k(4)).unwrap();
     drop(engine);
     let restored = Engine::open_durable(&dir).unwrap();
     assert_eq!(restored.graph_names(), vec!["dblp", "figure5"]);
     let again = restored.search("acq", &QuerySpec::by_label(&name).k(4)).unwrap();
     assert_eq!(after, again);
-    // Profiles and coordinates are part of what a restart brings back.
+    // Profiles are part of what a restart brings back.
     assert_eq!(restored.profile(None, hub).unwrap(), profile);
-    assert_eq!(restored.search("sac", &QuerySpec::by_label(&name).k(4)).unwrap(), sac);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -101,6 +101,8 @@ fn suggestion_box_finds_authors() {
     assert_eq!(exact[0].1, "author-42");
 }
 
+/// Every registered name answers the hub's query: a name in the picker
+/// that finds nothing on a served graph is a dead input.
 #[test]
 fn switching_algorithms_on_same_query() {
     let engine = demo_engine(2000);
@@ -108,8 +110,10 @@ fn switching_algorithms_on_same_query() {
     let g = &*snap.graph;
     let hub = g.vertices().max_by_key(|&v| g.degree(v)).unwrap();
     let spec = QuerySpec::by_label(g.label(hub)).k(4);
-    for algo in ["acq", "global", "local", "ktruss", "kecc", "sac", "codicil", "louvain"] {
+    let names: Vec<&str> = engine.cs_names().into_iter().chain(engine.cd_names()).collect();
+    for algo in names {
         let out = engine.search(algo, &spec).unwrap();
+        assert!(!out.is_empty(), "{algo} finds no community of the hub");
         for c in &out {
             assert!(c.contains(hub), "{algo} community must contain the query vertex");
         }
