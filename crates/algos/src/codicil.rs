@@ -382,17 +382,34 @@ mod tests {
         assert!(Codicil::default().search(&g, VertexId(999)).is_none());
     }
 
+    /// On the collab graph and on seeded planted graphs of 4–40 vertices:
+    /// labels are dense (`0..cluster_count`), the communities cover every
+    /// vertex once, and `community_of` agrees with the labels.
     #[test]
     fn labels_partition_and_match_communities() {
-        let g = small_collab_graph();
-        let clustering = Codicil::default().detect(&g);
-        assert_eq!(clustering.labels.len(), g.vertex_count());
-        let total: usize = clustering.communities.iter().map(Community::len).sum();
-        assert_eq!(total, g.vertex_count());
-        // community_of is consistent with labels.
-        for v in g.vertices() {
-            let c = clustering.community_of(v).unwrap();
-            assert!(c.contains(v));
+        let planted = (0..24u64).map(|seed| {
+            let mut rng = cx_par::rng::Rng64::seed_from_u64(seed);
+            let params = PlantedParams {
+                vertices: rng.gen_range(4..=40),
+                communities: rng.gen_range(1..=4),
+                p_inter: 0.05,
+                seed,
+                ..PlantedParams::default()
+            };
+            (format!("seed {seed}"), planted_partition(&params).0)
+        });
+        let collab = std::iter::once(("collab".to_owned(), small_collab_graph()));
+        for (case, g) in collab.chain(planted) {
+            let clustering = Codicil::default().detect(&g);
+            assert_eq!(clustering.labels.len(), g.vertex_count(), "{case}");
+            let total: usize = clustering.communities.iter().map(Community::len).sum();
+            assert_eq!(total, g.vertex_count(), "{case}");
+            let top = clustering.labels.iter().max().map(|&l| l + 1);
+            assert_eq!(top, Some(clustering.cluster_count()), "{case}: labels not dense");
+            for v in g.vertices() {
+                let c = clustering.community_of(v).unwrap();
+                assert!(c.contains(v), "{case}: {v} outside its community");
+            }
         }
     }
 

@@ -334,6 +334,38 @@ mod tests {
         ));
     }
 
+    /// Upload bodies are untrusted, so the parser is total: seeded
+    /// record-shaped garbage (any kind, 0–3 fields of digits, letters,
+    /// commas, spaces, non-ASCII and invalid UTF-8) gives a graph or a
+    /// typed error, never a panic, and an accepted graph keeps the
+    /// handshake lemma.
+    #[test]
+    fn read_text_is_total_on_seeded_garbage() {
+        const KINDS: [&[u8]; 6] = [b"v", b"e", b"x", b"#", b" v", b""];
+        const TOKENS: [&[u8]; 8] = [b"0", b"1", b"7", b"a", b",", b" ", b"\xc3\xa9", b"\xff"];
+        for seed in 0..3_000u64 {
+            let mut rng = cx_par::rng::Rng64::seed_from_u64(seed);
+            let mut input = Vec::new();
+            for _ in 0..rng.gen_range(0..8u32) {
+                input.extend_from_slice(KINDS[rng.gen_range(0..KINDS.len())]);
+                for _ in 0..rng.gen_range(0..=3u32) {
+                    input.extend_from_slice(b"\t");
+                    for _ in 0..rng.gen_range(0..3u32) {
+                        input.extend_from_slice(TOKENS[rng.gen_range(0..TOKENS.len())]);
+                    }
+                }
+                input.push(b'\n');
+            }
+            let text = String::from_utf8_lossy(&input);
+            let parsed = std::panic::catch_unwind(|| read_text(&mut input.as_slice()))
+                .unwrap_or_else(|_| panic!("seed {seed}: read_text panicked on {text:?}"));
+            if let Ok(g) = parsed {
+                let degrees: usize = g.vertices().map(|v| g.degree(v)).sum();
+                assert_eq!(degrees, 2 * g.edge_count(), "seed {seed}: {text:?}");
+            }
+        }
+    }
+
     #[test]
     fn snapshot_roundtrip() {
         let g = sample();

@@ -11,6 +11,7 @@
 use cx_datagen::{dblp_like, DblpParams};
 use cx_graph::io::{read_snapshot_bytes, write_snapshot};
 use cx_graph::{AttributedGraph, GraphBuilder, GraphError, VertexId};
+use cx_par::rng::Rng64;
 
 /// A CXG1 file as its fields, so a case can break one and re-encode.
 #[derive(Clone)]
@@ -251,6 +252,34 @@ fn every_single_bit_flip_is_rejected_or_harmless() {
                 Err(GraphError::Snapshot(_)) => {}
                 Err(other) => panic!("flip {byte}.{bit}: untyped error {other:?}"),
             }
+        }
+    }
+}
+
+/// Seeded small files whose every count and id is drawn near its valid
+/// range, so they reach the checks a flipped bit of a valid file cannot:
+/// each is a typed error or a graph that keeps every invariant.
+#[test]
+fn seeded_near_valid_files_are_rejected_or_harmless() {
+    for seed in 0..3_000u64 {
+        let mut rng = Rng64::seed_from_u64(seed);
+        let (n, vocab_len) = (rng.gen_range(0..5u32), rng.gen_range(0..4u32));
+        let mut column = |len: u32, below: u32| -> Vec<u32> {
+            (0..len).map(|_| rng.gen_range(0..below.max(1))).collect()
+        };
+        let (degs, kw_counts) = (column(n, 4), column(n, 3));
+        let (m2, kw_total) = (degs.iter().sum(), kw_counts.iter().sum());
+        let adj = column(m2, n + 2);
+        let kws = column(kw_total, vocab_len + 1);
+        let vocab = column(vocab_len, 3).into_iter().map(|c| vec![b'a' + c as u8]).collect();
+        let labels = (0..n).map(|_| b"l".to_vec()).collect();
+        let raw = Raw { n, m2, degs, adj, kw_total, kw_counts, kws, vocab_len, vocab, labels };
+        let bytes = raw.bytes();
+        let checked = || read_snapshot_bytes(&bytes).map(|g| assert_invariants(&g));
+        match std::panic::catch_unwind(checked) {
+            Ok(Ok(())) | Ok(Err(GraphError::Snapshot(_))) => {}
+            Ok(Err(other)) => panic!("seed {seed}: untyped error {other:?}"),
+            Err(_) => panic!("seed {seed}: panicked or kept a broken graph on {bytes:?}"),
         }
     }
 }

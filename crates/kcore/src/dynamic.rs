@@ -23,8 +23,9 @@ use cx_graph::{AttributedGraph, VertexId};
 /// Seed it from an [`AttributedGraph`] (or empty), then apply
 /// [`DynamicCore::insert_edge`] / [`DynamicCore::remove_edge`];
 /// [`DynamicCore::core`] is always equal to what a from-scratch
-/// decomposition of the current edge set would produce (property-tested
-/// against exactly that).
+/// decomposition of the current edge set would produce; the seeded
+/// `random_graphs.rs::dynamic_core_matches_recompute_after_every_edit`
+/// holds it to exactly that.
 #[derive(Debug, Clone)]
 pub struct DynamicCore {
     adj: Vec<Vec<u32>>,

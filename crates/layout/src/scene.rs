@@ -305,6 +305,49 @@ mod tests {
         assert_eq!(best, Some(hi), "query vertex is not the most central");
     }
 
+    /// Every algorithm places every member of any community (disconnected
+    /// members, edges to non-members) finitely inside the viewport, draws
+    /// only graph edges, and draws the same scene twice for one seed.
+    #[test]
+    fn every_algorithm_fits_any_community_deterministically() {
+        for seed in 0..200u64 {
+            let mut rng = cx_par::rng::Rng64::seed_from_u64(seed);
+            let n = rng.gen_range(2..25u32);
+            let mut b = cx_graph::GraphBuilder::new();
+            for i in 0..n {
+                b.add_vertex(&format!("v{i}"), &[]);
+            }
+            for _ in 0..rng.gen_range(0..3 * n) {
+                b.add_edge(VertexId(rng.gen_range(0..n)), VertexId(rng.gen_range(0..n)));
+            }
+            let g = b.build();
+            let mut members: Vec<VertexId> = g.vertices().filter(|_| rng.gen_bool(0.5)).collect();
+            if members.is_empty() {
+                members.push(VertexId(0));
+            }
+            let c = Community::structural(members);
+            let q = c.vertices().first().copied();
+            for algo in [
+                LayoutAlgorithm::default_force(),
+                LayoutAlgorithm::KamadaKawai { iterations: 20 },
+                LayoutAlgorithm::Circular,
+                LayoutAlgorithm::Shell,
+            ] {
+                let s = layout_community(&g, &c, algo, q, 640.0, 480.0, seed);
+                assert_eq!(s.vertex_count(), c.len(), "seed {seed} {algo:?}");
+                let finite = s.vertices.iter().all(|(_, p)| p.x.is_finite() && p.y.is_finite());
+                assert!(finite && s.in_bounds(), "seed {seed} {algo:?}: {:?}", s.vertices);
+                for &(i, j) in &s.edges {
+                    let (u, v) = (s.vertices[i].0, s.vertices[j].0);
+                    assert!(g.has_edge(u, v), "seed {seed} {algo:?}: drew {u}-{v}");
+                }
+                assert!(s.to_svg().starts_with("<svg"), "seed {seed} {algo:?}");
+                let again = layout_community(&g, &c, algo, q, 640.0, 480.0, seed);
+                assert_eq!(again.vertices, s.vertices, "seed {seed} {algo:?}: not deterministic");
+            }
+        }
+    }
+
     #[test]
     fn titled_builder() {
         let s = scene_for_k4().titled("Method: ACQ");

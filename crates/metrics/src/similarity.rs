@@ -167,6 +167,22 @@ mod tests {
         assert!(nmi(&a, &b) < 0.01);
     }
 
+    /// NMI is symmetric, and a labelling against itself or any renaming
+    /// of its labels scores 1.
+    #[test]
+    fn nmi_is_symmetric_and_blind_to_renaming() {
+        for seed in 0..500u64 {
+            let mut rng = cx_par::rng::Rng64::seed_from_u64(seed);
+            let n = rng.gen_range(2..20usize);
+            let mut draw = || (0..n).map(|_| rng.gen_range(0..4usize)).collect::<Vec<_>>();
+            let (a, b) = (draw(), draw());
+            let renamed: Vec<usize> = a.iter().map(|&x| (x + 1) % 4).collect();
+            assert!((nmi(&a, &b) - nmi(&b, &a)).abs() < 1e-12, "seed {seed}: {a:?} {b:?}");
+            assert!((nmi(&a, &a) - 1.0).abs() < 1e-9, "seed {seed}: {a:?}");
+            assert!((nmi(&a, &renamed) - 1.0).abs() < 1e-9, "seed {seed}: {a:?}");
+        }
+    }
+
     #[test]
     fn nmi_trivial_cases() {
         assert_eq!(nmi(&[], &[]), 1.0);

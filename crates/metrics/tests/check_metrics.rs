@@ -1,6 +1,5 @@
-//! Property tests for the quality and similarity metrics, over seeded
-//! random communities drawn from generated graphs (dependency-free; the
-//! workload generator in cx-check replaces an external proptest).
+//! The quality and similarity metrics over seeded random communities
+//! drawn from cx-check's generated graphs.
 
 use std::collections::HashMap;
 

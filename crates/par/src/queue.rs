@@ -103,12 +103,6 @@ impl<T> Receiver<T> {
             inner = self.shared.cond.wait(inner).expect("cx-par channel poisoned");
         }
     }
-
-    /// Non-blocking receive: `None` when the queue is currently empty
-    /// (whether or not the channel is closed).
-    pub fn try_recv(&self) -> Option<T> {
-        self.shared.inner.lock().expect("cx-par channel poisoned").queue.pop_front()
-    }
 }
 
 impl<T> Clone for Receiver<T> {

@@ -49,14 +49,9 @@ impl CancelToken {
 
     /// A token that expires `timeout` from now.
     pub fn with_timeout(timeout: Duration) -> Self {
-        Self::with_deadline(Instant::now() + timeout)
-    }
-
-    /// A token that expires at `deadline`.
-    pub fn with_deadline(deadline: Instant) -> Self {
         Self {
             inner: Some(Arc::new(TokenInner {
-                deadline: Some(deadline),
+                deadline: Some(Instant::now() + timeout),
                 flag: AtomicBool::new(false),
             })),
         }
@@ -90,11 +85,6 @@ impl CancelToken {
     /// Whether this token can ever cancel (i.e. is not [`CancelToken::none`]).
     pub fn is_armed(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// The armed deadline, if any.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.inner.as_ref().and_then(|i| i.deadline)
     }
 }
 

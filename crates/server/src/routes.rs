@@ -691,7 +691,7 @@ fn write_vertex(out: &mut String, v: VertexId, label: &str, degree: usize) {
         .close();
 }
 
-/// Builds the query spec shared by `search`, `svg`, `compare` and `chart`:
+/// Builds the query spec shared by `search`, `svg` and `compare`:
 /// `name` (or `names=a|b` for multi-vertex, or `id`), `k`, `keywords=a,b`.
 fn spec_from(ctx: &Ctx) -> Result<QuerySpec, ApiError> {
     let mut spec = if let Some(names) = ctx.param("names") {

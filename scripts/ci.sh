@@ -12,7 +12,8 @@
 #   5. again at CX_THREADS=8 (every parallel helper promises thread-count
 #      independence; the suite holds the zero-allocation hot path, the
 #      shed-not-reset overload contract and the 8-reader/1-writer
-#      snapshot stress);
+#      snapshot stress), both with --all-features, so a test gated
+#      behind a cargo feature cannot sit uncompiled while this is green;
 #   6. the cx-check correctness sweep at CX_THREADS=1 and
 #   7. again at CX_THREADS=8 (invariants + differential oracles incl.
 #      snapshot pinning, incremental-vs-scratch, scratch reuse and CD
@@ -43,11 +44,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "== benchmark/ package tests =="
 cargo test -q --manifest-path benchmark/Cargo.toml
 
-echo "== cargo test -q --workspace (CX_THREADS=1) =="
-CX_THREADS=1 cargo test -q --workspace
+echo "== cargo test -q --workspace --all-features (CX_THREADS=1) =="
+CX_THREADS=1 cargo test -q --workspace --all-features
 
-echo "== cargo test -q --workspace (CX_THREADS=8) =="
-CX_THREADS=8 cargo test -q --workspace
+echo "== cargo test -q --workspace --all-features (CX_THREADS=8) =="
+CX_THREADS=8 cargo test -q --workspace --all-features
 
 echo "== cx-check seed matrix (3 sizes x 2 seeds x 4 queries + fuzz + kill-replay, CX_THREADS=1) =="
 CX_THREADS=1 cargo run -q --release -p cx-check --bin cx-check -- \
