@@ -86,8 +86,7 @@ pub fn tree_canonical(tree: &ClTree) -> String {
         }
     }
     fn node_canon(tree: &ClTree, id: NodeId) -> String {
-        let node = tree.node(id);
-        let mut s = format!("L{}[", node.level);
+        let mut s = format!("L{}[", tree.node(id).level);
         push_list(&mut s, tree.residents(id));
         s.push('|');
         for w in 0..tree.keyword_count() as u32 {
@@ -100,8 +99,7 @@ pub fn tree_canonical(tree: &ClTree) -> String {
             }
         }
         s.push(']');
-        let mut kids: Vec<String> =
-            node.children.iter().map(|&c| node_canon(tree, c)).collect();
+        let mut kids: Vec<String> = tree.children(id).map(|c| node_canon(tree, c)).collect();
         kids.sort();
         for k in kids {
             s.push('(');

@@ -53,7 +53,7 @@ pub fn hierarchy_reconstruction(
         want_edges.sort_unstable();
 
         // Full recursive expansion of every level-k root.
-        let roots = h.level_nodes(k);
+        let roots = h.level_nodes(tree, k);
         let mut got_vertices: Vec<VertexId> = Vec::new();
         let mut got_edges: Vec<(VertexId, VertexId)> = Vec::new();
         let mut stack: Vec<NodeId> = roots.clone();

@@ -22,7 +22,7 @@ use std::collections::HashSet;
 use std::fmt;
 
 use cx_acq::AcqResult;
-use cx_cltree::ClTree;
+use cx_cltree::{ClTree, NodeId};
 use cx_graph::{AttributedGraph, Community, KeywordId, VertexId};
 
 /// One violated invariant, with enough context to reproduce it.
@@ -343,12 +343,15 @@ pub fn check_core_numbers(g: &AttributedGraph, core_of: &dyn Fn(VertexId) -> u32
 
 /// The CL-tree's preorder columns and keyword postings against the
 /// definitions, by brute force on the graph: `order` is a permutation with
-/// `rank_of` its inverse; a node's residents are ascending, live at its
-/// level and open its rank interval, which its children's intervals then
-/// tile in child order; the postings are exactly a scatter over `order`
-/// (keyword w's list holds, ascending, the rank of every vertex carrying
-/// w — whether the tree was built or repaired); every keyword's posting
-/// list is strictly ascending; and for every node and keyword the carriers
+/// `rank_of` its inverse; node ids are preorder positions (every node's id
+/// is above its parent's and inside its parent's subtree id range, and a
+/// subtree's id range holds exactly the nodes whose rank intervals nest
+/// in its own); a node's residents are ascending, live at its level and
+/// open its rank interval, which its children's intervals then tile in
+/// child order; the postings are exactly a scatter over `order` (keyword
+/// w's list holds, ascending, the rank of every vertex carrying w —
+/// whether the tree was built or repaired); every keyword's posting list
+/// is strictly ascending; and for every node and keyword the carriers
 /// read through the postings are exactly the subtree's vertices that carry
 /// the keyword.
 pub fn check_tree_columns(g: &AttributedGraph, tree: &ClTree) -> Vec<Violation> {
@@ -385,6 +388,23 @@ pub fn check_tree_columns(g: &AttributedGraph, tree: &ClTree) -> Vec<Violation> 
     }
     for (id, node) in tree.iter_nodes() {
         let span = tree.subtree_ranks(id);
+        // Ids are preorder positions: a node lies in its parent's id range
+        // after the parent, and the subtree's ids are the nodes whose ranks
+        // nest in its own.
+        let in_parent = |p: NodeId| p < id && tree.subtree_nodes(p).contains(&id.index());
+        if !node.parent.map_or(id.0 == 0, in_parent) {
+            bad(format!("{id:?}: parent {:?} is not below it or its ids miss it", node.parent));
+        }
+        let nested: Vec<usize> = (0..tree.node_count())
+            .filter(|&y| {
+                let inner = tree.subtree_ranks(NodeId(y as u32));
+                span.start <= inner.start && inner.end <= span.end
+            })
+            .collect();
+        if !nested.iter().copied().eq(tree.subtree_nodes(id)) {
+            let ids = tree.subtree_nodes(id);
+            bad(format!("{id:?}: ids {ids:?}, but the ranks of {nested:?} nest in its own"));
+        }
         let residents = tree.residents(id);
         if !residents.windows(2).all(|p| p[0] < p[1]) {
             bad(format!("{id:?}: residents not strictly ascending"));
@@ -398,7 +418,7 @@ pub fn check_tree_columns(g: &AttributedGraph, tree: &ClTree) -> Vec<Violation> 
             }
         }
         let mut cursor = span.start + residents.len();
-        for &c in &node.children {
+        for c in tree.children(id) {
             let child = tree.subtree_ranks(c);
             if child.start != cursor || child.end > span.end {
                 bad(format!("{id:?}: child {c:?} at {child:?} does not tile {span:?} from {cursor}"));

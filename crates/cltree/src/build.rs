@@ -3,21 +3,28 @@
 //!
 //! Construction runs one connected component at a time: every component
 //! owns an independent subtree, built into its own node arena, and the
-//! arenas are concatenated in component order (smallest vertex id first),
-//! which fixes the node numbering the `.cxi` sidecar stores. The build is
-//! sequential; fanning the components out over threads did not pay on a
-//! 2-CPU host (DESIGN §7).
+//! arenas are concatenated in component order (smallest vertex id first).
+//! The build is sequential; fanning the components out over threads did
+//! not pay on a 2-CPU host (DESIGN §7).
+//!
+//! ## The shape, stored once
+//!
+//! An arena's nodes know only their parent. `finish` renumbers them in
+//! preorder — siblings ascending by arena id — so node `x`'s subtree is
+//! the id range `x..end(x)`, and [`ClTree::children`] is a walk that
+//! starts at `x + 1` and jumps by `end`. Build and update both end there;
+//! the `.cxi` sidecar stores the preorder ids and is loaded without one.
 //!
 //! ## The vertex side, stored once
 //!
-//! A finished node list goes through `layout`, which writes every
+//! A preorder node list goes through `layout`, which writes every
 //! vertex exactly once into `order` — each node's residents (ascending),
-//! followed by its children's subtrees — so a subtree is one contiguous
-//! *rank* interval. The keyword side is a single CSR postings column over
-//! those ranks: keyword `w`'s list holds the rank of every carrier,
-//! ascending. "Carriers of `w` below node `x`" is then the part of one
-//! sorted list that falls inside one interval: two binary searches, no
-//! traversal, no copy ([`ClTree::carriers`]).
+//! node by node in id order — so a subtree is one contiguous *rank*
+//! interval, just as it is one id interval. The keyword side is a single
+//! CSR postings column over those ranks: keyword `w`'s list holds the
+//! rank of every carrier, ascending. "Carriers of `w` below node `x`" is
+//! then the part of one sorted list that falls inside one interval: two
+//! binary searches, no traversal, no copy ([`ClTree::carriers`]).
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -34,8 +41,9 @@ use crate::unionfind::UnionFind;
 /// [`ClTree::connected_k_core`] and [`ClTree::carriers`].
 #[derive(Debug, Clone)]
 pub struct ClTree {
+    /// In preorder: the root is node 0, and node `x`'s subtree is the ids
+    /// `x..end(x)`.
     nodes: Vec<ClTreeNode>,
-    root: NodeId,
     /// Vertex → the node whose level equals the vertex's core number.
     node_of: Vec<NodeId>,
     /// Core number per vertex (kept so queries need no separate decomposition).
@@ -93,24 +101,17 @@ impl ClTree {
         let total: usize = subtrees.iter().map(|s| s.nodes.len()).sum();
         let mut nodes: Vec<ClTreeNode> = Vec::with_capacity(total + 1);
         let mut node_of = vec![NodeId(u32::MAX); n];
-        let mut tops: Vec<NodeId> = Vec::new();
         for (comp, sub) in comps.iter().zip(subtrees) {
             let offset = nodes.len() as u32;
             for mut node in sub.nodes {
                 node.parent = node.parent.map(|p| NodeId(p.0 + offset));
-                for c in &mut node.children {
-                    *c = NodeId(c.0 + offset);
-                }
                 nodes.push(node);
             }
             for (&v, nid) in comp.iter().zip(sub.node_of) {
                 node_of[v.index()] = NodeId(nid.0 + offset);
             }
-            if let Some(top) = sub.top {
-                tops.push(NodeId(top.0 + offset));
-            }
         }
-        finish(g, nodes, tops, node_of, cores.to_vec(), None)
+        finish(g, nodes, node_of, cores.to_vec(), None)
     }
 
     /// The core number of `v`.
@@ -136,14 +137,33 @@ impl ClTree {
         self.nodes.len()
     }
 
-    /// The root node id.
+    /// The root node id: node 0, the first in preorder.
     pub fn root(&self) -> NodeId {
-        self.root
+        NodeId(0)
     }
 
     /// Access a node.
     pub fn node(&self, id: NodeId) -> &ClTreeNode {
         &self.nodes[id.index()]
+    }
+
+    /// The ids of the subtree rooted at `id`: `id` itself, then its
+    /// descendants in preorder.
+    #[inline]
+    pub fn subtree_nodes(&self, id: NodeId) -> Range<usize> {
+        id.index()..self.nodes[id.index()].end as usize
+    }
+
+    /// The children of `id`, ascending by id: the first starts right
+    /// after `id`, and each next one where the previous one's subtree
+    /// ends.
+    pub fn children(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let (mut next, end) = (id.0 + 1, self.nodes[id.index()].end);
+        std::iter::from_fn(move || {
+            let child = (next < end).then_some(NodeId(next))?;
+            next = self.nodes[child.index()].end;
+            Some(child)
+        })
     }
 
     /// The node holding `v` (level == core(v)).
@@ -299,19 +319,13 @@ impl ClTree {
 
     /// Height of the tree (root counts as 1; 1 for a single-node tree).
     pub fn height(&self) -> usize {
-        fn depth(nodes: &[ClTreeNode], id: NodeId) -> usize {
-            1 + nodes[id.index()]
-                .children
-                .iter()
-                .map(|&c| depth(nodes, c))
-                .max()
-                .unwrap_or(0)
+        // A parent's id is below its children's, so one pass in id order
+        // knows every parent's depth before it needs it.
+        let mut depth = vec![0usize; self.nodes.len()];
+        for (x, node) in self.nodes.iter().enumerate() {
+            depth[x] = 1 + node.parent.map_or(0, |p| depth[p.index()]);
         }
-        if self.nodes.is_empty() {
-            0
-        } else {
-            depth(&self.nodes, self.root)
-        }
+        depth.into_iter().max().unwrap_or(0)
     }
 
     /// Approximate heap footprint of the index in bytes — used by the
@@ -319,7 +333,6 @@ impl ClTree {
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.nodes.capacity() * size_of::<ClTreeNode>()
-            + self.nodes.iter().map(|n| n.children.len()).sum::<usize>() * size_of::<NodeId>()
             + self.node_of.len() * size_of::<NodeId>()
             + self.core.len() * size_of::<u32>()
             + self.order.len() * size_of::<VertexId>()
@@ -334,21 +347,23 @@ impl ClTree {
     }
 }
 
-/// Level-0 root assembly, then [`layout`] — the common tail of
-/// [`ClTree::build_with_cores`] and [`ClTree::update`]. Core-0 vertices
-/// are exactly the isolated ones; a single root holds them, with every
-/// component's top anchor as a child (matching Figure 5(b), where the
-/// root contains J). `node_of` must already place every vertex of core
-/// ≥ 1. `prior` is the tree an update repairs (see [`layout`]).
+/// Level-0 root assembly, the renumbering to preorder, then [`layout`]
+/// — the common tail of [`ClTree::build_with_cores`] and
+/// [`ClTree::update`]. `nodes` is an arena in which each node knows only
+/// its parent, so the nodes without one are the components' top anchors.
+/// Core-0 vertices are exactly the isolated ones; a single root holds
+/// them, with every top anchor as a child (matching Figure 5(b), where
+/// the root contains J). `node_of` must already place every vertex of
+/// core ≥ 1. `prior` is the tree an update repairs (see [`layout`]).
 pub(crate) fn finish(
     g: &AttributedGraph,
     mut nodes: Vec<ClTreeNode>,
-    mut tops: Vec<NodeId>,
     mut node_of: Vec<NodeId>,
     core: Vec<u32>,
     prior: Option<&ClTree>,
 ) -> ClTree {
-    tops.sort_unstable();
+    let tops: Vec<NodeId> =
+        (0..nodes.len() as u32).map(NodeId).filter(|t| nodes[t.index()].parent.is_none()).collect();
     let has_isolated = core.contains(&0);
     let root = if !has_isolated && tops.len() == 1 {
         tops[0]
@@ -357,68 +372,87 @@ pub(crate) fn finish(
         for &kid in &tops {
             nodes[kid.index()].parent = Some(nid);
         }
-        nodes.push(ClTreeNode::new(0, None, tops));
+        nodes.push(ClTreeNode::new(0, None));
         for (slot, _) in node_of.iter_mut().zip(&core).filter(|(_, &c)| c == 0) {
             *slot = nid;
         }
         nid
     };
-    layout(g, nodes, root, node_of, core, prior)
+
+    // Each arena node's children, ascending by arena id (the sibling
+    // order), then a preorder walk that lists every node at its final id
+    // (a parent is listed before its children, so its id is known).
+    let mut kids: Vec<Vec<u32>> = vec![Vec::new(); nodes.len()];
+    for (x, node) in nodes.iter().enumerate() {
+        if let Some(p) = node.parent {
+            kids[p.index()].push(x as u32);
+        }
+    }
+    let mut pre = vec![u32::MAX; nodes.len()];
+    let mut preorder: Vec<ClTreeNode> = Vec::with_capacity(nodes.len());
+    let mut stack = vec![root.0];
+    while let Some(x) = stack.pop() {
+        let node = &nodes[x as usize];
+        pre[x as usize] = preorder.len() as u32;
+        preorder.push(ClTreeNode::new(node.level, node.parent.map(|p| NodeId(pre[p.index()]))));
+        stack.extend(kids[x as usize].iter().rev());
+    }
+    assert_eq!(preorder.len(), nodes.len(), "every node sits under the root");
+    for nid in &mut node_of {
+        *nid = NodeId(pre[nid.index()]);
+    }
+    layout(g, preorder, node_of, core, prior)
 }
 
-/// The one place the vertex side of a tree is laid out: given the
-/// finished nodes and each vertex's node, computes the preorder `order`
-/// and its inverse, every node's resident and subtree rank intervals, and
-/// the keyword postings over ranks. Called by build and update (through
-/// [`finish`]) and by snapshot load.
+/// The one place the vertex side of a tree is laid out: given the nodes
+/// in preorder and each vertex's node, computes every node's subtree id
+/// range, the preorder `order` and its inverse, every node's resident and
+/// subtree rank intervals, and the keyword postings over ranks. Called by
+/// build and update (through [`finish`]) and by snapshot load.
 ///
 /// Build and load scatter the postings from the graph's keyword sets. An
 /// update passes the tree it repairs as `prior` — same vertices, same
 /// keyword sets — and [`patch_postings`] moves that tree's postings to
 /// the new ranks instead.
 ///
-/// The caller guarantees a tree: every node but `root` is the child of
-/// exactly one node, and `node_of` names a node for every vertex.
+/// The caller guarantees a preorder: node 0 is the root, and every other
+/// node's parent lies on the path from the root to the node before it.
+/// `node_of` names a node for every vertex.
 pub(crate) fn layout(
     g: &AttributedGraph,
     mut nodes: Vec<ClTreeNode>,
-    root: NodeId,
     node_of: Vec<NodeId>,
     core: Vec<u32>,
     prior: Option<&ClTree>,
 ) -> ClTree {
     let n = node_of.len();
-    // Resident counts, then (below) each node's fill cursor.
+    // Subtree ends, children before parents.
+    for x in (0..nodes.len()).rev() {
+        let end = nodes[x].end.max(x as u32 + 1);
+        nodes[x].end = end;
+        if let Some(p) = nodes[x].parent {
+            let up = &mut nodes[p.index()].end;
+            *up = (*up).max(end);
+        }
+    }
+    // Resident counts, then each node's fill cursor: in preorder a node's
+    // residents follow those of every node before it.
     let mut cursor = vec![0u32; nodes.len()];
     for nid in &node_of {
         cursor[nid.index()] += 1;
     }
-    // Preorder walk with an explicit stack of (node, next child): a node
-    // claims its residents' ranks on entry and closes its subtree's
-    // interval on exit.
     let mut next = 0u32;
-    let mut stack: Vec<(NodeId, usize)> = vec![(root, 0)];
-    while let Some(&mut (nid, ref mut child)) = stack.last_mut() {
-        let node = &mut nodes[nid.index()];
-        if *child == 0 {
-            node.first = next;
-            next += cursor[nid.index()];
-            node.residents_end = next;
-        }
-        if let Some(&c) = node.children.get(*child) {
-            *child += 1;
-            stack.push((c, 0));
-        } else {
-            node.subtree_end = next;
-            stack.pop();
-        }
-    }
-    assert_eq!(next as usize, n, "every vertex sits in a node under the root");
-
-    // Ascending vertex id, so each node's residents come out sorted.
-    for (c, node) in cursor.iter_mut().zip(&nodes) {
+    for (node, c) in nodes.iter_mut().zip(&mut cursor) {
+        node.first = next;
+        next += *c;
+        node.residents_end = next;
         *c = node.first;
     }
+    for x in 0..nodes.len() {
+        nodes[x].subtree_end = nodes.get(nodes[x].end as usize).map_or(next, |after| after.first);
+    }
+
+    // Ascending vertex id, so each node's residents come out sorted.
     let mut order = vec![VertexId(0); n];
     let mut rank_of = vec![0u32; n];
     for (v, nid) in node_of.iter().enumerate() {
@@ -433,7 +467,7 @@ pub(crate) fn layout(
         None => scatter_postings(g, &order),
     };
     let max_core = core.iter().copied().max().unwrap_or(0);
-    ClTree { nodes, root, node_of, core, max_core, order, rank_of, kw_off, kw_ranks }
+    ClTree { nodes, node_of, core, max_core, order, rank_of, kw_off, kw_ranks }
 }
 
 /// Postings by counting sort over the whole preorder: ranks are visited
@@ -543,14 +577,12 @@ fn patch_postings(old: &ClTree, order: &[VertexId]) -> Vec<u32> {
 }
 
 /// One component's bottom-up subtree: a local node arena (ids local to the
-/// arena), each component vertex's node in that arena, and the top anchor
-/// — `None` for isolated (core-0) vertices, which the level-0 root
-/// assembly picks up directly.
+/// arena, empty for an isolated (core-0) vertex, which the level-0 root
+/// assembly picks up directly) and each component vertex's node in it.
 struct ComponentSubtree {
     nodes: Vec<ClTreeNode>,
     /// Parallel to the component's vertex list.
     node_of: Vec<NodeId>,
-    top: Option<NodeId>,
 }
 
 /// The anchored union-find sweep restricted to one connected component.
@@ -567,7 +599,7 @@ fn build_component_subtree(
     let comp_max = comp.iter().map(|&v| core[v.index()]).max().unwrap_or(0);
     if comp_max == 0 {
         // A lone isolated vertex: no arena, handled by the root assembly.
-        return ComponentSubtree { nodes: Vec::new(), node_of: Vec::new(), top: None };
+        return ComponentSubtree { nodes: Vec::new(), node_of: Vec::new() };
     }
     // Component vertices grouped by core number.
     let mut levels: Vec<Vec<VertexId>> = vec![Vec::new(); comp_max as usize + 1];
@@ -588,8 +620,7 @@ fn build_component_subtree(
     );
     // A connected component with any edge is fully joined at level 1.
     debug_assert_eq!(anchors.len(), 1, "component not fully anchored");
-    let top = anchors.into_values().next();
-    ComponentSubtree { nodes, node_of, top }
+    ComponentSubtree { nodes, node_of }
 }
 
 /// The bottom-up construction over `levels[1..]`, highest level first:
@@ -634,18 +665,17 @@ pub(crate) fn sweep_levels(
         let mut roots: Vec<u32> = groups.keys().copied().collect();
         roots.sort_unstable();
         for root in roots {
-            let (mut kids, has_residents) = groups.remove(&root).expect("root came from groups");
+            let (kids, has_residents) = groups.remove(&root).expect("root came from groups");
             if !has_residents && kids.len() == 1 {
                 // Component unchanged at this level: no node, carry forward.
                 anchors.insert(root, kids[0]);
                 continue;
             }
-            kids.sort_unstable();
             let nid = NodeId(nodes.len() as u32);
             for &kid in &kids {
                 nodes[kid.index()].parent = Some(nid);
             }
-            nodes.push(ClTreeNode::new(k as u32, None, kids));
+            nodes.push(ClTreeNode::new(k as u32, None));
             anchors.insert(root, nid);
         }
         for &v in residents {
@@ -676,24 +706,32 @@ mod tests {
         assert_eq!(names(t.residents(t.root())), vec!["J"]);
         // Root has two children: the ABCDEFG component (level 1, holding F,G)
         // and the H–I pair (level 1).
-        assert_eq!(root.children.len(), 2);
-        assert!(root.children.iter().all(|&c| t.node(c).level == 1));
+        let kids: Vec<NodeId> = t.children(t.root()).collect();
+        assert_eq!(kids.len(), 2);
+        assert!(kids.iter().all(|&c| t.node(c).level == 1));
         let mut kid_vertices: Vec<Vec<&str>> =
-            root.children.iter().map(|&c| names(t.residents(c))).collect();
+            kids.iter().map(|&c| names(t.residents(c))).collect();
         kid_vertices.sort();
         assert_eq!(kid_vertices, vec![vec!["F", "G"], vec!["H", "I"]]);
 
         // Under {F,G}: level-2 node {E}; under it, level-3 node {A,B,C,D}.
-        let fg = t.node(t.node_of(label("F")));
-        assert_eq!(fg.children.len(), 1);
-        let e_id = fg.children[0];
+        let fg: Vec<NodeId> = t.children(t.node_of(label("F"))).collect();
+        assert_eq!(fg.len(), 1);
+        let e_id = fg[0];
         assert_eq!(t.node(e_id).level, 2);
         assert_eq!(names(t.residents(e_id)), vec!["E"]);
-        assert_eq!(t.node(e_id).children.len(), 1);
-        let abcd_id = t.node(e_id).children[0];
+        let e_kids: Vec<NodeId> = t.children(e_id).collect();
+        assert_eq!(e_kids.len(), 1);
+        let abcd_id = e_kids[0];
         assert_eq!(t.node(abcd_id).level, 3);
         assert_eq!(names(t.residents(abcd_id)), vec!["A", "B", "C", "D"]);
-        assert!(t.node(abcd_id).children.is_empty());
+        assert_eq!(t.children(abcd_id).count(), 0);
+
+        // Preorder ids: J's root, then {F,G}, {E}, {A,B,C,D} and {H,I}.
+        let ids: Vec<u32> =
+            ["J", "F", "E", "A", "H"].iter().map(|&l| t.node_of(label(l)).0).collect();
+        assert_eq!(ids, [0, 1, 2, 3, 4]);
+        assert_eq!(t.subtree_nodes(t.node_of(label("F"))), 1..4);
 
         // Five nodes total, height 4, exactly as in Figure 5(b).
         assert_eq!(t.node_count(), 5);
@@ -765,7 +803,7 @@ mod tests {
         let root = t.node(t.root());
         assert_eq!(root.level, 0);
         assert!(t.residents(t.root()).is_empty());
-        assert_eq!(root.children.len(), 2);
+        assert_eq!(t.children(t.root()).collect::<Vec<_>>(), [NodeId(1), NodeId(2)]);
         assert_eq!(t.node_count(), 3);
     }
 
@@ -877,7 +915,7 @@ mod tests {
         let t = ClTree::build(&g);
         assert_eq!(t.core(VertexId(8)), 2);
         let top = t.subtree_root_for(VertexId(0), 1).unwrap();
-        assert_eq!(t.node(top).children.len(), 2);
+        assert_eq!(t.children(top).count(), 2);
         let (left, right) = (t.node_of(VertexId(0)), t.node_of(VertexId(4)));
         let kw = |name: &str| g.interner().get(name).unwrap();
         let left_k4: Vec<VertexId> = (0..4).map(VertexId).collect();

@@ -41,13 +41,9 @@ use crate::node::NodeId;
 pub const TOP_KEYWORDS: usize = 8;
 
 /// Aggregated statistics for one supernode (one CL-tree node standing for
-/// its whole subtree).
+/// its whole subtree). Its level and parent are the tree node's.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SupernodeStats {
-    /// The CL-tree level (k of the k-core component).
-    pub level: u32,
-    /// Parent supernode, `None` for the root.
-    pub parent: Option<NodeId>,
     /// Vertices resident in this node (core number == level).
     pub residents: u32,
     /// Total vertices in the subtree (this supernode's "size").
@@ -99,22 +95,24 @@ pub struct Hierarchy {
 
 impl Hierarchy {
     /// Builds the hierarchy for `g` and its CL-tree: one O(m) edge
-    ///-ownership scan, one post-order aggregation sweep, and each
+    ///-ownership scan, one reverse pass over the node ids (children
+    /// before parents) for the degree and edge columns, and each
     /// subtree's top keywords counted straight from the tree's columns.
     pub fn build(g: &AttributedGraph, tree: &ClTree) -> Self {
         let _span = cx_obs::span("cltree.hierarchy.build");
         let mut stats: Vec<SupernodeStats> = tree
             .iter_nodes()
-            .map(|(id, n)| SupernodeStats {
-                level: n.level,
-                parent: n.parent,
-                residents: tree.residents(id).len() as u32,
-                subtree_vertices: tree.subtree_ranks(id).len() as u32,
-                owned_edges: 0,
-                subtree_edges: 0,
-                sum_degree: 0,
-                max_degree: 0,
-                top_keywords: Vec::new(),
+            .map(|(id, _)| {
+                let degrees = tree.residents(id).iter().map(|&v| g.degree(v) as u64);
+                SupernodeStats {
+                    residents: tree.residents(id).len() as u32,
+                    subtree_vertices: tree.subtree_ranks(id).len() as u32,
+                    owned_edges: 0,
+                    subtree_edges: 0,
+                    sum_degree: degrees.clone().sum(),
+                    max_degree: degrees.max().unwrap_or(0) as u32,
+                    top_keywords: Vec::new(),
+                }
             })
             .collect();
 
@@ -132,11 +130,24 @@ impl Hierarchy {
             }
         }
 
+        // A parent's id is below its children's: in reverse id order every
+        // node is complete when it is added to its parent.
+        for x in (0..stats.len()).rev() {
+            let s = &mut stats[x];
+            s.subtree_edges += s.owned_edges;
+            let (sub_e, sum_d, max_d) = (s.subtree_edges, s.sum_degree, s.max_degree);
+            if let Some(p) = tree.node(NodeId(x as u32)).parent {
+                let ps = &mut stats[p.index()];
+                ps.subtree_edges += sub_e;
+                ps.sum_degree += sum_d;
+                ps.max_degree = ps.max_degree.max(max_d);
+            }
+        }
+
         // One walk, children before parents (an explicit stack keeps us
-        // safe on adversarially deep trees), aggregating the degree and
-        // edge columns from the children's and counting keywords in a
-        // dense per-vocabulary tally. A node's *largest* child is walked
-        // last and leaves its counts in the tally; the node then adds only
+        // safe on adversarially deep trees), counting keywords in a dense
+        // per-vocabulary tally. A node's *largest* child is walked last
+        // and leaves its counts in the tally; the node then adds only
         // what lies outside that child — its residents and its other
         // children's subtrees, two contiguous runs of `order` — so a
         // vertex is re-counted once per smaller-sibling step on its path
@@ -151,42 +162,20 @@ impl Hierarchy {
         while let Some(step) = stack.pop() {
             let (nid, keep, largest) = match step {
                 Step::Enter(nid, keep) => {
-                    let kids = &tree.node(nid).children;
-                    let largest =
-                        kids.iter().copied().max_by_key(|&c| tree.subtree_ranks(c).len());
+                    let largest = tree.children(nid).max_by_key(|&c| tree.subtree_ranks(c).len());
                     stack.push(Step::Exit(nid, keep, largest));
                     stack.extend(largest.map(|c| Step::Enter(c, true)));
-                    stack.extend(
-                        kids.iter().filter(|&&c| Some(c) != largest).map(|&c| Step::Enter(c, false)),
-                    );
+                    let others = tree.children(nid).filter(|&c| Some(c) != largest);
+                    stack.extend(others.map(|c| Step::Enter(c, false)));
                     continue;
                 }
                 Step::Exit(nid, keep, largest) => (nid, keep, largest),
             };
-            let i = nid.index();
-            let mut sub_e = stats[i].owned_edges;
-            let mut sum_d = 0u64;
-            let mut max_d = 0u32;
-            for &v in tree.residents(nid) {
-                let d = g.degree(v) as u64;
-                sum_d += d;
-                max_d = max_d.max(d as u32);
-            }
-            for &c in &tree.node(nid).children {
-                let cs = &stats[c.index()];
-                sub_e += cs.subtree_edges;
-                sum_d += cs.sum_degree;
-                max_d = max_d.max(cs.max_degree);
-            }
-            stats[i].subtree_edges = sub_e;
-            stats[i].sum_degree = sum_d;
-            stats[i].max_degree = max_d;
-
             let span = tree.subtree_ranks(nid);
             let counted = largest.map_or(span.start..span.start, |c| tree.subtree_ranks(c));
             tally.add(g, &order[span.start..counted.start]);
             tally.add(g, &order[counted.end..span.end]);
-            stats[i].top_keywords = tally.top();
+            stats[nid.index()].top_keywords = tally.top();
             if !keep {
                 tally.clear();
             }
@@ -227,23 +216,16 @@ impl Hierarchy {
         &self.stats[id.index()]
     }
 
-    /// The supernodes of the level-`k` view: the maximal subtrees of
-    /// level ≥ k, i.e. the connected components of the k-core (for k = 0,
-    /// the single root). Ordered by subtree size descending, then id —
-    /// so callers can take a prefix as "the N largest communities".
-    pub fn level_nodes(&self, k: u32) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = self
-            .stats
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| {
-                s.level >= k
-                    && match s.parent {
-                        None => true,
-                        Some(p) => self.stats[p.index()].level < k,
-                    }
-            })
-            .map(|(i, _)| NodeId(i as u32))
+    /// The supernodes of the level-`k` view of `tree` (the tree this
+    /// hierarchy was built from): the maximal subtrees of level ≥ k, i.e.
+    /// the connected components of the k-core (for k = 0, the single
+    /// root). Ordered by subtree size descending, then id — so callers can
+    /// take a prefix as "the N largest communities".
+    pub fn level_nodes(&self, tree: &ClTree, k: u32) -> Vec<NodeId> {
+        let mut out: Vec<NodeId> = tree
+            .iter_nodes()
+            .filter(|(_, n)| n.level >= k && n.parent.is_none_or(|p| tree.node(p).level < k))
+            .map(|(id, _)| id)
             .collect();
         out.sort_unstable_by_key(|&id| {
             (u32::MAX - self.stats[id.index()].subtree_vertices, id.0)
@@ -262,8 +244,7 @@ impl Hierarchy {
         id: NodeId,
         max_residents: usize,
     ) -> Expansion {
-        let node = tree.node(id);
-        let level = node.level;
+        let level = tree.node(id).level;
 
         let mut residents: Vec<VertexId> = tree.residents(id).to_vec();
         let truncated = residents.len() > max_residents;
@@ -277,6 +258,7 @@ impl Hierarchy {
             residents.sort_unstable();
         }
 
+        let children: Vec<NodeId> = tree.children(id).collect();
         let listed: std::collections::HashSet<VertexId> = residents.iter().copied().collect();
         let mut internal_edges = Vec::new();
         let mut links: HashMap<(VertexId, NodeId), u32> = HashMap::new();
@@ -293,8 +275,10 @@ impl Hierarchy {
                     continue;
                 }
                 // v lives strictly below: attribute the edge to the child
-                // subtree containing it.
-                let child = child_containing(tree, id, v);
+                // whose id range holds v's node — the last child whose id
+                // is not past it.
+                let at = tree.node_of(v);
+                let child = children[children.partition_point(|&c| c <= at) - 1];
                 *links.entry((u, child)).or_insert(0) += 1;
             }
         }
@@ -307,8 +291,8 @@ impl Hierarchy {
             node: id,
             residents,
             truncated,
-            children: node.children.clone(),
-            children_total: node.children.len(),
+            children_total: children.len(),
+            children,
             internal_edges,
             child_links,
         }
@@ -375,20 +359,6 @@ impl Hierarchy {
                 .iter()
                 .map(|s| s.top_keywords.len() * size_of::<(KeywordId, u32)>())
                 .sum::<usize>()
-    }
-}
-
-/// The child of `p` whose subtree contains `v`. Panics if `p` is not a
-/// proper ancestor of `v`'s node — callers establish that via the edge
-/// -ownership argument.
-fn child_containing(tree: &ClTree, p: NodeId, v: VertexId) -> NodeId {
-    let mut cur = tree.node_of(v);
-    loop {
-        match tree.node(cur).parent {
-            Some(parent) if parent == p => return cur,
-            Some(parent) => cur = parent,
-            None => panic!("vertex {v:?} is not below supernode {p:?}"),
-        }
     }
 }
 
@@ -468,7 +438,7 @@ mod tests {
         let a = g.vertex_by_label("A").unwrap();
         let abcd = t.node_of(a);
         let s = h.stats(abcd);
-        assert_eq!(s.level, 3);
+        assert_eq!(t.node(abcd).level, 3);
         assert_eq!(s.residents, 4);
         assert_eq!(s.subtree_vertices, 4);
         assert_eq!(s.owned_edges, 6);
@@ -502,18 +472,18 @@ mod tests {
         let h = Hierarchy::build(&g, &t);
 
         // Level 0: exactly the root.
-        assert_eq!(h.level_nodes(0), vec![t.root()]);
+        assert_eq!(h.level_nodes(&t, 0), vec![t.root()]);
         // Level 1: two components — ABCDEFG (7 vertices) and HI (2).
-        let l1 = h.level_nodes(1);
+        let l1 = h.level_nodes(&t, 1);
         assert_eq!(l1.len(), 2);
         let sizes: Vec<u32> = l1.iter().map(|&n| h.stats(n).subtree_vertices).collect();
         assert_eq!(sizes, vec![7, 2]); // size-descending order
         // Level 3: the K4 alone.
-        let l3 = h.level_nodes(3);
+        let l3 = h.level_nodes(&t, 3);
         assert_eq!(l3.len(), 1);
         assert_eq!(h.stats(l3[0]).subtree_vertices, 4);
         // Beyond max level: nothing.
-        assert!(h.level_nodes(4).is_empty());
+        assert!(h.level_nodes(&t, 4).is_empty());
     }
 
     #[test]
@@ -646,15 +616,12 @@ mod tests {
 
     #[test]
     fn update_on_an_updated_tree_matches_a_fresh_world() {
-        // Supernode aggregates, node ids aside (an updated tree numbers
-        // its nodes differently from a fresh build).
+        // Supernode aggregates, node ids aside (an updated tree may order
+        // siblings, and so number its nodes, differently from a fresh build).
         fn columns(t: &ClTree, h: &Hierarchy) -> Vec<String> {
             let mut out: Vec<String> = t
                 .iter_nodes()
-                .map(|(id, _)| {
-                    let s = SupernodeStats { parent: None, ..h.stats(id).clone() };
-                    format!("{:?} {s:?}", t.residents(id))
-                })
+                .map(|(id, n)| format!("{:?} {} {:?}", t.residents(id), n.level, h.stats(id)))
                 .collect();
             out.sort();
             out

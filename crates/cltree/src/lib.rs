@@ -9,17 +9,22 @@
 //! the vertices whose core number equals the node's level (every vertex
 //! lives in exactly one node → linear space).
 //!
-//! The vertex side is stored once, in preorder: a node's residents, then
-//! its children's subtrees, so every subtree is one contiguous interval of
-//! *ranks*. Keyword lists are a CSR postings column over those ranks, so
+//! The shape is stored once: node ids are preorder positions, so every
+//! subtree is one contiguous interval of ids, and a node holds its parent
+//! and where its subtree's ids end — no child lists. The vertex side
+//! follows the same preorder: each node's residents, node by node, so
+//! every subtree is also one contiguous interval of *ranks*. Keyword
+//! lists are a CSR postings column over those ranks, so
 //! keyword-constrained queries read their candidates as a slice — two
 //! binary searches, without touching the graph or walking the tree.
 //!
 //! Construction is the ACQ paper's bottom-up "advanced" method: process
 //! levels from `k_max` down to 0, merging components with an *anchored*
 //! union-find (each union-find component remembers the tree node currently
-//! representing it). Total cost is near-linear in `n + m`. Build, update
-//! and snapshot load all finish through one layout pass (`build::layout`).
+//! representing it). Total cost is near-linear in `n + m`. Build and
+//! update renumber their node arena to preorder in one place
+//! (`build::finish`); they and snapshot load then finish through one
+//! layout pass (`build::layout`).
 //!
 //! The two query primitives the ACQ algorithms need:
 //!

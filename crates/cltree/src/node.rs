@@ -2,7 +2,9 @@
 
 use std::ops::Range;
 
-/// Index of a node within its [`crate::ClTree`].
+/// Index of a node within its [`crate::ClTree`]: its position in the
+/// tree's preorder, so the root is `NodeId(0)`, every node's id is above
+/// its parent's, and a subtree is one contiguous id range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
@@ -16,27 +18,29 @@ impl NodeId {
 
 /// One CL-tree node: a connected component of the `level`-core. Its
 /// resident vertices (core number == `level`) are not stored here but in
-/// the tree's preorder column — see [`crate::ClTree::residents`].
+/// the tree's preorder column — see [`crate::ClTree::residents`] — and its
+/// descendants are the ids after its own, up to `end`.
 #[derive(Debug, Clone)]
 pub struct ClTreeNode {
     /// The k this node's component belongs to.
     pub level: u32,
     /// Parent node (a component of some lower-level core), `None` for the root.
     pub parent: Option<NodeId>,
-    /// Child nodes (higher-level core components nested in this one).
-    pub children: Vec<NodeId>,
+    /// One past the last node id of the subtree (its descendants are the
+    /// ids between this node's and `end`).
+    pub(crate) end: u32,
     /// Preorder rank of the first resident (== first rank of the subtree).
     pub(crate) first: u32,
-    /// One past the last resident's rank; the children's subtrees follow.
+    /// One past the last resident's rank; the descendants' ranks follow.
     pub(crate) residents_end: u32,
     /// One past the last rank of the whole subtree.
     pub(crate) subtree_end: u32,
 }
 
 impl ClTreeNode {
-    /// A node whose rank intervals the layout pass has yet to fill.
-    pub(crate) fn new(level: u32, parent: Option<NodeId>, children: Vec<NodeId>) -> Self {
-        Self { level, parent, children, first: 0, residents_end: 0, subtree_end: 0 }
+    /// A node whose id range and rank intervals are yet to be filled.
+    pub(crate) fn new(level: u32, parent: Option<NodeId>) -> Self {
+        Self { level, parent, end: 0, first: 0, residents_end: 0, subtree_end: 0 }
     }
 
     /// Rank interval of the residents.
@@ -45,8 +49,8 @@ impl ClTreeNode {
         self.first as usize..self.residents_end as usize
     }
 
-    /// Rank interval of the whole subtree (residents, then each child's
-    /// subtree in child order).
+    /// Rank interval of the whole subtree (residents, then each
+    /// descendant's residents in id order).
     #[inline]
     pub(crate) fn subtree_ranks(&self) -> Range<usize> {
         self.first as usize..self.subtree_end as usize

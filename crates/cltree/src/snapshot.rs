@@ -8,41 +8,46 @@
 //! are laid out again from the graph on load (they are derived data and
 //! dominate the size).
 //!
-//! Format (little-endian): magic `CXT1`, vertex count, node count, root
-//! id, core numbers, then per node: level, parent(+1, 0 = none), resident
-//! list, child list. Every structural invariant is re-validated on load.
+//! Format (little-endian): magic `CXT2`, vertex count, node count, then
+//! per node in id (preorder) order its level and parent + 1 (0 for the
+//! root), then per vertex its node id. Core numbers are the levels of the
+//! vertices' nodes, and the residents, their order and the subtree
+//! intervals are laid out again on load. Four local rules make the node
+//! list a preorder tree, checked in one pass: node 0 is the only node
+//! without a parent, and every other node's parent is below it, has a
+//! lower level, and lies on the path from the root to the node before
+//! it; every node above level 0 has a resident.
 
 use cx_graph::codec::{ByteReader, ByteWriter};
-use cx_graph::{AttributedGraph, GraphError};
+use cx_graph::{AttributedGraph, GraphError, VertexId};
 
 use crate::build::{layout, ClTree};
 use crate::node::{ClTreeNode, NodeId};
 
-const MAGIC: &[u8; 4] = b"CXT1";
+const MAGIC: &[u8; 4] = b"CXT2";
+
+fn invalid(what: &str) -> GraphError {
+    GraphError::Snapshot(what.to_owned())
+}
 
 impl ClTree {
     /// Appends the index snapshot to `out`.
     pub fn write_snapshot(&self, out: &mut Vec<u8>) {
+        let n = self.core_numbers().len() as u32;
         out.extend_from_slice(MAGIC);
-        out.u32(self.core_numbers().len() as u32);
+        out.u32(n);
         out.u32(self.node_count() as u32);
-        out.u32(self.root().0);
-        out.u32s(self.core_numbers().iter().copied());
-        for (id, node) in self.iter_nodes() {
+        for (_, node) in self.iter_nodes() {
             out.u32(node.level);
             out.u32(node.parent.map_or(0, |p| p.0 + 1));
-            let residents = self.residents(id);
-            out.u32(residents.len() as u32);
-            out.u32s(residents.iter().map(|v| v.0));
-            out.u32(node.children.len() as u32);
-            out.u32s(node.children.iter().map(|c| c.0));
         }
+        out.u32s((0..n).map(|v| self.node_of(VertexId(v)).0));
     }
 
     /// Reads a snapshot written by [`ClTree::write_snapshot`], laying out
     /// the preorder columns and keyword postings from `g`. Fails if the
-    /// snapshot does not match the graph (vertex count, structural
-    /// invariants) or has bytes left over.
+    /// snapshot does not match the graph's vertex count, breaks one of
+    /// the format's rules (module docs) or has bytes left over.
     pub fn read_snapshot(g: &AttributedGraph, bytes: &[u8]) -> Result<Self, GraphError> {
         let mut r = ByteReader::new(bytes);
         if r.take(MAGIC.len(), "magic")? != MAGIC {
@@ -56,85 +61,46 @@ impl ClTree {
             )));
         }
         let node_count = r.u32()? as usize;
-        if node_count > n + 1 {
-            return Err(GraphError::Snapshot("node count exceeds linear bound".into()));
+        if node_count == 0 || node_count > n + 1 {
+            return Err(invalid("node count outside 1..=n + 1"));
         }
-        let root = NodeId(r.u32()?);
-        if node_count == 0 || root.index() >= node_count {
-            return Err(GraphError::Snapshot("root out of range".into()));
-        }
-        let core: Vec<u32> = r.u32s(n, "core numbers")?.collect();
-        let mut nodes = Vec::with_capacity(node_count);
-        let mut node_of = vec![NodeId(u32::MAX); n];
-        for i in 0..node_count {
+        let mut nodes: Vec<ClTreeNode> = Vec::with_capacity(node_count);
+        // The path from the root to the node read last.
+        let mut chain: Vec<u32> = Vec::new();
+        for id in 0..node_count as u32 {
             let level = r.u32()?;
-            let parent_raw = r.u32()?;
-            let parent = if parent_raw == 0 {
-                None
-            } else {
-                let p = NodeId(parent_raw - 1);
-                if p.index() >= node_count {
-                    return Err(GraphError::Snapshot("parent out of range".into()));
-                }
-                Some(p)
+            let parent = match r.u32()? {
+                0 if id == 0 => None,
+                p if p == 0 || p > id => return Err(invalid("a node's parent is not below it")),
+                p => Some(NodeId(p - 1)),
             };
-            let v_len = r.u32()? as usize;
-            if v_len > n {
-                return Err(GraphError::Snapshot("vertex list too long".into()));
-            }
-            for v in r.u32s(v_len, "residents")? {
-                if v as usize >= n {
-                    return Err(GraphError::Snapshot("vertex id out of range".into()));
+            if let Some(p) = parent {
+                while chain.last().is_some_and(|&x| x != p.0) {
+                    chain.pop();
                 }
-                if node_of[v as usize] != NodeId(u32::MAX) {
-                    return Err(GraphError::Snapshot("vertex appears in two nodes".into()));
+                if chain.is_empty() {
+                    return Err(invalid("a parent off the preorder chain"));
                 }
-                node_of[v as usize] = NodeId(i as u32);
-                // Core number must match the node level.
-                if core[v as usize] != level {
-                    return Err(GraphError::Snapshot("vertex core != node level".into()));
+                if nodes[p.index()].level >= level {
+                    return Err(invalid("a level not above its parent's"));
                 }
             }
-            let c_len = r.u32()? as usize;
-            if c_len > node_count {
-                return Err(GraphError::Snapshot("child list too long".into()));
-            }
-            let mut children = Vec::with_capacity(c_len);
-            for c in r.u32s(c_len, "children")? {
-                if c as usize >= node_count {
-                    return Err(GraphError::Snapshot("child out of range".into()));
-                }
-                children.push(NodeId(c));
-            }
-            nodes.push(ClTreeNode::new(level, parent, children));
+            chain.push(id);
+            nodes.push(ClTreeNode::new(level, parent));
+        }
+        let mut residents = vec![0u32; node_count];
+        let mut node_of = Vec::with_capacity(n);
+        for x in r.u32s(n, "node of")? {
+            let count = residents.get_mut(x as usize).ok_or_else(|| invalid("a node out of range"))?;
+            *count += 1;
+            node_of.push(NodeId(x));
         }
         r.finish("CL-tree snapshot")?;
-        if node_of.contains(&NodeId(u32::MAX)) {
-            return Err(GraphError::Snapshot("some vertex belongs to no node".into()));
+        if nodes.iter().zip(&residents).any(|(node, &r)| node.level > 0 && r == 0) {
+            return Err(invalid("a node above level 0 without residents"));
         }
-        // The layout walks the nodes as a tree under `root`, so they must be
-        // one: parent/child links agree, children sit at strictly higher
-        // levels (no cycles), and every node but the parentless root is
-        // listed as a child exactly once.
-        let mut listed = vec![false; node_count];
-        for (i, node) in nodes.iter().enumerate() {
-            for &c in &node.children {
-                if nodes[c.index()].parent != Some(NodeId(i as u32)) {
-                    return Err(GraphError::Snapshot("parent/child mismatch".into()));
-                }
-                if nodes[c.index()].level <= node.level {
-                    return Err(GraphError::Snapshot("child level not above parent".into()));
-                }
-                if std::mem::replace(&mut listed[c.index()], true) {
-                    return Err(GraphError::Snapshot("child listed twice".into()));
-                }
-            }
-        }
-        let orphans = listed.iter().filter(|&&l| !l).count();
-        if nodes[root.index()].parent.is_some() || orphans != 1 {
-            return Err(GraphError::Snapshot("nodes do not form one tree under the root".into()));
-        }
-        Ok(layout(g, nodes, root, node_of, core, None))
+        let core = node_of.iter().map(|x| nodes[x.index()].level).collect();
+        Ok(layout(g, nodes, node_of, core, None))
     }
 }
 
@@ -194,61 +160,57 @@ mod tests {
     #[test]
     fn rejects_corruption() {
         let g = figure5_graph();
-        let tree = ClTree::build(&g);
         let mut buf = Vec::new();
-        tree.write_snapshot(&mut buf);
-        // Bad magic.
+        ClTree::build(&g).write_snapshot(&mut buf);
         let mut bad = buf.clone();
         bad[0] = b'X';
         assert!(ClTree::read_snapshot(&g, &bad).is_err());
-        // Trailing bytes.
-        let mut longer = buf.clone();
-        longer.push(0);
-        assert!(ClTree::read_snapshot(&g, &longer).is_err());
-        // Truncation at every byte must never panic.
         for cut in 0..buf.len() {
-            let mut t = buf.clone();
-            t.truncate(cut);
-            assert!(ClTree::read_snapshot(&g, &t).is_err(), "cut at {cut}");
-        }
-        // Flip a vertex id deep in the payload: must be caught by one of
-        // the structural validations, never accepted silently as valid &
-        // different.
-        let mut flip = buf.clone();
-        let last = flip.len() - 6;
-        flip[last] ^= 0x01;
-        if let Ok(loaded) = ClTree::read_snapshot(&g, &flip) {
-            // If it somehow still parses, it must be structurally identical.
-            assert_eq!(loaded.core_numbers(), tree.core_numbers());
+            assert!(ClTree::read_snapshot(&g, &buf[..cut]).is_err(), "cut at {cut}");
         }
     }
 
+    /// One mutation of a valid Figure 5 sidecar per rule. Its nodes in
+    /// preorder: 0 the root {J} (level 0), 1 {F,G} (1), 2 {E} (2), 3
+    /// {A,B,C,D} (3), 4 {H,I} (1); node `i`'s level is the u32 at
+    /// `12 + 8i`, its parent + 1 the one after it, and vertex `v`'s node
+    /// the u32 at `52 + 4v`.
     #[test]
     fn rejects_a_node_list_that_is_not_one_tree() {
-        // Two triangles: nodes 0 and 1 (level 2) under an empty root 2.
-        let mut b = cx_graph::GraphBuilder::new();
-        for i in 0..6 {
-            b.add_vertex(&format!("v{i}"), &["k"]);
+        let g = figure5_graph();
+        let mut valid = Vec::new();
+        ClTree::build(&g).write_snapshot(&mut valid);
+        assert_eq!(valid.len(), 92);
+        let set = |bytes: &mut Vec<u8>, at: usize, x: u32| {
+            bytes[at..at + 4].copy_from_slice(&x.to_le_bytes());
+        };
+        let level = |i: usize| 12 + 8 * i;
+        let parent = |i: usize| 16 + 8 * i;
+        let node_of = |v: usize| 52 + 4 * v;
+        // (the error the rule gives, the mutation that breaks only it)
+        let cases: [(&str, &dyn Fn(&mut Vec<u8>)); 7] = [
+            ("a node's parent is not below it", &|b| set(b, parent(2), 3)),
+            // {A,B,C,D} hangs off the root, so the chain before node 4 is
+            // 0, 3: node 2 is off it, though below 4 and at a lower level.
+            ("a parent off the preorder chain", &|b| {
+                set(b, parent(3), 1);
+                set(b, level(4), 3);
+                set(b, parent(4), 3);
+            }),
+            ("a level not above its parent's", &|b| set(b, level(2), 1)),
+            ("a node out of range", &|b| set(b, node_of(0), 5)),
+            ("a node above level 0 without residents", &|b| set(b, node_of(4), 3)),
+            ("node count outside 1..=n + 1", &|b| set(b, 8, 12)),
+            ("1 trailing bytes after CL-tree snapshot", &|b| b.push(0)),
+        ];
+        assert!(ClTree::read_snapshot(&g, &valid).is_ok());
+        for (rule, mutate) in cases {
+            let mut bytes = valid.clone();
+            mutate(&mut bytes);
+            match ClTree::read_snapshot(&g, &bytes) {
+                Err(GraphError::Snapshot(m)) if m.starts_with(rule) => {}
+                other => panic!("{rule}: {:?}", other.map(|t| t.node_count())),
+            }
         }
-        for (x, y) in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)] {
-            b.add_edge(cx_graph::VertexId(x), cx_graph::VertexId(y));
-        }
-        let g = b.build();
-        let mut buf = Vec::new();
-        ClTree::build(&g).write_snapshot(&mut buf);
-        // The root record is last: level, parent, 0 residents, 2 children.
-        let kids = buf.len() - 8;
-        assert_eq!(buf[kids..], [0, 0, 0, 0, 1, 0, 0, 0]);
-        let load = |bytes: &[u8]| ClTree::read_snapshot(&g, bytes);
-        assert!(load(&buf).is_ok());
-        // Child 0 listed twice, child 1 orphaned: its vertices would get no rank.
-        let mut twice = buf.clone();
-        twice[kids + 4] = 0;
-        assert!(load(&twice).is_err());
-        // Child 1 dropped from the list altogether.
-        let mut dropped = buf.clone();
-        dropped.truncate(kids + 4);
-        dropped[kids - 4] = 1;
-        assert!(load(&dropped).is_err());
     }
 }

@@ -45,10 +45,13 @@
 //!
 //! ## Laying out the repaired tree
 //!
-//! The preorder walk that numbers the ranks stays a pass over all nodes
-//! and vertices, and the new tree owns fresh copies of its columns
-//! (`order`, `rank_of`, the postings): O(n + keyword occurrences) of
-//! copying per edit. What no longer scales with the graph is the
+//! The repaired arena — carried nodes first, in their old order, then
+//! the re-swept ones — is renumbered to preorder like a fresh build's
+//! (`build::finish`), and the carried nodes' old child order is kept, as
+//! their arena ids ascend in it. Numbering the ids and ranks stays a pass
+//! over all nodes and vertices, and the new tree owns fresh copies of its
+//! columns (`order`, `rank_of`, the postings): O(n + keyword occurrences)
+//! of copying per edit. What no longer scales with the graph is the
 //! *postings*: the old and new preorders agree outside one rank span, so
 //! the old tree's postings are copied and only those inside the span are
 //! moved, block by block (`build::patch_postings`) — O(postings in the
@@ -101,9 +104,9 @@ impl ClTree {
     ///
     /// The result is structurally identical to `ClTree::build_with_cores
     /// (g, new_cores)` — same nodes, same nesting, same per-node residents
-    /// and carriers — though node *ids* may be numbered differently
-    /// (preserved nodes keep their relative order and come first). All
-    /// query entry points are id-agnostic.
+    /// and carriers. Its node ids are preorder positions too, but siblings
+    /// may come in another order than a fresh build's, and with them ids
+    /// and ranks. All query entry points are id-agnostic.
     pub fn update(&self, g: &AttributedGraph, delta: &EdgeDelta, new_cores: &[u32]) -> ClTree {
         let _span = cx_obs::span("cltree.update");
         let n = g.vertex_count();
@@ -140,21 +143,20 @@ impl ClTree {
         }
 
         // ---- Carry the untouched sub-forest (levels > L). ----
-        // Preserved nodes keep their relative order; `remap` translates old
-        // ids. Children of a preserved node are always at a strictly higher
-        // level, hence preserved themselves, and so are their residents:
-        // a vertex of new core > L kept its core and its node.
+        // Preserved nodes open the arena in their old order; `remap`
+        // translates old ids. Children of a preserved node are always at a
+        // strictly higher level, hence preserved themselves, and so are
+        // their residents: a vertex of new core > L kept its core and its
+        // node. A preserved node whose parent is not gets one from the
+        // sweep.
         let mut nodes: Vec<ClTreeNode> = Vec::new();
         let mut remap: Vec<Option<NodeId>> = vec![None; self.node_count()];
         for (old_id, node) in self.iter_nodes() {
             if node.level > level {
                 remap[old_id.index()] = Some(NodeId(nodes.len() as u32));
-                nodes.push(node.clone());
+                let parent = node.parent.and_then(|p| remap[p.index()]);
+                nodes.push(ClTreeNode::new(node.level, parent));
             }
-        }
-        for node in &mut nodes {
-            node.children.iter_mut().for_each(|c| *c = remap[c.index()].expect("child preserved"));
-            node.parent = node.parent.and_then(|p| remap[p.index()]);
         }
         let mut node_of = vec![NodeId(u32::MAX); n];
         // Vertices whose node is being rebuilt, grouped by new core.
@@ -189,7 +191,7 @@ impl ClTree {
             }
             anchors.insert(uf.find(lead), remap[old_id.index()].expect("top preserved"));
         }
-        let anchors = sweep_levels(
+        sweep_levels(
             g,
             new_cores,
             &levels,
@@ -199,8 +201,7 @@ impl ClTree {
             &mut nodes,
             |v, nid| node_of[v.index()] = nid,
         );
-
-        finish(g, nodes, anchors.into_values().collect(), node_of, new_cores.to_vec(), Some(self))
+        finish(g, nodes, node_of, new_cores.to_vec(), Some(self))
     }
 }
 
@@ -237,7 +238,7 @@ mod tests {
     /// `tests/columns.rs` and cx-check's `tree_canonical`.
     fn canon(t: &ClTree, id: NodeId) -> String {
         let node = t.node(id);
-        let mut kids: Vec<String> = node.children.iter().map(|&c| canon(t, c)).collect();
+        let mut kids: Vec<String> = t.children(id).map(|c| canon(t, c)).collect();
         kids.sort();
         format!(
             "(l{} v{:?} [{}])",
@@ -291,7 +292,7 @@ mod tests {
         let g = figure5_graph();
         let tree = ClTree::build(&g);
         // Toggling H–I only reaches level 1: the {A,B,C,D} level-3 node
-        // and the {E} level-2 node are carried, and come first.
+        // and the {E} level-2 node are carried.
         let delta = g.edge_delta(&[], &[(v(7), v(8))]).unwrap();
         let g2 = g.apply_delta(&delta);
         let cores = CoreDecomposition::compute(&g2).core_numbers().to_vec();
@@ -300,7 +301,6 @@ mod tests {
         let x = g.interner().get("x").unwrap();
         for q in [v(0), v(4)] {
             let (old, new) = (tree.node_of(q), updated.node_of(q));
-            assert!(new.0 < 2, "carried nodes are numbered first");
             assert_eq!(tree.residents(old), updated.residents(new));
             assert_eq!(tree.carrier_vertices(old, x), updated.carrier_vertices(new, x));
         }

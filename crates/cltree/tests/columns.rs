@@ -30,7 +30,7 @@ fn check_columns(g: &AttributedGraph, t: &ClTree) {
 /// Id-independent encoding of a subtree: level, residents, every keyword's
 /// carriers, and the children's encodings as a multiset.
 fn canon(g: &AttributedGraph, t: &ClTree, id: NodeId) -> String {
-    let mut kids: Vec<String> = t.node(id).children.iter().map(|&c| canon(g, t, c)).collect();
+    let mut kids: Vec<String> = t.children(id).map(|c| canon(g, t, c)).collect();
     kids.sort();
     let carriers: Vec<(u32, Vec<u32>)> = keywords(g)
         .map(|w| (w.0, t.carrier_vertices(id, w).iter().map(|v| v.0).collect::<Vec<_>>()))

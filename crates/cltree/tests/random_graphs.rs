@@ -40,12 +40,13 @@ fn tree_shape_and_answers_match_direct_computation() {
             for &v in t.residents(id) {
                 homes[v.index()] += 1;
             }
-            for &c in &node.children {
+            for c in t.children(id) {
                 assert!(t.node(c).level > node.level, "seed={seed}: child {c:?} of {id:?}");
                 assert_eq!(t.node(c).parent, Some(id), "seed={seed}: child {c:?} of {id:?}");
             }
             if let Some(p) = node.parent {
-                assert!(t.node(p).children.contains(&id), "seed={seed}: parent of {id:?}");
+                assert!(p < id, "seed={seed}: parent of {id:?} is not below it");
+                assert!(t.children(p).any(|c| c == id), "seed={seed}: parent of {id:?}");
             }
         }
         assert!(homes.iter().all(|&h| h == 1), "seed={seed}: homes {homes:?}");

@@ -152,11 +152,11 @@ impl GraphSnapshot {
     /// construction — see the hierarchy module docs.
     pub fn hierarchy_level_scene(&self, level: u32, max_nodes: usize) -> Scene {
         let h = self.hierarchy();
-        let nodes = h.level_nodes(level);
+        let nodes = h.level_nodes(&self.tree, level);
         let shown = nodes.len().min(max_nodes.max(1));
         let items: Vec<SummaryItem> = nodes[..shown]
             .iter()
-            .map(|&id| supernode_item(&self.graph, &h, id))
+            .map(|&id| supernode_item(&self.graph, &self.tree, &h, id))
             .collect();
         layout_summary(&items, &[], 960.0, 600.0).titled(format!(
             "Hierarchy level {level} — showing {shown} of {} supernodes",
@@ -192,7 +192,7 @@ impl GraphSnapshot {
             .enumerate()
             .map(|(i, &c)| (c, items.len() + i))
             .collect();
-        items.extend(ex.children.iter().map(|&c| supernode_item(g, &h, c)));
+        items.extend(ex.children.iter().map(|&c| supernode_item(g, &self.tree, &h, c)));
 
         let mut links: Vec<(usize, usize, f64)> = ex
             .internal_edges
@@ -203,11 +203,10 @@ impl GraphSnapshot {
             ex.child_links.iter().map(|&(u, c, w)| (vert_index[&u], child_index[&c], w as f64)),
         );
 
-        let s = h.stats(NodeId(node));
         let truncated = ex.truncated || ex.children.len() < ex.children_total;
         Some(layout_summary(&items, &links, 960.0, 600.0).titled(format!(
             "Supernode {node} (level {}) — {} residents, {} children{}",
-            s.level,
+            self.tree.node(ex.node).level,
             ex.residents.len(),
             ex.children.len(),
             if truncated { ", truncated" } else { "" }
@@ -217,13 +216,13 @@ impl GraphSnapshot {
 
 /// Summary-scene item for one supernode: labelled with level, subtree
 /// size, and the dominant keyword when it has one.
-fn supernode_item(g: &AttributedGraph, h: &Hierarchy, id: NodeId) -> SummaryItem {
-    let s = h.stats(id);
+fn supernode_item(g: &AttributedGraph, tree: &ClTree, h: &Hierarchy, id: NodeId) -> SummaryItem {
+    let (s, level) = (h.stats(id), tree.node(id).level);
     let kw = s.top_keywords.first().and_then(|&(w, _)| g.interner().name(w)).unwrap_or("");
     let label = if kw.is_empty() {
-        format!("k{} | {}v", s.level, s.subtree_vertices)
+        format!("k{level} | {}v", s.subtree_vertices)
     } else {
-        format!("k{} | {}v | {kw}", s.level, s.subtree_vertices)
+        format!("k{level} | {}v | {kw}", s.subtree_vertices)
     };
     SummaryItem { id: id.0, label, size: s.subtree_vertices as f64, is_super: true }
 }

@@ -4,6 +4,8 @@
 //! `cx_index_boot_total{source}` — same canonical tree, same answers,
 //! including `global`, which reads q's connected k-core off the tree.
 //!
+//! A sidecar written in the older CXT1 format is rebuilt the same way.
+//!
 //! One test function: the counters are process-wide.
 
 use std::sync::Arc;
@@ -66,7 +68,7 @@ fn boot_loads_the_index_and_rebuilds_when_it_cannot() {
             generation: rg.generation,
             graph: Arc::clone(&rg.graph),
             profiles: Vec::new(),
-            index: Some(b"CXT1 but not a tree".to_vec()),
+            index: Some(b"CXT2 but not a tree".to_vec()),
         };
         store.compact(&[lie], Some("g".into()), &[("g".into(), rg.generation)]).unwrap();
     }
@@ -98,6 +100,45 @@ fn boot_loads_the_index_and_rebuilds_when_it_cannot() {
     assert!(!sidecar.exists(), "the dead checkpoint's sidecar is swept");
     assert_eq!(answers(&Engine::open_durable(&dir).unwrap()), served);
     assert_eq!(boots(), (loaded + 2, rebuilt + 3));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A store from before CXT2: Figure 5's sidecar exactly as the CXT1
+    // codec wrote it, whole and bound to its checkpoint. The magic turns
+    // it down, and the boot rebuilds.
+    let fig5 = cx_datagen::figure5_graph();
+    let a = QuerySpec::by_id(fig5.vertex_by_label("A").unwrap()).k(2);
+    let answers = |e: &Engine| {
+        let snap = e.snapshot(Some("fig5")).unwrap();
+        let found = e.search_on(Some("fig5"), "acq", &a).unwrap();
+        let core = e.search_on(Some("fig5"), "global", &a).unwrap();
+        (tree_canonical(&snap.tree), fingerprint(&found), fingerprint(&core))
+    };
+    let served = {
+        let e = Engine::open_durable(&dir).unwrap();
+        e.try_add_graph("fig5", fig5).unwrap();
+        e.compact_store().unwrap();
+        answers(&e)
+    };
+    let sidecar = dir.join(cx_store::SNAPSHOTS_DIR).join(cx_store::index_file_name("fig5", 1));
+    std::fs::remove_file(&sidecar).unwrap();
+    {
+        let (store, state) = cx_store::Store::open(&dir).unwrap();
+        let rg = &state.graphs["fig5"];
+        let old = cx_store::GraphCheckpoint {
+            name: "fig5".into(),
+            generation: rg.generation,
+            graph: Arc::clone(&rg.graph),
+            profiles: Vec::new(),
+            index: Some(include_bytes!("fixtures/figure5.cxt1").to_vec()),
+        };
+        store.compact(&[old], Some("fig5".into()), &[("fig5".into(), rg.generation)]).unwrap();
+    }
+    // The sidecar file the CXT1 writer left in this store, byte for byte.
+    let bytes = std::fs::read(&sidecar).unwrap();
+    assert_eq!((bytes.len(), cx_store::crc32(&bytes)), (212, 3988716899));
+    let (loaded, rebuilt) = boots();
+    assert_eq!(answers(&Engine::open_durable(&dir).unwrap()), served);
+    assert_eq!(boots(), (loaded, rebuilt + 1), "a CXT1 index is rebuilt");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,6 +1,6 @@
 //! The workspace's one little-endian byte codec. Every on-disk format is
 //! written with [`ByteWriter`] and read back with [`ByteReader`]: the
-//! CXG1 graph snapshot ([`crate::io`]), the CL-tree's CXT1 snapshot, and
+//! CXG1 graph snapshot ([`crate::io`]), the CL-tree's CXT2 snapshot, and
 //! the durable store's WAL records, checkpoints, manifest and index
 //! sidecars.
 //!

@@ -748,57 +748,44 @@ fn write_community(buf: &mut String, g: &AttributedGraph, c: &Community, scene: 
 }
 
 /// Appends a laid-out community as the page's canvas draws it:
-/// `{edges, height, nodes: [{highlight, id, label, r?, super?, x, y}],
-/// theme, title, width}`. Coordinates and radii are rounded to one
-/// decimal and weights to none — the text of `{:.1}` / `{:.0}` read back
-/// as a number, so `600.0` is written `600` and `-0.0` is `0`. The scene
-/// is decorative: a non-finite coordinate makes it `null` rather than
-/// failing the response.
+/// `{edges, height, nodes: [{highlight, id, label, x, y}], theme, title,
+/// width}`. Coordinates are rounded to one decimal — the text of `{:.1}`
+/// read back as a number, so `600.0` is written `600` and `-0.0` is `0`.
+/// The scene is decorative: a non-finite coordinate makes it `null`
+/// rather than failing the response. A community scene has no radii,
+/// supernode flags or edge weights; only the SVG of a hierarchy summary
+/// draws those.
 fn write_scene(out: &mut String, scene: &Scene) {
     let start = out.len();
     let mut text = String::new();
     let mut finite = true;
-    // `{:.N}` of `x`, read back and written as a JSON number.
-    let mut rounded = |out: &mut String, x: f64, decimals: usize| {
+    // `{:.1}` of `x`, read back and written as a JSON number.
+    let mut rounded = |out: &mut String, x: f64| {
         use std::fmt::Write as _;
         text.clear();
-        let _ = write!(text, "{x:.decimals$}");
+        let _ = write!(text, "{x:.1}");
         match text.parse::<f64>() {
             Ok(x) if x.is_finite() => number_into(out, x),
             _ => finite = false,
         }
     };
     let mut o = ObjectWriter::new(out);
-    array_into(o.key("edges"), scene.edges.iter().enumerate(), |out, (i, &(a, b))| {
-        out.push('[');
-        number_into(out, a as f64);
-        out.push(',');
-        number_into(out, b as f64);
-        if let Some(&w) = scene.weights.get(i) {
-            out.push(',');
-            rounded(out, w, 0);
-        }
-        out.push(']');
+    array_into(o.key("edges"), &scene.edges, |out, &(a, b)| {
+        array_into(out, [a, b], |out, x| number_into(out, x as f64));
     });
-    rounded(o.key("height"), scene.height, 1);
+    rounded(o.key("height"), scene.height);
     array_into(o.key("nodes"), scene.vertices.iter().enumerate(), |out, (i, &(v, p))| {
         let mut node = ObjectWriter::new(out);
         node.bool("highlight", scene.highlight == Some(i))
             .num("id", v.0 as f64)
             .str("label", &scene.labels[i]);
-        if let Some(&r) = scene.radii.get(i) {
-            rounded(node.key("r"), r, 1);
-        }
-        if let Some(&s) = scene.supers.get(i) {
-            node.bool("super", s);
-        }
-        rounded(node.key("x"), p.x, 1);
-        rounded(node.key("y"), p.y, 1);
+        rounded(node.key("x"), p.x);
+        rounded(node.key("y"), p.y);
         node.close();
     });
     array_into(o.key("theme"), &scene.theme, |out, t| escape_into(out, t));
     o.str("title", &scene.title);
-    rounded(o.key("width"), scene.width, 1);
+    rounded(o.key("width"), scene.width);
     o.close();
     if !finite {
         out.truncate(start);
@@ -1041,8 +1028,8 @@ fn no_such_supernode() -> ApiError {
     ApiError::not_found("no such supernode")
 }
 
-/// One supernode: identity, aggregates, top keywords.
-fn write_supernode(out: &mut String, g: &AttributedGraph, h: &Hierarchy, id: NodeId) {
+/// One supernode: identity, level, aggregates, top keywords.
+fn write_supernode(out: &mut String, snap: &GraphSnapshot, h: &Hierarchy, id: NodeId) {
     let s = h.stats(id);
     let avg_degree = if s.subtree_vertices > 0 {
         s.sum_degree as f64 / s.subtree_vertices as f64
@@ -1051,12 +1038,12 @@ fn write_supernode(out: &mut String, g: &AttributedGraph, h: &Hierarchy, id: Nod
     };
     let mut o = ObjectWriter::new(out);
     o.num("avg_degree", avg_degree).num("edges", s.subtree_edges as f64).num("id", id.0 as f64);
-    let interner = g.interner();
+    let interner = snap.graph.interner();
     let keywords = s.top_keywords.iter().filter_map(|&(w, c)| Some((interner.name(w)?, c)));
     array_into(o.key("keywords"), keywords, |out, (name, c)| {
         ObjectWriter::new(out).num("count", c as f64).str("keyword", name).close();
     });
-    o.num("level", s.level as f64)
+    o.num("level", snap.tree.node(id).level as f64)
         .num("max_degree", s.max_degree as f64)
         .num("residents", s.residents as f64)
         .num("vertices", s.subtree_vertices as f64)
@@ -1091,13 +1078,13 @@ fn hierarchy(ctx: &Ctx) -> Handler {
         let ex = h.expand_bounded(g, &snap.tree, n, limit).ok_or_else(no_such_supernode)?;
         return Ok(Payload::Data(Json::obj([
             ("node", Json::num(n as f64)),
-            ("level", Json::num(h.stats(NodeId(n)).level as f64)),
+            ("level", Json::num(snap.tree.node(ex.node).level as f64)),
             (
                 "residents",
                 raw_array(&ex.residents, |out, &v| write_vertex(out, v, g.label(v), g.degree(v))),
             ),
             ("residents_truncated", Json::Bool(ex.truncated)),
-            ("children", raw_array(&ex.children, |out, &c| write_supernode(out, g, &h, c))),
+            ("children", raw_array(&ex.children, |out, &c| write_supernode(out, &snap, &h, c))),
             ("children_total", Json::num(ex.children_total as f64)),
             ("children_truncated", Json::Bool(ex.children.len() < ex.children_total)),
             (
@@ -1120,14 +1107,14 @@ fn hierarchy(ctx: &Ctx) -> Handler {
     }
 
     let level = ctx.param_as::<u32>("level", 0);
-    let nodes = h.level_nodes(level);
+    let nodes = h.level_nodes(&snap.tree, level);
     let shown = &nodes[..nodes.len().min(limit)];
     Ok(Payload::Data(Json::obj([
         ("level", Json::num(level as f64)),
         ("max_level", Json::num(h.max_level() as f64)),
         ("total", Json::num(nodes.len() as f64)),
         ("truncated", Json::Bool(shown.len() < nodes.len())),
-        ("nodes", raw_array(shown, |out, &id| write_supernode(out, g, &h, id))),
+        ("nodes", raw_array(shown, |out, &id| write_supernode(out, &snap, &h, id))),
     ])))
 }
 

@@ -6,7 +6,7 @@
 
 use super::*;
 use cx_datagen::{dblp_like, figure5_graph, DblpParams};
-use cx_layout::{layout_summary, Point, SummaryItem};
+use cx_layout::Point;
 
 /// A vertex row, as a tree.
 fn vertex_tree(v: VertexId, label: &str, degree: usize) -> Json {
@@ -18,13 +18,13 @@ fn vertex_tree(v: VertexId, label: &str, degree: usize) -> Json {
 }
 
 /// A supernode row, as a tree.
-fn supernode_tree(g: &AttributedGraph, h: &Hierarchy, id: NodeId) -> Json {
-    let s = h.stats(id);
+fn supernode_tree(snap: &GraphSnapshot, h: &Hierarchy, id: NodeId) -> Json {
+    let (g, s) = (&snap.graph, h.stats(id));
     let avg_degree =
         if s.subtree_vertices > 0 { s.sum_degree as f64 / s.subtree_vertices as f64 } else { 0.0 };
     Json::obj([
         ("id", Json::num(id.0 as f64)),
-        ("level", Json::num(s.level as f64)),
+        ("level", Json::num(snap.tree.node(id).level as f64)),
         ("residents", Json::num(s.residents as f64)),
         ("vertices", Json::num(s.subtree_vertices as f64)),
         ("edges", Json::num(s.subtree_edges as f64)),
@@ -57,34 +57,19 @@ fn scene_text(s: &Scene) -> String {
         .iter()
         .enumerate()
         .map(|(i, &(v, p))| {
-            let mut n = format!(
-                "{{\"id\":{},\"label\":\"{}\",\"x\":{:.1},\"y\":{:.1},\"highlight\":{}",
+            format!(
+                "{{\"id\":{},\"label\":\"{}\",\"x\":{:.1},\"y\":{:.1},\"highlight\":{}}}",
                 v.0,
                 esc(&s.labels[i]),
                 p.x,
                 p.y,
                 s.highlight == Some(i)
-            );
-            if let Some(&r) = s.radii.get(i) {
-                n += &format!(",\"r\":{r:.1}");
-            }
-            if let Some(&sup) = s.supers.get(i) {
-                n += &format!(",\"super\":{sup}");
-            }
-            n + "}"
+            )
         })
         .collect();
     out += &nodes.join(",");
     out += "],\"edges\":[";
-    let edges: Vec<String> = s
-        .edges
-        .iter()
-        .enumerate()
-        .map(|(i, &(a, b))| match s.weights.get(i) {
-            Some(&w) => format!("[{a},{b},{w:.0}]"),
-            None => format!("[{a},{b}]"),
-        })
-        .collect();
+    let edges: Vec<String> = s.edges.iter().map(|&(a, b)| format!("[{a},{b}]")).collect();
     out += &edges.join(",");
     out + "]}"
 }
@@ -138,14 +123,14 @@ fn hierarchy_views_and_expansions_match_the_tree() {
         let (g, h) = (&*snap.graph, snap.hierarchy());
         for level in 0..=h.max_level() + 1 {
             for limit in [2, 5, 200, 1000] {
-                let nodes = h.level_nodes(level);
+                let nodes = h.level_nodes(&snap.tree, level);
                 let shown: Vec<NodeId> = nodes.iter().copied().take(limit).collect();
                 let want = Json::obj([
                     ("level", Json::num(level as f64)),
                     ("max_level", Json::num(h.max_level() as f64)),
                     ("total", Json::num(nodes.len() as f64)),
                     ("truncated", Json::Bool(shown.len() < nodes.len())),
-                    ("nodes", Json::arr(shown.iter().map(|&id| supernode_tree(g, &h, id)))),
+                    ("nodes", Json::arr(shown.iter().map(|&id| supernode_tree(&snap, &h, id)))),
                 ]);
                 let target = format!("/api/v1/hierarchy?level={level}&limit={limit}");
                 assert_eq!(
@@ -160,7 +145,7 @@ fn hierarchy_views_and_expansions_match_the_tree() {
                 let ex = h.expand_bounded(g, &snap.tree, n, limit).unwrap();
                 let want = Json::obj([
                     ("node", Json::num(n as f64)),
-                    ("level", Json::num(h.stats(NodeId(n)).level as f64)),
+                    ("level", Json::num(snap.tree.node(NodeId(n)).level as f64)),
                     (
                         "residents",
                         Json::arr(
@@ -168,7 +153,10 @@ fn hierarchy_views_and_expansions_match_the_tree() {
                         ),
                     ),
                     ("residents_truncated", Json::Bool(ex.truncated)),
-                    ("children", Json::arr(ex.children.iter().map(|&c| supernode_tree(g, &h, c)))),
+                    (
+                        "children",
+                        Json::arr(ex.children.iter().map(|&c| supernode_tree(&snap, &h, c))),
+                    ),
                     ("children_total", Json::num(ex.children_total as f64)),
                     ("children_truncated", Json::Bool(ex.children.len() < ex.children_total)),
                     (
@@ -269,47 +257,32 @@ fn search_answers_with_scenes_match_the_tree() {
     }
 }
 
-/// A summary scene carries every optional column (radii, supernode flags,
-/// weights), a title and labels that need escaping.
-fn summary_scene() -> Scene {
-    let items: Vec<SummaryItem> = (0..6)
-        .map(|i| SummaryItem {
-            id: i,
-            label: format!("s{i} \"q\"\\\n\u{1}\u{2028}é"),
-            size: (i * i + 1) as f64,
-            is_super: i % 2 == 0,
-        })
-        .collect();
-    let links = [(0, 1, 3.0), (1, 2, 0.5), (2, 3, 2.5), (4, 5, 1e20)];
-    let mut s = layout_summary(&items, &links, 800.0, 600.0).titled("T \"x\" \t");
+/// A community scene with a title, a theme and labels that need escaping.
+fn community_scene() -> Scene {
+    let g = figure5_graph();
+    let c = Community::structural(g.vertices().take(6).collect());
+    let circular = LayoutAlgorithm::Circular;
+    let mut s = cx_layout::layout_community(&g, &c, circular, None, 800.0, 600.0, 1);
+    for (i, label) in s.labels.iter_mut().enumerate() {
+        *label = format!("s{i} \"q\"\\\n\u{1}\u{2028}é");
+    }
+    s.title = "T \"x\" \t".into();
     s.theme = vec!["db".into(), "a\"b".into()];
     s
 }
 
 #[test]
 fn scene_writer_matches_the_printed_and_reparsed_scene() {
-    let base = summary_scene();
+    let base = community_scene();
+    assert!(!base.edges.is_empty());
     let mut variants = vec![base.clone()];
     // Coordinates that round to integers, to -0.0 and across a half.
-    let mut edge = base.clone();
+    let mut edge = base;
     edge.vertices[0].1 = Point { x: 600.04, y: -0.04 };
     edge.vertices[1].1 = Point { x: 0.25, y: 0.35 };
     edge.vertices[2].1 = Point { x: 1e17, y: 123_456.789 };
-    edge.radii[3] = 7.95;
     edge.highlight = Some(2);
     variants.push(edge);
-    // A classic community scene: no optional columns at all.
-    let g = figure5_graph();
-    let c = Community::structural(g.vertices().take(4).collect());
-    variants.push(cx_layout::layout_community(
-        &g,
-        &c,
-        LayoutAlgorithm::Circular,
-        None,
-        960.0,
-        600.0,
-        1,
-    ));
     for (i, scene) in variants.iter().enumerate() {
         let mut got = String::new();
         write_scene(&mut got, scene);
@@ -323,16 +296,16 @@ fn scene_writer_matches_the_printed_and_reparsed_scene() {
 fn a_scene_with_one_non_finite_number_is_null() {
     let g = figure5_graph();
     let c = Community::structural(g.vertices().take(3).collect());
-    let ok = summary_scene();
+    let ok = community_scene();
     let mut nan_x = ok.clone();
     nan_x.vertices[4].1.x = f64::NAN;
-    let mut inf_weight = ok.clone();
-    inf_weight.weights[1] = f64::INFINITY;
-    let mut nan_r = ok.clone();
-    nan_r.radii[0] = f64::NAN;
+    let mut inf_y = ok.clone();
+    inf_y.vertices[1].1.y = f64::INFINITY;
+    let mut nan_height = ok.clone();
+    nan_height.height = f64::NAN;
     let mut inf_width = ok;
     inf_width.width = f64::NEG_INFINITY;
-    for scene in [nan_x, inf_weight, nan_r, inf_width] {
+    for scene in [nan_x, inf_y, nan_height, inf_width] {
         assert_eq!(scene_tree(&scene), Json::Null);
         let mut buf = String::from("[");
         write_community(&mut buf, &g, &c, Some(&scene));

@@ -112,12 +112,12 @@ fn transcript() -> Vec<(&'static str, String)> {
     ));
     out.push(("svg", record(&get("/api/v1/svg?name=A&k=2&algo=acq&index=0&layout=kk"))));
     out.push(("svg_level", record(&get("/api/v1/svg?level=1&max_nodes=50"))));
-    out.push(("svg_supernode", record(&get("/api/v1/svg?supernode=2&max_nodes=3"))));
+    out.push(("svg_supernode", record(&get("/api/v1/svg?supernode=1&max_nodes=3"))));
     out.push(("compare", record(&get("/api/v1/compare?name=A&k=2&algos=global,local,acq"))));
     out.push(("detect", record(&get("/api/v1/detect?algo=codicil&limit=2"))));
     out.push(("profile", record(&get("/api/v1/profile?id=1"))));
     out.push(("hierarchy_level", record(&get("/api/v1/hierarchy?level=1&limit=5"))));
-    out.push(("hierarchy_node", record(&get("/api/v1/hierarchy?node=2&limit=3"))));
+    out.push(("hierarchy_node", record(&get("/api/v1/hierarchy?node=1&limit=3"))));
 
     // The envelope error shape, one per way of getting there.
     out.push(("err_bad_query", record(&get("/api/v1/search?k=2"))));
