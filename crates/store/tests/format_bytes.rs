@@ -1,5 +1,5 @@
 //! Every on-disk format, pinned byte for byte: the length and CRC-32 of
-//! the CXG1 graph snapshot, the CXT1 CL-tree snapshot, the WAL, and every
+//! the CXG1 graph snapshot, the CXT2 CL-tree snapshot, the WAL, and every
 //! file a compaction leaves (MANIFEST, `.cxs` checkpoint, `.cxi` index
 //! sidecar), for the Figure 5 graph and a seeded DBLP-like graph with
 //! profiles.
@@ -32,7 +32,7 @@ fn cxg1(g: &AttributedGraph) -> Vec<u8> {
     buf
 }
 
-fn cxt1(g: &AttributedGraph) -> Vec<u8> {
+fn cxt(g: &AttributedGraph) -> Vec<u8> {
     let mut buf = Vec::new();
     let _ = ClTree::build(g).write_snapshot(&mut buf);
     buf
@@ -94,8 +94,8 @@ fn every_format_writes_the_pinned_bytes() {
     let (dblp, _) = dblp();
     pin(&mut pins, "CXG1 figure5", &cxg1(&fig5));
     pin(&mut pins, "CXG1 dblp", &cxg1(&dblp));
-    pin(&mut pins, "CXT1 figure5", &cxt1(&fig5));
-    pin(&mut pins, "CXT1 dblp", &cxt1(&dblp));
+    pin(&mut pins, "CXT2 figure5", &cxt(&fig5));
+    pin(&mut pins, "CXT2 dblp", &cxt(&dblp));
     store_files(&mut pins);
 
     let expected: Vec<(String, usize, u32)> =
@@ -106,16 +106,20 @@ fn every_format_writes_the_pinned_bytes() {
 /// Recorded from the codecs as they were before they shared one byte
 /// codec and one sealed-file envelope. The WAL, MANIFEST and dblp rows
 /// were re-recorded when the history stopped setting coordinates; the
-/// fig5 rows, whose history never changed, kept theirs.
+/// fig5 rows, whose history never changed, kept theirs. The CL-tree rows
+/// (the bare snapshots and both `.cxi` sidecars) were re-recorded when
+/// the CXT1 format, with per-node resident and child lists and a core
+/// column, gave way to CXT2: each node's level and parent in preorder,
+/// and each vertex's node.
 const EXPECTED: &[(&str, usize, u32)] = &[
     ("CXG1 figure5", 330, 3843439195),
     ("CXG1 dblp", 220511, 1338278612),
-    ("CXT1 figure5", 192, 3560686706),
-    ("CXT1 dblp", 24872, 3609694659),
+    ("CXT2 figure5", 92, 30821491),
+    ("CXT2 dblp", 12356, 3506735991),
     ("wal.log", 234227, 3288581540),
     ("MANIFEST", 180, 3681345323),
-    ("64626c70-3.cxi", 24892, 412432616),
+    ("64626c70-3.cxi", 12376, 249849403),
     ("64626c70-3.cxs", 228363, 1375950260),
-    ("66696735-1.cxi", 212, 3988716899),
+    ("66696735-1.cxi", 112, 3755572054),
     ("66696735-1.cxs", 383, 124041296),
 ];
