@@ -123,10 +123,9 @@ fn dfs(
     hi: usize,
     start: usize,
     depth: usize,
-    n: usize,
     state: &mut Dfs,
 ) {
-    for i in start..n {
+    for i in start..verifier.alive_count() {
         if state.budget > 0 && verifier.examined >= state.budget {
             state.truncated = true;
             return;
@@ -146,7 +145,7 @@ fn dfs(
             let child_lo = strat.prefix_data.len();
             strat.prefix_data.extend_from_slice(verifier.peeled());
             let child_hi = strat.prefix_data.len();
-            dfs(verifier, strat, child_lo, child_hi, i + 1, size, n, state);
+            dfs(verifier, strat, child_lo, child_hi, i + 1, size, state);
             strat.prefix_data.truncate(child_lo);
             if state.truncated {
                 return;
@@ -166,7 +165,6 @@ pub(crate) fn walk_inc_t(
     budget: usize,
     out: &mut QueryAnswer,
 ) {
-    let n = verifier.alive_count();
     let mut state = Dfs { best_size: 0, truncated: false, budget };
 
     strat.clear_hits();
@@ -175,7 +173,7 @@ pub(crate) fn walk_inc_t(
     strat.prefix_data.clear();
     strat.prefix_data.extend_from_slice(verifier.core());
     let root_hi = strat.prefix_data.len();
-    dfs(verifier, strat, 0, root_hi, 0, 0, n, &mut state);
+    dfs(verifier, strat, 0, root_hi, 0, 0, &mut state);
 
     out.candidates_verified = verifier.verified;
     out.truncated = state.truncated;

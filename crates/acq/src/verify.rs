@@ -318,8 +318,9 @@ impl<'a> Verifier<'a> {
     /// takes a set). Empty `idxs` yields the whole k-core.
     ///
     /// Seeds from the *shortest* list, read in place — intersections
-    /// only shrink, so starting small keeps every later merge near the
-    /// size of the final answer rather than of the inputs.
+    /// only shrink, so the running result is always the short side of
+    /// [`intersect_gallop`], and each step costs a gallop per surviving
+    /// member rather than a pass over a carrier list.
     fn intersect_into_acc(&mut self, idxs: &[usize]) {
         let Some(&first) = idxs.first() else {
             self.core();
@@ -343,10 +344,10 @@ impl<'a> Verifier<'a> {
                 continue;
             }
             if seeded {
-                intersect_sorted_adaptive(ranks, list(i), ranks_tmp);
+                intersect_gallop(ranks, list(i), ranks_tmp);
                 std::mem::swap(ranks, ranks_tmp);
             } else {
-                intersect_sorted_adaptive(list(smallest), list(i), ranks);
+                intersect_gallop(list(smallest), list(i), ranks);
                 seeded = true;
             }
             if ranks.is_empty() {
@@ -436,52 +437,33 @@ fn rank_column<'b>(defer: bool, tree: &'b ClTree, singleton_ranks: &'b [u32]) ->
     }
 }
 
-/// Size ratio beyond which intersection switches from a linear merge to
-/// binary-probing the longer list with elements of the shorter one.
-const GALLOP_RATIO: usize = 16;
-
-/// Sorted intersection into `out` (cleared first), picking the cheaper of
-/// a linear merge and a binary-search probe based on the length skew.
-/// Output is identical either way; only the traversal differs.
-fn intersect_sorted_adaptive<T: Ord + Copy>(a: &[T], b: &[T], out: &mut Vec<T>) {
-    let (small, big) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if small.len().saturating_mul(GALLOP_RATIO) >= big.len() {
-        intersect_sorted_into(a, b, out);
-        return;
-    }
+/// Sorted intersection of two ascending lists into `out` (cleared first),
+/// probing `big` once per element of `small`. Everything left of `lo` is
+/// below the current element, so each probe gallops from the last match:
+/// it doubles `step` until `big[lo + step]` reaches `x`, then
+/// binary-searches only the bracket the last doubling skipped. A probe
+/// costs O(log gap) and stays near the previous one in memory, instead
+/// of bisecting the whole remainder of `big`.
+fn intersect_gallop(small: &[u32], big: &[u32], out: &mut Vec<u32>) {
     out.clear();
-    // Narrow the probe window as `small` advances: both lists are sorted,
-    // so matches for later elements can only sit further right.
     let mut lo = 0usize;
     for &x in small {
-        match big[lo..].binary_search(&x) {
-            Ok(p) => {
-                out.push(x);
-                lo += p + 1;
-            }
-            Err(p) => lo += p,
-        }
         if lo >= big.len() {
             break;
         }
-    }
-}
-
-/// Sorted-merge intersection of two ascending lists into a caller-provided
-/// buffer (cleared first); allocation-free once the buffer has capacity.
-fn intersect_sorted_into<T: Ord + Copy>(a: &[T], b: &[T], out: &mut Vec<T>) {
-    out.clear();
-    out.reserve(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
+        let mut step = 1usize;
+        while lo + step < big.len() && big[lo + step] < x {
+            step *= 2;
+        }
+        // `big[lo + step / 2]` is below `x` once `step` has doubled, and
+        // `big[lo + step]`, where it exists, is not.
+        let (start, end) = (lo + step / 2, (lo + step + 1).min(big.len()));
+        let p = start + big[start..end].partition_point(|&y| y < x);
+        if p < end && big[p] == x {
+            out.push(x);
+            lo = p + 1;
+        } else {
+            lo = p;
         }
     }
 }
@@ -541,6 +523,80 @@ mod tests {
         let mut v = Verifier::new(&g, &tree, from_ref(&a), 2, &[], &mut vs.verify).unwrap();
         assert!(!v.verify_members(&[]));
         assert!(v.verified >= 1);
+    }
+
+    /// `intersect_gallop` against a naive filter of one list by the
+    /// other, on ascending `u32` lists: empty sides, identical and
+    /// disjoint lists, singletons, matches exactly where a doubling step
+    /// lands (`lo + 2^j`) and at `big`'s last element, and random lists
+    /// skewed 1:1 to 1:10⁵.
+    #[test]
+    fn gallop_matches_a_naive_intersection() {
+        use cx_par::rng::Rng64;
+        let check = |small: &[u32], big: &[u32]| {
+            let want: Vec<u32> =
+                small.iter().copied().filter(|x| big.binary_search(x).is_ok()).collect();
+            // A dirty buffer: the kernel clears it first.
+            let mut out = vec![u32::MAX; 3];
+            intersect_gallop(small, big, &mut out);
+            assert_eq!(out, want, "small {} / big {} elements", small.len(), big.len());
+            intersect_gallop(big, small, &mut out);
+            assert_eq!(out, want, "swapped: small {} / big {}", big.len(), small.len());
+        };
+        let big: Vec<u32> = (0..5_000).map(|i| 3 * i + 1).collect();
+        check(&[], &[]);
+        check(&[], &big);
+        check(&big, &big);
+        check(&big.iter().map(|&x| x + 1).collect::<Vec<_>>(), &big);
+        check(&[0], &big);
+        check(&[u32::MAX], &big);
+        check(&[7], &[7]);
+        check(&[7], &[8]);
+        check(&[*big.last().unwrap()], &big);
+        check(&[big[0], big[big.len() - 1]], &big);
+        for j in 0..12 {
+            // One match exactly at `lo + 2^j` from the start and from a
+            // previous match, then a chain of such matches to the end.
+            let at = 1usize << j;
+            check(&[big[at]], &big);
+            check(&[big[0], big[at]], &big);
+            check(&[big[5], big[5 + 1 + at]], &big);
+            let mut chain = Vec::new();
+            let mut lo = 0;
+            while lo + at < big.len() {
+                chain.push(big[lo + at]);
+                lo += at + 1;
+            }
+            if chain.last() != big.last() {
+                chain.push(*big.last().unwrap());
+            }
+            check(&chain, &big);
+        }
+        let mut rng = Rng64::seed_from_u64(44);
+        for skew in [1usize, 2, 10, 100, 1_000, 10_000, 100_000] {
+            for _ in 0..3 {
+                // Strictly ascending: random gaps of 1..=4.
+                let big: Vec<u32> = (0..100_000)
+                    .scan(0u32, |at, _| {
+                        *at += rng.gen_range(1..=4u32);
+                        Some(*at)
+                    })
+                    .collect();
+                // Half the short list is drawn from `big`, half at random.
+                let mut small: Vec<u32> = (0..big.len() / skew)
+                    .map(|i| {
+                        if i % 2 == 0 {
+                            big[rng.gen_range(0..big.len())]
+                        } else {
+                            rng.gen_range(0..=big[big.len() - 1] + 1)
+                        }
+                    })
+                    .collect();
+                small.sort_unstable();
+                small.dedup();
+                check(&small, &big);
+            }
+        }
     }
 
     /// A reused verifier scratch must give identical answers to a fresh

@@ -197,9 +197,8 @@ impl Codicil {
         let alpha = self.params.alpha;
         let pairs: Vec<(u32, u32)> = {
             let mut ps = Vec::new();
-            for u in 0..n {
-                let mut vs: Vec<u32> =
-                    fused[u].keys().copied().filter(|&v| v > u as u32).collect();
+            for (u, row) in fused.iter().enumerate() {
+                let mut vs: Vec<u32> = row.keys().copied().filter(|&v| v > u as u32).collect();
                 vs.sort_unstable();
                 ps.extend(vs.into_iter().map(|v| (u as u32, v)));
             }

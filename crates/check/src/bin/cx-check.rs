@@ -9,8 +9,9 @@
 //!    definitions.
 //! 2. **Core-number differential** — `CoreDecomposition` vs. a naive
 //!    fixpoint peel.
-//! 2b. **Hierarchy reconstruction** — at every level, fully expanding the
-//!    multi-resolution summary's supernodes must reproduce the exact
+//!
+//!    2b. **Hierarchy reconstruction** — at every level, fully expanding
+//!    the multi-resolution summary's supernodes must reproduce the exact
 //!    k-core vertex set and edge multiset.
 //! 3. **Strategy differential** — Dec vs. Inc-S / Inc-T / Basic, for
 //!    single query vertices and query pairs, from k = 0 up. At the

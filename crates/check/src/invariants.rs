@@ -308,7 +308,7 @@ pub fn check_ktruss_community(
 /// computed by repeated minimum-degree removal.
 pub fn check_core_numbers(g: &AttributedGraph, core_of: &dyn Fn(VertexId) -> u32) -> Vec<Violation> {
     let mut out = Vec::new();
-    let max = g.vertices().map(|v| core_of(v)).max().unwrap_or(0);
+    let max = g.vertices().map(core_of).max().unwrap_or(0);
     for k in 1..=max + 1 {
         let claimed: Vec<VertexId> = g.vertices().filter(|&v| core_of(v) >= k).collect();
         let mut alive: HashSet<VertexId> = g.vertices().collect();

@@ -130,11 +130,11 @@ pub fn query_workload(g: &AttributedGraph, count: usize, seed: u64) -> Vec<Query
             // those times alone, so S ∩ W(q) may be empty and ACQ must
             // fall back to the plain connected k-core.
             for &w in g.keywords(q) {
-                if rng.next_u64() % 2 == 0 {
+                if rng.next_u64().is_multiple_of(2) {
                     keywords.push(w);
                 }
             }
-            if g.keyword_count() > 0 && rng.next_u64() % 4 == 0 {
+            if g.keyword_count() > 0 && rng.next_u64().is_multiple_of(4) {
                 if rng.next_u64().is_multiple_of(2) {
                     keywords.clear();
                 }

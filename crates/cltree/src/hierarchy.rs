@@ -276,10 +276,16 @@ impl Hierarchy {
                 }
                 // v lives strictly below: attribute the edge to the child
                 // whose id range holds v's node — the last child whose id
-                // is not past it.
+                // is not past it, if its subtree reaches that far. An edge
+                // to no child's subtree is not this tree's edge; it links
+                // nothing.
                 let at = tree.node_of(v);
-                let child = children[children.partition_point(|&c| c <= at) - 1];
-                *links.entry((u, child)).or_insert(0) += 1;
+                let before = &children[..children.partition_point(|&c| c <= at)];
+                let holder =
+                    before.last().filter(|&&c| tree.subtree_nodes(c).contains(&at.index()));
+                if let Some(&child) = holder {
+                    *links.entry((u, child)).or_insert(0) += 1;
+                }
             }
         }
         internal_edges.sort_unstable();
@@ -510,6 +516,24 @@ mod tests {
             // E's neighbours inside the K4.
             g.neighbors(label("E")).iter().filter(|&&v| t.core(v) == 3).count()
         });
+    }
+
+    /// An edge the tree was not built from — H–A joins two components of
+    /// the Figure 5 tree, and A's node is no child of H's — links
+    /// nothing, and the expansion does not panic.
+    #[test]
+    fn an_edge_to_no_childs_subtree_links_nothing() {
+        let g = figure5_graph();
+        let t = ClTree::build(&g);
+        let h = Hierarchy::build(&g, &t);
+        let label = |l: &str| g.vertex_by_label(l).unwrap();
+        let (a, hv) = (label("A"), label("H"));
+        let plus = g.apply_delta(&g.edge_delta(&[(hv, a)], &[]).unwrap());
+        assert!(plus.has_edge(hv, a));
+        let ex = h.expand(&plus, &t, t.node_of(hv), 100);
+        assert!(ex.residents.contains(&hv));
+        assert!(ex.child_links.is_empty(), "{:?}", ex.child_links);
+        assert!(ex.internal_edges.iter().all(|&(u, v)| u != a && v != a));
     }
 
     #[test]

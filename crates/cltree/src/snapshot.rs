@@ -188,7 +188,8 @@ mod tests {
         let parent = |i: usize| 16 + 8 * i;
         let node_of = |v: usize| 52 + 4 * v;
         // (the error the rule gives, the mutation that breaks only it)
-        let cases: [(&str, &dyn Fn(&mut Vec<u8>)); 7] = [
+        type Mutation<'a> = &'a dyn Fn(&mut Vec<u8>);
+        let cases: [(&str, Mutation<'_>); 7] = [
             ("a node's parent is not below it", &|b| set(b, parent(2), 3)),
             // {A,B,C,D} hangs off the root, so the chain before node 4 is
             // 0, 3: node 2 is off it, though below 4 and at a lower level.

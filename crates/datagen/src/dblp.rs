@@ -320,7 +320,7 @@ mod tests {
         assert_eq!(g.label(VertexId(0)), "author-0");
         assert!(g.vertex_by_label("author-499").is_some());
         for a in 0..6 {
-            assert!(areas.iter().any(|&x| x == a), "area {a} empty");
+            assert!(areas.contains(&a), "area {a} empty");
         }
     }
 

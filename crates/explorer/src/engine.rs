@@ -135,6 +135,9 @@ impl Drop for RegistryGuard<'_> {
     }
 }
 
+/// One name-box match: (vertex, label, degree).
+pub type Suggestion = (VertexId, String, usize);
+
 /// The C-Explorer engine. One instance serves many graphs and algorithms
 /// and is shared across threads directly (`Arc<Engine>`, no outer lock):
 /// reads pin an immutable [`GraphSnapshot`] and run lock-free; writes
@@ -509,7 +512,7 @@ impl Engine {
         graph: Option<&str>,
         query: &str,
         limit: usize,
-    ) -> Result<Vec<(VertexId, String, usize)>, ExplorerError> {
+    ) -> Result<Vec<Suggestion>, ExplorerError> {
         Ok(self.suggest_page(graph, query, 0, limit)?.0)
     }
 
@@ -530,7 +533,7 @@ impl Engine {
         query: &str,
         offset: usize,
         limit: usize,
-    ) -> Result<(Vec<(VertexId, String, usize)>, usize), ExplorerError> {
+    ) -> Result<(Vec<Suggestion>, usize), ExplorerError> {
         let snap = self.snapshot(graph)?;
         let g = &snap.graph;
         let (hits, total) = g.search_label_top(query, offset.saturating_add(limit));

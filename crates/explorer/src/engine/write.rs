@@ -476,12 +476,13 @@ mod edit_tests {
         );
         // A long script mixing inserts, deletes, batches, and a re-add,
         // exercising the warm DynamicCore across consecutive calls.
-        let script: Vec<(Vec<(VertexId, VertexId)>, Vec<(VertexId, VertexId)>)> = vec![
+        type Edits = Vec<(VertexId, VertexId)>;
+        let script: Vec<(Edits, Edits)> = vec![
             (vec![(gg, ee), (f, c)], vec![]),
             (vec![], vec![(a, b)]),
             (vec![(a, b), (j, i)], vec![(h, i)]),
             (vec![(h, i)], vec![(j, i)]),
-            (vec![], vec![(0, 2), (1, 3)].iter().map(|&(x, y)| (VertexId(x), VertexId(y))).collect()),
+            (vec![], [(0, 2), (1, 3)].iter().map(|&(x, y)| (VertexId(x), VertexId(y))).collect()),
             (vec![(VertexId(0), VertexId(2))], vec![]),
         ];
         for (step, (add, remove)) in script.iter().enumerate() {

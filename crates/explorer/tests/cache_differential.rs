@@ -31,7 +31,8 @@ fn cache_hits_stay_identical_through_interleaved_edits() {
 
     // Edits: remove an edge of the K4, then add it back, then remove a
     // different one — each bumps the generation and invalidates the cache.
-    let edit_script: &[(&[(VertexId, VertexId)], &[(VertexId, VertexId)])] = &[
+    type Edges = &'static [(VertexId, VertexId)];
+    let edit_script: &[(Edges, Edges)] = &[
         (&[], &[(VertexId(0), VertexId(1))]),
         (&[(VertexId(0), VertexId(1))], &[]),
         (&[], &[(VertexId(2), VertexId(3))]),

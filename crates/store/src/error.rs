@@ -77,7 +77,7 @@ mod tests {
         let e = StoreError::UnsupportedVersion { found: 9, supported: 1 };
         assert!(e.to_string().contains('9'));
         assert!(StoreError::Corrupt("bad crc".into()).to_string().contains("bad crc"));
-        let io: StoreError = std::io::Error::new(std::io::ErrorKind::Other, "boom").into();
+        let io: StoreError = std::io::Error::other("boom").into();
         assert!(io.to_string().contains("boom"));
     }
 }

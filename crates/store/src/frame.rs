@@ -105,7 +105,7 @@ pub fn scan(buf: &[u8], mut last_lsn: u64) -> ScanOutcome<'_> {
             break;
         }
         let len = u32::from_le_bytes(rest[0..4].try_into().unwrap());
-        if len < 8 || len > MAX_FRAME_LEN {
+        if !(8..=MAX_FRAME_LEN).contains(&len) {
             out.tail = Some(TailReason::BadLength);
             break;
         }

@@ -87,8 +87,9 @@ fn intern<'a>(
 fn put_profiles(w: &mut Vec<u8>, profiles: &[StoredProfile]) {
     let mut ids = std::collections::HashMap::new();
     let mut pool: Vec<&str> = Vec::new();
-    let mut encoded: Vec<(u32, u32, Vec<u32>, Vec<u32>, Vec<u32>)> =
-        Vec::with_capacity(profiles.len());
+    // (vertex, name, areas, institutes, interests), strings as pool ids.
+    type Encoded = (u32, u32, Vec<u32>, Vec<u32>, Vec<u32>);
+    let mut encoded: Vec<Encoded> = Vec::with_capacity(profiles.len());
     for p in profiles {
         let name = intern(&p.name, &mut ids, &mut pool);
         let areas = p.areas.iter().map(|s| intern(s, &mut ids, &mut pool)).collect();

@@ -28,13 +28,13 @@ fn dblp() -> (AttributedGraph, Vec<usize>) {
 
 fn cxg1(g: &AttributedGraph) -> Vec<u8> {
     let mut buf = Vec::new();
-    let _ = cx_graph::io::write_snapshot(g, &mut buf);
+    cx_graph::io::write_snapshot(g, &mut buf);
     buf
 }
 
 fn cxt(g: &AttributedGraph) -> Vec<u8> {
     let mut buf = Vec::new();
-    let _ = ClTree::build(g).write_snapshot(&mut buf);
+    ClTree::build(g).write_snapshot(&mut buf);
     buf
 }
 
