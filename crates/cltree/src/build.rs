@@ -27,6 +27,7 @@
 //! binary searches, no traversal, no copy ([`ClTree::carriers`]).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
 use cx_graph::traversal::ConnectedComponents;
@@ -504,14 +505,14 @@ fn scatter_postings(g: &AttributedGraph, order: &[VertexId]) -> (Vec<usize>, Vec
 /// whose old ranks are consecutive. A posting moves by its block's shift,
 /// so one list's postings in one block stay ascending — a *piece*. Blocks
 /// map to disjoint new intervals, so a list is sorted once its pieces are
-/// emitted in order of their block's new start: every piece is bucketed
-/// by block, and the buckets are drained in block order. No comparison
-/// sort; the cost is the copy plus O(postings in the span + blocks +
-/// keywords).
+/// emitted in order of their block's new start. One pass over the lists
+/// writes the column: each list is copied, and its part in `lo..hi` is
+/// rewritten with its pieces in block order. The cost is the copy plus
+/// O(postings in the span + blocks + keywords), and a sort of each
+/// list's few pieces.
 fn patch_postings(old: &ClTree, order: &[VertexId]) -> Vec<u32> {
-    let mut out = old.kw_ranks.clone();
     let Some(lo) = order.iter().zip(&old.order).position(|(a, b)| a != b) else {
-        return out;
+        return old.kw_ranks.clone();
     };
     let same_tail = order.iter().rev().zip(old.order.iter().rev()).take_while(|(a, b)| a == b);
     let hi = order.len() - same_tail.count();
@@ -533,44 +534,38 @@ fn patch_postings(old: &ClTree, order: &[VertexId]) -> Vec<u32> {
         old_end.push(first + (r - start) as u32);
     }
 
-    // Each list's postings in `lo..hi`, cut into pieces and bucketed by
-    // block: (list's slot in `fill`, posting range in `old.kw_ranks`;
-    // positions fit in u32, as the graph's keyword CSR offsets do). A
-    // piece ends at the first posting past its block, a binary search.
-    let mut buckets: Vec<Vec<(u32, Range<u32>)>> = vec![Vec::new(); shift.len()];
-    let mut fill: Vec<usize> = Vec::new();
+    // Each list is copied whole, which also brings it into cache for the
+    // binary searches; then its part in `lo..hi` is overwritten with its
+    // pieces in block order. A piece ends at the first posting past its
+    // block.
+    let mut out: Vec<u32> = Vec::with_capacity(old.kw_ranks.len());
+    let mut pieces: Vec<(u32, Range<usize>)> = Vec::new();
     for w in old.kw_off.windows(2) {
         let list = &old.kw_ranks[w[0]..w[1]];
+        let at = out.len();
+        out.extend_from_slice(list);
         if list.first().is_none_or(|&x| x as usize >= hi)
             || list.last().is_some_and(|&x| (x as usize) < lo)
         {
             continue;
         }
         let mut i = list.partition_point(|&x| (x as usize) < lo);
-        let end = list.partition_point(|&x| (x as usize) < hi);
-        if i == end {
-            continue;
-        }
-        let slot = fill.len() as u32;
-        fill.push(w[0] + i);
+        let end = i + list[i..].partition_point(|&x| (x as usize) < hi);
+        let mut to = at + i;
+        pieces.clear();
         while i < end {
-            let block = block_at[list[i] as usize - lo] as usize;
-            let j = i + list[i..end].partition_point(|&x| x < old_end[block]);
-            buckets[block].push((slot, (w[0] + i) as u32..(w[0] + j) as u32));
+            let block = block_at[list[i] as usize - lo];
+            let j = i + list[i..end].partition_point(|&x| x < old_end[block as usize]);
+            pieces.push((block, i..j));
             i = j;
         }
-    }
-
-    // Draining the buckets in block order appends each list's pieces in
-    // order of their block's new start.
-    for (bucket, &s) in buckets.iter().zip(&shift) {
-        for (slot, range) in bucket {
-            let src = &old.kw_ranks[range.start as usize..range.end as usize];
-            let to = &mut fill[*slot as usize];
-            for (dst, &x) in out[*to..*to + src.len()].iter_mut().zip(src) {
+        pieces.sort_unstable_by_key(|piece| piece.0);
+        for (block, range) in pieces.drain(..) {
+            let s = shift[block as usize];
+            for (dst, &x) in out[to..to + range.len()].iter_mut().zip(&list[range.clone()]) {
                 *dst = x.wrapping_add(s);
             }
-            *to += src.len();
+            to += range.len();
         }
     }
     out
@@ -601,65 +596,97 @@ fn build_component_subtree(
         // A lone isolated vertex: no arena, handled by the root assembly.
         return ComponentSubtree { nodes: Vec::new(), node_of: Vec::new() };
     }
-    // Component vertices grouped by core number.
-    let mut levels: Vec<Vec<VertexId>> = vec![Vec::new(); comp_max as usize + 1];
-    for &v in comp {
-        levels[core[v.index()] as usize].push(v);
+    // Component slots grouped by core number.
+    let mut levels: Vec<Vec<u32>> = vec![Vec::new(); comp_max as usize + 1];
+    for (i, &v) in comp.iter().enumerate() {
+        levels[core[v.index()] as usize].push(i as u32);
     }
     let mut nodes: Vec<ClTreeNode> = Vec::new();
     let mut node_of = vec![NodeId(u32::MAX); comp.len()];
-    let anchors = sweep_levels(
-        g,
-        core,
+    let tops = sweep_levels(
         &levels,
-        |v| local[v.index()],
         &mut UnionFind::new(comp.len()),
-        HashMap::new(),
+        |k, uf| {
+            for &s in &levels[k] {
+                for &u in g.neighbors(comp[s as usize]) {
+                    if core[u.index()] >= k as u32 {
+                        uf.union(s, local[u.index()]);
+                    }
+                }
+            }
+        },
         &mut nodes,
-        |v, nid| node_of[local[v.index()] as usize] = nid,
+        |s, nid| node_of[s as usize] = nid,
     );
     // A connected component with any edge is fully joined at level 1.
-    debug_assert_eq!(anchors.len(), 1, "component not fully anchored");
+    debug_assert_eq!(tops, 1, "component not fully anchored");
     ComponentSubtree { nodes, node_of }
 }
 
-/// The bottom-up construction over `levels[1..]`, highest level first:
-/// union every edge from a level-k vertex into the k-core, regroup the
-/// anchors (union-find representative → node currently representing that
-/// component) under their new representatives, and give every group that
-/// gained level-k vertices or merged several anchors a new node in
-/// `nodes`. `slot` maps a vertex to its union-find element; `place`
-/// receives every swept vertex with its node. Returns the level-1 anchors.
+/// A map keyed by union-find representative.
+type RepMap<V> = HashMap<u32, V, BuildHasherDefault<RepHasher>>;
+
+/// Hashes a representative by one multiplication (Fibonacci hashing):
+/// the sweep looks up every element's representative once or twice per
+/// level, and SipHash was most of that cost. The keys are distinct
+/// element ids below the union-find's length, so however a graph shapes
+/// the union-find, a bucket can collect only the few ids below that
+/// length that the multiplication sends to it. The sweep's output does
+/// not depend on the map's order.
+#[derive(Default)]
+struct RepHasher(u64);
+
+/// 2⁶⁴ / φ, odd: multiplying by it permutes the low bits.
+const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl Hasher for RepHasher {
+    fn finish(&self) -> u64 {
+        // The table indexes by the low bits: rotate the well-mixed high
+        // bits of the product down to them.
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ b as u64).wrapping_mul(FIBONACCI);
+        }
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.0 = (x as u64).wrapping_mul(FIBONACCI);
+    }
+}
+
+/// The bottom-up construction over the union-find elements, highest level
+/// first. At level k, `join(k, uf)` unions every pair of elements the
+/// k-core connects; the sweep then regroups the anchors (union-find
+/// representative → node currently representing that component) under
+/// their new representatives and gives every group that gained a level-k
+/// element (`levels[k]`, the elements holding level-k vertices) or merged
+/// several anchors a new node in `nodes`. `place` receives every element
+/// of `levels` with its node. Returns the number of level-1 anchors.
 ///
-/// [`ClTree::update`] enters with `anchors` (and `uf`) describing the
-/// subtrees it carries over, so this is the only copy of the sweep.
-#[allow(clippy::too_many_arguments)]
+/// A build's elements are vertices; [`ClTree::update`]'s are the old
+/// tree's intact nodes plus the vertices it sweeps one by one. This is
+/// the only copy of the grouping.
 pub(crate) fn sweep_levels(
-    g: &AttributedGraph,
-    core: &[u32],
-    levels: &[Vec<VertexId>],
-    slot: impl Fn(VertexId) -> u32,
+    levels: &[Vec<u32>],
     uf: &mut UnionFind,
-    mut anchors: HashMap<u32, NodeId>,
+    mut join: impl FnMut(usize, &mut UnionFind),
     nodes: &mut Vec<ClTreeNode>,
-    mut place: impl FnMut(VertexId, NodeId),
-) -> HashMap<u32, NodeId> {
+    mut place: impl FnMut(u32, NodeId),
+) -> usize {
+    let mut anchors: RepMap<NodeId> = RepMap::default();
     for k in (1..levels.len()).rev() {
         let residents = &levels[k];
-        for &v in residents {
-            for &u in g.neighbors(v) {
-                if core[u.index()] >= k as u32 {
-                    uf.union(slot(v), slot(u));
-                }
-            }
-        }
-        // New representative → (child anchors, gained level-k vertices).
-        let mut groups: HashMap<u32, (Vec<NodeId>, bool)> = HashMap::new();
+        join(k, uf);
+        // New representative → (child anchors, gained level-k elements).
+        let mut groups: RepMap<(Vec<NodeId>, bool)> = RepMap::default();
         for (rep, nid) in anchors.drain() {
             groups.entry(uf.find(rep)).or_default().0.push(nid);
         }
-        for &v in residents {
-            groups.entry(uf.find(slot(v))).or_default().1 = true;
+        for &s in residents {
+            groups.entry(uf.find(s)).or_default().1 = true;
         }
         // Deterministic node numbering regardless of hash order.
         let mut roots: Vec<u32> = groups.keys().copied().collect();
@@ -678,11 +705,11 @@ pub(crate) fn sweep_levels(
             nodes.push(ClTreeNode::new(k as u32, None));
             anchors.insert(root, nid);
         }
-        for &v in residents {
-            place(v, anchors[&uf.find(slot(v))]);
+        for &s in residents {
+            place(s, anchors[&uf.find(s)]);
         }
     }
-    anchors
+    anchors.len()
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
 //! Incremental CL-tree maintenance under edge edits.
 //!
-//! [`ClTree::update`] produces the index of the post-edit graph by
-//! rebuilding only the *changed region* of the tree instead of repeating
-//! the full bottom-up construction, and [`ClTree::unchanged_by`] says when
-//! there is no changed region at all.
+//! [`ClTree::update`] produces the index of the post-edit graph by a
+//! *contracted sweep*: the bottom-up construction of a fresh build, run
+//! over the old tree's nodes instead of the graph's vertices wherever the
+//! edit cannot have split a node. [`ClTree::unchanged_by`] says when there
+//! is nothing to repair at all.
 //!
 //! ## When the tree cannot change
 //!
@@ -22,51 +23,80 @@
 //! too, and each edge leaves the tree it is judged on unchanged. The
 //! engine publishes such an edit with the old tree's `Arc`.
 //!
-//! ## The level threshold
+//! ## Which old nodes stay whole
 //!
-//! Let `L` be the maximum over:
+//! Write `S(X)` for the vertices of old node X's subtree: a connected
+//! component of the old `level(X)`-core. A removed edge `(u, v)` with
+//! `k = min(old core u, old core v)` lies inside `S(X)` exactly when X is
+//! an ancestor-or-self of `u`'s node at a level ≤ k (then it holds `v`
+//! too). Those nodes are *expanded*: the removal may split them. Every
+//! other node is *intact*, and for an intact X:
 //!
-//! * `min(old_core(u), old_core(v))` for every effectively removed edge,
-//! * `min(new_core(u), new_core(v))` for every effectively added edge,
-//! * `max(old_core(v), new_core(v))` for every vertex whose core changed.
+//! * no removed edge lies inside `S(X)`, so `S(X)` keeps every edge it
+//!   had;
+//! * no vertex of `S(X)` loses core: a vertex `w` of old core c keeps
+//!   min degree ≥ c inside its old c-core component `S(node_of w)` unless
+//!   a removed edge lies inside it, and then `node_of w` — and each of its
+//!   ancestors, X among them — is expanded.
 //!
-//! For every `k > L` the old and new k-cores have identical vertex sets
-//! (a vertex with a changed core has both cores ≤ L, so it is in neither
-//! side's k-core; all others keep their membership) and identical induced
-//! edge sets (every changed edge has an endpoint outside the k-core on
-//! both sides). The bottom-up construction at levels above `L` therefore
-//! makes exactly the same grouping, node-creation and chain-compression
-//! decisions on both graphs — so every old node at level > `L` is carried
-//! into the new tree verbatim, and only levels `L..=0` are re-swept.
+//! So `S(X)` lies inside the new `level(X)`-core and is still connected
+//! there. Inserts only merge components and raise cores, so an
+//! insert-only edit expands nothing, and the expanded nodes of any edit
+//! are closed under taking ancestors: an intact node's subtree is intact.
 //!
-//! The sweep scans the edges of every vertex whose new core is ≤ `L`,
-//! whether or not the edit came near it: O(vertices and edges at levels
-//! ≤ L), not O(change).
+//! ## The contracted sweep
+//!
+//! The union-find elements are every intact node, standing for its
+//! residents whose core did not move, and every *individual* vertex: one
+//! whose core changed, or a resident of an expanded node. Levels are
+//! swept from the top down, as a build does; at level k:
+//!
+//! * each intact node of level k unions with its old children — its
+//!   subtree is connected in the new k-core, which replaces every old
+//!   edge inside it;
+//! * each individual of new core k unions with its neighbours of new
+//!   core ≥ k;
+//! * two kinds of edge join at their lower endpoint's level, once the
+//!   sweep reaches it: an edge from an individual to an intact neighbour
+//!   of lower new core (found while sweeping the individual), and an
+//!   added edge between two intact endpoints.
+//!
+//! Every edge of the new k-core is then accounted for at level k: an
+//! edge with an individual endpoint by one of the last two rules, an old
+//! edge between intact endpoints by the chain of child unions from its
+//! lower endpoint's node (which holds the other endpoint in its subtree),
+//! an added one by the bucket. Grouping, node creation and placement are
+//! the build's own `build::sweep_levels`; an intact node counts as a
+//! level-k resident only while one of its residents kept its core, so a
+//! node whose every resident was promoted vanishes as a fresh build's
+//! would. An insert sweeps one by one only the vertices whose core
+//! moved, plus O(old nodes) of node work; a removal also sweeps every
+//! resident of the nodes it expands, which are the big low-level nodes
+//! near the root — the open half of ROADMAP item 10(a).
 //!
 //! ## Laying out the repaired tree
 //!
-//! The repaired arena — carried nodes first, in their old order, then
-//! the re-swept ones — is renumbered to preorder like a fresh build's
-//! (`build::finish`), and the carried nodes' old child order is kept, as
-//! their arena ids ascend in it. Numbering the ids and ranks stays a pass
+//! The new arena is put in order of each node's smallest *old* rank over
+//! its subtree before `build::finish` renumbers it to preorder, so
+//! siblings keep their old order and the two preorders differ only
+//! around the ranks that moved. Numbering the ids and ranks stays a pass
 //! over all nodes and vertices, and the new tree owns fresh copies of its
 //! columns (`order`, `rank_of`, the postings): O(n + keyword occurrences)
-//! of copying per edit. What no longer scales with the graph is the
-//! *postings*: the old and new preorders agree outside one rank span, so
-//! the old tree's postings are copied and only those inside the span are
-//! moved, block by block (`build::patch_postings`) — O(postings in the
-//! span + blocks + keywords), no scatter through the graph's keyword sets
-//! and no sort.
+//! of copying per edit. The postings are the old tree's, copied list by
+//! list with only the part inside the changed rank span moved block by
+//! block (`build::patch_postings`) — no scatter through the graph's
+//! keyword sets and no sort of postings.
+//!
+//! The number of individuals swept (core ≥ 1) is recorded per repair in
+//! the `cx_edit_swept_vertices` histogram.
 //!
 //! ## Fallback
 //!
 //! When an edit changes the core number of more than
-//! [`ClTree::FALLBACK_CHANGED_FRACTION`] of all vertices, the carried
-//! region is small and the sweep approaches a full build anyway — the
-//! update falls back to [`ClTree::build_with_cores`] and bumps the
+//! [`ClTree::FALLBACK_CHANGED_FRACTION`] of all vertices, the sweep
+//! approaches a full build anyway — the update falls back to
+//! [`ClTree::build_with_cores`] and bumps the
 //! `cx_incremental_fallback_total` counter.
-
-use std::collections::HashMap;
 
 use cx_graph::delta::EdgeDelta;
 use cx_graph::{AttributedGraph, VertexId};
@@ -98,9 +128,9 @@ impl ClTree {
     }
 
     /// Builds the CL-tree of `g` — the post-edit graph `self` was indexed
-    /// for, patched by `delta` — reusing every node of `self` at levels
-    /// above the edit's reach. `new_cores` must be the core numbers of
-    /// `g` (maintained by `cx_kcore::DynamicCore` in the engine).
+    /// for, patched by `delta` — by a contracted sweep over `self`'s
+    /// nodes (see the module docs). `new_cores` must be the core numbers
+    /// of `g` (maintained by `cx_kcore::DynamicCore` in the engine).
     ///
     /// The result is structurally identical to `ClTree::build_with_cores
     /// (g, new_cores)` — same nodes, same nesting, same per-node residents
@@ -110,98 +140,183 @@ impl ClTree {
     pub fn update(&self, g: &AttributedGraph, delta: &EdgeDelta, new_cores: &[u32]) -> ClTree {
         let _span = cx_obs::span("cltree.update");
         let n = g.vertex_count();
-        assert_eq!(self.core_numbers().len(), n, "edits are edge-only: vertex set fixed");
+        let old_cores = self.core_numbers();
+        assert_eq!(old_cores.len(), n, "edits are edge-only: vertex set fixed");
         assert_eq!(new_cores.len(), n, "core vector must cover every vertex");
 
-        let old_cores = self.core_numbers();
-        let changed = old_cores.iter().zip(new_cores).filter(|(o, n)| o != n).count();
+        // The expanded nodes: for each removed edge, the ancestors-or-self
+        // of its endpoints' nodes at levels ≤ min(old cores). A walk stops
+        // at a node already marked, whose ancestors are marked too.
+        let nn = self.node_count();
+        let mut expanded = vec![false; nn];
+        for &(u, v) in &delta.removed {
+            let k = old_cores[u.index()].min(old_cores[v.index()]);
+            for w in [u, v] {
+                let mut at = Some(self.node_of(w));
+                while let Some(x) = at {
+                    let node = self.node(x);
+                    if node.level <= k {
+                        if expanded[x.index()] {
+                            break;
+                        }
+                        expanded[x.index()] = true;
+                    }
+                    at = node.parent;
+                }
+            }
+        }
+
+        // One pass over the vertices. Union-find slots: intact node x is
+        // slot x, individual vertex v is slot `nn + v`; `elem[v]` is v's
+        // slot and new core, side by side for the sweep's neighbour scans.
+        // `levels[k]` collects the elements holding level-k vertices —
+        // here the individuals of new core k — and `promoted[x]` counts
+        // node x's residents whose core moved.
+        let mut levels: Vec<Vec<u32>> = vec![Vec::new(); self.max_core() as usize + 1];
+        let mut promoted = vec![0u32; nn];
+        let (mut changed, mut swept) = (0usize, 0u64);
+        let mut elem: Vec<(u32, u32)> = Vec::with_capacity(n);
+        for v in g.vertices() {
+            let (x, c) = (self.node_of(v), new_cores[v.index()]);
+            let moved = old_cores[v.index()] != c;
+            if !moved && !expanded[x.index()] {
+                elem.push((x.0, c));
+                continue;
+            }
+            if moved {
+                changed += 1;
+                promoted[x.index()] += 1;
+            }
+            let s = (nn + v.index()) as u32;
+            if c > 0 {
+                if levels.len() <= c as usize {
+                    levels.resize(c as usize + 1, Vec::new());
+                }
+                levels[c as usize].push(s);
+                swept += 1;
+            }
+            elem.push((s, c));
+        }
         if n > 0 && changed as f64 / n as f64 > Self::FALLBACK_CHANGED_FRACTION {
             cx_obs::metrics::inc("cx_incremental_fallback_total");
             return Self::build_with_cores(g, new_cores);
         }
-
-        // The level threshold L (see module docs). A non-empty delta always
-        // yields L ≥ 1, because every effective edge has two endpoints of
-        // core ≥ 1 on the side where it exists.
-        let mut level = 0u32;
-        for &(u, v) in &delta.removed {
-            level = level.max(old_cores[u.index()].min(old_cores[v.index()]));
-        }
-        for &(u, v) in &delta.added {
-            level = level.max(new_cores[u.index()].min(new_cores[v.index()]));
-        }
-        for (&o, &nc) in old_cores.iter().zip(new_cores) {
-            if o != nc {
-                level = level.max(o.max(nc));
+        cx_obs::metrics::observe_us("cx_edit_swept_vertices", swept);
+        // The intact nodes per level, and among the level-k elements those
+        // with a resident that kept its core.
+        let top = levels.len() - 1;
+        let mut intact: Vec<Vec<NodeId>> = vec![Vec::new(); top + 1];
+        for (x, node) in self.iter_nodes() {
+            if !expanded[x.index()] && node.level > 0 {
+                intact[node.level as usize].push(x);
+                if self.residents(x).len() as u32 > promoted[x.index()] {
+                    levels[node.level as usize].push(x.0);
+                }
             }
         }
 
-        // Nothing preserved above L? The sweep would be a full rebuild —
-        // use the from-scratch builder instead.
-        if !self.iter_nodes().any(|(_, node)| node.level > level) {
-            return Self::build_with_cores(g, new_cores);
+        // Edges that join at their lower endpoint's level: added edges
+        // between intact endpoints now, individual-to-intact edges as the
+        // sweep finds them.
+        let mut lower: Vec<Vec<(u32, u32)>> = vec![Vec::new(); top + 1];
+        for &(a, b) in &delta.added {
+            let ((sa, ca), (sb, cb)) = (elem[a.index()], elem[b.index()]);
+            if (sa as usize) < nn && (sb as usize) < nn {
+                lower[ca.min(cb) as usize].push((sa, sb));
+            }
         }
 
-        // ---- Carry the untouched sub-forest (levels > L). ----
-        // Preserved nodes open the arena in their old order; `remap`
-        // translates old ids. Children of a preserved node are always at a
-        // strictly higher level, hence preserved themselves, and so are
-        // their residents: a vertex of new core > L kept its core and its
-        // node. A preserved node whose parent is not gets one from the
-        // sweep.
+        // The sweep. `node_of[v]` starts as v's old node and, for a placed
+        // individual, becomes `nn +` its new node; `node_for[x]` is intact
+        // node x's new node; `key[y]` the smallest old rank placed in new
+        // node y.
         let mut nodes: Vec<ClTreeNode> = Vec::new();
-        let mut remap: Vec<Option<NodeId>> = vec![None; self.node_count()];
-        for (old_id, node) in self.iter_nodes() {
-            if node.level > level {
-                remap[old_id.index()] = Some(NodeId(nodes.len() as u32));
-                let parent = node.parent.and_then(|p| remap[p.index()]);
-                nodes.push(ClTreeNode::new(node.level, parent));
-            }
-        }
-        let mut node_of = vec![NodeId(u32::MAX); n];
-        // Vertices whose node is being rebuilt, grouped by new core.
-        let mut levels: Vec<Vec<VertexId>> = vec![Vec::new(); level as usize + 1];
-        for v in g.vertices() {
-            let c = new_cores[v.index()];
-            if c <= level {
-                levels[c as usize].push(v);
-            } else {
-                node_of[v.index()] = remap[self.node_of(v).index()].expect("node preserved");
-            }
-        }
-
-        // ---- Re-sweep levels L..1 with a global anchored union-find. ----
-        // Pre-union each carried top's subtree so the union-find starts in
-        // exactly the state a fresh build reaches after processing the
-        // levels above L: the components of the "min-core > L" edge
-        // subgraph are precisely the carried subtrees. Each is one rank
-        // interval of `self`; its smallest vertex leads the unions, which
-        // makes it the representative and keeps node numbering what a
-        // union over the sorted vertex list gives.
-        let mut uf = UnionFind::new(n);
-        let mut anchors: HashMap<u32, NodeId> = HashMap::new();
-        for (old_id, node) in self.iter_nodes() {
-            if node.level <= level || node.parent.is_some_and(|p| self.node(p).level > level) {
-                continue;
-            }
-            let verts = &self.order()[self.subtree_ranks(old_id)];
-            let lead = verts.iter().min().expect("a node above level 0 has residents").0;
-            for &v in verts {
-                uf.union(lead, v.0);
-            }
-            anchors.insert(uf.find(lead), remap[old_id.index()].expect("top preserved"));
-        }
+        let mut node_of: Vec<NodeId> = g.vertices().map(|v| self.node_of(v)).collect();
+        let mut node_for = vec![u32::MAX; nn];
+        let mut key: Vec<u32> = Vec::new();
         sweep_levels(
-            g,
-            new_cores,
             &levels,
-            |v| v.0,
-            &mut uf,
-            anchors,
+            &mut UnionFind::new(nn + n),
+            |k, uf| {
+                for &x in &intact[k] {
+                    for c in self.children(x) {
+                        uf.union(x.0, c.0);
+                    }
+                }
+                // An edge between two individuals of level k is scanned
+                // from both ends; the one with the larger slot unions it.
+                // (Every intact slot is below every individual's.)
+                for &s in levels[k].iter().filter(|&&s| s as usize >= nn) {
+                    for &u in g.neighbors(VertexId(s - nn as u32)) {
+                        let (su, cu) = elem[u.index()];
+                        if cu as usize > k || (cu as usize == k && su < s) {
+                            uf.union(s, su);
+                        } else if (cu as usize) < k && (su as usize) < nn {
+                            lower[cu as usize].push((s, su));
+                        }
+                    }
+                }
+                for (a, b) in lower[k].drain(..) {
+                    uf.union(a, b);
+                }
+            },
             &mut nodes,
-            |v, nid| node_of[v.index()] = nid,
+            |s, nid| {
+                let rank = if (s as usize) < nn {
+                    node_for[s as usize] = nid.0;
+                    let kept = |&r: &usize| {
+                        let w = self.order()[r].index();
+                        old_cores[w] == new_cores[w]
+                    };
+                    let mut ranks = self.node(NodeId(s)).resident_ranks();
+                    ranks.find(kept).expect("a placed intact node kept a resident") as u32
+                } else {
+                    let v = VertexId(s - nn as u32);
+                    node_of[v.index()] = NodeId(nn as u32 + nid.0);
+                    self.rank_of(v)
+                };
+                if key.len() <= nid.index() {
+                    key.resize(nid.index() + 1, u32::MAX);
+                }
+                key[nid.index()] = key[nid.index()].min(rank);
+            },
         );
-        finish(g, nodes, node_of, new_cores.to_vec(), Some(self))
+
+        // A parent is created after its children, so one ascending pass
+        // carries every subtree's smallest old rank up to its root. The
+        // arena is then put in key order: siblings have disjoint subtrees,
+        // hence distinct keys, and `finish` orders them by arena id.
+        key.resize(nodes.len(), u32::MAX);
+        for x in 0..nodes.len() {
+            if let Some(p) = nodes[x].parent {
+                key[p.index()] = key[p.index()].min(key[x]);
+            }
+        }
+        let mut by_key: Vec<u32> = (0..nodes.len() as u32).collect();
+        by_key.sort_unstable_by_key(|&x| key[x as usize]);
+        let mut pos = vec![0u32; nodes.len()];
+        for (i, &x) in by_key.iter().enumerate() {
+            pos[x as usize] = i as u32;
+        }
+        let arena: Vec<ClTreeNode> = by_key
+            .iter()
+            .map(|&x| {
+                let node = &nodes[x as usize];
+                ClTreeNode::new(node.level, node.parent.map(|p| NodeId(pos[p.index()])))
+            })
+            .collect();
+        // Every vertex of core ≥ 1 to its final arena node: an individual
+        // was placed itself, any other sits in its intact node's new node.
+        // Core-0 vertices map to `u32::MAX`; `finish` places them.
+        let to: Vec<u32> = node_for
+            .iter()
+            .map(|&y| pos.get(y as usize).copied().unwrap_or(u32::MAX))
+            .chain(pos.iter().copied())
+            .collect();
+        for nid in &mut node_of {
+            *nid = NodeId(to[nid.index()]);
+        }
+        finish(g, arena, node_of, new_cores.to_vec(), Some(self))
     }
 }
 
@@ -396,5 +511,88 @@ mod tests {
             g = g2;
             tree = updated;
         }
+    }
+
+    /// A graph of `n` keyword-free vertices and the given edges.
+    fn graph(n: u32, edges: &[(u32, u32)]) -> AttributedGraph {
+        let mut b = GraphBuilder::new();
+        for i in 0..n {
+            b.add_vertex(&format!("v{i}"), &["k"]);
+        }
+        for &(x, y) in edges {
+            b.add_edge(v(x), v(y));
+        }
+        b.build()
+    }
+
+    /// Every edge among `ids`.
+    fn clique(ids: &[u32]) -> Vec<(u32, u32)> {
+        let mut out = Vec::new();
+        for (i, &x) in ids.iter().enumerate() {
+            out.extend(ids[i + 1..].iter().map(|&y| (x, y)));
+        }
+        out
+    }
+
+    #[test]
+    fn a_two_level_batch_joins_an_intact_node_at_the_lower_level() {
+        // C = K4 (0..4) and D = K5 (4..9) hang off m = 9 (core 2); x = 10
+        // touches C twice (core 2). One batch joins x to four of D: x
+        // rises to core 4 inside D, and C meets D ∪ {x} at level 3 only
+        // through x's edges to C — edges from an individual (x) to an
+        // intact node of lower core, which must join at level 3.
+        let (m, x) = (9, 10);
+        let mut edges = clique(&[0, 1, 2, 3]);
+        edges.extend(clique(&[4, 5, 6, 7, 8]));
+        edges.extend([(m, 0), (m, 4), (x, 2), (x, 3)]);
+        let g = graph(11, &edges);
+        let tree = ClTree::build(&g);
+        assert_eq!((tree.core(v(m)), tree.core(v(x))), (2, 2));
+        let add: Vec<_> = (4..8).map(|d| (v(x), v(d))).collect();
+        let (_, updated, fresh) = step(&g, &tree, &add, &[]);
+        assert_equivalent(&updated, &fresh);
+        assert_eq!((updated.core(v(m)), updated.core(v(x))), (2, 4));
+        let three_core = updated.connected_k_core(v(0), 3).unwrap();
+        assert_eq!(three_core, (0..9).chain([x]).map(v).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_node_whose_every_resident_is_promoted_vanishes() {
+        // C = K4 (0..4) under x = 4 (core 2, touching c0 and c1) under a
+        // pendant p = 5 (core 1): nodes at levels 1, 2, 3. Joining x to c2
+        // lifts it into C's 3-core, so the level-2 node keeps no resident
+        // and, with one child left, must not be rebuilt.
+        let mut edges = clique(&[0, 1, 2, 3]);
+        edges.extend([(4, 0), (4, 1), (5, 4)]);
+        let g = graph(6, &edges);
+        let tree = ClTree::build(&g);
+        assert_eq!(tree.node_count(), 3);
+        let (_, updated, fresh) = step(&g, &tree, &[(v(4), v(2))], &[]);
+        assert_equivalent(&updated, &fresh);
+        assert_eq!(updated.node_count(), 2);
+        assert!(updated.iter_nodes().all(|(_, node)| node.level != 2));
+    }
+
+    #[test]
+    fn a_mixed_batch_repairs_a_removal_and_a_promotion_in_another_component() {
+        // A = K5 (0..5) and B = K4 (5..9) with y = 9 touching b0 and b1.
+        // One batch drops an edge of A (all of A falls to core 3, so A's
+        // nodes are expanded) and joins y to b2 (y rises into B's 3-core,
+        // while B's nodes stay intact). Thirty isolated vertices keep the
+        // six core changes under the fallback fraction.
+        let mut edges = clique(&[0, 1, 2, 3, 4]);
+        edges.extend(clique(&[5, 6, 7, 8]));
+        edges.extend([(9, 5), (9, 6)]);
+        let g = graph(40, &edges);
+        let tree = ClTree::build(&g);
+        let (g2, updated, fresh) = step(&g, &tree, &[(v(9), v(7))], &[(v(0), v(1))]);
+        assert_equivalent(&updated, &fresh);
+        assert!((0..5).all(|a| updated.core(v(a)) == 3));
+        assert_eq!(updated.core(v(9)), 3);
+        assert_eq!(updated.connected_k_core(v(9), 3).unwrap().len(), 5);
+        // And back: the removal half now sits in B, the promotion in A.
+        let (_, updated2, fresh2) = step(&g2, &updated, &[(v(0), v(1))], &[(v(9), v(7))]);
+        assert_equivalent(&updated2, &fresh2);
+        assert_eq!(updated2.core(v(0)), 4);
     }
 }

@@ -30,6 +30,40 @@ use cx_graph::{AttributedGraph, VertexId};
 pub struct DynamicCore {
     adj: Vec<Vec<u32>>,
     core: Vec<u32>,
+    marks: Marks,
+}
+
+/// Per-vertex scratch that every edit reuses instead of allocating:
+/// vertex `x` carries the `seen` mark while `seen[x] == epoch` (and the
+/// `queued` mark likewise), so one increment of `epoch` clears every
+/// mark. `count[x]` is a per-vertex counter, meaningful only while `x`
+/// is marked `seen`.
+#[derive(Debug, Clone, Default)]
+struct Marks {
+    epoch: u32,
+    seen: Vec<u32>,
+    queued: Vec<u32>,
+    count: Vec<u32>,
+}
+
+impl Marks {
+    /// Starts an edit over `n` vertices with every mark clear; returns the
+    /// epoch that sets a mark. Epoch 0 is never handed out, so writing 0
+    /// clears one mark.
+    fn begin(&mut self, n: usize) -> u32 {
+        if self.seen.len() < n {
+            self.seen.resize(n, 0);
+            self.queued.resize(n, 0);
+            self.count.resize(n, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.seen.fill(0);
+            self.queued.fill(0);
+            self.epoch = 1;
+        }
+        self.epoch
+    }
 }
 
 impl DynamicCore {
@@ -38,7 +72,7 @@ impl DynamicCore {
         let adj: Vec<Vec<u32>> =
             g.vertices().map(|v| g.neighbors(v).iter().map(|u| u.0).collect()).collect();
         let core = crate::decomposition::CoreDecomposition::compute(g).core_numbers().to_vec();
-        Self { adj, core }
+        Self { adj, core, marks: Marks::default() }
     }
 
     /// Seeds from a graph whose core numbers are already known, skipping
@@ -50,12 +84,12 @@ impl DynamicCore {
         assert_eq!(cores.len(), g.vertex_count(), "core vector must cover every vertex");
         let adj: Vec<Vec<u32>> =
             g.vertices().map(|v| g.neighbors(v).iter().map(|u| u.0).collect()).collect();
-        Self { adj, core: cores.to_vec() }
+        Self { adj, core: cores.to_vec(), marks: Marks::default() }
     }
 
     /// An edgeless graph with `n` vertices (all cores 0).
     pub fn with_vertices(n: usize) -> Self {
-        Self { adj: vec![Vec::new(); n], core: vec![0; n] }
+        Self { adj: vec![Vec::new(); n], core: vec![0; n], marks: Marks::default() }
     }
 
     /// Number of vertices.
@@ -104,56 +138,53 @@ impl DynamicCore {
         self.adj[v.index()].push(u.0);
 
         // Only vertices with core == K (the smaller endpoint core) can rise.
-        let k = self.core[u.index()].min(self.core[v.index()]);
-        let roots: Vec<u32> = [u, v]
-            .into_iter()
-            .filter(|w| self.core[w.index()] == k)
-            .map(|w| w.0)
-            .collect();
+        let Self { adj, core, marks } = self;
+        let k = core[u.index()].min(core[v.index()]);
+        let roots: Vec<u32> =
+            [u, v].into_iter().filter(|w| core[w.index()] == k).map(|w| w.0).collect();
 
         // Candidate set: the subcore — core-K vertices reachable from the
-        // root(s) through core-K vertices.
-        let n = self.adj.len();
-        let mut in_sub = vec![false; n];
+        // root(s) through core-K vertices. Marked `seen` while a candidate.
+        let e = marks.begin(adj.len());
+        let in_sub = |seen: &[u32], x: u32| seen[x as usize] == e;
         let mut subcore = Vec::new();
         let mut queue: VecDeque<u32> = VecDeque::new();
         for r in roots {
-            if !in_sub[r as usize] {
-                in_sub[r as usize] = true;
+            if !in_sub(&marks.seen, r) {
+                marks.seen[r as usize] = e;
                 queue.push_back(r);
             }
         }
         while let Some(w) = queue.pop_front() {
             subcore.push(w);
-            for &x in &self.adj[w as usize] {
-                if self.core[x as usize] == k && !in_sub[x as usize] {
-                    in_sub[x as usize] = true;
+            for &x in &adj[w as usize] {
+                if core[x as usize] == k && !in_sub(&marks.seen, x) {
+                    marks.seen[x as usize] = e;
                     queue.push_back(x);
                 }
             }
         }
 
-        // cd(w): neighbours that could support w at level K+1 — those with
-        // core > K, or core == K and still candidates.
-        let mut cd = vec![0u32; n];
+        // cd(w), in `count`: neighbours that could support w at level K+1
+        // — those with core > K, or core == K and still candidates.
         for &w in &subcore {
-            cd[w as usize] = self.adj[w as usize]
+            marks.count[w as usize] = adj[w as usize]
                 .iter()
-                .filter(|&&x| self.core[x as usize] > k || in_sub[x as usize])
+                .filter(|&&x| core[x as usize] > k || in_sub(&marks.seen, x))
                 .count() as u32;
         }
         // Peel candidates that cannot reach degree K+1.
         let mut evict: VecDeque<u32> =
-            subcore.iter().copied().filter(|&w| cd[w as usize] <= k).collect();
+            subcore.iter().copied().filter(|&w| marks.count[w as usize] <= k).collect();
         while let Some(w) = evict.pop_front() {
-            if !in_sub[w as usize] {
+            if !in_sub(&marks.seen, w) {
                 continue;
             }
-            in_sub[w as usize] = false;
-            for &x in &self.adj[w as usize] {
-                if in_sub[x as usize] {
-                    cd[x as usize] -= 1;
-                    if cd[x as usize] == k {
+            marks.seen[w as usize] = 0;
+            for &x in &adj[w as usize] {
+                if in_sub(&marks.seen, x) {
+                    marks.count[x as usize] -= 1;
+                    if marks.count[x as usize] == k {
                         evict.push_back(x);
                     }
                 }
@@ -161,8 +192,8 @@ impl DynamicCore {
         }
         // Survivors rise to K+1.
         for &w in &subcore {
-            if in_sub[w as usize] {
-                self.core[w as usize] = k + 1;
+            if in_sub(&marks.seen, w) {
+                core[w as usize] = k + 1;
             }
         }
         true
@@ -177,48 +208,46 @@ impl DynamicCore {
         self.adj[u.index()].retain(|&x| x != v.0);
         self.adj[v.index()].retain(|&x| x != u.0);
 
-        let k = self.core[u.index()].min(self.core[v.index()]);
+        let Self { adj, core, marks } = self;
+        let k = core[u.index()].min(core[v.index()]);
         // Vertices with core == K near the affected endpoints may drop to
         // K-1. Start from the endpoints whose core is K and cascade: a
         // core-K vertex drops when fewer than K of its neighbours have
-        // (effective) core ≥ K.
-        let n = self.adj.len();
-        let mut cd = vec![u32::MAX; n]; // lazily computed for visited core-K vertices
-        let eff_core = |core: &[u32], x: u32| core[x as usize];
+        // (effective) core ≥ K. cd(x) lives in `count` once x is marked
+        // `seen` (computed lazily for visited core-K vertices).
+        let e = marks.begin(adj.len());
+        let support = |core: &[u32], x: u32| {
+            adj[x as usize].iter().filter(|&&y| core[y as usize] >= k).count() as u32
+        };
 
         let mut queue: VecDeque<u32> = VecDeque::new();
-        let mut queued = vec![false; n];
         for w in [u.0, v.0] {
-            if self.core[w as usize] == k && !queued[w as usize] {
-                queued[w as usize] = true;
+            if core[w as usize] == k && marks.queued[w as usize] != e {
+                marks.queued[w as usize] = e;
                 queue.push_back(w);
             }
         }
         while let Some(w) = queue.pop_front() {
-            if self.core[w as usize] != k {
+            if core[w as usize] != k {
                 continue;
             }
-            if cd[w as usize] == u32::MAX {
-                cd[w as usize] = self.adj[w as usize]
-                    .iter()
-                    .filter(|&&x| eff_core(&self.core, x) >= k)
-                    .count() as u32;
+            if marks.seen[w as usize] != e {
+                marks.seen[w as usize] = e;
+                marks.count[w as usize] = support(core, w);
             }
-            if cd[w as usize] < k {
+            if marks.count[w as usize] < k {
                 // w drops; its core-K neighbours lose a supporter.
-                self.core[w as usize] = k.saturating_sub(1);
-                for &x in &self.adj[w as usize] {
-                    if self.core[x as usize] == k {
-                        if cd[x as usize] == u32::MAX {
-                            cd[x as usize] = self.adj[x as usize]
-                                .iter()
-                                .filter(|&&y| eff_core(&self.core, y) >= k)
-                                .count() as u32;
+                core[w as usize] = k.saturating_sub(1);
+                for &x in &adj[w as usize] {
+                    if core[x as usize] == k {
+                        if marks.seen[x as usize] != e {
+                            marks.seen[x as usize] = e;
+                            marks.count[x as usize] = support(core, x);
                         } else {
-                            cd[x as usize] = cd[x as usize].saturating_sub(1);
+                            marks.count[x as usize] = marks.count[x as usize].saturating_sub(1);
                         }
-                        if !queued[x as usize] || cd[x as usize] < k {
-                            queued[x as usize] = true;
+                        if marks.queued[x as usize] != e || marks.count[x as usize] < k {
+                            marks.queued[x as usize] = e;
                             queue.push_back(x);
                         }
                     }
@@ -363,5 +392,38 @@ mod tests {
         assert_eq!(dc.vertex_count(), 2);
         dc.insert_edge(v(0), nv);
         assert_eq!(dc.core_numbers(), &[1, 1]);
+    }
+
+    #[test]
+    fn marks_stay_clear_when_the_epoch_wraps_around() {
+        let mut marks = Marks::default();
+        let e = marks.begin(4);
+        marks.seen[1] = e;
+        marks.queued[2] = e;
+        marks.epoch = u32::MAX;
+        let again = marks.begin(4);
+        assert_eq!(again, e, "the wrap hands epoch {e} out again");
+        assert!(marks.seen.iter().chain(&marks.queued).all(|&m| m != again), "and it starts clear");
+
+        // The maintained cores do not notice a wrap in mid-script: the
+        // first half of figure 5's edges leaves marks stamped with small
+        // epochs, which the edits after the wrap hand out again.
+        let g = cx_datagen::figure5_graph();
+        let edges: Vec<_> = g.edges().collect();
+        let (first, rest) = edges.split_at(edges.len() / 2);
+        let mut dc = DynamicCore::with_vertices(g.vertex_count());
+        for &(a, b) in first {
+            dc.insert_edge(a, b);
+        }
+        dc.marks.epoch = u32::MAX - 2;
+        for &(a, b) in rest {
+            dc.insert_edge(a, b);
+            assert_eq!(dc.core_numbers(), recompute(&dc).as_slice(), "after +({a},{b})");
+        }
+        for &(a, b) in edges.iter().rev() {
+            dc.remove_edge(a, b);
+            assert_eq!(dc.core_numbers(), recompute(&dc).as_slice(), "after -({a},{b})");
+        }
+        assert!(dc.marks.epoch < 100, "the epoch wrapped");
     }
 }

@@ -12,6 +12,7 @@
 use std::sync::Arc;
 
 use cx_explorer::Engine;
+use cx_graph::VertexId;
 use cx_server::{Request, Server};
 
 /// Sums every `cx_http_requests_total{class=...}` sample in an
@@ -136,9 +137,25 @@ fn metrics_totals_match_requests_issued_under_concurrency() {
     assert_eq!(shared.get(), sh0 + 1, "a removal must repair, not share");
     assert_eq!(fallbacks.get(), fb0 + 1, "neither edit falls back");
 
+    // A repair records how many vertices it swept one by one. An
+    // insert-only edit expands no node, so that is exactly the vertices
+    // whose core moved: (G,E) and (F,C) lift F and G into fig5's 2-core.
+    let swept = cx_obs::global().histogram("cx_edit_swept_vertices");
+    let (sw0, swsum0) = (swept.count(), swept.sum_us());
+    let e = Engine::with_graph("fig5", cx_datagen::figure5_graph());
+    let before = e.snapshot(None).unwrap().tree.core_numbers().to_vec();
+    let (ge, fc) = ((VertexId(6), VertexId(4)), (VertexId(5), VertexId(2)));
+    e.apply_edits(None, &[ge, fc], &[]).unwrap();
+    let after = e.snapshot(None).unwrap().tree.core_numbers().to_vec();
+    let moved = before.iter().zip(&after).filter(|(b, a)| b != a).count() as u64;
+    assert_eq!(moved, 2, "F and G rise to core 2");
+    assert_eq!(swept.count(), sw0 + 1, "one repair, one swept-vertices sample");
+    assert_eq!(swept.sum_us() - swsum0, moved, "an insert sweeps only the moved vertices");
+
     // The series are visible on the exposition endpoint.
     let scrape = s.handle(&Request::get("/metrics")).text();
     assert!(scrape.contains("cx_edit_apply_us_count"), "histogram missing from /metrics");
+    assert!(scrape.contains("cx_edit_swept_vertices_count"), "swept histogram missing");
     assert!(
         scrape.contains("cx_incremental_fallback_total"),
         "fallback counter missing from /metrics"
