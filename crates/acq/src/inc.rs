@@ -2,8 +2,9 @@
 //!
 //! Both examine candidate keyword sets from *small to large*. `Inc-S`
 //! proceeds level by level with apriori candidate generation; `Inc-T`
-//! walks a set-enumeration tree depth-first, sharing the intersected and
-//! peeled vertex set of each verified prefix with all of its extensions
+//! walks a set-enumeration tree depth-first, sharing the peeled vertex
+//! set of each verified prefix with all of its extensions, which seed
+//! their traversal with it
 //! (and pruning a failing prefix's entire subtree, which is sound because
 //! keyword-cores shrink as keywords are added).
 //!
@@ -130,8 +131,8 @@ fn dfs(
             state.truncated = true;
             return;
         }
-        // Extend the prefix with keyword i: its keyword-core is inside
-        // the prefix's peeled core intersected with i's carriers.
+        // Extend the prefix with keyword i: its keyword-core lies among
+        // the members of the prefix's peeled core that carry i.
         if verifier.verify_prefix_extend(&strat.prefix_data[lo..hi], i) {
             let size = depth + 1;
             if size > state.best_size {

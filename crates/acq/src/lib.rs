@@ -18,8 +18,8 @@
 //!   then grow candidate sets level by level with apriori joins (a set is
 //!   a candidate only if all its subsets verified).
 //! * [`AcqStrategy::IncT`] — incremental with a set-enumeration tree:
-//!   depth-first extension of verified prefixes, sharing the intersection
-//!   and peeling work along the prefix (a failing prefix prunes its whole
+//!   depth-first extension of verified prefixes, each extension seeded
+//!   with its prefix's peeled core (a failing prefix prunes its whole
 //!   subtree by anti-monotonicity).
 //! * [`AcqStrategy::Dec`] — decremental large→small: after single-keyword
 //!   pruning, examine subsets from size `|S|` downward and stop at the
@@ -122,7 +122,7 @@ pub struct AcqResult {
     /// to the plain k-core).
     pub shared_keyword_count: usize,
     /// Number of candidate keyword sets verified (keyword lookups plus
-    /// intersect/peel runs; candidates the neighbour masks refute are
+    /// candidate traversals; candidates the neighbour masks refute are
     /// excluded — `/metrics` counts those in `cx_acq_lattice_examined`).
     pub candidates_verified: usize,
     /// True when the candidate budget was exhausted before completion.
@@ -218,6 +218,7 @@ fn run(
     // Candidates the lattice walk examined, refuted by the neighbour
     // masks or peeled; Basic peels every one it examines.
     let mut examined = 0;
+    let admitted = vs.peel.admitted_total();
     if strategy == AcqStrategy::Basic {
         basic::walk(g, qs, opts, vs, strat, out);
         examined = out.candidates_verified;
@@ -232,6 +233,10 @@ fn run(
     }
     cx_obs::metrics::observe_us("cx_acq_candidates_verified", out.candidates_verified as u64);
     cx_obs::metrics::observe_us("cx_acq_lattice_examined", examined as u64);
+    // Vertices the verifications admitted into q's components: the
+    // verify phase's work, which grows with the components, not the lists.
+    let component = vs.peel.admitted_total() - admitted;
+    cx_obs::metrics::observe_us("cx_acq_component_vertices", component);
 }
 
 /// The effective query keyword set into `out` (cleared first): explicit

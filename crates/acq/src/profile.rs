@@ -8,7 +8,9 @@
 //!   postings and, when a query needs it, copying q's k-core out of its
 //!   rank interval (the name predates the postings, when both were tree
 //!   traversals; cxb reports it as `acq.walk_us`);
-//! * **verify** — subset peels and sorted-list intersections;
+//! * **verify** — candidate verification: one traversal per candidate
+//!   that grows q's component inside the candidate's shortest carrier
+//!   list and peels it, plus the eager mode's singleton peels;
 //! * **expand** — member expansion / answer finalization.
 //!
 //! Disabled (the default), every instrumentation point is a single relaxed
@@ -41,7 +43,7 @@ pub fn reset() {
 pub struct PhaseTotals {
     /// CL-tree index-read nanoseconds.
     pub walk_ns: u64,
-    /// Peel + intersection nanoseconds.
+    /// Candidate-verification (traversal and peel) nanoseconds.
     pub verify_ns: u64,
     /// Finalize / member-expansion nanoseconds.
     pub expand_ns: u64,

@@ -2,7 +2,7 @@
 //!
 //! A steady-state ACQ query over a warmed [`QueryScratch`] performs **zero
 //! heap allocations**: every buffer the Dec strategy touches (the
-//! candidate-core buffer, the rank-space intersection accumulators, the
+//! candidate-core buffer, the keyword table and candidate bitset, the
 //! peel marks, the walk's prefix and support stacks, the hit accumulator, and the final
 //! answer itself) lives in the scratch or in the caller's
 //! [`QueryAnswer`] and is cleared by `Vec::clear`/epoch bump rather than
@@ -39,13 +39,12 @@ pub(crate) struct VerifyScratch {
     pub spans: Vec<(usize, usize)>,
     /// Eager mode's peeled singleton cores, as ascending ranks.
     pub singleton_ranks: Vec<u32>,
-    /// Rank-space intersection accumulator and its ping-pong partner.
-    pub ranks: Vec<u32>,
-    pub ranks_tmp: Vec<u32>,
-    /// The candidate member set handed to the peel.
-    pub acc: Vec<VertexId>,
-    /// A singleton keyword's carriers during eager verifier construction.
-    pub kw_list: Vec<VertexId>,
+    /// Keyword id → its index in `alive` (`u32::MAX` for any other
+    /// keyword); sized to the largest alive keyword id seen, and reset
+    /// from `alive` when the next query starts.
+    pub kw_alive: Vec<u32>,
+    /// The candidate being verified, as a bitset over `alive` indices.
+    pub want: Vec<u64>,
     /// Output of the most recent peel.
     pub peeled: Vec<VertexId>,
     /// Per-neighbour-of-q keyword bitmasks over the query set S (bit `j`
@@ -66,10 +65,8 @@ impl VerifyScratch {
             alive: Vec::new(),
             spans: Vec::new(),
             singleton_ranks: Vec::new(),
-            ranks: Vec::new(),
-            ranks_tmp: Vec::new(),
-            acc: Vec::new(),
-            kw_list: Vec::new(),
+            kw_alive: Vec::new(),
+            want: Vec::new(),
             peeled: Vec::new(),
             nbr_mask: Vec::new(),
             alive_spos: Vec::new(),
@@ -169,7 +166,7 @@ pub struct QueryAnswer {
     /// Size of the maximal shared keyword set (0 on plain-core fallback).
     pub shared_keyword_count: usize,
     /// Number of candidate keyword sets verified (keyword lookups plus
-    /// intersect/peel runs; candidates the neighbour masks refute are
+    /// candidate traversals; candidates the neighbour masks refute are
     /// excluded).
     pub candidates_verified: usize,
     /// True when the candidate budget was exhausted before completion.

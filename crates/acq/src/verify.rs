@@ -4,16 +4,19 @@
 //! vertices carrying all of `S'` contains a connected k-core with every
 //! query vertex q ∈ Q (one q for the single-vertex query). The carriers
 //! of one keyword inside q's connected k-core are a slice of the
-//! CL-tree's postings — ascending preorder *ranks*, read in place — so a
-//! candidate is intersected in rank space (any total order intersects),
-//! only the usually tiny intersection is mapped back to vertex ids, and
-//! one subset peel decides it.
+//! CL-tree's postings — ascending preorder *ranks*, read in place. Every
+//! answer member lies in each of the candidate's lists and is connected
+//! to q, so one traversal decides a candidate: seed with its *shortest*
+//! list, grow q's component through the seed vertices that carry the
+//! whole candidate (a keyword → alive-index table and a bitset of the
+//! candidate's indices test a vertex), and peel that component alone
+//! ([`cx_kcore::PeelScratch::connected_k_core_in_seed_into`]). No list
+//! is intersected, and no vertex outside q's component is peeled.
 //!
 //! The verifier is a *view* over a [`VerifyScratch`]: all of its state —
-//! the cached k-core, the keyword-list spans, the intersection
-//! accumulators and the peel buffers — lives in the scratch and is reused
-//! across queries, so steady-state verification performs no heap
-//! allocation.
+//! the cached k-core, the keyword-list spans, the keyword table and the
+//! peel buffers — lives in the scratch and is reused across queries, so
+//! steady-state verification performs no heap allocation.
 
 use std::ops::Range;
 
@@ -52,10 +55,9 @@ pub(crate) struct Verifier<'a> {
     /// [`Self::max_candidate_size`]).
     max_size: usize,
     vs: &'a mut VerifyScratch,
-    /// Verification counter (keyword lookups + intersect/peel runs),
+    /// Verification counter (keyword lookups + candidate traversals),
     /// reported in [`crate::AcqResult`]. Candidates the neighbour-mask
-    /// filter refutes are *not* counted here — they reach no
-    /// intersection or peel.
+    /// filter refutes are *not* counted here — they reach no traversal.
     pub verified: usize,
     /// Budget meter: everything `verified` counts *plus* every candidate
     /// the filter refutes — one at a time in Inc-S, a whole pruned
@@ -82,8 +84,8 @@ impl<'a> Verifier<'a> {
     /// carrier lists — spans of the postings, nothing copied — and defers
     /// all peeling to the per-candidate step. That is sound because every
     /// answer community is contained in each of its keywords' carrier
-    /// lists, so intersecting raw lists and peeling the (tiny)
-    /// intersection yields the identical community that peeled singleton
+    /// lists, so peeling q's component among the carriers of the whole
+    /// candidate yields the identical community that peeled singleton
     /// cores would. `alive` then over-approximates the exact
     /// singleton-core test — the neighbour-mask filter and the
     /// [`Self::max_candidate_size`] cap keep the candidate lattice as
@@ -104,6 +106,10 @@ impl<'a> Verifier<'a> {
             return None;
         }
         vs.core.clear();
+        // The keyword table holds the previous query's alive keywords.
+        for &w in &vs.alive {
+            vs.kw_alive[w.index()] = NO_INDEX;
+        }
         vs.alive.clear();
         vs.alive_spos.clear();
         vs.spans.clear();
@@ -179,16 +185,15 @@ impl<'a> Verifier<'a> {
                 continue;
             }
             let span = if defer {
-                // The peel is deferred to the candidate step, which works
-                // on intersections.
+                // The peel is deferred to the candidate step, which
+                // grows q's component inside the shortest list.
                 (span.start, span.end)
             } else {
                 let t = profile::timer();
                 let vs = &mut *v.vs;
-                vs.kw_list.clear();
-                vs.kw_list.extend(tree.postings()[span].iter().map(|&r| tree.order()[r as usize]));
+                let seed = tree.postings()[span].iter().map(|&r| tree.order()[r as usize]);
                 let ok =
-                    vs.peel.connected_k_core_containing_into(g, &vs.kw_list, qs, k, &mut vs.peeled);
+                    vs.peel.connected_k_core_in_seed_into(g, seed, |_| true, qs, k, &mut vs.peeled);
                 profile::add_verify(t);
                 if !ok {
                     continue;
@@ -199,10 +204,14 @@ impl<'a> Verifier<'a> {
                 (start, vs.singleton_ranks.len())
             };
             // Every candidate community is contained in each of its
-            // keywords' lists, so intersecting them and peeling the
-            // intersection yields the exact answer — whether the lists are
-            // raw carriers (deferred-peel mode) or peeled singleton cores
+            // keywords' lists, so growing q's component inside any one of
+            // them yields the exact answer — whether the lists are raw
+            // carriers (deferred-peel mode) or peeled singleton cores
             // (eager mode).
+            if v.vs.kw_alive.len() <= w.index() {
+                v.vs.kw_alive.resize(w.index() + 1, NO_INDEX);
+            }
+            v.vs.kw_alive[w.index()] = v.vs.alive.len() as u32;
             v.vs.alive.push(w);
             v.vs.alive_spos.push(spos as u32);
             v.vs.spans.push(span);
@@ -313,67 +322,9 @@ impl<'a> Verifier<'a> {
         &self.vs.peeled
     }
 
-    /// Intersects the rank lists of the keywords at `idxs` and writes the
-    /// members into the scratch accumulator (in rank order — the peel
-    /// takes a set). Empty `idxs` yields the whole k-core.
-    ///
-    /// Seeds from the *shortest* list, read in place — intersections
-    /// only shrink, so the running result is always the short side of
-    /// [`intersect_gallop`], and each step costs a gallop per surviving
-    /// member rather than a pass over a carrier list.
-    fn intersect_into_acc(&mut self, idxs: &[usize]) {
-        let Some(&first) = idxs.first() else {
-            self.core();
-            let vs = &mut *self.vs;
-            vs.acc.clear();
-            vs.acc.extend_from_slice(&vs.core);
-            return;
-        };
-        let VerifyScratch { spans, singleton_ranks, ranks, ranks_tmp, acc, .. } = &mut *self.vs;
-        let column = rank_column(self.defer, self.tree, singleton_ranks);
-        let list = |i: usize| &column[spans[i].0..spans[i].1];
-        let mut smallest = first;
-        for &i in &idxs[1..] {
-            if list(i).len() < list(smallest).len() {
-                smallest = i;
-            }
-        }
-        let mut seeded = false;
-        for &i in idxs {
-            if i == smallest {
-                continue;
-            }
-            if seeded {
-                intersect_gallop(ranks, list(i), ranks_tmp);
-                std::mem::swap(ranks, ranks_tmp);
-            } else {
-                intersect_gallop(list(smallest), list(i), ranks);
-                seeded = true;
-            }
-            if ranks.is_empty() {
-                break;
-            }
-        }
-        let order = self.tree.order();
-        let members: &[u32] = if seeded { ranks } else { list(smallest) };
-        acc.clear();
-        acc.extend(members.iter().map(|&r| order[r as usize]));
-    }
-
-    /// Peels the accumulator to the connected k-core containing Q; the
-    /// result lands in [`Self::peeled`]. Increments the work counter. The
-    /// peel itself rejects a member set of fewer than k+1 vertices or
-    /// without some q before doing any work.
-    fn peel_acc(&mut self) -> bool {
-        self.verified += 1;
-        self.examined += 1;
-        let vs = &mut *self.vs;
-        vs.peel.connected_k_core_containing_into(self.g, &vs.acc, self.qs, self.k, &mut vs.peeled)
-    }
-
     /// Verifies a candidate keyword subset (indices into [`Self::alive`]):
-    /// intersect the lists, then peel. On success the community is in
-    /// [`Self::peeled`].
+    /// the neighbour filter, then the traversal. On success the community
+    /// is in [`Self::peeled`].
     pub fn verify_idxs(&mut self, idxs: &[usize]) -> bool {
         // The exact-count reject still counts as one examined candidate,
         // so the budget meters work uniformly across filtered and peeled
@@ -386,13 +337,27 @@ impl<'a> Verifier<'a> {
     }
 
     /// Verifies a candidate the caller has already passed through the
-    /// neighbour filter (Dec's walk prunes on the masks itself): intersect
-    /// the lists, then peel. On success the community is in
-    /// [`Self::peeled`].
+    /// neighbour filter (Dec's walk prunes on the masks itself): grow q's
+    /// component inside the candidate's shortest list through the
+    /// vertices that carry all of it, then peel that component. `idxs`
+    /// is not empty (the empty candidate is [`Self::core`]). On success
+    /// the community is in [`Self::peeled`].
     pub fn verify_admitted(&mut self, idxs: &[usize]) -> bool {
         let t = profile::timer();
-        self.intersect_into_acc(idxs);
-        let ok = self.peel_acc();
+        self.count_verification();
+        let VerifyScratch { peel, peeled, spans, singleton_ranks, kw_alive, want, .. } =
+            &mut *self.vs;
+        let s = idxs
+            .iter()
+            .copied()
+            .min_by_key(|&i| spans[i].1 - spans[i].0)
+            .expect("a candidate holds at least one keyword");
+        // Every seed vertex carries keyword `s`; test the rest.
+        let admit = carries_all(self.g, kw_alive, want, idxs.iter().filter(|&&i| i != s));
+        let column = rank_column(self.defer, self.tree, singleton_ranks);
+        let order = self.tree.order();
+        let seed = column[spans[s].0..spans[s].1].iter().map(|&r| order[r as usize]);
+        let ok = peel.connected_k_core_in_seed_into(self.g, seed, admit, self.qs, self.k, peeled);
         profile::add_verify(t);
         ok
     }
@@ -401,29 +366,73 @@ impl<'a> Verifier<'a> {
     /// community is in [`Self::peeled`].
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn verify_members(&mut self, members: &[VertexId]) -> bool {
-        self.vs.acc.clear();
-        self.vs.acc.extend_from_slice(members);
-        self.peel_acc()
+        self.count_verification();
+        let vs = &mut *self.vs;
+        vs.peel.connected_k_core_containing_into(self.g, members, self.qs, self.k, &mut vs.peeled)
     }
 
-    /// Verifies the extension of a prefix core by keyword `i`: keep the
-    /// prefix members whose rank is in `list(i)`, then peel. On success
-    /// the extended community is in [`Self::peeled`]. Inc-T's
-    /// shared-prefix step.
+    /// Verifies the extension of a prefix core by keyword `i`: grow q's
+    /// component inside the prefix through the members that carry
+    /// `alive()[i]`, then peel it. On success the extended community is
+    /// in [`Self::peeled`]. Inc-T's shared-prefix step.
     pub fn verify_prefix_extend(&mut self, prefix: &[VertexId], i: usize) -> bool {
         let t = profile::timer();
-        {
-            let vs = &mut *self.vs;
-            let column = rank_column(self.defer, self.tree, &vs.singleton_ranks);
-            let list = &column[vs.spans[i].0..vs.spans[i].1];
-            vs.acc.clear();
-            vs.acc.extend(
-                prefix.iter().filter(|&&v| list.binary_search(&self.tree.rank_of(v)).is_ok()),
-            );
-        }
-        let ok = self.peel_acc();
+        self.count_verification();
+        let VerifyScratch { peel, peeled, kw_alive, want, .. } = &mut *self.vs;
+        let admit = carries_all(self.g, kw_alive, want, [i].iter());
+        let seed = prefix.iter().copied();
+        let ok = peel.connected_k_core_in_seed_into(self.g, seed, admit, self.qs, self.k, peeled);
         profile::add_verify(t);
         ok
+    }
+
+    /// Counts one traversal in both work meters.
+    fn count_verification(&mut self) {
+        self.verified += 1;
+        self.examined += 1;
+    }
+}
+
+/// `kw_alive` entry of a keyword that is not alive.
+const NO_INDEX: u32 = u32::MAX;
+
+/// The test a vertex passes to join a candidate's component: it carries
+/// every alive keyword at `idxs`. Writes the candidate's bitset over alive
+/// indices into `want`; `kw_alive` maps a keyword to its alive index. One
+/// table lookup per keyword of the vertex, for any number of alive
+/// keywords; none at all for an empty `idxs`.
+fn carries_all<'b, 'i>(
+    g: &'b AttributedGraph,
+    kw_alive: &'b [u32],
+    want: &'b mut Vec<u64>,
+    idxs: impl Iterator<Item = &'i usize>,
+) -> impl Fn(VertexId) -> bool + 'b {
+    want.clear();
+    let mut need = 0;
+    for &i in idxs {
+        if want.len() <= i / 64 {
+            want.resize(i / 64 + 1, 0);
+        }
+        want[i / 64] |= 1 << (i % 64);
+        need += 1;
+    }
+    let want: &'b [u64] = want;
+    move |v| {
+        if need == 0 {
+            return true;
+        }
+        let mut have = 0;
+        for &w in g.keywords(v) {
+            // A keyword outside the table, or not alive, has no word.
+            let i = kw_alive.get(w.index()).copied().unwrap_or(NO_INDEX) as usize;
+            if want.get(i / 64).is_some_and(|&m| m >> (i % 64) & 1 != 0) {
+                have += 1;
+                if have == need {
+                    return true;
+                }
+            }
+        }
+        false
     }
 }
 
@@ -434,37 +443,6 @@ fn rank_column<'b>(defer: bool, tree: &'b ClTree, singleton_ranks: &'b [u32]) ->
         tree.postings()
     } else {
         singleton_ranks
-    }
-}
-
-/// Sorted intersection of two ascending lists into `out` (cleared first),
-/// probing `big` once per element of `small`. Everything left of `lo` is
-/// below the current element, so each probe gallops from the last match:
-/// it doubles `step` until `big[lo + step]` reaches `x`, then
-/// binary-searches only the bracket the last doubling skipped. A probe
-/// costs O(log gap) and stays near the previous one in memory, instead
-/// of bisecting the whole remainder of `big`.
-fn intersect_gallop(small: &[u32], big: &[u32], out: &mut Vec<u32>) {
-    out.clear();
-    let mut lo = 0usize;
-    for &x in small {
-        if lo >= big.len() {
-            break;
-        }
-        let mut step = 1usize;
-        while lo + step < big.len() && big[lo + step] < x {
-            step *= 2;
-        }
-        // `big[lo + step / 2]` is below `x` once `step` has doubled, and
-        // `big[lo + step]`, where it exists, is not.
-        let (start, end) = (lo + step / 2, (lo + step + 1).min(big.len()));
-        let p = start + big[start..end].partition_point(|&y| y < x);
-        if p < end && big[p] == x {
-            out.push(x);
-            lo = p + 1;
-        } else {
-            lo = p;
-        }
     }
 }
 
@@ -523,80 +501,6 @@ mod tests {
         let mut v = Verifier::new(&g, &tree, from_ref(&a), 2, &[], &mut vs.verify).unwrap();
         assert!(!v.verify_members(&[]));
         assert!(v.verified >= 1);
-    }
-
-    /// `intersect_gallop` against a naive filter of one list by the
-    /// other, on ascending `u32` lists: empty sides, identical and
-    /// disjoint lists, singletons, matches exactly where a doubling step
-    /// lands (`lo + 2^j`) and at `big`'s last element, and random lists
-    /// skewed 1:1 to 1:10⁵.
-    #[test]
-    fn gallop_matches_a_naive_intersection() {
-        use cx_par::rng::Rng64;
-        let check = |small: &[u32], big: &[u32]| {
-            let want: Vec<u32> =
-                small.iter().copied().filter(|x| big.binary_search(x).is_ok()).collect();
-            // A dirty buffer: the kernel clears it first.
-            let mut out = vec![u32::MAX; 3];
-            intersect_gallop(small, big, &mut out);
-            assert_eq!(out, want, "small {} / big {} elements", small.len(), big.len());
-            intersect_gallop(big, small, &mut out);
-            assert_eq!(out, want, "swapped: small {} / big {}", big.len(), small.len());
-        };
-        let big: Vec<u32> = (0..5_000).map(|i| 3 * i + 1).collect();
-        check(&[], &[]);
-        check(&[], &big);
-        check(&big, &big);
-        check(&big.iter().map(|&x| x + 1).collect::<Vec<_>>(), &big);
-        check(&[0], &big);
-        check(&[u32::MAX], &big);
-        check(&[7], &[7]);
-        check(&[7], &[8]);
-        check(&[*big.last().unwrap()], &big);
-        check(&[big[0], big[big.len() - 1]], &big);
-        for j in 0..12 {
-            // One match exactly at `lo + 2^j` from the start and from a
-            // previous match, then a chain of such matches to the end.
-            let at = 1usize << j;
-            check(&[big[at]], &big);
-            check(&[big[0], big[at]], &big);
-            check(&[big[5], big[5 + 1 + at]], &big);
-            let mut chain = Vec::new();
-            let mut lo = 0;
-            while lo + at < big.len() {
-                chain.push(big[lo + at]);
-                lo += at + 1;
-            }
-            if chain.last() != big.last() {
-                chain.push(*big.last().unwrap());
-            }
-            check(&chain, &big);
-        }
-        let mut rng = Rng64::seed_from_u64(44);
-        for skew in [1usize, 2, 10, 100, 1_000, 10_000, 100_000] {
-            for _ in 0..3 {
-                // Strictly ascending: random gaps of 1..=4.
-                let big: Vec<u32> = (0..100_000)
-                    .scan(0u32, |at, _| {
-                        *at += rng.gen_range(1..=4u32);
-                        Some(*at)
-                    })
-                    .collect();
-                // Half the short list is drawn from `big`, half at random.
-                let mut small: Vec<u32> = (0..big.len() / skew)
-                    .map(|i| {
-                        if i % 2 == 0 {
-                            big[rng.gen_range(0..big.len())]
-                        } else {
-                            rng.gen_range(0..=big[big.len() - 1] + 1)
-                        }
-                    })
-                    .collect();
-                small.sort_unstable();
-                small.dedup();
-                check(&small, &big);
-            }
-        }
     }
 
     /// A reused verifier scratch must give identical answers to a fresh

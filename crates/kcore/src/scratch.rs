@@ -8,8 +8,17 @@
 //! Each check needs three graph-sized buffers: the membership mask, the
 //! induced-degree array and the BFS visited mask. [`PeelScratch`] keeps
 //! all three alive across calls and clears them in O(1) by bumping an
-//! epoch stamp instead of touching memory, so a steady-state check costs
-//! O(|members| + induced edges) with zero heap allocations.
+//! epoch stamp instead of touching memory, so a steady-state check
+//! performs zero heap allocations.
+//!
+//! A serial check ([`PeelScratch::connected_k_core_in_seed_into`]) works
+//! component first: it marks a *seed* set, grows q's component through
+//! the marked vertices that pass a caller's test, and peels that
+//! component while it grows, stopping as soon as a query vertex dies. It
+//! costs O(|seed|) marks plus the adjacency of what it grows, however
+//! much of the seed lies elsewhere. ACQ's verifier hands it a candidate's
+//! shortest carrier list and a "carries every candidate keyword" test;
+//! every other caller hands it a member set and admits all of it.
 //!
 //! The buffers are `AtomicU32` so the same storage serves both the
 //! serial path (relaxed loads/stores compile to plain memory ops) and
@@ -34,6 +43,9 @@ use cx_graph::{AttributedGraph, VertexId};
 /// `CX_THREADS` setting, which `ci.sh` asserts.
 pub const PAR_MEMBER_THRESHOLD: usize = 65_536;
 
+/// `deg` of a vertex admitted into q's component but not yet dequeued.
+const UNCOUNTED: u32 = u32::MAX;
+
 /// Frontier size below which one level is processed serially even when
 /// the overall peel runs in parallel mode.
 const PAR_LEVEL_THRESHOLD: usize = 2048;
@@ -55,6 +67,8 @@ pub struct PeelScratch {
     frontier: Vec<VertexId>,
     /// Next frontier, swapped with `frontier` level by level.
     next: Vec<VertexId>,
+    /// See [`Self::admitted_total`].
+    admitted_total: u64,
 }
 
 impl Default for PeelScratch {
@@ -73,18 +87,20 @@ impl PeelScratch {
             epoch: 0,
             frontier: Vec::new(),
             next: Vec::new(),
+            admitted_total: 0,
         }
     }
 
     /// Starts a fresh call over a graph with `n` vertices: grows buffers
-    /// if needed and advances the epoch (wrapping resets all stamps).
+    /// if needed and advances the epoch by two, so a call owns the stamps
+    /// `epoch` and `epoch + 1` (wrapping resets all stamps).
     fn begin(&mut self, n: usize) {
         if self.mark.len() < n {
             self.mark.resize_with(n, || AtomicU32::new(0));
             self.seen.resize_with(n, || AtomicU32::new(0));
             self.deg.resize_with(n, || AtomicU32::new(0));
         }
-        if self.epoch == u32::MAX {
+        if self.epoch >= u32::MAX - 2 {
             for m in &self.mark {
                 m.store(0, Relaxed);
             }
@@ -93,7 +109,7 @@ impl PeelScratch {
             }
             self.epoch = 0;
         }
-        self.epoch += 1;
+        self.epoch += 2;
     }
 
     /// The connected k-core containing every query vertex of `qs` within
@@ -104,10 +120,12 @@ impl PeelScratch {
     /// `std::slice::from_ref(&q)`.
     ///
     /// Allocation-free in steady state; duplicates in `members` and `qs`
-    /// are tolerated. For member sets of at least [`PAR_MEMBER_THRESHOLD`]
-    /// and `cx_par::num_threads() > 1`, the peel and BFS run as
-    /// level-synchronous parallel frontier sweeps (that path allocates
-    /// for thread scopes and per-chunk buffers).
+    /// are tolerated. Serially this is [`Self::connected_k_core_in_seed_into`]
+    /// with every member admitted. For member sets of at least
+    /// [`PAR_MEMBER_THRESHOLD`] and `cx_par::num_threads() > 1`, the whole
+    /// member set is peeled and searched by level-synchronous parallel
+    /// frontier sweeps (that path allocates for thread scopes and
+    /// per-chunk buffers).
     pub fn connected_k_core_containing_into(
         &mut self,
         g: &AttributedGraph,
@@ -116,24 +134,28 @@ impl PeelScratch {
         k: u32,
         out: &mut Vec<VertexId>,
     ) -> bool {
+        if members.len() < PAR_MEMBER_THRESHOLD || cx_par::num_threads() < 2 {
+            return self.connected_k_core_in_seed_into(
+                g,
+                members.iter().copied(),
+                |_| true,
+                qs,
+                k,
+                out,
+            );
+        }
         out.clear();
         let n = g.vertex_count();
         let Some(&q) = qs.first() else { return false };
         if qs.iter().any(|v| v.index() >= n) {
             return false;
         }
-        // A k-core needs at least k+1 vertices (every member has k
-        // neighbours inside), so undersized member sets cannot contain one.
-        if k > 0 && members.len() <= k as usize {
-            return false;
-        }
         self.begin(n);
-        let parallel = members.len() >= PAR_MEMBER_THRESHOLD && cx_par::num_threads() > 1;
         let epoch = self.epoch;
 
         // Mark membership, then induced degrees (idempotent stores, so
         // both phases parallelise over member chunks race-free).
-        par_for(parallel, members.len(), |i| {
+        par_for(members.len(), |i| {
             self.mark[members[i].index()].store(epoch, Relaxed);
         });
         // Whether every query vertex carries this call's stamp.
@@ -142,7 +164,7 @@ impl PeelScratch {
         if !all_stamped(&self.mark) {
             return false;
         }
-        par_for(parallel, members.len(), |i| {
+        par_for(members.len(), |i| {
             let v = members[i];
             let d = g
                 .neighbors(v)
@@ -157,7 +179,7 @@ impl PeelScratch {
         let mut frontier = std::mem::take(&mut self.frontier);
         let mut next = std::mem::take(&mut self.next);
         frontier.clear();
-        collect_level(parallel, members.len(), &mut frontier, |i, local| {
+        collect_level(members.len(), &mut frontier, |i, local| {
             let v = members[i];
             if self.deg[v.index()].load(Relaxed) < k
                 && self.mark[v.index()].swap(0, Relaxed) == epoch
@@ -172,7 +194,7 @@ impl PeelScratch {
         while !frontier.is_empty() {
             next.clear();
             let level = &frontier;
-            collect_level(parallel, level.len(), &mut next, |i, local| {
+            collect_level(level.len(), &mut next, |i, local| {
                 for &u in g.neighbors(level[i]) {
                     if self.mark[u.index()].load(Relaxed) == epoch
                         && self.deg[u.index()].fetch_sub(1, Relaxed) == k
@@ -196,7 +218,7 @@ impl PeelScratch {
             while !frontier.is_empty() {
                 next.clear();
                 let level = &frontier;
-                collect_level(parallel, level.len(), &mut next, |i, local| {
+                collect_level(level.len(), &mut next, |i, local| {
                     for &u in g.neighbors(level[i]) {
                         if self.mark[u.index()].load(Relaxed) == epoch
                             && self.seen[u.index()].swap(epoch, Relaxed) != epoch
@@ -220,12 +242,169 @@ impl PeelScratch {
         self.next = next;
         survived
     }
+
+    /// The connected k-core containing every query vertex of `qs` within
+    /// the subgraph induced by the vertices of `seed` that pass `admit`,
+    /// written sorted into `out`; `false` (with `out` cleared) otherwise,
+    /// as in [`Self::connected_k_core_containing_into`]. Serial and
+    /// allocation-free in steady state; `admit` is asked at most once per
+    /// vertex, and only about seed vertices next to q's component.
+    ///
+    /// Only q's component can hold the answer, so the routine never
+    /// looks past it:
+    /// 1. mark the seed;
+    /// 2. grow q's component by BFS from `qs[0]` through marked vertices
+    ///    that pass `admit`, counting each dequeued vertex's admitted
+    ///    neighbours as its degree;
+    /// 3. peel during the growth: a dequeued vertex below degree k dies
+    ///    at once, with everything its death cascades to, and the call
+    ///    returns as soon as a query vertex dies;
+    /// 4. if anything died, search the survivors from q again (a peel
+    ///    can split the component).
+    ///
+    /// A death near q is found before the far side of the component is
+    /// grown at all. Every vertex step 2 admits is added to
+    /// [`Self::admitted_total`].
+    pub fn connected_k_core_in_seed_into(
+        &mut self,
+        g: &AttributedGraph,
+        seed: impl ExactSizeIterator<Item = VertexId>,
+        admit: impl Fn(VertexId) -> bool,
+        qs: &[VertexId],
+        k: u32,
+        out: &mut Vec<VertexId>,
+    ) -> bool {
+        out.clear();
+        let n = g.vertex_count();
+        let Some(&q) = qs.first() else { return false };
+        // A k-core needs at least k+1 vertices (every member has k
+        // neighbours inside), so an undersized seed cannot contain one.
+        if (k > 0 && seed.len() <= k as usize) || qs.iter().any(|v| v.index() >= n) {
+            return false;
+        }
+        self.begin(n);
+        // `mark[v]` is `seeded` for a seed vertex not yet tested, `alive`
+        // for an admitted vertex the peel has not removed, and anything
+        // else for the rest (failed the test, peeled, or never seeded).
+        let (seeded, alive) = (self.epoch, self.epoch + 1);
+        let mark = |v: VertexId| &self.mark[v.index()];
+        let deg = |v: VertexId| &self.deg[v.index()];
+        for v in seed {
+            mark(v).store(seeded, Relaxed);
+        }
+        if !qs.iter().all(|&v| mark(v).load(Relaxed) == seeded && admit(v)) {
+            return false;
+        }
+
+        // Grow q's component and peel it in the same pass; `out` is the
+        // BFS queue. A vertex's degree is counted when it is dequeued,
+        // over its admitted neighbours not yet peeled, so it is exact
+        // from then on; the peel kills a dequeued vertex whose degree
+        // drops below k and decrements only dequeued neighbours (a queued
+        // one will not count the dead vertex when its turn comes).
+        mark(q).store(alive, Relaxed);
+        deg(q).store(UNCOUNTED, Relaxed);
+        out.push(q);
+        let mut dead = std::mem::take(&mut self.frontier);
+        dead.clear();
+        let (mut head, mut next) = (0, 0);
+        'grow: while let Some(&v) = out.get(head) {
+            head += 1;
+            let mut d = 0;
+            for &u in g.neighbors(v) {
+                let m = mark(u).load(Relaxed);
+                if m == seeded {
+                    if !admit(u) {
+                        mark(u).store(0, Relaxed);
+                        continue;
+                    }
+                    mark(u).store(alive, Relaxed);
+                    deg(u).store(UNCOUNTED, Relaxed);
+                    out.push(u);
+                } else if m != alive {
+                    continue;
+                }
+                d += 1;
+            }
+            deg(v).store(d, Relaxed);
+            if d >= k {
+                continue;
+            }
+            mark(v).store(0, Relaxed);
+            dead.push(v);
+            if qs.contains(&v) {
+                break;
+            }
+            while let Some(&x) = dead.get(next) {
+                next += 1;
+                for &u in g.neighbors(x) {
+                    if mark(u).load(Relaxed) != alive {
+                        continue;
+                    }
+                    let d = deg(u).load(Relaxed);
+                    if d == UNCOUNTED {
+                        continue;
+                    }
+                    deg(u).store(d - 1, Relaxed);
+                    if d == k {
+                        mark(u).store(0, Relaxed);
+                        dead.push(u);
+                        if qs.contains(&u) {
+                            break 'grow;
+                        }
+                    }
+                }
+            }
+        }
+        self.admitted_total += out.len() as u64;
+        let died = !dead.is_empty();
+        self.frontier = dead;
+        let fail = |out: &mut Vec<VertexId>| {
+            out.clear();
+            false
+        };
+        // A query vertex that died, or was never reached, fails the call.
+        if !qs.iter().all(|&v| mark(v).load(Relaxed) == alive) {
+            return fail(out);
+        }
+
+        if died {
+            // The survivors of a peel may fall apart: keep q's component.
+            out.clear();
+            self.seen[q.index()].store(seeded, Relaxed);
+            out.push(q);
+            let mut head = 0;
+            while let Some(&v) = out.get(head) {
+                head += 1;
+                for &u in g.neighbors(v) {
+                    if mark(u).load(Relaxed) == alive
+                        && self.seen[u.index()].swap(seeded, Relaxed) != seeded
+                    {
+                        out.push(u);
+                    }
+                }
+            }
+            if !qs.iter().all(|v| self.seen[v.index()].load(Relaxed) == seeded) {
+                return fail(out);
+            }
+        }
+        out.sort_unstable();
+        true
+    }
+
+    /// Running count of the vertices [`Self::connected_k_core_in_seed_into`]
+    /// has admitted into q's component over this scratch's lifetime; the
+    /// difference across a query is the vertices its verifications touched.
+    pub fn admitted_total(&self) -> u64 {
+        self.admitted_total
+    }
 }
 
-/// Runs `f(i)` for `0..len`, on parallel chunk workers when `parallel`.
-/// Side effects must be idempotent or per-index disjoint.
-fn par_for(parallel: bool, len: usize, f: impl Fn(usize) + Sync) {
-    if parallel && len >= PAR_LEVEL_THRESHOLD {
+/// Runs `f(i)` for `0..len`, on parallel chunk workers unless `len` is
+/// below [`PAR_LEVEL_THRESHOLD`]. Side effects must be idempotent or
+/// per-index disjoint.
+fn par_for(len: usize, f: impl Fn(usize) + Sync) {
+    if len >= PAR_LEVEL_THRESHOLD {
         cx_par::par_reduce(len, |r| r.for_each(&f), |(), ()| ());
     } else {
         (0..len).for_each(f);
@@ -233,17 +412,17 @@ fn par_for(parallel: bool, len: usize, f: impl Fn(usize) + Sync) {
 }
 
 /// Runs `f(i, &mut local)` for `0..len` collecting pushed vertices into
-/// `out` — serially in index order, or over parallel chunks combined in
-/// ascending chunk order. `f` must claim each pushed vertex atomically
-/// so the output *set* is deterministic; order within `out` may vary
-/// across runs in parallel mode (consumers sort or treat it as a set).
+/// `out` — serially in index order below [`PAR_LEVEL_THRESHOLD`], else
+/// over parallel chunks combined in ascending chunk order. `f` must
+/// claim each pushed vertex atomically so the output *set* is
+/// deterministic; order within `out` may vary across runs (consumers
+/// sort or treat it as a set).
 fn collect_level(
-    parallel: bool,
     len: usize,
     out: &mut Vec<VertexId>,
     f: impl Fn(usize, &mut Vec<VertexId>) + Sync,
 ) {
-    if parallel && len >= PAR_LEVEL_THRESHOLD {
+    if len >= PAR_LEVEL_THRESHOLD {
         let parts = cx_par::par_reduce(
             len,
             |r| {
@@ -341,5 +520,36 @@ mod tests {
         assert_eq!(out, vec![v(0), v(1), v(2), v(3), v(4)]);
         // No query vertex at all.
         assert!(!s.connected_k_core_containing_into(&g, &all, &[], 2, &mut out));
+    }
+
+    /// The peel returns as soon as any query vertex dies, not only the
+    /// first: with Q = {0, 4} the pendant 4 dies before the 2-core peel
+    /// has eaten into the path 5..=15 hanging off the K4, so vertex 6 of
+    /// the path is still seeded or alive afterwards.
+    #[test]
+    fn the_peel_stops_when_any_query_vertex_dies() {
+        let mut b = GraphBuilder::new();
+        for i in 0..16 {
+            b.add_vertex(&format!("v{i}"), &[]);
+        }
+        for (a, c) in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (0, 5)] {
+            b.add_edge(v(a), v(c));
+        }
+        for i in 5..15 {
+            b.add_edge(v(i), v(i + 1));
+        }
+        let g = b.build();
+        let all: Vec<VertexId> = g.vertices().collect();
+        let mut s = PeelScratch::new();
+        let mut out = Vec::new();
+        let seed = all.iter().copied();
+        assert!(!s.connected_k_core_in_seed_into(&g, seed, |_| true, &[v(0), v(4)], 2, &mut out));
+        assert!(out.is_empty());
+        assert!(s.mark[6].load(Relaxed) >= s.epoch, "the peel went on after q₂ died");
+        // Without the second query vertex the whole path is peeled.
+        let seed = all.iter().copied();
+        assert!(s.connected_k_core_in_seed_into(&g, seed, |_| true, &[v(0)], 2, &mut out));
+        assert_eq!(out, vec![v(0), v(1), v(2), v(3)]);
+        assert_eq!(s.mark[6].load(Relaxed), 0);
     }
 }

@@ -2,7 +2,9 @@
 //! naive fixpoint peel (`reference_core_component`), which shares no code
 //! with it: seeded random graphs × random member multisets × query sets
 //! of 1–3 vertices × k ∈ 0..=5, all through one reused scratch, plus a
-//! member set large enough to take the frontier-parallel path.
+//! member set large enough to take the frontier-parallel path. Every case
+//! also runs the seed + test entry, with a seeded test, against the
+//! reference on the members that pass it.
 
 use cx_check::invariants::reference_core_component;
 use cx_check::oracle::with_threads;
@@ -39,7 +41,8 @@ fn reference(
 }
 
 /// Runs one case through the scratch and the reference and compares.
-/// Returns whether a community was found.
+/// Returns whether a community was found. The seed + test entry runs on
+/// the same case with a test seeded from it.
 fn agree(
     s: &mut PeelScratch,
     g: &AttributedGraph,
@@ -53,6 +56,32 @@ fn agree(
     let want = reference(g, members, qs, k);
     assert_eq!(found, want.is_some(), "{context} qs={qs:?} k={k}");
     assert_eq!(out, want.unwrap_or_default(), "{context} qs={qs:?} k={k}");
+    // About three vertices in four pass a test seeded by the case.
+    let salt = context.bytes().chain(k.to_le_bytes()).fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01B3)
+    });
+    let test = |u: VertexId| (u64::from(u.0) ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 62 != 0;
+    agree_seeded(s, g, members, test, qs, k, context);
+    found
+}
+
+/// The seed + test entry against the reference on `members` filtered by
+/// `test`. Returns whether a community was found.
+fn agree_seeded(
+    s: &mut PeelScratch,
+    g: &AttributedGraph,
+    members: &[VertexId],
+    test: impl Fn(VertexId) -> bool,
+    qs: &[VertexId],
+    k: u32,
+    context: &str,
+) -> bool {
+    let passing: Vec<VertexId> = members.iter().copied().filter(|&u| test(u)).collect();
+    let want = reference(g, &passing, qs, k);
+    let mut out = vec![v(0)];
+    let found = s.connected_k_core_in_seed_into(g, members.iter().copied(), test, qs, k, &mut out);
+    assert_eq!(found, want.is_some(), "seeded: {context} passing={passing:?} qs={qs:?} k={k}");
+    assert_eq!(out, want.unwrap_or_default(), "seeded: {context} qs={qs:?} k={k}");
     found
 }
 
@@ -94,8 +123,10 @@ fn scratch_matches_naive_peel_on_seeded_random_graphs() {
 }
 
 /// Hand-built cases: a pendant, an induced triangle inside a K4, two
-/// components, isolated members, repeated query vertices, and a path
-/// whose 2-core peel must cascade to nothing.
+/// components, isolated members, repeated query vertices, a path whose
+/// 2-core peel must cascade to nothing, a peel that splits q's
+/// component, q missing from the seed or failing the test, and query
+/// vertices in different components of the admitted set.
 #[test]
 fn scratch_matches_naive_peel_on_fixtures() {
     // K4 on 0-3, pendant 4 attached to 0, plus disjoint triangle 5-7.
@@ -116,6 +147,34 @@ fn scratch_matches_naive_peel_on_fixtures() {
     let all: Vec<VertexId> = path.vertices().collect();
     for k in 0..=2 {
         agree(&mut s, &path, &all, &[v(3)], k, "path");
+    }
+
+    // Two K4s, 0-3 and 4-7, joined through 8 (degree 2): at k = 3 the
+    // peel removes 8 and splits q's component, so the answer is q's K4.
+    let k4 = |b: u32| (0..4).flat_map(move |a| (a + 1..4).map(move |c| (b + a, b + c)));
+    let joined = graph(9, k4(0).chain(k4(4)).chain([(0, 8), (8, 4)]));
+    let all: Vec<VertexId> = joined.vertices().collect();
+    let every = |_: VertexId| true;
+    for k in 0..=4 {
+        for &q in &all {
+            agree(&mut s, &joined, &all, &[q], k, "joined K4s");
+        }
+        agree(&mut s, &joined, &all, &[v(1), v(6)], k, "joined K4s");
+    }
+    assert!(agree_seeded(&mut s, &joined, &all, every, &[v(0)], 3, "split"));
+    assert!(!agree_seeded(&mut s, &joined, &all, every, &[v(0), v(5)], 3, "split"));
+    // q absent from the seed, and q failing the test.
+    let without_q: Vec<VertexId> = all.iter().copied().filter(|&u| u != v(2)).collect();
+    assert!(!agree_seeded(&mut s, &joined, &without_q, every, &[v(2)], 0, "q not seeded"));
+    assert!(!agree_seeded(&mut s, &joined, &all, |u| u != v(2), &[v(2)], 0, "q fails"));
+    assert!(!agree_seeded(&mut s, &joined, &all, |u| u != v(6), &[v(2), v(6)], 0, "q₂ fails"));
+    // The query vertices in different components of the admitted set: 8
+    // fails the test, which cuts the two K4s apart at every k.
+    for k in 0..=3 {
+        let found = agree_seeded(&mut s, &joined, &all, |u| u != v(8), &[v(1), v(6)], k, "cut");
+        assert!(!found, "cut k={k}");
+        let found = agree_seeded(&mut s, &joined, &all, every, &[v(1), v(6)], k, "uncut");
+        assert_eq!(found, k <= 2, "uncut k={k}");
     }
 }
 

@@ -193,6 +193,8 @@ fn metrics_totals_match_requests_issued_under_concurrency() {
     // count leaves out. A hub's lattice is mostly refuted.
     let examined = cx_obs::global().histogram("cx_acq_lattice_examined");
     let (e0, sum0) = (examined.count(), examined.sum_us());
+    let component = cx_obs::global().histogram("cx_acq_component_vertices");
+    let (c0, csum0) = (component.count(), component.sum_us());
     let (g3, _) = cx_datagen::dblp_like(&cx_datagen::DblpParams::scaled(3_000, 7));
     let tree3 = cx_cltree::ClTree::build(&g3);
     let hub = g3.vertices().max_by_key(|&v| (g3.degree(v), v.0)).unwrap();
@@ -205,9 +207,23 @@ fn metrics_totals_match_requests_issued_under_concurrency() {
         "the hub's lattice sample ({sample}) must count refuted candidates beyond the {} verified",
         res.candidates_verified
     );
+    // The same search adds one sample of the vertices its verifications
+    // admitted into q's components; each community of the answer came
+    // from a verification that admitted all of its members.
+    assert_eq!(component.count(), c0 + 1, "one query → one component sample");
+    let admitted = component.sum_us() - csum0;
+    let members = res.communities.iter().map(|c| c.len() as u64).sum::<u64>();
+    assert!(
+        admitted >= members,
+        "the hub's component sample ({admitted}) must cover its answer's {members} members"
+    );
     let scrape = s.handle(&Request::get("/metrics")).text();
     assert!(
         scrape.contains("cx_acq_lattice_examined_count"),
         "cx_acq_lattice_examined missing from /metrics:\n{scrape}"
+    );
+    assert!(
+        scrape.contains("cx_acq_component_vertices_count"),
+        "cx_acq_component_vertices missing from /metrics:\n{scrape}"
     );
 }
