@@ -9,7 +9,7 @@
 
 use cx_explorer::{Engine, Profile};
 use cx_graph::VertexId;
-use cx_server::{Request, Response, Server};
+use cx_server::{routes, Request, Response, Server};
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/wire.txt");
 
@@ -150,6 +150,13 @@ fn transcript() -> Vec<(&'static str, String)> {
         "err_graph_text",
         record(&s.handle(&Request::post("/api/v1/upload?name=bad", "q\tjunk"))),
     ));
+    // The two errors answered before a handler runs: a missing bearer
+    // token, and the load-shed reply the event loop sends undispatched.
+    let unauthorized = routes::route(&s.engine(), &Request::get("/api/v1/graphs"), Some("tok"));
+    out.push(("err_unauthorized", record(&unauthorized)));
+    let shed = routes::shed_response(&Request::get("/api/v1/search?name=A"));
+    assert_eq!(shed.header("Retry-After"), Some("1"));
+    out.push(("err_overloaded", record(&shed)));
 
     // The plain error shape (anything outside /api/v1).
     out.push(("plain_unknown_path", record(&get("/nope"))));
