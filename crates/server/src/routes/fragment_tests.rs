@@ -4,9 +4,12 @@
 //! set of search answers — on Figure 5 and on a 2,000-author DBLP-like
 //! graph — must read byte for byte like the tree-built JSON.
 
+use super::search::{write_community, write_scene};
 use super::*;
 use cx_datagen::{dblp_like, figure5_graph, DblpParams};
-use cx_layout::Point;
+use cx_explorer::{Hierarchy, NodeId, QuerySpec};
+use cx_graph::{AttributedGraph, Community, VertexId};
+use cx_layout::{LayoutAlgorithm, Point, Scene};
 
 /// A vertex row, as a tree.
 fn vertex_tree(v: VertexId, label: &str, degree: usize) -> Json {
