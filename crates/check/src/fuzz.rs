@@ -472,7 +472,7 @@ mod tests {
             headers: Vec::new(),
         };
         // 500s are never acceptable.
-        let bad = Response::error(500, "boom");
+        let bad = json(500, r#"{"error":"boom"}"#);
         assert!(check_response(&req, &bad).unwrap().contains("unexpected status"));
         // Error bodies must be the JSON envelope with a typed error.
         assert!(check_response(&req, &json(400, "{}")).unwrap().contains("missing boolean ok"));

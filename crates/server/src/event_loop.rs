@@ -484,7 +484,7 @@ impl EventLoop {
                 let mut out = lock(&conn.out);
                 let seq = out.next_seq;
                 out.next_seq += 1;
-                out.slots.insert(seq, Slot::Ready(Response::error(status, msg).to_bytes(false)));
+                out.slots.insert(seq, Slot::Ready(crate::routes::malformed_response(status, msg).to_bytes(false)));
                 drop(out);
                 conn.read_closed = true;
                 conn.close_after_seq = Some(seq);

@@ -53,11 +53,6 @@ impl Request {
     pub fn param(&self, name: &str) -> Option<&str> {
         self.query.get(name).map(String::as_str)
     }
-
-    /// A query parameter parsed to a type, with a default.
-    pub fn param_as<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.param(name).and_then(|s| s.parse().ok()).unwrap_or(default)
-    }
 }
 
 fn split_target(target: &str) -> (String, HashMap<String, String>) {
@@ -130,13 +125,6 @@ pub struct Response {
 }
 
 impl Response {
-    /// 200 with a JSON body, written into one buffer sized up front.
-    pub fn json(v: &crate::json::Json) -> Self {
-        let mut body = String::with_capacity(v.size_hint());
-        v.write_into(&mut body);
-        Self::with_body("application/json", body.into_bytes())
-    }
-
     /// 200 with an HTML body.
     pub fn html(body: impl Into<String>) -> Self {
         Self::with_body("text/html; charset=utf-8", body.into().into_bytes())
@@ -147,8 +135,8 @@ impl Response {
         Self::with_body("image/svg+xml", body.into().into_bytes())
     }
 
-    /// 200 with an arbitrary content type (e.g. the Prometheus text
-    /// exposition format for `GET /metrics`).
+    /// 200 with an arbitrary content type (a JSON body the routes wrote,
+    /// or the Prometheus text exposition format for `GET /metrics`).
     pub fn with_body(content_type: &str, body: impl Into<Vec<u8>>) -> Self {
         Self {
             status: 200,
@@ -156,14 +144,6 @@ impl Response {
             body: body.into(),
             headers: Vec::new(),
         }
-    }
-
-    /// An error response with a JSON `{error}` body.
-    pub fn error(status: u16, message: &str) -> Self {
-        let mut r =
-            Self::json(&crate::json::Json::obj([("error", crate::json::Json::str(message))]));
-        r.status = status;
-        r
     }
 
     /// Appends a response header (builder style).
@@ -249,9 +229,8 @@ mod tests {
         assert_eq!(r.path, "/api/search");
         assert_eq!(r.param("name"), Some("jim gray"));
         assert_eq!(r.param("kw"), Some("a,b"));
-        assert_eq!(r.param_as::<u32>("k", 1), 4);
-        assert_eq!(r.param_as::<u32>("missing", 7), 7);
-        assert_eq!(r.param_as::<u32>("name", 9), 9); // unparseable → default
+        assert_eq!(r.param("k"), Some("4"));
+        assert_eq!(r.param("missing"), None);
     }
 
     #[test]
@@ -296,26 +275,23 @@ mod tests {
 
     #[test]
     fn response_builders() {
-        let j = crate::json::Json::obj([("ok", crate::json::Json::Bool(true))]);
-        let r = Response::json(&j);
+        let r = Response::with_body("application/json", "{\"ok\":true}");
         assert_eq!(r.status, 200);
         assert_eq!(r.text(), "{\"ok\":true}");
-        let e = Response::error(404, "nope");
-        assert_eq!(e.status, 404);
-        assert!(e.text().contains("nope"));
         assert_eq!(Response::html("<p>").content_type, "text/html; charset=utf-8");
         assert_eq!(Response::svg("<svg/>").content_type, "image/svg+xml");
     }
 
     #[test]
     fn status_lines() {
-        assert_eq!(Response::error(400, "x").status_line(), "400 Bad Request");
-        assert_eq!(Response::error(401, "x").status_line(), "401 Unauthorized");
-        assert_eq!(Response::error(405, "x").status_line(), "405 Method Not Allowed");
-        assert_eq!(Response::error(408, "x").status_line(), "408 Request Timeout");
-        assert_eq!(Response::error(429, "x").status_line(), "429 Too Many Requests");
-        assert_eq!(Response::error(503, "x").status_line(), "503 Service Unavailable");
-        assert_eq!(Response::error(418, "x").status_line(), "500 Internal Server Error");
+        let line = |status| Response { status, ..Response::html("x") }.status_line();
+        assert_eq!(line(400), "400 Bad Request");
+        assert_eq!(line(401), "401 Unauthorized");
+        assert_eq!(line(405), "405 Method Not Allowed");
+        assert_eq!(line(408), "408 Request Timeout");
+        assert_eq!(line(429), "429 Too Many Requests");
+        assert_eq!(line(503), "503 Service Unavailable");
+        assert_eq!(line(418), "500 Internal Server Error");
     }
 
     #[test]

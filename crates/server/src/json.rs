@@ -2,8 +2,10 @@
 //!
 //! The browser protocol is a handful of small documents; a hand-rolled
 //! implementation keeps the server free of heavyweight dependencies and
-//! is easy to audit. The parser is recursive-descent with a depth limit;
-//! the writer appends to one `String` and escapes per RFC 8259.
+//! is easy to audit. The parser is recursive-descent with a depth limit
+//! and returns a [`Json`] tree. Every response is written straight into
+//! one `String`, keys in order, by [`ObjectWriter`] and [`array_into`];
+//! a tree prints through the same [`escape_into`] and [`number_into`].
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -24,17 +26,6 @@ pub enum Json {
     Array(Vec<Json>),
     /// An object with sorted keys.
     Object(BTreeMap<String, Json>),
-    /// A pre-serialized JSON fragment, written verbatim by the writer.
-    ///
-    /// Hot responses (browse rows, search communities and their scenes)
-    /// are written straight from graph-resident slices into one buffer
-    /// through the same writer a tree uses ([`escape_into`],
-    /// [`number_into`]) instead of being built as a tree first. The parser
-    /// never produces this variant, and the caller is responsible for the
-    /// fragment being the canonical JSON a tree of the same value would
-    /// serialise to — keys ascending, numbers and strings in the writer's
-    /// forms.
-    Raw(String),
 }
 
 impl Json {
@@ -129,13 +120,13 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 // ---------------------------------------------------------------------------
-// The writer: one `String` sink under every response. A tree, a fragment
-// and a streamed row all serialise through `escape_into` / `number_into`,
-// so there is exactly one spelling of each string and number on the wire.
+// The writer: one `String` sink under every response. A response and a
+// tree both serialise through `escape_into` / `number_into`, so there is
+// exactly one spelling of each string and number on the wire.
 
 impl Json {
     /// Appends this value's serialisation to `out`.
-    pub(crate) fn write_into(&self, out: &mut String) {
+    fn write_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -154,30 +145,13 @@ impl Json {
                 }
                 out.push('}');
             }
-            Json::Raw(s) => out.push_str(s),
-        }
-    }
-
-    /// A cheap estimate of the serialised length, so a response buffer is
-    /// sized once: exact for fragments, which are what make a body large,
-    /// and close for the small tree around them.
-    pub(crate) fn size_hint(&self) -> usize {
-        match self {
-            Json::Null | Json::Bool(_) => 5,
-            Json::Number(_) => 8,
-            Json::String(s) => s.len() + 2,
-            Json::Raw(s) => s.len(),
-            Json::Array(a) => 2 + a.iter().map(|v| v.size_hint() + 1).sum::<usize>(),
-            Json::Object(m) => {
-                2 + m.iter().map(|(k, v)| k.len() + 4 + v.size_hint()).sum::<usize>()
-            }
         }
     }
 }
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::with_capacity(self.size_hint());
+        let mut out = String::new();
         self.write_into(&mut out);
         f.write_str(&out)
     }
@@ -268,17 +242,20 @@ pub(crate) fn array_into<I: IntoIterator>(
     out.push(']');
 }
 
-/// [`array_into`] a fresh buffer, as a fragment for a tree.
-pub(crate) fn raw_array<I: IntoIterator>(items: I, each: impl FnMut(&mut String, I::Item)) -> Json {
+/// Writes one object into a fresh buffer: `members` writes its members,
+/// in ascending key order, and the object is closed after it.
+pub(crate) fn object(members: impl FnOnce(&mut ObjectWriter<'_>)) -> String {
     let mut out = String::new();
-    array_into(&mut out, items, each);
-    Json::Raw(out)
+    let mut o = ObjectWriter::new(&mut out);
+    members(&mut o);
+    o.close();
+    out
 }
 
 /// Writes one JSON object straight into a buffer. Members must come in
 /// the order a [`Json::Object`] serialises them — ascending byte order of
-/// the key — so a fragment reads exactly like the tree it replaces; debug
-/// builds assert it. Keys are plain literals and are not escaped.
+/// the key — so the bytes read exactly like the tree of the same value;
+/// debug builds assert it. Keys are plain literals and are not escaped.
 pub(crate) struct ObjectWriter<'a> {
     out: &'a mut String,
     last: Option<&'static str>,
@@ -622,7 +599,7 @@ mod tests {
     }
 
     #[test]
-    fn raw_fragments_write_verbatim_and_compose() {
+    fn written_pieces_compose_into_valid_json() {
         let mut buf = String::from("[");
         escape_into(&mut buf, "line\n\"q\"");
         buf.push(',');
@@ -632,10 +609,8 @@ mod tests {
         buf.push(',');
         number_into(&mut buf, f64::NAN);
         buf.push(']');
-        let v = Json::obj([("items", Json::Raw(buf))]);
-        let text = v.to_string();
-        // The composed document is valid JSON and matches the tree the
-        // non-streaming builders would have produced.
+        let text = object(|o| o.key("items").push_str(&buf));
+        // The composed document is valid JSON and reads back as written.
         let parsed = Json::parse(&text).unwrap();
         let items = parsed.get("items").and_then(Json::as_array).unwrap();
         assert_eq!(items[0].as_str(), Some("line\n\"q\""));
@@ -709,7 +684,6 @@ mod tests {
                         }
                         write!(f, "}}")
                     }
-                    Json::Raw(s) => write!(f, "{s}"),
                 }
             }
         }
@@ -787,13 +761,12 @@ mod tests {
 
     fn random_tree(rng: &mut Rng, depth: u32) -> Json {
         let leaf = depth == 0 || rng.below(3) == 0;
-        match if leaf { rng.below(5) } else { 5 + rng.below(2) } {
+        match if leaf { rng.below(4) } else { 4 + rng.below(2) } {
             0 => Json::Null,
             1 => Json::Bool(rng.below(2) == 0),
             2 => Json::Number(random_number(rng)),
             3 => Json::String(random_string(rng)),
-            4 => Json::Raw(oracle(&Json::String(random_string(rng)))),
-            5 => Json::Array((0..rng.below(5)).map(|_| random_tree(rng, depth - 1)).collect()),
+            4 => Json::Array((0..rng.below(5)).map(|_| random_tree(rng, depth - 1)).collect()),
             _ => Json::Object(
                 (0..rng.below(5))
                     .map(|_| (random_string(rng), random_tree(rng, depth - 1)))
@@ -824,13 +797,11 @@ mod tests {
         }
     }
 
-    /// `v` with what the writer cannot give back as written: a `Raw`
-    /// fragment parses as the value it spells, a non-finite number as
-    /// `null`.
+    /// `v` with what the writer cannot give back as written: a non-finite
+    /// number reads back as `null`.
     fn parseable(v: Json) -> Json {
         match v {
             Json::Number(n) if !n.is_finite() => Json::Null,
-            Json::Raw(text) => Json::parse(&text).unwrap(),
             Json::Array(a) => Json::Array(a.into_iter().map(parseable).collect()),
             Json::Object(m) => {
                 Json::Object(m.into_iter().map(|(k, v)| (k, parseable(v))).collect())

@@ -2,35 +2,36 @@
 //! statistics, typeahead suggestions, the multi-resolution hierarchy and
 //! author profiles.
 
-use std::collections::BTreeMap;
-
 use cx_explorer::{GraphSnapshot, Hierarchy, NodeId};
 use cx_graph::VertexId;
 
-use super::{page_params, ApiError, Ctx, Handler, Payload};
-use crate::json::{array_into, number_into, raw_array, Json, ObjectWriter};
+use super::{data, page_params, ApiError, Ctx, Handler, Payload};
+use crate::json::{array_into, escape_into, number_into, ObjectWriter};
 
 /// GET /api/v1/graphs — the registry directory. Served from the O(1) index
 /// (never clones a snapshot); `generations` maps each graph to its
 /// currently published generation so clients can detect content changes.
 pub(super) fn graphs(ctx: &Ctx) -> Handler {
     let idx = ctx.engine.registry_index();
-    let graphs = Json::arr(idx.graphs.iter().map(|g| Json::str(g.name.clone())));
-    let generations: BTreeMap<String, Json> = idx
-        .graphs
-        .iter()
-        .map(|g| (g.name.clone(), Json::num(g.generation as f64)))
-        .collect();
-    let cs = Json::arr(ctx.engine.cs_names().iter().map(|n| Json::str(*n)));
-    let cd = Json::arr(ctx.engine.cd_names().iter().map(|n| Json::str(*n)));
-    let default = idx.default_graph.map(Json::str).unwrap_or(Json::Null);
-    Ok(Payload::Data(Json::obj([
-        ("graphs", graphs),
-        ("cs_algorithms", cs),
-        ("cd_algorithms", cd),
-        ("default_graph", default),
-        ("generations", Json::Object(generations)),
-    ])))
+    data(|o| {
+        array_into(o.key("cd_algorithms"), ctx.engine.cd_names(), escape_into);
+        array_into(o.key("cs_algorithms"), ctx.engine.cs_names(), escape_into);
+        match idx.default_graph {
+            Some(name) => escape_into(o.key("default_graph"), &name),
+            None => o.key("default_graph").push_str("null"),
+        }
+        // The index lists the graphs by name, the order of the keys.
+        let gens = o.key("generations");
+        gens.push('{');
+        for (i, g) in idx.graphs.iter().enumerate() {
+            gens.push_str(if i == 0 { "" } else { "," });
+            escape_into(gens, &g.name);
+            gens.push(':');
+            number_into(gens, g.generation as f64);
+        }
+        gens.push('}');
+        array_into(o.key("graphs"), &idx.graphs, |out, g| escape_into(out, &g.name));
+    })
 }
 
 pub(super) fn stats(ctx: &Ctx) -> Handler {
@@ -38,28 +39,25 @@ pub(super) fn stats(ctx: &Ctx) -> Handler {
     let s = snap.stats();
     let tree = &snap.tree;
     let cache = ctx.engine.cache_stats();
-    Ok(Payload::Data(Json::obj([
-        ("vertices", Json::num(s.vertices as f64)),
-        ("edges", Json::num(s.edges as f64)),
-        ("components", Json::num(s.components as f64)),
-        ("keywords", Json::num(s.keywords as f64)),
-        ("avg_keywords_per_vertex", Json::num(s.avg_keywords_per_vertex)),
-        ("max_degree", Json::num(s.degrees.max as f64)),
-        ("mean_degree", Json::num(s.degrees.mean)),
-        ("degeneracy", Json::num(tree.max_core() as f64)),
-        ("index_nodes", Json::num(tree.node_count() as f64)),
-        ("index_bytes", Json::num(tree.memory_bytes() as f64)),
-        ("generation", Json::num(snap.generation as f64)),
-        (
-            "query_cache",
-            Json::obj([
-                ("hits", Json::num(cache.hits as f64)),
-                ("misses", Json::num(cache.misses as f64)),
-                ("len", Json::num(cache.len as f64)),
-                ("capacity", Json::num(cache.capacity as f64)),
-            ]),
-        ),
-    ])))
+    data(|o| {
+        o.num("avg_keywords_per_vertex", s.avg_keywords_per_vertex)
+            .num("components", s.components as f64)
+            .num("degeneracy", tree.max_core() as f64)
+            .num("edges", s.edges as f64)
+            .num("generation", snap.generation as f64)
+            .num("index_bytes", tree.memory_bytes() as f64)
+            .num("index_nodes", tree.node_count() as f64)
+            .num("keywords", s.keywords as f64)
+            .num("max_degree", s.degrees.max as f64)
+            .num("mean_degree", s.degrees.mean);
+        ObjectWriter::new(o.key("query_cache"))
+            .num("capacity", cache.capacity as f64)
+            .num("hits", cache.hits as f64)
+            .num("len", cache.len as f64)
+            .num("misses", cache.misses as f64)
+            .close();
+        o.num("vertices", s.vertices as f64);
+    })
 }
 
 /// Hard ceiling on suggest pagination depth. The engine materialises the
@@ -76,9 +74,9 @@ pub(super) fn suggest(ctx: &Ctx) -> Handler {
         return Err(ApiError::bad_query("suggest offset is capped at 10000; narrow the query"));
     }
     let (hits, _total) = ctx.engine.suggest_page(ctx.param("graph"), q, offset, limit)?;
-    Ok(Payload::Data(raw_array(hits, |out, (v, label, degree)| {
-        write_vertex(out, v, &label, degree);
-    })))
+    let mut out = String::new();
+    array_into(&mut out, hits, |out, (v, label, degree)| write_vertex(out, v, &label, degree));
+    Ok(Payload::Data(out))
 }
 
 /// A vertex as `suggest` and a hierarchy expansion list it.
@@ -149,67 +147,61 @@ pub(super) fn hierarchy(ctx: &Ctx) -> Handler {
             return Err(ApiError::bad_query("node must be an integer supernode id"));
         };
         let ex = h.expand_bounded(g, &snap.tree, n, limit).ok_or_else(no_such_supernode)?;
-        return Ok(Payload::Data(Json::obj([
-            ("node", Json::num(n as f64)),
-            ("level", Json::num(snap.tree.node(ex.node).level as f64)),
-            (
-                "residents",
-                raw_array(&ex.residents, |out, &v| write_vertex(out, v, g.label(v), g.degree(v))),
-            ),
-            ("residents_truncated", Json::Bool(ex.truncated)),
-            ("children", raw_array(&ex.children, |out, &c| write_supernode(out, &snap, &h, c))),
-            ("children_total", Json::num(ex.children_total as f64)),
-            ("children_truncated", Json::Bool(ex.children.len() < ex.children_total)),
-            (
-                "edges",
-                raw_array(&ex.internal_edges, |out, &(u, v)| {
-                    array_into(out, [u, v], |out, x| number_into(out, x.0 as f64));
-                }),
-            ),
-            (
-                "links",
-                raw_array(&ex.child_links, |out, &(u, c, w)| {
-                    ObjectWriter::new(out)
-                        .num("from", u.0 as f64)
-                        .num("to", c.0 as f64)
-                        .num("weight", w as f64)
-                        .close();
-                }),
-            ),
-        ])));
+        return data(|o| {
+            array_into(o.key("children"), &ex.children, |out, &c| {
+                write_supernode(out, &snap, &h, c);
+            });
+            o.num("children_total", ex.children_total as f64)
+                .bool("children_truncated", ex.children.len() < ex.children_total);
+            array_into(o.key("edges"), &ex.internal_edges, |out, &(u, v)| {
+                array_into(out, [u, v], |out, x| number_into(out, x.0 as f64));
+            });
+            o.num("level", snap.tree.node(ex.node).level as f64);
+            array_into(o.key("links"), &ex.child_links, |out, &(u, c, w)| {
+                ObjectWriter::new(out)
+                    .num("from", u.0 as f64)
+                    .num("to", c.0 as f64)
+                    .num("weight", w as f64)
+                    .close();
+            });
+            o.num("node", n as f64);
+            array_into(o.key("residents"), &ex.residents, |out, &v| {
+                write_vertex(out, v, g.label(v), g.degree(v));
+            });
+            o.bool("residents_truncated", ex.truncated);
+        });
     }
 
     let level = ctx.param_as::<u32>("level", 0);
     let nodes = h.level_nodes(&snap.tree, level);
     let shown = &nodes[..nodes.len().min(limit)];
-    Ok(Payload::Data(Json::obj([
-        ("level", Json::num(level as f64)),
-        ("max_level", Json::num(h.max_level() as f64)),
-        ("total", Json::num(nodes.len() as f64)),
-        ("truncated", Json::Bool(shown.len() < nodes.len())),
-        ("nodes", raw_array(shown, |out, &id| write_supernode(out, &snap, &h, id))),
-    ])))
+    data(|o| {
+        o.num("level", level as f64).num("max_level", h.max_level() as f64);
+        array_into(o.key("nodes"), shown, |out, &id| write_supernode(out, &snap, &h, id));
+        o.num("total", nodes.len() as f64).bool("truncated", shown.len() < nodes.len());
+    })
 }
 
 pub(super) fn profile(ctx: &Ctx) -> Handler {
     let Some(id) = ctx.param("id").and_then(|s| s.parse::<u32>().ok()) else {
         return Err(ApiError::bad_query("id must be an integer"));
     };
-    match ctx.engine.profile(ctx.param("graph"), VertexId(id))? {
-        Some(p) => Ok(Payload::Data(Json::obj([
-            ("name", Json::str(p.name.clone())),
-            ("areas", Json::arr(p.areas.iter().cloned().map(Json::str))),
-            ("institutes", Json::arr(p.institutes.iter().cloned().map(Json::str))),
-            ("interests", Json::arr(p.interests.iter().cloned().map(Json::str))),
-        ]))),
-        None => Err(ApiError::not_found("no profile for this vertex")),
-    }
+    let Some(p) = ctx.engine.profile(ctx.param("graph"), VertexId(id))? else {
+        return Err(ApiError::not_found("no profile for this vertex"));
+    };
+    data(|o| {
+        array_into(o.key("areas"), &p.areas, |out, s| escape_into(out, s));
+        array_into(o.key("institutes"), &p.institutes, |out, s| escape_into(out, s));
+        array_into(o.key("interests"), &p.interests, |out, s| escape_into(out, s));
+        o.str("name", &p.name);
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::http::Request;
+    use crate::json::Json;
     use crate::routes::tests::{server, v1_data};
     use cx_explorer::Engine;
 

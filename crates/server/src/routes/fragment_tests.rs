@@ -90,7 +90,7 @@ fn community_tree(g: &AttributedGraph, c: &Community, scene: Option<&Scene>) -> 
         .iter()
         .map(|&v| Json::obj([("id", Json::num(v.0 as f64)), ("label", Json::str(g.label(v)))]));
     let theme = c.shared_keywords().iter().filter_map(|&w| g.interner().name(w)).map(Json::str);
-    let mut m: Members = vec![
+    let mut m: Vec<(&str, Json)> = vec![
         ("avg_degree", Json::num(c.average_internal_degree(g))),
         ("edges", Json::num(c.internal_edge_count(g) as f64)),
         ("members", Json::arr(members)),

@@ -8,7 +8,9 @@
 //! request id → trace → auth → table lookup → `timeout_ms` → timed span →
 //! handler → envelope → `cx_http_*` counters. cx-check builds its fuzz
 //! templates from the table and a test holds API.md to it, so adding a
-//! route is adding a row.
+//! route is adding a row. This file is that chokepoint; the handlers live
+//! by family in `ops`, `browse`, `search` and `write`, and each writes its
+//! JSON once, in key order, with `crate::json::ObjectWriter`.
 //!
 //! The API lives under `/api/v1/*`. Every JSON response is wrapped in a
 //! uniform envelope `{"ok", "data", "error", "request_id",
@@ -40,12 +42,7 @@ use cx_explorer::{Engine, ExplorerError, GraphSnapshot};
 use cx_par::task::CancelToken;
 
 use crate::http::{Request, Response};
-use crate::json::Json;
-
-use browse::{graphs, hierarchy, profile, stats, suggest};
-use ops::{healthz, index, metrics_text, trace};
-use search::{compare, detect, search, search_batch, svg};
-use write::{edit, upload};
+use crate::json::{object, Json, ObjectWriter};
 
 /// Typed, stable error codes for the JSON API. The HTTP status of every
 /// error is derived from its code in exactly one place ([`ErrorCode::status`]).
@@ -150,14 +147,12 @@ impl ApiError {
         Self::new(ErrorCode::NotFound, message)
     }
 
-    /// The error on the wire: `{"code", "message"}` in the envelope and a
-    /// `search_batch` item; outside `/api/v1`
-    /// the message sits under the historical `"error"` key instead.
-    fn into_json(self, message_key: &'static str) -> Json {
-        Json::obj([
-            ("code", Json::str(self.code.as_str())),
-            (message_key, Json::str(self.message)),
-        ])
+    /// Writes the error as it goes on the wire: `{"code", "message"}` in
+    /// the envelope and a `search_batch` item; outside `/api/v1` the
+    /// message sits under the historical `"error"` key instead.
+    fn write_into(&self, out: &mut String, message_key: &'static str) {
+        let mut o = ObjectWriter::new(out);
+        o.str("code", self.code.as_str()).str(message_key, &self.message).close();
     }
 }
 
@@ -186,16 +181,19 @@ impl From<ExplorerError> for ApiError {
 
 /// What a handler produced.
 enum Payload {
-    /// A JSON document, sent inside the envelope.
-    Data(Json),
-    /// A finished non-JSON response (SVG, HTML, metrics text), sent as is.
+    /// A written JSON document, sent inside the envelope.
+    Data(String),
+    /// A finished response, sent as is (SVG, HTML, metrics text, and the
+    /// unenveloped `/healthz`).
     Raw(Response),
 }
 
 type Handler = Result<Payload, ApiError>;
 
-/// The members of a JSON object, before [`Json::obj`] sorts them.
-type Members = Vec<(&'static str, Json)>;
+/// A `data` object: `members` writes its members in ascending key order.
+fn data(members: impl FnOnce(&mut ObjectWriter<'_>)) -> Handler {
+    Ok(Payload::Data(object(members)))
+}
 
 /// What an endpoint reads from the request body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -238,23 +236,23 @@ const fn row(
 /// handler reads.
 #[rustfmt::skip]
 pub const ENDPOINTS: &[Endpoint] = &[
-    row("GET", "/", &[], Body::None, index),
-    row("GET", "/index.html", &[], Body::None, index),
-    row("GET", "/metrics", &[], Body::None, metrics_text),
-    row("GET", "/healthz", &[], Body::None, healthz),
-    row("GET", "/api/v1/graphs", &[], Body::None, graphs),
-    row("GET", "/api/v1/stats", &["graph"], Body::None, stats),
-    row("GET", "/api/v1/suggest", &["q", "limit", "offset", "graph"], Body::None, suggest),
-    row("GET", "/api/v1/hierarchy", &["level", "node", "limit", "graph"], Body::None, hierarchy),
-    row("GET", "/api/v1/search", &["name", "names", "id", "k", "keywords", "algo", "layout", "limit", "offset", "graph"], Body::None, search),
-    row("POST", "/api/v1/search_batch", &["graph"], Body::Json, search_batch),
-    row("GET", "/api/v1/detect", &["algo", "limit", "graph"], Body::None, detect),
-    row("GET", "/api/v1/compare", &["name", "names", "id", "k", "keywords", "algos", "graph"], Body::None, compare),
-    row("GET", "/api/v1/svg", &["name", "names", "id", "k", "keywords", "algo", "index", "layout", "level", "supernode", "max_nodes", "graph"], Body::None, svg),
-    row("GET", "/api/v1/profile", &["id", "graph"], Body::None, profile),
-    row("POST", "/api/v1/upload", &["name"], Body::GraphText, upload),
-    row("POST", "/api/v1/edit", &["graph"], Body::Json, edit),
-    row("GET", "/api/v1/trace", &["request_id"], Body::None, trace),
+    row("GET", "/", &[], Body::None, ops::index),
+    row("GET", "/index.html", &[], Body::None, ops::index),
+    row("GET", "/metrics", &[], Body::None, ops::metrics_text),
+    row("GET", "/healthz", &[], Body::None, ops::healthz),
+    row("GET", "/api/v1/graphs", &[], Body::None, browse::graphs),
+    row("GET", "/api/v1/stats", &["graph"], Body::None, browse::stats),
+    row("GET", "/api/v1/suggest", &["q", "limit", "offset", "graph"], Body::None, browse::suggest),
+    row("GET", "/api/v1/hierarchy", &["level", "node", "limit", "graph"], Body::None, browse::hierarchy),
+    row("GET", "/api/v1/search", &["name", "names", "id", "k", "keywords", "algo", "layout", "limit", "offset", "graph"], Body::None, search::search),
+    row("POST", "/api/v1/search_batch", &["graph"], Body::Json, search::search_batch),
+    row("GET", "/api/v1/detect", &["algo", "limit", "graph"], Body::None, search::detect),
+    row("GET", "/api/v1/compare", &["name", "names", "id", "k", "keywords", "algos", "graph"], Body::None, search::compare),
+    row("GET", "/api/v1/svg", &["name", "names", "id", "k", "keywords", "algo", "index", "layout", "level", "supernode", "max_nodes", "graph"], Body::None, search::svg),
+    row("GET", "/api/v1/profile", &["id", "graph"], Body::None, browse::profile),
+    row("POST", "/api/v1/upload", &["name"], Body::GraphText, write::upload),
+    row("POST", "/api/v1/edit", &["graph"], Body::Json, write::edit),
+    row("GET", "/api/v1/trace", &["request_id"], Body::None, ops::trace),
 ];
 
 /// What a handler gets: the engine, the request, and what the chokepoint
@@ -358,7 +356,11 @@ pub fn route(engine: &Engine, req: &Request, auth: Option<&str>) -> Response {
         let _trace = cx_obs::trace::begin_request(&request_id);
         let _span = cx_obs::span("http.request");
         match dispatch(engine, req, auth) {
-            Ok(Payload::Data(data)) => envelope(Ok(data), &request_id, t0),
+            Ok(Payload::Data(data)) => {
+                let mut body = String::with_capacity(data.len() + 128);
+                write_outcome(&mut body, Ok(&data), Some((&request_id, t0)));
+                Response::with_body("application/json", body)
+            }
             Ok(Payload::Raw(resp)) => resp,
             Err(e) => error_response(e, req, &request_id, t0),
         }
@@ -425,39 +427,52 @@ fn route_names(i: usize) -> Option<(&'static str, &'static str)> {
     names[i].as_ref().map(|(span, histogram)| (span.as_str(), histogram.as_str()))
 }
 
-/// `{ok, data, error}`: the whole of a `search_batch` item and the core
-/// of the envelope.
-fn outcome(result: Result<Json, ApiError>) -> Members {
-    let (ok, data, error) = match result {
-        Ok(data) => (true, data, Json::Null),
-        Err(e) => (false, Json::Null, e.into_json("message")),
-    };
-    vec![("ok", Json::Bool(ok)), ("data", data), ("error", error)]
-}
-
-/// Wraps a handler result in the v1 response envelope (status 200; an
-/// error's status is set by [`error_response`]).
-fn envelope(result: Result<Json, ApiError>, request_id: &str, t0: Instant) -> Response {
-    let mut members = outcome(result);
-    members.push(("request_id", Json::str(request_id)));
-    members.push(("elapsed_ms", Json::num(t0.elapsed().as_secs_f64() * 1e3)));
-    Response::json(&Json::obj(members))
+/// Writes `{data, error, ok}`, the whole of a `search_batch` item; with
+/// a request id and the request's start, the v1 envelope, which adds
+/// `elapsed_ms` and `request_id`.
+fn write_outcome(
+    out: &mut String,
+    result: Result<&str, &ApiError>,
+    envelope: Option<(&str, Instant)>,
+) {
+    let mut o = ObjectWriter::new(out);
+    o.key("data").push_str(result.unwrap_or("null"));
+    if let Some((_, t0)) = envelope {
+        o.num("elapsed_ms", t0.elapsed().as_secs_f64() * 1e3);
+    }
+    match result {
+        Ok(_) => o.key("error").push_str("null"),
+        Err(e) => e.write_into(o.key("error"), "message"),
+    }
+    o.bool("ok", result.is_ok());
+    if let Some((request_id, _)) = envelope {
+        o.str("request_id", request_id);
+    }
+    o.close();
 }
 
 /// An error in the shape its path speaks: the envelope under `/api/v1`,
-/// the plain `{"error", "code"}` object anywhere else.
+/// the plain `{"code", "error"}` object anywhere else.
 fn error_response(e: ApiError, req: &Request, request_id: &str, t0: Instant) -> Response {
-    let code = e.code;
-    let mut r = if req.path.starts_with("/api/v1/") {
-        envelope(Err(e), request_id, t0)
+    let mut body = String::new();
+    if req.path.starts_with("/api/v1/") {
+        write_outcome(&mut body, Err(&e), Some((request_id, t0)));
     } else {
-        Response::json(&e.into_json("error"))
-    };
-    r.status = code.status();
-    if code == ErrorCode::Overloaded {
-        r = r.with_header("Retry-After", "1");
+        e.write_into(&mut body, "error");
+    }
+    let r = Response { status: e.code.status(), ..Response::with_body("application/json", body) };
+    if e.code == ErrorCode::Overloaded {
+        return r.with_header("Retry-After", "1");
     }
     r
+}
+
+/// What the event loop sends for bytes that do not parse as a request,
+/// just before it closes the connection: a `bad_query` in the plain shape.
+pub(crate) fn malformed_response(status: u16, message: &str) -> Response {
+    let mut body = String::new();
+    ApiError::bad_query(message).write_into(&mut body, "error");
+    Response { status, ..Response::with_body("application/json", body) }
 }
 
 /// The load-shed response the event loop sends without dispatching: a

@@ -1,9 +1,11 @@
 //! Operational endpoints: the embedded page, `/metrics`, `/healthz`, and
 //! the recorded span tree of a recent request.
 
-use super::{ApiError, Ctx, Handler, Payload};
+use cx_obs::trace::SpanRecord;
+
+use super::{data, ApiError, Ctx, Handler, Payload};
 use crate::http::Response;
-use crate::json::Json;
+use crate::json::{array_into, number_into, object, ObjectWriter};
 
 pub(super) fn index(_: &Ctx) -> Handler {
     Ok(Payload::Raw(Response::html(crate::ui::INDEX_HTML)))
@@ -25,12 +27,13 @@ pub(super) fn metrics_text(_: &Ctx) -> Handler {
 /// registry index: no snapshot is cloned, no graph data touched.
 pub(super) fn healthz(ctx: &Ctx) -> Handler {
     let idx = ctx.engine.registry_index();
-    Ok(Payload::Raw(Response::json(&Json::obj([
-        ("status", Json::str("ok")),
-        ("graph_loaded", Json::Bool(!idx.graphs.is_empty())),
-        ("graphs", Json::num(idx.graphs.len() as f64)),
-        ("traces", Json::num(cx_obs::trace::trace_count() as f64)),
-    ]))))
+    let body = object(|o| {
+        o.bool("graph_loaded", !idx.graphs.is_empty())
+            .num("graphs", idx.graphs.len() as f64)
+            .str("status", "ok")
+            .num("traces", cx_obs::trace::trace_count() as f64);
+    });
+    Ok(Payload::Raw(Response::with_body("application/json", body)))
 }
 
 /// GET /api/v1/trace?request_id=… — the recorded span tree for a recent
@@ -42,33 +45,30 @@ pub(super) fn trace(ctx: &Ctx) -> Handler {
     let Some(t) = cx_obs::trace::get_trace(id) else {
         return Err(ApiError::not_found(format!("no trace recorded for request id {id:?}")));
     };
-    let spans = Json::arr(t.spans.iter().map(|s| {
-        Json::obj([
-            ("name", Json::str(s.name)),
-            ("parent", s.parent.map(|p| Json::num(p as f64)).unwrap_or(Json::Null)),
-            ("start_us", Json::num(s.start_us as f64)),
-            ("dur_us", Json::num(s.dur_us as f64)),
-        ])
-    }));
-    Ok(Payload::Data(Json::obj([
-        ("request_id", Json::str(t.request_id.clone())),
-        ("span_count", Json::num(t.spans.len() as f64)),
-        ("spans", spans),
-        ("tree", span_tree(&t.spans)),
-    ])))
+    data(|o| {
+        o.str("request_id", &t.request_id).num("span_count", t.spans.len() as f64);
+        array_into(o.key("spans"), &t.spans, |out, s| {
+            let mut span = ObjectWriter::new(out);
+            span.num("dur_us", s.dur_us as f64).str("name", s.name);
+            match s.parent {
+                Some(p) => number_into(span.key("parent"), p as f64),
+                None => span.key("parent").push_str("null"),
+            }
+            span.num("start_us", s.start_us as f64).close();
+        });
+        write_span_tree(o.key("tree"), &t.spans);
+    })
 }
 
-/// Builds the nested span tree from the flat parent-index records.
+/// Writes the nested span tree from the flat parent-index records.
 /// Parents always precede children, so indices only point backwards.
-fn span_tree(spans: &[cx_obs::trace::SpanRecord]) -> Json {
-    fn node(spans: &[cx_obs::trace::SpanRecord], children: &[Vec<usize>], i: usize) -> Json {
+fn write_span_tree(out: &mut String, spans: &[SpanRecord]) {
+    fn node(out: &mut String, spans: &[SpanRecord], children: &[Vec<usize>], i: usize) {
         let s = &spans[i];
-        Json::obj([
-            ("name", Json::str(s.name)),
-            ("start_us", Json::num(s.start_us as f64)),
-            ("dur_us", Json::num(s.dur_us as f64)),
-            ("children", Json::arr(children[i].iter().map(|&c| node(spans, children, c)))),
-        ])
+        let mut o = ObjectWriter::new(out);
+        array_into(o.key("children"), &children[i], |out, &c| node(out, spans, children, c));
+        o.num("dur_us", s.dur_us as f64).str("name", s.name).num("start_us", s.start_us as f64);
+        o.close();
     }
     let mut children = vec![Vec::new(); spans.len()];
     let mut roots = Vec::new();
@@ -78,7 +78,7 @@ fn span_tree(spans: &[cx_obs::trace::SpanRecord]) -> Json {
             None => roots.push(i),
         }
     }
-    Json::arr(roots.into_iter().map(|r| node(spans, &children, r)))
+    array_into(out, roots, |out, r| node(out, spans, &children, r));
 }
 
 #[cfg(test)]

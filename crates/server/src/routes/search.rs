@@ -8,9 +8,9 @@ use cx_layout::{LayoutAlgorithm, Scene, KK_MAX_MEMBERS};
 use cx_par::task::CancelToken;
 
 use super::browse::{no_such_supernode, HIERARCHY_MAX_NODES};
-use super::{outcome, page_params, timeout_ms, uint, ApiError, Ctx, Handler, Members, Payload};
+use super::{data, page_params, timeout_ms, uint, write_outcome, ApiError, Ctx, Handler, Payload};
 use crate::http::Response;
-use crate::json::{array_into, escape_into, number_into, raw_array, Json, ObjectWriter};
+use crate::json::{array_into, escape_into, number_into, Json, ObjectWriter};
 
 /// Builds the query spec shared by `search`, `svg` and `compare`:
 /// `name` (or `names=a|b` for multi-vertex, or `id`), `k`, `keywords=a,b`.
@@ -150,20 +150,23 @@ fn check_deadline(token: &CancelToken) -> Result<(), ApiError> {
     Ok(())
 }
 
-/// Runs one search and renders its payload — query echo, quality metrics,
-/// and the `offset..offset+limit` page of communities, each drawn with
-/// `layout` when one is given. Returns the members of the `data` object
-/// (GET `search` adds two more) and the query vertex. The deadline is
-/// checked after the analysis and before each community is laid out. A
+/// Runs one search and writes its `data` object into `out`: query echo,
+/// quality metrics, and the `offset..offset+limit` page of communities.
+/// GET `search` passes its `layout`; each community is then drawn with
+/// it, and the object also carries the snapshot `generation` and the
+/// query vertex's `query_keywords`. A `search_batch` item passes `None`.
+/// The deadline is checked after the analysis and before each community
+/// is laid out, and nothing is written until every check has passed. A
 /// community too large for `layout=kk` is placed at NaN, which
 /// [`write_scene`] writes as `"scene":null`.
 fn search_data(
+    out: &mut String,
     engine: &Engine,
     snap: &GraphSnapshot,
     item: &SearchItem,
     token: &CancelToken,
     layout: Option<LayoutAlgorithm>,
-) -> Result<(VertexId, Members), ApiError> {
+) -> Result<(), ApiError> {
     let (q, communities) = run_query(engine, snap, &item.spec, &item.algo, token)?;
     let g = &*snap.graph;
     let analysis = engine.analyze_snapshot(snap, &communities, q)?;
@@ -176,27 +179,28 @@ fn search_data(
             scenes.push(engine.display_snapshot(snap, c, l, Some(q)));
         }
     }
-    let list = raw_array(page.iter().enumerate(), |out, (i, c)| {
+    let mut o = ObjectWriter::new(out);
+    o.num("cmf", analysis.cmf);
+    array_into(o.key("communities"), page.iter().enumerate(), |out, (i, c)| {
         write_community(out, g, c, scenes.get(i));
     });
-    let data = vec![
-        (
-            "query",
-            Json::obj([
-                ("vertex", Json::num(q.0 as f64)),
-                ("label", Json::str(g.label(q))),
-                ("k", Json::num(item.spec.k as f64)),
-                ("algo", Json::str(item.algo.clone())),
-            ]),
-        ),
-        ("communities", list),
-        ("total_communities", Json::num(communities.len() as f64)),
-        ("limit", Json::num(item.limit as f64)),
-        ("offset", Json::num(item.offset as f64)),
-        ("cpj", Json::num(analysis.cpj)),
-        ("cmf", Json::num(analysis.cmf)),
-    ];
-    Ok((q, data))
+    o.num("cpj", analysis.cpj);
+    if layout.is_some() {
+        o.num("generation", snap.generation as f64);
+    }
+    o.num("limit", item.limit as f64).num("offset", item.offset as f64);
+    ObjectWriter::new(o.key("query"))
+        .str("algo", &item.algo)
+        .num("k", item.spec.k as f64)
+        .str("label", g.label(q))
+        .num("vertex", q.0 as f64)
+        .close();
+    if layout.is_some() {
+        // The query author's keywords, so the UI can render the chips.
+        array_into(o.key("query_keywords"), g.interner().names(g.keywords(q)), escape_into);
+    }
+    o.num("total_communities", communities.len() as f64).close();
+    Ok(())
 }
 
 pub(super) fn search(ctx: &Ctx) -> Handler {
@@ -208,15 +212,9 @@ pub(super) fn search(ctx: &Ctx) -> Handler {
     // the reported generation all describe the same graph version.
     let snap = ctx.snapshot()?;
     let item = SearchItem { spec, algo, limit, offset };
-    let (q, mut data) = search_data(ctx.engine, &snap, &item, &ctx.token(), Some(layout))?;
-    let g = &*snap.graph;
-    data.push(("generation", Json::num(snap.generation as f64)));
-    // The query author's keywords, so the UI can render the chips.
-    data.push((
-        "query_keywords",
-        Json::arr(g.keyword_names(g.keywords(q)).into_iter().map(Json::str)),
-    ));
-    Ok(Payload::Data(Json::obj(data)))
+    let mut out = String::new();
+    search_data(&mut out, ctx.engine, &snap, &item, &ctx.token(), Some(layout))?;
+    Ok(Payload::Data(out))
 }
 
 /// Maximum number of query specs one `search_batch` request may carry.
@@ -314,23 +312,20 @@ pub(super) fn search_batch(ctx: &Ctx) -> Handler {
     let token = CancelToken::with_timeout(timeout);
     let parsed: Vec<Result<SearchItem, ApiError>> = items.iter().map(batch_item).collect();
     let engine = ctx.engine;
-    let results: Vec<Json> = cx_par::par_map_tasks(parsed.len(), |i| {
-        Json::obj(outcome(match &parsed[i] {
-            Ok(item) => search_data(engine, &snap, item, &token, None).map(|(_, d)| Json::obj(d)),
-            Err(e) => Err(e.clone()),
-        }))
+    let results: Vec<Result<String, ApiError>> = cx_par::par_map_tasks(parsed.len(), |i| {
+        let item = parsed[i].as_ref().map_err(ApiError::clone)?;
+        let mut out = String::new();
+        search_data(&mut out, engine, &snap, item, &token, None)?;
+        Ok(out)
     });
-    let succeeded = results
-        .iter()
-        .filter(|r| r.get("ok").and_then(Json::as_bool) == Some(true))
-        .count();
-    Ok(Payload::Data(Json::obj([
-        ("graph", Json::str(snap.name())),
-        ("generation", Json::num(snap.generation as f64)),
-        ("count", Json::num(results.len() as f64)),
-        ("succeeded", Json::num(succeeded as f64)),
-        ("results", Json::arr(results)),
-    ])))
+    let succeeded = results.iter().filter(|r| r.is_ok()).count();
+    data(|o| {
+        o.num("count", results.len() as f64)
+            .num("generation", snap.generation as f64)
+            .str("graph", snap.name());
+        array_into(o.key("results"), &results, |out, r| write_outcome(out, r.as_deref(), None));
+        o.num("succeeded", succeeded as f64);
+    })
 }
 
 /// GET /api/v1/svg — one result community as raw SVG; or, with `level` /
@@ -369,10 +364,8 @@ pub(super) fn svg(ctx: &Ctx) -> Handler {
             c.len()
         )));
     }
-    let scene = ctx
-        .engine
-        .display_snapshot(&snap, c, layout, Some(q))
-        .titled(format!("Method: {algo} — community {} of {}", index + 1, communities.len()));
+    let title = format!("Method: {algo} — community {} of {}", index + 1, communities.len());
+    let scene = ctx.engine.display_snapshot(&snap, c, layout, Some(q)).titled(title);
     Ok(Payload::Raw(Response::svg(scene.to_svg())))
 }
 
@@ -383,25 +376,23 @@ pub(super) fn compare(ctx: &Ctx) -> Handler {
     let algos_param = ctx.param("algos").unwrap_or("global,local,codicil,acq");
     let algos: Vec<&str> = algos_param.split(',').filter(|s| !s.is_empty()).collect();
     let report = ctx.engine.compare(ctx.param("graph"), &algos, &spec)?;
-    let rows = Json::arr(report.rows.iter().map(|r| {
-        Json::obj([
-            ("method", Json::str(r.method.clone())),
-            ("communities", Json::num(r.communities as f64)),
-            ("avg_vertices", Json::num(r.avg_vertices)),
-            ("avg_edges", Json::num(r.avg_edges)),
-            ("avg_degree", Json::num(r.avg_degree)),
-            ("cpj", Json::num(r.cpj)),
-            ("cmf", Json::num(r.cmf)),
-            ("millis", Json::num(r.millis)),
-        ])
-    }));
-    let sim = Json::arr(
-        report
-            .similarity
-            .iter()
-            .map(|row| Json::arr(row.iter().map(|&x| Json::num(x)))),
-    );
-    Ok(Payload::Data(Json::obj([("rows", rows), ("similarity", sim)])))
+    data(|o| {
+        array_into(o.key("rows"), &report.rows, |out, r| {
+            ObjectWriter::new(out)
+                .num("avg_degree", r.avg_degree)
+                .num("avg_edges", r.avg_edges)
+                .num("avg_vertices", r.avg_vertices)
+                .num("cmf", r.cmf)
+                .num("communities", r.communities as f64)
+                .num("cpj", r.cpj)
+                .str("method", &r.method)
+                .num("millis", r.millis)
+                .close();
+        });
+        array_into(o.key("similarity"), &report.similarity, |out, row| {
+            array_into(out, row, |out, &x| number_into(out, x));
+        });
+    })
 }
 
 /// GET /api/v1/detect — whole-graph detection: the first `limit`
@@ -412,18 +403,17 @@ pub(super) fn detect(ctx: &Ctx) -> Handler {
     let snap = ctx.snapshot()?;
     let communities = ctx.engine.detect_cancellable(&snap, algo, &ctx.token())?;
     let g = &snap.graph;
-    let list = Json::arr(communities.iter().take(limit).map(|c| {
-        Json::obj([
-            ("size", Json::num(c.len() as f64)),
-            ("edges", Json::num(c.internal_edge_count(g) as f64)),
-            ("avg_degree", Json::num(c.average_internal_degree(g))),
-        ])
-    }));
-    Ok(Payload::Data(Json::obj([
-        ("algo", Json::str(algo)),
-        ("total", Json::num(communities.len() as f64)),
-        ("communities", list),
-    ])))
+    data(|o| {
+        o.str("algo", algo);
+        array_into(o.key("communities"), communities.iter().take(limit), |out, c| {
+            ObjectWriter::new(out)
+                .num("avg_degree", c.average_internal_degree(g))
+                .num("edges", c.internal_edge_count(g) as f64)
+                .num("size", c.len() as f64)
+                .close();
+        });
+        o.num("total", communities.len() as f64);
+    })
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 
 use cx_graph::VertexId;
 
-use super::{uint, ApiError, Ctx, ErrorCode, Handler, Payload};
+use super::{data, uint, ApiError, Ctx, ErrorCode, Handler};
 use crate::json::Json;
 
 /// POST /api/v1/edit?graph=g — body: JSON `{"add": [[u,v],…], "remove": [[u,v],…]}`.
@@ -37,12 +37,12 @@ pub(super) fn edit(ctx: &Ctx) -> Handler {
     let remove = pairs("remove")?;
     ctx.engine.apply_edits(ctx.param("graph"), &add, &remove)?;
     let snap = ctx.snapshot()?;
-    Ok(Payload::Data(Json::obj([
-        ("ok", Json::Bool(true)),
-        ("vertices", Json::num(snap.graph.vertex_count() as f64)),
-        ("edges", Json::num(snap.graph.edge_count() as f64)),
-        ("generation", Json::num(snap.generation as f64)),
-    ])))
+    data(|o| {
+        o.num("edges", snap.graph.edge_count() as f64)
+            .num("generation", snap.generation as f64)
+            .bool("ok", true)
+            .num("vertices", snap.graph.vertex_count() as f64);
+    })
 }
 
 /// POST /api/v1/upload?name=g — body: the text graph format. Registers
@@ -55,18 +55,15 @@ pub(super) fn upload(ctx: &Ctx) -> Handler {
         .map_err(|e| ApiError::new(ErrorCode::GraphError, format!("parse failed: {e}")))?;
     let (v, m) = (graph.vertex_count(), graph.edge_count());
     ctx.engine.try_add_graph(name, graph)?;
-    Ok(Payload::Data(Json::obj([
-        ("ok", Json::Bool(true)),
-        ("graph", Json::str(name)),
-        ("vertices", Json::num(v as f64)),
-        ("edges", Json::num(m as f64)),
-    ])))
+    data(|o| {
+        o.num("edges", m as f64).str("graph", name).bool("ok", true).num("vertices", v as f64);
+    })
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::http::Request;
+    use crate::json::Json;
     use crate::routes::tests::{server, v1_data};
 
     #[test]

@@ -146,6 +146,27 @@ fn tight_deadline_returns_typed_408_over_the_wire() {
     assert_eq!(code, Some("deadline_exceeded"), "{body}");
 }
 
+/// Bytes that do not parse as a request get a typed 400 in the plain
+/// error shape, and the connection closes after it.
+#[test]
+fn malformed_request_gets_a_typed_400_and_a_close() {
+    let server = fig5_server();
+    let handle = server.serve_background().unwrap();
+    let malformed = cx_obs::global().counter("cx_http_malformed_total");
+    let before = malformed.get();
+    let mut stream = TcpStream::connect(("127.0.0.1", handle.port())).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    write!(stream, "POST /api/v1/edit HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n")
+        .unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).unwrap();
+    assert!(raw.starts_with("HTTP/1.1 400"), "{raw}");
+    let (head, body) = raw.split_once("\r\n\r\n").unwrap();
+    assert!(head.lines().any(|l| l == "Connection: close"), "{head}");
+    assert_eq!(body, r#"{"code":"bad_query","error":"chunked requests unsupported"}"#);
+    assert_eq!(malformed.get(), before + 1);
+}
+
 #[test]
 fn overload_sheds_with_503_and_retry_after() {
     let inflight = Arc::new(AtomicUsize::new(0));
@@ -160,7 +181,7 @@ fn overload_sheds_with_503_and_retry_after() {
             while !release.load(Ordering::SeqCst) && t0.elapsed() < Duration::from_secs(20) {
                 std::thread::sleep(Duration::from_millis(5));
             }
-            Response::json(&Json::str("slow but fine"))
+            Response::with_body("application/json", "\"slow but fine\"")
         })
     };
     let config = ServerConfig { workers: 2, max_inflight: 1, ..ServerConfig::default() };
@@ -255,7 +276,7 @@ fn shutdown_drains_inflight_responses_then_refuses_connections() {
     let handler: Arc<cx_server::http::RequestHandler> =
         Arc::new(move |_req: &Request| {
             std::thread::sleep(Duration::from_millis(300));
-            Response::json(&Json::str("drained"))
+            Response::with_body("application/json", "\"drained\"")
         });
     let config = ServerConfig { workers: 1, ..ServerConfig::default() };
     let mut handle = serve("127.0.0.1:0", config, handler).unwrap();
