@@ -102,11 +102,8 @@ pub(super) fn no_such_supernode() -> ApiError {
 /// One supernode: identity, level, aggregates, top keywords.
 fn write_supernode(out: &mut String, snap: &GraphSnapshot, h: &Hierarchy, id: NodeId) {
     let s = h.stats(id);
-    let avg_degree = if s.subtree_vertices > 0 {
-        s.sum_degree as f64 / s.subtree_vertices as f64
-    } else {
-        0.0
-    };
+    let avg_degree =
+        if s.subtree_vertices > 0 { s.sum_degree as f64 / s.subtree_vertices as f64 } else { 0.0 };
     let mut o = ObjectWriter::new(out);
     o.num("avg_degree", avg_degree).num("edges", s.subtree_edges as f64).num("id", id.0 as f64);
     let interner = snap.graph.interner();
@@ -138,9 +135,8 @@ pub(super) fn hierarchy(ctx: &Ctx) -> Handler {
     let snap = ctx.snapshot()?;
     let h = snap.hierarchy();
     let g = &snap.graph;
-    let limit = ctx
-        .param_as::<usize>("limit", HIERARCHY_DEFAULT_NODES)
-        .clamp(2, HIERARCHY_MAX_NODES);
+    let limit =
+        ctx.param_as::<usize>("limit", HIERARCHY_DEFAULT_NODES).clamp(2, HIERARCHY_MAX_NODES);
 
     if let Some(node) = ctx.param("node") {
         let Ok(n) = node.parse::<u32>() else {
@@ -256,8 +252,12 @@ mod tests {
         assert_eq!(labels, ["ann", "Annie", "Annabel", "Joanna"]);
         // A page that the prefix tier fills never reaches the interior tier.
         let two = v1_data(&s.handle(&Request::get("/api/v1/suggest?q=ann&limit=2&offset=1")));
-        let two: Vec<&str> =
-            two.as_array().unwrap().iter().map(|h| h.get("label").and_then(Json::as_str).unwrap()).collect();
+        let two: Vec<&str> = two
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|h| h.get("label").and_then(Json::as_str).unwrap())
+            .collect();
         assert_eq!(two, ["Annie", "Annabel"]);
     }
 

@@ -322,9 +322,7 @@ fn timeout_ms(sent: Option<u64>) -> Result<Duration, ApiError> {
 /// `env::var` would make the auth decision racy with concurrent `set_var`.
 pub(crate) fn env_auth_token() -> Option<&'static str> {
     static TOKEN: std::sync::OnceLock<Option<String>> = std::sync::OnceLock::new();
-    TOKEN
-        .get_or_init(|| std::env::var("CX_AUTH_TOKEN").ok().filter(|t| !t.is_empty()))
-        .as_deref()
+    TOKEN.get_or_init(|| std::env::var("CX_AUTH_TOKEN").ok().filter(|t| !t.is_empty())).as_deref()
 }
 
 /// Enforces bearer auth when a token is required. Only `/api/*` paths are
@@ -335,10 +333,8 @@ fn check_auth(req: &Request, required: Option<&str>) -> Result<(), ApiError> {
     if !req.path.starts_with("/api/") {
         return Ok(());
     }
-    let presented = req
-        .header("authorization")
-        .and_then(|v| v.strip_prefix("Bearer "))
-        .map(str::trim);
+    let presented =
+        req.header("authorization").and_then(|v| v.strip_prefix("Bearer ")).map(str::trim);
     if presented == Some(required) {
         Ok(())
     } else {
@@ -503,8 +499,8 @@ fn uint(v: &Json, max: f64) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
     use cx_datagen::figure5_graph;
+    use std::collections::BTreeMap;
 
     pub(super) fn server() -> crate::Server {
         crate::Server::new(Engine::with_graph("fig5", figure5_graph()))
@@ -619,10 +615,7 @@ mod tests {
         assert_eq!(v1.status, 503);
         assert_eq!(v1.header("Retry-After"), Some("1"));
         let v = Json::parse(&v1.text()).unwrap();
-        assert_eq!(
-            v.get("error").unwrap().get("code").and_then(Json::as_str),
-            Some("overloaded")
-        );
+        assert_eq!(v.get("error").unwrap().get("code").and_then(Json::as_str), Some("overloaded"));
         let plain = shed_response(&Request::get("/healthz"));
         assert_eq!(plain.status, 503);
         assert_eq!(plain.header("Retry-After"), Some("1"));

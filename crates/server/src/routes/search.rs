@@ -52,7 +52,12 @@ fn layout_from(ctx: &Ctx) -> LayoutAlgorithm {
 /// interner, no per-member `String`. GET `search` passes the community's
 /// laid-out `scene`; `search_batch` items go without (clients wanting a
 /// drawing fetch `/api/v1/svg` per community).
-pub(super) fn write_community(buf: &mut String, g: &AttributedGraph, c: &Community, scene: Option<&Scene>) {
+pub(super) fn write_community(
+    buf: &mut String,
+    g: &AttributedGraph,
+    c: &Community,
+    scene: Option<&Scene>,
+) {
     let mut o = ObjectWriter::new(buf);
     o.num("avg_degree", c.average_internal_degree(g)).num("edges", c.internal_edge_count(g) as f64);
     array_into(o.key("members"), c.vertices(), |out, &v| {
@@ -336,9 +341,7 @@ pub(super) fn svg(ctx: &Ctx) -> Handler {
     // bounds the viewport exactly like `limit` bounds the JSON API.
     if ctx.param("level").is_some() || ctx.param("supernode").is_some() {
         let snap = ctx.snapshot()?;
-        let max_nodes = ctx
-            .param_as::<usize>("max_nodes", 400)
-            .clamp(2, HIERARCHY_MAX_NODES);
+        let max_nodes = ctx.param_as::<usize>("max_nodes", 400).clamp(2, HIERARCHY_MAX_NODES);
         let scene = if let Some(node) = ctx.param("supernode") {
             let Ok(n) = node.parse::<u32>() else {
                 return Err(ApiError::bad_query("supernode must be an integer id"));
@@ -432,8 +435,8 @@ mod tests {
         assert_eq!(comms.len(), 1);
         assert_eq!(comms[0].get("size").and_then(Json::as_f64), Some(3.0));
         let theme = comms[0].get("theme").and_then(Json::as_array).unwrap();
-        assert_eq!(theme.len(), 2); // {x, y}
-        // Scene is embedded with nodes.
+        // The theme is {x, y}, and the scene is embedded with its nodes.
+        assert_eq!(theme.len(), 2);
         let scene = comms[0].get("scene").unwrap();
         assert_eq!(scene.get("nodes").and_then(Json::as_array).map(|a| a.len()), Some(3));
         assert!(v.get("cpj").and_then(Json::as_f64).unwrap() > 0.0);
@@ -542,10 +545,7 @@ mod tests {
         // Item 2: no vertex selector at all.
         let bad = &results[2];
         assert_eq!(bad.get("ok").and_then(Json::as_bool), Some(false));
-        assert_eq!(
-            bad.get("error").unwrap().get("code").and_then(Json::as_str),
-            Some("bad_query")
-        );
+        assert_eq!(bad.get("error").unwrap().get("code").and_then(Json::as_str), Some("bad_query"));
     }
 
     #[test]

@@ -99,10 +99,7 @@ mod tests {
         // A k=3 query now finds nothing.
         let r = s.handle(&Request::get("/api/v1/search?name=A&k=3&algo=acq"));
         let v = v1_data(&r);
-        assert_eq!(
-            v.get("communities").and_then(Json::as_array).map(|a| a.len()),
-            Some(0)
-        );
+        assert_eq!(v.get("communities").and_then(Json::as_array).map(|a| a.len()), Some(0));
     }
 
     #[test]
