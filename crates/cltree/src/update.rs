@@ -90,13 +90,12 @@
 //! The number of individuals swept (core ≥ 1) is recorded per repair in
 //! the `cx_edit_swept_vertices` histogram.
 //!
-//! ## Fallback
+//! ## No fallback
 //!
-//! When an edit changes the core number of more than
-//! [`ClTree::FALLBACK_CHANGED_FRACTION`] of all vertices, the sweep
-//! approaches a full build anyway — the update falls back to
-//! [`ClTree::build_with_cores`] and bumps the
-//! `cx_incremental_fallback_total` counter.
+//! The sweep is exact on any delta, however many core numbers it moves,
+//! so `update` never hands over to [`ClTree::build_with_cores`]. An edit
+//! that moves most cores sweeps most vertices one by one, which costs
+//! about what a build does.
 
 use cx_graph::delta::EdgeDelta;
 use cx_graph::{AttributedGraph, VertexId};
@@ -107,10 +106,6 @@ use crate::unionfind::UnionFind;
 use crate::ClTree;
 
 impl ClTree {
-    /// Changed-core fraction above which [`ClTree::update`] abandons the
-    /// incremental path and rebuilds from scratch.
-    pub const FALLBACK_CHANGED_FRACTION: f64 = 0.25;
-
     /// True when `self` is provably also the CL-tree after `delta`, whose
     /// post-edit core numbers are `new_cores`: no edge is removed, no core
     /// number changes, and every added `(u, v)` already lies in one
@@ -174,7 +169,7 @@ impl ClTree {
         // node x's residents whose core moved.
         let mut levels: Vec<Vec<u32>> = vec![Vec::new(); self.max_core() as usize + 1];
         let mut promoted = vec![0u32; nn];
-        let (mut changed, mut swept) = (0usize, 0u64);
+        let mut swept = 0u64;
         let mut elem: Vec<(u32, u32)> = Vec::with_capacity(n);
         for v in g.vertices() {
             let (x, c) = (self.node_of(v), new_cores[v.index()]);
@@ -184,7 +179,6 @@ impl ClTree {
                 continue;
             }
             if moved {
-                changed += 1;
                 promoted[x.index()] += 1;
             }
             let s = (nn + v.index()) as u32;
@@ -196,10 +190,6 @@ impl ClTree {
                 swept += 1;
             }
             elem.push((s, c));
-        }
-        if n > 0 && changed as f64 / n as f64 > Self::FALLBACK_CHANGED_FRACTION {
-            cx_obs::metrics::inc("cx_incremental_fallback_total");
-            return Self::build_with_cores(g, new_cores);
         }
         cx_obs::metrics::observe_us("cx_edit_swept_vertices", swept);
         // The intact nodes per level, and among the level-k elements those
@@ -461,17 +451,15 @@ mod tests {
     }
 
     #[test]
-    fn fallback_rebuilds_and_counts() {
+    fn deleting_a_clique_that_moves_most_cores_matches_a_fresh_build() {
         let g = figure5_graph();
         let tree = ClTree::build(&g);
-        // Deleting the whole 4-clique changes 4+ cores out of 10 → > 25%.
-        let before = cx_obs::global().counter("cx_incremental_fallback_total").get();
+        // Deleting the whole 4-clique moves at least four of the ten core
+        // numbers (A–D's): a large delta, swept like any other.
         let clique: Vec<_> =
             [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)].map(|(a, b)| (v(a), v(b))).into();
         let (_, updated, fresh) = step(&g, &tree, &[], &clique);
         assert_equivalent(&updated, &fresh);
-        let after = cx_obs::global().counter("cx_incremental_fallback_total").get();
-        assert_eq!(after, before + 1, "fallback must bump the counter");
     }
 
     #[test]
@@ -578,8 +566,7 @@ mod tests {
         // A = K5 (0..5) and B = K4 (5..9) with y = 9 touching b0 and b1.
         // One batch drops an edge of A (all of A falls to core 3, so A's
         // nodes are expanded) and joins y to b2 (y rises into B's 3-core,
-        // while B's nodes stay intact). Thirty isolated vertices keep the
-        // six core changes under the fallback fraction.
+        // while B's nodes stay intact). Thirty vertices are isolated.
         let mut edges = clique(&[0, 1, 2, 3, 4]);
         edges.extend(clique(&[5, 6, 7, 8]));
         edges.extend([(9, 5), (9, 6)]);
