@@ -4,7 +4,7 @@
 //! implementation keeps the server free of heavyweight dependencies and
 //! is easy to audit. The parser is recursive-descent with a depth limit
 //! and returns a [`Json`] tree. Every response is written straight into
-//! one `String`, keys in order, by [`ObjectWriter`] and [`array_into`];
+//! one `String`, keys in order, by `ObjectWriter` and `array_into`;
 //! a tree prints through the same [`escape_into`] and [`number_into`].
 
 use std::collections::BTreeMap;

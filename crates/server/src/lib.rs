@@ -6,8 +6,9 @@
 //! crate is the Rust equivalent, deliberately dependency-free at the
 //! transport level:
 //!
-//! * [`json`] — a small, strict JSON value model with a writer and parser
-//!   (no serde: the protocol is tiny and auditable);
+//! * [`json`] — a small, strict JSON parser and value model, and the one
+//!   writer every response body goes through (no serde: the protocol is
+//!   tiny and auditable);
 //! * [`http`] — request/response types that are fully testable without
 //!   sockets, over the [`event_loop`] transport: a nonblocking
 //!   `poll(2)`-based event loop (keep-alive, pipelining, per-request
@@ -19,12 +20,13 @@
 //!   answers, and one function, [`routes::route`], answers all of them
 //!   with one framed response per request — the event loop and
 //!   [`Server::handle`] both call it, so a test, the fuzzer and a socket
-//!   client execute the same code. The engine needs
-//!   no outer lock: read handlers pin an immutable graph snapshot
-//!   (`Engine::snapshot`) and run lock-free; write handlers
-//!   (`/api/v1/edit`, `/api/v1/upload`) build the next snapshot off-lock
-//!   and publish it atomically, so edits never block concurrent searches.
-//!   Responses use a uniform JSON envelope with typed error codes;
+//!   client execute the same code. `routes/mod.rs` holds that
+//!   chokepoint, and the handlers sit by family in `routes/ops.rs`,
+//!   `browse.rs`, `search.rs` and `write.rs`. Read handlers pin a graph
+//!   snapshot (`Engine::snapshot`) and run lock-free; write handlers
+//!   build the next one off-lock and publish it atomically, so edits
+//!   never block concurrent searches. Responses use a uniform JSON
+//!   envelope with typed error codes;
 //! * [`ui`] — the embedded single-page browser UI (left panel: name box,
 //!   degree constraint, keyword chips; right panel: the community drawn on
 //!   a canvas), mirroring Figure 1.
