@@ -18,16 +18,17 @@
 //! count, the keyword-count column (`n`), the keyword-id column, the
 //! vocabulary size and its strings in id order, then the `n` labels; each
 //! string is `u32 len + bytes` ([`crate::codec`]). The writer emits the
-//! graph's columns as they are and the reader decodes them in bulk into
-//! the same columns, then checks every graph invariant on them in place
-//! (see [`read_snapshot_bytes`]).
+//! graph's columns as they are; the one reader, [`read_snapshot`],
+//! decodes them from a stream as it arrives straight into the same
+//! columns, then checks every graph invariant on them in place. Over
+//! bytes in memory ([`read_snapshot_bytes`]) the stream is one slice.
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
 use crate::builder::GraphBuilder;
-use crate::codec::{ByteReader, ByteWriter};
+use crate::codec::{ByteWriter, StreamReader, PIECE};
 use crate::error::GraphError;
 use crate::graph::{AttributedGraph, CsrOffset, VertexId};
 use crate::keywords::{KeywordId, KeywordInterner};
@@ -142,20 +143,20 @@ fn bad(message: impl Into<String>) -> GraphError {
 
 /// A per-vertex count column as CSR offsets; the counts must add up to
 /// `total` (which came from a `u32`, so the offsets fit one).
-fn offsets(
-    r: &mut ByteReader<'_>,
+fn offsets<R: BufRead>(
+    r: &mut StreamReader<R>,
     n: usize,
     total: usize,
     what: &str,
 ) -> Result<Vec<CsrOffset>, GraphError> {
-    let counts = r.u32s(n, what)?;
+    r.claim(n, 4, what)?;
     let mut off = Vec::with_capacity(n + 1);
-    let mut end = 0u64;
     off.push(0);
-    for c in counts {
+    let mut end = 0u64;
+    r.u32s_into(n, what, &mut off, |c| {
         end += u64::from(c);
-        off.push(end as CsrOffset);
-    }
+        end as CsrOffset
+    })?;
     if end != total as u64 {
         return Err(bad(format!("{what} column sums to {end}, header says {total}")));
     }
@@ -215,15 +216,14 @@ fn check_keyword_sets(
     Ok(())
 }
 
-/// Decodes a binary snapshot held in memory: the columns go straight into
-/// the graph's own, and every invariant of [`AttributedGraph`] is checked
-/// on them in place, so a corrupted snapshot cannot produce an
-/// inconsistent graph. Keyword ids are the snapshot's own. Anything wrong
-/// — truncation and trailing bytes included — is a
-/// [`GraphError::Snapshot`].
-pub fn read_snapshot_bytes(bytes: &[u8]) -> Result<AttributedGraph, GraphError> {
-    let mut r = ByteReader::new(bytes);
-    if r.take(MAGIC.len(), "magic")? != MAGIC {
+/// Decodes a binary snapshot: every byte `r` has left. The columns go
+/// straight from the stream into the graph's own, and every invariant of
+/// [`AttributedGraph`] is checked on them in place, so a corrupted
+/// snapshot cannot produce an inconsistent graph. Keyword ids are the
+/// snapshot's own. Anything wrong — truncation and trailing bytes
+/// included — is a [`GraphError::Snapshot`].
+pub fn read_snapshot<R: BufRead>(r: &mut StreamReader<R>) -> Result<AttributedGraph, GraphError> {
+    if &r.array::<4>("magic")? != MAGIC {
         return Err(bad("bad magic"));
     }
     let n = r.u32()? as usize;
@@ -231,13 +231,15 @@ pub fn read_snapshot_bytes(bytes: &[u8]) -> Result<AttributedGraph, GraphError> 
     if !m2.is_multiple_of(2) {
         return Err(bad(format!("odd adjacency length {m2}")));
     }
-    let adj_off = offsets(&mut r, n, m2, "degree")?;
-    let adj: Vec<VertexId> = r.u32s(m2, "adjacency")?.map(VertexId).collect();
+    let adj_off = offsets(r, n, m2, "degree")?;
+    let mut adj = Vec::new();
+    r.u32s_into(m2, "adjacency", &mut adj, VertexId)?;
     check_adjacency(&adj_off, &adj)?;
 
     let kw_total = r.u32()? as usize;
-    let kw_off = offsets(&mut r, n, kw_total, "keyword count")?;
-    let kws: Vec<KeywordId> = r.u32s(kw_total, "keyword ids")?.map(KeywordId).collect();
+    let kw_off = offsets(r, n, kw_total, "keyword count")?;
+    let mut kws = Vec::new();
+    r.u32s_into(kw_total, "keyword ids", &mut kws, KeywordId)?;
     let vocab = r.strs()?;
     check_keyword_sets(&kw_off, &kws, vocab.len())?;
     let interner = KeywordInterner::from_names(vocab)
@@ -248,7 +250,7 @@ pub fn read_snapshot_bytes(bytes: &[u8]) -> Result<AttributedGraph, GraphError> 
     r.claim(n, 4, "label")?;
     let mut labels = LabelArena::with_capacity(n, r.remaining() - 4 * n);
     for _ in 0..n {
-        labels.push(r.str()?)?;
+        r.str_with(|s| labels.push(s))??;
     }
     r.finish("graph snapshot")?;
     Ok(AttributedGraph {
@@ -261,9 +263,17 @@ pub fn read_snapshot_bytes(bytes: &[u8]) -> Result<AttributedGraph, GraphError> 
     })
 }
 
-/// Loads a binary snapshot from a file path.
+/// [`read_snapshot`] over a snapshot held in memory.
+pub fn read_snapshot_bytes(bytes: &[u8]) -> Result<AttributedGraph, GraphError> {
+    read_snapshot(&mut StreamReader::new(bytes, bytes.len()))
+}
+
+/// Loads a binary snapshot from a file path, read in [`PIECE`]-sized
+/// pieces.
 pub fn load_snapshot_file<P: AsRef<Path>>(path: P) -> Result<AttributedGraph, GraphError> {
-    read_snapshot_bytes(&std::fs::read(path)?)
+    let file = std::fs::File::open(path)?;
+    let len = usize::try_from(file.metadata()?.len()).unwrap_or(usize::MAX);
+    read_snapshot(&mut StreamReader::new(BufReader::with_capacity(PIECE, file), len))
 }
 
 /// Saves a binary snapshot to a file path.

@@ -6,10 +6,15 @@
 //! [`GraphError::Snapshot`], never a panic, never an allocation sized by
 //! a number the input merely claims, and never an `Ok` graph that breaks
 //! an invariant. The writer is held to the format by a second, per-value
-//! encoder that uses only the graph's public accessors.
+//! encoder that uses only the graph's public accessors. A file read in
+//! pieces decodes to what the same bytes decode to in one piece, and
+//! fails with the same error, wherever the pieces split it.
+
+use std::io::BufReader;
 
 use cx_datagen::{dblp_like, DblpParams};
-use cx_graph::io::{read_snapshot_bytes, write_snapshot};
+use cx_graph::codec::StreamReader;
+use cx_graph::io::{read_snapshot, read_snapshot_bytes, write_snapshot};
 use cx_graph::{AttributedGraph, GraphBuilder, GraphError, VertexId};
 use cx_par::rng::Rng64;
 
@@ -361,4 +366,42 @@ fn duplicate_labels_keep_first_wins() {
     let g = read_snapshot_bytes(&raw.bytes()).unwrap();
     assert_eq!(g.vertex_by_label("a"), Some(VertexId(0)));
     assert_eq!(g.label(VertexId(3)), "a");
+}
+
+/// `bytes` decoded from pieces of `piece` bytes, re-encoded on success.
+fn in_pieces(bytes: &[u8], piece: usize) -> Result<Vec<u8>, String> {
+    let mut r = StreamReader::new(BufReader::with_capacity(piece, bytes), bytes.len());
+    let g = read_snapshot(&mut r).map_err(|e| e.to_string())?;
+    let mut out = Vec::new();
+    write_snapshot(&g, &mut out);
+    Ok(out)
+}
+
+/// Piece boundaries split words, strings and chars at every offset in
+/// one-to-nine-byte pieces; the graph and every error are the ones the
+/// whole buffer gives.
+#[test]
+fn pieces_of_any_size_decode_like_one_buffer() {
+    let (g, _) = dblp_like(&DblpParams::scaled(300, 5));
+    let mut bytes = Vec::new();
+    write_snapshot(&g, &mut bytes);
+    for piece in (1..=9).chain([64, 4_096]) {
+        assert_eq!(in_pieces(&bytes, piece).as_ref(), Ok(&bytes), "pieces of {piece}");
+    }
+
+    let whole = |b: &[u8]| read_snapshot_bytes(b).map(|_| ()).map_err(|e| e.to_string());
+    let valid = Raw::valid().bytes();
+    let mut damaged: Vec<Vec<u8>> = (0..valid.len()).map(|cut| valid[..cut].to_vec()).collect();
+    for byte in 0..valid.len() {
+        for bit in [0, 3, 7] {
+            let mut flipped = valid.clone();
+            flipped[byte] ^= 1 << bit;
+            damaged.push(flipped);
+        }
+    }
+    for bytes in &damaged {
+        for piece in 1..=9 {
+            assert_eq!(in_pieces(bytes, piece).map(drop), whole(bytes), "pieces of {piece}: {bytes:?}");
+        }
+    }
 }

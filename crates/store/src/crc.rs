@@ -5,6 +5,8 @@
 //! checkpoint payload is >100 MB at the paper's scale and is checksummed
 //! on every boot and every compaction). Used by the WAL frame codec,
 //! snapshot files and the manifest to detect torn writes and bit rot.
+//! [`Crc32`] is the same checksum taken as the bytes arrive, so a
+//! checkpoint is checked piece by piece while it is decoded.
 
 use std::sync::OnceLock;
 
@@ -36,25 +38,49 @@ fn tables() -> &'static [[u32; 256]; 8] {
 /// CRC-32 of `data` (init `0xFFFF_FFFF`, final xor, reflected — matches
 /// zlib's `crc32`).
 pub fn crc32(data: &[u8]) -> u32 {
-    let t = tables();
-    let mut c = 0xFFFF_FFFFu32;
-    let mut words = data.chunks_exact(8);
-    for w in &mut words {
-        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ c;
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+    let mut c = Crc32::new();
+    c.update(data);
+    c.finish()
+}
+
+/// A running CRC-32 over bytes that arrive in pieces: feeding the
+/// pieces in order to [`Crc32::update`] gives [`crc32`] of their
+/// concatenation.
+pub(crate) struct Crc32(u32);
+
+impl Crc32 {
+    /// The checksum of no bytes yet.
+    pub(crate) fn new() -> Self {
+        Crc32(0xFFFF_FFFF)
     }
-    for &b in words.remainder() {
-        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+
+    /// Folds `data` in.
+    pub(crate) fn update(&mut self, data: &[u8]) {
+        let t = tables();
+        let mut c = self.0;
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ c;
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            c = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        self.0 = c;
     }
-    c ^ 0xFFFF_FFFF
+
+    /// The checksum of every byte folded in so far.
+    pub(crate) fn finish(&self) -> u32 {
+        self.0 ^ 0xFFFF_FFFF
+    }
 }
 
 #[cfg(test)]
@@ -101,6 +127,19 @@ mod tests {
         }
         let long: Vec<u8> = buf.iter().cycle().take(100_003).copied().collect();
         assert_eq!(crc32(&long), bytewise(&long));
+    }
+
+    #[test]
+    fn pieces_fed_in_order_give_the_one_shot_checksum() {
+        let data: Vec<u8> = (0..1_000u32).map(|i| (i * 7 + i / 13) as u8).collect();
+        for piece in [1, 3, 7, 8, 9, 64, 999, 1_000] {
+            let mut c = Crc32::new();
+            for p in data.chunks(piece) {
+                c.update(p);
+            }
+            assert_eq!(c.finish(), crc32(&data), "pieces of {piece}");
+        }
+        assert_eq!(Crc32::new().finish(), crc32(b""));
     }
 
     #[test]

@@ -11,13 +11,18 @@
 //! the body; every header field is checked against what the reader
 //! expects — the magic, the word, and the length against the bytes
 //! actually present.
+//!
+//! Two readers check the envelope with the same errors: [`unseal`] over
+//! a file already in memory (the manifest, a sidecar), and
+//! [`read_sealed`], which streams a checkpoint's body in pieces through
+//! a running checksum into its decoder.
 
-use std::io::Write;
+use std::io::{BufReader, Read, Take, Write};
 use std::path::Path;
 
-use cx_graph::codec::{ByteReader, ByteWriter};
+use cx_graph::codec::{ByteReader, ByteWriter, StreamReader, PIECE};
 
-use crate::crc::crc32;
+use crate::crc::{crc32, Crc32};
 use crate::error::StoreError;
 
 /// The header that seals `body`, and the body's checksum.
@@ -30,6 +35,40 @@ pub(crate) fn seal(magic: &[u8; 4], word: u32, body: &[u8]) -> (Vec<u8>, u32) {
     (header, crc)
 }
 
+/// The header's length: magic, word, body length and checksum.
+const HEADER: usize = 20;
+
+/// Checks the header at the start of `r` against `magic` and `word` and
+/// returns the body length and checksum it records. A word other than
+/// `word` is an [`StoreError::UnsupportedVersion`]; any other mismatch
+/// is [`StoreError::Corrupt`].
+fn read_header(r: &mut ByteReader<'_>, magic: &[u8; 4], word: u32) -> Result<(u64, u32), StoreError> {
+    if r.take(magic.len(), "magic")? != magic {
+        return Err(StoreError::Corrupt(format!("bad {} magic", kind(magic))));
+    }
+    let found = r.u32()?;
+    if found != word {
+        return Err(StoreError::UnsupportedVersion { found, supported: word });
+    }
+    Ok((r.u64()?, r.u32()?))
+}
+
+/// Checks the header's body length against the `body` bytes present.
+fn check_len(magic: &[u8; 4], body: u64, len: u64) -> Result<(), StoreError> {
+    if len != body {
+        return Err(StoreError::Corrupt(format!("{} body is {body} bytes, its header says {len}", kind(magic))));
+    }
+    Ok(())
+}
+
+fn kind(magic: &[u8; 4]) -> std::borrow::Cow<'_, str> {
+    String::from_utf8_lossy(magic)
+}
+
+fn checksum_mismatch(magic: &[u8; 4]) -> StoreError {
+    StoreError::Corrupt(format!("{} checksum mismatch", kind(magic)))
+}
+
 /// The body of the sealed file `bytes`, borrowed, and its checksum. A
 /// word other than `word` is an [`StoreError::UnsupportedVersion`]; any
 /// other mismatch is [`StoreError::Corrupt`].
@@ -38,28 +77,61 @@ pub(crate) fn unseal<'a>(
     magic: &[u8; 4],
     word: u32,
 ) -> Result<(&'a [u8], u32), StoreError> {
-    let kind = String::from_utf8_lossy(magic);
     let mut r = ByteReader::new(bytes);
-    if r.take(magic.len(), "magic")? != magic {
-        return Err(StoreError::Corrupt(format!("bad {kind} magic")));
-    }
-    let found = r.u32()?;
-    if found != word {
-        return Err(StoreError::UnsupportedVersion { found, supported: word });
-    }
-    let len = r.u64()?;
-    let crc = r.u32()?;
+    let (len, crc) = read_header(&mut r, magic, word)?;
     let body = r.take(r.remaining(), "body")?;
-    if len != body.len() as u64 {
-        return Err(StoreError::Corrupt(format!(
-            "{kind} body is {} bytes, its header says {len}",
-            body.len()
-        )));
-    }
+    check_len(magic, body.len() as u64, len)?;
     if crc32(body) != crc {
-        return Err(StoreError::Corrupt(format!("{kind} checksum mismatch")));
+        return Err(checksum_mismatch(magic));
     }
     Ok((body, crc))
+}
+
+/// A reader that folds every byte it reads into a running checksum.
+pub(crate) struct Summed<R> {
+    src: R,
+    crc: Crc32,
+}
+
+impl<R: Read> Read for Summed<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.src.read(buf)?;
+        self.crc.update(&buf[..n]);
+        Ok(n)
+    }
+}
+
+/// The body of a sealed file as [`read_sealed`] streams it.
+pub(crate) type Body<R> = BufReader<Summed<Take<R>>>;
+
+/// Reads the sealed file of `file_len` bytes that `src` yields, in
+/// [`PIECE`]-sized pieces, with the errors [`unseal`] gives the same
+/// bytes: the header first, its body length against the file's, then
+/// `decode` over the body while each piece goes through the checksum.
+/// The checksum is compared after the last byte — on a decode error
+/// too, the rest of the body drained through it first — and a mismatch
+/// wins over whatever `decode` said. Returns `decode`'s value and the
+/// body's checksum.
+pub(crate) fn read_sealed<R: Read, T>(
+    mut src: R,
+    file_len: u64,
+    magic: &[u8; 4],
+    word: u32,
+    decode: impl FnOnce(&mut StreamReader<&mut Body<R>>) -> Result<T, StoreError>,
+) -> Result<(T, u32), StoreError> {
+    let mut head = [0u8; HEADER];
+    let head = &mut head[..file_len.min(HEADER as u64) as usize];
+    src.read_exact(head)?;
+    let (len, crc) = read_header(&mut ByteReader::new(head), magic, word)?;
+    check_len(magic, file_len - HEADER as u64, len)?;
+    let summed = Summed { src: src.take(len), crc: Crc32::new() };
+    let mut body = BufReader::with_capacity(PIECE, summed);
+    let decoded = decode(&mut StreamReader::new(&mut body, usize::try_from(len).unwrap_or(usize::MAX)));
+    std::io::copy(&mut body, &mut std::io::sink())?;
+    if body.get_ref().crc.finish() != crc {
+        return Err(checksum_mismatch(magic));
+    }
+    decoded.map(|value| (value, crc))
 }
 
 /// Writes `body` sealed to `path` atomically — header then body into

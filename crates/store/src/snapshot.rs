@@ -22,6 +22,19 @@
 //! value in the header is rejected with a typed
 //! [`StoreError::UnsupportedVersion`] instead of decoding garbage.
 //!
+//! # Reading
+//!
+//! A checkpoint is never held whole in memory on its way in. Boot reads
+//! the file in [`cx_graph::codec::PIECE`]-sized pieces
+//! ([`crate::sealed::read_sealed`]): the header and its body length are
+//! checked against the file first, then every piece goes through a
+//! running checksum and, from the same buffer, into the graph's columns
+//! ([`cx_graph::io::read_snapshot`], the one CXG1 decoder); only the
+//! profile section after the graph, a few bytes per profile, is gathered
+//! whole. The checksum is compared after the last byte, and a mismatch
+//! wins over any decode error, so a damaged file gets the error a
+//! whole-buffer check would give it.
+//!
 //! # Index sidecar
 //!
 //! Beside a checkpoint may sit `<hex(name)>-<generation>.cxi`, the
@@ -34,16 +47,17 @@
 //! read, and a missing, torn, flipped or foreign sidecar is simply not
 //! there.
 
+use std::io::Read;
 use std::path::Path;
 use std::sync::Arc;
 
 use cx_graph::codec::{ByteReader, ByteWriter};
-use cx_graph::io::{read_snapshot_bytes, write_snapshot};
+use cx_graph::io::{read_snapshot, write_snapshot};
 use cx_graph::AttributedGraph;
 
 use crate::error::StoreError;
 use crate::record::StoredProfile;
-use crate::sealed::{unseal, write_sealed};
+use crate::sealed::{read_sealed, unseal, write_sealed};
 
 const MAGIC: &[u8; 4] = b"CXSS";
 const INDEX_MAGIC: &[u8; 4] = b"CXSI";
@@ -160,21 +174,27 @@ impl GraphCheckpoint {
         write_sealed(path, MAGIC, SNAPSHOT_VERSION, &self.encode())
     }
 
-    /// Decodes and validates a checkpoint file — the envelope, then the
-    /// body with no trailing bytes — and returns its body checksum.
-    pub(crate) fn decode_file(bytes: &[u8]) -> Result<(GraphCheckpoint, u32), StoreError> {
-        let (body, crc) = unseal(bytes, MAGIC, SNAPSHOT_VERSION)?;
-        let mut r = ByteReader::new(body);
-        let name = r.str()?.to_owned();
-        let generation = r.u64()?;
-        let graph = Arc::new(read_snapshot_bytes(r.bytes()?)?);
-        let profiles = get_profiles(&mut r)?;
-        if let x @ 1.. = r.u8()? {
-            let msg = format!("checkpoint has_coords byte {x}: coordinates are retired");
-            return Err(StoreError::Corrupt(msg));
-        }
-        r.finish("snapshot payload")?;
-        Ok((GraphCheckpoint { name, generation, graph, profiles, index: None }, crc))
+    /// Reads and validates the checkpoint file of `len` bytes that `src`
+    /// yields — the envelope, then the body with no trailing bytes — and
+    /// returns its body checksum. The file is read in pieces and the
+    /// graph decoded from them as they arrive; only the profile section
+    /// after it, a few bytes per profile, is gathered whole.
+    pub(crate) fn read(src: impl Read, len: u64) -> Result<(GraphCheckpoint, u32), StoreError> {
+        read_sealed(src, len, MAGIC, SNAPSHOT_VERSION, |r| {
+            let name = r.str_with(str::to_owned)?;
+            let generation = r.u64()?;
+            let graph = Arc::new(r.block(read_snapshot)??);
+            let at = r.position();
+            let tail = r.vec(r.remaining(), "profiles")?;
+            let mut r = ByteReader::starting_at(&tail, at);
+            let profiles = get_profiles(&mut r)?;
+            if let x @ 1.. = r.u8()? {
+                let msg = format!("checkpoint has_coords byte {x}: coordinates are retired");
+                return Err(StoreError::Corrupt(msg));
+            }
+            r.finish("snapshot payload")?;
+            Ok(GraphCheckpoint { name, generation, graph, profiles, index: None })
+        })
     }
 }
 
@@ -230,7 +250,7 @@ mod tests {
     }
 
     fn read(bytes: &[u8]) -> Result<GraphCheckpoint, StoreError> {
-        GraphCheckpoint::decode_file(bytes).map(|(cp, _)| cp)
+        GraphCheckpoint::read(bytes, bytes.len() as u64).map(|(cp, _)| cp)
     }
 
     fn checkpoint() -> GraphCheckpoint {
@@ -258,7 +278,8 @@ mod tests {
     #[test]
     fn roundtrip_preserves_everything() {
         let cp = checkpoint();
-        let (back, crc) = GraphCheckpoint::decode_file(&file(&cp)).unwrap();
+        let bytes = file(&cp);
+        let (back, crc) = GraphCheckpoint::read(&bytes[..], bytes.len() as u64).unwrap();
         assert_eq!(crc, crate::crc32(&cp.encode()));
         assert_eq!(back.name, cp.name);
         assert_eq!(back.generation, 42);

@@ -12,7 +12,10 @@
 //!
 //! ## Recovery invariant
 //!
-//! Boot loads the manifest's live snapshots, then replays the WAL. A
+//! Boot loads the manifest's live snapshots — each checkpoint streamed
+//! from its file in pieces and decoded as it arrives, so the file is
+//! never buffered beside the graph decoded from it (see snapshot.rs) —
+//! then replays the WAL. A
 //! per-graph record is applied iff its generation is strictly newer than
 //! the generation recovery has already established for that name; the
 //! manifest's generation *counters* (which survive removal) seed that
@@ -160,14 +163,15 @@ impl Store {
             *gen_slot = (*gen_slot).max(entry.generation);
             if let Some(file) = &entry.file {
                 let path = dir.join(SNAPSHOTS_DIR).join(file);
-                let bytes = std::fs::read(&path).map_err(|e| {
+                let missing = |e: std::io::Error| {
                     StoreError::Corrupt(format!(
                         "manifest references missing snapshot {}: {e}",
                         path.display()
                     ))
-                })?;
-                let (cp, crc) = GraphCheckpoint::decode_file(&bytes)?;
-                drop(bytes); // before the sidecar is read
+                };
+                let f = std::fs::File::open(&path).map_err(missing)?;
+                let len = f.metadata().map_err(missing)?.len();
+                let (cp, crc) = GraphCheckpoint::read(f, len)?;
                 if cp.name != entry.name || cp.generation != entry.generation {
                     return Err(StoreError::Corrupt(format!(
                         "snapshot {} does not match its manifest entry",
