@@ -22,8 +22,9 @@ impl Engine {
     /// `cx_index_boot_total{source}` counts which of the two happened.
     pub fn open_durable(dir: &Path) -> Result<Self, ExplorerError> {
         let (store, state) = cx_store::Store::open(dir)?;
+        let cx_store::RecoveredState { graphs, default_graph, generations, .. } = state;
         let e = Self::new();
-        for (name, rg) in &state.graphs {
+        for (name, rg) in graphs {
             let loaded = rg
                 .index
                 .as_deref()
@@ -33,22 +34,20 @@ impl Engine {
                 None => "cx_index_boot_total{source=\"rebuilt\"}",
             });
             let tree = loaded.unwrap_or_else(|| ClTree::build(&rg.graph));
-            let profiles = ProfileStore::from_pairs(rg.profiles.iter().map(|p| {
-                (
-                    p.vertex,
-                    Profile {
-                        name: p.name.clone(),
-                        areas: p.areas.clone(),
-                        institutes: p.institutes.clone(),
-                        interests: p.interests.clone(),
-                    },
-                )
+            let profiles = ProfileStore::from_pairs(rg.profiles.into_iter().map(|p| {
+                let profile = Profile {
+                    name: p.name,
+                    areas: p.areas,
+                    institutes: p.institutes,
+                    interests: p.interests,
+                };
+                (p.vertex, profile)
             }));
             // Publishing with the store still unattached appends nothing
             // to the WAL; the recovered generation is installed as-is.
             e.publish(GraphSnapshot::new(
-                name.clone(),
-                Arc::clone(&rg.graph),
+                name,
+                rg.graph,
                 Arc::new(tree),
                 Arc::new(profiles),
                 rg.generation,
@@ -56,8 +55,8 @@ impl Engine {
         }
         {
             let mut r = e.registry();
-            r.generations = state.generations.iter().map(|(n, g)| (n.clone(), *g)).collect();
-            r.default_graph = state.default_graph.clone();
+            r.generations = generations.into_iter().collect();
+            r.default_graph = default_graph;
         }
         let mut e = e;
         e.store = Some(Arc::new(store));
