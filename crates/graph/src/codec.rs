@@ -290,16 +290,26 @@ impl<R: BufRead> StreamReader<R> {
 
     /// Consumes the next `len` bytes, handing them to `each` piece by
     /// piece as the stream's buffer holds them.
-    fn pieces(&mut self, len: usize, what: &str, mut each: impl FnMut(&[u8])) -> Result<(), DecodeError> {
+    fn pieces(
+        &mut self,
+        len: usize,
+        what: &str,
+        mut each: impl FnMut(&[u8]),
+    ) -> Result<(), DecodeError> {
         if len > self.left {
             return Err(self.error(truncated(what, len, self.left)));
         }
         let mut want = len;
         while want > 0 {
             let at = self.at;
-            let piece = self.src.fill_buf().map_err(|e| DecodeError { at, what: format!("reading {what}: {e}") })?;
+            let piece = self
+                .src
+                .fill_buf()
+                .map_err(|e| DecodeError { at, what: format!("reading {what}: {e}") })?;
             if piece.is_empty() {
-                return Err(self.error(format!("truncated {what}: the input ended {want} bytes early")));
+                return Err(
+                    self.error(format!("truncated {what}: the input ended {want} bytes early"))
+                );
             }
             let k = piece.len().min(want);
             each(&piece[..k]);
@@ -385,7 +395,10 @@ impl<R: BufRead> StreamReader<R> {
             return Err(self.error(truncated("string", len, self.left)));
         }
         let at = self.at;
-        let piece = self.src.fill_buf().map_err(|e| DecodeError { at, what: format!("reading string: {e}") })?;
+        let piece = self
+            .src
+            .fill_buf()
+            .map_err(|e| DecodeError { at, what: format!("reading string: {e}") })?;
         let out = if piece.len() >= len {
             let out = std::str::from_utf8(&piece[..len]).map(with).ok();
             self.src.consume(len);

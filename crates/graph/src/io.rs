@@ -39,7 +39,12 @@ const MAGIC: &[u8; 4] = b"CXG1";
 /// Writes `g` in the text format to `w`.
 pub fn write_text<W: Write>(g: &AttributedGraph, w: &mut W) -> Result<(), GraphError> {
     let mut w = BufWriter::new(w);
-    writeln!(w, "# c-explorer attributed graph: {} vertices, {} edges", g.vertex_count(), g.edge_count())?;
+    writeln!(
+        w,
+        "# c-explorer attributed graph: {} vertices, {} edges",
+        g.vertex_count(),
+        g.edge_count()
+    )?;
     for v in g.vertices() {
         let kws = g.keyword_names(g.keywords(v)).join(",");
         writeln!(w, "v\t{}\t{}", g.label(v), kws)?;
@@ -336,7 +341,10 @@ mod tests {
             other => panic!("expected parse error, got {other:?}"),
         }
         let bad_idx = "v\ta\t\ne\tzero\t0\n";
-        assert!(matches!(read_text(&mut bad_idx.as_bytes()), Err(GraphError::Parse { line: 2, .. })));
+        assert!(matches!(
+            read_text(&mut bad_idx.as_bytes()),
+            Err(GraphError::Parse { line: 2, .. })
+        ));
         let dangling = "v\ta\t\ne\t0\t9\n";
         assert!(matches!(
             read_text(&mut dangling.as_bytes()),

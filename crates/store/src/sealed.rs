@@ -42,7 +42,11 @@ const HEADER: usize = 20;
 /// returns the body length and checksum it records. A word other than
 /// `word` is an [`StoreError::UnsupportedVersion`]; any other mismatch
 /// is [`StoreError::Corrupt`].
-fn read_header(r: &mut ByteReader<'_>, magic: &[u8; 4], word: u32) -> Result<(u64, u32), StoreError> {
+fn read_header(
+    r: &mut ByteReader<'_>,
+    magic: &[u8; 4],
+    word: u32,
+) -> Result<(u64, u32), StoreError> {
     if r.take(magic.len(), "magic")? != magic {
         return Err(StoreError::Corrupt(format!("bad {} magic", kind(magic))));
     }
@@ -56,7 +60,10 @@ fn read_header(r: &mut ByteReader<'_>, magic: &[u8; 4], word: u32) -> Result<(u6
 /// Checks the header's body length against the `body` bytes present.
 fn check_len(magic: &[u8; 4], body: u64, len: u64) -> Result<(), StoreError> {
     if len != body {
-        return Err(StoreError::Corrupt(format!("{} body is {body} bytes, its header says {len}", kind(magic))));
+        return Err(StoreError::Corrupt(format!(
+            "{} body is {body} bytes, its header says {len}",
+            kind(magic)
+        )));
     }
     Ok(())
 }
@@ -126,7 +133,8 @@ pub(crate) fn read_sealed<R: Read, T>(
     check_len(magic, file_len - HEADER as u64, len)?;
     let summed = Summed { src: src.take(len), crc: Crc32::new() };
     let mut body = BufReader::with_capacity(PIECE, summed);
-    let decoded = decode(&mut StreamReader::new(&mut body, usize::try_from(len).unwrap_or(usize::MAX)));
+    let decoded =
+        decode(&mut StreamReader::new(&mut body, usize::try_from(len).unwrap_or(usize::MAX)));
     std::io::copy(&mut body, &mut std::io::sink())?;
     if body.get_ref().crc.finish() != crc {
         return Err(checksum_mismatch(magic));

@@ -125,10 +125,7 @@ pub struct Store {
 }
 
 fn fsync_policy_from_env() -> bool {
-    matches!(
-        std::env::var("CX_FSYNC").as_deref(),
-        Ok("always") | Ok("1") | Ok("on") | Ok("true")
-    )
+    matches!(std::env::var("CX_FSYNC").as_deref(), Ok("always") | Ok("1") | Ok("on") | Ok("true"))
 }
 
 impl Store {
@@ -222,10 +219,7 @@ impl Store {
         // Default-graph sanity: replay mirrors engine semantics, but a
         // prefix cut can leave a default pointing at a graph whose add
         // never made it to disk. Fall back like the engine does.
-        if state
-            .default_graph
-            .as_ref()
-            .is_some_and(|d| !state.graphs.contains_key(d))
+        if state.default_graph.as_ref().is_some_and(|d| !state.graphs.contains_key(d))
             || (state.default_graph.is_none() && !state.graphs.is_empty())
         {
             state.default_graph = state.graphs.keys().next().cloned();
@@ -264,12 +258,7 @@ impl Store {
                 rows.remove(&name);
                 state.graphs.insert(
                     name.clone(),
-                    RecoveredGraph {
-                        graph,
-                        generation,
-                        profiles: Vec::new(),
-                        index: None,
-                    },
+                    RecoveredGraph { graph, generation, profiles: Vec::new(), index: None },
                 );
                 if state.default_graph.is_none() {
                     state.default_graph = Some(name.clone());
@@ -367,7 +356,8 @@ impl Store {
     ) -> Result<CompactionStats, StoreError> {
         let mut inner = self.lock();
         let snap_dir = self.dir.join(SNAPSHOTS_DIR);
-        let mut stats = CompactionStats { wal_bytes_folded: inner.wal.bytes(), ..Default::default() };
+        let mut stats =
+            CompactionStats { wal_bytes_folded: inner.wal.bytes(), ..Default::default() };
 
         let mut entries = Vec::with_capacity(counters.len());
         let mut live_files = Vec::with_capacity(2 * live.len());
@@ -397,13 +387,21 @@ impl Store {
             }
             live_files.push(index_file);
             live_files.push(file.clone());
-            entries.push(ManifestEntry { name: cp.name.clone(), generation: cp.generation, file: Some(file) });
+            entries.push(ManifestEntry {
+                name: cp.name.clone(),
+                generation: cp.generation,
+                file: Some(file),
+            });
         }
         // Tombstones for every counted name with no live graph: they pin
         // the name's last generation even if stale files linger.
         for (name, counter) in counters {
             if !live.iter().any(|cp| &cp.name == name) {
-                entries.push(ManifestEntry { name: name.clone(), generation: *counter, file: None });
+                entries.push(ManifestEntry {
+                    name: name.clone(),
+                    generation: *counter,
+                    file: None,
+                });
             }
         }
 
@@ -520,9 +518,7 @@ mod tests {
                 }],
                 index: None,
             };
-            let stats = store
-                .compact(&[cp], Some("g".into()), &[("g".into(), 2)])
-                .unwrap();
+            let stats = store.compact(&[cp], Some("g".into()), &[("g".into(), 2)]).unwrap();
             assert_eq!(stats.snapshots_written, 1);
             assert_eq!(store.wal_bytes(), 0);
             // LSN continues after truncation.
@@ -596,9 +592,7 @@ mod tests {
         let g = graph(2, &[(0, 1)]);
         {
             let (store, _) = Store::open_with_fsync(&dir, false).unwrap();
-            store
-                .append(&Record::AddGraph { name: "g".into(), generation: 1, graph: g })
-                .unwrap();
+            store.append(&Record::AddGraph { name: "g".into(), generation: 1, graph: g }).unwrap();
             store.append(&Record::Remove { name: "g".into(), generation: 2 }).unwrap();
             // Compaction with no live graphs writes a tombstone carrying
             // the counter.
@@ -609,9 +603,7 @@ mod tests {
         assert_eq!(state.generations["g"], 2);
         // A re-add continues the generation sequence.
         let g2 = graph(3, &[]);
-        store
-            .append(&Record::AddGraph { name: "g".into(), generation: 3, graph: g2 })
-            .unwrap();
+        store.append(&Record::AddGraph { name: "g".into(), generation: 3, graph: g2 }).unwrap();
         drop(store);
         let (_s, state) = Store::open_with_fsync(&dir, false).unwrap();
         assert_eq!(state.graphs["g"].generation, 3);
@@ -624,9 +616,7 @@ mod tests {
         let g = graph(2, &[(0, 1)]);
         {
             let (store, _) = Store::open_with_fsync(&dir, true).unwrap();
-            store
-                .append(&Record::AddGraph { name: "g".into(), generation: 1, graph: g })
-                .unwrap();
+            store.append(&Record::AddGraph { name: "g".into(), generation: 1, graph: g }).unwrap();
         }
         let wal_path = dir.join(WAL_FILE);
         let clean = std::fs::metadata(&wal_path).unwrap().len();

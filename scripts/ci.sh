@@ -7,7 +7,9 @@
 #      pointing at a deleted or private item fails the run;
 #   3. clippy over every crate and target (tests included) with warnings
 #      as errors, then `rustfmt --check` over the files formatted under
-#      the root rustfmt.toml so far (crates/server/src/routes/);
+#      the root rustfmt.toml so far (crates/server/src/routes/, the
+#      CXG1 codec in crates/graph/src/{codec,io}.rs and the checkpoint
+#      path in crates/store/src/{crc,sealed,snapshot,store}.rs);
 #   4. the tests of the standalone benchmark/ package (its own workspace
 #      with path deps on crates/*, so step 1 does not compile it) — early,
 #      so an engine API the benchmark uses that went missing fails fast;
@@ -47,8 +49,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "== cargo clippy --workspace --all-targets (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== rustfmt --check (crates/server/src/routes) =="
-rustfmt --check --edition 2021 crates/server/src/routes/*.rs
+echo "== rustfmt --check (the files formatted under rustfmt.toml) =="
+rustfmt --check --edition 2021 crates/server/src/routes/*.rs \
+  crates/graph/src/{codec,io}.rs crates/store/src/{crc,sealed,snapshot,store}.rs
 
 echo "== benchmark/ package tests =="
 cargo test -q --manifest-path benchmark/Cargo.toml
