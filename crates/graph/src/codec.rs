@@ -264,14 +264,12 @@ pub struct StreamReader<R> {
     left: usize,
     /// Bytes consumed so far: the offset errors name.
     at: usize,
-    /// Where a string split across two pieces is put back together.
-    joined: Vec<u8>,
 }
 
 impl<R: BufRead> StreamReader<R> {
     /// A reader over the next `len` bytes of `src`.
     pub fn new(src: R, len: usize) -> Self {
-        Self { src, left: len, at: 0, joined: Vec::new() }
+        Self { src, left: len, at: 0 }
     }
 
     /// Bytes not yet consumed.
@@ -405,12 +403,8 @@ impl<R: BufRead> StreamReader<R> {
             (self.left, self.at) = (self.left - len, self.at + len);
             out
         } else {
-            let mut joined = std::mem::take(&mut self.joined);
-            joined.clear();
-            self.pieces(len, "string", |piece| joined.extend_from_slice(piece))?;
-            let out = std::str::from_utf8(&joined).map(with).ok();
-            self.joined = joined;
-            out
+            let joined = self.vec(len, "string")?;
+            std::str::from_utf8(&joined).map(with).ok()
         };
         out.ok_or_else(|| self.error("non-utf8 string"))
     }
